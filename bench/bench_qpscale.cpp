@@ -31,8 +31,10 @@
  * times with the reps interleaved across points (rep 0 of every
  * point, then rep 1, ...) so page-cache and allocator warm-up is
  * spread evenly instead of flattering whichever point ran last, and
- * each point reports its minimum wall time. Simulated fields are
- * asserted identical across reps.
+ * each point reports its minimum wall time, also as wallUsPerMsg
+ * (wall microseconds per message) so growth with QP count reads off
+ * directly. Simulated fields are asserted identical across reps, and
+ * the JSON records hostCores for context.
  */
 
 #include <algorithm>
@@ -41,6 +43,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/testbed.hh"
@@ -64,6 +67,14 @@ struct Point
     std::uint64_t rxHits = 0, rxMisses = 0, rxEvictions = 0;
     double wallSeconds = 0.0;
     bool completed = false;
+
+    double
+    wallUsPerMsg() const
+    {
+        return messages > 0 ? wallSeconds * 1e6 /
+                                  static_cast<double>(messages)
+                            : 0.0;
+    }
 };
 
 Point
@@ -328,6 +339,8 @@ writeJson(const std::vector<Point> &points, std::size_t cache,
     }
     std::fprintf(f, "{\n  \"benchmark\": \"qpscale\",\n");
     std::fprintf(f, "  \"qpCacheCapacity\": %zu,\n", cache);
+    std::fprintf(f, "  \"hostCores\": %u,\n",
+                 std::thread::hardware_concurrency());
     std::fprintf(f, "  \"points\": [\n");
     for (std::size_t i = 0; i < points.size(); ++i) {
         const auto &p = points[i];
@@ -341,7 +354,7 @@ writeJson(const std::vector<Point> &points, std::size_t cache,
             "\"evictions\": %llu}, "
             "\"rxCtx\": {\"hits\": %llu, \"misses\": %llu, "
             "\"evictions\": %llu}, "
-            "\"wallSeconds\": %.3f}%s\n",
+            "\"wallSeconds\": %.3f, \"wallUsPerMsg\": %.2f}%s\n",
             p.transport, p.qps, p.completed ? "true" : "false",
             static_cast<unsigned long long>(p.messages),
             static_cast<unsigned long long>(p.simTicks),
@@ -352,7 +365,8 @@ writeJson(const std::vector<Point> &points, std::size_t cache,
             static_cast<unsigned long long>(p.rxHits),
             static_cast<unsigned long long>(p.rxMisses),
             static_cast<unsigned long long>(p.rxEvictions),
-            p.wallSeconds, i + 1 < points.size() ? "," : "");
+            p.wallSeconds, p.wallUsPerMsg(),
+            i + 1 < points.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
@@ -412,18 +426,19 @@ main(int argc, char **argv)
     std::printf("=== completion rate vs QP count (cache %zu contexts, "
                 "%llu msgs/point) ===\n",
                 cache, static_cast<unsigned long long>(messages));
-    std::printf("%5s %8s %14s %16s %12s %12s %10s\n", "arm", "qps",
+    std::printf("%5s %8s %14s %16s %12s %12s %10s %12s\n", "arm", "qps",
                 "msgs", "compl/simsec", "txMisses", "rxMisses",
-                "wall_s");
+                "wall_s", "wall_us/msg");
     bool all_ok = true;
     for (const auto &p : points) {
-        std::printf("%5s %8zu %14llu %16.0f %12llu %12llu %10.2f%s\n",
+        std::printf("%5s %8zu %14llu %16.0f %12llu %12llu %10.2f "
+                    "%12.2f%s\n",
                     p.transport, p.qps,
                     static_cast<unsigned long long>(p.messages),
                     p.completionsPerSimSec,
                     static_cast<unsigned long long>(p.txMisses),
                     static_cast<unsigned long long>(p.rxMisses),
-                    p.wallSeconds,
+                    p.wallSeconds, p.wallUsPerMsg(),
                     p.completed ? "" : "  [INCOMPLETE]");
         all_ok = all_ok && p.completed;
     }

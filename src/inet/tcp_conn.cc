@@ -5,8 +5,13 @@
 #include "sim/logging.hh"
 #include "sim/trace.hh"
 
-#define TCP_TRACE(...) \
-    sim::debugLog(sim::LogLevel::Trace, "tcp", __VA_ARGS__)
+// Level-gated at the call site: with tracing off, a trace point costs
+// one load and compare, not a call plus argument evaluation.
+#define TCP_TRACE(...)                                                \
+    do {                                                              \
+        if (sim::logEnabled(sim::LogLevel::Trace))                    \
+            sim::debugLog(sim::LogLevel::Trace, "tcp", __VA_ARGS__); \
+    } while (0)
 
 namespace qpip::inet {
 
@@ -64,6 +69,7 @@ TcpConnection::transition(TcpState next)
     state_ = next;
     if (prev == next)
         return;
+    receiveStateChanged();
     sim::Tracer *tr = env_.tracer();
     if (tr != nullptr && tr->enabled()) {
         tr->instant("tcp",
@@ -279,6 +285,7 @@ TcpConnection::emitSegment(const OutSpec &spec)
     }
     if (hdr.has(tcpflags::syn))
         rcvAdvertised_ = rcvNxt_ + adv;
+    receiveStateChanged();
 
     IpDatagram dgram;
     dgram.src = tuple_.local.addr;
@@ -1031,6 +1038,7 @@ TcpConnection::deliverInOrder(std::span<const std::uint8_t> payload)
 {
     rcvNxt_ += static_cast<std::uint32_t>(payload.size());
     rcvOffset_ += payload.size();
+    receiveStateChanged();
     observer_.onDataDelivered(*this, payload);
 }
 
@@ -1055,10 +1063,12 @@ TcpConnection::processData(const TcpHeader &hdr,
                 stats_.msgRefused.inc();
                 heldMessage_.assign(payload.begin(), payload.end());
                 holdingMessage_ = true;
+                receiveStateChanged();
                 return;
             }
             rcvNxt_ += static_cast<std::uint32_t>(payload.size());
             rcvOffset_ += payload.size();
+            receiveStateChanged();
             observer_.onMessage(
                 *this,
                 std::vector<std::uint8_t>(payload.begin(), payload.end()));
@@ -1122,6 +1132,7 @@ TcpConnection::processFin(const TcpHeader &hdr, std::size_t payload_len)
     }
 
     rcvNxt_ += 1;
+    receiveStateChanged();
     sendAck();
     observer_.onPeerClosed(*this);
 
@@ -1154,6 +1165,7 @@ TcpConnection::onReceiveWindowGrew()
         holdingMessage_ = false;
         rcvNxt_ += static_cast<std::uint32_t>(msg.size());
         rcvOffset_ += msg.size();
+        receiveStateChanged();
         observer_.onMessage(*this, std::move(msg));
         sendAck();
         return;
@@ -1175,6 +1187,30 @@ TcpConnection::onReceiveWindowGrew()
          rcvAdvertised_ - rcvNxt_ < effMss())) {
         sendAck();
     }
+}
+
+std::optional<std::uint32_t>
+TcpConnection::windowGrewThreshold() const
+{
+    // Mirrors onReceiveWindowGrew() branch by branch.
+    if (state_ == TcpState::Closed)
+        return std::nullopt;
+    if (holdingMessage_)
+        return 0; // the held message is retried at any window
+    if (!established() && state_ != TcpState::CloseWait)
+        return std::nullopt;
+    // With A = rcvAdvertised_ - rcvNxt_ and d = w - A (both mod 2^32),
+    // an update goes out iff seqGt(rcvNxt_ + w, rcvAdvertised_), i.e.
+    // d in [1, 2^31), and either A < MSS or d >= 2 * MSS: together,
+    // d in [lo, 2^31). Find the least w in [0, 2^32) that lands there.
+    const std::uint32_t mss = effMss();
+    const std::uint32_t adv = rcvAdvertised_ - rcvNxt_;
+    const std::uint32_t lo = adv < mss ? 1 : 2 * mss;
+    // w = 0 already qualifies when the advertised edge lags rcvNxt_
+    // by at least lo; otherwise d first reaches lo at w = A + lo.
+    if (seqGt(rcvNxt_, rcvAdvertised_) && rcvNxt_ - rcvAdvertised_ >= lo)
+        return 0;
+    return adv + lo;
 }
 
 // --------------------------------------------------------------------

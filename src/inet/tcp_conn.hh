@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -195,6 +196,14 @@ class TcpObserver
      * sockets, total posted receive-WR bytes for QPIP.
      */
     virtual std::uint32_t receiveWindow(TcpConnection &) = 0;
+
+    /**
+     * The receive-side state windowGrewThreshold() reads (rcvNxt, the
+     * advertised edge, the connection state or the held message)
+     * changed. Observers that index connections by that threshold
+     * re-key here; everyone else ignores it.
+     */
+    virtual void onReceiveStateChanged(TcpConnection &) {}
 };
 
 /** Counters exposed for tests and the occupancy/ablation benches. */
@@ -287,6 +296,16 @@ class TcpConnection
      */
     void onReceiveWindowGrew();
 
+    /**
+     * The smallest receiveWindow() at which onReceiveWindowGrew()
+     * would do anything: 0 while a message is held, otherwise the
+     * least window whose edge passes the window-update test; nullopt
+     * when no window can make it act (closed, or not in a receiving
+     * state). Every change to its inputs is announced through
+     * TcpObserver::onReceiveStateChanged().
+     */
+    std::optional<std::uint32_t> windowGrewThreshold() const;
+
     TcpState state() const { return state_; }
     bool established() const { return state_ == TcpState::Established; }
     const FourTuple &tuple() const { return tuple_; }
@@ -375,6 +394,9 @@ class TcpConnection
 
     /** Move to @p next, emitting a trace instant when tracing is on. */
     void transition(TcpState next);
+
+    /** Announce a windowGrewThreshold() input change to the observer. */
+    void receiveStateChanged() { observer_.onReceiveStateChanged(*this); }
 
     TcpEnv &env_;
     TcpObserver &observer_;

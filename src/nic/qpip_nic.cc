@@ -171,7 +171,7 @@ QpipNic::createQp(QpType type, QpHostRings *rings, CqRing *scq,
         if (it == srqs_.end())
             sim::fatal("createQp: unknown srq %u", attrs.srq);
         ctx->srq = it->second.get();
-        ctx->srq->attached.push_back(ctx.get());
+        ctx->srq->wake.emplace(std::pair{ctx->wakeKey, num}, ctx.get());
     }
     if (attrs.rdmaWindowBytes > 0) {
         if (type != QpType::ReliableTcp)
@@ -204,10 +204,8 @@ QpipNic::destroyQp(QpNum qp)
     if (ctx->bound)
         engineFor(ctx->type).unbound(*ctx);
     flushQp(*ctx, WcStatus::Flushed);
-    if (ctx->srq != nullptr) {
-        auto &att = ctx->srq->attached;
-        att.erase(std::remove(att.begin(), att.end(), ctx), att.end());
-    }
+    if (ctx->srq != nullptr)
+        ctx->srq->wake.erase({ctx->wakeKey, qp});
     qpCache_.remove(qp);
     qps_.erase(qp);
 }
@@ -230,9 +228,9 @@ QpipNic::destroySrq(SrqNum srq)
     auto it = srqs_.find(srq);
     if (it == srqs_.end())
         return;
-    if (!it->second->attached.empty())
+    if (!it->second->wake.empty())
         sim::fatal("destroySrq: srq %u still has %zu attached QPs",
-                   srq, it->second->attached.size());
+                   srq, it->second->wake.size());
     fw_.charge(FwStage::Mgmt, params_.costs.mgmtCommand);
     srqs_.erase(it);
 }
@@ -372,12 +370,8 @@ QpipNic::doorbellDrain()
                     ++srq.postedCount;
                     srq.postedBytes += wr.sge.length;
                 }
-                if (fresh > 0) {
-                    // Replenish fan-out, in attach order: any held
-                    // message on an attached transport may land now.
-                    for (auto *ctx : srq.attached)
-                        engineFor(ctx->type).recvReplenished(*ctx);
-                }
+                if (fresh > 0)
+                    replenishSrq(srq);
             }
         } else if (auto *ctx = lookupQp(db.qp); ctx != nullptr) {
             touchQpContext(db.qp);
@@ -413,6 +407,41 @@ QpipNic::doorbellDrain()
         }
         doorbellDrain();
     });
+}
+
+void
+QpipNic::replenishSrq(SrqContext &srq)
+{
+    // Take the woken set up front: deliveries during the sweep only
+    // consume WRs, so postedBytes never rises mid-sweep and no QP left
+    // out could act by the time its turn in attach order came. Taken
+    // QPs that no longer qualify re-check and do nothing.
+    std::vector<QpContext *> woken;
+    for (const auto &[key, ctx] : srq.wake) {
+        if (key.first > srq.postedBytes)
+            break;
+        woken.push_back(ctx);
+    }
+    std::sort(woken.begin(), woken.end(),
+              [](const QpContext *a, const QpContext *b) {
+                  return a->num < b->num;
+              });
+    for (auto *ctx : woken)
+        engineFor(ctx->type).recvReplenished(*ctx);
+}
+
+void
+QpipNic::rekeySrqWake(QpContext &qp)
+{
+    if (qp.srq == nullptr)
+        return;
+    const std::uint64_t key = engineFor(qp.type).replenishThreshold(qp);
+    if (key == qp.wakeKey)
+        return;
+    auto node = qp.srq->wake.extract({qp.wakeKey, qp.num});
+    node.key().first = key;
+    qp.srq->wake.insert(std::move(node));
+    qp.wakeKey = key;
 }
 
 void

@@ -330,6 +330,16 @@ class QpipNic : public sim::SimObject,
 
     void flushQp(QpContext &qp, WcStatus status);
 
+    /**
+     * SRQ replenish: in attach order, hand every attached QP whose
+     * wake threshold the posted bytes now reach to its engine's
+     * recvReplenished(). No other attached QP could act.
+     */
+    void replenishSrq(SrqContext &srq);
+
+    /** Move @p qp to its engine's current threshold in the SRQ index. */
+    void rekeySrqWake(QpContext &qp);
+
     QpContext *lookupQp(QpNum qp);
 
     inet::InetAddr addr_;

@@ -12,6 +12,9 @@
 #pragma once
 
 #include <algorithm>
+#include <limits>
+#include <map>
+#include <utility>
 
 #include "nic/qpip_nic.hh"
 #include "nic/transport/rc_engine.hh"
@@ -20,21 +23,32 @@ namespace qpip::nic {
 
 /**
  * NIC-side state of one shared receive queue: the doorbell-FSM shadow
- * of the host ring plus the attach list (in attach order, so window
- * redelivery after a replenish is deterministic). SRQ contexts are
- * pinned in SRAM — they are shared infrastructure like the demux
- * table, not per-QP state, so they don't flow through the QP context
- * cache.
+ * of the host ring plus the wake index of its attached QPs. SRQ
+ * contexts are pinned in SRAM — they are shared infrastructure like
+ * the demux table, not per-QP state, so they don't flow through the
+ * QP context cache.
  */
 struct QpipNic::SrqContext
 {
+    /** Wake key of a QP no replenish can affect. */
+    static constexpr std::uint64_t neverWakes =
+        std::numeric_limits<std::uint64_t>::max();
+
     SrqNum num = invalidSrq;
     SrqHostRing *ring = nullptr;
     std::uint64_t seen = 0;
     std::uint64_t consumed = 0;
     std::uint32_t postedCount = 0;
     std::uint64_t postedBytes = 0;
-    std::vector<QpContext *> attached;
+    /**
+     * Every attached QP, keyed by (wake threshold, QP number): a
+     * replenish visits the prefix whose threshold — the least
+     * postedBytes at which TransportEngine::recvReplenished can act
+     * on the QP — postedBytes has reached, and nothing else. QP
+     * numbers grow monotonically and QPs attach only at creation, so
+     * QP number order is attach order.
+     */
+    std::map<std::pair<std::uint64_t, QpNum>, QpContext *> wake;
 };
 
 struct QpipNic::QpContext : public inet::TcpObserver,
@@ -54,6 +68,8 @@ struct QpipNic::QpContext : public inet::TcpObserver,
 
     /** Receive WRs come from here instead of rings->recvQ when set. */
     SrqContext *srq = nullptr;
+    /** This QP's current threshold in srq->wake. */
+    std::uint64_t wakeKey = SrqContext::neverWakes;
     /** Non-zero: RDMA framing on, one-sided window in bytes. */
     std::uint32_t rdmaWindow = 0;
 
@@ -219,6 +235,12 @@ struct QpipNic::QpContext : public inet::TcpObserver,
             srq != nullptr ? srq->postedBytes : postedRecvBytes;
         return static_cast<std::uint32_t>(std::min<std::uint64_t>(
             posted + rdmaWindow, 0xffffffffull));
+    }
+
+    void
+    onReceiveStateChanged(inet::TcpConnection &) override
+    {
+        nic.rekeySrqWake(*this);
     }
 };
 

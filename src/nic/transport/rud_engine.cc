@@ -129,6 +129,8 @@ RudEngine::datagramDeliver(QpContext &qp,
             nic_.rudRnrHolds.inc();
         p.holding = true;
         p.held.assign(payload.begin(), payload.end());
+        holding_[qp.num].insert(from);
+        nic_.rekeySrqWake(qp);
         return;
     }
     ++p.expectedSeq;
@@ -241,20 +243,32 @@ RudEngine::rtoFire(QpNum qp, const inet::SockAddr &to)
 void
 RudEngine::recvReplenished(QpContext &qp)
 {
-    auto qit = state_.find(qp.num);
-    if (qit == state_.end())
+    auto hit = holding_.find(qp.num);
+    if (hit == holding_.end())
         return;
-    for (auto &[addr, p] : qit->second) {
-        if (!p.holding)
-            continue;
-        if (!qp.recvWrAvailable())
-            break;
+    auto &held = hit->second;
+    auto &peers = state_[qp.num];
+    while (!held.empty() && qp.recvWrAvailable()) {
+        const inet::SockAddr addr = *held.begin();
+        held.erase(held.begin());
+        Peer &p = peers[addr];
         p.holding = false;
         ++p.expectedSeq;
         nic_.receiveIntoWr(qp, std::move(p.held), addr);
         p.held = {};
         sendAck(qp, p, addr);
     }
+    if (held.empty()) {
+        holding_.erase(hit);
+        nic_.rekeySrqWake(qp);
+    }
+}
+
+std::uint64_t
+RudEngine::replenishThreshold(const QpContext &qp) const
+{
+    return holding_.contains(qp.num) ? 0
+                                     : QpipNic::SrqContext::neverWakes;
 }
 
 void
@@ -286,6 +300,8 @@ RudEngine::flushed(QpContext &qp, WcStatus status)
         }
     }
     state_.erase(qit);
+    if (holding_.erase(qp.num) > 0)
+        nic_.rekeySrqWake(qp);
 }
 
 } // namespace qpip::nic

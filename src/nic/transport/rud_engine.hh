@@ -23,6 +23,7 @@
 
 #include <deque>
 #include <map>
+#include <set>
 
 #include "nic/transport/ud_engine.hh"
 #include "sim/event_queue.hh"
@@ -43,6 +44,9 @@ class RudEngine : public UdEngine
                          std::vector<std::uint8_t> &&msg,
                          const inet::SockAddr &from) override;
     void recvReplenished(QpipNic::QpContext &qp) override;
+    /** 0 while any peer holds data for want of a WR, else never. */
+    std::uint64_t replenishThreshold(
+        const QpipNic::QpContext &qp) const override;
     void flushed(QpipNic::QpContext &qp, WcStatus status) override;
 
     // bound()/unbound() inherit the UD engine's port demux plumbing.
@@ -98,9 +102,16 @@ class RudEngine : public UdEngine
 
     /**
      * Per-QP, per-peer reliability state. Ordered maps: iteration
-     * (replenish scans, flushes) must be deterministic.
+     * (flushes) must be deterministic.
      */
     std::map<QpNum, std::map<inet::SockAddr, Peer>> state_;
+
+    /**
+     * Per QP, the peers with Peer::holding set, in address order (the
+     * order a walk of state_ would meet them). A QP has an entry only
+     * while some peer holds, so a replenish visits holders only.
+     */
+    std::map<QpNum, std::set<inet::SockAddr>> holding_;
 };
 
 } // namespace qpip::nic

@@ -32,6 +32,19 @@ TransportEngine::recvReplenished(QpipNic::QpContext &qp)
         qp.conn->onReceiveWindowGrew();
 }
 
+std::uint64_t
+TransportEngine::replenishThreshold(const QpipNic::QpContext &qp) const
+{
+    // Connected service: the connection's own window threshold, less
+    // the standing one-sided window receiveWindow() adds to the posted
+    // bytes. Datagram QPs have no connection and never wake.
+    const auto w =
+        qp.conn ? qp.conn->windowGrewThreshold() : std::nullopt;
+    if (!w)
+        return QpipNic::SrqContext::neverWakes;
+    return *w - std::min<std::uint64_t>(*w, qp.rdmaWindow);
+}
+
 void
 TransportEngine::flushed(QpipNic::QpContext &, WcStatus)
 {

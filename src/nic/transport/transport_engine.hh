@@ -65,6 +65,14 @@ class TransportEngine
     virtual void recvReplenished(QpipNic::QpContext &qp);
 
     /**
+     * The least SRQ postedBytes at which recvReplenished(@p qp) can
+     * act, or SrqContext::neverWakes. Engines whose answer changes
+     * call QpipNic::rekeySrqWake() so the SRQ's wake index follows.
+     */
+    virtual std::uint64_t replenishThreshold(
+        const QpipNic::QpContext &qp) const;
+
+    /**
      * @p qp is flushing (destroy / reset / close): surface engine-
      * held WRs as @p status completions and drop transient state.
      */

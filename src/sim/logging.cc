@@ -6,15 +6,11 @@
 
 namespace qpip::sim {
 
-namespace {
+namespace detail {
 LogLevel gLogLevel = LogLevel::Warn;
-} // namespace
+} // namespace detail
 
-LogLevel
-logLevel()
-{
-    return gLogLevel;
-}
+using detail::gLogLevel;
 
 void
 setLogLevel(LogLevel level)

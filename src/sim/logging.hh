@@ -15,9 +15,29 @@ namespace qpip::sim {
 /** Verbosity levels for the debug log. */
 enum class LogLevel { None = 0, Error, Warn, Info, Debug, Trace };
 
+namespace detail {
+/** Backing store of logLevel(); written only through setLogLevel(). */
+extern LogLevel gLogLevel;
+} // namespace detail
+
 /** Global debug-log verbosity; default Warn. */
-LogLevel logLevel();
+inline LogLevel
+logLevel()
+{
+    return detail::gLogLevel;
+}
 void setLogLevel(LogLevel level);
+
+/**
+ * Whether messages at @p level are emitted. Inline so hot-path trace
+ * macros can skip the out-of-line debugLog() call (and the evaluation
+ * of its arguments) when tracing is off.
+ */
+inline bool
+logEnabled(LogLevel level)
+{
+    return detail::gLogLevel >= level;
+}
 
 /** printf-style formatting into a std::string. */
 std::string vstrfmt(const char *fmt, std::va_list ap);
