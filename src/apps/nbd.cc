@@ -124,11 +124,14 @@ NbdSocketServer::NbdSocketServer(host::HostStack &stack,
 void
 NbdSocketServer::serve(std::shared_ptr<TcpSocket> sock)
 {
+    // The loop holds itself weakly and each pending callback holds it
+    // strongly: it lives while a request can still arrive, and no
+    // reference cycle outlives the socket.
     auto loop = std::make_shared<std::function<void()>>();
-    *loop = [this, sock, loop] {
+    *loop = [this, sock, weak = std::weak_ptr(loop)] {
         sock->recvExact(
             nbdRequestHeaderBytes,
-            [this, sock, loop](std::vector<std::uint8_t> hdr) {
+            [this, sock, loop = weak.lock()](std::vector<std::uint8_t> hdr) {
                 NbdRequest req;
                 if (!parseNbdRequest(hdr, req))
                     return; // EOF or protocol error: stop serving
@@ -512,6 +515,9 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
                         });
     };
 
+    bed.releaseAtTeardown(sender);
+    bed.releaseAtTeardown(reader);
+    bed.releaseAtTeardown(finish_write);
     (*sender)();
     (*reader)();
 
@@ -676,6 +682,7 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
         });
     };
 
+    bed.releaseAtTeardown(pump);
     (*issue)();
     (*pump)();
 

@@ -80,6 +80,7 @@ runSocketTcpPingPong(SocketsTestbed &bed, std::size_t iterations,
                             });
                         });
     };
+    bed.releaseAtTeardown(echo);
     server.tcpListen(serverPort, cfg,
                      [echo](std::shared_ptr<TcpSocket> sock) {
                          (*echo)(sock);
@@ -105,6 +106,7 @@ runSocketTcpPingPong(SocketsTestbed &bed, std::size_t iterations,
                                 (*iterate)(sock);
                         });
     };
+    bed.releaseAtTeardown(iterate);
 
     auto sock = client.tcpConnect(
         bed.addr(0, 30001), bed.addr(1, serverPort), cfg, nullptr);
@@ -140,6 +142,7 @@ runSocketUdpPingPong(SocketsTestbed &bed, std::size_t iterations,
             (*echo)();
         });
     };
+    bed.releaseAtTeardown(echo);
     (*echo)();
 
     auto &sim = bed.sim();
@@ -157,6 +160,7 @@ runSocketUdpPingPong(SocketsTestbed &bed, std::size_t iterations,
                 (*iterate)();
         });
     };
+    bed.releaseAtTeardown(iterate);
     (*iterate)();
 
     sim.runUntilCondition([&] { return st->finished; },
@@ -205,6 +209,7 @@ runQpipTcpPingPong(QpipTestbed &bed, std::size_t iterations,
                      (*server_loop)(qp);
                  });
     };
+    bed.releaseAtTeardown(server_loop);
     acceptor->acceptOne(
         [st, server_loop, mr_s](std::shared_ptr<verbs::QueuePair> qp) {
             qp->postRecv(1, *mr_s, 0, st->msgBytes);
@@ -240,6 +245,8 @@ runQpipTcpPingPong(QpipTestbed &bed, std::size_t iterations,
         qp_c->postSend(2, *mr_c, 0, st->msgBytes);
         (*await_reply)();
     };
+    bed.releaseAtTeardown(await_reply);
+    bed.releaseAtTeardown(iterate);
 
     qp_c->connect(bed.addr(1, serverPort), [iterate](bool ok) {
         if (ok)
@@ -289,6 +296,7 @@ runQpipUdpPingPong(QpipTestbed &bed, std::size_t iterations,
                      (*server_loop)();
                  });
     };
+    bed.releaseAtTeardown(server_loop);
     (*server_loop)();
 
     // --- client ------------------------------------------------------
@@ -320,6 +328,8 @@ runQpipUdpPingPong(QpipTestbed &bed, std::size_t iterations,
         qp_c->postSend(2, *mr_c, 0, st->msgBytes, server_addr);
         (*await_reply)();
     };
+    bed.releaseAtTeardown(await_reply);
+    bed.releaseAtTeardown(iterate);
     (*iterate)();
 
     sim.runUntilCondition([&] { return st->finished; },

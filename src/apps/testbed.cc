@@ -41,6 +41,44 @@ makeFabric(sim::Simulation &sim, net::LinkConfig link,
     sim::panic("makeFabric: unknown topology");
 }
 
+/** Discard every pending event, serial or partitioned. */
+void
+clearEvents(sim::Simulation &sim, sim::ParallelEngine *engine)
+{
+    if (engine != nullptr)
+        engine->clearAll();
+    else
+        sim.eventQueue().clear();
+}
+
+/**
+ * Tear down everything a run left holding itself alive, while the
+ * model objects still exist. Pending event closures can hold the last
+ * references to sockets, connections, queue pairs and CQs, so they go
+ * first. Then the loops registered with releaseAtTeardown, then the
+ * callbacks sockets and CQs hold for their owners. What those release
+ * may schedule once more, so the queues are cleared again last.
+ */
+template <typename Bed>
+void
+teardown(Bed &bed, std::vector<std::function<void()>> &loops,
+         sim::ParallelEngine *engine)
+{
+    if (engine != nullptr)
+        engine->park();
+    clearEvents(bed.sim(), engine);
+    for (auto &release : loops)
+        release();
+    loops.clear();
+    for (std::size_t i = 0; i < bed.numHosts(); ++i)
+        bed.host(i).stack().dropCallbacks();
+    if constexpr (requires { bed.provider(0); }) {
+        for (std::size_t i = 0; i < bed.numHosts(); ++i)
+            bed.provider(i).dropCallbacks();
+    }
+    clearEvents(bed.sim(), engine);
+}
+
 /**
  * One partition per host named "host<i>" (binding the host, its OS,
  * stack and NIC by name prefix), then hand the fabric's switches and
@@ -101,15 +139,7 @@ SocketsTestbed::SocketsTestbed(std::size_t n_hosts,
 
 SocketsTestbed::~SocketsTestbed()
 {
-    // Pending event closures can hold the last references to sockets
-    // and connections; release them while stacks and NICs still
-    // exist.
-    if (engine_ != nullptr) {
-        engine_->park();
-        engine_->clearAll();
-    } else {
-        sim_.eventQueue().clear();
-    }
+    teardown(*this, loops_, engine_.get());
 }
 
 void
@@ -179,15 +209,7 @@ QpipTestbed::QpipTestbed(std::size_t n_hosts, std::uint32_t mtu,
 
 QpipTestbed::~QpipTestbed()
 {
-    // Pending event closures can hold the last references to queue
-    // pairs and CQs; release them while providers and NICs still
-    // exist.
-    if (engine_ != nullptr) {
-        engine_->park();
-        engine_->clearAll();
-    } else {
-        sim_.eventQueue().clear();
-    }
+    teardown(*this, loops_, engine_.get());
 }
 
 void

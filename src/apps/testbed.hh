@@ -15,6 +15,7 @@
 
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -86,6 +87,19 @@ class SocketsTestbed
     /** MTU-derived TCP config for this fabric. */
     inet::TcpConfig tcpConfig() const;
 
+    /**
+     * Keep @p loop, a callback loop that captures its own shared_ptr,
+     * until teardown, then reset it. The loop and what it captured
+     * live as long as the simulation can run it, as the cycle kept
+     * them; the reset frees them while hosts and NICs still exist.
+     */
+    template <typename Sig>
+    void
+    releaseAtTeardown(const std::shared_ptr<std::function<Sig>> &loop)
+    {
+        loops_.push_back([loop] { *loop = nullptr; });
+    }
+
   private:
     sim::Simulation sim_;
     /**
@@ -98,6 +112,8 @@ class SocketsTestbed
     std::unique_ptr<net::Fabric> fabric_;
     std::vector<std::unique_ptr<host::Host>> hosts_;
     std::vector<std::unique_ptr<nic::EthNic>> nics_;
+    /** Loop resets for teardown (releaseAtTeardown). */
+    std::vector<std::function<void()>> loops_;
 };
 
 /**
@@ -144,6 +160,14 @@ class QpipTestbed
     /** The fabric address of host @p i with @p port. */
     inet::SockAddr addr(std::size_t i, std::uint16_t port) const;
 
+    /** See SocketsTestbed::releaseAtTeardown. */
+    template <typename Sig>
+    void
+    releaseAtTeardown(const std::shared_ptr<std::function<Sig>> &loop)
+    {
+        loops_.push_back([loop] { *loop = nullptr; });
+    }
+
   private:
     sim::Simulation sim_;
     IpFamily family_;
@@ -153,6 +177,8 @@ class QpipTestbed
     std::vector<std::unique_ptr<host::Host>> hosts_;
     std::vector<std::unique_ptr<nic::QpipNic>> nics_;
     std::vector<std::unique_ptr<verbs::Provider>> providers_;
+    /** Loop resets for teardown (releaseAtTeardown). */
+    std::vector<std::function<void()>> loops_;
 };
 
 } // namespace qpip::apps

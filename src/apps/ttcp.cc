@@ -71,6 +71,7 @@ runSocketsTtcp(SocketsTestbed &bed, std::size_t total_bytes,
             (*drain)(sock);
         });
     };
+    bed.releaseAtTeardown(drain);
     bed.host(1).stack().tcpListen(
         ttcpPort, cfg,
         [drain](std::shared_ptr<TcpSocket> sock) { (*drain)(sock); });
@@ -97,6 +98,7 @@ runSocketsTtcp(SocketsTestbed &bed, std::size_t total_bytes,
         sock->sendAll(std::vector<std::uint8_t>(n, 0xcd),
                       [pump] { (*pump)(); });
     };
+    bed.releaseAtTeardown(pump);
     (*pump)();
 
     const bool ok = sim.runUntilCondition([&] { return *done; },
@@ -300,6 +302,7 @@ runSocketsTtcpPairs(SocketsTestbed &bed,
                 (*drain)(sock);
             });
         };
+        bed.releaseAtTeardown(drain);
         bed.host(pairs[k].dst)
             .stack()
             .tcpListen(static_cast<std::uint16_t>(ttcpPort + k), cfg,
@@ -343,6 +346,7 @@ runSocketsTtcpPairs(SocketsTestbed &bed,
             sock->sendAll(std::vector<std::uint8_t>(n, 0xcd),
                           [pump] { (*pump)(); });
         };
+        bed.releaseAtTeardown(pump);
         (*pump)();
     }
 

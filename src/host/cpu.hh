@@ -41,10 +41,16 @@ class CpuModel : public sim::SimObject
     }
 
     /** Reserve cycles with no completion action. */
+    void charge(sim::Cycles cycles) { charge(cycles, 1); }
+
+    /**
+     * Reserve @p cycles back to back @p times times: the same sum as
+     * @p times separate charge(cycles) calls.
+     */
     void
-    charge(sim::Cycles cycles)
+    charge(sim::Cycles cycles, std::uint64_t times)
     {
-        const sim::Tick dur = clock_.cyclesToTicks(cycles);
+        const sim::Tick dur = times * clock_.cyclesToTicks(cycles);
         const sim::Tick start = std::max(curTick(), busyUntil_);
         busyUntil_ = start + dur;
         busyTotal_ += dur;

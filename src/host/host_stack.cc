@@ -121,6 +121,7 @@ HostStack::udpBind(const inet::SockAddr &local)
     auto sock = std::make_shared<UdpSocket>(*this, local);
     if (!inet_.bindUdp(local.port, sock.get()))
         sim::fatal("udp port %u already bound", local.port);
+    udpSockets_.push_back(sock);
     return sock;
 }
 
@@ -131,11 +132,30 @@ HostStack::udpUnbind(std::uint16_t port)
 }
 
 void
+HostStack::dropCallbacks()
+{
+    // A dropped callback may hold the last outside reference to its
+    // socket; the locked pointer keeps the socket alive meanwhile.
+    for (const auto &weak : tcpSockets_) {
+        if (auto sock = weak.lock()) {
+            sock->connectCb_ = nullptr;
+            sock->pendingSendDone_ = nullptr;
+            sock->recvCb_ = nullptr;
+        }
+    }
+    for (const auto &weak : udpSockets_) {
+        if (auto sock = weak.lock())
+            sock->waiter_ = nullptr;
+    }
+}
+
+void
 HostStack::registerConn(const inet::FourTuple &t,
                         inet::TcpConnection *conn,
                         std::shared_ptr<TcpSocket> sock)
 {
     inet_.registerConn(t, conn);
+    tcpSockets_.push_back(sock);
     socketsByConn_[conn] = std::move(sock);
     if (!conn->stats().registered()) {
         conn->stats().registerIn(

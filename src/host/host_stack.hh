@@ -105,6 +105,14 @@ class HostStack : public sim::SimObject, public inet::InetEnv
     std::shared_ptr<UdpSocket> udpBind(const inet::SockAddr &local);
     void udpUnbind(std::uint16_t port);
 
+    /**
+     * Teardown: drop every callback this stack's sockets hold for
+     * their owners. Such a callback usually holds its own socket, so
+     * the two would otherwise keep each other alive forever. Call with
+     * the simulation stopped, while the hosts and NICs still exist.
+     */
+    void dropCallbacks();
+
     // --- NIC receive path (called from the NIC ISR) -------------------
     void nicReceive(net::PacketPtr pkt);
 
@@ -200,6 +208,9 @@ class HostStack : public sim::SimObject, public inet::InetEnv
         socketsByConn_;
     /** Monotonic id for per-connection stat prefixes. */
     std::uint64_t connSeq_ = 0;
+    /** Every socket made here, in creation order (dropCallbacks). */
+    std::vector<std::weak_ptr<TcpSocket>> tcpSockets_;
+    std::vector<std::weak_ptr<UdpSocket>> udpSockets_;
 };
 
 } // namespace qpip::host

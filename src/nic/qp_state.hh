@@ -200,7 +200,13 @@ class CqRing
         armed_ = true;
     }
 
-    void disarm() { armed_ = false; }
+    /** Cancel the notify() request and drop the hook. */
+    void
+    disarm()
+    {
+        armed_ = false;
+        notify_ = nullptr;
+    }
     bool armed() const { return armed_; }
 
   private:

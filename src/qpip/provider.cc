@@ -23,7 +23,18 @@ Provider::registerMemory(std::span<std::uint8_t> memory,
 std::shared_ptr<CompletionQueue>
 Provider::createCq(std::size_t cap)
 {
-    return std::make_shared<CompletionQueue>(*this, cap);
+    auto cq = std::make_shared<CompletionQueue>(*this, cap);
+    cqs_.push_back(cq);
+    return cq;
+}
+
+void
+Provider::dropCallbacks()
+{
+    for (const auto &weak : cqs_) {
+        if (auto cq = weak.lock())
+            cq->ring().disarm();
+    }
 }
 
 std::shared_ptr<SharedReceiveQueue>

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "host/host.hh"
 #include "nic/qpip_nic.hh"
@@ -93,10 +94,20 @@ class Provider
     createQp(nic::QpType type, std::shared_ptr<CompletionQueue> scq,
              std::shared_ptr<CompletionQueue> rcq, QpAttrs attrs);
 
+    /**
+     * Teardown: drop the callback of every armed Wait() on this
+     * provider's CQs. Such a callback usually holds a QP bound to the
+     * CQ, so the two would otherwise keep each other alive forever.
+     * Call with the simulation stopped, while the NICs still exist.
+     */
+    void dropCallbacks();
+
   private:
     host::Host &host_;
     nic::QpipNic &nic_;
     VerbsCostModel costs_;
+    /** Every CQ made here, in creation order (dropCallbacks). */
+    std::vector<std::weak_ptr<CompletionQueue>> cqs_;
 };
 
 } // namespace qpip::verbs

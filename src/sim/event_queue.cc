@@ -1,5 +1,7 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace qpip::sim {
@@ -60,13 +62,29 @@ EventQueue::handleWhen(std::uint32_t slot, std::uint32_t gen) const
     return rec.when;
 }
 
+Tick
+EventQueue::idleHorizon(const void *resource)
+{
+    skipCancelled();
+    Tick h = runBound_;
+    if (!heap_.empty())
+        h = std::min(h, heap_.front().when);
+    // Another resource's empty polls touch only its own CPU and queue,
+    // so they do not bound this one; a ready poll runs a callback.
+    for (const IdleEntry &e : idle_) {
+        if (e.key.when < h && (e.resource == resource || e.ready()))
+            h = e.key.when;
+    }
+    return h;
+}
+
 bool
 EventQueue::empty() const
 {
     // Cancelled events may linger in the heap; sweep them first.
     auto *self = const_cast<EventQueue *>(this);
     self->skipCancelled();
-    return heap_.empty();
+    return heap_.empty() && idle_.empty();
 }
 
 Tick
@@ -74,20 +92,30 @@ EventQueue::nextEventTick() const
 {
     auto *self = const_cast<EventQueue *>(this);
     self->skipCancelled();
-    return heap_.empty() ? maxTick : heap_.front().when;
+    Tick next = heap_.empty() ? maxTick : heap_.front().when;
+    if (!idle_.empty())
+        next = std::min(next, idle_[idleMin_].key.when);
+    return next;
 }
 
 void
 EventQueue::clear()
 {
     clearing_ = true;
-    while (!heap_.empty()) {
-        const std::uint32_t slot = heap_.front().slot;
-        heapPop();
+    while (!heap_.empty() || !idle_.empty()) {
+        std::uint32_t slot;
+        if (!idle_.empty()) {
+            slot = idle_.back().key.slot;
+            idle_.pop_back();
+        } else {
+            slot = heap_.front().slot;
+            heapPop();
+        }
         // Destroying the closure may re-enter schedule() (dropped via
         // clearing_) or cancel() other events (handled lazily above).
         releaseSlot(slot);
     }
+    idleMin_ = 0;
     clearing_ = false;
 }
 

@@ -22,6 +22,12 @@
  *
  * EventHandles must not outlive the EventQueue they came from (in
  * practice: the Simulation outlives the SimObjects built against it).
+ *
+ * Idle-spin lane: spin polls (a CPU re-polling its completion queue)
+ * live beside the heap in a small lane, at most one entry per spinning
+ * queue, ordered under the same (when, priority, seq) key. A spinner
+ * asks idleHorizon() how far it may charge its CPU for empty polls
+ * without running them; see scheduleIdle().
  */
 
 #pragma once
@@ -29,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <new>
 #include <string>
 #include <type_traits>
@@ -215,6 +222,49 @@ class EventQueue
         return schedule(now_ + delay, std::forward<F>(fn), priority);
     }
 
+    /**
+     * Schedule a spin poll: @p fn runs at @p when on the idle-spin
+     * lane, ordered against heap events by the usual (when, priority,
+     * seq) key at defaultPriority. @p resource names the CPU doing the
+     * spinning; @p ready reports whether the poll would find work
+     * (and so do more than an empty poll). Spin polls are never
+     * cancelled, so there is no handle.
+     * @pre when >= now()
+     */
+    template <typename F>
+    void
+    scheduleIdle(const void *resource, std::function<bool()> ready,
+                 Tick when, F &&fn)
+    {
+        if (clearing_)
+            return;
+        checkSchedulable(when);
+        const std::uint32_t slot = acquireSlot();
+        detail::EventRecord &rec = slab_[slot];
+        rec.when = when;
+        rec.priority = defaultPriority;
+        rec.seq = nextSeq_++;
+        rec.state = detail::EventState::Pending;
+        rec.fn.emplace(std::forward<F>(fn));
+        idle_.push_back(IdleEntry{
+            HeapEntry{when, defaultPriority, rec.seq, slot}, resource,
+            std::move(ready)});
+        if (earlier(idle_.back().key, idle_[idleMin_].key))
+            idleMin_ = idle_.size() - 1;
+    }
+
+    /**
+     * The idle horizon of @p resource: the earliest tick at which
+     * anything but an empty spin poll of another resource can run.
+     * It is the minimum of the next heap event, the next lane entry
+     * of @p resource, the next lane entry of any other resource that
+     * is ready, and the bound of the step() in progress (0 outside
+     * one: the caller may still schedule anything). No event before it
+     * can touch the spinner's queue or CPU, so every poll that would
+     * start before it finds the queue empty.
+     */
+    Tick idleHorizon(const void *resource);
+
     /** @return true if no runnable events remain. */
     bool empty() const;
 
@@ -250,15 +300,27 @@ class EventQueue
     step(Tick until = maxTick)
     {
         skipCancelled();
-        if (heap_.empty() || heap_.front().when >= until)
-            return false;
-        const std::uint32_t slot = heap_.front().slot;
-        heapPop();
+        std::uint32_t slot;
+        if (!idle_.empty() &&
+            (heap_.empty() ||
+             earlier(idle_[idleMin_].key, heap_.front()))) {
+            if (idle_[idleMin_].key.when >= until)
+                return false;
+            slot = idle_[idleMin_].key.slot;
+            idlePop();
+        } else {
+            if (heap_.empty() || heap_.front().when >= until)
+                return false;
+            slot = heap_.front().slot;
+            heapPop();
+        }
         detail::EventRecord &rec = slab_[slot];
         now_ = rec.when;
         rec.state = detail::EventState::Running;
         ++executed_;
+        runBound_ = until;
         rec.fn();
+        runBound_ = 0;
         // Release only after the closure returns: it may schedule new
         // events, and this slot must not be handed out while running.
         releaseSlot(slot);
@@ -316,6 +378,28 @@ class EventQueue
         if (a.priority != b.priority)
             return a.priority < b.priority;
         return a.seq < b.seq;
+    }
+
+    /** A spin poll on the idle-spin lane. */
+    struct IdleEntry
+    {
+        HeapEntry key;
+        const void *resource;
+        std::function<bool()> ready;
+    };
+
+    /** Remove the lane minimum and find the next one. */
+    void
+    idlePop()
+    {
+        if (idleMin_ + 1 != idle_.size())
+            idle_[idleMin_] = std::move(idle_.back());
+        idle_.pop_back();
+        idleMin_ = 0;
+        for (std::size_t i = 1; i < idle_.size(); ++i) {
+            if (earlier(idle_[i].key, idle_[idleMin_].key))
+                idleMin_ = i;
+        }
     }
 
     /**
@@ -422,6 +506,12 @@ class EventQueue
     Tick handleWhen(std::uint32_t slot, std::uint32_t gen) const;
 
     std::vector<HeapEntry> heap_;
+    /** The idle-spin lane; a handful of entries, scanned linearly. */
+    std::vector<IdleEntry> idle_;
+    /** Index of the lane minimum (0 while the lane is empty). */
+    std::size_t idleMin_ = 0;
+    /** The bound of the step() in progress; 0 outside one. */
+    Tick runBound_ = 0;
     std::deque<detail::EventRecord> slab_;
     std::vector<std::uint32_t> freelist_;
     Tick now_ = 0;

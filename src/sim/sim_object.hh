@@ -84,6 +84,23 @@ class SimObject
                                        priority);
     }
 
+    /** Schedule a spin poll (see EventQueue::scheduleIdle). */
+    template <typename F>
+    void
+    scheduleIdle(const void *resource, std::function<bool()> ready,
+                 Tick when, F &&fn)
+    {
+        eventQueue().scheduleIdle(resource, std::move(ready), when,
+                                  std::forward<F>(fn));
+    }
+
+    /** The idle horizon of @p resource (see EventQueue::idleHorizon). */
+    Tick
+    idleHorizon(const void *resource)
+    {
+        return eventQueue().idleHorizon(resource);
+    }
+
     /** Deterministic RNG stream of the bound execution context. */
     Random &rng() { return *rng_; }
 

@@ -96,6 +96,13 @@ class Simulation
      * Run until @p pred() becomes true or @p deadline passes. Serial
      * mode checks after every event; under a parallel engine the
      * check happens at every epoch barrier.
+     *
+     * Predicate contract: @p pred reads application state, not the CPU
+     * counters (busyTotal/busyUntil) of a host that is spin-polling.
+     * A spin poll charges its CPU for the empty polls up to its idle
+     * horizon ahead of time (EventQueue::idleHorizon), so those
+     * counters run ahead of now() until the horizon; everything an
+     * event can change is exact at every check.
      * @return true if the predicate was satisfied.
      */
     template <typename Pred>

@@ -41,6 +41,28 @@ TEST(CpuModel, SerializesAndAccounts)
     EXPECT_EQ(sim.now(), 3 * sim::oneUs);
 }
 
+TEST(CpuModel, RepeatedChargeMatchesSeparateCharges)
+{
+    sim::Simulation sim;
+    // 550 MHz: a cycle is not a whole number of ticks.
+    host::CpuModel one(sim, "one", 550'000'000);
+    host::CpuModel batch(sim, "batch", 550'000'000);
+    one.run(333, [] {});
+    batch.run(333, [] {});
+    for (int i = 0; i < 1000; ++i)
+        one.charge(60);
+    batch.charge(60, 1000);
+    EXPECT_EQ(batch.busyTotal(), one.busyTotal());
+    EXPECT_EQ(batch.busyUntil(), one.busyUntil());
+    // Starting from an idle CPU, the batch starts at now().
+    sim.runUntil(one.busyUntil() + 5 * sim::oneUs);
+    one.charge(60);
+    one.charge(60);
+    batch.charge(60, 2);
+    EXPECT_EQ(batch.busyUntil(), one.busyUntil());
+    EXPECT_EQ(batch.busyTotal(), one.busyTotal());
+}
+
 TEST(CpuModel, UtilizationMath)
 {
     EXPECT_DOUBLE_EQ(host::CpuModel::utilization(50, 100), 0.5);
@@ -183,10 +205,12 @@ TEST(HostSockets, MultiNicPerRouteEgressAndMtu)
     auto cli = h0.stack().udpBind(inet::SockAddr{a0, 5454});
     std::vector<std::vector<std::uint8_t>> got;
     auto waitOne = std::make_shared<std::function<void()>>();
-    *waitOne = [&, waitOne] {
-        srv->recvFrom([&, waitOne](UdpSocket::Datagram d) {
+    // Weak self-reference: the pending recvFrom keeps the loop alive,
+    // and nothing keeps it alive past the test.
+    *waitOne = [&, weak = std::weak_ptr(waitOne)] {
+        srv->recvFrom([&, loop = weak.lock()](UdpSocket::Datagram d) {
             got.push_back(std::move(d.data));
-            (*waitOne)();
+            (*loop)();
         });
     };
     (*waitOne)();

@@ -1,0 +1,484 @@
+/**
+ * @file
+ * Spin-poll elision pins. apps::spinPoll charges the empty polls that
+ * would start before its CPU's idle horizon in one step instead of
+ * running each one as an event. These tests drive spin-polling
+ * workloads — the QPIP ping-pong apps, two spin loops sharing one
+ * CPU, a spinner whose CPU also runs deferred work, two symmetric
+ * hosts stopped mid-spin by a predicate, and a spinning pair under the
+ * parallel engine — and compare every observable against values
+ * recorded from the poll-per-event loop: the final tick, each host's
+ * busyTotal/busyUntil, the run's own record (RTTs, completion ticks,
+ * CPU state at every stop), the stats JSON and the wire captures.
+ */
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "apps/pingpong.hh"
+#include "apps/testbed.hh"
+#include "apps/verbs_util.hh"
+#include "net/pcap.hh"
+
+using namespace qpip;
+using namespace qpip::apps;
+using verbs::Completion;
+
+namespace {
+
+using Taps = std::vector<std::unique_ptr<net::PcapWriter>>;
+
+/** FNV-1a, folded a byte at a time. */
+struct Digest
+{
+    std::uint64_t h = 1469598103934665603ull;
+
+    void
+    byte(std::uint8_t b)
+    {
+        h ^= b;
+        h *= 1099511628211ull;
+    }
+
+    void
+    word(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            byte(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+
+    void real(double d) { word(std::bit_cast<std::uint64_t>(d)); }
+};
+
+/** Tap both directions of every fabric edge, in deterministic order. */
+Taps
+tapAllEdges(net::Fabric &fabric)
+{
+    Taps taps;
+    for (const auto &e : fabric.edges()) {
+        for (int side = 0; side < 2; ++side) {
+            taps.push_back(std::make_unique<net::PcapWriter>());
+            net::tapLinkSide(*e.link, side, *taps.back());
+        }
+    }
+    return taps;
+}
+
+/** Append busyTotal and busyUntil of every host to @p d. */
+void
+foldCpus(QpipTestbed &bed, Digest &d)
+{
+    for (std::size_t i = 0; i < bed.numHosts(); ++i) {
+        d.word(bed.host(i).cpu().busyTotal());
+        d.word(bed.host(i).cpu().busyUntil());
+    }
+}
+
+/** What a spin-polling run leaves behind, read after it stops. */
+struct Pins
+{
+    sim::Tick now = 0;
+    /** busyTotal and busyUntil of host 0, then of host 1, ... */
+    std::vector<sim::Tick> cpu;
+    /**
+     * The stats JSON, less the parallel.* engine diagnostics (epoch
+     * shapes follow the event count, not simulated behaviour).
+     */
+    std::uint64_t stats = 0;
+    /** Every tapped capture, in tap order. */
+    std::uint64_t pcap = 0;
+    /** The run's own record. */
+    std::uint64_t app = 0;
+    std::uint64_t executed = 0;
+};
+
+Pins
+collect(QpipTestbed &bed, const Taps &taps, const Digest &app)
+{
+    Pins p;
+    p.now = bed.sim().now();
+    for (std::size_t i = 0; i < bed.numHosts(); ++i) {
+        p.cpu.push_back(bed.host(i).cpu().busyTotal());
+        p.cpu.push_back(bed.host(i).cpu().busyUntil());
+    }
+    Digest stats;
+    const std::string json = bed.sim().stats().jsonDump();
+    std::size_t pos = 0;
+    while (pos < json.size()) {
+        std::size_t end = json.find('\n', pos);
+        if (end == std::string::npos)
+            end = json.size();
+        if (json.compare(pos, 12, "  \"parallel.") != 0) {
+            for (std::size_t i = pos; i < end; ++i)
+                stats.byte(static_cast<std::uint8_t>(json[i]));
+        }
+        pos = end + 1;
+    }
+    p.stats = stats.h;
+    Digest pcap;
+    for (const auto &t : taps) {
+        for (std::uint8_t b : t->bytes())
+            pcap.byte(b);
+    }
+    p.pcap = pcap.h;
+    p.app = app.h;
+    p.executed = bed.engine() != nullptr
+                     ? bed.engine()->executed()
+                     : bed.sim().eventQueue().executed();
+    return p;
+}
+
+void
+expectPins(const Pins &p, sim::Tick now, const std::vector<sim::Tick> &cpu,
+           std::uint64_t stats, std::uint64_t pcap, std::uint64_t app)
+{
+    EXPECT_EQ(p.now, now);
+    EXPECT_EQ(p.cpu, cpu);
+    EXPECT_EQ(p.stats, stats);
+    EXPECT_EQ(p.pcap, pcap);
+    EXPECT_EQ(p.app, app);
+}
+
+/** A QPIP ping-pong app run; @p threads > 0 partitions the testbed. */
+Pins
+pingPong(bool reliable, int threads = 0)
+{
+    QpipTestbed bed(2);
+    if (threads > 0)
+        bed.enableParallel(threads);
+    auto taps = tapAllEdges(bed.fabric());
+    const PingPongResult r = reliable ? runQpipTcpPingPong(bed, 64, 64)
+                                      : runQpipUdpPingPong(bed, 64, 64);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.iterations, 64u);
+    Digest app;
+    app.real(r.rttUs);
+    app.word(r.iterations);
+    return collect(bed, taps, app);
+}
+
+/**
+ * Echo rig: host 1 echoes every message it receives on any of its RC
+ * QPs, all on one CQ with one spin loop; host 0 runs one RC QP per
+ * client, each on its own CQ with its own spin loop, so two clients
+ * put two spinners on host 0's CPU. With @p serve_work the server
+ * computes for a varying time on its CPU (cpu().run) before each
+ * echo, the way a request handler would. The record is every reply's
+ * arrival tick and client index.
+ */
+struct EchoRig
+{
+    static constexpr std::uint16_t port = 900;
+    static constexpr std::size_t slotBytes = 1024;
+
+    EchoRig(QpipTestbed &b, std::size_t clients, std::size_t rounds,
+            bool serve_work)
+        : bed(b), taps(tapAllEdges(b.fabric())), rounds(rounds),
+          server(b.provider(1)), client(b.provider(0)),
+          scq(server.createCq()), sbuf(clients * slotBytes),
+          cbuf(2 * clients * slotBytes),
+          smr(server.registerMemory(sbuf)),
+          cmr(client.registerMemory(cbuf)),
+          acc(server, port, scq, scq), done(clients, 0)
+    {
+        for (std::size_t i = 0; i < clients; ++i) {
+            acc.acceptOne([this](std::shared_ptr<verbs::QueuePair> q) {
+                const std::size_t slot = sqps.size();
+                q->postRecv(slot, *smr, slot * slotBytes, slotBytes);
+                sqps[q->num()] = {q, slot};
+            });
+            ccqs.push_back(client.createCq());
+            cqps.push_back(client.createQp(nic::QpType::ReliableTcp,
+                                           ccqs.back(), ccqs.back()));
+            cqps.back()->connect(bed.addr(1, port),
+                                 [this](bool ok) { connected += ok; });
+        }
+        bed.sim().runUntilCondition(
+            [this, clients] {
+                return connected == clients && sqps.size() == clients;
+            },
+            bed.sim().now() + 10 * sim::oneSec);
+
+        spinLoop(server, *scq, [this, serve_work](Completion c) {
+            if (c.isSend)
+                return;
+            const auto &entry = sqps.at(c.qp);
+            auto q = entry.first;
+            const std::size_t s = entry.second;
+            const std::size_t len = c.byteLen;
+            q->postRecv(s, *smr, s * slotBytes, slotBytes);
+            if (!serve_work) {
+                q->postSend(100 + s, *smr, s * slotBytes, len);
+                return;
+            }
+            const sim::Cycles work = 37 + (len * 131) % 700;
+            bed.host(1).cpu().run(work, [this, q, s, len] {
+                q->postSend(100 + s, *smr, s * slotBytes, len);
+            });
+        });
+        for (std::size_t i = 0; i < clients; ++i) {
+            spinLoop(client, *ccqs[i], [this, i](Completion c) {
+                if (c.isSend)
+                    return;
+                record.word(bed.sim().now());
+                record.word(i);
+                if (++done[i] < this->rounds)
+                    send(i);
+            });
+            send(i);
+        }
+    }
+
+    void
+    send(std::size_t i)
+    {
+        const std::size_t len = 16 + (done[i] * 53 + i * 211) % 900;
+        const std::size_t rx = (2 * i + 1) * slotBytes;
+        cqps[i]->postRecv(i, *cmr, rx, slotBytes);
+        cqps[i]->postSend(50 + i, *cmr, 2 * i * slotBytes, len);
+    }
+
+    bool
+    finished() const
+    {
+        for (const std::size_t d : done) {
+            if (d < rounds)
+                return false;
+        }
+        return true;
+    }
+
+    QpipTestbed &bed;
+    Taps taps;
+    std::size_t rounds;
+    verbs::Provider &server;
+    verbs::Provider &client;
+    std::shared_ptr<verbs::CompletionQueue> scq;
+    std::vector<std::uint8_t> sbuf, cbuf;
+    std::shared_ptr<verbs::MemoryRegion> smr, cmr;
+    verbs::Acceptor acc;
+    std::map<nic::QpNum,
+             std::pair<std::shared_ptr<verbs::QueuePair>, std::size_t>>
+        sqps;
+    std::vector<std::shared_ptr<verbs::CompletionQueue>> ccqs;
+    std::vector<std::shared_ptr<verbs::QueuePair>> cqps;
+    std::size_t connected = 0;
+    std::vector<std::size_t> done;
+    Digest record;
+};
+
+/**
+ * Two hosts joined by one RC QP pair, each spin-looping on its own
+ * CQ. Both loops start in the same event. In symmetric mode every
+ * received message makes its host send again, so both hosts send at
+ * the same tick and take their completions at the same tick; in echo
+ * mode host 0 pings and host 1 echoes. The run stops by predicate
+ * after each of host 0's receives, mid-spin on both CPUs, and the
+ * record is the tick and both CPUs' counters at every stop.
+ */
+struct StopRig
+{
+    static constexpr std::uint16_t port = 901;
+    static constexpr std::size_t msgBytes = 200;
+
+    StopRig(QpipTestbed &b, bool symmetric)
+        : bed(b), taps(tapAllEdges(b.fabric())), symmetric(symmetric),
+          cq0(b.provider(0).createCq()), cq1(b.provider(1).createCq()),
+          buf0(4096), buf1(4096),
+          mr0(b.provider(0).registerMemory(buf0)),
+          mr1(b.provider(1).registerMemory(buf1)),
+          acc(b.provider(1), port, cq1, cq1)
+    {
+        acc.acceptOne([this](std::shared_ptr<verbs::QueuePair> q) {
+            qp1 = std::move(q);
+        });
+        qp0 = b.provider(0).createQp(nic::QpType::ReliableTcp, cq0, cq0);
+        bool connected = false;
+        qp0->connect(bed.addr(1, port),
+                     [&connected](bool ok) { connected = ok; });
+        bed.sim().runUntilCondition(
+            [&] { return connected && qp1 != nullptr; },
+            bed.sim().now() + 10 * sim::oneSec);
+        for (std::uint64_t i = 0; i < 64; ++i) {
+            qp0->postRecv(i, *mr0, 0, msgBytes);
+            qp1->postRecv(i, *mr1, 0, msgBytes);
+        }
+        bed.sim().eventQueue().schedule(
+            bed.sim().now() + 3 * sim::oneUs, [this] { start(); });
+    }
+
+    void
+    start()
+    {
+        spinLoop(bed.provider(0), *cq0, [this](Completion c) {
+            if (c.isSend)
+                return;
+            ++recv0;
+            qp0->postRecv(64 + recv0, *mr0, 0, msgBytes);
+            qp0->postSend(1, *mr0, 0, msgBytes - recv0 % 7);
+        });
+        spinLoop(bed.provider(1), *cq1, [this](Completion c) {
+            if (c.isSend)
+                return;
+            ++recv1;
+            qp1->postRecv(64 + recv1, *mr1, 0, msgBytes);
+            qp1->postSend(1, *mr1, 0, msgBytes - recv1 % 7);
+        });
+        qp0->postSend(1, *mr0, 0, msgBytes);
+        if (symmetric)
+            qp1->postSend(1, *mr1, 0, msgBytes);
+    }
+
+    /** Stop after each of host 0's next @p stops receives. */
+    void
+    run(std::size_t stops)
+    {
+        for (std::size_t k = 0; k < stops; ++k) {
+            const std::size_t want = recv0 + 1;
+            bed.sim().runUntilCondition(
+                [this, want] { return recv0 >= want; },
+                bed.sim().now() + sim::oneSec);
+            record.word(bed.sim().now());
+            record.word(recv0);
+            record.word(recv1);
+            foldCpus(bed, record);
+        }
+    }
+
+    QpipTestbed &bed;
+    Taps taps;
+    bool symmetric;
+    std::shared_ptr<verbs::CompletionQueue> cq0, cq1;
+    std::vector<std::uint8_t> buf0, buf1;
+    std::shared_ptr<verbs::MemoryRegion> mr0, mr1;
+    verbs::Acceptor acc;
+    std::shared_ptr<verbs::QueuePair> qp0, qp1;
+    std::size_t recv0 = 0;
+    std::size_t recv1 = 0;
+    Digest record;
+};
+
+} // namespace
+
+// The expected values below were recorded from the poll-per-event
+// spin loop (every empty poll one event); charging the empty polls up
+// to the idle horizon in one step must reproduce them exactly.
+
+TEST(SpinPoll, QpipTcpPingPongMatchesEveryPoll)
+{
+    const Pins p = pingPong(true);
+    expectPins(p, 8219117744ull,
+               {8156959202ull, 8220001380ull, 8139166461ull, 8219148639ull},
+               11757562850913831925ull, 2700310184626471978ull,
+               13443311829559910404ull);
+    // The poll-per-event loop ran this many events; at least 10x
+    // fewer are left.
+    EXPECT_LE(p.executed * 10, 146069u);
+}
+
+TEST(SpinPoll, QpipUdpPingPongMatchesEveryPoll)
+{
+    const Pins p = pingPong(false);
+    expectPins(p, 5286545902ull,
+               {5287429538ull, 5287429538ull, 5286647718ull, 5286647718ull},
+               9700650080030340378ull, 17367432849561218645ull,
+               3696847959279219634ull);
+}
+
+TEST(SpinPoll, TwoSpinnersShareOneCpu)
+{
+    QpipTestbed bed(2);
+    EchoRig rig(bed, 2, 40, false);
+    // Run in slices that end mid-spin: each run bound caps the
+    // charged polls.
+    Digest slices;
+    for (int i = 0; i < 4000 && !rig.finished(); ++i) {
+        bed.sim().runFor(37 * sim::oneUs);
+        slices.word(bed.sim().now());
+        foldCpus(bed, slices);
+    }
+    ASSERT_TRUE(rig.finished());
+    rig.record.word(slices.h);
+    expectPins(collect(bed, rig.taps, rig.record), 9532729205ull,
+               {9407607482ull, 9532882142ull, 9408662026ull, 9532754868ull},
+               10690497972325212972ull, 1162464851853593002ull,
+               7856475443122747818ull);
+}
+
+TEST(SpinPoll, SpinnerCpuAlsoRunsDeferredWork)
+{
+    QpipTestbed bed(2);
+    EchoRig rig(bed, 1, 60, true);
+    bed.sim().runUntilCondition([&] { return rig.finished(); },
+                                bed.sim().now() + sim::oneSec);
+    ASSERT_TRUE(rig.finished());
+    expectPins(collect(bed, rig.taps, rig.record), 8654159963ull,
+               {8575170512ull, 8655152690ull, 8574214113ull, 8654196291ull},
+               10818115398065742102ull, 10419558040526419925ull,
+               8112841586691970436ull);
+}
+
+TEST(SpinPoll, SymmetricHostsStopMidSpin)
+{
+    QpipTestbed bed(2);
+    StopRig rig(bed, true);
+    rig.run(24);
+    expectPins(collect(bed, rig.taps, rig.record), 2171012827ull,
+               {2094841558ull, 2174823736ull, 2091030649ull, 2171012827ull},
+               2166147442263881946ull, 17553383451042265940ull,
+               5088550138493266799ull);
+}
+
+TEST(SpinPoll, EchoStopsMidSpinOnTheIdlePeer)
+{
+    QpipTestbed bed(2);
+    StopRig rig(bed, false);
+    rig.run(24);
+    expectPins(collect(bed, rig.taps, rig.record), 3005024430ull,
+               {2928853161ull, 3008835339ull, 2925133160ull, 3005115338ull},
+               6717394974348018006ull, 6027583460080274609ull,
+               8447952128469669650ull);
+}
+
+TEST(SpinPoll, CompletionOnAPollTickIsSeenOnThatTick)
+{
+    // An event that lands exactly on a poll tick and fills the CQ runs
+    // before that poll (it was scheduled first), so the poll finds the
+    // entry: the poll at the horizon is never charged as empty.
+    QpipTestbed bed(2);
+    auto &prov = bed.provider(0);
+    auto cq = prov.createCq();
+    auto &cpu = bed.host(0).cpu();
+    const sim::Tick period =
+        bed.host(0).os().cyclesToTicks(prov.costs().pollCqEmpty);
+    const sim::Tick t0 = bed.sim().now() + sim::oneUs;
+    const sim::Tick at = t0 + 1000 * period;
+    ASSERT_LE(cpu.busyUntil(), t0);
+    sim::Tick seen = 0;
+    bed.sim().eventQueue().schedule(at,
+                                    [&] { cq->ring().push(Completion{}); });
+    bed.sim().eventQueue().schedule(t0, [&] {
+        spinPoll(prov, *cq, [&](Completion) { seen = bed.sim().now(); });
+    });
+    bed.sim().runUntil(at + sim::oneMs);
+    EXPECT_EQ(seen, at);
+    EXPECT_EQ(cpu.busyUntil(),
+              at + bed.host(0).os().cyclesToTicks(prov.costs().pollCq));
+}
+
+TEST(SpinPoll, ParallelEngineMatchesEveryPoll)
+{
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE(threads);
+        const Pins p = pingPong(true, threads);
+        expectPins(p, 8219026093ull,
+               {8156959202ull, 8220001380ull, 8139602825ull, 8219585003ull},
+               5722723409589996125ull, 14493871579955551786ull,
+               13443311829559910404ull);
+    }
+}

@@ -1,7 +1,8 @@
 /**
  * @file
  * E1: no by-reference captures in deferred callbacks. A closure
- * handed to schedule()/scheduleIn()/exec()/scheduleTimer() runs
+ * handed to schedule()/scheduleIn()/scheduleIdle()/exec()/
+ * scheduleTimer() runs
  * after the enclosing frame is gone — and after the referenced
  * object may have been destroyed (destroyQp erases the QP
  * immediately) — so [&] / [&x] there is the PR 5 use-after-free
@@ -64,7 +65,7 @@ ruleE1(const FileData &f, Sink &sink)
 
     const std::string &all = f.all;
     static const std::regex sinkRe(
-        R"(\b(schedule|scheduleIn|exec|scheduleTimer)\s*\()");
+        R"(\b(schedule|scheduleIn|scheduleIdle|exec|scheduleTimer)\s*\()");
     // Nested sinks see the same lambda twice; dedupe per line+names.
     std::set<std::pair<std::size_t, std::string>> reported;
 
