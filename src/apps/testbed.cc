@@ -41,42 +41,48 @@ makeFabric(sim::Simulation &sim, net::LinkConfig link,
     sim::panic("makeFabric: unknown topology");
 }
 
-/** Discard every pending event, serial or partitioned. */
-void
-clearEvents(sim::Simulation &sim, sim::ParallelEngine *engine)
+} // namespace
+
+Testbed::Testbed(std::uint64_t seed, IpFamily family,
+                 net::LinkConfig link, FabricTopology topology,
+                 std::size_t n_hosts)
+    : sim_(seed), family_(family),
+      fabric_(makeFabric(sim_, link, topology, n_hosts))
 {
-    if (engine != nullptr)
-        engine->clearAll();
-    else
-        sim.eventQueue().clear();
 }
 
-/**
- * Tear down everything a run left holding itself alive, while the
- * model objects still exist. Pending event closures can hold the last
- * references to sockets, connections, queue pairs and CQs, so they go
- * first. Then the loops registered with releaseAtTeardown, then the
- * callbacks sockets and CQs hold for their owners. What those release
- * may schedule once more, so the queues are cleared again last.
- */
-template <typename Bed>
-void
-teardown(Bed &bed, std::vector<std::function<void()>> &loops,
-         sim::ParallelEngine *engine)
+net::Link &
+Testbed::addHost(const host::HostCostModel &costs)
 {
-    if (engine != nullptr)
-        engine->park();
-    clearEvents(bed.sim(), engine);
-    for (auto &release : loops)
-        release();
-    loops.clear();
-    for (std::size_t i = 0; i < bed.numHosts(); ++i)
-        bed.host(i).stack().dropCallbacks();
-    if constexpr (requires { bed.provider(0); }) {
-        for (std::size_t i = 0; i < bed.numHosts(); ++i)
-            bed.provider(i).dropCallbacks();
+    const std::size_t i = hosts_.size();
+    net::Link &spoke = fabric_->addNode(static_cast<net::NodeId>(i));
+    hosts_.push_back(std::make_unique<host::Host>(
+        sim_, "host" + std::to_string(i), costs));
+    return spoke;
+}
+
+inet::InetAddr
+Testbed::addrOf(std::size_t i) const
+{
+    return family_ == IpFamily::V6 ? v6Of(i) : v4Of(i);
+}
+
+inet::SockAddr
+Testbed::addr(std::size_t i, std::uint16_t port) const
+{
+    return inet::SockAddr{addrOf(i), port};
+}
+
+void
+Testbed::meshRoutes(
+    const std::function<inet::NeighborTable &(std::size_t)> &routes)
+{
+    for (std::size_t i = 0; i < hosts_.size(); ++i) {
+        for (std::size_t j = 0; j < hosts_.size(); ++j) {
+            if (i != j)
+                routes(i).add(addrOf(j), static_cast<net::NodeId>(j));
+        }
     }
-    clearEvents(bed.sim(), engine);
 }
 
 /**
@@ -84,80 +90,84 @@ teardown(Bed &bed, std::vector<std::function<void()>> &loops,
  * stack and NIC by name prefix), then hand the fabric's switches and
  * links to partitionFabric.
  */
-template <typename Bed>
-std::unique_ptr<sim::ParallelEngine>
-makeEngine(Bed &bed, int threads)
+void
+Testbed::enableParallel(int threads)
 {
-    auto engine =
-        std::make_unique<sim::ParallelEngine>(bed.sim(), threads);
+    engine_ = std::make_unique<sim::ParallelEngine>(sim_, threads);
     std::vector<sim::Partition *> parts;
-    for (std::size_t i = 0; i < bed.numHosts(); ++i) {
+    for (std::size_t i = 0; i < hosts_.size(); ++i) {
         const std::string prefix = "host" + std::to_string(i);
-        sim::Partition &p = engine->addPartition(prefix);
-        engine->assignByPrefix(prefix, p);
+        sim::Partition &p = engine_->addPartition(prefix);
+        engine_->assignByPrefix(prefix, p);
         parts.push_back(&p);
     }
-    net::partitionFabric(*engine, bed.fabric(), parts);
-    return engine;
+    net::partitionFabric(*engine_, *fabric_, parts);
 }
 
-} // namespace
+void
+Testbed::clearEvents()
+{
+    if (engine_ != nullptr)
+        engine_->clearAll();
+    else
+        sim_.eventQueue().clear();
+}
+
+/**
+ * Pending event closures can hold the last references to sockets,
+ * connections, queue pairs and CQs, so they go first. Then the loops
+ * registered with releaseAtTeardown, then the callbacks sockets hold
+ * for their owners. What those release may schedule once more, so
+ * the queues are cleared again last.
+ */
+void
+Testbed::teardown()
+{
+    if (engine_ != nullptr)
+        engine_->park();
+    clearEvents();
+    for (auto &release : loops_)
+        release();
+    loops_.clear();
+    for (auto &h : hosts_)
+        h->stack().dropCallbacks();
+    clearEvents();
+}
 
 SocketsTestbed::SocketsTestbed(std::size_t n_hosts,
                                SocketsFabric fabric_kind,
                                std::uint64_t seed,
                                host::HostCostModel costs,
                                FabricTopology topology)
-    : sim_(seed)
+    : Testbed(seed, IpFamily::V4,
+              fabric_kind == SocketsFabric::GigabitEthernet
+                  ? net::gigabitEthernetLink()
+                  : net::myrinetLink(9000),
+              topology, n_hosts)
 {
     const bool gige = fabric_kind == SocketsFabric::GigabitEthernet;
-    net::LinkConfig link =
-        gige ? net::gigabitEthernetLink() : net::myrinetLink(9000);
-    fabric_ = makeFabric(sim_, link, topology, n_hosts);
-
     for (std::size_t i = 0; i < n_hosts; ++i) {
-        auto node = static_cast<net::NodeId>(i);
-        net::Link &spoke = fabric_->addNode(node);
-        hosts_.push_back(std::make_unique<host::Host>(
-            sim_, "host" + std::to_string(i), costs));
+        net::Link &spoke = addHost(costs);
         nics_.push_back(std::make_unique<nic::EthNic>(
-            sim_, "host" + std::to_string(i) + ".nic",
-            hosts_[i]->stack(), spoke, node,
+            sim(), "host" + std::to_string(i) + ".nic",
+            host(i).stack(), spoke, static_cast<net::NodeId>(i),
             gige ? nic::pro1000Params() : nic::gmIpParams()));
-        hosts_[i]->stack().addAddress(v4Of(i));
+        host(i).stack().addAddress(addrOf(i));
     }
-    // Full-mesh neighbor entries.
-    for (std::size_t i = 0; i < n_hosts; ++i) {
-        for (std::size_t j = 0; j < n_hosts; ++j) {
-            if (i != j) {
-                hosts_[i]->stack().routes().add(
-                    v4Of(j), static_cast<net::NodeId>(j));
-            }
-        }
-    }
+    meshRoutes([this](std::size_t i) -> inet::NeighborTable & {
+        return host(i).stack().routes();
+    });
 }
 
 SocketsTestbed::~SocketsTestbed()
 {
-    teardown(*this, loops_, engine_.get());
-}
-
-void
-SocketsTestbed::enableParallel(int threads)
-{
-    engine_ = makeEngine(*this, threads);
-}
-
-inet::SockAddr
-SocketsTestbed::addr(std::size_t i, std::uint16_t port) const
-{
-    return inet::SockAddr{v4Of(i), port};
+    teardown();
 }
 
 inet::TcpConfig
 SocketsTestbed::tcpConfig() const
 {
-    return hosts_.at(0)->stack().defaultTcpConfig();
+    return host(0).stack().defaultTcpConfig();
 }
 
 QpipTestbed::QpipTestbed(std::size_t n_hosts, std::uint32_t mtu,
@@ -176,53 +186,35 @@ QpipTestbed::QpipTestbed(std::size_t n_hosts, std::uint32_t mtu,
                          std::vector<nic::QpipNicParams> nic_params,
                          host::HostCostModel costs, IpFamily family,
                          FabricTopology topology)
-    : sim_(seed), family_(family)
+    : Testbed(seed, family, net::myrinetLink(mtu), topology, n_hosts)
 {
     if (nic_params.size() != n_hosts)
         sim::panic("QpipTestbed: nic_params size != n_hosts");
-    const auto addr_of = [family](std::size_t i) {
-        return family == IpFamily::V6 ? v6Of(i) : v4Of(i);
-    };
-    fabric_ = makeFabric(sim_, net::myrinetLink(mtu), topology,
-                         n_hosts);
     for (std::size_t i = 0; i < n_hosts; ++i) {
-        auto node = static_cast<net::NodeId>(i);
-        net::Link &spoke = fabric_->addNode(node);
-        hosts_.push_back(std::make_unique<host::Host>(
-            sim_, "host" + std::to_string(i), costs));
+        net::Link &spoke = addHost(costs);
         nics_.push_back(std::make_unique<nic::QpipNic>(
-            sim_, "host" + std::to_string(i) + ".qnic", spoke, node,
-            nic_params[i]));
-        nics_[i]->setAddress(addr_of(i));
-        providers_.push_back(std::make_unique<verbs::Provider>(
-            *hosts_[i], *nics_[i]));
+            sim(), "host" + std::to_string(i) + ".qnic", spoke,
+            static_cast<net::NodeId>(i), nic_params[i]));
+        nics_[i]->setAddress(addrOf(i));
+        providers_.push_back(
+            std::make_unique<verbs::Provider>(host(i), *nics_[i]));
     }
-    for (std::size_t i = 0; i < n_hosts; ++i) {
-        for (std::size_t j = 0; j < n_hosts; ++j) {
-            if (i != j) {
-                nics_[i]->routes().add(addr_of(j),
-                                       static_cast<net::NodeId>(j));
-            }
-        }
-    }
+    meshRoutes([this](std::size_t i) -> inet::NeighborTable & {
+        return nics_[i]->routes();
+    });
 }
 
+/**
+ * Armed CQ waits hold callbacks for their owners too; they go after
+ * the shared teardown, and what dropping them schedules goes with one
+ * more clear.
+ */
 QpipTestbed::~QpipTestbed()
 {
-    teardown(*this, loops_, engine_.get());
-}
-
-void
-QpipTestbed::enableParallel(int threads)
-{
-    engine_ = makeEngine(*this, threads);
-}
-
-inet::SockAddr
-QpipTestbed::addr(std::size_t i, std::uint16_t port) const
-{
-    return inet::SockAddr{
-        family_ == IpFamily::V6 ? v6Of(i) : v4Of(i), port};
+    teardown();
+    for (auto &p : providers_)
+        p->dropCallbacks();
+    clearEvents();
 }
 
 } // namespace qpip::apps

@@ -8,9 +8,9 @@
  *  - SocketsTestbed + myrinetIp -> the IP/Myrinet (GM link) baseline
  *  - QpipTestbed                -> the QPIP prototype
  *
- * Hosts get addresses 10.0.0.<i+1> (v4 baselines) or fd00::<i+1>
- * (QPIP's IPv6), with routes and fabric addresses installed both
- * ways.
+ * Both derive from Testbed, which owns what they share. Hosts get
+ * addresses 10.0.0.<i+1> (v4 baselines) or fd00::<i+1> (QPIP's
+ * IPv6), with routes and fabric addresses installed both ways.
  */
 
 #pragma once
@@ -53,20 +53,19 @@ enum class IpFamily { V4, V6 };
 constexpr std::uint32_t qpipNativeMtu = 16384 + 128;
 
 /**
- * N hosts with the host-resident stack over a conventional NIC.
+ * The scaffolding every testbed shares: the simulation, its optional
+ * parallel engine, the fabric, the hosts and their addresses, and the
+ * teardown that releases what a run left holding itself alive. The
+ * subclasses add their NICs (and QPIP's verbs providers) and call
+ * teardown() first thing in their destructors, while those still
+ * exist.
  */
-class SocketsTestbed
+class Testbed
 {
   public:
-    SocketsTestbed(std::size_t n_hosts, SocketsFabric fabric_kind,
-                   std::uint64_t seed = 1,
-                   host::HostCostModel costs = host::HostCostModel{},
-                   FabricTopology topology = FabricTopology::Star);
-    ~SocketsTestbed();
-
     sim::Simulation &sim() { return sim_; }
-    host::Host &host(std::size_t i) { return *hosts_.at(i); }
-    nic::EthNic &nicOf(std::size_t i) { return *nics_.at(i); }
+    /** Host @p i (shallow const, like the owning pointer). */
+    host::Host &host(std::size_t i) const { return *hosts_.at(i); }
     net::Fabric &fabric() { return *fabric_; }
     std::size_t numHosts() const { return hosts_.size(); }
 
@@ -81,11 +80,8 @@ class SocketsTestbed
     void enableParallel(int threads);
     sim::ParallelEngine *engine() { return engine_.get(); }
 
-    /** The v4 address of host @p i with @p port. */
+    /** The address of host @p i with @p port. */
     inet::SockAddr addr(std::size_t i, std::uint16_t port) const;
-
-    /** MTU-derived TCP config for this fabric. */
-    inet::TcpConfig tcpConfig() const;
 
     /**
      * Keep @p loop, a callback loop that captures its own shared_ptr,
@@ -100,26 +96,79 @@ class SocketsTestbed
         loops_.push_back([loop] { *loop = nullptr; });
     }
 
+  protected:
+    /** An empty @p topology fabric of @p link for @p n_hosts. */
+    Testbed(std::uint64_t seed, IpFamily family, net::LinkConfig link,
+            FabricTopology topology, std::size_t n_hosts);
+    ~Testbed() = default;
+
+    /**
+     * Attach the next host, "host<i>", to the fabric as node i.
+     * @return its spoke, for the subclass's NIC.
+     */
+    net::Link &addHost(const host::HostCostModel &costs);
+
+    /** Host @p i's address: 10.0.0.<i+1> or fd00::<i+1>. */
+    inet::InetAddr addrOf(std::size_t i) const;
+
+    /** Route every host to every other through @p routes(i). */
+    void meshRoutes(
+        const std::function<inet::NeighborTable &(std::size_t)> &routes);
+
+    /**
+     * Release everything a run left holding itself alive, while the
+     * model objects still exist: pending events, the loops registered
+     * with releaseAtTeardown, then the callbacks sockets hold for
+     * their owners. Ends with the event queues cleared.
+     */
+    void teardown();
+
+    /** Discard every pending event, serial or partitioned. */
+    void clearEvents();
+
   private:
     sim::Simulation sim_;
+    IpFamily family_;
     /**
      * Declared before the model objects: the engine owns the
      * partition event queues, which must outlive every host/NIC
-     * holding event handles into them. The destructor parks the
-     * worker pool before any model teardown begins.
+     * holding event handles into them. teardown() parks the worker
+     * pool before any model teardown begins.
      */
     std::unique_ptr<sim::ParallelEngine> engine_;
     std::unique_ptr<net::Fabric> fabric_;
     std::vector<std::unique_ptr<host::Host>> hosts_;
-    std::vector<std::unique_ptr<nic::EthNic>> nics_;
     /** Loop resets for teardown (releaseAtTeardown). */
     std::vector<std::function<void()>> loops_;
 };
 
 /**
+ * N hosts with the host-resident stack over a conventional NIC, on
+ * IPv4.
+ */
+class SocketsTestbed : public Testbed
+{
+  public:
+    SocketsTestbed(std::size_t n_hosts, SocketsFabric fabric_kind,
+                   std::uint64_t seed = 1,
+                   host::HostCostModel costs = host::HostCostModel{},
+                   FabricTopology topology = FabricTopology::Star);
+    ~SocketsTestbed();
+
+    nic::EthNic &nicOf(std::size_t i) { return *nics_.at(i); }
+
+    /** MTU-derived TCP config for this fabric. */
+    inet::TcpConfig tcpConfig() const;
+
+  private:
+    /** Destroyed before the hosts they deliver to. */
+    std::vector<std::unique_ptr<nic::EthNic>> nics_;
+};
+
+/**
  * N hosts with QPIP NICs on a Myrinet fabric.
  */
-class QpipTestbed
+class QpipTestbed : public Testbed
 {
   public:
     QpipTestbed(std::size_t n_hosts, std::uint32_t mtu = qpipNativeMtu,
@@ -143,42 +192,16 @@ class QpipTestbed
                 FabricTopology topology = FabricTopology::Star);
     ~QpipTestbed();
 
-    sim::Simulation &sim() { return sim_; }
-    host::Host &host(std::size_t i) { return *hosts_.at(i); }
     nic::QpipNic &nicOf(std::size_t i) { return *nics_.at(i); }
     verbs::Provider &provider(std::size_t i)
     {
         return *providers_.at(i);
     }
-    net::Fabric &fabric() { return *fabric_; }
-    std::size_t numHosts() const { return hosts_.size(); }
-
-    /** See SocketsTestbed::enableParallel. */
-    void enableParallel(int threads);
-    sim::ParallelEngine *engine() { return engine_.get(); }
-
-    /** The fabric address of host @p i with @p port. */
-    inet::SockAddr addr(std::size_t i, std::uint16_t port) const;
-
-    /** See SocketsTestbed::releaseAtTeardown. */
-    template <typename Sig>
-    void
-    releaseAtTeardown(const std::shared_ptr<std::function<Sig>> &loop)
-    {
-        loops_.push_back([loop] { *loop = nullptr; });
-    }
 
   private:
-    sim::Simulation sim_;
-    IpFamily family_;
-    /** See SocketsTestbed: destroyed after the model it schedules. */
-    std::unique_ptr<sim::ParallelEngine> engine_;
-    std::unique_ptr<net::Fabric> fabric_;
-    std::vector<std::unique_ptr<host::Host>> hosts_;
+    /** Destroyed before the hosts; providers before their NICs. */
     std::vector<std::unique_ptr<nic::QpipNic>> nics_;
     std::vector<std::unique_ptr<verbs::Provider>> providers_;
-    /** Loop resets for teardown (releaseAtTeardown). */
-    std::vector<std::function<void()>> loops_;
 };
 
 } // namespace qpip::apps

@@ -11,19 +11,15 @@
  * map, never iterated), so replay and parallel-partition runs see
  * identical hit/miss sequences.
  *
- * Capacity is denominated either in entries (the historical knob) or
- * in bytes: context blocks differ by service type — a connected
- * ReliableTcp QP carries full TCP state while an UnreliableUdp QP is
- * little more than a demux entry — and a byte-capacity cache holds
- * correspondingly more of the small ones. Byte mode may displace
- * several small victims to fit one large block; the Touch result
- * reports every victim so the firmware can charge each writeback.
+ * Capacity is a count of context blocks, one per QP whatever its
+ * service type: a RUD QP keeps its per-peer state in host memory, so
+ * it holds one entry however many peers it talks to. A miss therefore
+ * displaces at most one victim.
  *
- * A capacity of zero (in whichever denomination) disables the model
- * entirely: every touch hits and nothing is ever charged, which is
- * also the timing behaviour of a warm cache that never overflows —
- * the paper-config calibration tests assert the two are
- * byte-identical.
+ * A capacity of zero disables the model entirely: every touch hits
+ * and nothing is ever charged, which is also the timing behaviour of
+ * a warm cache that never overflows — the paper-config calibration
+ * tests assert the two are byte-identical.
  */
 
 #pragma once
@@ -38,28 +34,6 @@
 namespace qpip::nic {
 
 /**
- * Host-memory footprint of one QP context block by service type.
- * ReliableTcp carries the full TCP control block; UnreliableUdp is a
- * demux entry plus WR shadows; ReliableDatagram adds only the shim's
- * QP-level bookkeeping — its per-peer state intentionally lives in
- * host memory, outside the cache.
- */
-constexpr std::uint32_t
-qpContextBytes(QpType t)
-{
-    switch (t) {
-      case QpType::ReliableTcp: return 512;
-      case QpType::UnreliableUdp: return 128;
-      case QpType::ReliableDatagram: return 192;
-    }
-    return 512;
-}
-
-/** The reference block size the fetch/writeback costs are quoted at. */
-constexpr std::uint32_t qpContextRefBytes =
-    qpContextBytes(QpType::ReliableTcp);
-
-/**
  * Deterministic LRU set of resident QP contexts.
  */
 class QpContextCache
@@ -69,53 +43,27 @@ class QpContextCache
     struct Touch
     {
         bool hit = true;
-        /** First context displaced to make room (invalidQp if none). */
-        QpNum evicted = invalidQp;
-        /** Victims displaced (byte mode can displace several). */
-        std::uint32_t evictedCount = 0;
-        /** Victims that were dirty and owe a writeback. */
-        std::uint32_t dirtyEvictions = 0;
-        /** Total bytes of dirty victims (writeback DMA size). */
-        std::uint64_t writebackBytes = 0;
-        /** Bytes fetched from host memory (zero on a hit). */
-        std::uint32_t fetchBytes = 0;
+        /** The displaced victim was dirty and owes a writeback. */
+        bool dirtyVictim = false;
     };
 
-    /**
-     * @p capacity entries, or — when @p capacity_bytes is non-zero —
-     * that many bytes of context storage (the entry count is then
-     * ignored).
-     */
-    explicit QpContextCache(std::size_t capacity,
-                            std::size_t capacity_bytes = 0)
-        : capacity_(capacity), capacityBytes_(capacity_bytes)
-    {}
+    /** Room for @p capacity contexts; zero disables the model. */
+    explicit QpContextCache(std::size_t capacity) : capacity_(capacity) {}
 
-    bool byteMode() const { return capacityBytes_ > 0; }
-
-    bool
-    enabled() const
-    {
-        return byteMode() || capacity_ > 0;
-    }
-
-    std::size_t capacity() const { return capacity_; }
-    std::size_t capacityBytes() const { return capacityBytes_; }
+    bool enabled() const { return capacity_ > 0; }
     std::size_t size() const { return lru_.size(); }
-    std::size_t usedBytes() const { return usedBytes_; }
 
     /**
      * Reference @p qp's context (any firmware stage that reads or
      * writes QP state). A resident context moves to the MRU position;
-     * a non-resident one is fetched (@p bytes big), possibly
-     * displacing LRU entries. @p dirty marks the resident copy as
-     * modified relative to host memory: only dirty victims pay the
-     * writeback when they are later evicted. With the model disabled
-     * this is a no-op hit.
+     * a non-resident one is fetched, displacing the LRU entry when
+     * the cache is full. @p dirty marks the resident copy as modified
+     * relative to host memory: only dirty victims pay the writeback
+     * when they are later evicted. With the model disabled this is a
+     * no-op hit.
      */
     Touch
-    touch(QpNum qp, std::uint32_t bytes = qpContextRefBytes,
-          bool dirty = true)
+    touch(QpNum qp, bool dirty = true)
     {
         Touch t;
         if (!enabled())
@@ -128,8 +76,7 @@ class QpContextCache
             return t;
         }
         t.hit = false;
-        t.fetchBytes = bytes;
-        insertMru(qp, bytes, dirty, t);
+        insertMru(qp, dirty, t);
         misses.inc();
         return t;
     }
@@ -137,16 +84,16 @@ class QpContextCache
     /**
      * Install @p qp at creation time (the management FSM warms the
      * context it just built — dirty by definition: host memory has no
-     * copy yet). Unlike touch() this counts nothing but the evictions
+     * copy yet). Unlike touch() this counts nothing but the eviction
      * it may force.
      */
     Touch
-    install(QpNum qp, std::uint32_t bytes = qpContextRefBytes)
+    install(QpNum qp)
     {
         Touch t;
         if (!enabled() || index_.count(qp) > 0)
             return t;
-        insertMru(qp, bytes, true, t);
+        insertMru(qp, true, t);
         return t;
     }
 
@@ -157,7 +104,6 @@ class QpContextCache
         auto it = index_.find(qp);
         if (it == index_.end())
             return;
-        usedBytes_ -= it->second->bytes;
         lru_.erase(it->second);
         index_.erase(it);
     }
@@ -184,49 +130,24 @@ class QpContextCache
     struct Entry
     {
         QpNum qp = invalidQp;
-        std::uint32_t bytes = 0;
         bool dirty = false;
     };
 
     void
-    evictLru(Touch &t)
+    insertMru(QpNum qp, bool dirty, Touch &t)
     {
-        const Entry &victim = lru_.back();
-        if (t.evicted == invalidQp)
-            t.evicted = victim.qp;
-        ++t.evictedCount;
-        if (victim.dirty) {
-            ++t.dirtyEvictions;
-            t.writebackBytes += victim.bytes;
+        if (lru_.size() >= capacity_) {
+            const Entry &victim = lru_.back();
+            t.dirtyVictim = victim.dirty;
+            index_.erase(victim.qp);
+            lru_.pop_back();
+            evictions.inc();
         }
-        usedBytes_ -= victim.bytes;
-        index_.erase(victim.qp);
-        lru_.pop_back();
-        evictions.inc();
-    }
-
-    void
-    insertMru(QpNum qp, std::uint32_t bytes, bool dirty, Touch &t)
-    {
-        if (byteMode()) {
-            // A block larger than the whole cache still gets one
-            // resident slot (the cache runs transiently over-full by
-            // that single entry, like a victim buffer would).
-            while (!lru_.empty() &&
-                   usedBytes_ + bytes > capacityBytes_) {
-                evictLru(t);
-            }
-        } else if (lru_.size() >= capacity_) {
-            evictLru(t);
-        }
-        lru_.push_front(Entry{qp, bytes, dirty});
-        usedBytes_ += bytes;
+        lru_.push_front(Entry{qp, dirty});
         index_[qp] = lru_.begin();
     }
 
     std::size_t capacity_;
-    std::size_t capacityBytes_;
-    std::size_t usedBytes_ = 0;
     /** MRU at front. */
     std::list<Entry> lru_;
     /** Ordered by QP number; lookup only, never iterated. */

@@ -70,7 +70,7 @@ QpipNic::QpipNic(sim::Simulation &sim, std::string name, net::Link &link,
       dmaIn_(sim, this->name() + ".dma_in", params.dma),
       dmaOut_(sim, this->name() + ".dma_out", params.dma),
       doorbells_(sim, this->name() + ".doorbells", params.doorbellCap),
-      qpCache_(params.qpCacheCapacity, params.qpCacheBytes),
+      qpCache_(params.qpCacheCapacity),
       inet_(*this, params.reassExpiry),
       badPackets(inet_.badFrames), noQpDrops(inet_.noMatchDrops)
 {
@@ -181,9 +181,9 @@ QpipNic::createQp(QpType type, QpHostRings *rings, CqRing *scq,
     qps_[num] = std::move(ctx);
     // The management FSM builds the context in SRAM; whatever it
     // displaces goes back to host memory (if dirty).
-    const auto ev = qpCache_.install(num, qpContextBytes(type));
-    if (ev.dirtyEvictions > 0) {
-        ctxWritebacks.inc(ev.dirtyEvictions);
+    const auto ev = qpCache_.install(num);
+    if (ev.dirtyVictim) {
+        ctxWritebacks.inc();
         fw_.charge(FwStage::CtxFetch, ctxMissCycles(ev));
     }
     return num;
@@ -447,42 +447,19 @@ QpipNic::rekeySrqWake(QpContext &qp)
 void
 QpipNic::touchQpContext(QpNum qp, bool dirty)
 {
-    if (!qpCache_.enabled())
-        return;
-    auto *ctx = lookupQp(qp);
-    const std::uint32_t bytes =
-        ctx != nullptr ? qpContextBytes(ctx->type) : qpContextRefBytes;
-    const auto t = qpCache_.touch(qp, bytes, dirty);
+    const auto t = qpCache_.touch(qp, dirty);
     if (t.hit)
         return;
-    if (t.dirtyEvictions > 0)
-        ctxWritebacks.inc(t.dirtyEvictions);
+    if (t.dirtyVictim)
+        ctxWritebacks.inc();
     fw_.charge(FwStage::CtxFetch, ctxMissCycles(t));
 }
 
 sim::Cycles
 QpipNic::ctxMissCycles(const QpContextCache::Touch &t) const
 {
-    if (!qpCache_.byteMode()) {
-        // Entry-count mode: the legacy flat charges — one full fetch
-        // per miss, one full writeback per dirty victim.
-        const sim::Cycles fetch =
-            t.hit ? 0 : params_.costs.qpCtxFetch;
-        return fetch + params_.costs.qpCtxWriteback *
-                           static_cast<sim::Cycles>(t.dirtyEvictions);
-    }
-    // Byte mode: fetch and writeback cost scale with the context
-    // bytes actually moved (the flat costs are calibrated for a
-    // full RC context of qpContextRefBytes).
-    const double ref = static_cast<double>(qpContextRefBytes);
-    const double fetch =
-        t.hit ? 0.0
-              : static_cast<double>(params_.costs.qpCtxFetch) *
-                    (static_cast<double>(t.fetchBytes) / ref);
-    const double wb =
-        static_cast<double>(params_.costs.qpCtxWriteback) *
-        (static_cast<double>(t.writebackBytes) / ref);
-    return static_cast<sim::Cycles>(fetch + wb);
+    return (t.hit ? 0 : params_.costs.qpCtxFetch) +
+           (t.dirtyVictim ? params_.costs.qpCtxWriteback : 0);
 }
 
 // ---------------------------------------------------------------------

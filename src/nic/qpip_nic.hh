@@ -67,14 +67,6 @@ struct QpipNicParams
      */
     std::size_t qpCacheCapacity = 1024;
     /**
-     * Non-zero switches the context cache to byte-denominated
-     * capacity: context blocks occupy their per-type size
-     * (qpContextBytes) and fetch/writeback charges scale
-     * proportionally. qpCacheCapacity is then ignored — it remains
-     * the back-compat entry-count shim used when this is zero.
-     */
-    std::size_t qpCacheBytes = 0;
-    /**
      * Non-zero: doorbell coalescing window, in LANai cycles. A ring
      * addressed to a queue whose newest doorbell record is still
      * undrained and younger than the window folds into that record
@@ -310,7 +302,7 @@ class QpipNic : public sim::SimObject,
 
     /**
      * Reference a QP's context in NIC SRAM; on a miss, charge the
-     * fetch (and any writeback of displaced dirty contexts). @p dirty
+     * fetch (and the writeback of a displaced dirty context). @p dirty
      * marks the touch as modifying QP state; read-only touches leave
      * a clean resident copy that evicts for free.
      */

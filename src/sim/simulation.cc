@@ -6,13 +6,7 @@
 
 namespace qpip::sim {
 
-Simulation::Simulation(std::uint64_t seed)
-    : Simulation(SimConfig{seed, 1})
-{}
-
-Simulation::Simulation(const SimConfig &cfg)
-    : cfg_(cfg), rng_(cfg.seed)
-{}
+Simulation::Simulation(std::uint64_t seed) : seed_(seed), rng_(seed) {}
 
 Tick
 Simulation::engineNow() const

@@ -6,10 +6,9 @@
  * and drive it with run()/runUntil()/runFor().
  *
  * A Simulation normally executes serially on its own event queue.
- * When a ParallelEngine is installed (SimConfig::threads > 1 via the
- * testbeds, or constructed directly), the run*() entry points
- * delegate to the engine's barrier-epoch loop; the serial path stays
- * the default and compiles exactly as before.
+ * When a ParallelEngine is installed (a testbed's enableParallel(),
+ * or one constructed directly), the run*() entry points delegate to
+ * the engine's barrier-epoch loop; the serial path stays the default.
  */
 
 #pragma once
@@ -30,19 +29,6 @@ namespace qpip::sim {
 class ParallelEngine;
 class SimObject;
 
-/** Top-level knobs every experiment shares. */
-struct SimConfig
-{
-    /** Master seed: the global RNG and partition streams derive here. */
-    std::uint64_t seed = 1;
-    /**
-     * Worker threads for the parallel engine. 1 (the default) means
-     * the plain serial event loop; >1 asks the testbed to partition
-     * the simulation and install a ParallelEngine.
-     */
-    int threads = 1;
-};
-
 /**
  * Top-level simulation context.
  */
@@ -50,7 +36,6 @@ class Simulation
 {
   public:
     explicit Simulation(std::uint64_t seed = 1);
-    explicit Simulation(const SimConfig &cfg);
 
     EventQueue &eventQueue() { return eq_; }
     Random &rng() { return rng_; }
@@ -58,8 +43,8 @@ class Simulation
     const StatRegistry &stats() const { return stats_; }
     Tracer &tracer() { return tracer_; }
 
-    std::uint64_t seed() const { return cfg_.seed; }
-    const SimConfig &config() const { return cfg_; }
+    /** Master seed: the global RNG and partition streams derive here. */
+    std::uint64_t seed() const { return seed_; }
 
     /** The installed parallel engine, or nullptr (serial mode). */
     ParallelEngine *parallelEngine() const { return engine_; }
@@ -133,7 +118,7 @@ class Simulation
     bool engineRunUntilCondition(std::function<bool()> pred,
                                  Tick deadline);
 
-    SimConfig cfg_;
+    std::uint64_t seed_;
     EventQueue eq_;
     Random rng_;
     StatRegistry stats_;

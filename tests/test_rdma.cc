@@ -787,90 +787,67 @@ TEST(QpCtxCache, DisabledCacheCountsNothing)
     EXPECT_EQ(cache.evictions.value(), 0u);
 }
 
-TEST(QpCtxCache, ByteModeEvictsBySizeWithDirtyTracking)
+TEST(QpCtxCache, OnlyDirtyVictimsOweWriteback)
 {
-    // 1 KB of context SRAM, denominated in bytes.
-    nic::QpContextCache cache(0, 1024);
-    EXPECT_TRUE(cache.byteMode());
+    // Two context blocks of SRAM.
+    nic::QpContextCache cache(2);
     EXPECT_TRUE(cache.enabled());
 
-    // Two full-size RC contexts fill it exactly; no evictions.
-    EXPECT_EQ(cache.install(1, 512).evictedCount, 0u);
-    EXPECT_EQ(cache.install(2, 512).evictedCount, 0u);
-    EXPECT_EQ(cache.usedBytes(), 1024u);
+    // Installed contexts are dirty by definition: host memory has no
+    // copy yet. Filling the cache evicts nothing.
+    EXPECT_FALSE(cache.install(1).dirtyVictim);
+    EXPECT_FALSE(cache.install(2).dirtyVictim);
+    EXPECT_TRUE(cache.dirty(1));
+    EXPECT_TRUE(cache.dirty(2));
+    EXPECT_EQ(cache.evictions.value(), 0u);
 
-    // A third RC context displaces the LRU (qp1). Installed contexts
-    // are dirty by definition, so the victim owes its bytes back.
-    const auto t3 = cache.install(3, 512);
-    EXPECT_EQ(t3.evictedCount, 1u);
-    EXPECT_EQ(t3.evicted, 1u);
-    EXPECT_EQ(t3.dirtyEvictions, 1u);
-    EXPECT_EQ(t3.writebackBytes, 512u);
+    // A third install displaces the LRU (qp1), which owes a writeback.
+    EXPECT_TRUE(cache.install(3).dirtyVictim);
     EXPECT_FALSE(cache.resident(1));
+    EXPECT_EQ(cache.size(), 2u);
 
-    // Four UD-size fetches fit in the space of one RC block: the
-    // first displaces qp2, the rest land free.
-    const auto t4 = cache.touch(4, 128, /*dirty=*/false);
+    // A read-only fetch displaces dirty qp2 and lands clean.
+    const auto t4 = cache.touch(4, /*dirty=*/false);
     EXPECT_FALSE(t4.hit);
-    EXPECT_EQ(t4.fetchBytes, 128u);
-    EXPECT_EQ(t4.evictedCount, 1u);
-    for (nic::QpNum q = 5; q <= 7; ++q)
-        EXPECT_EQ(cache.touch(q, 128, false).evictedCount, 0u);
-    EXPECT_EQ(cache.usedBytes(), 512u + 4 * 128u);
+    EXPECT_TRUE(t4.dirtyVictim);
+    EXPECT_FALSE(cache.dirty(4));
 
-    // Shelter the dirty RC block at the MRU position, then fetch
-    // another RC-size block: it displaces all four small victims at
-    // once — and because they were clean (read-only touches), none
-    // of them owes a writeback.
-    EXPECT_TRUE(cache.touch(3, 512, false).hit);
-    const auto t8 = cache.touch(8, 512, true);
-    EXPECT_FALSE(t8.hit);
-    EXPECT_EQ(t8.evictedCount, 4u);
-    EXPECT_EQ(t8.dirtyEvictions, 0u);
-    EXPECT_EQ(t8.writebackBytes, 0u);
+    // Shelter qp3; the next fetch displaces the clean qp4, which owes
+    // nothing.
+    EXPECT_TRUE(cache.touch(3, false).hit);
+    EXPECT_TRUE(cache.dirty(3));
+    const auto t5 = cache.touch(5, false);
+    EXPECT_FALSE(t5.hit);
+    EXPECT_FALSE(t5.dirtyVictim);
+    EXPECT_FALSE(cache.resident(4));
 
-    // The sheltered dirty block pays its writeback when it finally
-    // goes: a fetch that displaces it reports the 512 dirty bytes.
-    const auto t9 = cache.touch(9, 128, false);
-    EXPECT_FALSE(t9.hit);
-    EXPECT_EQ(t9.dirtyEvictions, 1u);
-    EXPECT_EQ(t9.writebackBytes, 512u);
-
-    // A clean resident entry turns dirty on a dirty re-touch.
-    EXPECT_FALSE(cache.dirty(9));
-    EXPECT_TRUE(cache.touch(9, 128, true).hit);
-    EXPECT_TRUE(cache.dirty(9));
+    // A dirty re-touch turns the clean resident qp5 dirty, so it owes
+    // its writeback when it finally goes.
+    EXPECT_TRUE(cache.touch(5, true).hit);
+    EXPECT_TRUE(cache.dirty(5));
+    EXPECT_TRUE(cache.touch(6, false).dirtyVictim); // evicts qp3
+    EXPECT_TRUE(cache.touch(7, false).dirtyVictim); // evicts qp5
+    EXPECT_FALSE(cache.resident(5));
+    EXPECT_EQ(cache.hits.value(), 2u);
+    EXPECT_EQ(cache.misses.value(), 4u);
+    EXPECT_EQ(cache.evictions.value(), 5u);
 }
 
-TEST(QpCtxCache, ByteCapacityParamDrivesNicCache)
+TEST(QpCtxCache, CapacityOneEvictsOnEveryNewQp)
 {
-    nic::QpipNicParams params;
-    // Room for exactly two UD contexts (128 B each).
-    params.qpCacheBytes = 256;
-    QpipTestbed bed(2, qpipNativeMtu, 1, params);
-
-    auto &prov = bed.provider(0);
-    auto cq = prov.createCq();
-    auto a = prov.createQp(nic::QpType::UnreliableUdp, cq, cq);
-    auto b = prov.createQp(nic::QpType::UnreliableUdp, cq, cq);
-    auto c = prov.createQp(nic::QpType::UnreliableUdp, cq, cq);
-    a->bind(9000);
-    b->bind(9001);
-    c->bind(9002);
-    bed.sim().runFor(10 * sim::oneMs);
-
-    const auto &cache = bed.nicOf(0).qpCache();
-    EXPECT_TRUE(cache.byteMode());
-    EXPECT_LE(cache.usedBytes(), 256u);
-    // Creating the third UD context displaced the first.
-    EXPECT_EQ(cache.evictions.value(), 1u);
-
-    std::vector<std::uint8_t> buf(4096);
-    auto mr = prov.registerMemory(buf);
-    ASSERT_TRUE(a->postSend(1, *mr, 0, 64, bed.addr(1, 9100)));
-    bed.sim().runFor(10 * sim::oneMs);
-    EXPECT_GE(cache.misses.value(), 1u);
-    EXPECT_GE(bed.nicOf(0).ctxWritebacks.value(), 1u);
+    nic::QpContextCache cache(1);
+    EXPECT_FALSE(cache.install(1).dirtyVictim);
+    for (nic::QpNum q = 2; q <= 5; ++q) {
+        const auto t = cache.touch(q, false);
+        EXPECT_FALSE(t.hit);
+        // Only the installed qp1 was dirty; every later victim was a
+        // clean read-only fetch.
+        EXPECT_EQ(t.dirtyVictim, q == 2);
+        EXPECT_FALSE(cache.resident(q - 1));
+        EXPECT_EQ(cache.size(), 1u);
+    }
+    EXPECT_TRUE(cache.touch(5).hit);
+    EXPECT_EQ(cache.evictions.value(), 4u);
 }
 
 // ---------------------------------------------------------------------
