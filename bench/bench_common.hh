@@ -11,15 +11,18 @@
 
 // The standalone record-only benches (simspeed, qpscale, msgrate)
 // define QPIP_BENCH_STANDALONE and link no benchmark library; they
-// get only the knob/best-of-N/stat helpers below.
+// get only the knob/best-of-N/stat/record-report helpers below.
 #ifndef QPIP_BENCH_STANDALONE
 #include <benchmark/benchmark.h>
 #endif
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/stat_registry.hh"
@@ -75,6 +78,79 @@ bestOfN(std::size_t n_points, std::size_t reps, Run &&run,
         }
     }
     return points;
+}
+
+/** The value of a record bench's --out=<path> flag, or @p fallback. */
+inline std::string
+outPath(int argc, char **argv, const char *fallback)
+{
+    std::string out = fallback;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strncmp(argv[i], "--out=", 6) == 0)
+            out = argv[i] + 6;
+    }
+    return out;
+}
+
+/** One `"key": value` line of a record report; the value is raw JSON. */
+using JsonField = std::pair<std::string, std::string>;
+
+/**
+ * Write a record bench's JSON report to @p path, or exit 1 if it
+ * cannot be opened. The layout, one field or row per line:
+ *
+ *     {"benchmark": @p name, @p params..., "hostCores": <cores>,
+ *      @p list_key: [@p rows...], @p tail...}
+ *
+ * hostCores is the machine context a wall-clock or thread-scaling
+ * number only makes sense against. Each row is a raw JSON object.
+ */
+inline void
+writeRecord(const std::string &path, const char *name,
+            const std::vector<JsonField> &params, const char *list_key,
+            const std::vector<std::string> &rows,
+            const std::vector<JsonField> &tail = {})
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        std::exit(1);
+    }
+    std::fprintf(f, "{\n  \"benchmark\": \"%s\",\n", name);
+    for (const auto &[key, value] : params)
+        std::fprintf(f, "  \"%s\": %s,\n", key.c_str(), value.c_str());
+    std::fprintf(f, "  \"hostCores\": %u,\n",
+                 std::thread::hardware_concurrency());
+    std::fprintf(f, "  \"%s\": [\n", list_key);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        std::fprintf(f, "    %s%s\n", rows[i].c_str(),
+                     i + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(f, "  ]");
+    for (const auto &[key, value] : tail)
+        std::fprintf(f, ",\n  \"%s\": %s", key.c_str(), value.c_str());
+    std::fprintf(f, "\n}\n");
+    std::fclose(f);
+    std::printf("\nwrote %s\n", path.c_str());
+}
+
+/** Table-row suffix flagging a point whose run did not complete. */
+inline const char *
+incompleteMark(bool completed)
+{
+    return completed ? "" : "  [INCOMPLETE]";
+}
+
+/** A record bench's exit code: 0 iff every point completed. */
+template <typename Points>
+int
+recordExit(const Points &points)
+{
+    for (const auto &p : points) {
+        if (!p.completed)
+            return 1;
+    }
+    return 0;
 }
 
 /** Counter value by registry path (0 when absent). */

@@ -28,13 +28,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "apps/testbed.hh"
 #include "apps/verbs_util.hh"
 #include "bench_common.hh"
+#include "sim/logging.hh"
 
 using namespace qpip;
 using namespace qpip::apps;
@@ -260,26 +260,17 @@ void
 writeJson(const std::vector<Point> &points, std::size_t chain,
           const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        std::exit(1);
-    }
-    std::fprintf(f, "{\n  \"benchmark\": \"msgrate\",\n");
-    std::fprintf(f, "  \"chain\": %zu,\n", chain);
-    std::fprintf(f, "  \"points\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const auto &p = points[i];
-        std::fprintf(
-            f,
-            "    {\"transport\": \"%s\", \"batched\": %s, "
+    std::vector<std::string> rows;
+    for (const auto &p : points) {
+        rows.push_back(sim::strfmt(
+            "{\"transport\": \"%s\", \"batched\": %s, "
             "\"msgBytes\": %zu, \"completed\": %s, "
             "\"messages\": %llu, \"simTicks\": %llu, "
             "\"completionsPerSimSec\": %.0f, "
             "\"doorbells\": {\"rings\": %llu, \"coalesced\": %llu, "
             "\"batchedWrs\": %llu}, "
             "\"cq\": {\"notifies\": %llu, \"coalesced\": %llu}, "
-            "\"wallSeconds\": %.3f}%s\n",
+            "\"wallSeconds\": %.3f}",
             p.transport, p.batched ? "true" : "false", p.msgBytes,
             p.completed ? "true" : "false",
             static_cast<unsigned long long>(p.messages),
@@ -290,10 +281,11 @@ writeJson(const std::vector<Point> &points, std::size_t chain,
             static_cast<unsigned long long>(p.dbBatchedWrs),
             static_cast<unsigned long long>(p.cqNotifies),
             static_cast<unsigned long long>(p.cqCoalesced),
-            p.wallSeconds, i + 1 < points.size() ? "," : "");
+            p.wallSeconds));
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    qpip::bench::writeRecord(path, "msgrate",
+                             {{"chain", std::to_string(chain)}},
+                             "points", rows);
 }
 
 } // namespace
@@ -301,11 +293,8 @@ writeJson(const std::vector<Point> &points, std::size_t chain,
 int
 main(int argc, char **argv)
 {
-    std::string out = "BENCH_msgrate.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--out=", 6) == 0)
-            out = argv[i] + 6;
-    }
+    const std::string out =
+        qpip::bench::outPath(argc, argv, "BENCH_msgrate.json");
     const auto messages =
         static_cast<std::uint64_t>(envKnob("QPIP_MSGRATE_MSGS", 8192));
     const std::size_t chain = envKnob("QPIP_MSGRATE_CHAIN", 16);
@@ -353,7 +342,6 @@ main(int argc, char **argv)
     std::printf("%5s %8s %9s %16s %9s %10s %11s %10s %10s\n", "arm",
                 "batched", "bytes", "compl/simsec", "dbRings",
                 "dbFolded", "batchedWrs", "notifies", "cqFolded");
-    bool all_ok = true;
     for (const auto &p : points) {
         std::printf(
             "%5s %8s %9zu %16.0f %9llu %10llu %11llu %10llu "
@@ -365,10 +353,8 @@ main(int argc, char **argv)
             static_cast<unsigned long long>(p.dbBatchedWrs),
             static_cast<unsigned long long>(p.cqNotifies),
             static_cast<unsigned long long>(p.cqCoalesced),
-            p.completed ? "" : "  [INCOMPLETE]");
-        all_ok = all_ok && p.completed;
+            qpip::bench::incompleteMark(p.completed));
     }
     writeJson(points, chain, out);
-    std::printf("\nwrote %s\n", out.c_str());
-    return all_ok ? 0 : 1;
+    return qpip::bench::recordExit(points);
 }

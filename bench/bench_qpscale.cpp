@@ -41,14 +41,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/testbed.hh"
 #include "apps/verbs_util.hh"
 #include "bench_common.hh"
+#include "sim/logging.hh"
 
 using namespace qpip;
 using namespace qpip::apps;
@@ -332,21 +331,10 @@ void
 writeJson(const std::vector<Point> &points, std::size_t cache,
           const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        std::exit(1);
-    }
-    std::fprintf(f, "{\n  \"benchmark\": \"qpscale\",\n");
-    std::fprintf(f, "  \"qpCacheCapacity\": %zu,\n", cache);
-    std::fprintf(f, "  \"hostCores\": %u,\n",
-                 std::thread::hardware_concurrency());
-    std::fprintf(f, "  \"points\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const auto &p = points[i];
-        std::fprintf(
-            f,
-            "    {\"transport\": \"%s\", \"qps\": %zu, "
+    std::vector<std::string> rows;
+    for (const auto &p : points) {
+        rows.push_back(sim::strfmt(
+            "{\"transport\": \"%s\", \"qps\": %zu, "
             "\"completed\": %s, "
             "\"messages\": %llu, \"simTicks\": %llu, "
             "\"completionsPerSimSec\": %.0f, "
@@ -354,7 +342,7 @@ writeJson(const std::vector<Point> &points, std::size_t cache,
             "\"evictions\": %llu}, "
             "\"rxCtx\": {\"hits\": %llu, \"misses\": %llu, "
             "\"evictions\": %llu}, "
-            "\"wallSeconds\": %.3f, \"wallUsPerMsg\": %.2f}%s\n",
+            "\"wallSeconds\": %.3f, \"wallUsPerMsg\": %.2f}",
             p.transport, p.qps, p.completed ? "true" : "false",
             static_cast<unsigned long long>(p.messages),
             static_cast<unsigned long long>(p.simTicks),
@@ -365,11 +353,11 @@ writeJson(const std::vector<Point> &points, std::size_t cache,
             static_cast<unsigned long long>(p.rxHits),
             static_cast<unsigned long long>(p.rxMisses),
             static_cast<unsigned long long>(p.rxEvictions),
-            p.wallSeconds, p.wallUsPerMsg(),
-            i + 1 < points.size() ? "," : "");
+            p.wallSeconds, p.wallUsPerMsg()));
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    qpip::bench::writeRecord(path, "qpscale",
+                             {{"qpCacheCapacity", std::to_string(cache)}},
+                             "points", rows);
 }
 
 } // namespace
@@ -377,11 +365,8 @@ writeJson(const std::vector<Point> &points, std::size_t cache,
 int
 main(int argc, char **argv)
 {
-    std::string out = "BENCH_qpscale.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--out=", 6) == 0)
-            out = argv[i] + 6;
-    }
+    const std::string out =
+        qpip::bench::outPath(argc, argv, "BENCH_qpscale.json");
     const auto messages =
         static_cast<std::uint64_t>(envKnob("QPIP_QPSCALE_MSGS", 16384));
     const std::size_t cache = envKnob("QPIP_QPSCALE_CACHE", 1024);
@@ -429,7 +414,6 @@ main(int argc, char **argv)
     std::printf("%5s %8s %14s %16s %12s %12s %10s %12s\n", "arm", "qps",
                 "msgs", "compl/simsec", "txMisses", "rxMisses",
                 "wall_s", "wall_us/msg");
-    bool all_ok = true;
     for (const auto &p : points) {
         std::printf("%5s %8zu %14llu %16.0f %12llu %12llu %10.2f "
                     "%12.2f%s\n",
@@ -439,10 +423,8 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(p.txMisses),
                     static_cast<unsigned long long>(p.rxMisses),
                     p.wallSeconds, p.wallUsPerMsg(),
-                    p.completed ? "" : "  [INCOMPLETE]");
-        all_ok = all_ok && p.completed;
+                    qpip::bench::incompleteMark(p.completed));
     }
     writeJson(points, cache, out);
-    std::printf("\nwrote %s\n", out.c_str());
-    return all_ok ? 0 : 1;
+    return qpip::bench::recordExit(points);
 }

@@ -45,13 +45,13 @@
 #include <cstring>
 #include <functional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "apps/nbd.hh"
 #include "apps/ttcp.hh"
 #include "bench_common.hh"
+#include "sim/logging.hh"
 
 using namespace qpip;
 using namespace qpip::apps;
@@ -337,23 +337,10 @@ void
 writeJson(const std::vector<WorkloadResult> &results, std::size_t reps,
           const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        std::exit(1);
-    }
     std::uint64_t ttcp_events = 0;
     double ttcp_wall = 0.0;
-    std::fprintf(f, "{\n  \"benchmark\": \"simspeed\",\n");
-    std::fprintf(f, "  \"scaleMb\": %zu,\n", scaleMb());
-    // The machine context a scaling curve only makes sense against:
-    // thread counts above hostCores cannot speed anything up.
-    std::fprintf(f, "  \"hostCores\": %u,\n",
-                 std::thread::hardware_concurrency());
-    std::fprintf(f, "  \"reps\": %zu,\n", reps);
-    std::fprintf(f, "  \"workloads\": [\n");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto &r = results[i];
+    std::vector<std::string> rows;
+    for (const auto &r : results) {
         if (r.ttcp) {
             ttcp_events += r.events;
             ttcp_wall += r.wallSeconds;
@@ -371,33 +358,34 @@ writeJson(const std::vector<WorkloadResult> &results, std::size_t reps,
                              ", \"horizonStalls\": " +
                              std::to_string(r.horizonStalls) + ", ";
         }
-        std::fprintf(
-            f,
-            "    {\"name\": \"%s\", %s\"completed\": %s, "
+        rows.push_back(sim::strfmt(
+            "{\"name\": \"%s\", %s\"completed\": %s, "
             "\"events\": %llu, \"simTicks\": %llu, "
             "\"simBytes\": %llu, \"wallSeconds\": %.4f, "
             "\"eventsPerSec\": %.0f, \"simBytesPerWallSec\": %.0f, "
-            "\"simTicksPerWallSec\": %.0f}%s\n",
+            "\"simTicksPerWallSec\": %.0f}",
             r.name.c_str(), threads_field.c_str(),
             r.completed ? "true" : "false",
             static_cast<unsigned long long>(r.events),
             static_cast<unsigned long long>(r.simTicks),
             static_cast<unsigned long long>(r.simBytes), r.wallSeconds,
             r.eventsPerSec(), r.simBytesPerWallSec(),
-            r.simTicksPerWallSec(),
-            i + 1 < results.size() ? "," : "");
+            r.simTicksPerWallSec()));
     }
     const double agg =
         ttcp_wall > 0.0 ? static_cast<double>(ttcp_events) / ttcp_wall
                         : 0.0;
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f,
-                 "  \"aggregate\": {\"ttcpEvents\": %llu, "
-                 "\"ttcpWallSeconds\": %.4f, "
-                 "\"ttcpEventsPerSec\": %.0f}\n}\n",
-                 static_cast<unsigned long long>(ttcp_events),
-                 ttcp_wall, agg);
-    std::fclose(f);
+    qpip::bench::writeRecord(
+        path, "simspeed",
+        {{"scaleMb", std::to_string(scaleMb())},
+         {"reps", std::to_string(reps)}},
+        "workloads", rows,
+        {{"aggregate",
+          sim::strfmt("{\"ttcpEvents\": %llu, "
+                      "\"ttcpWallSeconds\": %.4f, "
+                      "\"ttcpEventsPerSec\": %.0f}",
+                      static_cast<unsigned long long>(ttcp_events),
+                      ttcp_wall, agg)}});
 }
 
 } // namespace
@@ -405,15 +393,14 @@ writeJson(const std::vector<WorkloadResult> &results, std::size_t reps,
 int
 main(int argc, char **argv)
 {
-    std::string out = "BENCH_simspeed.json";
+    const std::string out =
+        qpip::bench::outPath(argc, argv, "BENCH_simspeed.json");
     int threads = threadKnob();
     std::string fabric_spec = "1,2,4,8";
     if (const char *env = std::getenv("QPIP_SIMSPEED_FABRIC_THREADS"))
         fabric_spec = env;
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--out=", 6) == 0)
-            out = argv[i] + 6;
-        else if (std::strncmp(argv[i], "--threads=", 10) == 0)
+        if (std::strncmp(argv[i], "--threads=", 10) == 0)
             threads = std::max(1, std::atoi(argv[i] + 10));
         else if (std::strncmp(argv[i], "--fabric-threads=", 17) == 0)
             fabric_spec = argv[i] + 17;
@@ -430,19 +417,17 @@ main(int argc, char **argv)
                 "wall_s", "events/sec", "simMB/wall_s");
     std::uint64_t ttcp_events = 0;
     double ttcp_wall = 0.0;
-    bool all_ok = true;
     for (const auto &r : results) {
         std::printf("%-24s %12llu %10.3f %14.0f %14.1f%s\n",
                     r.name.c_str(),
                     static_cast<unsigned long long>(r.events),
                     r.wallSeconds, r.eventsPerSec(),
                     r.simBytesPerWallSec() / (1024.0 * 1024.0),
-                    r.completed ? "" : "  [INCOMPLETE]");
+                    qpip::bench::incompleteMark(r.completed));
         if (r.ttcp) {
             ttcp_events += r.events;
             ttcp_wall += r.wallSeconds;
         }
-        all_ok = all_ok && r.completed;
     }
     std::printf("%-24s %12llu %10.3f %14.0f\n", "ttcp aggregate",
                 static_cast<unsigned long long>(ttcp_events), ttcp_wall,
@@ -451,6 +436,5 @@ main(int argc, char **argv)
                     : 0.0);
 
     writeJson(results, reps, out);
-    std::printf("\nwrote %s\n", out.c_str());
-    return all_ok ? 0 : 1;
+    return qpip::bench::recordExit(results);
 }

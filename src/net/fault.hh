@@ -47,11 +47,16 @@ class FaultInjector
     FaultConfig config;
 
     /**
-     * Roll the dice for @p pkt. Corruption mutates the packet bytes
-     * in place (a random byte is XORed with a random non-zero value),
-     * which downstream checksums must catch.
+     * Roll the dice for @p pkt under @p cfg. Corruption mutates the
+     * packet bytes in place (a random byte is XORed with a random
+     * non-zero value), which downstream checksums must catch. A
+     * link's per-direction injectors roll under the config of the
+     * link's shared one.
      */
-    FaultDecision apply(Packet &pkt);
+    FaultDecision apply(Packet &pkt, const FaultConfig &cfg);
+
+    /** Roll the dice for @p pkt under this injector's own config. */
+    FaultDecision apply(Packet &pkt) { return apply(pkt, config); }
 
     sim::Counter drops;
     sim::Counter dups;

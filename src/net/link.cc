@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "net/pcap.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
 #include "sim/trace.hh"
@@ -49,6 +50,11 @@ Link::Link(sim::Simulation &sim, std::string name, LinkConfig config)
     regStat("faults.dups", faults_.dups);
     regStat("faults.corruptions", faults_.corruptions);
     regStat("faults.reorders", faults_.reorders);
+    for (auto &d : dir_) {
+        d.eq = &eventQueue();
+        d.faults = &faults_;
+        d.counters = this;
+    }
 }
 
 void
@@ -75,138 +81,81 @@ void
 Link::bindSide(int side, const LinkBoundary &boundary)
 {
     auto &d = dir_.at(static_cast<std::size_t>(side));
-    d.bnd = boundary;
-    d.faults = std::make_unique<FaultInjector>(*boundary.rng);
-    d.faults->config = faults_.config;
+    d.shadow = std::make_unique<Shadow>(*boundary.rng);
+    d.eq = boundary.eq;
+    d.faults = &d.shadow->faults;
+    d.counters = &d.shadow->counters;
+    d.outbox = boundary.outbox;
+    checkTaps();
 }
 
 void
-Link::setSideTap(int side,
-                 std::function<void(const Packet &, sim::Tick)> tap)
+Link::setSideTap(int side, PcapWriter &writer)
 {
-    dir_.at(static_cast<std::size_t>(side)).tap = std::move(tap);
+    dir_.at(static_cast<std::size_t>(side)).tap = &writer;
+    checkTaps();
+}
+
+/**
+ * The two directions of a bound link transmit from their own
+ * partitions, possibly at once: one writer fed by both would race and
+ * interleave nondeterministically.
+ */
+void
+Link::checkTaps() const
+{
+    const bool bound = dir_[0].shadow || dir_[1].shadow;
+    if (bound && dir_[0].tap != nullptr && dir_[0].tap == dir_[1].tap) {
+        panic("%s: a partitioned link cannot feed one pcap writer from "
+              "both directions (tapLink); give each side its own "
+              "writer with tapLinkSide",
+              name().c_str());
+    }
 }
 
 void
 Link::foldBoundaryStats()
 {
+    const auto drain = [](sim::Counter &into, sim::Counter &from) {
+        into.inc(from.value());
+        from.reset();
+    };
     for (auto &d : dir_) {
-        if (d.bnd.eq == nullptr)
+        if (!d.shadow)
             continue;
-        packetsSent.inc(d.packetsSent.value());
-        bytesSent.inc(d.bytesSent.value());
-        oversizeDrops.inc(d.oversizeDrops.value());
-        queueDrops.inc(d.queueDrops.value());
-        d.packetsSent.reset();
-        d.bytesSent.reset();
-        d.oversizeDrops.reset();
-        d.queueDrops.reset();
-        faults_.drops.inc(d.faults->drops.value());
-        faults_.dups.inc(d.faults->dups.value());
-        faults_.corruptions.inc(d.faults->corruptions.value());
-        faults_.reorders.inc(d.faults->reorders.value());
-        d.faults->drops.reset();
-        d.faults->dups.reset();
-        d.faults->corruptions.reset();
-        d.faults->reorders.reset();
+        LinkCounters &c = d.shadow->counters;
+        drain(packetsSent, c.packetsSent);
+        drain(bytesSent, c.bytesSent);
+        drain(oversizeDrops, c.oversizeDrops);
+        drain(queueDrops, c.queueDrops);
+        FaultInjector &f = d.shadow->faults;
+        drain(faults_.drops, f.drops);
+        drain(faults_.dups, f.dups);
+        drain(faults_.corruptions, f.corruptions);
+        drain(faults_.reorders, f.reorders);
     }
 }
 
 /**
- * The parallel-mode transmit path: identical wire model to send(),
- * but all mutable state it touches — busyUntil, counters, the fault
- * stream, the tap — is owned by this direction's sending partition,
- * and delivery goes through the bound queue or the cross-partition
- * mailbox instead of the global queue.
+ * Every mutable thing this touches — busyUntil, counters, the fault
+ * stream, the tap, the queue — belongs to the sending direction, so
+ * a bound direction runs entirely inside its sending partition.
  */
-bool
-Link::sendBoundary(Direction &tx, int from_side, PacketPtr pkt)
-{
-    const int to_side = from_side ^ 1;
-
-    if (pkt->data.size() > cfg_.mtu) {
-        tx.oversizeDrops.inc();
-        warn("%s: dropping oversize packet (%zu > mtu %u)",
-             name().c_str(), pkt->data.size(), cfg_.mtu);
-        return false;
-    }
-
-    const sim::Tick now = tx.bnd.eq->now();
-    if (tx.busyUntil > now) {
-        const sim::Tick backlog = tx.busyUntil - now;
-        const sim::Tick one_mtu =
-            serializationDelay(cfg_.mtu + cfg_.overheadBytes);
-        if (backlog > one_mtu * cfg_.txQueueCap) {
-            tx.queueDrops.inc();
-            return false;
-        }
-    }
-
-    pkt->linkOverheadBytes = cfg_.overheadBytes;
-    if (pkt->injectedAt == 0)
-        pkt->injectedAt = now;
-
-    const sim::Tick start = std::max(now, tx.busyUntil);
-    const sim::Tick ser = serializationDelay(pkt->wireBytes());
-    tx.busyUntil = start + ser;
-
-    tx.packetsSent.inc();
-    tx.bytesSent.inc(pkt->wireBytes());
-
-    // Live config (tests flip fault rates between runs), private
-    // per-direction stream and counters.
-    tx.faults->config = faults_.config;
-    FaultDecision fault = tx.faults->apply(*pkt);
-
-    if (tx.tap)
-        tx.tap(*pkt, start);
-    // No tracer span: the parallel engine rejects tracing outright.
-
-    if (fault.drop)
-        return true; // consumed the wire, never arrives
-
-    auto &rx = dir_.at(static_cast<std::size_t>(to_side));
-    if (rx.receiver == nullptr)
-        panic("%s: side %d has no receiver", name().c_str(), to_side);
-    NetReceiver *receiver = rx.receiver;
-
-    const auto post = [&](PacketPtr p, sim::Tick extra) {
-        const sim::Tick arrive = tx.busyUntil + cfg_.propDelay + extra;
-        if (tx.bnd.outbox != nullptr) {
-            tx.bnd.outbox->post(arrive, sim::defaultPriority,
-                                [receiver, p] {
-                                    receiver->onPacket(p);
-                                });
-        } else {
-            tx.bnd.eq->schedule(arrive, [receiver, p] {
-                receiver->onPacket(p);
-            });
-        }
-    };
-
-    post(pkt, fault.extraDelay);
-    if (fault.duplicate)
-        post(clonePacket(*pkt), fault.extraDelay);
-    return true;
-}
-
 bool
 Link::send(int from_side, PacketPtr pkt)
 {
     auto &tx = dir_.at(static_cast<std::size_t>(from_side));
     const int to_side = from_side ^ 1;
-
-    if (tx.bnd.eq != nullptr)
-        return sendBoundary(tx, from_side, std::move(pkt));
+    LinkCounters &counters = *tx.counters;
 
     if (pkt->data.size() > cfg_.mtu) {
-        oversizeDrops.inc();
+        counters.oversizeDrops.inc();
         warn("%s: dropping oversize packet (%zu > mtu %u)",
              name().c_str(), pkt->data.size(), cfg_.mtu);
         return false;
     }
 
-    const sim::Tick now = curTick();
+    const sim::Tick now = tx.eq->now();
     // Model queue depth by how far ahead of real time the transmitter
     // is already committed.
     if (tx.busyUntil > now) {
@@ -214,7 +163,7 @@ Link::send(int from_side, PacketPtr pkt)
         const sim::Tick one_mtu =
             serializationDelay(cfg_.mtu + cfg_.overheadBytes);
         if (backlog > one_mtu * cfg_.txQueueCap) {
-            queueDrops.inc();
+            counters.queueDrops.inc();
             return false;
         }
     }
@@ -227,15 +176,15 @@ Link::send(int from_side, PacketPtr pkt)
     const sim::Tick ser = serializationDelay(pkt->wireBytes());
     tx.busyUntil = start + ser;
 
-    packetsSent.inc();
-    bytesSent.inc(pkt->wireBytes());
+    counters.packetsSent.inc();
+    counters.bytesSent.inc(pkt->wireBytes());
 
-    FaultDecision fault = faults_.apply(*pkt);
+    const FaultDecision fault = tx.faults->apply(*pkt, faults_.config);
 
-    if (tx.tap)
-        tx.tap(*pkt, start);
-    else if (txTap)
-        txTap(*pkt, start);
+    if (tx.tap != nullptr)
+        tx.tap->record(*pkt, start);
+    // The parallel engine refuses tracing, so only an unbound link
+    // gets here with the tracer on.
     if (tracer().enabled()) {
         // Tag with the link-local sequence number (not pkt->id, which
         // is a process-global counter and would break same-seed trace
@@ -244,30 +193,34 @@ Link::send(int from_side, PacketPtr pkt)
                       sim::strfmt("{\"seq\": %llu, \"bytes\": %zu, "
                                   "\"side\": %d}",
                                   static_cast<unsigned long long>(
-                                      packetsSent.value()),
+                                      counters.packetsSent.value()),
                                   pkt->wireBytes(), from_side));
     }
 
     if (fault.drop)
         return true; // consumed the wire, never arrives
 
-    deliver(to_side, pkt, fault.extraDelay);
-    if (fault.duplicate)
-        deliver(to_side, clonePacket(*pkt), fault.extraDelay);
-    return true;
-}
-
-void
-Link::deliver(int to_side, PacketPtr pkt, sim::Tick extra_delay)
-{
-    auto &rx = dir_.at(static_cast<std::size_t>(to_side));
-    if (rx.receiver == nullptr)
+    NetReceiver *receiver =
+        dir_.at(static_cast<std::size_t>(to_side)).receiver;
+    if (receiver == nullptr)
         panic("%s: side %d has no receiver", name().c_str(), to_side);
 
-    auto &tx = dir_.at(static_cast<std::size_t>(to_side ^ 1));
-    const sim::Tick arrive = tx.busyUntil + cfg_.propDelay + extra_delay;
-    NetReceiver *receiver = rx.receiver;
-    schedule(arrive, [receiver, pkt] { receiver->onPacket(pkt); });
+    const sim::Tick arrive =
+        tx.busyUntil + cfg_.propDelay + fault.extraDelay;
+    const auto deliver = [&](PacketPtr p) {
+        auto arrival = [receiver, p = std::move(p)] {
+            receiver->onPacket(p);
+        };
+        if (tx.outbox != nullptr)
+            tx.outbox->post(arrive, sim::defaultPriority,
+                            std::move(arrival));
+        else
+            tx.eq->schedule(arrive, std::move(arrival));
+    };
+    deliver(pkt);
+    if (fault.duplicate)
+        deliver(clonePacket(*pkt));
+    return true;
 }
 
 } // namespace qpip::net

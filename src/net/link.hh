@@ -9,13 +9,18 @@
  *  - Gigabit Ethernet: 1 Gb/s, 1500 B MTU, 38 B of framing overhead.
  *  - Myrinet: 2 Gb/s full duplex, arbitrary MTU, 8 B framing,
  *    effectively lossless (large queue, link-level backpressure).
+ *
+ * Both directions, serial or partitioned, transmit through the one
+ * send(). Each direction carries the execution context it runs in: an
+ * event queue, a fault injector, the counters it adds to, an optional
+ * cross-partition outbox and a capture tap. Unbound, these are the
+ * link's own queue, its shared injector and its public counters;
+ * bindSide() swaps in the sending partition's.
  */
 
 #pragma once
 
 #include <array>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -26,6 +31,8 @@
 #include "sim/stats.hh"
 
 namespace qpip::net {
+
+class PcapWriter;
 
 /**
  * Parallel mode: the execution-context binding of one link
@@ -65,9 +72,21 @@ LinkConfig gigabitEthernetLink();
 LinkConfig myrinetLink(std::uint32_t mtu = 16384);
 
 /**
+ * Transmit counters. A Link's public set holds its totals; each bound
+ * direction adds into a shadow set that foldBoundaryStats() drains.
+ */
+struct LinkCounters
+{
+    sim::Counter packetsSent;
+    sim::Counter bytesSent;
+    sim::Counter oversizeDrops;
+    sim::Counter queueDrops;
+};
+
+/**
  * The link itself. Side 0 and side 1 are symmetrical.
  */
-class Link : public sim::SimObject
+class Link : public sim::SimObject, public LinkCounters
 {
   public:
     Link(sim::Simulation &sim, std::string name, LinkConfig config);
@@ -95,26 +114,22 @@ class Link : public sim::SimObject
     /**
      * Parallel mode: bind the transmitter of @p side to its sending
      * partition. From then on this direction schedules on the bound
-     * queue, draws faults from a per-direction injector seeded off
-     * the bound RNG, and counts into per-direction shadow counters
-     * (folded into the public ones by foldBoundaryStats()). Wired up
-     * by net::partitionFabric during setup.
+     * queue, draws faults from a per-direction stream off the bound
+     * RNG (under the link's one FaultConfig), and counts into
+     * per-direction shadow counters (folded into the public ones by
+     * foldBoundaryStats()). Wired up by net::partitionFabric during
+     * setup. Panics if both directions tap one writer, which the two
+     * sending partitions would race on.
      */
     void bindSide(int side, const LinkBoundary &boundary);
 
-    /** @return true once either side has been bound (parallel mode). */
-    bool
-    bound() const
-    {
-        return dir_[0].bnd.eq != nullptr || dir_[1].bnd.eq != nullptr;
-    }
-
     /**
-     * Per-side capture tap (parallel mode: each tap is invoked only
-     * from its own sending partition). Overrides txTap for that side.
+     * Record every frame that occupies the wire from @p side into
+     * @p writer: after fault injection, so corrupted bytes are seen,
+     * at the tick serialization starts. On a bound link the two
+     * directions may not share a writer. See net/pcap.hh.
      */
-    void setSideTap(int side,
-                    std::function<void(const Packet &, sim::Tick)> tap);
+    void setSideTap(int side, PcapWriter &writer);
 
     /**
      * Fold the per-direction shadow counters (packet/byte/drop/fault
@@ -124,37 +139,31 @@ class Link : public sim::SimObject
      */
     void foldBoundaryStats();
 
-    /**
-     * Capture tap: invoked for every frame that occupies the wire
-     * (after fault injection, so corrupted bytes are seen) with the
-     * tick its serialization starts. See net/pcap.hh.
-     */
-    std::function<void(const Packet &, sim::Tick)> txTap;
-
-    sim::Counter packetsSent;
-    sim::Counter bytesSent;
-    sim::Counter oversizeDrops;
-    sim::Counter queueDrops;
-
   private:
+    /** A bound direction's own fault stream and shadow counters. */
+    struct Shadow
+    {
+        explicit Shadow(sim::Random &rng) : faults(rng) {}
+        FaultInjector faults;
+        LinkCounters counters;
+    };
+
+    /** One transmitter and the context it runs in. */
     struct Direction
     {
         NetReceiver *receiver = nullptr;
         sim::Tick busyUntil = 0;
-        // --- parallel mode only -------------------------------------
-        LinkBoundary bnd;
-        /** Per-direction fault stream (bnd.rng), folded post-run. */
-        std::unique_ptr<FaultInjector> faults;
-        /** Shadow counters owned by the sending partition. */
-        sim::Counter packetsSent;
-        sim::Counter bytesSent;
-        sim::Counter oversizeDrops;
-        sim::Counter queueDrops;
-        std::function<void(const Packet &, sim::Tick)> tap;
+        sim::EventQueue *eq = nullptr;
+        FaultInjector *faults = nullptr;
+        LinkCounters *counters = nullptr;
+        /** Cross-partition channel to the receiver, or nullptr. */
+        sim::Mailbox *outbox = nullptr;
+        PcapWriter *tap = nullptr;
+        /** Set once bound: what faults and counters point into. */
+        std::unique_ptr<Shadow> shadow;
     };
 
-    void deliver(int to_side, PacketPtr pkt, sim::Tick extra_delay);
-    bool sendBoundary(Direction &tx, int from_side, PacketPtr pkt);
+    void checkTaps() const;
 
     LinkConfig cfg_;
     FaultInjector faults_;

@@ -71,18 +71,14 @@ PcapWriter::writeFile(const std::string &path) const
 void
 tapLink(Link &link, PcapWriter &writer)
 {
-    link.txTap = [&writer](const Packet &pkt, sim::Tick when) {
-        writer.record(pkt, when);
-    };
+    tapLinkSide(link, 0, writer);
+    tapLinkSide(link, 1, writer);
 }
 
 void
 tapLinkSide(Link &link, int side, PcapWriter &writer)
 {
-    link.setSideTap(side,
-                    [&writer](const Packet &pkt, sim::Tick when) {
-                        writer.record(pkt, when);
-                    });
+    link.setSideTap(side, writer);
 }
 
 } // namespace qpip::net

@@ -5,10 +5,11 @@
  * network layer and above (genuine IPv4/IPv6/TCP/UDP headers and
  * checksums), captures use LINKTYPE_RAW (the frame starts at the IP
  * version nibble) and every captured frame dissects cleanly. A writer
- * taps a Link's transmitters: frames are recorded at the tick their
- * serialization starts, after fault injection, so the capture shows
- * exactly what occupied the wire — including corrupted frames and
- * frames subsequently dropped by the fault injector.
+ * taps a Link's transmitters, each of which has one tap slot: frames
+ * are recorded at the tick their serialization starts, after fault
+ * injection, so the capture shows exactly what occupied the wire —
+ * including corrupted frames and frames subsequently dropped by the
+ * fault injector.
  */
 
 #pragma once
@@ -57,16 +58,21 @@ class PcapWriter
 
 /**
  * Tap both transmitters of @p link into @p writer, which must outlive
- * the link's traffic. Replaces any previous tap on the link.
+ * the link's traffic: tapLinkSide() on each side with one writer.
+ * Replaces any previous tap on the link. Serial runs only: on a link
+ * net::partitionFabric binds, this panics (here if the link is already
+ * bound, at the binding otherwise); use tapLinkSide() with one writer
+ * per side.
  */
 void tapLink(Link &link, PcapWriter &writer);
 
 /**
- * Tap only the transmitter of @p side into @p writer. Parallel mode
- * requires one writer per direction — each side's tap fires in that
- * side's sending partition, so a shared writer would interleave
- * nondeterministically. Compare captures per side (or concatenate in
- * a fixed order) instead.
+ * Tap only the transmitter of @p side into @p writer, replacing that
+ * side's previous tap. Parallel mode requires one writer per
+ * direction — each side's tap fires in that side's sending
+ * partition, so a shared writer would interleave nondeterministically.
+ * Compare captures per side (or concatenate in a fixed order)
+ * instead.
  */
 void tapLinkSide(Link &link, int side, PcapWriter &writer);
 

@@ -99,7 +99,7 @@ struct FirmwareCostModel
      * from host memory and rebuild the demux entry.
      */
     sim::Cycles qpCtxFetch = us(6.0);
-    /** Write back an evicted (dirty) context to host memory. */
+    /** Write back an evicted context to host memory. */
     sim::Cycles qpCtxWriteback = us(3.0);
 
     // --- management FSM ----------------------------------------------

@@ -4,9 +4,10 @@
  * home for QP state blocks. The prototype keeps every QP context
  * resident (its workloads use a handful of QPs); at SAN server scale
  * the working set outgrows the SRAM and each touch of a non-resident
- * QP costs a host-memory fetch (and a writeback for the context it
- * displaces — but only a *dirty* one: a context that was merely read
- * since it was fetched can be dropped for free). The cache is a
+ * QP costs a host-memory fetch plus a writeback of the context it
+ * displaces. Every firmware stage that touches a context updates it,
+ * so no resident copy is ever clean and the cache tracks no dirty
+ * bits: every eviction owes exactly one writeback. The cache is a
  * strict LRU over deterministic structures (intrusive list + ordered
  * map, never iterated), so replay and parallel-partition runs see
  * identical hit/miss sequences.
@@ -43,8 +44,8 @@ class QpContextCache
     struct Touch
     {
         bool hit = true;
-        /** The displaced victim was dirty and owes a writeback. */
-        bool dirtyVictim = false;
+        /** A victim was displaced and owes its writeback. */
+        bool evicted = false;
     };
 
     /** Room for @p capacity contexts; zero disables the model. */
@@ -57,13 +58,10 @@ class QpContextCache
      * Reference @p qp's context (any firmware stage that reads or
      * writes QP state). A resident context moves to the MRU position;
      * a non-resident one is fetched, displacing the LRU entry when
-     * the cache is full. @p dirty marks the resident copy as modified
-     * relative to host memory: only dirty victims pay the writeback
-     * when they are later evicted. With the model disabled this is a
-     * no-op hit.
+     * the cache is full. With the model disabled this is a no-op hit.
      */
     Touch
-    touch(QpNum qp, bool dirty = true)
+    touch(QpNum qp)
     {
         Touch t;
         if (!enabled())
@@ -71,21 +69,19 @@ class QpContextCache
         auto it = index_.find(qp);
         if (it != index_.end()) {
             lru_.splice(lru_.begin(), lru_, it->second);
-            it->second->dirty = it->second->dirty || dirty;
             hits.inc();
             return t;
         }
         t.hit = false;
-        insertMru(qp, dirty, t);
+        insertMru(qp, t);
         misses.inc();
         return t;
     }
 
     /**
      * Install @p qp at creation time (the management FSM warms the
-     * context it just built — dirty by definition: host memory has no
-     * copy yet). Unlike touch() this counts nothing but the eviction
-     * it may force.
+     * context it just built). Unlike touch() this counts nothing but
+     * the eviction it may force.
      */
     Touch
     install(QpNum qp)
@@ -93,7 +89,7 @@ class QpContextCache
         Touch t;
         if (!enabled() || index_.count(qp) > 0)
             return t;
-        insertMru(qp, true, t);
+        insertMru(qp, t);
         return t;
     }
 
@@ -114,44 +110,29 @@ class QpContextCache
         return !enabled() || index_.count(qp) > 0;
     }
 
-    /** A resident context's dirty bit (false if absent/disabled). */
-    bool
-    dirty(QpNum qp) const
-    {
-        auto it = index_.find(qp);
-        return it != index_.end() && it->second->dirty;
-    }
-
     sim::Counter hits;
     sim::Counter misses;
     sim::Counter evictions;
 
   private:
-    struct Entry
-    {
-        QpNum qp = invalidQp;
-        bool dirty = false;
-    };
-
     void
-    insertMru(QpNum qp, bool dirty, Touch &t)
+    insertMru(QpNum qp, Touch &t)
     {
         if (lru_.size() >= capacity_) {
-            const Entry &victim = lru_.back();
-            t.dirtyVictim = victim.dirty;
-            index_.erase(victim.qp);
+            t.evicted = true;
+            index_.erase(lru_.back());
             lru_.pop_back();
             evictions.inc();
         }
-        lru_.push_front(Entry{qp, dirty});
+        lru_.push_front(qp);
         index_[qp] = lru_.begin();
     }
 
     std::size_t capacity_;
     /** MRU at front. */
-    std::list<Entry> lru_;
+    std::list<QpNum> lru_;
     /** Ordered by QP number; lookup only, never iterated. */
-    std::map<QpNum, std::list<Entry>::iterator> index_;
+    std::map<QpNum, std::list<QpNum>::iterator> index_;
 };
 
 } // namespace qpip::nic

@@ -180,9 +180,9 @@ QpipNic::createQp(QpType type, QpHostRings *rings, CqRing *scq,
     }
     qps_[num] = std::move(ctx);
     // The management FSM builds the context in SRAM; whatever it
-    // displaces goes back to host memory (if dirty).
+    // displaces goes back to host memory.
     const auto ev = qpCache_.install(num);
-    if (ev.dirtyVictim) {
+    if (ev.evicted) {
         ctxWritebacks.inc();
         fw_.charge(FwStage::CtxFetch, ctxMissCycles(ev));
     }
@@ -445,12 +445,12 @@ QpipNic::rekeySrqWake(QpContext &qp)
 }
 
 void
-QpipNic::touchQpContext(QpNum qp, bool dirty)
+QpipNic::touchQpContext(QpNum qp)
 {
-    const auto t = qpCache_.touch(qp, dirty);
+    const auto t = qpCache_.touch(qp);
     if (t.hit)
         return;
-    if (t.dirtyVictim)
+    if (t.evicted)
         ctxWritebacks.inc();
     fw_.charge(FwStage::CtxFetch, ctxMissCycles(t));
 }
@@ -459,7 +459,7 @@ sim::Cycles
 QpipNic::ctxMissCycles(const QpContextCache::Touch &t) const
 {
     return (t.hit ? 0 : params_.costs.qpCtxFetch) +
-           (t.dirtyVictim ? params_.costs.qpCtxWriteback : 0);
+           (t.evicted ? params_.costs.qpCtxWriteback : 0);
 }
 
 // ---------------------------------------------------------------------

@@ -302,11 +302,9 @@ class QpipNic : public sim::SimObject,
 
     /**
      * Reference a QP's context in NIC SRAM; on a miss, charge the
-     * fetch (and the writeback of a displaced dirty context). @p dirty
-     * marks the touch as modifying QP state; read-only touches leave
-     * a clean resident copy that evicts for free.
+     * fetch and the writeback of any context it displaces.
      */
-    void touchQpContext(QpNum qp, bool dirty = true);
+    void touchQpContext(QpNum qp);
 
     /** Fetch + writeback cycles for one cache miss / install. */
     sim::Cycles ctxMissCycles(const QpContextCache::Touch &t) const;

@@ -6,14 +6,18 @@
  * ping-pong and a lossy-fabric sockets TCP transfer where every
  * retransmission path is exercised. This pins down the simulator's
  * reproducibility guarantee: all randomness flows from the seeded
- * RNG, and event ordering is stable.
+ * RNG, and event ordering is stable. The lossy transfers' link-layer
+ * outcome is also pinned to absolute values, which run-to-run
+ * comparison alone cannot catch drifting.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/disk.hh"
@@ -27,11 +31,26 @@
 #include "net/topology.hh"
 #include "sim/parallel_engine.hh"
 #include "sim/simulation.hh"
+#include "sim/stat_registry.hh"
 #include "sim/trace.hh"
 
 using namespace qpip;
 
 namespace {
+
+/** A (stat path, counter value) pair of one run's registry. */
+using CounterPin = std::pair<std::string, std::uint64_t>;
+
+/**
+ * What the link pins record of one run: every transmit and fault
+ * counter, and a digest of every link direction's capture.
+ */
+struct LinkPins
+{
+    std::vector<CounterPin> counters;
+    /** FNV-1a of each direction's pcap image, in (edge, side) order. */
+    std::vector<std::uint64_t> captureDigests;
+};
 
 /** Observable end state of one run. */
 struct RunArtifacts
@@ -41,6 +60,7 @@ struct RunArtifacts
     sim::Tick endTick = 0;
     bool completed = false;
     std::uint64_t faultEvents = 0;
+    LinkPins pins;
 };
 
 RunArtifacts
@@ -55,6 +75,47 @@ runQpipPingPong(std::uint64_t seed)
     out.traceJson = bed.sim().tracer().json();
     out.endTick = bed.sim().now();
     return out;
+}
+
+/** Tap both directions of every fabric edge, in deterministic order. */
+std::vector<std::unique_ptr<net::PcapWriter>>
+tapAllEdges(net::Fabric &fabric)
+{
+    std::vector<std::unique_ptr<net::PcapWriter>> taps;
+    for (const auto &e : fabric.edges()) {
+        for (int side = 0; side < 2; ++side) {
+            taps.push_back(std::make_unique<net::PcapWriter>());
+            net::tapLinkSide(*e.link, side, *taps.back());
+        }
+    }
+    return taps;
+}
+
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (const std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+LinkPins
+collectLinkPins(const sim::StatRegistry &stats,
+                const std::vector<std::unique_ptr<net::PcapWriter>> &taps)
+{
+    LinkPins pins;
+    for (const char *pattern :
+         {"*.packetsSent", "*.bytesSent", "*.queueDrops",
+          "*.oversizeDrops", "*.faults.*"}) {
+        for (const auto &path : stats.match(pattern))
+            pins.counters.emplace_back(path, stats.counterValue(path));
+    }
+    for (const auto &t : taps)
+        pins.captureDigests.push_back(fnv1a(t->bytes()));
+    return pins;
 }
 
 RunArtifacts
@@ -73,6 +134,7 @@ runLossyTransfer(std::uint64_t seed)
         faults.config.corruptProb = 0.01;
         faults.config.reorderProb = 0.05;
     }
+    const auto taps = tapAllEdges(bed.fabric());
     auto res = apps::runSocketsTtcp(bed, 128 * 1024);
     RunArtifacts out;
     out.completed = res.completed;
@@ -81,6 +143,7 @@ runLossyTransfer(std::uint64_t seed)
     out.endTick = bed.sim().now();
     for (const auto &path : bed.sim().stats().match("*.faults.*"))
         out.faultEvents += bed.sim().stats().counterValue(path);
+    out.pins = collectLinkPins(bed.sim().stats(), taps);
     return out;
 }
 
@@ -99,21 +162,8 @@ struct ParallelArtifacts
     std::uint64_t executed = 0;
     bool completed = false;
     std::uint64_t faultEvents = 0;
+    LinkPins pins;
 };
-
-/** Tap both directions of every fabric edge, in deterministic order. */
-std::vector<std::unique_ptr<net::PcapWriter>>
-tapAllEdges(net::Fabric &fabric)
-{
-    std::vector<std::unique_ptr<net::PcapWriter>> taps;
-    for (const auto &e : fabric.edges()) {
-        for (int side = 0; side < 2; ++side) {
-            taps.push_back(std::make_unique<net::PcapWriter>());
-            net::tapLinkSide(*e.link, side, *taps.back());
-        }
-    }
-    return taps;
-}
 
 void
 collectParallel(apps::SocketsTestbed &bed,
@@ -129,6 +179,7 @@ collectParallel(apps::SocketsTestbed &bed,
     }
     for (const auto &path : bed.sim().stats().match("*.faults.*"))
         out.faultEvents += bed.sim().stats().counterValue(path);
+    out.pins = collectLinkPins(bed.sim().stats(), taps);
 }
 
 /** All-pairs ttcp over a partitioned 4-host dual-star. */
@@ -736,4 +787,92 @@ TEST(ParallelDeterminism, BatchedPostsThreadCountInvariant)
     const auto again = runParallelBatchedFanIn(4, 31);
     EXPECT_EQ(four.statsJson, again.statsJson);
     EXPECT_EQ(four.pcap, again.pcap);
+}
+
+// --- link pins: absolute values of the lossy transfers -------------
+//
+// The replay tests above compare runs only to each other, so a
+// reordered fault stream or a shifted delivery would still pass them.
+// These pin the lossy transfers' link-layer outcome absolutely — the
+// final tick, every transmit, drop and fault counter, and a digest of
+// each link direction's capture — as the link model produced them
+// under drop+dup+corrupt+reorder.
+
+TEST(Determinism, LossyTransferMatchesLinkPins)
+{
+    const auto run = runLossyTransfer(1234);
+    ASSERT_TRUE(run.completed);
+    EXPECT_EQ(run.endTick, 3710295629ull);
+    const std::vector<CounterPin> counters = {
+        {"fabric.link0.packetsSent", 150},
+        {"fabric.link1.packetsSent", 152},
+        {"fabric.link0.bytesSent", 146016},
+        {"fabric.link1.bytesSent", 146196},
+        {"fabric.link0.queueDrops", 0},
+        {"fabric.link1.queueDrops", 0},
+        {"fabric.link0.oversizeDrops", 0},
+        {"fabric.link1.oversizeDrops", 0},
+        {"fabric.link0.faults.corruptions", 2},
+        {"fabric.link0.faults.drops", 3},
+        {"fabric.link0.faults.dups", 0},
+        {"fabric.link0.faults.reorders", 6},
+        {"fabric.link1.faults.corruptions", 0},
+        {"fabric.link1.faults.drops", 2},
+        {"fabric.link1.faults.dups", 0},
+        {"fabric.link1.faults.reorders", 2},
+    };
+    EXPECT_EQ(run.pins.counters, counters);
+    const std::vector<std::uint64_t> digests = {
+        0x1324b5de28c3f152ull,
+        0xa14bedbdf49376b8ull,
+        0x2f0349e6ad548375ull,
+        0x39af5b6501f65d73ull,
+    };
+    EXPECT_EQ(run.pins.captureDigests, digests);
+}
+
+TEST(ParallelDeterminism, LossyTransferMatchesLinkPins)
+{
+    const std::vector<CounterPin> counters = {
+        {"fabric.link0.packetsSent", 175},
+        {"fabric.link1.packetsSent", 173},
+        {"fabric.trunk.packetsSent", 172},
+        {"fabric.link0.bytesSent", 159690},
+        {"fabric.link1.bytesSent", 153798},
+        {"fabric.trunk.bytesSent", 153708},
+        {"fabric.link0.queueDrops", 0},
+        {"fabric.link1.queueDrops", 0},
+        {"fabric.trunk.queueDrops", 0},
+        {"fabric.link0.oversizeDrops", 0},
+        {"fabric.link1.oversizeDrops", 0},
+        {"fabric.trunk.oversizeDrops", 0},
+        {"fabric.link0.faults.corruptions", 3},
+        {"fabric.link0.faults.drops", 6},
+        {"fabric.link0.faults.dups", 1},
+        {"fabric.link0.faults.reorders", 9},
+        {"fabric.link1.faults.corruptions", 1},
+        {"fabric.link1.faults.drops", 3},
+        {"fabric.link1.faults.dups", 2},
+        {"fabric.link1.faults.reorders", 10},
+        {"fabric.trunk.faults.corruptions", 0},
+        {"fabric.trunk.faults.drops", 0},
+        {"fabric.trunk.faults.dups", 0},
+        {"fabric.trunk.faults.reorders", 0},
+    };
+    const std::vector<std::uint64_t> digests = {
+        0x4c0561ad84f30c27ull,
+        0x487c65fef7ad18a8ull,
+        0x95fdee53a0a6c5eeull,
+        0x49c77b4c3e559dfeull,
+        0x0a3262cb76e1cdf9ull,
+        0x3ccebc97a9b83b56ull,
+    };
+    for (const int threads : {1, 4}) {
+        const auto run = runParallelLossy(threads, 1234);
+        ASSERT_TRUE(run.completed) << threads << " threads";
+        EXPECT_EQ(run.endTick, 886984302974ull) << threads << " threads";
+        EXPECT_EQ(run.pins.counters, counters) << threads << " threads";
+        EXPECT_EQ(run.pins.captureDigests, digests)
+            << threads << " threads";
+    }
 }

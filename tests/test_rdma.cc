@@ -787,62 +787,46 @@ TEST(QpCtxCache, DisabledCacheCountsNothing)
     EXPECT_EQ(cache.evictions.value(), 0u);
 }
 
-TEST(QpCtxCache, OnlyDirtyVictimsOweWriteback)
+TEST(QpCtxCache, EveryEvictionOwesOneWriteback)
 {
     // Two context blocks of SRAM.
     nic::QpContextCache cache(2);
     EXPECT_TRUE(cache.enabled());
 
-    // Installed contexts are dirty by definition: host memory has no
-    // copy yet. Filling the cache evicts nothing.
-    EXPECT_FALSE(cache.install(1).dirtyVictim);
-    EXPECT_FALSE(cache.install(2).dirtyVictim);
-    EXPECT_TRUE(cache.dirty(1));
-    EXPECT_TRUE(cache.dirty(2));
+    // Filling the cache evicts nothing, so nothing owes a writeback.
+    EXPECT_FALSE(cache.install(1).evicted);
+    EXPECT_FALSE(cache.install(2).evicted);
     EXPECT_EQ(cache.evictions.value(), 0u);
 
-    // A third install displaces the LRU (qp1), which owes a writeback.
-    EXPECT_TRUE(cache.install(3).dirtyVictim);
+    // A third install displaces the LRU (qp1).
+    EXPECT_TRUE(cache.install(3).evicted);
     EXPECT_FALSE(cache.resident(1));
     EXPECT_EQ(cache.size(), 2u);
 
-    // A read-only fetch displaces dirty qp2 and lands clean.
-    const auto t4 = cache.touch(4, /*dirty=*/false);
-    EXPECT_FALSE(t4.hit);
-    EXPECT_TRUE(t4.dirtyVictim);
-    EXPECT_FALSE(cache.dirty(4));
-
-    // Shelter qp3; the next fetch displaces the clean qp4, which owes
-    // nothing.
-    EXPECT_TRUE(cache.touch(3, false).hit);
-    EXPECT_TRUE(cache.dirty(3));
-    const auto t5 = cache.touch(5, false);
-    EXPECT_FALSE(t5.hit);
-    EXPECT_FALSE(t5.dirtyVictim);
-    EXPECT_FALSE(cache.resident(4));
-
-    // A dirty re-touch turns the clean resident qp5 dirty, so it owes
-    // its writeback when it finally goes.
-    EXPECT_TRUE(cache.touch(5, true).hit);
-    EXPECT_TRUE(cache.dirty(5));
-    EXPECT_TRUE(cache.touch(6, false).dirtyVictim); // evicts qp3
-    EXPECT_TRUE(cache.touch(7, false).dirtyVictim); // evicts qp5
-    EXPECT_FALSE(cache.resident(5));
-    EXPECT_EQ(cache.hits.value(), 2u);
-    EXPECT_EQ(cache.misses.value(), 4u);
-    EXPECT_EQ(cache.evictions.value(), 5u);
+    // A hit displaces nothing; every miss on a full cache displaces
+    // exactly one victim, whatever the victim was used for.
+    const auto hit = cache.touch(3);
+    EXPECT_TRUE(hit.hit);
+    EXPECT_FALSE(hit.evicted);
+    for (nic::QpNum q = 4; q <= 6; ++q) {
+        const auto t = cache.touch(q);
+        EXPECT_FALSE(t.hit);
+        EXPECT_TRUE(t.evicted);
+        EXPECT_EQ(cache.size(), 2u);
+    }
+    EXPECT_EQ(cache.hits.value(), 1u);
+    EXPECT_EQ(cache.misses.value(), 3u);
+    EXPECT_EQ(cache.evictions.value(), 4u);
 }
 
 TEST(QpCtxCache, CapacityOneEvictsOnEveryNewQp)
 {
     nic::QpContextCache cache(1);
-    EXPECT_FALSE(cache.install(1).dirtyVictim);
+    EXPECT_FALSE(cache.install(1).evicted);
     for (nic::QpNum q = 2; q <= 5; ++q) {
-        const auto t = cache.touch(q, false);
+        const auto t = cache.touch(q);
         EXPECT_FALSE(t.hit);
-        // Only the installed qp1 was dirty; every later victim was a
-        // clean read-only fetch.
-        EXPECT_EQ(t.dirtyVictim, q == 2);
+        EXPECT_TRUE(t.evicted);
         EXPECT_FALSE(cache.resident(q - 1));
         EXPECT_EQ(cache.size(), 1u);
     }

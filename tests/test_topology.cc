@@ -1,14 +1,16 @@
 /**
  * @file
  * Multi-switch fabric tests: dual-star and 2-level fat-tree shapes,
- * all-pairs ttcp traffic across them (serial), and parallel-engine
- * smoke runs over a partitioned testbed.
+ * all-pairs ttcp traffic across them (serial), parallel-engine
+ * smoke runs over a partitioned testbed, and the capture rule for
+ * partitioned links.
  */
 
 #include <gtest/gtest.h>
 
 #include "apps/testbed.hh"
 #include "apps/ttcp.hh"
+#include "net/pcap.hh"
 #include "net/topology.hh"
 #include "sim/parallel_engine.hh"
 #include "sim/simulation.hh"
@@ -132,4 +134,39 @@ TEST(Topology, DualStarParallelQpipSmoke)
     EXPECT_TRUE(r.completed);
     EXPECT_GT(r.mbPerSec, 0.0);
     EXPECT_GT(bed.engine()->epochs(), 0u);
+}
+
+// tapLink feeds one writer from both directions of a link. On a
+// partitioned link those directions transmit from two partitions at
+// once, so it must refuse in either setup order and name the per-side
+// call to use instead.
+
+TEST(PcapDeathTest, TapLinkBeforePartitioningPanics)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            apps::SocketsTestbed bed(2, SocketsFabric::GigabitEthernet,
+                                     1, host::HostCostModel{},
+                                     FabricTopology::DualStar);
+            net::PcapWriter pcap;
+            net::tapLink(bed.fabric().linkFor(0), pcap);
+            bed.enableParallel(2);
+        },
+        "tapLinkSide");
+}
+
+TEST(PcapDeathTest, TapLinkAfterPartitioningPanics)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            apps::SocketsTestbed bed(2, SocketsFabric::GigabitEthernet,
+                                     1, host::HostCostModel{},
+                                     FabricTopology::DualStar);
+            bed.enableParallel(2);
+            net::PcapWriter pcap;
+            net::tapLink(bed.fabric().linkFor(0), pcap);
+        },
+        "tapLinkSide");
 }
