@@ -20,17 +20,13 @@ namespace qpip::apps {
  * Each empty poll charges the host CPU and retries as soon as the CPU
  * frees up — a faithful user-level spin.
  *
- * Empty polls are not run one event each. Retries run on the event
- * queue's idle-spin lane; when a retry finds the CQ empty, every
- * further poll that would start before the CPU's idle horizon (see
- * sim::EventQueue::idleHorizon) is charged in one step, and only the
- * first poll at or past the horizon is scheduled. (The first poll,
- * made inside the caller's event, only schedules its retry: the
- * caller may still charge the CPU after it.) Simulated time, CPU
- * accounting and event order are those of the poll-per-event loop;
- * only the executed-event count is lower. A runUntilCondition
- * predicate that stops such a run must read application state, not
- * this host's CPU counters.
+ * Empty polls are not run one event each. When a poll finds the CQ
+ * empty, the loop parks on the host CPU (host::CpuModel::park): the
+ * CPU charges the empty polls it owes whenever it is charged, run on
+ * or read, and the next push into @p cq schedules only the poll that
+ * sees the entry. Simulated time, CPU accounting and event order are
+ * those of the poll-per-event loop; only the executed-event count is
+ * lower. One spin loop per CQ at a time.
  */
 void spinPoll(verbs::Provider &prov, verbs::CompletionQueue &cq,
               std::function<void(verbs::Completion)> cb);

@@ -16,6 +16,7 @@
 #include <map>
 #include <vector>
 
+#include "host/cpu.hh"
 #include "inet/inet_addr.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -139,8 +140,8 @@ struct SrqHostRing
 
 /**
  * A completion queue ring in host memory. The NIC pushes entries
- * (paying DMA in its Update stages) and fires the notify hook when
- * the consumer has armed it.
+ * (paying DMA in its Update stages), fires the notify hook when the
+ * consumer has armed it, and wakes a spin loop parked on the ring.
  */
 class CqRing
 {
@@ -159,6 +160,7 @@ class CqRing
         if (entries_.size() >= capacity_)
             return false; // CQ overflow: completion lost
         entries_.push_back(c);
+        spinner_.wake();
         if (!defer_notify && armed_ && notify_) {
             armed_ = false;
             notify_();
@@ -209,7 +211,11 @@ class CqRing
     }
     bool armed() const { return armed_; }
 
+    /** Where a spin loop on this ring parks (host::CpuModel::park). */
+    host::SpinWaiter &spinner() { return spinner_; }
+
   private:
+    host::SpinWaiter spinner_;
     std::size_t capacity_;
     std::deque<Completion> entries_;
     bool armed_ = false;

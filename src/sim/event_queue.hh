@@ -23,19 +23,19 @@
  * EventHandles must not outlive the EventQueue they came from (in
  * practice: the Simulation outlives the SimObjects built against it).
  *
- * Idle-spin lane: spin polls (a CPU re-polling its completion queue)
- * live beside the heap in a small lane, at most one entry per spinning
- * queue, ordered under the same (when, priority, seq) key. A spinner
- * asks idleHorizon() how far it may charge its CPU for empty polls
- * without running them; see scheduleIdle().
+ * Parked work: a component whose next events are a chain it can
+ * compute without running them (a spin-polling CPU whose completion
+ * queue is empty) parks instead of scheduling them. It is settled
+ * lazily, when something could tell the difference; see Parked.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <limits>
 #include <new>
 #include <string>
 #include <type_traits>
@@ -127,6 +127,7 @@ enum class EventState : std::uint8_t {
     Pending,   ///< scheduled, in the heap
     Cancelled, ///< cancelled, heap entry not yet popped
     Running,   ///< popped and executing (slot freed afterwards)
+    Held,      ///< stored by hold(), not scheduled yet
 };
 
 /** One slab slot: bookkeeping for one scheduled event. */
@@ -143,6 +144,71 @@ struct EventRecord
 } // namespace detail
 
 class EventQueue;
+
+/**
+ * The links of a parked chain that one settle ran: a first link with a
+ * real (when, seq) key, then @p gridCount links, each scheduled by the
+ * one before, at gridStart, gridStart + gridStep, ... The queue orders
+ * the chains a settle ran by when their last links ran and reserves
+ * each chain's next sequence number in that order, into *nextSeq.
+ */
+struct ParkedChain
+{
+    Tick firstWhen;
+    std::uint64_t firstSeq;
+    Tick gridStart;
+    Tick gridStep;
+    std::uint64_t gridCount;
+    std::uint64_t *nextSeq;
+
+    /** Tick of the chain's @p i-th link (0 = the first). */
+    Tick
+    at(std::uint64_t i) const
+    {
+        return i == 0 ? firstWhen : gridStart + (i - 1) * gridStep;
+    }
+};
+
+/**
+ * Where parked work stands after a settle: the tick its next owed link
+ * is due at (maxTick: nothing parked), and a bound on where the next
+ * owed links lie however much time passes before the next settle: at
+ * or below reach, or at most span after now().
+ */
+struct ParkedState
+{
+    Tick due = maxTick;
+    Tick reach = 0;
+    Tick span = 0;
+};
+
+/**
+ * Work that would be a chain of events, each run at defaultPriority
+ * and scheduling the next, that the owner can run arithmetically
+ * instead: a parked spin-polling CPU (host::CpuModel). The owner
+ * registers with EventQueue::setParked(). The queue settles every parked
+ * work together (settleNow()) before anything could tell the links
+ * did not run as events: the owner's own touches, and scheduling an
+ * event on a tick an owed link may sit on.
+ */
+class Parked
+{
+  public:
+    /**
+     * Run every owed link whose (when, defaultPriority, seq) key is
+     * below (@p when, @p priority, @p seq), appending one ParkedChain
+     * per chain that ran. Neither schedules nor parks.
+     */
+    virtual ParkedState settle(Tick when, int priority,
+                               std::uint64_t seq,
+                               std::vector<ParkedChain> &chains) = 0;
+
+    /** Drop everything owed without running it (EventQueue::clear). */
+    virtual void drop() = 0;
+
+  protected:
+    ~Parked() = default;
+};
 
 /**
  * A cancellable reference to a scheduled event. Default-constructed
@@ -203,6 +269,12 @@ class EventQueue
         if (clearing_)
             return EventHandle{}; // teardown in progress: drop silently
         checkSchedulable(when);
+        // If an owed link whose predecessor has run could sit on this
+        // tick, it comes first: settle so its seq is reserved now.
+        if (parkedDue_ != maxTick &&
+            (when <= parkedReach_ || when - now_ <= parkedSpan_))
+            [[unlikely]]
+            settleNow();
         const std::uint32_t slot = acquireSlot();
         detail::EventRecord &rec = slab_[slot];
         rec.when = when;
@@ -223,53 +295,79 @@ class EventQueue
     }
 
     /**
-     * Schedule a spin poll: @p fn runs at @p when on the idle-spin
-     * lane, ordered against heap events by the usual (when, priority,
-     * seq) key at defaultPriority. @p resource names the CPU doing the
-     * spinning; @p ready reports whether the poll would find work
-     * (and so do more than an empty poll). Spin polls are never
-     * cancelled, so there is no handle.
-     * @pre when >= now()
+     * Store @p fn in an event record without scheduling it: a parked
+     * chain's next link, run by release() or destroyed by discard().
+     * @return the record's slot.
      */
     template <typename F>
-    void
-    scheduleIdle(const void *resource, std::function<bool()> ready,
-                 Tick when, F &&fn)
+    std::uint32_t
+    hold(F &&fn)
     {
-        if (clearing_)
-            return;
-        checkSchedulable(when);
         const std::uint32_t slot = acquireSlot();
         detail::EventRecord &rec = slab_[slot];
-        rec.when = when;
-        rec.priority = defaultPriority;
-        rec.seq = nextSeq_++;
-        rec.state = detail::EventState::Pending;
+        rec.state = detail::EventState::Held;
         rec.fn.emplace(std::forward<F>(fn));
-        idle_.push_back(IdleEntry{
-            HeapEntry{when, defaultPriority, rec.seq, slot}, resource,
-            std::move(ready)});
-        if (earlier(idle_.back().key, idle_[idleMin_].key))
-            idleMin_ = idle_.size() - 1;
+        return slot;
     }
 
     /**
-     * The idle horizon of @p resource: the earliest tick at which
-     * anything but an empty spin poll of another resource can run.
-     * It is the minimum of the next heap event, the next lane entry
-     * of @p resource, the next lane entry of any other resource that
-     * is ready, and the bound of the step() in progress (0 outside
-     * one: the caller may still schedule anything). No event before it
-     * can touch the spinner's queue or CPU, so every poll that would
-     * start before it finds the queue empty.
+     * Schedule the held event in @p slot at (@p when, defaultPriority,
+     * @p seq), @p seq taken earlier with reserveSeq(): the link runs in
+     * the place its chain gave it. @pre when >= now()
      */
-    Tick idleHorizon(const void *resource);
+    void release(std::uint32_t slot, Tick when, std::uint64_t seq);
+
+    /** Destroy the held event in @p slot without running it. */
+    void discard(std::uint32_t slot) { releaseSlot(slot); }
+
+    /**
+     * Take the next sequence number, as scheduling an event now would.
+     */
+    std::uint64_t reserveSeq() { return nextSeq_++; }
+
+    /**
+     * Register parked @p work, or update where it stands (state.due ==
+     * maxTick: unregister). Parked work is not an event: it does not
+     * count for empty() or nextEventTick(), and clear() drops it.
+     */
+    void setParked(Parked *work, ParkedState state);
+
+    /**
+     * Settle every parked work up to the event running now (after a
+     * run: up to where the run stopped), as if its owed links had run
+     * as events.
+     */
+    void
+    settleNow()
+    {
+        if (parkedDue_ <= cur_.when)
+            settleBefore(cur_.when, cur_.priority, cur_.seq);
+    }
+
+    /**
+     * Settle parked work owed below @p until and advance now() to the
+     * last link that ran, as a run stopped at @p until would leave it.
+     * Called at the end of every bounded run (runUntil, advanceTo).
+     */
+    void settle(Tick until);
 
     /** @return true if no runnable events remain. */
     bool empty() const;
 
     /** Tick of the next runnable event, or maxTick if none. */
     Tick nextEventTick() const;
+
+    /**
+     * The earlier of nextEventTick() and the next link parked work
+     * owes: the first tick this queue has anything to do at. The
+     * parallel engine bounds its epochs by it, as it bounded them by
+     * the poll events parked spinners replace.
+     */
+    Tick
+    nextDueTick() const
+    {
+        return std::min(nextEventTick(), parkedDue_);
+    }
 
     /**
      * Run events until the queue drains or @p until is reached.
@@ -300,27 +398,16 @@ class EventQueue
     step(Tick until = maxTick)
     {
         skipCancelled();
-        std::uint32_t slot;
-        if (!idle_.empty() &&
-            (heap_.empty() ||
-             earlier(idle_[idleMin_].key, heap_.front()))) {
-            if (idle_[idleMin_].key.when >= until)
-                return false;
-            slot = idle_[idleMin_].key.slot;
-            idlePop();
-        } else {
-            if (heap_.empty() || heap_.front().when >= until)
-                return false;
-            slot = heap_.front().slot;
-            heapPop();
-        }
+        if (heap_.empty() || heap_.front().when >= until)
+            return false;
+        cur_ = heap_.front();
+        const std::uint32_t slot = cur_.slot;
+        heapPop();
         detail::EventRecord &rec = slab_[slot];
         now_ = rec.when;
         rec.state = detail::EventState::Running;
         ++executed_;
-        runBound_ = until;
         rec.fn();
-        runBound_ = 0;
         // Release only after the closure returns: it may schedule new
         // events, and this slot must not be handed out while running.
         releaseSlot(slot);
@@ -380,27 +467,23 @@ class EventQueue
         return a.seq < b.seq;
     }
 
-    /** A spin poll on the idle-spin lane. */
-    struct IdleEntry
+    /** A registered Parked and where it stands. */
+    struct ParkedEntry
     {
-        HeapEntry key;
-        const void *resource;
-        std::function<bool()> ready;
+        Parked *work;
+        ParkedState state;
     };
 
-    /** Remove the lane minimum and find the next one. */
-    void
-    idlePop()
-    {
-        if (idleMin_ + 1 != idle_.size())
-            idle_[idleMin_] = std::move(idle_.back());
-        idle_.pop_back();
-        idleMin_ = 0;
-        for (std::size_t i = 1; i < idle_.size(); ++i) {
-            if (earlier(idle_[i].key, idle_[idleMin_].key))
-                idleMin_ = i;
-        }
-    }
+    /**
+     * Settle every parked work owed below (when, priority, seq), then
+     * reserve the sequence numbers of the chains' next links in the
+     * order their last links ran. @return the tick of the last link
+     * that ran, or 0 if none did.
+     */
+    Tick settleBefore(Tick when, int priority, std::uint64_t seq);
+
+    /** Recompute parkedDue_, parkedReach_ and parkedSpan_. */
+    void refreshParked();
 
     /**
      * The heap is 4-ary: half the levels of a binary heap, and the
@@ -506,12 +589,20 @@ class EventQueue
     Tick handleWhen(std::uint32_t slot, std::uint32_t gen) const;
 
     std::vector<HeapEntry> heap_;
-    /** The idle-spin lane; a handful of entries, scanned linearly. */
-    std::vector<IdleEntry> idle_;
-    /** Index of the lane minimum (0 while the lane is empty). */
-    std::size_t idleMin_ = 0;
-    /** The bound of the step() in progress; 0 outside one. */
-    Tick runBound_ = 0;
+    /** Registered parked work; a handful of entries, scanned linearly. */
+    std::vector<ParkedEntry> parked_;
+    /** The earliest owed link of any parked work (maxTick: none). */
+    Tick parkedDue_ = maxTick;
+    /** Maxima of the entries' reach and span. */
+    Tick parkedReach_ = 0;
+    Tick parkedSpan_ = 0;
+    /**
+     * Key of the event running now, or of the last one run; after a
+     * bounded run, (bound, INT_MIN): parked work is settled below it.
+     */
+    HeapEntry cur_{0, std::numeric_limits<int>::min(), 0, 0};
+    /** Scratch for settleBefore. */
+    std::vector<ParkedChain> chains_;
     std::deque<detail::EventRecord> slab_;
     std::vector<std::uint32_t> freelist_;
     Tick now_ = 0;

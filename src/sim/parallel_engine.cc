@@ -256,7 +256,7 @@ ParallelEngine::refreshNextTicks()
 {
     Tick next = maxTick;
     for (std::size_t i = 0; i < parts_.size(); ++i) {
-        nextTick_[i] = parts_[i]->eventQueue().nextEventTick();
+        nextTick_[i] = parts_[i]->eventQueue().nextDueTick();
         next = std::min(next, nextTick_[i]);
     }
     return next;

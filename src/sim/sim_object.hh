@@ -84,21 +84,12 @@ class SimObject
                                        priority);
     }
 
-    /** Schedule a spin poll (see EventQueue::scheduleIdle). */
+    /** Hold a closure unscheduled (see EventQueue::hold). */
     template <typename F>
-    void
-    scheduleIdle(const void *resource, std::function<bool()> ready,
-                 Tick when, F &&fn)
+    std::uint32_t
+    hold(F &&fn)
     {
-        eventQueue().scheduleIdle(resource, std::move(ready), when,
-                                  std::forward<F>(fn));
-    }
-
-    /** The idle horizon of @p resource (see EventQueue::idleHorizon). */
-    Tick
-    idleHorizon(const void *resource)
-    {
-        return eventQueue().idleHorizon(resource);
+        return eventQueue().hold(std::forward<F>(fn));
     }
 
     /** Deterministic RNG stream of the bound execution context. */

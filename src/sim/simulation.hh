@@ -80,14 +80,10 @@ class Simulation
     /**
      * Run until @p pred() becomes true or @p deadline passes. Serial
      * mode checks after every event; under a parallel engine the
-     * check happens at every epoch barrier.
-     *
-     * Predicate contract: @p pred reads application state, not the CPU
-     * counters (busyTotal/busyUntil) of a host that is spin-polling.
-     * A spin poll charges its CPU for the empty polls up to its idle
-     * horizon ahead of time (EventQueue::idleHorizon), so those
-     * counters run ahead of now() until the horizon; everything an
-     * event can change is exact at every check.
+     * check happens at every epoch barrier. Reading a spinning CPU's
+     * counters settles the empty polls it owes (host::CpuModel), so
+     * every check sees what the poll-per-event loop would; a run that
+     * reaches @p deadline settles them up to it.
      * @return true if the predicate was satisfied.
      */
     template <typename Pred>
@@ -99,8 +95,10 @@ class Simulation
                 std::function<bool()>(std::move(pred)), deadline);
         }
         while (!pred()) {
-            if (!eq_.step(deadline))
+            if (!eq_.step(deadline)) {
+                eq_.settle(deadline);
                 return pred();
+            }
         }
         return true;
     }

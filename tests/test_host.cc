@@ -1,8 +1,8 @@
 /**
  * @file
- * Host-model tests: CPU accounting, the sockets API over a real
- * testbed (connect/accept, stream integrity, EOF, UDP), the loopback
- * path, and connection refusal.
+ * Host-model tests: CPU accounting, parked spinners, the sockets API
+ * over a real testbed (connect/accept, stream integrity, EOF, UDP),
+ * the loopback path, and connection refusal.
  */
 
 #include <gtest/gtest.h>
@@ -43,24 +43,165 @@ TEST(CpuModel, SerializesAndAccounts)
 
 TEST(CpuModel, RepeatedChargeMatchesSeparateCharges)
 {
+    // A parked spinner's owed polls are charged in bulk; at 550 MHz a
+    // cycle is not a whole number of ticks, and the bulk charge still
+    // adds up to the same busy time as separate charges.
     sim::Simulation sim;
-    // 550 MHz: a cycle is not a whole number of ticks.
     host::CpuModel one(sim, "one", 550'000'000);
-    host::CpuModel batch(sim, "batch", 550'000'000);
+    host::CpuModel parked(sim, "parked", 550'000'000);
+    host::SpinWaiter waiter;
     one.run(333, [] {});
-    batch.run(333, [] {});
-    for (int i = 0; i < 1000; ++i)
+    parked.run(333, [] {});
+    parked.charge(60);
+    parked.park(waiter, 60, [] {});
+    // The poll that parked, then the 1001 owed polls below stop.
+    for (int i = 0; i < 1002; ++i)
         one.charge(60);
-    batch.charge(60, 1000);
-    EXPECT_EQ(batch.busyTotal(), one.busyTotal());
-    EXPECT_EQ(batch.busyUntil(), one.busyUntil());
-    // Starting from an idle CPU, the batch starts at now().
-    sim.runUntil(one.busyUntil() + 5 * sim::oneUs);
-    one.charge(60);
-    one.charge(60);
-    batch.charge(60, 2);
-    EXPECT_EQ(batch.busyUntil(), one.busyUntil());
-    EXPECT_EQ(batch.busyTotal(), one.busyTotal());
+    const sim::Tick period = parked.clock().cyclesToTicks(60);
+    sim.runUntil(parked.busyUntil() + 1000 * period + 1);
+    EXPECT_EQ(parked.busyTotal(), one.busyTotal());
+    EXPECT_EQ(parked.busyUntil(), one.busyUntil());
+    sim.eventQueue().clear();
+}
+
+// --- parked spinners ------------------------------------------------
+
+namespace {
+
+/** A 1 GHz CPU whose empty poll costs 10 cycles: one poll, 10 ns. */
+struct ParkRig
+{
+    static constexpr sim::Cycles pollCycles = 10;
+    static constexpr sim::Tick period = 10 * sim::oneNs;
+
+    sim::Simulation sim;
+    host::CpuModel cpu{sim, "cpu", 1'000'000'000};
+
+    /** The loop's first poll, made in the caller's event, then park. */
+    template <typename F>
+    void
+    spin(host::SpinWaiter &w, F &&poll)
+    {
+        cpu.charge(pollCycles);
+        cpu.park(w, pollCycles, std::forward<F>(poll));
+    }
+};
+
+} // namespace
+
+TEST(CpuPark, TwoSpinnersShareOneRoundRobinGrid)
+{
+    // A and B start at 0 on one CPU. The poll-per-event loop polls A
+    // at 10, 30, 50, ... ns and B at 20, 40, 60, ... ns, each charging
+    // one period from where the CPU frees up.
+    ParkRig r;
+    host::SpinWaiter a, b;
+    std::vector<sim::Tick> seen;
+    r.sim.eventQueue().schedule(0, [&] {
+        r.spin(a, [&] { seen.push_back(1); });
+        r.spin(b, [&] {
+            seen.push_back(r.sim.now());
+            seen.push_back(r.cpu.busyUntil());
+            r.cpu.charge(ParkRig::pollCycles);
+        });
+    });
+    // A push at 45 ns wakes B's next poll, at 60 ns.
+    r.sim.eventQueue().schedule(45 * sim::oneNs, [&] { b.wake(); });
+    r.sim.runUntil(100 * sim::oneNs);
+    // At 60 ns the polls at 0, 0, 10, 20, 30, 40 and 50 ns have made
+    // the CPU busy to 70 ns.
+    EXPECT_EQ(seen, (std::vector<sim::Tick>{60 * sim::oneNs,
+                                            70 * sim::oneNs}));
+    EXPECT_FALSE(b.parked());
+    EXPECT_TRUE(a.parked());
+    // A alone polls on: at 70 and 90 ns, so the CPU is busy to 100 ns,
+    // ten polls in all.
+    EXPECT_EQ(r.cpu.busyUntil(), 100 * sim::oneNs);
+    EXPECT_EQ(r.cpu.busyTotal(), 100 * sim::oneNs);
+    r.sim.eventQueue().clear();
+}
+
+TEST(CpuPark, ChargeSettlesTheOwedPollsFirst)
+{
+    ParkRig r;
+    host::SpinWaiter w;
+    std::vector<sim::Tick> seen;
+    r.sim.eventQueue().schedule(0, [&] { r.spin(w, [] {}); });
+    r.sim.eventQueue().schedule(35'500, [&] {
+        // Polls at 10, 20 and 30 ns ran: busy to 40 ns. The charge
+        // queues behind them, and the poll owed at 40 ns behind it.
+        seen.push_back(r.cpu.busyUntil());
+        r.cpu.charge(5);
+        seen.push_back(r.cpu.busyUntil());
+    });
+    r.sim.runUntil(60 * sim::oneNs);
+    // The 40 ns poll runs [45, 55) ns, the 55 ns one [55, 65) ns.
+    EXPECT_EQ(seen, (std::vector<sim::Tick>{40 * sim::oneNs,
+                                            45 * sim::oneNs}));
+    EXPECT_EQ(r.cpu.busyUntil(), 65 * sim::oneNs);
+    EXPECT_EQ(r.cpu.busyTotal(), 65 * sim::oneNs);
+    r.sim.eventQueue().clear();
+}
+
+TEST(CpuPark, RunBoundSettlesPollsBelowIt)
+{
+    ParkRig r;
+    host::SpinWaiter w;
+    r.sim.eventQueue().schedule(0, [&] { r.spin(w, [] {}); });
+    // A run that stops on a poll tick leaves that poll for the next
+    // run; one tick later it has run.
+    r.sim.runUntil(30 * sim::oneNs);
+    EXPECT_EQ(r.cpu.busyUntil(), 30 * sim::oneNs);
+    r.sim.runUntil(30 * sim::oneNs + 1);
+    EXPECT_EQ(r.cpu.busyUntil(), 40 * sim::oneNs);
+    EXPECT_EQ(r.sim.now(), 30 * sim::oneNs + 1);
+    // A condition run that hits its deadline stops after the last
+    // poll before it, as the poll-per-event loop would.
+    EXPECT_FALSE(r.sim.runUntilCondition([] { return false; },
+                                         75 * sim::oneNs));
+    EXPECT_EQ(r.sim.now(), 70 * sim::oneNs);
+    EXPECT_EQ(r.cpu.busyUntil(), 80 * sim::oneNs);
+    r.sim.eventQueue().clear();
+}
+
+TEST(CpuPark, CountersAreExactAtEveryConditionCheck)
+{
+    ParkRig r;
+    host::SpinWaiter w;
+    r.sim.eventQueue().schedule(0, [&] { r.spin(w, [] {}); });
+    for (const sim::Tick t : {12'345u, 27'000u, 31'000u, 50'001u})
+        r.sim.eventQueue().schedule(t, [] {});
+    std::vector<sim::Tick> busy;
+    r.sim.runUntilCondition([&] {
+        busy.push_back(r.cpu.busyUntil());
+        return r.sim.now() > 50 * sim::oneNs;
+    });
+    // Before the run, then after each event: every poll below the
+    // event has run, and none after it.
+    EXPECT_EQ(busy, (std::vector<sim::Tick>{0, 10'000, 20'000, 30'000,
+                                            40'000, 60'000}));
+    r.sim.eventQueue().clear();
+}
+
+TEST(CpuPark, ParkedSpinnerIsNotAnEvent)
+{
+    ParkRig r;
+    host::SpinWaiter w;
+    bool polled = false;
+    r.spin(w, [&] { polled = true; });
+    EXPECT_TRUE(w.parked());
+    EXPECT_TRUE(r.sim.eventQueue().empty());
+    EXPECT_EQ(r.sim.eventQueue().nextEventTick(), sim::maxTick);
+    // Nothing to run, so a drain returns at once.
+    EXPECT_EQ(r.sim.run(), 0u);
+    EXPECT_EQ(r.sim.now(), 0u);
+    // clear() drops the spinner: a push then wakes nothing.
+    r.sim.eventQueue().clear();
+    EXPECT_FALSE(w.parked());
+    w.wake();
+    r.sim.runUntil(sim::oneUs);
+    EXPECT_FALSE(polled);
+    EXPECT_EQ(r.cpu.busyUntil(), ParkRig::period);
 }
 
 TEST(CpuModel, UtilizationMath)

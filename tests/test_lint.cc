@@ -336,21 +336,22 @@ TEST(LintProjectRules, E1FiresOnRefCaptures)
     // Value captures (lines 10-11) and table[slot] stay quiet.
 }
 
-TEST(LintProjectRules, ScheduleIdleIsADeferredSink)
+TEST(LintProjectRules, ParkIsADeferredSink)
 {
-    // A spin poll's closure outlives its frame like any scheduled
-    // event (E1), and the idle-spin lane is an event queue (T2).
+    // A parked spin poll's closure outlives its frame like any
+    // scheduled event (E1), and hold() puts it straight into an event
+    // queue (T2).
     const auto diags =
-        lintProject(loadFixtures({"idle_fire.cc"}), projectOnly());
+        lintProject(loadFixtures({"park_fire.cc"}), projectOnly());
     ASSERT_EQ(diags.size(), 2u);
     EXPECT_EQ(diags[0].rule, "E1");
-    EXPECT_EQ(diags[0].line, 9); // [&cq] into scheduleIdle()
-    EXPECT_NE(diags[0].message.find("scheduleIdle()"), std::string::npos);
+    EXPECT_EQ(diags[0].line, 9); // [&cq] into park()
+    EXPECT_NE(diags[0].message.find("park()"), std::string::npos);
     EXPECT_EQ(diags[1].rule, "T2");
-    EXPECT_EQ(diags[1].line, 10); // eventQueue().scheduleIdle(...)
+    EXPECT_EQ(diags[1].line, 10); // eventQueue().hold(...)
     EXPECT_NE(diags[1].message.find("Link/Mailbox"), std::string::npos);
     // The waived copy is silent, and its waivers count as used.
-    const auto waived = lintProject(loadFixtures({"idle_waived.cc"}));
+    const auto waived = lintProject(loadFixtures({"park_waived.cc"}));
     EXPECT_TRUE(waived.empty())
         << (waived.empty() ? "" : waived[0].format());
 }

@@ -293,102 +293,3 @@ TEST(EventQueue, LargeClosuresFallBackToHeapCorrectly)
     EXPECT_EQ(seen, 16u);
 }
 
-// --- the idle-spin lane ----------------------------------------------
-
-namespace {
-
-bool
-never()
-{
-    return false;
-}
-
-} // namespace
-
-TEST(EventQueue, IdleLaneOrdersAgainstHeapByKey)
-{
-    EventQueue eq;
-    const int cpu_a = 0, cpu_b = 0;
-    std::vector<int> order;
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.scheduleIdle(&cpu_a, never, 10, [&] { order.push_back(2); });
-    eq.schedule(10, [&] { order.push_back(3); });
-    eq.schedule(10, [&] { order.push_back(0); }, -1);
-    eq.schedule(10, [&] { order.push_back(5); }, 1);
-    eq.scheduleIdle(&cpu_b, never, 10, [&] { order.push_back(4); });
-    eq.scheduleIdle(&cpu_b, never, 5, [&] { order.push_back(-1); });
-    eq.run();
-    // (when, priority, seq): lane entries sit at defaultPriority and
-    // draw their seq from the same counter as heap events.
-    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5}));
-    EXPECT_EQ(eq.executed(), 7u);
-    EXPECT_EQ(eq.freeSlots(), eq.slabSize());
-}
-
-TEST(EventQueue, IdleHorizonIgnoresOtherResourcesUntilReady)
-{
-    EventQueue eq;
-    const int cpu_a = 0, cpu_b = 0;
-    bool b_ready = false;
-    eq.schedule(100, [] {});
-    eq.schedule(50, [] {}).cancel();
-    eq.scheduleIdle(&cpu_b, [&] { return b_ready; }, 40, [] {});
-    eq.scheduleIdle(&cpu_a, never, 70, [] {});
-    std::vector<Tick> seen;
-    eq.schedule(10, [&] {
-        // b's empty poll cannot touch a; a's own poll at 70 can; the
-        // cancelled event at 50 does not count.
-        seen.push_back(eq.idleHorizon(&cpu_a));
-        seen.push_back(eq.idleHorizon(&cpu_b));
-        b_ready = true; // b's next poll now runs a callback
-        seen.push_back(eq.idleHorizon(&cpu_a));
-        const int cpu_c = 0;
-        seen.push_back(eq.idleHorizon(&cpu_c));
-    });
-    eq.run();
-    EXPECT_EQ(seen, (std::vector<Tick>{70, 40, 40, 40}));
-}
-
-TEST(EventQueue, IdleHorizonStopsAtTheRunBound)
-{
-    EventQueue eq;
-    const int cpu = 0;
-    std::vector<Tick> seen;
-    eq.schedule(500, [] {});
-    eq.schedule(10, [&] { seen.push_back(eq.idleHorizon(&cpu)); });
-    eq.runUntil(60);
-    eq.schedule(70, [&] { seen.push_back(eq.idleHorizon(&cpu)); });
-    EXPECT_TRUE(eq.step(90));
-    EXPECT_EQ(seen, (std::vector<Tick>{60, 90}));
-    // Outside a step nothing may be charged ahead: the caller can
-    // still schedule anything at now().
-    EXPECT_LE(eq.idleHorizon(&cpu), eq.now());
-}
-
-TEST(EventQueue, IdleLaneCountsForEmptyNextTickAndClear)
-{
-    EventQueue eq;
-    const int cpu = 0;
-    bool ran = false;
-    eq.scheduleIdle(&cpu, never, 30, [&] { ran = true; });
-    EXPECT_FALSE(eq.empty());
-    EXPECT_EQ(eq.nextEventTick(), 30u);
-    eq.schedule(50, [] {});
-    EXPECT_EQ(eq.nextEventTick(), 30u);
-    eq.clear();
-    EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.nextEventTick(), maxTick);
-    eq.run();
-    EXPECT_FALSE(ran);
-    EXPECT_EQ(eq.freeSlots(), eq.slabSize());
-    // The lane works again after a clear, and a bounded run leaves an
-    // entry at the bound pending.
-    eq.scheduleIdle(&cpu, never, 40, [&] { ran = true; });
-    eq.runUntil(40);
-    EXPECT_FALSE(ran);
-    EXPECT_EQ(eq.nextEventTick(), 40u);
-    eq.run();
-    EXPECT_TRUE(ran);
-    EXPECT_EQ(eq.now(), 40u);
-    EXPECT_TRUE(eq.empty());
-}

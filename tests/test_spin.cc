@@ -1,8 +1,9 @@
 /**
  * @file
- * Spin-poll elision pins. apps::spinPoll charges the empty polls that
- * would start before its CPU's idle horizon in one step instead of
- * running each one as an event. These tests drive spin-polling
+ * Spin-poll pins. apps::spinPoll parks on its CPU while its CQ is
+ * empty: the CPU charges the empty polls it owes arithmetically and a
+ * push schedules only the poll that sees the entry, instead of one
+ * event per empty poll. These tests drive spin-polling
  * workloads — the QPIP ping-pong apps, two spin loops sharing one
  * CPU, a spinner whose CPU also runs deferred work, two symmetric
  * hosts stopped mid-spin by a predicate, and a spinning pair under the
@@ -366,8 +367,8 @@ struct StopRig
 } // namespace
 
 // The expected values below were recorded from the poll-per-event
-// spin loop (every empty poll one event); charging the empty polls up
-// to the idle horizon in one step must reproduce them exactly.
+// spin loop (every empty poll one event); parking and waking on a push
+// must reproduce them exactly.
 
 TEST(SpinPoll, QpipTcpPingPongMatchesEveryPoll)
 {
@@ -376,9 +377,9 @@ TEST(SpinPoll, QpipTcpPingPongMatchesEveryPoll)
                {8156959202ull, 8220001380ull, 8139166461ull, 8219148639ull},
                11757562850913831925ull, 2700310184626471978ull,
                13443311829559910404ull);
-    // The poll-per-event loop ran this many events; at least 10x
-    // fewer are left.
-    EXPECT_LE(p.executed * 10, 146069u);
+    // The poll-per-event loop ran this many events; parked spinners
+    // leave at least 40x fewer (3194).
+    EXPECT_LE(p.executed * 40, 146069u);
 }
 
 TEST(SpinPoll, QpipUdpPingPongMatchesEveryPoll)
@@ -449,7 +450,9 @@ TEST(SpinPoll, CompletionOnAPollTickIsSeenOnThatTick)
 {
     // An event that lands exactly on a poll tick and fills the CQ runs
     // before that poll (it was scheduled first), so the poll finds the
-    // entry: the poll at the horizon is never charged as empty.
+    // entry and is not charged as empty. A read of the CPU half a
+    // period earlier changes nothing: the poll it leaves owed on the
+    // push's tick still comes after the push.
     QpipTestbed bed(2);
     auto &prov = bed.provider(0);
     auto cq = prov.createCq();
@@ -460,15 +463,121 @@ TEST(SpinPoll, CompletionOnAPollTickIsSeenOnThatTick)
     const sim::Tick at = t0 + 1000 * period;
     ASSERT_LE(cpu.busyUntil(), t0);
     sim::Tick seen = 0;
+    sim::Tick busy_before = 0;
     bed.sim().eventQueue().schedule(at,
                                     [&] { cq->ring().push(Completion{}); });
+    bed.sim().eventQueue().schedule(at - period / 2,
+                                    [&] { busy_before = cpu.busyUntil(); });
     bed.sim().eventQueue().schedule(t0, [&] {
         spinPoll(prov, *cq, [&](Completion) { seen = bed.sim().now(); });
     });
     bed.sim().runUntil(at + sim::oneMs);
     EXPECT_EQ(seen, at);
+    EXPECT_EQ(busy_before, at);
     EXPECT_EQ(cpu.busyUntil(),
               at + bed.host(0).os().cyclesToTicks(prov.costs().pollCq));
+}
+
+TEST(SpinPoll, LatePushOnAPollTickIsSeenOnePeriodLater)
+{
+    // The push lands exactly on a poll tick, but the event that
+    // schedules it runs half a period earlier, after the previous poll
+    // already scheduled the one on that tick: that poll runs first and
+    // finds the CQ empty, and the next one sees the entry.
+    QpipTestbed bed(2);
+    auto &prov = bed.provider(0);
+    auto cq = prov.createCq();
+    auto &cpu = bed.host(0).cpu();
+    auto &os = bed.host(0).os();
+    const sim::Tick period = os.cyclesToTicks(prov.costs().pollCqEmpty);
+    const sim::Tick t0 = bed.sim().now() + sim::oneUs;
+    const sim::Tick at = t0 + 1000 * period;
+    ASSERT_LE(cpu.busyUntil(), t0);
+    const sim::Tick busy0 = cpu.busyTotal();
+    sim::Tick seen = 0;
+    bed.sim().eventQueue().schedule(at - period / 2, [&] {
+        bed.sim().eventQueue().schedule(
+            at, [&] { cq->ring().push(Completion{}); });
+    });
+    bed.sim().eventQueue().schedule(t0, [&] {
+        spinPoll(prov, *cq, [&](Completion) { seen = bed.sim().now(); });
+    });
+    bed.sim().runUntil(at + sim::oneMs);
+    EXPECT_EQ(seen, at + period);
+    EXPECT_EQ(cpu.busyUntil(),
+              at + period + os.cyclesToTicks(prov.costs().pollCq));
+    EXPECT_EQ(cpu.busyTotal() - busy0,
+              1001 * period + os.cyclesToTicks(prov.costs().pollCq));
+}
+
+TEST(SpinPoll, PushJustAfterAPollTickIsSeenAtTheNextTick)
+{
+    QpipTestbed bed(2);
+    auto &prov = bed.provider(0);
+    auto cq = prov.createCq();
+    auto &cpu = bed.host(0).cpu();
+    auto &os = bed.host(0).os();
+    const sim::Tick period = os.cyclesToTicks(prov.costs().pollCqEmpty);
+    const sim::Tick t0 = bed.sim().now() + sim::oneUs;
+    const sim::Tick at = t0 + 700 * period;
+    ASSERT_LE(cpu.busyUntil(), t0);
+    const sim::Tick busy0 = cpu.busyTotal();
+    sim::Tick seen = 0;
+    bed.sim().eventQueue().schedule(
+        at + 1, [&] { cq->ring().push(Completion{}); });
+    bed.sim().eventQueue().schedule(t0, [&] {
+        spinPoll(prov, *cq, [&](Completion) { seen = bed.sim().now(); });
+    });
+    bed.sim().runUntil(at + sim::oneMs);
+    EXPECT_EQ(seen, at + period);
+    EXPECT_EQ(cpu.busyUntil(),
+              at + period + os.cyclesToTicks(prov.costs().pollCq));
+    EXPECT_EQ(cpu.busyTotal() - busy0,
+              701 * period + os.cyclesToTicks(prov.costs().pollCq));
+}
+
+TEST(SpinPoll, TimerWorkOnASpinningCpu)
+{
+    // A kernel timer fires while the CPU spins and queues work with
+    // cpu().run. The work's start, the counters it reads, the tick the
+    // completion is seen at and the final counters all depend on the
+    // polls owed before the timer being charged first.
+    QpipTestbed bed(2);
+    auto &prov = bed.provider(0);
+    auto cq = prov.createCq();
+    auto &cpu = bed.host(0).cpu();
+    auto &os = bed.host(0).os();
+    const sim::Tick period = os.cyclesToTicks(prov.costs().pollCqEmpty);
+    const sim::Tick t0 = bed.sim().now() + sim::oneUs;
+    ASSERT_LE(cpu.busyUntil(), t0);
+    std::vector<sim::Tick> rec;
+    auto note = [&] {
+        rec.push_back(bed.sim().now() - t0);
+        rec.push_back(cpu.busyTotal());
+        rec.push_back(cpu.busyUntil() - t0);
+    };
+    bed.sim().eventQueue().schedule(t0, [&] {
+        spinPoll(prov, *cq, [&](Completion) { note(); });
+        os.timer(300 * period + period / 3, [&] {
+            note();
+            cpu.run(1234, [&] { note(); });
+            note();
+        });
+    });
+    bed.sim().eventQueue().schedule(
+        t0 + 900 * period + 17, [&] { cq->ring().push(Completion{}); });
+    bed.sim().runUntil(t0 + sim::oneMs);
+    note();
+    // Recorded from the poll-per-event loop: the timer handler, the
+    // queued work, the completion and the end of the run each read
+    // (now - t0, busyTotal, busyUntil - t0).
+    EXPECT_EQ(rec, (std::vector<sim::Tick>{
+                       33745482, 33854573, 33854573,   // timer handler
+                       33745482, 36098209, 36098209,   // after run()
+                       36098209, 36207300, 36207300,   // queued work
+                       98280079, 99163715, 99163715,   // completion
+                       1000000000, 99163715, 99163715, // run end
+                   }));
 }
 
 TEST(SpinPoll, ParallelEngineMatchesEveryPoll)

@@ -1,7 +1,7 @@
 /**
  * @file
  * E1: no by-reference captures in deferred callbacks. A closure
- * handed to schedule()/scheduleIn()/scheduleIdle()/exec()/
+ * handed to schedule()/scheduleIn()/hold()/park()/exec()/
  * scheduleTimer() runs
  * after the enclosing frame is gone — and after the referenced
  * object may have been destroyed (destroyQp erases the QP
@@ -65,7 +65,7 @@ ruleE1(const FileData &f, Sink &sink)
 
     const std::string &all = f.all;
     static const std::regex sinkRe(
-        R"(\b(schedule|scheduleIn|scheduleIdle|exec|scheduleTimer)\s*\()");
+        R"(\b(schedule|scheduleIn|hold|park|exec|scheduleTimer)\s*\()");
     // Nested sinks see the same lambda twice; dedupe per line+names.
     std::set<std::pair<std::size_t, std::string>> reported;
 
