@@ -381,10 +381,11 @@ class EventQueue
     std::uint64_t run() { return runUntil(maxTick); }
 
     /**
-     * Advance the clock to @p t without running anything — the
-     * parallel engine's idle-partition fast path: a partition with no
-     * event below its epoch bound still owns the time, so later
-     * schedule() calls must be measured against it. maxTick is
+     * Advance the clock to @p t without running anything — how the
+     * parallel engine brings idle partitions up to their last epoch
+     * bound when a run call returns: a partition with no event below
+     * that bound still owns the time, so later schedule() calls must
+     * be measured against it. maxTick is
      * ignored (mirroring runUntil); skipping a runnable event would
      * corrupt causality and panics.
      */

@@ -29,10 +29,52 @@ clampAdd(Tick a, Tick l)
     return a >= maxTick - l ? maxTick : a + l;
 }
 
+/**
+ * Polls of an atomic a waiting thread makes before it parks on its
+ * condition variable (about a quarter of a millisecond in all). The
+ * first pausePolls only pause: the other side is usually about to
+ * finish a barrier. The rest yield the core, so that on a machine with
+ * fewer free cores than engine threads a waiter does not hold the CPU
+ * the thread it waits for needs.
+ */
+constexpr int spinPolls = 1 << 10;
+constexpr int pausePolls = 1 << 6;
+
+/** Tell the core this is a spin-wait loop. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+}
+
+/**
+ * Wait until @p ready() holds: spin, then park on @p cv. Whoever makes
+ * it hold must do so, or notify, under @p m, so a thread between its
+ * last check and its wait cannot miss the wake-up.
+ */
+template <typename Ready>
+void
+spinThenPark(std::mutex &m, std::condition_variable &cv, Ready ready)
+{
+    for (int i = 0; i < spinPolls; ++i) {
+        if (ready())
+            return;
+        if (i < pausePolls)
+            cpuRelax();
+        else
+            std::this_thread::yield();
+    }
+    std::unique_lock<std::mutex> lock(m);
+    cv.wait(lock, ready);
+}
+
 } // namespace
 
 ParallelEngine::ParallelEngine(Simulation &sim, int threads)
-    : sim_(sim), threads_(threads < 1 ? 1 : threads)
+    : sim_(sim), threads_(threads < 1 ? 1 : threads),
+      workers_(static_cast<std::size_t>(threads_))
 {
     if (sim_.parallelEngine() != nullptr)
         panic("ParallelEngine: simulation already has an engine");
@@ -44,9 +86,9 @@ ParallelEngine::ParallelEngine(Simulation &sim, int threads)
     statGroup_.add("horizonStalls", statHorizonStalls_);
     statGroup_.add("epochEventsMax", statEpochEventsMax_);
     statGroup_.add("epochEventsMin", statEpochEventsMin_);
-    workers_.reserve(static_cast<std::size_t>(threads_ - 1));
-    for (int i = 1; i < threads_; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+    pool_.reserve(workers_.size() - 1);
+    for (std::size_t w = 1; w < workers_.size(); ++w)
+        pool_.emplace_back([this, w] { workerLoop(w); });
 }
 
 void
@@ -54,14 +96,15 @@ ParallelEngine::park()
 {
     {
         std::lock_guard<std::mutex> lock(m_);
+        if (pool_.empty())
+            return;
         stop_ = true;
+        epoch_.fetch_add(1, std::memory_order_release);
     }
     cvStart_.notify_all();
-    for (auto &w : workers_) {
-        if (w.joinable())
-            w.join();
-    }
-    workers_.clear();
+    for (auto &t : pool_)
+        t.join();
+    pool_.clear();
 }
 
 ParallelEngine::~ParallelEngine()
@@ -75,13 +118,11 @@ ParallelEngine::addPartition(const std::string &name)
 {
     const auto id = static_cast<std::uint32_t>(parts_.size());
     parts_.push_back(std::make_unique<Partition>(
-        id, name, partitionSeed(sim_.seed(), id)));
-    outMail_.emplace_back();
-    inMail_.emplace_back();
+        id, name, partitionSeed(sim_.seed(), id), horizon_));
+    horizon_.push_back(0);
     nextTick_.push_back(maxTick);
     floor_.push_back(maxTick);
-    prevExecuted_.push_back(0);
-    lastEpochEvents_.push_back(0);
+    hasMail_.push_back(0);
     return *parts_.back();
 }
 
@@ -103,10 +144,7 @@ ParallelEngine::mailbox(Partition &src, Partition &dst)
             return *mb;
     }
     mail_.push_back(std::make_unique<Mailbox>(src, dst));
-    Mailbox *mb = mail_.back().get();
-    outMail_.at(src.id()).push_back(mb);
-    inMail_.at(dst.id()).push_back(mb);
-    return *mb;
+    return *mail_.back();
 }
 
 void
@@ -147,7 +185,7 @@ ParallelEngine::executed() const
 }
 
 void
-ParallelEngine::checkRunnable()
+ParallelEngine::beginRun()
 {
     if (sim_.tracer().enabled()) {
         panic("ParallelEngine: event tracing is unsupported (span "
@@ -179,54 +217,73 @@ ParallelEngine::checkRunnable()
         edges_.push_back(
             FlatEdge{mb->src().id(), mb->dst().id(), mb->lookahead_});
     }
+    // Between run calls anything may have scheduled into a partition
+    // or posted to a mailbox (the last epoch's posts, a test harness):
+    // re-read every queue once here, after which the owners' reports
+    // keep nextTick_ current.
+    ranEpoch_ = false;
+    posted_.clear();
+    for (std::size_t i = 0; i < parts_.size(); ++i) {
+        Partition &p = *parts_[i];
+        nextTick_[i] = p.eq_.nextDueTick();
+        if (p.dirtyOut_.empty())
+            continue;
+        for (Mailbox *mb : p.dirtyOut_)
+            mb->sortBatch();
+        posted_.push_back(p.id_);
+    }
 }
 
 void
-ParallelEngine::injectMail()
+ParallelEngine::handOff()
 {
-    merge_.clear();
     std::uint64_t posts = 0;
     std::uint64_t batched = 0;
-    // Each partition's dirty list names exactly its out-edges with
-    // pending posts (first post marks, the barrier clears), so the
-    // barrier visits only posted-to edges instead of every mailbox.
-    for (auto &p : parts_) {
-        for (Mailbox *mb : p->dirtyOut_) {
-            // Normally pre-sorted by the worker that ran the source
-            // (an O(n) is_sorted check); sorts here only for batches
-            // posted outside an epoch.
-            mb->sortBatch();
-            posts += mb->msgs_.size();
-            if (mb->msgs_.size() > 1)
-                batched += mb->msgs_.size();
-            merge_.push_back(RunCursor{mb, 0});
+    for (const std::uint32_t src : posted_) {
+        Partition &p = *parts_[src];
+        for (Mailbox *mb : p.dirtyOut_) {
+            const std::size_t n = mb->msgs_.size();
+            posts += n;
+            if (n > 1)
+                batched += n;
+            // The destination's owner emptied handed_ when it
+            // injected the previous batch, so the source posts into
+            // that buffer next.
+            mb->msgs_.swap(mb->handed_);
+            const std::uint32_t dst = mb->dst_.id_;
+            nextTick_[dst] =
+                std::min(nextTick_[dst], mb->handed_.front().when);
+            hasMail_[dst] = 1;
+            mb->dst_.inbox_.push_back(mb);
         }
-        p->dirtyOut_.clear();
+        p.dirtyOut_.clear();
     }
-    if (merge_.empty())
-        return;
+    posted_.clear();
     statMailboxPosts_.inc(posts);
     statBatchedPosts_.inc(batched);
-    if (merge_.size() == 1) {
-        // One non-empty edge (the common case on lightly loaded
-        // epochs): its batch is already the merged order.
-        Mailbox *mb = merge_.front().mb;
-        for (auto &m : mb->msgs_) {
-            mb->dst().eventQueue().schedule(m.when, std::move(m.fn),
-                                            m.priority);
-        }
-        mb->msgs_.clear();
-        merge_.clear();
+}
+
+void
+ParallelEngine::inject(Partition &p, std::vector<RunCursor> &merge)
+{
+    if (p.inbox_.size() == 1) {
+        // One inbound edge (the common case): its batch is already
+        // the merged order.
+        Mailbox *mb = p.inbox_.front();
+        for (auto &m : mb->handed_)
+            p.eq_.schedule(m.when, std::move(m.fn), m.priority);
+        mb->handed_.clear();
+        p.inbox_.clear();
         return;
     }
     // K-way merge of the sorted per-edge runs. (tick, priority, seq,
     // srcId) is a strict total order (seq streams are per-source
-    // partition), so destination-queue insertion order — and with it
-    // the seq numbers the destination assigns — is independent of
-    // thread count, and identical to the global sort it replaces.
+    // partition), so queue insertion order — and with it the seq
+    // numbers the queue assigns — is independent of thread count, and
+    // identical to a global sort of every batch in the fabric.
     const auto later = [](const RunCursor &a, const RunCursor &b) {
-        const auto &ma = a.mb->msgs_[a.idx];
-        const auto &mb_ = b.mb->msgs_[b.idx];
+        const auto &ma = a.mb->handed_[a.idx];
+        const auto &mb_ = b.mb->handed_[b.idx];
         if (ma.when != mb_.when)
             return ma.when > mb_.when;
         if (ma.priority != mb_.priority)
@@ -235,31 +292,23 @@ ParallelEngine::injectMail()
             return ma.seq > mb_.seq;
         return a.mb->src().id() > b.mb->src().id();
     };
-    std::make_heap(merge_.begin(), merge_.end(), later);
-    while (!merge_.empty()) {
-        std::pop_heap(merge_.begin(), merge_.end(), later);
-        RunCursor &cur = merge_.back();
-        auto &m = cur.mb->msgs_[cur.idx];
-        cur.mb->dst().eventQueue().schedule(m.when, std::move(m.fn),
-                                            m.priority);
-        if (++cur.idx < cur.mb->msgs_.size()) {
-            std::push_heap(merge_.begin(), merge_.end(), later);
+    merge.clear();
+    for (Mailbox *mb : p.inbox_)
+        merge.push_back(RunCursor{mb, 0});
+    p.inbox_.clear();
+    std::make_heap(merge.begin(), merge.end(), later);
+    while (!merge.empty()) {
+        std::pop_heap(merge.begin(), merge.end(), later);
+        RunCursor &cur = merge.back();
+        auto &m = cur.mb->handed_[cur.idx];
+        p.eq_.schedule(m.when, std::move(m.fn), m.priority);
+        if (++cur.idx < cur.mb->handed_.size()) {
+            std::push_heap(merge.begin(), merge.end(), later);
         } else {
-            cur.mb->msgs_.clear();
-            merge_.pop_back();
+            cur.mb->handed_.clear();
+            merge.pop_back();
         }
     }
-}
-
-Tick
-ParallelEngine::refreshNextTicks()
-{
-    Tick next = maxTick;
-    for (std::size_t i = 0; i < parts_.size(); ++i) {
-        nextTick_[i] = parts_[i]->eventQueue().nextDueTick();
-        next = std::min(next, nextTick_[i]);
-    }
-    return next;
 }
 
 Tick
@@ -293,130 +342,166 @@ ParallelEngine::prepareEpoch(Tick until)
     // bounds: the bound can dip when an injection wakes a neighbor
     // below its previous next-event tick, but a bound once proven
     // covers all future posts too, so the frontier never retreats —
-    // and the partition's clock (which already reached the old
-    // frontier) stays below it.
+    // and the partition's clock, which never passed the old frontier,
+    // stays at or below it.
     hbound_.assign(n, until);
     for (const FlatEdge &e : edges_) {
         hbound_[e.dst] = std::min(
             hbound_[e.dst], clampAdd(floor_[e.src], e.lookahead));
     }
+    // Phase 3: visit lists. Partition i belongs to worker i mod T;
+    // only partitions with runnable work or inbound mail are visited.
+    for (Worker &w : workers_)
+        w.visits.clear();
     std::uint64_t stalls = 0;
-    claimOrder_.clear();
     Tick frontier = until;
+    std::size_t owner = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
-        Partition &p = *parts_[i];
-        p.horizon_ = std::max(p.horizon_, hbound_[i]);
-        p.runTo_ = std::min(p.horizon_, until);
-        frontier = std::min(frontier, p.runTo_);
-        if (nextTick_[i] < p.runTo_) {
-            claimOrder_.push_back(i);
-        } else {
-            if (nextTick_[i] < until)
-                ++stalls; // has work, but neighbors are behind
-            // Idle partitions still own the time up to their bound:
-            // anything scheduled into them from outside a run (test
-            // harness posting the next phase's work) must land at or
-            // beyond what their neighbors' horizons already assumed.
-            p.eq_.advanceTo(p.runTo_);
+        horizon_[i] = std::max(horizon_[i], hbound_[i]);
+        const Tick runTo = std::min(horizon_[i], until);
+        frontier = std::min(frontier, runTo);
+        const bool runnable = nextTick_[i] < runTo;
+        if (!runnable && nextTick_[i] < until)
+            ++stalls; // has work, but neighbors are behind
+        if (runnable || hasMail_[i] != 0) {
+            workers_[owner].visits.push_back(
+                Visit{i, runnable, false, runTo, maxTick, 0});
         }
+        hasMail_[i] = 0;
+        if (++owner == workers_.size())
+            owner = 0;
     }
     statHorizonStalls_.inc(stalls);
-    // Phase 3: claim order, heaviest last-epoch partitions first so
-    // the long poles start before the stragglers fill in. With one
-    // worker the claims run back-to-back, so ordering buys nothing.
-    if (threads_ > 1) {
-        std::sort(claimOrder_.begin(), claimOrder_.end(),
-                  [this](std::uint32_t a, std::uint32_t b) {
-                      if (lastEpochEvents_[a] != lastEpochEvents_[b]) {
-                          return lastEpochEvents_[a] >
-                                 lastEpochEvents_[b];
-                      }
-                      return a < b;
-                  });
-    }
     return frontier;
 }
 
 void
-ParallelEngine::claimLoop(std::unique_lock<std::mutex> &lock)
+ParallelEngine::runShare(Worker &w)
 {
-    for (;;) {
-        if (nextPart_ >= claimOrder_.size())
-            return;
-        Partition *p = parts_[claimOrder_[nextPart_++]].get();
-        lock.unlock();
+    for (Visit &v : w.visits) {
+        Partition &p = *parts_[v.id];
+        if (!p.inbox_.empty())
+            inject(p, w.merge);
+        const std::uint64_t before = p.eq_.executed();
         {
-            ExecContextScope scope(&p->execContext());
-            p->eventQueue().runUntil(p->runTo_);
+            ExecContextScope scope(&p.ctx_);
+            p.eq_.runUntil(v.runTo);
         }
-        // Sort this partition's outgoing batches while still inside
-        // the parallel region: the barrier then only pays for the
-        // k-way merge.
-        for (Mailbox *mb : p->dirtyOut_)
+        v.events = p.eq_.executed() - before;
+        // Sort the outgoing batches here, in parallel: the
+        // destinations' owners then only pay for the merge.
+        for (Mailbox *mb : p.dirtyOut_)
             mb->sortBatch();
-        lock.lock();
+        v.posted = !p.dirtyOut_.empty();
+        v.next = p.eq_.nextDueTick();
     }
 }
 
 void
-ParallelEngine::workerLoop()
+ParallelEngine::workerLoop(std::size_t w)
 {
     std::uint64_t seen = 0;
-    std::unique_lock<std::mutex> lock(m_);
     for (;;) {
-        cvStart_.wait(lock,
-                      [&] { return stop_ || epochGen_ != seen; });
+        spinThenPark(m_, cvStart_, [&] {
+            return epoch_.load(std::memory_order_acquire) != seen;
+        });
+        ++seen;
         if (stop_)
             return;
-        seen = epochGen_;
-        claimLoop(lock);
-        if (--busy_ == 0)
+        runShare(workers_[w]);
+        if (busy_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            std::lock_guard<std::mutex> lock(m_);
             cvDone_.notify_one();
+        }
     }
 }
 
 void
 ParallelEngine::runEpoch()
 {
-    if (workers_.empty()) {
-        // Single worker: no other thread touches engine state, so the
-        // mutex/condvar handoff would order nothing. Run the claim
-        // list inline; injectMail sorts the batches at the barrier
-        // (its is_sorted pre-check makes presorting redundant here).
-        for (const std::uint32_t i : claimOrder_) {
-            Partition &p = *parts_[i];
-            ExecContextScope scope(&p.execContext());
-            p.eventQueue().runUntil(p.runTo_);
-        }
+    if (pool_.empty()) {
+        // One thread, or the pool was joined: visit every worker's
+        // list here, in worker order (any order gives the same
+        // result; each partition is on exactly one list).
+        for (Worker &w : workers_)
+            runShare(w);
         return;
     }
-    std::unique_lock<std::mutex> lock(m_);
-    nextPart_ = 0;
-    busy_ = workers_.size();
-    ++epochGen_;
+    busy_.store(pool_.size(), std::memory_order_relaxed);
+    {
+        std::lock_guard<std::mutex> lock(m_);
+        epoch_.fetch_add(1, std::memory_order_release);
+    }
     cvStart_.notify_all();
-    claimLoop(lock); // the calling thread pulls its share too
-    cvDone_.wait(lock, [&] { return busy_ == 0; });
+    runShare(workers_[0]);
+    spinThenPark(m_, cvDone_, [this] {
+        return busy_.load(std::memory_order_acquire) == 0;
+    });
 }
 
 void
 ParallelEngine::finishEpoch()
 {
     statEpochs_.inc();
-    if (claimOrder_.empty())
-        return;
+    bool ran = false;
     std::uint64_t mx = 0;
     std::uint64_t mn = ~std::uint64_t(0);
-    for (const std::uint32_t i : claimOrder_) {
-        const std::uint64_t ex = parts_[i]->eventQueue().executed();
-        const std::uint64_t delta = ex - prevExecuted_[i];
-        prevExecuted_[i] = ex;
-        lastEpochEvents_[i] = delta;
-        mx = std::max(mx, delta);
-        mn = std::min(mn, delta);
+    for (const Worker &w : workers_) {
+        for (const Visit &v : w.visits) {
+            nextTick_[v.id] = v.next;
+            if (v.posted)
+                posted_.push_back(v.id);
+            if (!v.runnable)
+                continue;
+            ran = true;
+            mx = std::max(mx, v.events);
+            mn = std::min(mn, v.events);
+        }
     }
+    if (!ran)
+        return;
     statEpochEventsMax_.sample(static_cast<double>(mx));
     statEpochEventsMin_.sample(static_cast<double>(mn));
+}
+
+bool
+ParallelEngine::epoch(Tick until)
+{
+    handOff();
+    Tick next = maxTick;
+    for (const Tick t : nextTick_)
+        next = std::min(next, t);
+    if (next >= until) {
+        // No epoch follows in this call: inject what was just handed
+        // over now, before anything outside the run can schedule into
+        // the same ticks.
+        for (std::size_t i = 0; i < parts_.size(); ++i) {
+            if (hasMail_[i] == 0)
+                continue;
+            inject(*parts_[i], workers_[0].merge);
+            hasMail_[i] = 0;
+        }
+        return false;
+    }
+    now_ = std::max(now_, prepareEpoch(until));
+    runEpoch();
+    finishEpoch();
+    ranEpoch_ = true;
+    return true;
+}
+
+void
+ParallelEngine::advanceIdleClocks(Tick until)
+{
+    // Partitions skipped by the last epochs still own the time up to
+    // their last bound: anything scheduled into them from outside a
+    // run must land at or beyond what their neighbors' horizons
+    // already assumed.
+    if (!ranEpoch_)
+        return;
+    ranEpoch_ = false;
+    for (std::size_t i = 0; i < parts_.size(); ++i)
+        parts_[i]->eq_.advanceTo(std::min(horizon_[i], until));
 }
 
 void
@@ -429,26 +514,21 @@ ParallelEngine::foldAll()
 std::uint64_t
 ParallelEngine::runUntil(Tick until)
 {
-    checkRunnable();
+    beginRun();
     const std::uint64_t before = executed();
-    for (;;) {
-        injectMail();
-        const Tick next = refreshNextTicks();
-        if (next >= until)
-            break;
-        now_ = std::max(now_, prepareEpoch(until));
-        runEpoch();
-        finishEpoch();
+    while (epoch(until)) {
     }
     if (until != maxTick) {
-        // Mirror EventQueue::runUntil: idle partitions still advance
-        // their clocks to the stop time (no events can remain below
-        // it — the loop above only exits once next >= until).
+        // Mirror EventQueue::runUntil: every partition's clock
+        // advances to the stop time (no events can remain below it —
+        // the loop above only exits once next >= until).
         for (auto &p : parts_) {
-            ExecContextScope scope(&p->execContext());
-            p->eventQueue().runUntil(until);
+            ExecContextScope scope(&p->ctx_);
+            p->eq_.runUntil(until);
         }
         now_ = std::max(now_, until);
+    } else {
+        advanceIdleClocks(until);
     }
     foldAll();
     return executed() - before;
@@ -458,22 +538,19 @@ bool
 ParallelEngine::runUntilCondition(const std::function<bool()> &pred,
                                   Tick deadline)
 {
-    checkRunnable();
+    beginRun();
     if (pred()) {
         foldAll();
         return true;
     }
     for (;;) {
-        injectMail();
-        const Tick next = refreshNextTicks();
-        if (next >= deadline) {
+        if (!epoch(deadline)) {
+            advanceIdleClocks(deadline);
             foldAll();
             return pred();
         }
-        now_ = std::max(now_, prepareEpoch(deadline));
-        runEpoch();
-        finishEpoch();
         if (pred()) {
+            advanceIdleClocks(deadline);
             foldAll();
             return true;
         }
@@ -483,13 +560,18 @@ ParallelEngine::runUntilCondition(const std::function<bool()> &pred,
 void
 ParallelEngine::clearAll()
 {
-    for (auto &mb : mail_)
+    for (auto &mb : mail_) {
         mb->msgs_.clear();
+        mb->handed_.clear();
+    }
     for (auto &p : parts_) {
         p->dirtyOut_.clear();
+        p->inbox_.clear();
         ExecContextScope scope(&p->execContext());
         p->eventQueue().clear();
     }
+    posted_.clear();
+    std::fill(hasMail_.begin(), hasMail_.end(), 0);
     sim_.eventQueue().clear();
 }
 

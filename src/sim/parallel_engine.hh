@@ -3,20 +3,22 @@
  * A deterministic conservative parallel discrete-event engine.
  *
  * The simulation is sharded into Partitions (see partition.hh), each
- * owning a private event queue and RNG stream. Execution proceeds in
- * barrier epochs:
+ * owning a private event queue and RNG stream. Partition i belongs to
+ * worker i mod T (T = thread count; worker 0 is the calling thread)
+ * for the engine's whole life. Execution proceeds in barrier epochs.
+ * The coordinator's serial barrier does three things:
  *
- *   1. merge every Mailbox batch and inject the messages into the
- *      destination queues in deterministic order, sorted by
- *      (tick, priority, seq, source partition id);
+ *   1. hand every batch posted last epoch to its destination, folding
+ *      the batch's first tick into the destination's next tick;
  *   2. compute per-partition horizons from per-edge lookaheads (see
  *      below) — each partition gets its own bound instead of the
  *      whole fabric marching at the pace of its slowest link;
- *   3. run every partition with runnable work up to its horizon
- *      (workers claim partitions from a shared, work-estimate-sorted
- *      index — which thread runs which partition is arbitrary, the
- *      outcome is not);
- *   4. barrier; repeat.
+ *   3. build one visit list per worker, holding only its partitions
+ *      with runnable work or inbound mail.
+ *
+ * Then every worker, in parallel, visits its list: for each partition
+ * it injects the handed-over batches, runs the partition to its
+ * horizon, sorts its outgoing batches and reports its next tick.
  *
  * Per-edge horizons. Every mailbox edge e = (q -> p) declares a
  * lookahead L_e: a lower bound on the delivery latency of anything
@@ -47,38 +49,52 @@
  * neighbor's floor drops when an injection wakes it below its old
  * next-event tick — but a bound once proven covers every future post
  * too (the floors it was computed from remain lower bounds forever),
- * so the running maximum is still causally exact, and it is what the
- * destination's clock has actually reached. Mailbox::post asserts
- * against this monotone frontier; each epoch runs a partition to
- * min(frontier, run deadline).
+ * so the running maximum is still causally exact, and it is the
+ * furthest the destination's clock can have reached. Mailbox::post
+ * asserts against this monotone frontier; each epoch runs a partition
+ * to min(frontier, run deadline).
  *
  * Batched posts. During an epoch each mailbox accumulates posts in a
- * local append buffer (no synchronization: only the source's worker
- * touches it). The worker that ran the source sorts each outgoing
- * batch while still inside the parallel region; the barrier then
- * k-way-merges the sorted runs straight into the destination queues —
- * the same (tick, priority, seq, srcId) total order as a global sort,
- * at merge cost.
+ * post buffer (no synchronization: only the source's owner touches
+ * it), and the owner sorts each outgoing batch before it reports. The
+ * barrier swaps each posted buffer into the mailbox's handed-over
+ * slot, and the destination's owner k-way-merges its inbound batches
+ * into its queue at the start of its next visit — the same (tick,
+ * priority, seq, srcId) order, restricted to one destination, as a
+ * global sort. Injection precedes the destination's events of the
+ * epoch, so mail takes the same place in its queue whichever thread
+ * count runs it.
+ *
+ * Idle clocks. A partition with no runnable work and no mail is not
+ * visited, so its clock stays where its last visit left it; when a
+ * run call returns, every partition's clock advances to its last
+ * epoch bound, which is where anything scheduled into it from
+ * outside a run must land at or beyond.
  *
  * Determinism: each partition's queue preserves the serial
  * (when, priority, seq) total order; injection order into a queue is
- * fixed by the merge above; horizons are computed from queue state
+ * fixed by the merge above and happens at the same point relative to
+ * the queue's own events; horizons are computed from queue state
  * alone; RNG streams are per-partition. None of that depends on the
- * number of worker threads, so an N-thread run is bit-identical to a
- * 1-thread run of the same partitioning. (A partitioned run may
- * differ from the unpartitioned serial schedule — per-partition
- * RNG/seq streams — which is why `threads=1` without an engine
- * remains the default and untouched code path.)
+ * number of worker threads or on which worker owns a partition, so an
+ * N-thread run is bit-identical to a 1-thread run of the same
+ * partitioning. (A partitioned run may differ from the unpartitioned
+ * serial schedule — per-partition RNG/seq streams — which is why
+ * `threads=1` without an engine remains the default and untouched
+ * code path.)
  *
  * This is the one place in the tree allowed to use threading
  * primitives (see qpip-lint rule T1): all protocol code stays
  * single-threaded by construction, executing inside exactly one
- * partition per epoch with mutex/condvar-ordered handoffs between
- * epochs.
+ * partition per epoch. An atomic epoch counter (release) starts the
+ * workers and an atomic busy count (acquire) ends the epoch; those
+ * two edges order every cross-epoch access to queues, mailboxes and
+ * visit lists.
  */
 
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -172,27 +188,76 @@ class ParallelEngine
      * Join the worker pool (idempotent; the destructor calls it).
      * Owners whose model objects hold event handles into partition
      * queues call this first in teardown, so the single-threaded
-     * destruction of those objects still sees live queues.
+     * destruction of those objects still sees live queues. Later run
+     * calls still work: the calling thread visits every worker's
+     * partitions itself.
      */
     void park();
 
   private:
-    void checkRunnable();
-    void injectMail();
-    /** Refresh nextTick_; @return the global minimum. */
-    Tick refreshNextTicks();
+    /** One partition visit: set by the barrier, reported by the owner. */
+    struct Visit
+    {
+        std::uint32_t id;
+        /** Had runnable work below runTo (vs. mail only). */
+        bool runnable;
+        /** Left posts in its outgoing mailboxes (owner-set). */
+        bool posted;
+        /** Run bound: min(frontier, run deadline). */
+        Tick runTo;
+        /** The partition's next due tick after the visit (owner-set). */
+        Tick next;
+        /** Events the visit executed (owner-set). */
+        std::uint64_t events;
+    };
+
+    /** Cursor into one mailbox's handed-over batch (inbox merge). */
+    struct RunCursor
+    {
+        Mailbox *mb;
+        std::size_t idx;
+    };
+
+    /** One worker's share of an epoch. */
+    struct Worker
+    {
+        std::vector<Visit> visits;
+        std::vector<RunCursor> merge;
+    };
+
     /**
-     * Compute per-partition horizons for the next epoch (relaxation
-     * floors + incoming-edge minima), build the work-estimate-sorted
-     * claim order, and count stalls. @return the min horizon (the
-     * epoch's conservative global frontier).
+     * Start a run call: resolve lookaheads, flatten the edge graph,
+     * re-read every partition's next tick and pick up batches posted
+     * outside an epoch.
+     */
+    void beginRun();
+    /**
+     * The serial barrier plus one parallel epoch. @return false,
+     * with any handed-over mail injected, once nothing is due
+     * before @p until.
+     */
+    bool epoch(Tick until);
+    /** Barrier step 1: hand posted batches to their destinations. */
+    void handOff();
+    /**
+     * Barrier steps 2-3: per-partition horizons (relaxation floors +
+     * incoming-edge minima) and visit lists; count stalls.
+     * @return the min run bound (the epoch's global frontier).
      */
     Tick prepareEpoch(Tick until);
     void runEpoch();
-    /** Per-epoch bookkeeping: work estimates + imbalance stats. */
+    /** Read the owners' reports back into the barrier's state. */
     void finishEpoch();
-    void claimLoop(std::unique_lock<std::mutex> &lock);
-    void workerLoop();
+    /** Visit every partition on @p w's list (see the file comment). */
+    void runShare(Worker &w);
+    /** Merge @p p's handed-over batches into its queue. */
+    static void inject(Partition &p, std::vector<RunCursor> &merge);
+    /**
+     * As a run call returns: advance every clock to its last epoch
+     * bound, min(frontier, @p until) (a no-op if no epoch ran).
+     */
+    void advanceIdleClocks(Tick until);
+    void workerLoop(std::size_t w);
     void foldAll();
 
     Simulation &sim_;
@@ -201,16 +266,21 @@ class ParallelEngine
     Tick now_ = 0;
     std::vector<std::unique_ptr<Partition>> parts_;
     std::vector<std::unique_ptr<Mailbox>> mail_;
-    /** Outgoing / incoming mailboxes by partition id. */
-    std::vector<std::vector<Mailbox *>> outMail_;
-    std::vector<std::vector<Mailbox *>> inMail_;
     std::vector<std::function<void()>> foldHooks_;
 
-    // Barrier scratch (sized to parts_, reused across epochs).
+    // Barrier state, indexed by partition id (coordinator-owned).
+    /** Monotone frontiers; Partition::epochHorizon() reads these. */
+    std::vector<Tick> horizon_;
     std::vector<Tick> nextTick_;
     std::vector<Tick> floor_;
     /** Per-partition incoming-edge horizon bound (phase-2 scratch). */
     std::vector<Tick> hbound_;
+    /** Got a handed-over batch this barrier. */
+    std::vector<std::uint8_t> hasMail_;
+    /** Partitions whose outgoing mailboxes hold posts. */
+    std::vector<std::uint32_t> posted_;
+    /** Did this run call execute an epoch (idle clocks to advance)? */
+    bool ranEpoch_ = false;
     /**
      * The partition graph flattened for the per-epoch relaxation
      * passes (rebuilt from mail_ at the start of every run).
@@ -222,17 +292,6 @@ class ParallelEngine
         Tick lookahead;
     };
     std::vector<FlatEdge> edges_;
-    /** Cursor into one mailbox's sorted batch (barrier merge). */
-    struct RunCursor
-    {
-        Mailbox *mb;
-        std::size_t idx;
-    };
-    std::vector<RunCursor> merge_;
-    std::vector<std::uint64_t> prevExecuted_;
-    std::vector<std::uint64_t> lastEpochEvents_;
-    /** Partition ids to run this epoch, heaviest estimate first. */
-    std::vector<std::uint32_t> claimOrder_;
 
     // Scaling observability (registered as "parallel.*"; all values
     // derive from the deterministic schedule, so they are identical
@@ -245,17 +304,19 @@ class ParallelEngine
     SampleStat statEpochEventsMax_;
     SampleStat statEpochEventsMin_;
 
-    // Worker pool. All shared coordination state lives under m_; the
-    // mutex handoffs order every cross-epoch access to partition
-    // queues, mailboxes and counters (no atomics needed).
-    std::vector<std::thread> workers_;
+    // Worker pool: workers_[0] is the calling thread's share, pool_
+    // runs the rest. A worker spins briefly on epoch_ and then parks
+    // on cvStart_; the coordinator spins on busy_ and then parks on
+    // cvDone_. m_ only guards the parking.
+    std::vector<Worker> workers_;
+    std::vector<std::thread> pool_;
+    std::atomic<std::uint64_t> epoch_{0};
+    std::atomic<std::size_t> busy_{0};
+    /** Written before the epoch_ bump that tells the pool to exit. */
+    bool stop_ = false;
     std::mutex m_;
     std::condition_variable cvStart_;
     std::condition_variable cvDone_;
-    std::uint64_t epochGen_ = 0;
-    std::size_t nextPart_ = 0;
-    std::size_t busy_ = 0;
-    bool stop_ = false;
 };
 
 } // namespace qpip::sim

@@ -25,8 +25,8 @@ setCurrentExecContext(ExecContext *ctx)
 } // namespace detail
 
 Partition::Partition(std::uint32_t id, std::string name,
-                     std::uint64_t seed)
-    : id_(id), name_(std::move(name)), rng_(seed)
+                     std::uint64_t seed, const std::vector<Tick> &horizons)
+    : id_(id), name_(std::move(name)), rng_(seed), horizons_(&horizons)
 {
     eq_.setLabel(name_);
     ctx_.eq = &eq_;

@@ -3,16 +3,17 @@
  * Partitions and mailboxes: the sharding primitives of the
  * deterministic parallel engine (see parallel_engine.hh).
  *
- * A Partition owns a private EventQueue and a private Random stream;
- * during one barrier epoch it is executed by exactly one worker
- * thread, so everything bound to a partition runs single-threaded.
- * Cross-partition communication goes through Mailbox: the source
- * partition appends closures to the edge's local batch buffer, the
- * worker that ran the source sorts the batch while still inside the
- * parallel region, and the engine merges all batches at the epoch
- * barrier in one deterministic (tick, priority, seq, source partition
- * id) pass — so the resulting schedule is independent of thread count
- * and interleaving.
+ * A Partition owns a private EventQueue and a private Random stream,
+ * and belongs to one worker thread for the engine's whole life, so
+ * everything bound to it runs single-threaded. Cross-partition
+ * communication goes through Mailbox: the source partition appends
+ * closures to the edge's post buffer and its owner sorts the batch
+ * while still inside the parallel region; at the epoch barrier the
+ * engine hands every posted batch to its destination, whose owner
+ * merges its inbound batches into its queue in one deterministic
+ * (tick, priority, seq, source partition id) pass before running it —
+ * so the resulting schedule is independent of thread count and
+ * interleaving.
  *
  * Every edge carries its own lookahead (the minimum delivery latency
  * of that link), and every partition carries the horizon of the epoch
@@ -90,7 +91,12 @@ class ExecContextScope
 class Partition
 {
   public:
-    Partition(std::uint32_t id, std::string name, std::uint64_t seed);
+    /**
+     * @p horizons is the engine's per-partition frontier array, which
+     * epochHorizon() reads at index @p id.
+     */
+    Partition(std::uint32_t id, std::string name, std::uint64_t seed,
+              const std::vector<Tick> &horizons);
 
     Partition(const Partition &) = delete;
     Partition &operator=(const Partition &) = delete;
@@ -116,7 +122,7 @@ class Partition
      * early), but a bound once proven stays proven — every future
      * post still arrives at or beyond it.
      */
-    Tick epochHorizon() const { return horizon_; }
+    Tick epochHorizon() const { return (*horizons_)[id_]; }
 
   private:
     friend class Mailbox;
@@ -128,30 +134,37 @@ class Partition
     Random rng_;
     ExecContext ctx_;
     std::uint64_t mailSeq_ = 0;
-    /** Written by the engine between epochs (mutex-ordered). */
-    Tick horizon_ = 0;
-    /** This epoch's run bound: min(horizon_, run deadline). */
-    Tick runTo_ = 0;
     /**
-     * Outgoing mailboxes with pending posts. Same ownership rule as
-     * the batch buffers themselves: touched only by this partition's
-     * executing worker during an epoch and by the engine's barrier
-     * (mutex-ordered) between them. Lets the barrier visit only the
-     * edges that were actually posted to instead of scanning every
-     * mailbox in the fabric.
+     * The engine's flat frontier array: written by the coordinator
+     * between epochs, read by posters to this partition during them.
+     */
+    const std::vector<Tick> *horizons_;
+    /**
+     * Outgoing mailboxes with pending posts: appended by this
+     * partition's owner during an epoch, drained by the engine's
+     * barrier between them. Lets the barrier visit only the edges
+     * that were actually posted to.
      */
     std::vector<Mailbox *> dirtyOut_;
+    /**
+     * Incoming mailboxes whose batch the barrier handed over:
+     * appended by the barrier, drained by this partition's owner when
+     * it injects them at the start of its next visit.
+     */
+    std::vector<Mailbox *> inbox_;
 };
 
 /**
  * A one-way cross-partition channel. Only the source partition's
- * executing thread may post; posts accumulate in a local batch buffer
- * with no synchronization. The worker that ran the source sorts the
- * batch, and the engine merges all batches at the epoch barrier (all
- * workers parked). Posted timestamps must be at or beyond the
- * *destination's* epoch horizon — that is exactly the conservative
- * lookahead guarantee the engine's synchronization window rests on,
- * so a violation is a simulator bug and panics.
+ * owner may post; posts accumulate in a local post buffer with no
+ * synchronization, and the owner sorts the batch when it finishes
+ * running the source. The engine's barrier swaps the post buffer with
+ * the (empty) handed-over buffer, so the destination's owner can
+ * inject one batch while the source keeps posting the next. Posted
+ * timestamps must be at or beyond the *destination's* epoch horizon —
+ * that is exactly the conservative lookahead guarantee the engine's
+ * synchronization window rests on, so a violation is a simulator bug
+ * and panics.
  */
 class Mailbox
 {
@@ -209,11 +222,10 @@ class Mailbox
     };
 
     /**
-     * Sort the pending batch by (when, priority, seq) — a strict
-     * total order, seq streams are per-source. Called by the worker
-     * that ran the source partition so the barrier merge only pays
-     * for merging, and again defensively (O(n) is_sorted check) at
-     * injection for batches posted outside an epoch.
+     * Sort the post buffer by (when, priority, seq) — a strict total
+     * order, seq streams are per-source. Called by the source's owner
+     * after running it, and at the start of a run call for batches
+     * posted outside an epoch (an O(n) is_sorted check first).
      */
     void sortBatch();
 
@@ -223,7 +235,10 @@ class Mailbox
     Partition &dst_;
     /** This edge's lookahead; maxTick = inherit the engine global. */
     Tick lookahead_ = maxTick;
+    /** Post buffer: written by the source's owner. */
     std::vector<Msg> msgs_;
+    /** The batch handed to the destination, read by its owner. */
+    std::vector<Msg> handed_;
 };
 
 } // namespace qpip::sim

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -112,17 +113,30 @@ TEST(ParallelEngine, MailboxMergeOrderIsDeterministic)
 
 namespace {
 
-/** Artifacts of one bounce run; must not depend on thread count. */
-struct BounceDigest
+constexpr std::uint32_t ringSize = 5;
+
+/** "p<i>", built by appending (GCC 12 -Wrestrict misfires on "p" + s). */
+std::string
+partName(std::size_t i)
 {
-    std::vector<std::pair<std::uint32_t, Tick>> hits;
-    std::vector<std::uint64_t> draws;
+    std::string name = "p";
+    name += std::to_string(i);
+    return name;
+}
+
+/** Artifacts of one ring run; must not depend on thread count. */
+struct RingDigest
+{
+    /** (tick, token) per hop, one list per partition. */
+    std::vector<std::vector<std::pair<Tick, int>>> hits;
+    /** One RNG draw per hop, one list per partition. */
+    std::vector<std::vector<std::uint64_t>> draws;
     std::uint64_t executed = 0;
     std::uint64_t epochs = 0;
     Tick end = 0;
 
     bool
-    operator==(const BounceDigest &o) const
+    operator==(const RingDigest &o) const
     {
         return hits == o.hits && draws == o.draws &&
                executed == o.executed && epochs == o.epochs &&
@@ -131,38 +145,46 @@ struct BounceDigest
 };
 
 /**
- * Two partitions bounce a token through mailboxes for a fixed number
- * of hops, each hop recording (partition, tick) and one RNG draw.
+ * Five partitions in a ring pass two tokens around for a fixed number
+ * of hops each, so several partitions run in one epoch and the ring
+ * divides unevenly among most thread counts. Each hop records
+ * (tick, token) and one RNG draw in the partition it runs in.
  */
-BounceDigest
-runBounce(int threads)
+RingDigest
+runRing(int threads)
 {
     sim::Simulation simu(42);
     sim::ParallelEngine eng(simu, threads);
-    auto &a = eng.addPartition("a");
-    auto &b = eng.addPartition("b");
-    auto &ab = eng.mailbox(a, b);
-    auto &ba = eng.mailbox(b, a);
+    std::vector<sim::Partition *> parts;
+    for (std::uint32_t i = 0; i < ringSize; ++i)
+        parts.push_back(&eng.addPartition(partName(i)));
+    std::vector<sim::Mailbox *> next;
+    for (std::uint32_t i = 0; i < ringSize; ++i)
+        next.push_back(&eng.mailbox(*parts[i], *parts[(i + 1) % ringSize]));
     eng.setLookahead(100);
 
-    BounceDigest d;
-    // Written only by the partition executing the hop; hops strictly
-    // alternate, ordered by the mailbox barrier handoffs.
-    int remaining = 16;
-    std::function<void(sim::Partition *, sim::Mailbox *,
-                       sim::Partition *, sim::Mailbox *)>
-        hop = [&](sim::Partition *self, sim::Mailbox *out,
-                  sim::Partition *peer, sim::Mailbox *back) {
-            const Tick now = self->eventQueue().now();
-            d.hits.emplace_back(self->id(), now);
-            d.draws.push_back(self->rng().next());
-            if (--remaining > 0) {
-                out->post(now + 100, 0, [&hop, peer, back, self, out] {
-                    hop(peer, back, self, out);
-                });
-            }
-        };
-    a.eventQueue().schedule(0, [&] { hop(&a, &ab, &b, &ba); });
+    RingDigest d;
+    d.hits.resize(ringSize);
+    d.draws.resize(ringSize);
+    // Each token's hop count is touched only by the partition holding
+    // the token; the mailbox handoffs order the hops.
+    std::vector<int> remaining = {16, 11};
+    std::function<void(std::uint32_t, int)> hop = [&](std::uint32_t at,
+                                                      int token) {
+        sim::Partition &self = *parts[at];
+        const Tick now = self.eventQueue().now();
+        d.hits[at].emplace_back(now, token);
+        const std::uint64_t draw = self.rng().next();
+        d.draws[at].push_back(draw);
+        if (--remaining[static_cast<std::size_t>(token)] > 0) {
+            next[at]->post(now + 100 + draw % 50, 0,
+                           [&hop, at, token] {
+                               hop((at + 1) % ringSize, token);
+                           });
+        }
+    };
+    parts[0]->eventQueue().schedule(0, [&] { hop(0, 0); });
+    parts[2]->eventQueue().schedule(30, [&] { hop(2, 1); });
     eng.run();
     d.executed = eng.executed();
     d.epochs = eng.epochs();
@@ -174,12 +196,81 @@ runBounce(int threads)
 
 TEST(ParallelEngine, ScheduleIsThreadCountInvariant)
 {
-    const auto serial = runBounce(1);
-    const auto four = runBounce(4);
-    EXPECT_EQ(serial.hits.size(), 16u);
-    EXPECT_TRUE(serial == four);
+    const auto serial = runRing(1);
+    std::size_t hits = 0;
+    for (const auto &h : serial.hits)
+        hits += h.size();
+    EXPECT_EQ(hits, 27u);
+    // 2 and 3 workers own unequal shares of the five partitions; 8
+    // leaves workers with nothing to own.
+    for (const int threads : {2, 3, 8})
+        EXPECT_TRUE(serial == runRing(threads)) << threads;
     // And replays bit-identically at the same thread count.
-    EXPECT_TRUE(four == runBounce(4));
+    EXPECT_TRUE(runRing(3) == runRing(3));
+}
+
+TEST(ParallelEngine, LastEpochMailWaitsForNextRun)
+{
+    sim::Simulation simu(17);
+    sim::ParallelEngine eng(simu, 2);
+    auto &a = eng.addPartition("a");
+    auto &b = eng.addPartition("b");
+    auto &ab = eng.mailbox(a, b);
+    ab.setLookahead(100);
+    // Written only by partition b's events.
+    std::vector<std::string> order;
+    // Written by a's event; read by the predicate at the barrier.
+    bool sent = false;
+    a.eventQueue().schedule(0, [&] {
+        ab.post(100, 0, [&] { order.push_back("mail0"); });
+        ab.post(100, 0, [&] { order.push_back("mail1"); });
+        sent = true;
+    });
+    // The call returns at the barrier after a's epoch, before the
+    // batch is handed to b.
+    EXPECT_TRUE(eng.runUntilCondition([&] { return sent; }));
+    EXPECT_EQ(simu.stats().counterValue("parallel.mailboxPosts"), 0u);
+    EXPECT_EQ(simu.stats().counterValue("parallel.batchedPosts"), 0u);
+    EXPECT_TRUE(order.empty());
+    // b's clock reached its last bound (H_b = B_a + 100), so the
+    // harness may still schedule on the mail's tick.
+    EXPECT_EQ(b.eventQueue().now(), 100u);
+    b.eventQueue().schedule(100, [&] { order.push_back("harness"); });
+    eng.run();
+    // Leftover mail is injected when the next run starts, after the
+    // harness event took its place on tick 100.
+    const std::vector<std::string> expect = {"harness", "mail0",
+                                             "mail1"};
+    EXPECT_EQ(order, expect);
+    // Posts count in the call that injects them.
+    EXPECT_EQ(simu.stats().counterValue("parallel.mailboxPosts"), 2u);
+    EXPECT_EQ(simu.stats().counterValue("parallel.batchedPosts"), 2u);
+}
+
+TEST(ParallelEngine, RunAfterParkVisitsEveryWorkersPartitions)
+{
+    sim::Simulation simu(19);
+    sim::ParallelEngine eng(simu, 3);
+    std::vector<sim::Partition *> parts;
+    for (std::size_t i = 0; i < 4; ++i)
+        parts.push_back(&eng.addPartition(partName(i)));
+    // Mail crosses owners too: p1 (worker 1) posts to p2 (worker 2).
+    auto &mb = eng.mailbox(*parts[1], *parts[2]);
+    eng.setLookahead(10);
+    std::vector<int> ran(parts.size(), 0);
+    int mail = 0;
+    for (std::size_t i = 0; i < parts.size(); ++i)
+        parts[i]->eventQueue().schedule(5, [&ran, i] { ++ran[i]; });
+    parts[1]->eventQueue().schedule(6, [&] {
+        mb.post(20, 0, [&] { ++mail; });
+    });
+    // Joined pool: the calling thread must visit all three workers'
+    // lists, not just its own.
+    eng.park();
+    eng.run();
+    EXPECT_EQ(ran, std::vector<int>(parts.size(), 1));
+    EXPECT_EQ(mail, 1);
+    EXPECT_EQ(eng.executed(), 6u);
 }
 
 TEST(ParallelEngine, RunUntilConditionChecksAtBarriers)

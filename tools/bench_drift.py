@@ -1,20 +1,27 @@
 #!/usr/bin/env python3
 """Fail when a record bench's simulated columns drift from its committed JSON.
 
-The record benches (bench_qpscale, bench_msgrate) write one JSON object
-per point. Their wall-clock columns are noise, but the simulated ones
-are deterministic: a fresh run must reproduce every committed point
-exactly. This compares the chosen columns point by point, matching
-points on the key columns, and exits 1 on any difference or missing
-point.
+The record benches write one JSON object per point, in a "points"
+array (bench_qpscale, bench_msgrate) or a "workloads" array
+(bench_simspeed). Their wall-clock columns are noise, but the simulated
+ones are deterministic: a fresh run must reproduce every committed
+point exactly. This compares the chosen columns point by point,
+matching points on the key columns, and exits 1 on any difference or
+missing point. A column a committed point lacks must be missing from
+the fresh point too.
 
     tools/bench_drift.py BENCH_qpscale.json BENCH_qpscale_ci.json \\
         --key transport,qps \\
         --cols completed,messages,simTicks,completionsPerSimSec,txCtx,rxCtx \\
         --max qps=4096
 
+    tools/bench_drift.py BENCH_simspeed.json BENCH_simspeed_ci.json \\
+        --key name \\
+        --cols events,simTicks,epochs,mailboxPosts,batchedPosts,horizonStalls \\
+        --max threads=2
+
 --max COL=N skips committed points whose COL exceeds N (for a run
-capped below the committed sweep).
+capped below the committed sweep); points without COL are kept.
 """
 
 import argparse
@@ -24,7 +31,8 @@ import sys
 
 def points(path):
     with open(path) as f:
-        return json.load(f)["points"]
+        doc = json.load(f)
+    return doc["points"] if "points" in doc else doc["workloads"]
 
 
 def main():
@@ -53,14 +61,14 @@ def main():
     got = {key(p): p for p in points(args.current)}
     checked = bad = 0
     for p in points(args.committed):
-        if any(p[col] > bound for col, bound in limits):
+        if any(col in p and p[col] > bound for col, bound in limits):
             continue
         checked += 1
         q = got.get(key(p))
         for c in cols:
-            if q is None or q.get(c) != p[c]:
+            if q is None or q.get(c) != p.get(c):
                 print("drift at %s %s: committed %r, now %r"
-                      % ("/".join(map(str, key(p))), c, p[c],
+                      % ("/".join(map(str, key(p))), c, p.get(c),
                          q and q.get(c)))
                 bad += 1
     if checked == 0:
