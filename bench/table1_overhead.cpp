@@ -11,7 +11,7 @@
  *    the CPU cycles consumed by PostSend() plus a successful Poll().
  */
 
-#include "apps/testbed.hh"
+#include "apps/pingpong.hh"
 #include "bench_common.hh"
 
 using namespace qpip;
@@ -27,61 +27,14 @@ Row
 hostLoopbackRow()
 {
     SocketsTestbed bed(2, SocketsFabric::GigabitEthernet);
-    auto &stack = bed.host(0).stack();
-    auto cfg = bed.tcpConfig();
-    cfg.noDelay = true;
-
-    std::shared_ptr<host::TcpSocket> srv;
-    auto echo = std::make_shared<
-        std::function<void(std::shared_ptr<host::TcpSocket>)>>();
-    *echo = [echo](std::shared_ptr<host::TcpSocket> s) {
-        s->recvExact(1, [echo, s](std::vector<std::uint8_t> d) {
-            if (d.empty())
-                return;
-            s->sendAll(std::move(d), [echo, s] { (*echo)(s); });
-        });
-    };
-    stack.tcpListen(7, cfg,
-                    [&, echo](std::shared_ptr<host::TcpSocket> s) {
-                        srv = s;
-                        (*echo)(s);
-                    });
-    auto cli = stack.tcpConnect(bed.addr(0, 31000), bed.addr(0, 7),
-                                cfg, nullptr);
-    bed.sim().runUntilCondition([&] { return cli->connected(); },
-                                5 * sim::oneSec);
-
-    const int warmup = 8, iters = 256;
-    int done = 0;
-    sim::Tick busy0 = 0;
-    auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&, loop] {
-        if (done == warmup)
-            busy0 = bed.host(0).cpu().busyTotal();
-        if (done >= warmup + iters)
-            return;
-        ++done;
-        cli->sendAll({0x5a}, [] {});
-        cli->recvExact(1, [&, loop](std::vector<std::uint8_t>) {
-            (*loop)();
-        });
-    };
-    (*loop)();
-    bed.sim().runUntilCondition([&] { return done >= warmup + iters; },
-                                60 * sim::oneSec);
-    const sim::Tick busy = bed.host(0).cpu().busyTotal() - busy0;
-    // Each iteration is 2 messages (request + echo), each crossing
-    // one send path and one receive path on this host.
-    const double us_per_msg =
-        sim::ticksToUs(busy) / (2.0 * static_cast<double>(iters));
-
+    const LoopbackOverhead o = hostLoopbackOverhead(bed);
     Row r;
     r.name = "Host-based IP (loopback)";
     r.paper = 29.9;
-    r.measured = us_per_msg;
+    r.measured = o.usPerMsg;
     r.unit = "us";
-    r.simSeconds = sim::ticksToSec(busy);
-    r.counters["cycles"] = us_per_msg * hostMhz;
+    r.simSeconds = sim::ticksToSec(o.busy);
+    r.counters["cycles"] = o.usPerMsg * hostMhz;
     r.counters["paper_cycles"] = 16445;
     return r;
 }
@@ -91,70 +44,7 @@ Row
 qpipVerbsRow()
 {
     QpipTestbed bed(2);
-    auto &prov0 = bed.provider(0);
-    auto &prov1 = bed.provider(1);
-    auto cq0 = prov0.createCq();
-    auto cq1 = prov1.createCq();
-    std::vector<std::uint8_t> b0(64), b1(64);
-    auto mr0 = prov0.registerMemory(b0);
-    auto mr1 = prov1.registerMemory(b1);
-    verbs::Acceptor acc(prov1, 7, cq1, cq1);
-    std::shared_ptr<verbs::QueuePair> qp1;
-    acc.acceptOne([&](std::shared_ptr<verbs::QueuePair> q) {
-        qp1 = q;
-    });
-    auto qp0 = prov0.createQp(nic::QpType::ReliableTcp, cq0, cq0);
-    bool connected = false;
-    qp0->connect(bed.addr(1, 7), [&](bool ok) { connected = ok; });
-    bed.sim().runUntilCondition([&] { return connected && qp1; },
-                                10 * sim::oneSec);
-
-    // Echo server: repost + reply on every message.
-    qp1->postRecv(1, *mr1, 0, 1);
-    auto pump = std::make_shared<std::function<void()>>();
-    *pump = [&, pump] {
-        verbs::Completion c;
-        while (cq1->poll(c)) {
-            if (!c.isSend) {
-                qp1->postSend(2, *mr1, 0, 1);
-                qp1->postRecv(1, *mr1, 0, 1);
-            }
-        }
-        bed.sim().eventQueue().scheduleIn(10 * sim::oneUs,
-                                          [pump] { (*pump)(); });
-    };
-    (*pump)();
-
-    auto &cpu = bed.host(0).cpu();
-    const int iters = 256;
-    sim::Tick post_busy = 0, poll_busy = 0;
-    int polls = 0;
-    for (int i = 0; i < iters; ++i) {
-        qp0->postRecv(1, *mr0, 0, 1);
-        sim::Tick b = cpu.busyTotal();
-        qp0->postSend(2, *mr0, 0, 1);
-        post_busy += cpu.busyTotal() - b;
-        // Run until the echo lands, then time one successful poll
-        // (plus the empty polls a spinning caller would issue are
-        // not counted — matching "directly timing the methods").
-        int got = 0;
-        bed.sim().runUntilCondition(
-            [&] { return cq0->depth() >= 2; },
-            bed.sim().now() + sim::oneSec);
-        verbs::Completion c;
-        while (cq0->depth() > 0) {
-            b = cpu.busyTotal();
-            if (cq0->poll(c)) {
-                poll_busy += cpu.busyTotal() - b;
-                ++polls;
-                ++got;
-            }
-        }
-        (void)got;
-    }
-    // Per message: one PostSend + one successful Poll.
-    const double us = sim::ticksToUs(post_busy + poll_busy / 2) /
-                      static_cast<double>(iters);
+    const double us = qpipPostPollOverheadUs(bed);
     Row r;
     r.name = "QPIP (PostSend + Poll)";
     r.paper = 2.5;

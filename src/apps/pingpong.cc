@@ -337,4 +337,140 @@ runQpipUdpPingPong(QpipTestbed &bed, std::size_t iterations,
     return collect(*st);
 }
 
+namespace {
+
+// Table 1's measurement size, shared by both rows.
+constexpr std::size_t overheadIterations = 256;
+constexpr std::size_t overheadWarmup = 8;
+
+} // namespace
+
+LoopbackOverhead
+hostLoopbackOverhead(SocketsTestbed &bed)
+{
+    auto &stack = bed.host(0).stack();
+    auto cfg = bed.tcpConfig();
+    cfg.noDelay = true;
+
+    auto echo =
+        std::make_shared<std::function<void(std::shared_ptr<TcpSocket>)>>();
+    *echo = [echo](std::shared_ptr<TcpSocket> s) {
+        s->recvExact(1, [echo, s](std::vector<std::uint8_t> d) {
+            if (d.empty())
+                return;
+            s->sendAll(std::move(d), [echo, s] { (*echo)(s); });
+        });
+    };
+    bed.releaseAtTeardown(echo);
+    stack.tcpListen(serverPort, cfg, [echo](std::shared_ptr<TcpSocket> s) {
+        (*echo)(s);
+    });
+    auto cli = stack.tcpConnect(bed.addr(0, 31000), bed.addr(0, serverPort),
+                                cfg, nullptr);
+    bed.sim().runUntilCondition([&] { return cli->connected(); },
+                                5 * sim::oneSec);
+
+    // The measurement ends as the last request goes out; the last echo
+    // is still in flight then and finds the loop finished.
+    struct Rounds
+    {
+        std::size_t done = 0;
+        Tick busy0 = 0;
+    };
+    auto st = std::make_shared<Rounds>();
+    auto &cpu = bed.host(0).cpu();
+    auto loop = std::make_shared<std::function<void()>>();
+    *loop = [st, loop, cli, &cpu] {
+        if (st->done == overheadWarmup)
+            st->busy0 = cpu.busyTotal();
+        if (st->done >= overheadWarmup + overheadIterations)
+            return;
+        ++st->done;
+        cli->sendAll({0x5a}, [] {});
+        cli->recvExact(1, [loop](std::vector<std::uint8_t>) { (*loop)(); });
+    };
+    bed.releaseAtTeardown(loop);
+    (*loop)();
+    bed.sim().runUntilCondition(
+        [&] { return st->done >= overheadWarmup + overheadIterations; },
+        60 * sim::oneSec);
+    LoopbackOverhead r;
+    r.busy = cpu.busyTotal() - st->busy0;
+    // Each iteration is 2 messages (request + echo), each crossing
+    // one send path and one receive path on this host.
+    r.usPerMsg = sim::ticksToUs(r.busy) /
+                 (2.0 * static_cast<double>(overheadIterations));
+    return r;
+}
+
+double
+qpipPostPollOverheadUs(QpipTestbed &bed)
+{
+    auto &prov0 = bed.provider(0);
+    auto &prov1 = bed.provider(1);
+    auto cq0 = prov0.createCq();
+    auto cq1 = prov1.createCq();
+    auto b0 = std::make_shared<std::vector<std::uint8_t>>(64);
+    auto b1 = std::make_shared<std::vector<std::uint8_t>>(64);
+    auto mr0 = prov0.registerMemory(*b0);
+    auto mr1 = prov1.registerMemory(*b1);
+    verbs::Acceptor acc(prov1, serverPort, cq1, cq1);
+    std::shared_ptr<verbs::QueuePair> qp1;
+    acc.acceptOne([&](std::shared_ptr<verbs::QueuePair> q) {
+        qp1 = q;
+    });
+    auto qp0 = prov0.createQp(nic::QpType::ReliableTcp, cq0, cq0);
+    bool connected = false;
+    qp0->connect(bed.addr(1, serverPort), [&](bool ok) { connected = ok; });
+    bed.sim().runUntilCondition([&] { return connected && qp1; },
+                                10 * sim::oneSec);
+
+    // Echo server: repost + reply on every message, polled every 10 us
+    // until the measurement ends. It leaves a receive posted into b1,
+    // so it keeps both buffers until teardown.
+    qp1->postRecv(1, *mr1, 0, 1);
+    auto stopped = std::make_shared<bool>(false);
+    auto echo = std::make_shared<std::function<bool()>>(
+        [stopped, cq1, qp1, mr1, b0, b1] {
+            if (*stopped)
+                return false;
+            verbs::Completion c;
+            while (cq1->poll(c)) {
+                if (!c.isSend) {
+                    qp1->postSend(2, *mr1, 0, 1);
+                    qp1->postRecv(1, *mr1, 0, 1);
+                }
+            }
+            return true;
+        });
+    bed.releaseAtTeardown(echo);
+    periodicReaper(prov1, 10 * sim::oneUs, [echo] { return (*echo)(); });
+
+    auto &cpu = bed.host(0).cpu();
+    Tick post_busy = 0, poll_busy = 0;
+    for (std::size_t i = 0; i < overheadIterations; ++i) {
+        qp0->postRecv(1, *mr0, 0, 1);
+        Tick b = cpu.busyTotal();
+        qp0->postSend(2, *mr0, 0, 1);
+        post_busy += cpu.busyTotal() - b;
+        // Run until the echo lands, then time the successful polls;
+        // the empty polls a spinning caller would issue are not
+        // counted, matching "directly timing the methods".
+        bed.sim().runUntilCondition(
+            [&] { return cq0->depth() >= 2; },
+            bed.sim().now() + sim::oneSec);
+        verbs::Completion c;
+        while (cq0->depth() > 0) {
+            b = cpu.busyTotal();
+            if (cq0->poll(c))
+                poll_busy += cpu.busyTotal() - b;
+        }
+    }
+    *stopped = true;
+    // Per message: one PostSend + one successful Poll (two polls, the
+    // send's and the echo's, land per iteration).
+    return sim::ticksToUs(post_busy + poll_busy / 2) /
+           static_cast<double>(overheadIterations);
+}
+
 } // namespace qpip::apps

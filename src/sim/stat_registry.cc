@@ -1,5 +1,8 @@
 #include "sim/stat_registry.hh"
 
+#include <algorithm>
+#include <utility>
+
 #include "sim/logging.hh"
 
 namespace qpip::sim {
@@ -30,85 +33,257 @@ statPatternMatch(const std::string &pattern, const std::string &path)
     return p == pattern.size();
 }
 
-void
-StatRegistry::insert(const std::string &path, Entry entry)
+namespace {
+
+/** Three-way compare of a1+a2 against b1+b2, without joining them. */
+int
+compareJoined(std::string_view a1, std::string_view a2,
+              std::string_view b1, std::string_view b2)
 {
-    if (path.empty())
+    for (;;) {
+        if (a1.empty()) {
+            if (a2.empty())
+                return b1.empty() && b2.empty() ? 0 : -1;
+            a1 = std::exchange(a2, {});
+        } else if (b1.empty()) {
+            if (b2.empty())
+                return 1;
+            b1 = std::exchange(b2, {});
+        } else {
+            const std::size_t n = std::min(a1.size(), b1.size());
+            if (const int c = a1.substr(0, n).compare(b1.substr(0, n)))
+                return c;
+            a1.remove_prefix(n);
+            b1.remove_prefix(n);
+        }
+    }
+}
+
+} // namespace
+
+void
+StatRegistry::attach(Node &node, std::string key)
+{
+    std::lock_guard<std::mutex> lock(m_);
+    node.dir = dirs_.try_emplace(std::move(key)).first;
+    node.next = std::exchange(node.dir->second.nodes, &node);
+}
+
+void
+StatRegistry::detach(Node &node)
+{
+    std::lock_guard<std::mutex> lock(m_);
+    for (const Leaf &leaf : node.leaves) {
+        if (leaf.name.find('.') == std::string::npos)
+            continue;
+        Dir &d = leaf.landing->second;
+        if (--d.dotted == 0) {
+            d.dottedBy = nullptr;
+            if (d.nodes == nullptr)
+                dirs_.erase(leaf.landing);
+        }
+    }
+    size_ -= node.leaves.size();
+    node.leaves.clear();
+    Dir &dir = node.dir->second;
+    Node **link = &dir.nodes;
+    while (*link != &node)
+        link = &(*link)->next;
+    *link = node.next;
+    node.next = nullptr;
+    if (dir.nodes == nullptr && dir.dotted == 0)
+        dirs_.erase(node.dir);
+}
+
+namespace {
+
+template <typename Leaves>
+auto
+lowerLeaf(Leaves &leaves, std::string_view name)
+{
+    return std::lower_bound(
+        leaves.begin(), leaves.end(), name,
+        [](const auto &leaf, std::string_view n) { return leaf.name < n; });
+}
+
+template <typename Leaves>
+auto
+findLeaf(Leaves &leaves, std::string_view name)
+{
+    auto it = lowerLeaf(leaves, name);
+    return it != leaves.end() && it->name == name ? it : leaves.end();
+}
+
+} // namespace
+
+/*
+ * A path collides with an existing one either under the same key (the
+ * same leaf in this node or a sibling node) or under another key,
+ * where one of the two leaves has dots in it and lands in the other's
+ * directory. Each directory counts the dotted leaves landing in it and
+ * remembers whose they are, so the full search (find) runs only when
+ * another node's dotted leaves land where this path does: undotted
+ * leaves of ordinary groups, and a group's own stage.* or faults.*
+ * leaves, are checked in their own nodes alone.
+ */
+void
+StatRegistry::addLeaf(Node &node, const std::string &leaf, Entry entry)
+{
+    std::lock_guard<std::mutex> lock(m_);
+    const std::string &key = node.key();
+    if (key.empty() && leaf.empty())
         panic("StatRegistry: empty stat path");
-    std::lock_guard<std::mutex> lock(m_);
-    auto [it, inserted] = entries_.emplace(path, entry);
-    (void)it;
-    if (!inserted)
-        panic("StatRegistry: duplicate stat path '%s'", path.c_str());
+    auto pos = lowerLeaf(node.leaves, leaf);
+    bool clash = pos != node.leaves.end() && pos->name == leaf;
+    const std::size_t dot = leaf.rfind('.');
+    // The Dir this path's directory names, and the leaf under it.
+    DirMap::iterator dir = node.dir;
+    std::string_view last = leaf;
+    if (dot != std::string::npos) {
+        dir = dirs_.try_emplace(key + leaf.substr(0, dot + 1)).first;
+        last.remove_prefix(dot + 1);
+    }
+    for (Node *n = dir->second.nodes; n != nullptr && !clash; n = n->next)
+        clash = n != &node && findLeaf(n->leaves, last) != n->leaves.end();
+    if (!clash && dir->second.dotted > 0 && dir->second.dottedBy != &node)
+        clash = find(key + leaf) != nullptr;
+    if (clash)
+        panic("StatRegistry: duplicate stat path '%s'",
+              (key + leaf).c_str());
+    Leaf added{leaf, entry, {}};
+    if (dot != std::string::npos) {
+        Dir &d = dir->second;
+        d.dottedBy = d.dotted == 0 || d.dottedBy == &node ? &node : nullptr;
+        ++d.dotted;
+        added.landing = dir;
+    }
+    node.leaves.insert(pos, std::move(added));
+    ++size_;
 }
 
-void
-StatRegistry::add(const std::string &path, const Counter &c)
+/*
+ * Try each dot of @p path as the key/leaf split, rightmost first: most
+ * paths are an undotted leaf of their group, found by the first probe.
+ */
+const StatRegistry::Entry *
+StatRegistry::find(std::string_view path) const
 {
-    Entry e;
-    e.counter = &c;
-    insert(path, e);
+    for (std::size_t end = path.size();;) {
+        const std::size_t dot =
+            end == 0 ? std::string_view::npos : path.rfind('.', end - 1);
+        const std::size_t keyLen = dot == std::string_view::npos ? 0 : dot + 1;
+        auto dir = dirs_.find(path.substr(0, keyLen));
+        if (dir != dirs_.end()) {
+            for (Node *n = dir->second.nodes; n != nullptr; n = n->next) {
+                auto it = findLeaf(n->leaves, path.substr(keyLen));
+                if (it != n->leaves.end())
+                    return &it->entry;
+            }
+        }
+        if (dot == std::string_view::npos)
+            return nullptr;
+        end = dot;
+    }
 }
 
-void
-StatRegistry::add(const std::string &path, const SampleStat &s)
+template <typename T>
+const T *
+StatRegistry::typed(std::string_view path, Kind kind) const
 {
-    Entry e;
-    e.sample = &s;
-    insert(path, e);
+    const Entry *e = find(path);
+    return e != nullptr && e->kind == kind
+               ? static_cast<const T *>(e->stat)
+               : nullptr;
 }
 
+/*
+ * Calls fn(path, entry) for every registration in path order. Every
+ * path of a node starts with its key, so walking keys in order opens
+ * nodes in the order of their first paths. The nodes still open when
+ * the next one opens have keys that prefix its key (any other is
+ * exhausted by then), so the merge only ever compares a short chain.
+ */
+template <typename Fn>
 void
-StatRegistry::add(const std::string &path, const Histogram &h)
+StatRegistry::forEach(Fn &&fn) const
 {
-    Entry e;
-    e.histogram = &h;
-    insert(path, e);
-}
-
-void
-StatRegistry::remove(const std::string &path)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    entries_.erase(path);
+    struct Cursor
+    {
+        const std::string *key;
+        const Leaf *at;
+        const Leaf *end;
+    };
+    std::vector<Cursor> open;
+    std::string path;
+    // Emit open leaves in order while they sort before `bound`.
+    const auto drain = [&](const std::string *bound) {
+        for (;;) {
+            Cursor *min = nullptr;
+            for (Cursor &c : open) {
+                if (c.at != c.end &&
+                    (min == nullptr ||
+                     compareJoined(*c.key, c.at->name, *min->key,
+                                   min->at->name) < 0)) {
+                    min = &c;
+                }
+            }
+            if (min == nullptr ||
+                (bound != nullptr &&
+                 compareJoined(*min->key, min->at->name, *bound, {}) >= 0))
+                break;
+            path.assign(*min->key).append(min->at->name);
+            fn(path, min->at->entry);
+            ++min->at;
+        }
+        std::erase_if(open, [](const Cursor &c) { return c.at == c.end; });
+    };
+    for (const auto &[key, dir] : dirs_) {
+        if (dir.nodes == nullptr)
+            continue;
+        drain(&key);
+        for (const Node *n = dir.nodes; n != nullptr; n = n->next) {
+            if (!n->leaves.empty()) {
+                open.push_back({&key, n->leaves.data(),
+                                n->leaves.data() + n->leaves.size()});
+            }
+        }
+    }
+    drain(nullptr);
 }
 
 bool
 StatRegistry::contains(const std::string &path) const
 {
     std::lock_guard<std::mutex> lock(m_);
-    return entries_.contains(path);
+    return find(path) != nullptr;
 }
 
 std::size_t
 StatRegistry::size() const
 {
     std::lock_guard<std::mutex> lock(m_);
-    return entries_.size();
+    return size_;
 }
 
 const Counter *
 StatRegistry::counter(const std::string &path) const
 {
     std::lock_guard<std::mutex> lock(m_);
-    auto it = entries_.find(path);
-    return it == entries_.end() ? nullptr : it->second.counter;
+    return typed<Counter>(path, Kind::Counter);
 }
 
 const SampleStat *
 StatRegistry::sample(const std::string &path) const
 {
     std::lock_guard<std::mutex> lock(m_);
-    auto it = entries_.find(path);
-    return it == entries_.end() ? nullptr : it->second.sample;
+    return typed<SampleStat>(path, Kind::Sample);
 }
 
 const Histogram *
 StatRegistry::histogram(const std::string &path) const
 {
     std::lock_guard<std::mutex> lock(m_);
-    auto it = entries_.find(path);
-    return it == entries_.end() ? nullptr : it->second.histogram;
+    return typed<Histogram>(path, Kind::Histogram);
 }
 
 std::uint64_t
@@ -123,10 +298,12 @@ StatRegistry::match(const std::string &pattern) const
 {
     std::vector<std::string> out;
     std::lock_guard<std::mutex> lock(m_);
-    for (const auto &[path, entry] : entries_) {
+    if (pattern == "*")
+        out.reserve(size_);
+    forEach([&](const std::string &path, const Entry &) {
         if (statPatternMatch(pattern, path))
             out.push_back(path);
-    }
+    });
     return out;
 }
 
@@ -154,18 +331,19 @@ StatRegistry::jsonDump(const std::string &pattern) const
     std::string out = "{";
     bool first = true;
     std::lock_guard<std::mutex> lock(m_);
-    for (const auto &[path, e] : entries_) {
+    forEach([&](const std::string &path, const Entry &e) {
         if (!statPatternMatch(pattern, path))
-            continue;
+            return;
         if (!first)
             out += ",";
         first = false;
         out += "\n  \"" + path + "\": ";
-        if (e.counter != nullptr) {
+        if (e.kind == Kind::Counter) {
             out += "{\"kind\": \"counter\", \"value\": " +
-                   jsonNumber(e.counter->value()) + "}";
-        } else if (e.sample != nullptr) {
-            const auto &s = *e.sample;
+                   jsonNumber(static_cast<const Counter *>(e.stat)->value()) +
+                   "}";
+        } else if (e.kind == Kind::Sample) {
+            const auto &s = *static_cast<const SampleStat *>(e.stat);
             out += "{\"kind\": \"sample\", \"count\": " +
                    jsonNumber(s.count()) +
                    ", \"total\": " + jsonNumber(s.total()) +
@@ -173,7 +351,7 @@ StatRegistry::jsonDump(const std::string &pattern) const
                    ", \"min\": " + jsonNumber(s.min()) +
                    ", \"max\": " + jsonNumber(s.max()) + "}";
         } else {
-            const auto &h = *e.histogram;
+            const auto &h = *static_cast<const Histogram *>(e.stat);
             out += "{\"kind\": \"histogram\", \"count\": " +
                    jsonNumber(h.count()) +
                    ", \"underflow\": " + jsonNumber(h.underflow()) +
@@ -186,7 +364,7 @@ StatRegistry::jsonDump(const std::string &pattern) const
             }
             out += "]}";
         }
-    }
+    });
     out += first ? "}" : "\n}";
     return out;
 }
@@ -195,9 +373,19 @@ void
 StatGroup::init(StatRegistry &registry, std::string prefix)
 {
     if (registry_ != nullptr)
-        panic("StatGroup: already bound to '%s'", prefix_.c_str());
+        panic("StatGroup: already bound to '%s'", this->prefix().c_str());
     registry_ = &registry;
-    prefix_ = std::move(prefix);
+    if (!prefix.empty())
+        prefix += '.';
+    registry.attach(node_, std::move(prefix));
+}
+
+std::string
+StatGroup::prefix() const
+{
+    if (registry_ == nullptr || node_.key().empty())
+        return "";
+    return node_.key().substr(0, node_.key().size() - 1);
 }
 
 void
@@ -205,11 +393,8 @@ StatGroup::clear()
 {
     if (registry_ == nullptr)
         return;
-    for (const auto &p : paths_)
-        registry_->remove(p);
-    paths_.clear();
+    registry_->detach(node_);
     registry_ = nullptr;
-    prefix_.clear();
 }
 
 } // namespace qpip::sim

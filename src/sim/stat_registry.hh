@@ -14,11 +14,14 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/stats.hh"
 
 namespace qpip::sim {
+
+class StatGroup;
 
 /**
  * Match @p path against a glob @p pattern where '*' matches any run of
@@ -28,19 +31,17 @@ bool statPatternMatch(const std::string &pattern,
                       const std::string &path);
 
 /**
- * The registry. One per Simulation; ordered by path so enumeration and
- * JSON dumps are deterministic.
+ * The registry. One per Simulation; enumerated in path order so
+ * enumeration and JSON dumps are deterministic.
+ *
+ * Stats are stored per group, not per path: the registry keeps one
+ * node per group prefix, and each group keeps its own sorted leaves.
+ * Registering or unregistering a group is one map operation; full
+ * paths are built only when enumerated or looked up.
  */
 class StatRegistry
 {
   public:
-    void add(const std::string &path, const Counter &c);
-    void add(const std::string &path, const SampleStat &s);
-    void add(const std::string &path, const Histogram &h);
-
-    /** Unregister one path (no-op when absent). */
-    void remove(const std::string &path);
-
     bool contains(const std::string &path) const;
     std::size_t size() const;
 
@@ -64,23 +65,81 @@ class StatRegistry
     std::string jsonDump(const std::string &pattern = "*") const;
 
   private:
+    friend class StatGroup;
+
+    enum class Kind : std::uint8_t { Counter, Sample, Histogram };
+
     struct Entry
     {
-        const Counter *counter = nullptr;
-        const SampleStat *sample = nullptr;
-        const Histogram *histogram = nullptr;
+        const void *stat = nullptr;
+        Kind kind = Kind::Counter;
     };
 
-    void insert(const std::string &path, Entry entry);
+    static Entry entryOf(const Counter &c) { return {&c, Kind::Counter}; }
+    static Entry entryOf(const SampleStat &s) { return {&s, Kind::Sample}; }
+    static Entry
+    entryOf(const Histogram &h)
+    {
+        return {&h, Kind::Histogram};
+    }
+
+    struct Node;
+
+    /**
+     * Everything under one key ("<prefix>.", or "" for an unprefixed
+     * group): the nodes with that key, and the dotted leaves of shorter
+     * keys whose directory it is ("a." leaf "b.c" lands in "a.b.").
+     */
+    struct Dir
+    {
+        Node *nodes = nullptr;
+        std::size_t dotted = 0;
+        /** The one node all `dotted` leaves belong to; null if several. */
+        const Node *dottedBy = nullptr;
+    };
+
+    using DirMap = std::map<std::string, Dir, std::less<>>;
+
+    /** One registration: the path relative to its node's key. */
+    struct Leaf
+    {
+        std::string name;
+        Entry entry;
+        /** Dotted leaves: the Dir they land in. */
+        DirMap::iterator landing;
+    };
+
+    /** One group's registrations, leaves sorted by name. */
+    struct Node
+    {
+        DirMap::iterator dir;
+        Node *next = nullptr;
+        std::vector<Leaf> leaves;
+
+        const std::string &key() const { return dir->first; }
+    };
+
+    void attach(Node &node, std::string key);
+    void detach(Node &node);
+    void addLeaf(Node &node, const std::string &leaf, Entry entry);
+
+    // The rest expect m_ held.
+    /** The registration at @p path, or nullptr. */
+    const Entry *find(std::string_view path) const;
+    template <typename T> const T *typed(std::string_view path,
+                                         Kind kind) const;
+    template <typename Fn> void forEach(Fn &&fn) const;
 
     /**
      * Registration happens at runtime (per-connection TCP stats), so
      * under a parallel engine concurrent partitions may add/remove
-     * paths; the map itself needs a lock. Entry *values* are written
-     * only by their single owning partition and read after runs.
+     * stats; the maps and every node's leaves need a lock. Stat
+     * *values* are written only by their single owning partition and
+     * read after runs.
      */
     mutable std::mutex m_;
-    std::map<std::string, Entry> entries_;
+    DirMap dirs_;
+    std::size_t size_ = 0;
 };
 
 /**
@@ -101,30 +160,23 @@ class StatGroup
     void init(StatRegistry &registry, std::string prefix);
 
     bool bound() const { return registry_ != nullptr; }
-    const std::string &prefix() const { return prefix_; }
+    /** The bound prefix ("" when unbound). */
+    std::string prefix() const;
 
     /** Register @p stat as "<prefix>.<leaf>". @pre bound(). */
     template <typename Stat>
     void
     add(const std::string &leaf, const Stat &stat)
     {
-        registry_->add(path(leaf), stat);
-        paths_.push_back(path(leaf));
+        registry_->addLeaf(node_, leaf, StatRegistry::entryOf(stat));
     }
 
     /** Unregister everything and unbind. */
     void clear();
 
   private:
-    std::string
-    path(const std::string &leaf) const
-    {
-        return prefix_.empty() ? leaf : prefix_ + "." + leaf;
-    }
-
     StatRegistry *registry_ = nullptr;
-    std::string prefix_;
-    std::vector<std::string> paths_;
+    StatRegistry::Node node_;
 };
 
 } // namespace qpip::sim

@@ -255,6 +255,13 @@ runParallelNbd(int threads, std::uint64_t seed)
 }
 
 /**
+ * Bytes per op of runParallelRdmaSrq. At namespace scope: GCC 12 warns
+ * that a local constexpr read only inside a generic lambda is "set but
+ * not used".
+ */
+constexpr std::size_t srqOpBytes = 2048;
+
+/**
  * RDMA Write/Read/Send fan-in over an SRQ on a partitioned 4-host
  * dual-star: three clients drive one-sided and two-sided traffic at
  * one server whose receives all come from a shared receive queue.
@@ -271,7 +278,6 @@ runParallelRdmaSrq(int threads, std::uint64_t seed)
 
     constexpr std::size_t clients[] = {0, 2, 3};
     constexpr int opsPerClient = 9; // op%3: 0=Write 1=Read 2=Send
-    constexpr std::size_t opBytes = 2048;
 
     auto scq = bed.provider(1).createCq();
     auto srq = bed.provider(1).createSrq();
@@ -342,15 +348,15 @@ runParallelRdmaSrq(int threads, std::uint64_t seed)
                                            (c.done % 4) * 2048);
             switch (c.done % 3) {
               case 0:
-                c.qp->postWrite(c.done, *c.mr, 0, opBytes,
+                c.qp->postWrite(c.done, *c.mr, 0, srqOpBytes,
                                 rmr->key(), roff);
                 break;
               case 1:
-                c.qp->postRead(c.done, *c.mr, 4096, opBytes,
+                c.qp->postRead(c.done, *c.mr, 4096, srqOpBytes,
                                rmr->key(), roff);
                 break;
               default:
-                c.qp->postSend(c.done, *c.mr, 8192, opBytes);
+                c.qp->postSend(c.done, *c.mr, 8192, srqOpBytes);
                 break;
             }
             // Re-arm before this op completes; Wait() holds one

@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -376,9 +377,14 @@ TEST(StatRegistry, RegisterLookupRemove)
     s.sample(2.5);
     h.sample(3.0);
 
-    reg.add("node0.nic.pkts", c);
-    reg.add("node0.nic.lat", s);
-    reg.add("node0.nic.sizes", h);
+    // Full paths through unprefixed groups; the latency stat has its
+    // own group so it can be unregistered alone.
+    sim::StatGroup nic, lat;
+    nic.init(reg, "");
+    lat.init(reg, "");
+    nic.add("node0.nic.pkts", c);
+    lat.add("node0.nic.lat", s);
+    nic.add("node0.nic.sizes", h);
     EXPECT_EQ(reg.size(), 3u);
 
     ASSERT_NE(reg.counter("node0.nic.pkts"), nullptr);
@@ -396,7 +402,7 @@ TEST(StatRegistry, RegisterLookupRemove)
     EXPECT_EQ(reg.sample("node0.nic.pkts"), nullptr);
     EXPECT_EQ(reg.histogram("node0.nic.pkts"), nullptr);
 
-    reg.remove("node0.nic.lat");
+    lat.clear();
     EXPECT_FALSE(reg.contains("node0.nic.lat"));
     EXPECT_EQ(reg.size(), 2u);
 }
@@ -419,9 +425,11 @@ TEST(StatRegistry, PatternMatching)
 
     sim::Counter c1, c2, c3;
     sim::StatRegistry reg;
-    reg.add("host0.nic.tx", c1);
-    reg.add("host0.nic.rx", c2);
-    reg.add("host1.nic.tx", c3);
+    sim::StatGroup g;
+    g.init(reg, "");
+    g.add("host0.nic.tx", c1);
+    g.add("host0.nic.rx", c2);
+    g.add("host1.nic.tx", c3);
     EXPECT_EQ(reg.match("*.tx").size(), 2u);
     EXPECT_EQ(reg.match("host0.*").size(), 2u);
     EXPECT_EQ(reg.match("*").size(), 3u);
@@ -437,8 +445,10 @@ TEST(StatRegistry, JsonDumpRoundTrips)
     s.sample(0.5);
     s.sample(1.5);
     s.sample(4.0);
-    reg.add("x.count", c);
-    reg.add("x.lat", s);
+    sim::StatGroup g;
+    g.init(reg, "x");
+    g.add("count", c);
+    g.add("lat", s);
 
     auto parsed = parseJson(reg.jsonDump());
     ASSERT_TRUE(parsed.has_value());
@@ -514,6 +524,268 @@ TEST(StatRegistry, PerConnectionTcpStatsAppearOnConnect)
     ASSERT_EQ(server.size(), 1u);
     EXPECT_GT(stats.counterValue(client[0]), 0u);
     EXPECT_GT(stats.counterValue(server[0]), 0u);
+}
+
+namespace {
+
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (const char b : bytes) {
+        h ^= static_cast<std::uint8_t>(b);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+} // namespace
+
+// Whole-dump byte pins: the path order, the selection and the number
+// formatting of jsonDump() must not drift. The digests and lengths
+// were recorded before the registry stored stats per group.
+TEST(StatRegistry, JsonDumpMatchesRecordedBytes)
+{
+    {
+        apps::QpipTestbed bed(2);
+        ASSERT_TRUE(apps::runQpipTcpPingPong(bed, 4).completed);
+        const std::string dump = bed.sim().stats().jsonDump();
+        EXPECT_EQ(dump.size(), 13582u);
+        EXPECT_EQ(fnv1a(dump), 4390530438046261926ull);
+    }
+    {
+        apps::SocketsTestbed bed(4, apps::SocketsFabric::GigabitEthernet,
+                                 1, host::HostCostModel{},
+                                 apps::FabricTopology::DualStar);
+        bed.enableParallel(2);
+        const auto r = apps::runSocketsTtcpPairs(
+            bed, {{0, 1}, {1, 2}, {2, 3}, {3, 0}}, 16 * 1024);
+        ASSERT_TRUE(r.completed);
+        const std::string dump = bed.sim().stats().jsonDump();
+        EXPECT_EQ(dump.size(), 14567u);
+        EXPECT_EQ(fnv1a(dump), 10846375683965468146ull);
+    }
+}
+
+namespace {
+
+/** One registration of the flat reference model. */
+struct RefEntry
+{
+    const sim::Counter *counter = nullptr;
+    const sim::SampleStat *sample = nullptr;
+    const sim::Histogram *histogram = nullptr;
+    /** Registering group's slot. */
+    int owner = -1;
+};
+
+using RefModel = std::map<std::string, RefEntry>;
+
+/** jsonDump(pattern) of @p ref, built one entry at a time. */
+std::string
+refJsonDump(const RefModel &ref, const std::string &pattern)
+{
+    std::string out = "{";
+    for (const auto &[path, e] : ref) {
+        if (!sim::statPatternMatch(pattern, path))
+            continue;
+        // A one-entry dump has no order to get wrong: "{<entry>\n}".
+        sim::StatRegistry one;
+        sim::StatGroup g;
+        g.init(one, "");
+        if (e.counter != nullptr)
+            g.add(path, *e.counter);
+        else if (e.sample != nullptr)
+            g.add(path, *e.sample);
+        else
+            g.add(path, *e.histogram);
+        const std::string single = one.jsonDump();
+        if (out.size() > 1)
+            out += ",";
+        out += single.substr(1, single.size() - 3);
+    }
+    out += out.size() > 1 ? "\n}" : "}";
+    return out;
+}
+
+} // namespace
+
+// The per-group registry against a flat map of full paths: random
+// registration and group teardown over nested prefixes ("", "a",
+// "a.b", "a.b.c"), dotted leaves that land in another group's
+// directory, and siblings that sort around the '.' separator
+// ("a.b-c", "a.b+c" next to "a.b").
+TEST(StatRegistry, MatchesFlatReferenceModel)
+{
+    const std::vector<std::string> prefixes = {
+        "", "a", "a.b", "a.b-c", "a.b+c", "a.b.c", "ab", "b"};
+    const std::vector<std::string> leaves = {
+        "x", "c", "b", "c.x", "b.c", "b.c.x", "b-c.x", "y.z", "a"};
+    const std::vector<std::string> patterns = {
+        "*", "a.*", "*.x", "a.b?c.*", "a.b*", "a.b.c*", "x", "?"};
+    const auto join = [](const std::string &p, const std::string &l) {
+        return p.empty() ? l : p + "." + l;
+    };
+    std::vector<std::string> paths;
+    for (const auto &p : prefixes) {
+        for (const auto &l : leaves)
+            paths.push_back(join(p, l));
+    }
+    paths.push_back("absent");
+    paths.push_back("a.");
+
+    constexpr int steps = 1500;
+    std::vector<sim::Counter> counters(steps);
+    std::vector<sim::SampleStat> samples(steps);
+    std::vector<sim::Histogram> histograms;
+    histograms.reserve(steps);
+    for (int i = 0; i < steps; ++i) {
+        counters[i].inc(static_cast<std::uint64_t>(i));
+        samples[i].sample(0.25 * i);
+        histograms.emplace_back(0.0, 8.0, 4);
+        histograms[i].sample(static_cast<double>(i % 10));
+    }
+
+    sim::StatRegistry reg;
+    RefModel ref;
+    constexpr int numGroups = 10;
+    std::vector<std::unique_ptr<sim::StatGroup>> groups;
+    std::vector<std::string> groupPrefix(numGroups);
+    for (int g = 0; g < numGroups; ++g)
+        groups.push_back(std::make_unique<sim::StatGroup>());
+
+    std::mt19937 rng(2024);
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    for (int i = 0; i < steps; ++i) {
+        SCOPED_TRACE(i);
+        const int g = static_cast<int>(pick(numGroups));
+        const std::size_t op = pick(100);
+        RefEntry e;
+        switch (pick(3)) {
+          case 0: e.counter = &counters[i]; break;
+          case 1: e.sample = &samples[i]; break;
+          default: e.histogram = &histograms[i]; break;
+        }
+        const auto addTo = [&e](auto &target, const std::string &name) {
+            if (e.counter != nullptr)
+                target.add(name, *e.counter);
+            else if (e.sample != nullptr)
+                target.add(name, *e.sample);
+            else
+                target.add(name, *e.histogram);
+        };
+        if (!groups[g]->bound()) {
+            groupPrefix[g] = prefixes[pick(prefixes.size())];
+            groups[g]->init(reg, groupPrefix[g]);
+            EXPECT_EQ(groups[g]->prefix(), groupPrefix[g]);
+        } else if (op < 75) {
+            const std::string &leaf = leaves[pick(leaves.size())];
+            const std::string path = join(groupPrefix[g], leaf);
+            if (!ref.contains(path)) {
+                addTo(*groups[g], leaf);
+                e.owner = g;
+                ref[path] = e;
+            }
+        } else {
+            groups[g]->clear();
+            std::erase_if(ref, [g](const auto &kv) {
+                return kv.second.owner == g;
+            });
+        }
+
+        ASSERT_EQ(reg.size(), ref.size());
+        for (const auto &pattern : patterns) {
+            std::vector<std::string> want;
+            for (const auto &[path, entry] : ref) {
+                if (sim::statPatternMatch(pattern, path))
+                    want.push_back(path);
+            }
+            ASSERT_EQ(reg.match(pattern), want) << pattern;
+        }
+        for (const char *pattern : {"*", "a.b*", "*.x"}) {
+            ASSERT_EQ(reg.jsonDump(pattern), refJsonDump(ref, pattern))
+                << pattern;
+        }
+        for (const auto &path : paths) {
+            const auto it = ref.find(path);
+            const RefEntry want = it != ref.end() ? it->second : RefEntry{};
+            ASSERT_EQ(reg.contains(path), it != ref.end()) << path;
+            ASSERT_EQ(reg.counter(path), want.counter) << path;
+            ASSERT_EQ(reg.sample(path), want.sample) << path;
+            ASSERT_EQ(reg.histogram(path), want.histogram) << path;
+        }
+    }
+}
+
+// Every way two registrations can name one path panics at the second.
+
+TEST(StatRegistryDeathTest, SameLeafTwiceInOneGroupPanics)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    sim::Counter c1, c2;
+    EXPECT_DEATH(
+        {
+            sim::StatRegistry reg;
+            sim::StatGroup g;
+            g.init(reg, "a");
+            g.add("x", c1);
+            // qpip-lint: stat-path-ok(the duplicate under test)
+            g.add("x", c2);
+        },
+        "duplicate stat path 'a.x'");
+}
+
+TEST(StatRegistryDeathTest, SameLeafInTwoGroupsOfOnePrefixPanics)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    sim::Counter c1, c2;
+    EXPECT_DEATH(
+        {
+            sim::StatRegistry reg;
+            sim::StatGroup g1;
+            sim::StatGroup g2;
+            g1.init(reg, "a");
+            g1.add("x", c1);
+            g2.init(reg, "a");
+            g2.add("x", c2);
+        },
+        "duplicate stat path 'a.x'");
+}
+
+TEST(StatRegistryDeathTest, DottedLeafAgainstChildGroupLeafPanics)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    sim::Counter c1, c2;
+    EXPECT_DEATH(
+        {
+            sim::StatRegistry reg;
+            sim::StatGroup child;
+            sim::StatGroup parent;
+            child.init(reg, "a.b");
+            child.add("c", c1);
+            parent.init(reg, "a");
+            parent.add("b.c", c2);
+        },
+        "duplicate stat path 'a.b.c'");
+}
+
+TEST(StatRegistryDeathTest, ChildGroupLeafAgainstDottedLeafPanics)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    sim::Counter c1, c2;
+    EXPECT_DEATH(
+        {
+            sim::StatRegistry reg;
+            sim::StatGroup parent;
+            sim::StatGroup child;
+            parent.init(reg, "a");
+            parent.add("b.c", c1);
+            child.init(reg, "a.b");
+            child.add("c", c2);
+        },
+        "duplicate stat path 'a.b.c'");
 }
 
 // ---------------------------------------------------------------------

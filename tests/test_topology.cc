@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "apps/testbed.hh"
 #include "apps/ttcp.hh"
 #include "net/pcap.hh"
@@ -134,6 +137,67 @@ TEST(Topology, DualStarParallelQpipSmoke)
     EXPECT_TRUE(r.completed);
     EXPECT_GT(r.mbPerSec, 0.0);
     EXPECT_GT(bed.engine()->epochs(), 0u);
+}
+
+// Per-connection TCP stats register and unregister from inside the
+// partitions: every host runs in its own partition on one of 4 engine
+// threads, accepts one connection and opens another, then both ends
+// close. Each connection's paths appear while it lives and are gone
+// once it has closed.
+TEST(Topology, ParallelConnectionStatsComeAndGo)
+{
+    constexpr std::size_t hosts = 8;
+    apps::SocketsTestbed bed(hosts, SocketsFabric::GigabitEthernet, 1,
+                             host::HostCostModel{},
+                             FabricTopology::DualStar);
+    bed.enableParallel(4);
+    auto &sim = bed.sim();
+    const std::size_t before = sim.stats().size();
+    EXPECT_TRUE(sim.stats().match("*.tcp.*").empty());
+
+    auto cfg = bed.tcpConfig();
+    for (std::size_t i = 0; i < hosts; ++i) {
+        bed.host(i).stack().tcpListen(
+            7, cfg, [](std::shared_ptr<host::TcpSocket> sock) {
+                // Close on the client's FIN.
+                sock->recv(64, [sock](std::vector<std::uint8_t> d) {
+                    if (d.empty())
+                        sock->close();
+                });
+            });
+    }
+    std::vector<std::shared_ptr<host::TcpSocket>> clients;
+    for (std::size_t i = 0; i < hosts; ++i) {
+        clients.push_back(bed.host(i).stack().tcpConnect(
+            bed.addr(i, 30000), bed.addr((i + 1) % hosts, 7), cfg,
+            nullptr));
+    }
+    sim.runUntilCondition(
+        [&] {
+            return sim.stats().match("*.tcp.*.segsOut").size() ==
+                   2 * hosts;
+        },
+        sim.now() + sim::oneSec);
+    const auto live = sim.stats().match("*.tcp.*.segsOut");
+    ASSERT_EQ(live.size(), 2 * hosts);
+    // One accepted and one opened connection on every host.
+    std::map<std::string, std::size_t> perHost;
+    for (const auto &path : live)
+        ++perHost[path.substr(0, path.find('.'))];
+    EXPECT_EQ(perHost.size(), hosts);
+    for (const auto &[host, conns] : perHost)
+        EXPECT_EQ(conns, 2u) << host;
+    for (const auto &path : live)
+        EXPECT_GT(sim.stats().counterValue(path), 0u) << path;
+
+    for (const auto &c : clients)
+        c->close();
+    clients.clear();
+    sim.runUntilCondition(
+        [&] { return sim.stats().size() == before; },
+        sim.now() + 10 * sim::oneSec);
+    EXPECT_EQ(sim.stats().size(), before);
+    EXPECT_TRUE(sim.stats().match("*.tcp.*").empty());
 }
 
 // tapLink feeds one writer from both directions of a link. On a
