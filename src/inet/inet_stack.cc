@@ -220,12 +220,6 @@ InetStack::unregisterConn(const FourTuple &t)
     tcp_.eraseConn(t);
 }
 
-TcpConnection *
-InetStack::lookupConn(const FourTuple &t) const
-{
-    return tcp_.lookupConn(t);
-}
-
 bool
 InetStack::bindUdp(std::uint16_t port, UdpEndpoint *ep)
 {

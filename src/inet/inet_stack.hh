@@ -25,10 +25,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <set>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "inet/ip_frag.hh"
@@ -207,7 +207,6 @@ class InetStack : public TcpEnv
     // --- TCP PCB table ------------------------------------------------
     void registerConn(const FourTuple &t, TcpConnection *conn);
     void unregisterConn(const FourTuple &t);
-    TcpConnection *lookupConn(const FourTuple &t) const;
 
     // --- UDP port table -----------------------------------------------
     /** @return false if the port is already bound. */
@@ -241,8 +240,9 @@ class InetStack : public TcpEnv
     NeighborTable routes_;
     /** Ordered: address/port sets walk in key order when scanned. */
     std::set<InetAddr> localAddrs_;
-    PcbTable<TcpConnection, void> tcp_;
-    std::map<std::uint16_t, UdpEndpoint *> udpPorts_;
+    PcbTable<TcpConnection> tcp_;
+    /** Looked up per datagram, never walked. */
+    std::unordered_map<std::uint16_t, UdpEndpoint *> udpPorts_;
     IpReassembler reass_;
     std::uint16_t identCounter_ = 1;
     std::uint32_t fragIdent_ = 1;

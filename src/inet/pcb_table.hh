@@ -1,16 +1,17 @@
 /**
  * @file
  * Protocol control block demultiplexing: maps a connection four-tuple
- * (or a listening local port) to its endpoint object. Both the host
- * stack and the QPIP NIC firmware use one of these; the paper calls
- * out "UDP/TCP connection de-multiplexing" as one of the key places
- * where hardware support pays off.
+ * to its endpoint object. Both the host stack and the QPIP NIC
+ * firmware use one of these; the paper calls out "UDP/TCP connection
+ * de-multiplexing" as one of the key places where hardware support
+ * pays off. Listening ports are demultiplexed by the owning context
+ * (HostStack, QpipNic), which sees only SYNs.
  */
 
 #pragma once
 
-#include <cstdint>
-#include <map>
+#include <cstddef>
+#include <unordered_map>
 
 #include "inet/inet_addr.hh"
 
@@ -25,13 +26,22 @@ struct FourTuple
     auto operator<=>(const FourTuple &) const = default;
 };
 
+struct FourTupleHash
+{
+    std::size_t
+    operator()(const FourTuple &t) const
+    {
+        const SockAddrHash h;
+        return h(t.local) * 0x9e3779b97f4a7c15ull ^ h(t.remote);
+    }
+};
+
 /**
- * Demux table: exact four-tuple matches first, then listeners by
- * local port. Ordered containers: teardown and bulk walks iterate in
- * four-tuple order, so same-seed replays visit connections in the
- * same sequence regardless of hash seeding or insertion history.
+ * Exact four-tuple demux table. Hashed, and it offers no walk: every
+ * inbound segment looks its connection up, and the table's order
+ * never reaches the simulation.
  */
-template <typename Conn, typename Listener>
+template <typename Conn>
 class PcbTable
 {
   public:
@@ -50,35 +60,8 @@ class PcbTable
         return it == conns_.end() ? nullptr : it->second;
     }
 
-    void
-    insertListener(std::uint16_t port, Listener *l)
-    {
-        listeners_[port] = l;
-    }
-
-    void eraseListener(std::uint16_t port) { listeners_.erase(port); }
-
-    Listener *
-    lookupListener(std::uint16_t port) const
-    {
-        auto it = listeners_.find(port);
-        return it == listeners_.end() ? nullptr : it->second;
-    }
-
-    std::size_t connCount() const { return conns_.size(); }
-
-    /** Visit every connection (e.g. for teardown) in key order. */
-    template <typename Fn>
-    void
-    forEachConn(Fn fn) const
-    {
-        for (auto &[t, c] : conns_)
-            fn(t, c);
-    }
-
   private:
-    std::map<FourTuple, Conn *> conns_;
-    std::map<std::uint16_t, Listener *> listeners_;
+    std::unordered_map<FourTuple, Conn *, FourTupleHash> conns_;
 };
 
 } // namespace qpip::inet

@@ -8,9 +8,10 @@
  * displaces. Every firmware stage that touches a context updates it,
  * so no resident copy is ever clean and the cache tracks no dirty
  * bits: every eviction owes exactly one writeback. The cache is a
- * strict LRU over deterministic structures (intrusive list + ordered
- * map, never iterated), so replay and parallel-partition runs see
- * identical hit/miss sequences.
+ * strict LRU kept as an intrusive doubly linked list threaded through
+ * a vector indexed by QP number (QP numbers are dense and never
+ * reused), so a touch is O(1) and involves no hashing or RNG: replay
+ * and parallel-partition runs see identical hit/miss sequences.
  *
  * Capacity is a count of context blocks, one per QP whatever its
  * service type: a RUD QP keeps its per-peer state in host memory, so
@@ -26,8 +27,8 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <map>
+#include <limits>
+#include <vector>
 
 #include "nic/qp_state.hh"
 #include "sim/stats.hh"
@@ -52,7 +53,7 @@ class QpContextCache
     explicit QpContextCache(std::size_t capacity) : capacity_(capacity) {}
 
     bool enabled() const { return capacity_ > 0; }
-    std::size_t size() const { return lru_.size(); }
+    std::size_t size() const { return size_; }
 
     /**
      * Reference @p qp's context (any firmware stage that reads or
@@ -66,9 +67,9 @@ class QpContextCache
         Touch t;
         if (!enabled())
             return t;
-        auto it = index_.find(qp);
-        if (it != index_.end()) {
-            lru_.splice(lru_.begin(), lru_, it->second);
+        if (resident(qp)) {
+            unlink(qp);
+            linkMru(qp);
             hits.inc();
             return t;
         }
@@ -87,7 +88,7 @@ class QpContextCache
     install(QpNum qp)
     {
         Touch t;
-        if (!enabled() || index_.count(qp) > 0)
+        if (!enabled() || resident(qp))
             return t;
         insertMru(qp, t);
         return t;
@@ -97,17 +98,17 @@ class QpContextCache
     void
     remove(QpNum qp)
     {
-        auto it = index_.find(qp);
-        if (it == index_.end())
+        if (!enabled() || !resident(qp))
             return;
-        lru_.erase(it->second);
-        index_.erase(it);
+        unlink(qp);
+        --size_;
     }
 
     bool
     resident(QpNum qp) const
     {
-        return !enabled() || index_.count(qp) > 0;
+        return !enabled() ||
+               (qp < links_.size() && links_[qp].resident);
     }
 
     sim::Counter hits;
@@ -115,24 +116,66 @@ class QpContextCache
     sim::Counter evictions;
 
   private:
+    static constexpr QpNum none = std::numeric_limits<QpNum>::max();
+
+    /** One QP's place in the MRU list; unused while not resident. */
+    struct Link
+    {
+        QpNum prev = none; ///< towards the MRU end
+        QpNum next = none; ///< towards the LRU end
+        bool resident = false;
+    };
+
     void
     insertMru(QpNum qp, Touch &t)
     {
-        if (lru_.size() >= capacity_) {
+        if (size_ >= capacity_) {
             t.evicted = true;
-            index_.erase(lru_.back());
-            lru_.pop_back();
+            unlink(lru_);
+            --size_;
             evictions.inc();
         }
-        lru_.push_front(qp);
-        index_[qp] = lru_.begin();
+        if (qp >= links_.size())
+            links_.resize(static_cast<std::size_t>(qp) + 1);
+        linkMru(qp);
+        ++size_;
+    }
+
+    void
+    linkMru(QpNum qp)
+    {
+        Link &l = links_[qp];
+        l.resident = true;
+        l.prev = none;
+        l.next = mru_;
+        if (mru_ != none)
+            links_[mru_].prev = qp;
+        else
+            lru_ = qp;
+        mru_ = qp;
+    }
+
+    void
+    unlink(QpNum qp)
+    {
+        Link &l = links_[qp];
+        if (l.prev != none)
+            links_[l.prev].next = l.next;
+        else
+            mru_ = l.next;
+        if (l.next != none)
+            links_[l.next].prev = l.prev;
+        else
+            lru_ = l.prev;
+        l = Link{};
     }
 
     std::size_t capacity_;
-    /** MRU at front. */
-    std::list<QpNum> lru_;
-    /** Ordered by QP number; lookup only, never iterated. */
-    std::map<QpNum, std::list<QpNum>::iterator> index_;
+    std::size_t size_ = 0;
+    QpNum mru_ = none;
+    QpNum lru_ = none;
+    /** Indexed by QP number; grows to the highest number touched. */
+    std::vector<Link> links_;
 };
 
 } // namespace qpip::nic

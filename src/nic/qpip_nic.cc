@@ -178,6 +178,7 @@ QpipNic::createQp(QpType type, QpHostRings *rings, CqRing *scq,
             sim::fatal("createQp: RDMA framing needs a reliable QP");
         ctx->rdmaWindow = attrs.rdmaWindowBytes;
     }
+    qps_.resize(static_cast<std::size_t>(num) + 1);
     qps_[num] = std::move(ctx);
     // The management FSM builds the context in SRAM; whatever it
     // displaces goes back to host memory.
@@ -207,7 +208,7 @@ QpipNic::destroyQp(QpNum qp)
     if (ctx->srq != nullptr)
         ctx->srq->wake.erase({ctx->wakeKey, qp});
     qpCache_.remove(qp);
-    qps_.erase(qp);
+    qps_[qp].reset();
 }
 
 SrqNum
@@ -306,8 +307,7 @@ QpipNic::disconnect(QpNum qp)
 QpipNic::QpContext *
 QpipNic::lookupQp(QpNum qp)
 {
-    auto it = qps_.find(qp);
-    return it == qps_.end() ? nullptr : it->second.get();
+    return qp < qps_.size() ? qps_[qp].get() : nullptr;
 }
 
 inet::TcpConnection *

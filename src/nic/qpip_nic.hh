@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "inet/inet_stack.hh"
 #include "inet/tcp_conn.hh"
@@ -340,14 +341,16 @@ class QpipNic : public sim::SimObject,
 
     // Per-transport engines (constructed in the NIC's constructor,
     // torn down before the members they reference by declaration
-    // order). RudEngine keeps its per-peer reliability state here, in
-    // what models host memory — not in the QP contexts.
+    // order).
     std::unique_ptr<RcEngine> rcEngine_;
     std::unique_ptr<UdEngine> udEngine_;
     std::unique_ptr<RudEngine> rudEngine_;
 
-    /** Ordered by QP number: table walks follow creation order. */
-    std::map<QpNum, std::unique_ptr<QpContext>> qps_;
+    /**
+     * Indexed by QP number. Numbers come from nextQpNum_ and are
+     * never reused, so a destroyed QP leaves a null slot behind.
+     */
+    std::vector<std::unique_ptr<QpContext>> qps_;
     /** Ordered by SRQ number. */
     std::map<SrqNum, std::unique_ptr<SrqContext>> srqs_;
     // Lookup/erase only, never iterated — safe despite pointer keys.

@@ -18,6 +18,7 @@
 
 #include "nic/qpip_nic.hh"
 #include "nic/transport/rc_engine.hh"
+#include "nic/transport/rud_engine.hh"
 
 namespace qpip::nic {
 
@@ -111,6 +112,9 @@ struct QpipNic::QpContext : public inet::TcpObserver,
     // (responses ride the same TCP stream as the requests).
     std::deque<std::pair<std::uint64_t, SendWr>> pendingRdma;
     std::uint64_t nextRdmaId = 1;
+
+    /** RUD per-peer reliability state (models host memory). */
+    RudEngine::QpState rud;
 
     bool
     recvWrAvailable() const

@@ -12,12 +12,6 @@ namespace qpip::nic {
 using inet::IpDatagram;
 using inet::IpProto;
 
-RudEngine::Peer &
-RudEngine::peerFor(const QpContext &qp, const inet::SockAddr &peer)
-{
-    return state_[qp.num][peer];
-}
-
 void
 RudEngine::emitFrame(QpContext &qp, const inet::SockAddr &to,
                      const std::vector<std::uint8_t> &frame)
@@ -37,7 +31,7 @@ void
 RudEngine::transmit(QpContext &qp, SendWr wr,
                     std::vector<std::uint8_t> data)
 {
-    Peer &p = peerFor(qp, wr.remote);
+    Peer &p = qp.rud.peers[wr.remote];
     if (!p.blocked.empty() || p.window.size() >= windowLimit) {
         // Window full: park the staged WR; the ack that opens the
         // window drains the queue in order.
@@ -103,7 +97,7 @@ RudEngine::datagramDeliver(QpContext &qp,
         nic_.rudMalformed.inc();
         return;
     }
-    Peer &p = peerFor(qp, from);
+    Peer &p = qp.rud.peers[from];
     processAck(qp, p, from, h.ack);
     if (h.opcode == net::RudOpcode::Ack)
         return;
@@ -129,7 +123,7 @@ RudEngine::datagramDeliver(QpContext &qp,
             nic_.rudRnrHolds.inc();
         p.holding = true;
         p.held.assign(payload.begin(), payload.end());
-        holding_[qp.num].insert(from);
+        qp.rud.holding.insert(from);
         nic_.rekeySrqWake(qp);
         return;
     }
@@ -217,15 +211,10 @@ RudEngine::rtoFire(QpNum qp, const inet::SockAddr &to)
     QpContext *ctx = nic_.lookupQp(qp);
     if (ctx == nullptr)
         return;
-    auto qit = state_.find(qp);
-    if (qit == state_.end())
-        return;
-    auto pit = qit->second.find(to);
-    if (pit == qit->second.end())
+    auto pit = ctx->rud.peers.find(to);
+    if (pit == ctx->rud.peers.end() || pit->second.window.empty())
         return;
     Peer &p = pit->second;
-    if (p.window.empty())
-        return;
     if (p.rtoShift < 16)
         ++p.rtoShift;
     // Go-back-N: re-emit the whole unacked window. The retained
@@ -243,41 +232,42 @@ RudEngine::rtoFire(QpNum qp, const inet::SockAddr &to)
 void
 RudEngine::recvReplenished(QpContext &qp)
 {
-    auto hit = holding_.find(qp.num);
-    if (hit == holding_.end())
+    auto &held = qp.rud.holding;
+    if (held.empty())
         return;
-    auto &held = hit->second;
-    auto &peers = state_[qp.num];
     while (!held.empty() && qp.recvWrAvailable()) {
         const inet::SockAddr addr = *held.begin();
         held.erase(held.begin());
-        Peer &p = peers[addr];
+        Peer &p = qp.rud.peers.at(addr);
         p.holding = false;
         ++p.expectedSeq;
         nic_.receiveIntoWr(qp, std::move(p.held), addr);
         p.held = {};
         sendAck(qp, p, addr);
     }
-    if (held.empty()) {
-        holding_.erase(hit);
+    if (held.empty())
         nic_.rekeySrqWake(qp);
-    }
 }
 
 std::uint64_t
 RudEngine::replenishThreshold(const QpContext &qp) const
 {
-    return holding_.contains(qp.num) ? 0
-                                     : QpipNic::SrqContext::neverWakes;
+    return qp.rud.holding.empty() ? QpipNic::SrqContext::neverWakes
+                                  : 0;
 }
 
 void
 RudEngine::flushed(QpContext &qp, WcStatus status)
 {
-    auto qit = state_.find(qp.num);
-    if (qit == state_.end())
-        return;
-    for (auto &[addr, p] : qit->second) {
+    // Collect, then sort: completions leave in peer-address order,
+    // not in the table's hash order.
+    std::vector<inet::SockAddr> addrs;
+    addrs.reserve(qp.rud.peers.size());
+    for (const auto &entry : qp.rud.peers)
+        addrs.push_back(entry.first);
+    std::sort(addrs.begin(), addrs.end());
+    for (const inet::SockAddr &addr : addrs) {
+        Peer &p = qp.rud.peers.at(addr);
         if (p.rto.pending())
             p.rto.cancel();
         for (const Unacked &u : p.window) {
@@ -299,9 +289,11 @@ RudEngine::flushed(QpContext &qp, WcStatus status)
             nic_.pushCompletion(qp.scq, c);
         }
     }
-    state_.erase(qit);
-    if (holding_.erase(qp.num) > 0)
+    qp.rud.peers.clear();
+    if (!qp.rud.holding.empty()) {
+        qp.rud.holding.clear();
         nic_.rekeySrqWake(qp);
+    }
 }
 
 } // namespace qpip::nic

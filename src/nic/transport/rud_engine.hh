@@ -6,7 +6,10 @@
  * windows, retransmit timers, reassembly holds) lives in per-peer
  * records in what models *host* memory, so the QP context the NIC
  * caches stays small and a single context serves thousands of peers
- * without thrashing the context cache.
+ * without thrashing the context cache. The simulation hangs those
+ * records off the QpContext object (QpState below) so a datagram
+ * reaches its peer with one hashed lookup; the context cache still
+ * counts one block per QP.
  *
  * Wire format (see net/serialize.hh): every datagram carries a
  * RudHeader. Data datagrams are sequenced per (QP, peer) starting at
@@ -22,8 +25,8 @@
 #pragma once
 
 #include <deque>
-#include <map>
 #include <set>
+#include <unordered_map>
 
 #include "nic/transport/ud_engine.hh"
 #include "sim/event_queue.hh"
@@ -51,7 +54,6 @@ class RudEngine : public UdEngine
 
     // bound()/unbound() inherit the UD engine's port demux plumbing.
 
-  private:
     /** A send WR waiting for window space (payload already staged). */
     struct PendingSend
     {
@@ -84,8 +86,25 @@ class RudEngine : public UdEngine
         std::vector<std::uint8_t> held;
     };
 
-    Peer &peerFor(const QpipNic::QpContext &qp,
-                  const inet::SockAddr &peer);
+    /** One RUD QP's reliability state, held by its QpContext. */
+    struct QpState
+    {
+        /**
+         * Per-peer records, hashed by address: every datagram and
+         * send looks its peer up. Only flushed() walks them, and it
+         * sorts the addresses first.
+         */
+        std::unordered_map<inet::SockAddr, Peer, inet::SockAddrHash>
+            peers;
+        /**
+         * The peers with Peer::holding set, in address order: a
+         * replenish delivers to them in that order, so it stays
+         * ordered.
+         */
+        std::set<inet::SockAddr> holding;
+    };
+
+  private:
     void emitData(QpipNic::QpContext &qp, Peer &p, SendWr wr,
                   std::vector<std::uint8_t> data);
     void processAck(QpipNic::QpContext &qp, Peer &p,
@@ -99,19 +118,6 @@ class RudEngine : public UdEngine
     /** Send one Data frame's UDP/IP encapsulation (fresh or retx). */
     void emitFrame(QpipNic::QpContext &qp, const inet::SockAddr &to,
                    const std::vector<std::uint8_t> &frame);
-
-    /**
-     * Per-QP, per-peer reliability state. Ordered maps: iteration
-     * (flushes) must be deterministic.
-     */
-    std::map<QpNum, std::map<inet::SockAddr, Peer>> state_;
-
-    /**
-     * Per QP, the peers with Peer::holding set, in address order (the
-     * order a walk of state_ would meet them). A QP has an entry only
-     * while some peer holds, so a replenish visits holders only.
-     */
-    std::map<QpNum, std::set<inet::SockAddr>> holding_;
 };
 
 } // namespace qpip::nic

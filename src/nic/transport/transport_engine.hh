@@ -7,9 +7,9 @@
  * types diverge: wire framing of an outgoing message, demux of an
  * incoming datagram, port binding, receive-WR replenish and QP
  * teardown. One engine instance per type per NIC; engines are
- * stateless for RC/UD (all state lives in the QpContext) while the
- * RUD engine keeps its per-peer reliability state in host memory,
- * outside the NIC's cached QP contexts.
+ * stateless: all state lives in the QpContext, including the RUD
+ * per-peer reliability records, which model host memory outside the
+ * context block the NIC caches.
  *
  * Engines execute inside the firmware's execution context: they
  * charge LanaiProcessor stages exactly where the pre-split monolith

@@ -13,6 +13,7 @@
 #include "inet/ip_frag.hh"
 #include "inet/ipv4.hh"
 #include "inet/ipv6.hh"
+#include "inet/pcb_table.hh"
 #include "inet/rtt_estimator.hh"
 #include "inet/tcp_header.hh"
 #include "inet/tcp_reass.hh"
@@ -105,6 +106,68 @@ TEST(InetAddr, FamilyAgnosticWrapper)
     EXPECT_NE(*v4, *v6);
     SockAddr sa{*v6, 7};
     EXPECT_EQ(sa.toString(), "[fd00::1]:7");
+}
+
+// ---------------------------------------------------------------------
+// PCB table (four-tuple demux)
+// ---------------------------------------------------------------------
+
+TEST(PcbTable, OneFieldApartResolvesToItsOwnConnection)
+{
+    const SockAddr v4a{*InetAddr::parse("10.0.0.1"), 5000};
+    const SockAddr v4b{*InetAddr::parse("10.0.0.2"), 6000};
+    const SockAddr v6a{*InetAddr::parse("fd00::1"), 5000};
+    const SockAddr v6b{*InetAddr::parse("fd00::2"), 6000};
+
+    // Each base tuple plus every variant that differs from it in one
+    // field: either port, either address's family, or one byte of
+    // either address.
+    std::vector<FourTuple> tuples;
+    for (const FourTuple &base : {FourTuple{v4a, v4b},
+                                  FourTuple{v6a, v6b}}) {
+        tuples.push_back(base);
+        for (SockAddr FourTuple::*side :
+             {&FourTuple::local, &FourTuple::remote}) {
+            FourTuple t = base;
+            ++(t.*side).port;
+            tuples.push_back(t);
+            t = base;
+            InetAddr &a = (t.*side).addr;
+            a.family = a.isV6() ? Family::V4 : Family::V6;
+            tuples.push_back(t);
+            if (base.local.addr.isV6()) {
+                for (std::size_t b = 0; b < 16; ++b) {
+                    t = base;
+                    (t.*side).addr.v6.bytes[b] ^= 0x01;
+                    tuples.push_back(t);
+                }
+            } else {
+                for (int b = 0; b < 4; ++b) {
+                    t = base;
+                    (t.*side).addr.v4.value ^= 1u << (8 * b);
+                    tuples.push_back(t);
+                }
+            }
+        }
+    }
+    std::vector<int> conns(tuples.size());
+    for (std::size_t i = 0; i < tuples.size(); ++i)
+        for (std::size_t j = 0; j < i; ++j)
+            ASSERT_NE(tuples[i], tuples[j]) << i << " vs " << j;
+
+    PcbTable<int> table;
+    for (std::size_t i = 0; i < tuples.size(); ++i)
+        table.insertConn(tuples[i], &conns[i]);
+    for (std::size_t i = 0; i < tuples.size(); ++i)
+        EXPECT_EQ(table.lookupConn(tuples[i]), &conns[i]) << i;
+
+    // Erase every other tuple: those now miss, the rest still resolve.
+    for (std::size_t i = 0; i < tuples.size(); i += 2)
+        table.eraseConn(tuples[i]);
+    for (std::size_t i = 0; i < tuples.size(); ++i)
+        EXPECT_EQ(table.lookupConn(tuples[i]),
+                  i % 2 == 0 ? nullptr : &conns[i])
+            << i;
 }
 
 // ---------------------------------------------------------------------

@@ -394,6 +394,36 @@ TEST(QpipVerbs, SendQueueCapacityEnforced)
     EXPECT_FALSE(qp->postSend(99, *mr, 0, 16));
 }
 
+TEST(QpipNicQpTable, DeadAndUnknownNumbersMissAndNumbersAreNotReused)
+{
+    QpipTestbed bed(2);
+    auto &prov = bed.provider(0);
+    auto &nic = bed.nicOf(0);
+    auto cq = prov.createCq();
+    auto a = prov.createQp(nic::QpType::UnreliableUdp, cq, cq);
+    auto b = prov.createQp(nic::QpType::UnreliableUdp, cq, cq);
+    const nic::QpNum dead = a->num();
+    const nic::QpNum live = b->num();
+    a.reset(); // destroyQp
+
+    // A new QP gets a fresh number, never the destroyed one's.
+    auto c = prov.createQp(nic::QpType::UnreliableUdp, cq, cq);
+    EXPECT_GT(c->num(), live);
+    EXPECT_NE(c->num(), dead);
+
+    // The live QPs resolve (bindLocal dies on an unknown number)...
+    nic.bindLocal(live, 700);
+    nic.bindLocal(c->num(), 701);
+    // ...while a destroyed QP, numbers never created (0 is reserved)
+    // and the number one past the newest QP all miss.
+    for (const nic::QpNum q : {dead, nic::invalidQp, c->num() + 1,
+                               nic::QpNum{1} << 20}) {
+        EXPECT_EQ(nic.connectionOf(q), nullptr) << q;
+        EXPECT_DEATH(nic.bindLocal(q, 702), "bindLocal: unknown qp")
+            << q;
+    }
+}
+
 TEST(QpipNicStats, FirmwareOccupancyAccrues)
 {
     QpipTestbed bed(2);

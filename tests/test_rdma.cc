@@ -15,6 +15,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <list>
+#include <random>
+#include <unordered_map>
 
 #include "apps/testbed.hh"
 #include "apps/verbs_util.hh"
@@ -834,6 +837,115 @@ TEST(QpCtxCache, CapacityOneEvictsOnEveryNewQp)
     EXPECT_EQ(cache.evictions.value(), 4u);
 }
 
+namespace {
+
+/** The obvious LRU: a list in MRU order, searched linearly. */
+class RefLru
+{
+  public:
+    explicit RefLru(std::size_t cap) : cap_(cap) {}
+
+    nic::QpContextCache::Touch
+    touch(nic::QpNum qp)
+    {
+        nic::QpContextCache::Touch t;
+        auto it = std::find(lru_.begin(), lru_.end(), qp);
+        if (it != lru_.end()) {
+            lru_.splice(lru_.begin(), lru_, it);
+            ++hits;
+            return t;
+        }
+        t.hit = false;
+        t.evicted = insert(qp);
+        ++misses;
+        return t;
+    }
+
+    nic::QpContextCache::Touch
+    install(nic::QpNum qp)
+    {
+        nic::QpContextCache::Touch t;
+        if (!resident(qp))
+            t.evicted = insert(qp);
+        return t;
+    }
+
+    void remove(nic::QpNum qp) { lru_.remove(qp); }
+
+    bool
+    resident(nic::QpNum qp) const
+    {
+        return std::find(lru_.begin(), lru_.end(), qp) != lru_.end();
+    }
+
+    std::size_t size() const { return lru_.size(); }
+
+    std::uint64_t hits = 0, misses = 0, evictions = 0;
+
+  private:
+    bool
+    insert(nic::QpNum qp)
+    {
+        bool evicted = false;
+        if (lru_.size() >= cap_) {
+            lru_.pop_back();
+            ++evictions;
+            evicted = true;
+        }
+        lru_.push_front(qp);
+        return evicted;
+    }
+
+    std::size_t cap_;
+    std::list<nic::QpNum> lru_; ///< MRU at front
+};
+
+} // namespace
+
+TEST(QpCtxCache, MatchesReferenceLru)
+{
+    for (const std::size_t cap : {std::size_t{1}, std::size_t{64}}) {
+        nic::QpContextCache cache(cap);
+        RefLru ref(cap);
+        std::mt19937 rng(19);
+        // A hot set that mostly fits the cache plus a long tail, so
+        // hits, misses, evictions and removals all happen often.
+        std::uniform_int_distribution<nic::QpNum> hot(1, 80);
+        std::uniform_int_distribution<nic::QpNum> any(0, 2999);
+        std::uniform_int_distribution<int> pick(0, 99);
+        for (int step = 0; step < 20000; ++step) {
+            const nic::QpNum qp = pick(rng) < 70 ? hot(rng) : any(rng);
+            const int op = pick(rng);
+            SCOPED_TRACE(testing::Message()
+                         << "cap " << cap << " step " << step << " qp "
+                         << qp << " op " << op);
+            if (op < 60) {
+                const auto got = cache.touch(qp);
+                const auto want = ref.touch(qp);
+                ASSERT_EQ(got.hit, want.hit);
+                ASSERT_EQ(got.evicted, want.evicted);
+            } else if (op < 80) {
+                const auto got = cache.install(qp);
+                const auto want = ref.install(qp);
+                ASSERT_EQ(got.hit, want.hit);
+                ASSERT_EQ(got.evicted, want.evicted);
+            } else {
+                cache.remove(qp);
+                ref.remove(qp);
+            }
+            ASSERT_EQ(cache.size(), ref.size());
+            ASSERT_EQ(cache.resident(qp), ref.resident(qp));
+        }
+        EXPECT_EQ(cache.hits.value(), ref.hits);
+        EXPECT_EQ(cache.misses.value(), ref.misses);
+        EXPECT_EQ(cache.evictions.value(), ref.evictions);
+        EXPECT_GT(ref.hits, 50u);
+        EXPECT_GT(ref.evictions, 1000u);
+        for (nic::QpNum qp = 0; qp < 3000; ++qp)
+            ASSERT_EQ(cache.resident(qp), ref.resident(qp)) << qp;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Reliable datagrams (RUD)
 // ---------------------------------------------------------------------
@@ -1027,4 +1139,62 @@ TEST(Rud, FlushSurfacesWindowedSendsOnDestroy)
     EXPECT_TRUE(c.isSend);
     EXPECT_EQ(c.wrId, 1u);
     EXPECT_EQ(c.status, WcStatus::Flushed);
+}
+
+TEST(Rud, FlushEmitsCompletionsInPeerAddressOrder)
+{
+    QpipTestbed bed(4);
+    auto &client = bed.provider(0);
+    auto ccq = client.createCq();
+    std::vector<std::uint8_t> sbuf(4096);
+    auto smr = client.registerMemory(sbuf);
+    auto qc = client.createQp(nic::QpType::ReliableDatagram, ccq, ccq);
+    qc->bind(801);
+
+    // Four peers on ports nobody binds, so no ack ever returns: every
+    // send stays in its peer's unacked window, and past windowLimit
+    // the rest queue as blocked sends. First contact is out of
+    // address order.
+    const std::vector<inet::SockAddr> peers = {
+        bed.addr(2, 9001), bed.addr(1, 9003), bed.addr(3, 9002),
+        bed.addr(1, 9000)};
+    // The peers' hash-table order differs from their address order,
+    // so the flush has to sort to pass.
+    std::unordered_map<inet::SockAddr, int, inet::SockAddrHash> hashed;
+    for (const auto &p : peers)
+        hashed.emplace(p, 0);
+    std::vector<inet::SockAddr> hashOrder;
+    for (const auto &entry : hashed)
+        hashOrder.push_back(entry.first);
+    ASSERT_FALSE(std::is_sorted(hashOrder.begin(), hashOrder.end()));
+
+    std::uint64_t wr = 100;
+    for (std::size_t i = 0; i < peers.size(); ++i)
+        for (int k = 0; k < 2; ++k)
+            ASSERT_TRUE(qc->postSend(wr++, *smr, 0, 8, peers[i]));
+    // A window's worth more (RudEngine::windowLimit, 64) to
+    // bed.addr(1, 9000): 2 of its sends end up blocked.
+    const std::size_t extra = 64;
+    for (std::size_t k = 0; k < extra; ++k)
+        ASSERT_TRUE(qc->postSend(wr++, *smr, 0, 8, peers[3]));
+    bed.sim().runFor(20 * sim::oneMs);
+    ASSERT_EQ(ccq->depth(), 0u);
+
+    qc.reset();
+    bed.sim().runFor(10 * sim::oneMs);
+    std::vector<std::uint64_t> flushed;
+    Completion c;
+    while (ccq->poll(c)) {
+        EXPECT_EQ(c.status, WcStatus::Flushed);
+        flushed.push_back(c.wrId);
+    }
+
+    // Recorded from the ordered-map table: peers in address order
+    // (host 1:9000, host 1:9003, host 2:9001, host 3:9002), each
+    // peer's window before its blocked sends.
+    std::vector<std::uint64_t> expected;
+    for (std::uint64_t id = 106; id < 108 + extra; ++id)
+        expected.push_back(id);
+    expected.insert(expected.end(), {102, 103, 100, 101, 104, 105});
+    EXPECT_EQ(flushed, expected);
 }
