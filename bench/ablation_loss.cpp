@@ -23,8 +23,8 @@ Row
 runPoint(std::uint32_t mtu, double loss)
 {
     QpipTestbed bed(2, mtu);
-    bed.fabric().linkFor(0).faults().config.dropProb = loss;
-    bed.fabric().linkFor(1).faults().config.dropProb = loss;
+    bed.fabric().linkFor(0).faultConfig().dropProb = loss;
+    bed.fabric().linkFor(1).faultConfig().dropProb = loss;
     auto t = runQpipTtcp(bed, std::size_t(4) << 20);
     Row r;
     r.name = "mtu=" + std::to_string(mtu) +

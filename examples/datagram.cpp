@@ -25,7 +25,7 @@ using namespace qpip::apps;
 
 namespace {
 
-void
+bool
 udQpPingPong()
 {
     std::printf("--- UD queue pairs: datagram ping-pong ---\n");
@@ -67,11 +67,11 @@ udQpPingPong()
             echoed = true;
         }
     });
-    sim.runUntilCondition([&] { return echoed; },
-                          sim.now() + 5 * sim::oneSec);
+    return sim.runUntilCondition([&] { return echoed; },
+                                 sim.now() + 5 * sim::oneSec);
 }
 
-void
+bool
 qpToSocketInterop()
 {
     std::printf("\n--- QP <-> socket interop over one fabric ---\n");
@@ -128,9 +128,10 @@ qpToSocketInterop()
             replied = true;
         }
     });
-    sim.runUntilCondition([&] { return replied; },
-                          sim.now() + 5 * sim::oneSec);
+    const bool ok = sim.runUntilCondition(
+        [&] { return replied; }, sim.now() + 5 * sim::oneSec);
     sim.eventQueue().clear();
+    return ok;
 }
 
 } // namespace
@@ -138,8 +139,9 @@ qpToSocketInterop()
 int
 main()
 {
-    udQpPingPong();
-    qpToSocketInterop();
-    std::printf("\nok\n");
-    return 0;
+    const bool ud = udQpPingPong();
+    const bool interop = qpToSocketInterop();
+    const bool ok = ud && interop;
+    std::printf("\n%s\n", ok ? "ok" : "FAILED");
+    return ok ? 0 : 1;
 }

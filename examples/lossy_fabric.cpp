@@ -26,10 +26,10 @@ main(int argc, char **argv)
         (argc > 1 ? std::atof(argv[1]) : 2.0) / 100.0;
     QpipTestbed bed(2, 9000, /*seed=*/42);
     for (int node = 0; node < 2; ++node) {
-        auto &faults = bed.fabric().linkFor(node).faults();
-        faults.config.dropProb = drop;
-        faults.config.dupProb = drop / 4;
-        faults.config.corruptProb = drop / 4;
+        auto &faults = bed.fabric().linkFor(node).faultConfig();
+        faults.dropProb = drop;
+        faults.dupProb = drop / 4;
+        faults.corruptProb = drop / 4;
     }
     std::printf("fabric faults: drop=%.1f%% dup=%.2f%% corrupt=%.2f%%\n",
                 drop * 100, drop * 25, drop * 25);
@@ -111,8 +111,8 @@ main(int argc, char **argv)
                     conn_stats.segsOut.value()));
     std::printf("link drops: %llu (injected)\n",
                 static_cast<unsigned long long>(
-                    bed.fabric().linkFor(0).faults().drops.value() +
-                    bed.fabric().linkFor(1).faults().drops.value()));
+                    bed.fabric().linkFor(0).faultDrops.value() +
+                    bed.fabric().linkFor(1).faultDrops.value()));
     const bool ok = received == nMsgs && corrupt == 0;
     std::printf("%s\n", ok ? "ok: all data intact" : "FAILED");
     return ok ? 0 : 1;

@@ -39,6 +39,17 @@ fillPattern(std::uint64_t off, std::span<std::uint8_t> out)
         out[i] = patternByte(off + i);
 }
 
+/** True if @p data holds the device pattern from offset @p off. */
+bool
+matchesPattern(std::uint64_t off, std::span<const std::uint8_t> data)
+{
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        if (data[i] != patternByte(off + i))
+            return false;
+    }
+    return true;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -487,14 +498,11 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
                                 st->done = true;
                                 return;
                             }
-                            if (params.verifyContent) {
-                                for (std::size_t i = 0; i < len; ++i) {
-                                    if (d[i] !=
-                                        patternByte(req_off + i)) {
-                                        st->dataOk = false;
-                                        break;
-                                    }
-                                }
+                            if (params.verifyContent &&
+                                !matchesPattern(
+                                    req_off,
+                                    std::span(d).first(len))) {
+                                st->dataOk = false;
                             }
                             complete(len);
                         });
@@ -568,7 +576,10 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
         std::uint64_t completed = 0;
         std::size_t outstanding = 0;
         std::uint64_t handle = 1;
-        std::unordered_map<std::uint64_t, std::uint32_t> lens;
+        /** handle -> (offset, length) of each request in flight. */
+        std::unordered_map<std::uint64_t,
+                           std::pair<std::uint64_t, std::uint32_t>>
+            reqs;
         bool done = false;
         bool flushing = false;
         bool dataOk = true;
@@ -596,7 +607,7 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
             req.offset = st->nextOffset;
             req.length = len;
             st->nextOffset += len;
-            st->lens[req.handle] = len;
+            st->reqs[req.handle] = {req.offset, len};
             ++st->outstanding;
             const std::size_t slot = req.handle % depth;
 
@@ -639,10 +650,10 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
     // Completion pump: the kernel NBD driver blocks on CQ events.
     auto pump = std::make_shared<std::function<void()>>();
     *pump = [&sim, cq, rep_buf, st, issue, pump, total_bytes,
-             is_write, rep_slot, start_flush, depth] {
+             is_write, rep_slot, start_flush, depth, params] {
         cq->wait([&sim, cq, rep_buf, st, issue, pump, total_bytes,
-                  is_write, rep_slot, start_flush,
-                  depth](verbs::Completion c) {
+                  is_write, rep_slot, start_flush, depth,
+                  params](verbs::Completion c) {
             if (!c.isSend && c.status == verbs::WcStatus::Success) {
                 if (st->flushing) {
                     st->tEnd = sim.now();
@@ -657,11 +668,17 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
                     rep_buf->data() + base, c.byteLen);
                 if (!parseNbdReply(rep, handle, err) || err != 0) {
                     st->dataOk = false;
-                } else {
-                    auto it = st->lens.find(handle);
-                    if (it != st->lens.end()) {
-                        st->completed += it->second;
-                        st->lens.erase(it);
+                } else if (auto it = st->reqs.find(handle);
+                           it != st->reqs.end()) {
+                    const auto [req_off, len] = it->second;
+                    st->reqs.erase(it);
+                    st->completed += len;
+                    if (!is_write && params.verifyContent) {
+                        const auto data =
+                            rep.subspan(nbdReplyHeaderBytes);
+                        if (data.size() < len ||
+                            !matchesPattern(req_off, data.first(len)))
+                            st->dataOk = false;
                     }
                 }
                 --st->outstanding;

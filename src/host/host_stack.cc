@@ -11,6 +11,7 @@ using inet::IpProto;
 
 HostStack::HostStack(sim::Simulation &sim, std::string name, HostOS &os)
     : SimObject(sim, std::move(name)), os_(os), inet_(*this),
+      issRng_(sim::streamSeed(sim.seed(), this->name())),
       pktsOut(inet_.pktsOut), badPktsIn(inet_.badFrames),
       noPortDrops(inet_.noMatchDrops), loopbackPkts(inet_.loopbackPkts)
 {
@@ -109,12 +110,6 @@ HostStack::tcpListen(std::uint16_t port, const inet::TcpConfig &cfg,
     listeners_[port] = std::move(listener);
 }
 
-void
-HostStack::tcpUnlisten(std::uint16_t port)
-{
-    listeners_.erase(port);
-}
-
 std::shared_ptr<UdpSocket>
 HostStack::udpBind(const inet::SockAddr &local)
 {
@@ -123,12 +118,6 @@ HostStack::udpBind(const inet::SockAddr &local)
         sim::fatal("udp port %u already bound", local.port);
     udpSockets_.push_back(sock);
     return sock;
-}
-
-void
-HostStack::udpUnbind(std::uint16_t port)
-{
-    inet_.unbindUdp(port);
 }
 
 void
@@ -342,7 +331,7 @@ HostStack::scheduleTimer(sim::Tick delay, std::function<void()> fn)
 std::uint32_t
 HostStack::randomIss()
 {
-    return static_cast<std::uint32_t>(rng().next());
+    return static_cast<std::uint32_t>(issRng_.next());
 }
 
 const std::string &

@@ -21,6 +21,7 @@
 #include "host/socket.hh"
 #include "inet/inet_stack.hh"
 #include "net/packet.hh"
+#include "sim/random.hh"
 #include "sim/sim_object.hh"
 
 namespace qpip::host {
@@ -100,10 +101,8 @@ class HostStack : public sim::SimObject, public inet::InetEnv
     /** Monitor @p port for incoming connections. */
     void tcpListen(std::uint16_t port, const inet::TcpConfig &cfg,
                    AcceptCb on_accept, std::size_t rcv_buf = 256 * 1024);
-    void tcpUnlisten(std::uint16_t port);
 
     std::shared_ptr<UdpSocket> udpBind(const inet::SockAddr &local);
-    void udpUnbind(std::uint16_t port);
 
     /**
      * Teardown: drop every callback this stack's sockets hold for
@@ -175,6 +174,8 @@ class HostStack : public sim::SimObject, public inet::InetEnv
     // Lookup only, never iterated — safe despite hash ordering.
     std::unordered_map<net::NodeId, HostNicDriver *> egress_;
     inet::InetStack inet_;
+    /** Initial sequence numbers: (seed, name()) stream. */
+    sim::Random issRng_;
 
   public:
     // Stats: engine counters surfaced under their legacy kernel

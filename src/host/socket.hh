@@ -65,17 +65,6 @@ class TcpSocket : public inet::TcpObserver,
     bool error() const { return error_; }
     inet::TcpConnection &connection() { return *conn_; }
 
-    /** Bytes buffered and readable without blocking. */
-    std::size_t rxAvailable() const { return rxBuf_.size(); }
-    /** True while a recv() is blocked. */
-    bool recvWaiting() const { return recvWaiting_; }
-    /** Bytes of a sendAll() not yet accepted by TCP. */
-    std::size_t
-    sendBacklog() const
-    {
-        return pendingSend_.size() - pendingSendOff_;
-    }
-
     // --- TcpObserver ------------------------------------------------
     void onConnected(inet::TcpConnection &) override;
     void onDataDelivered(inet::TcpConnection &,
@@ -135,8 +124,6 @@ class UdpSocket : public inet::UdpEndpoint,
 
     UdpSocket(HostStack &stack, inet::SockAddr local);
     ~UdpSocket() override;
-
-    const inet::SockAddr &localAddr() const { return local_; }
 
     /**
      * Send one datagram (charges the full sendto() path). @p done

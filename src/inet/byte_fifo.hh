@@ -125,9 +125,6 @@ class ByteFifo
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
-    /** Number of backing chunks (diagnostics/tests). */
-    std::size_t chunkCount() const { return chunks_.size(); }
-
     void
     clear()
     {

@@ -44,7 +44,6 @@ class RttEstimator
     bool hasSample() const { return hasSample_; }
     sim::Tick srtt() const { return srtt_; }
     sim::Tick rttvar() const { return rttvar_; }
-    unsigned backoffShift() const { return backoffShift_; }
 
   private:
     sim::Tick minRto_;

@@ -688,9 +688,13 @@ TcpConnection::segmentArrived(const TcpHeader &hdr,
     if (headerPredicted(hdr, payload.size()))
         stats_.hdrPredicted.inc();
 
-    // SYN retransmission while we sit in SynRcvd: repeat the SYN|ACK.
+    // SYN retransmission while we sit in SynRcvd: repeat the SYN|ACK,
+    // echoing the new SYN's timestamp. Echoing the first SYN's would
+    // hand the peer its whole SYN timeout as an RTT sample.
     if (state_ == TcpState::SynRcvd && hdr.has(tcpflags::syn) &&
         !hdr.has(tcpflags::ack)) {
+        if (tsEnabled_ && hdr.timestamps)
+            tsRecent_ = hdr.timestamps->value;
         OutSpec synack;
         synack.seq = iss_;
         synack.flags = tcpflags::syn | tcpflags::ack;
@@ -735,9 +739,11 @@ TcpConnection::segmentArrived(const TcpHeader &hdr,
         const std::uint32_t old = rcvNxt_ - seg_seq;
         if (old >= usable.size()) {
             usable = {};
-            // Wholly duplicate data (includes persist probes): force
-            // an immediate ACK so the sender makes progress.
-            if (orig_len > 0)
+            // Wholly duplicate data (includes persist probes) or a
+            // repeated SYN|ACK (our handshake ACK was lost, and the
+            // peer waits in SynRcvd for another): force an immediate
+            // ACK so the sender makes progress.
+            if (orig_len > 0 || hdr.has(tcpflags::syn))
                 sendAck();
         } else {
             usable = usable.subspan(old);

@@ -312,19 +312,12 @@ class TcpConnection
     const TcpConfig &config() const { return cfg_; }
     TcpStats &stats() { return stats_; }
 
-    /** Unacked bytes in flight. */
-    std::uint32_t flightSize() const { return sndNxt_ - sndUna_; }
-
-    /** Stream-mode bytes buffered for transmission (incl. in flight). */
-    std::size_t sendBuffered() const { return sndBuf_.size(); }
-
     /** Effective MSS for stream segmentation. */
     std::uint32_t effMss() const;
 
     /** Peer-advertised (scaled) send window, for tests. */
     std::uint32_t sndWnd() const { return sndWnd_; }
     std::uint32_t cwndBytes() const { return cwnd_; }
-    std::uint32_t cwndSegs() const { return cwndSegs_; }
     const RttEstimator &rtt() const { return rtt_; }
 
   private:

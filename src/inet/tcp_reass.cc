@@ -43,7 +43,6 @@ TcpReassembly::insert(std::uint64_t offset,
             std::vector<std::uint8_t> piece(
                 data.begin() + static_cast<std::ptrdiff_t>(base),
                 data.begin() + static_cast<std::ptrdiff_t>(base + len));
-            bufferedBytes_ += piece.size();
             segments_.emplace(pos, std::move(piece));
         }
         if (it == segments_.end())
@@ -64,7 +63,6 @@ TcpReassembly::extract(std::uint64_t next_expected,
         out.insert(out.end(), it->second.begin(), it->second.end());
         n += it->second.size();
         next_expected += it->second.size();
-        bufferedBytes_ -= it->second.size();
         segments_.erase(it);
     }
     return n;
@@ -74,7 +72,6 @@ void
 TcpReassembly::clear()
 {
     segments_.clear();
-    bufferedBytes_ = 0;
 }
 
 } // namespace qpip::inet

@@ -44,16 +44,12 @@ class TcpReassembly
     std::size_t extract(std::uint64_t next_expected,
                         std::vector<std::uint8_t> &out);
 
-    /** Total buffered (not yet contiguous) bytes. */
-    std::size_t bufferedBytes() const { return bufferedBytes_; }
-
     bool empty() const { return segments_.empty(); }
     void clear();
 
   private:
     /** offset -> bytes, non-overlapping. */
     std::map<std::uint64_t, std::vector<std::uint8_t>> segments_;
-    std::size_t bufferedBytes_ = 0;
 };
 
 } // namespace qpip::inet

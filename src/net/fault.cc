@@ -3,29 +3,24 @@
 namespace qpip::net {
 
 FaultDecision
-FaultInjector::apply(Packet &pkt, const FaultConfig &cfg)
+rollFaults(Packet &pkt, const FaultConfig &cfg, sim::Random &rng)
 {
     FaultDecision d;
-    if (rng_.bernoulli(cfg.dropProb)) {
+    if (rng.bernoulli(cfg.dropProb)) {
         d.drop = true;
-        drops.inc();
         return d;
     }
-    if (rng_.bernoulli(cfg.corruptProb) && !pkt.data.empty()) {
+    if (rng.bernoulli(cfg.corruptProb) && !pkt.data.empty()) {
         auto idx = static_cast<std::size_t>(
-            rng_.uniformInt(0, pkt.data.size() - 1));
-        auto mask = static_cast<std::uint8_t>(rng_.uniformInt(1, 255));
+            rng.uniformInt(0, pkt.data.size() - 1));
+        auto mask = static_cast<std::uint8_t>(rng.uniformInt(1, 255));
         pkt.data[idx] ^= mask;
-        corruptions.inc();
+        d.corrupt = true;
     }
-    if (rng_.bernoulli(cfg.dupProb)) {
+    if (rng.bernoulli(cfg.dupProb))
         d.duplicate = true;
-        dups.inc();
-    }
-    if (rng_.bernoulli(cfg.reorderProb)) {
+    if (rng.bernoulli(cfg.reorderProb))
         d.extraDelay = cfg.reorderDelay;
-        reorders.inc();
-    }
     return d;
 }
 

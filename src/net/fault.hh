@@ -2,16 +2,18 @@
  * @file
  * Fault injection for links: probabilistic drop, duplication, payload
  * corruption and reorder-by-delay. The paper assumes a robust SAN
- * where "packet loss or reordering seldom occurs"; the fault injector
+ * where "packet loss or reordering seldom occurs"; fault injection
  * lets the test suite and the loss-sensitivity ablation bench violate
  * that assumption on purpose.
+ *
+ * The roll is stateless: the caller owns the random stream and counts
+ * the outcomes (net::Link keeps them with its transmit counters).
  */
 
 #pragma once
 
 #include "net/packet.hh"
 #include "sim/random.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace qpip::net {
@@ -27,44 +29,25 @@ struct FaultConfig
     sim::Tick reorderDelay = 20 * sim::oneUs;
 };
 
-/** What the injector decided for one packet. */
+/** What the dice decided for one packet. */
 struct FaultDecision
 {
     bool drop = false;
+    /** One payload byte was flipped in place. */
+    bool corrupt = false;
     bool duplicate = false;
     /** Extra delay to apply (0 = deliver on time). */
     sim::Tick extraDelay = 0;
 };
 
 /**
- * Stateless per-packet fault roller (the RNG carries the state).
+ * Roll the dice for @p pkt under @p cfg, drawing from @p rng — a
+ * stream the caller owns (each link direction has its own). Corruption
+ * mutates the packet bytes in place (a random byte is XORed with a
+ * random non-zero value), which downstream checksums must catch. A
+ * dropped packet is never also corrupted, duplicated or delayed.
  */
-class FaultInjector
-{
-  public:
-    explicit FaultInjector(sim::Random &rng) : rng_(rng) {}
-
-    FaultConfig config;
-
-    /**
-     * Roll the dice for @p pkt under @p cfg. Corruption mutates the
-     * packet bytes in place (a random byte is XORed with a random
-     * non-zero value), which downstream checksums must catch. A
-     * link's per-direction injectors roll under the config of the
-     * link's shared one.
-     */
-    FaultDecision apply(Packet &pkt, const FaultConfig &cfg);
-
-    /** Roll the dice for @p pkt under this injector's own config. */
-    FaultDecision apply(Packet &pkt) { return apply(pkt, config); }
-
-    sim::Counter drops;
-    sim::Counter dups;
-    sim::Counter corruptions;
-    sim::Counter reorders;
-
-  private:
-    sim::Random &rng_;
-};
+FaultDecision rollFaults(Packet &pkt, const FaultConfig &cfg,
+                         sim::Random &rng);
 
 } // namespace qpip::net

@@ -39,20 +39,33 @@ myrinetLink(std::uint32_t mtu)
     return cfg;
 }
 
+namespace {
+
+/** Every LinkCounters field: what one fold drains. */
+constexpr sim::Counter LinkCounters::*linkCounterFields[] = {
+    &LinkCounters::packetsSent,      &LinkCounters::bytesSent,
+    &LinkCounters::oversizeDrops,    &LinkCounters::queueDrops,
+    &LinkCounters::faultDrops,       &LinkCounters::faultDups,
+    &LinkCounters::faultCorruptions, &LinkCounters::faultReorders,
+};
+
+} // namespace
+
 Link::Link(sim::Simulation &sim, std::string name, LinkConfig config)
-    : SimObject(sim, std::move(name)), cfg_(config), faults_(sim.rng())
+    : SimObject(sim, std::move(name)), cfg_(config)
 {
     regStat("packetsSent", packetsSent);
     regStat("bytesSent", bytesSent);
     regStat("oversizeDrops", oversizeDrops);
     regStat("queueDrops", queueDrops);
-    regStat("faults.drops", faults_.drops);
-    regStat("faults.dups", faults_.dups);
-    regStat("faults.corruptions", faults_.corruptions);
-    regStat("faults.reorders", faults_.reorders);
-    for (auto &d : dir_) {
+    regStat("faults.drops", faultDrops);
+    regStat("faults.dups", faultDups);
+    regStat("faults.corruptions", faultCorruptions);
+    regStat("faults.reorders", faultReorders);
+    for (std::size_t side = 0; side < dir_.size(); ++side) {
+        Direction &d = dir_[side];
         d.eq = &eventQueue();
-        d.faults = &faults_;
+        d.faultRng.seed(sim::streamSeed(sim.seed(), this->name(), side));
         d.counters = this;
     }
 }
@@ -81,10 +94,9 @@ void
 Link::bindSide(int side, const LinkBoundary &boundary)
 {
     auto &d = dir_.at(static_cast<std::size_t>(side));
-    d.shadow = std::make_unique<Shadow>(*boundary.rng);
+    d.shadow = std::make_unique<LinkCounters>();
     d.eq = boundary.eq;
-    d.faults = &d.shadow->faults;
-    d.counters = &d.shadow->counters;
+    d.counters = d.shadow.get();
     d.outbox = boundary.outbox;
     checkTaps();
 }
@@ -116,23 +128,15 @@ Link::checkTaps() const
 void
 Link::foldBoundaryStats()
 {
-    const auto drain = [](sim::Counter &into, sim::Counter &from) {
-        into.inc(from.value());
-        from.reset();
-    };
+    LinkCounters &totals = *this;
     for (auto &d : dir_) {
         if (!d.shadow)
             continue;
-        LinkCounters &c = d.shadow->counters;
-        drain(packetsSent, c.packetsSent);
-        drain(bytesSent, c.bytesSent);
-        drain(oversizeDrops, c.oversizeDrops);
-        drain(queueDrops, c.queueDrops);
-        FaultInjector &f = d.shadow->faults;
-        drain(faults_.drops, f.drops);
-        drain(faults_.dups, f.dups);
-        drain(faults_.corruptions, f.corruptions);
-        drain(faults_.reorders, f.reorders);
+        for (const auto field : linkCounterFields) {
+            sim::Counter &from = (*d.shadow).*field;
+            (totals.*field).inc(from.value());
+            from.reset();
+        }
     }
 }
 
@@ -179,7 +183,15 @@ Link::send(int from_side, PacketPtr pkt)
     counters.packetsSent.inc();
     counters.bytesSent.inc(pkt->wireBytes());
 
-    const FaultDecision fault = tx.faults->apply(*pkt, faults_.config);
+    const FaultDecision fault = rollFaults(*pkt, faultCfg_, tx.faultRng);
+    if (fault.drop)
+        counters.faultDrops.inc();
+    if (fault.corrupt)
+        counters.faultCorruptions.inc();
+    if (fault.duplicate)
+        counters.faultDups.inc();
+    if (fault.extraDelay > 0)
+        counters.faultReorders.inc();
 
     if (tx.tap != nullptr)
         tx.tap->record(*pkt, start);

@@ -12,10 +12,16 @@
  *
  * Both directions, serial or partitioned, transmit through the one
  * send(). Each direction carries the execution context it runs in: an
- * event queue, a fault injector, the counters it adds to, an optional
- * cross-partition outbox and a capture tap. Unbound, these are the
- * link's own queue, its shared injector and its public counters;
- * bindSide() swaps in the sending partition's.
+ * event queue, the counters it adds to, an optional cross-partition
+ * outbox and a capture tap. Unbound, these are the link's own queue
+ * and its public counters; bindSide() swaps in the sending
+ * partition's queue and per-direction shadow counters.
+ *
+ * Each direction also owns its fault stream, seeded from the
+ * simulation seed, the link's name and the side, and rolls it under
+ * the link's one FaultConfig. Binding does not touch it, so a
+ * direction's k-th fault decision is the same in serial and
+ * partitioned runs, and no other object's draws can shift it.
  */
 
 #pragma once
@@ -27,6 +33,7 @@
 #include "net/fault.hh"
 #include "net/packet.hh"
 #include "sim/partition.hh"
+#include "sim/random.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 
@@ -44,8 +51,6 @@ struct LinkBoundary
 {
     /** The sending partition's event queue (drives this direction). */
     sim::EventQueue *eq = nullptr;
-    /** The sending partition's RNG (per-direction fault stream). */
-    sim::Random *rng = nullptr;
     /** Cross-partition channel to the receiver, or nullptr. */
     sim::Mailbox *outbox = nullptr;
 };
@@ -72,8 +77,9 @@ LinkConfig gigabitEthernetLink();
 LinkConfig myrinetLink(std::uint32_t mtu = 16384);
 
 /**
- * Transmit counters. A Link's public set holds its totals; each bound
- * direction adds into a shadow set that foldBoundaryStats() drains.
+ * Transmit and fault counters. A Link's public set holds its totals;
+ * each bound direction adds into a shadow set that
+ * foldBoundaryStats() drains.
  */
 struct LinkCounters
 {
@@ -81,6 +87,11 @@ struct LinkCounters
     sim::Counter bytesSent;
     sim::Counter oversizeDrops;
     sim::Counter queueDrops;
+    /** Outcomes of the fault dice (see net/fault.hh). */
+    sim::Counter faultDrops;
+    sim::Counter faultDups;
+    sim::Counter faultCorruptions;
+    sim::Counter faultReorders;
 };
 
 /**
@@ -109,17 +120,18 @@ class Link : public sim::SimObject, public LinkCounters
     sim::Tick serializationDelay(std::size_t wire_bytes) const;
 
     const LinkConfig &config() const { return cfg_; }
-    FaultInjector &faults() { return faults_; }
+
+    /** Fault probabilities, shared by both directions. */
+    FaultConfig &faultConfig() { return faultCfg_; }
 
     /**
      * Parallel mode: bind the transmitter of @p side to its sending
      * partition. From then on this direction schedules on the bound
-     * queue, draws faults from a per-direction stream off the bound
-     * RNG (under the link's one FaultConfig), and counts into
-     * per-direction shadow counters (folded into the public ones by
-     * foldBoundaryStats()). Wired up by net::partitionFabric during
-     * setup. Panics if both directions tap one writer, which the two
-     * sending partitions would race on.
+     * queue and counts into per-direction shadow counters (folded into
+     * the public ones by foldBoundaryStats()); it keeps its own fault
+     * stream. Wired up by net::partitionFabric during setup. Panics if
+     * both directions tap one writer, which the two sending partitions
+     * would race on.
      */
     void bindSide(int side, const LinkBoundary &boundary);
 
@@ -132,41 +144,38 @@ class Link : public sim::SimObject, public LinkCounters
     void setSideTap(int side, PcapWriter &writer);
 
     /**
-     * Fold the per-direction shadow counters (packet/byte/drop/fault
-     * counts) into the public counters and reset them. Sums are
+     * Fold the per-direction shadow counters (every LinkCounters
+     * field) into the public counters and reset them. Sums are
      * commutative, so the result is independent of execution
      * interleaving; registered as an engine fold hook.
      */
     void foldBoundaryStats();
 
   private:
-    /** A bound direction's own fault stream and shadow counters. */
-    struct Shadow
-    {
-        explicit Shadow(sim::Random &rng) : faults(rng) {}
-        FaultInjector faults;
-        LinkCounters counters;
-    };
-
     /** One transmitter and the context it runs in. */
     struct Direction
     {
         NetReceiver *receiver = nullptr;
         sim::Tick busyUntil = 0;
         sim::EventQueue *eq = nullptr;
-        FaultInjector *faults = nullptr;
         LinkCounters *counters = nullptr;
         /** Cross-partition channel to the receiver, or nullptr. */
         sim::Mailbox *outbox = nullptr;
         PcapWriter *tap = nullptr;
-        /** Set once bound: what faults and counters point into. */
-        std::unique_ptr<Shadow> shadow;
+        /** Set once bound: what counters points into. */
+        std::unique_ptr<LinkCounters> shadow;
+        /**
+         * This direction's fault stream: (seed, link name, side). Last,
+         * so a fault-free send, which never draws, reads one run of
+         * pointers.
+         */
+        sim::Random faultRng;
     };
 
     void checkTaps() const;
 
     LinkConfig cfg_;
-    FaultInjector faults_;
+    FaultConfig faultCfg_;
     std::array<Direction, 2> dir_;
 };
 

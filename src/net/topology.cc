@@ -241,7 +241,6 @@ partitionFabric(sim::ParallelEngine &engine, Fabric &fabric,
                 static_cast<std::size_t>(side ^ 1)));
             LinkBoundary b;
             b.eq = &src->eventQueue();
-            b.rng = &src->rng();
             b.outbox =
                 src == dst ? nullptr : &engine.mailbox(*src, *dst);
             if (b.outbox != nullptr) {

@@ -62,8 +62,6 @@ enum class WrOpcode : std::uint8_t {
     RdmaRead,  ///< one-sided read from a remote MR
 };
 
-const char *wrOpcodeName(WrOpcode op);
-
 /**
  * Memory-registration access rights, a bitmask. Local access is
  * always granted; remote rights are opt-in at registration time, and

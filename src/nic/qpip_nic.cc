@@ -28,17 +28,6 @@ wcStatusName(WcStatus s)
     return "?";
 }
 
-const char *
-wrOpcodeName(WrOpcode op)
-{
-    switch (op) {
-      case WrOpcode::Send: return "send";
-      case WrOpcode::RdmaWrite: return "rdma-write";
-      case WrOpcode::RdmaRead: return "rdma-read";
-    }
-    return "?";
-}
-
 inet::TcpConfig
 QpipNicParams::defaultFirmwareTcpConfig()
 {
@@ -72,6 +61,7 @@ QpipNic::QpipNic(sim::Simulation &sim, std::string name, net::Link &link,
       doorbells_(sim, this->name() + ".doorbells", params.doorbellCap),
       qpCache_(params.qpCacheCapacity),
       inet_(*this, params.reassExpiry),
+      issRng_(sim::streamSeed(sim.seed(), this->name())),
       badPackets(inet_.badFrames), noQpDrops(inet_.noMatchDrops)
 {
     // Force the prototype's transport subset regardless of overrides.
@@ -911,7 +901,7 @@ QpipNic::scheduleTimer(sim::Tick delay, std::function<void()> fn)
 std::uint32_t
 QpipNic::randomIss()
 {
-    return static_cast<std::uint32_t>(rng().next());
+    return static_cast<std::uint32_t>(issRng_.next());
 }
 
 const std::string &

@@ -46,6 +46,7 @@
 #include "nic/lanai.hh"
 #include "nic/qp_ctx_cache.hh"
 #include "nic/qp_state.hh"
+#include "sim/random.hh"
 
 namespace qpip::nic {
 
@@ -257,6 +258,8 @@ class QpipNic : public sim::SimObject,
     MrTable mrs_;
     QpContextCache qpCache_;
     inet::InetStack inet_;
+    /** Initial sequence numbers: (seed, name()) stream. */
+    sim::Random issRng_;
 
   public:
     // Stats: badPackets / noQpDrops surface the engine's counters

@@ -167,7 +167,6 @@ class QueuePair
                   nic::MrKey rkey, std::uint64_t raddr);
 
     std::size_t sendQueueDepth() const { return rings_.sendQ.size(); }
-    std::size_t recvQueueDepth() const { return rings_.recvQ.size(); }
 
   private:
     bool postOneSided(std::uint64_t wr_id, nic::WrOpcode opcode,

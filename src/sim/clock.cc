@@ -27,10 +27,4 @@ ClockDomain::usToCycles(double us) const
         std::llround(us * 1e-6 * static_cast<double>(freqHz_)));
 }
 
-Cycles
-ClockDomain::ticksToCycles(Tick t) const
-{
-    return static_cast<Cycles>(static_cast<double>(t) / periodPs_);
-}
-
 } // namespace qpip::sim

@@ -25,17 +25,11 @@ class ClockDomain
     /** Domain frequency in Hz. */
     std::uint64_t frequency() const { return freqHz_; }
 
-    /** Period of one cycle, in (fractional) picoseconds. */
-    double periodPs() const { return periodPs_; }
-
     /** Convert a cycle count to ticks (rounded to nearest tick). */
     Tick cyclesToTicks(Cycles c) const;
 
     /** Convert (fractional) microseconds to whole cycles (rounded). */
     Cycles usToCycles(double us) const;
-
-    /** Convert a tick count to whole cycles (rounded down). */
-    Cycles ticksToCycles(Tick t) const;
 
   private:
     std::uint64_t freqHz_;

@@ -11,17 +11,6 @@ namespace qpip::sim {
 
 namespace {
 
-/**
- * Derive a partition's RNG seed from the simulation seed and the
- * partition id: distinct, deterministic streams (Random expands the
- * seed through splitmix64, so nearby values diverge immediately).
- */
-std::uint64_t
-partitionSeed(std::uint64_t sim_seed, std::uint32_t id)
-{
-    return sim_seed ^ (0x9E3779B97F4A7C15ULL * (id + 1));
-}
-
 /** a + l saturating at maxTick (drained queues sit at maxTick). */
 Tick
 clampAdd(Tick a, Tick l)
@@ -117,8 +106,7 @@ Partition &
 ParallelEngine::addPartition(const std::string &name)
 {
     const auto id = static_cast<std::uint32_t>(parts_.size());
-    parts_.push_back(std::make_unique<Partition>(
-        id, name, partitionSeed(sim_.seed(), id), horizon_));
+    parts_.push_back(std::make_unique<Partition>(id, name, horizon_));
     horizon_.push_back(0);
     nextTick_.push_back(maxTick);
     floor_.push_back(maxTick);
@@ -157,7 +145,7 @@ ParallelEngine::assignByPrefix(const std::string &prefix, Partition &p)
                            n.compare(0, prefix.size(), prefix) == 0 &&
                            n[prefix.size()] == '.';
         if (exact || child)
-            obj->bindExecContext(p.eventQueue(), p.rng());
+            obj->bindExecContext(p.eventQueue());
     }
 }
 
@@ -384,7 +372,7 @@ ParallelEngine::runShare(Worker &w)
             inject(p, w.merge);
         const std::uint64_t before = p.eq_.executed();
         {
-            ExecContextScope scope(&p.ctx_);
+            ExecContextScope scope(&p.eq_);
             p.eq_.runUntil(v.runTo);
         }
         v.events = p.eq_.executed() - before;
@@ -523,7 +511,7 @@ ParallelEngine::runUntil(Tick until)
         // advances to the stop time (no events can remain below it —
         // the loop above only exits once next >= until).
         for (auto &p : parts_) {
-            ExecContextScope scope(&p->ctx_);
+            ExecContextScope scope(&p->eq_);
             p->eq_.runUntil(until);
         }
         now_ = std::max(now_, until);
@@ -567,7 +555,7 @@ ParallelEngine::clearAll()
     for (auto &p : parts_) {
         p->dirtyOut_.clear();
         p->inbox_.clear();
-        ExecContextScope scope(&p->execContext());
+        ExecContextScope scope(&p->eq_);
         p->eventQueue().clear();
     }
     posted_.clear();

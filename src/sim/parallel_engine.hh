@@ -3,9 +3,9 @@
  * A deterministic conservative parallel discrete-event engine.
  *
  * The simulation is sharded into Partitions (see partition.hh), each
- * owning a private event queue and RNG stream. Partition i belongs to
- * worker i mod T (T = thread count; worker 0 is the calling thread)
- * for the engine's whole life. Execution proceeds in barrier epochs.
+ * owning a private event queue. Partition i belongs to worker i mod T
+ * (T = thread count; worker 0 is the calling thread) for the engine's
+ * whole life. Execution proceeds in barrier epochs.
  * The coordinator's serial barrier does three things:
  *
  *   1. hand every batch posted last epoch to its destination, folding
@@ -75,13 +75,14 @@
  * (when, priority, seq) total order; injection order into a queue is
  * fixed by the merge above and happens at the same point relative to
  * the queue's own events; horizons are computed from queue state
- * alone; RNG streams are per-partition. None of that depends on the
- * number of worker threads or on which worker owns a partition, so an
- * N-thread run is bit-identical to a 1-thread run of the same
- * partitioning. (A partitioned run may differ from the unpartitioned
- * serial schedule — per-partition RNG/seq streams — which is why
- * `threads=1` without an engine remains the default and untouched
- * code path.)
+ * alone; random streams belong to objects, not partitions. None of
+ * that depends on the number of worker threads or on which worker
+ * owns a partition, so an N-thread run is bit-identical to a 1-thread
+ * run of the same partitioning. (A partitioned run may differ from the
+ * unpartitioned serial schedule in event order only — same-tick ties
+ * break by per-partition seq counters — which is why `threads=1`
+ * without an engine remains the default and untouched code path. Each
+ * object's k-th random draw is the same in both.)
  *
  * This is the one place in the tree allowed to use threading
  * primitives (see qpip-lint rule T1): all protocol code stays
@@ -125,7 +126,7 @@ class ParallelEngine
     ParallelEngine(const ParallelEngine &) = delete;
     ParallelEngine &operator=(const ParallelEngine &) = delete;
 
-    /** Create a partition. RNG stream derives from sim seed + id. */
+    /** Create a partition (with its own event queue). */
     Partition &addPartition(const std::string &name);
 
     std::size_t numPartitions() const { return parts_.size(); }
@@ -137,7 +138,7 @@ class ParallelEngine
 
     /**
      * Bind every registered SimObject whose name is @p prefix or
-     * starts with "@p prefix." to partition @p p (its queue and RNG).
+     * starts with "@p prefix." to partition @p p (its event queue).
      */
     void assignByPrefix(const std::string &prefix, Partition &p);
 

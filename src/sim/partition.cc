@@ -7,30 +7,28 @@ namespace qpip::sim {
 namespace detail {
 
 namespace {
-thread_local ExecContext *gExecContext = nullptr;
+thread_local EventQueue *gExecContext = nullptr;
 } // namespace
 
-ExecContext *
+EventQueue *
 currentExecContext()
 {
     return gExecContext;
 }
 
 void
-setCurrentExecContext(ExecContext *ctx)
+setCurrentExecContext(EventQueue *eq)
 {
-    gExecContext = ctx;
+    gExecContext = eq;
 }
 
 } // namespace detail
 
 Partition::Partition(std::uint32_t id, std::string name,
-                     std::uint64_t seed, const std::vector<Tick> &horizons)
-    : id_(id), name_(std::move(name)), rng_(seed), horizons_(&horizons)
+                     const std::vector<Tick> &horizons)
+    : id_(id), name_(std::move(name)), horizons_(&horizons)
 {
     eq_.setLabel(name_);
-    ctx_.eq = &eq_;
-    ctx_.rng = &rng_;
 }
 
 void

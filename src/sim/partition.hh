@@ -3,17 +3,18 @@
  * Partitions and mailboxes: the sharding primitives of the
  * deterministic parallel engine (see parallel_engine.hh).
  *
- * A Partition owns a private EventQueue and a private Random stream,
- * and belongs to one worker thread for the engine's whole life, so
- * everything bound to it runs single-threaded. Cross-partition
- * communication goes through Mailbox: the source partition appends
- * closures to the edge's post buffer and its owner sorts the batch
- * while still inside the parallel region; at the epoch barrier the
- * engine hands every posted batch to its destination, whose owner
- * merges its inbound batches into its queue in one deterministic
- * (tick, priority, seq, source partition id) pass before running it —
- * so the resulting schedule is independent of thread count and
- * interleaving.
+ * A Partition owns a private EventQueue and belongs to one worker
+ * thread for the engine's whole life, so everything bound to it runs
+ * single-threaded. It owns no randomness: objects draw from their
+ * own streams (see random.hh), whichever partition runs them.
+ * Cross-partition communication goes through Mailbox: the source
+ * partition appends closures to the edge's post buffer and its owner
+ * sorts the batch while still inside the parallel region; at the epoch
+ * barrier the engine hands every posted batch to its destination,
+ * whose owner merges its inbound batches into its queue in one
+ * deterministic (tick, priority, seq, source partition id) pass before
+ * running it — so the resulting schedule is independent of thread
+ * count and interleaving.
  *
  * Every edge carries its own lookahead (the minimum delivery latency
  * of that link), and every partition carries the horizon of the epoch
@@ -22,10 +23,10 @@
  * tick — a causality violation — and panics with enough context to
  * debug at thousand-host scale.
  *
- * The thread-local ExecContext lets objects constructed *while a
- * partition is executing* (e.g. a TCP connection spun up by an
- * accept) bind to the creating partition's queue and RNG instead of
- * the simulation-global ones.
+ * The thread-local execution context — the queue of the partition the
+ * thread is running — lets objects constructed *while a partition is
+ * executing* (e.g. a TCP connection spun up by an accept) bind to the
+ * creating partition's queue instead of the simulation-global one.
  */
 
 #pragma once
@@ -38,7 +39,6 @@
 
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
-#include "sim/random.hh"
 #include "sim/types.hh"
 
 namespace qpip::sim {
@@ -46,33 +46,26 @@ namespace qpip::sim {
 class Mailbox;
 class ParallelEngine;
 
-/**
- * Which partition (if any) the current thread is executing: the event
- * queue and RNG stream that SimObjects constructed on this thread
- * bind to.
- */
-struct ExecContext
-{
-    EventQueue *eq = nullptr;
-    Random *rng = nullptr;
-};
-
 namespace detail {
 
-/** The calling thread's execution context (nullptr outside epochs). */
-ExecContext *currentExecContext();
-void setCurrentExecContext(ExecContext *ctx);
+/**
+ * The calling thread's execution context: the event queue of the
+ * partition it is executing, which SimObjects constructed on this
+ * thread bind to (nullptr outside epochs).
+ */
+EventQueue *currentExecContext();
+void setCurrentExecContext(EventQueue *eq);
 
 } // namespace detail
 
-/** RAII installer for the thread-local ExecContext. */
+/** RAII installer for the thread-local execution context. */
 class ExecContextScope
 {
   public:
-    explicit ExecContextScope(ExecContext *ctx)
+    explicit ExecContextScope(EventQueue *eq)
         : prev_(detail::currentExecContext())
     {
-        detail::setCurrentExecContext(ctx);
+        detail::setCurrentExecContext(eq);
     }
 
     ~ExecContextScope() { detail::setCurrentExecContext(prev_); }
@@ -81,12 +74,11 @@ class ExecContextScope
     ExecContextScope &operator=(const ExecContextScope &) = delete;
 
   private:
-    ExecContext *prev_;
+    EventQueue *prev_;
 };
 
 /**
- * One shard of the simulation: a private event-queue slab plus a
- * private RNG stream.
+ * One shard of the simulation: a private event-queue slab.
  */
 class Partition
 {
@@ -95,7 +87,7 @@ class Partition
      * @p horizons is the engine's per-partition frontier array, which
      * epochHorizon() reads at index @p id.
      */
-    Partition(std::uint32_t id, std::string name, std::uint64_t seed,
+    Partition(std::uint32_t id, std::string name,
               const std::vector<Tick> &horizons);
 
     Partition(const Partition &) = delete;
@@ -105,8 +97,6 @@ class Partition
     const std::string &name() const { return name_; }
 
     EventQueue &eventQueue() { return eq_; }
-    Random &rng() { return rng_; }
-    ExecContext &execContext() { return ctx_; }
 
     /** Next mailbox message sequence number (deterministic). */
     std::uint64_t nextMailSeq() { return mailSeq_++; }
@@ -131,8 +121,6 @@ class Partition
     std::uint32_t id_;
     std::string name_;
     EventQueue eq_;
-    Random rng_;
-    ExecContext ctx_;
     std::uint64_t mailSeq_ = 0;
     /**
      * The engine's flat frontier array: written by the coordinator

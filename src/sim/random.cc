@@ -92,4 +92,21 @@ Random::exponential(double mean)
     return -mean * std::log(u);
 }
 
+std::uint64_t
+streamSeed(std::uint64_t seed, std::string_view name, std::uint64_t salt)
+{
+    std::uint64_t h = 14695981039346656037ULL;
+    const auto mix = [&h](std::uint64_t byte) {
+        h ^= byte & 0xff;
+        h *= 1099511628211ULL;
+    };
+    for (int shift = 0; shift < 64; shift += 8)
+        mix(seed >> shift);
+    for (const char c : name)
+        mix(static_cast<unsigned char>(c));
+    for (int shift = 0; shift < 64; shift += 8)
+        mix(salt >> shift);
+    return h;
+}
+
 } // namespace qpip::sim

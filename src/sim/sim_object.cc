@@ -8,13 +8,8 @@ namespace qpip::sim {
 SimObject::SimObject(Simulation &sim, std::string name)
     : sim_(sim), name_(std::move(name))
 {
-    if (const ExecContext *ctx = detail::currentExecContext()) {
-        eq_ = ctx->eq;
-        rng_ = ctx->rng;
-    } else {
-        eq_ = &sim_.eventQueue();
-        rng_ = &sim_.rng();
-    }
+    EventQueue *ctx = detail::currentExecContext();
+    eq_ = ctx != nullptr ? ctx : &sim_.eventQueue();
     stats_.init(sim_.stats(), name_);
     sim_.registerObject(this);
 }

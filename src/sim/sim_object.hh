@@ -1,16 +1,20 @@
 /**
  * @file
  * SimObject: named base class for every simulated component. Provides
- * access to the owning Simulation's event queue and RNG plus schedule
+ * access to the owning Simulation's event queue plus schedule
  * helpers, mirroring the gem5 SimObject idiom.
  *
- * Partitioning: an object schedules into — and draws randomness from
- * — whatever execution context it is bound to. By default that is the
- * simulation's global queue and RNG (the serial path). The parallel
- * engine rebinds objects to their partition's queue/stream via
- * bindExecContext(); objects constructed *while* a partition executes
- * (e.g. components spun up by an accept) inherit the thread-local
- * context automatically.
+ * Partitioning: an object schedules into whatever execution context
+ * — event queue — it is bound to. By default that is the simulation's
+ * global queue (the serial path). The parallel engine rebinds objects
+ * to their partition's queue via bindExecContext(); objects
+ * constructed *while* a partition executes (e.g. components spun up
+ * by an accept) inherit the thread-local context automatically.
+ *
+ * Randomness is not part of the context: an object that draws random
+ * numbers owns a sim::Random seeded by sim::streamSeed() from the
+ * simulation seed and name(), so its draws are the same whichever
+ * queue it is bound to.
  */
 
 #pragma once
@@ -51,16 +55,11 @@ class SimObject
     EventQueue &eventQueue() { return *eq_; }
 
     /**
-     * Rebind to a partition's execution context. Called by
+     * Rebind to a partition's event queue. Called by
      * ParallelEngine::assignByPrefix during setup — never while the
      * simulation is running.
      */
-    void
-    bindExecContext(EventQueue &eq, Random &rng)
-    {
-        eq_ = &eq;
-        rng_ = &rng;
-    }
+    void bindExecContext(EventQueue &eq) { eq_ = &eq; }
 
     /**
      * Schedule a closure at an absolute tick. The callable goes
@@ -92,9 +91,6 @@ class SimObject
         return eventQueue().hold(std::forward<F>(fn));
     }
 
-    /** Deterministic RNG stream of the bound execution context. */
-    Random &rng() { return *rng_; }
-
     /** Simulation-wide stats registry. */
     StatRegistry &statRegistry() { return sim_.stats(); }
 
@@ -117,7 +113,6 @@ class SimObject
     Simulation &sim_;
     std::string name_;
     EventQueue *eq_;
-    Random *rng_;
     StatGroup stats_;
 };
 

@@ -6,7 +6,7 @@
 
 namespace qpip::sim {
 
-Simulation::Simulation(std::uint64_t seed) : seed_(seed), rng_(seed) {}
+Simulation::Simulation(std::uint64_t seed) : seed_(seed) {}
 
 Tick
 Simulation::engineNow() const

@@ -1,7 +1,7 @@
 /**
  * @file
  * Simulation: the top-level container owning the event queue, the
- * global RNG, the stats registry and the event tracer. Experiments
+ * master seed, the stats registry and the event tracer. Experiments
  * construct one Simulation, build a testbed of SimObjects against it,
  * and drive it with run()/runUntil()/runFor().
  *
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/random.hh"
 #include "sim/stat_registry.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
@@ -38,12 +37,11 @@ class Simulation
     explicit Simulation(std::uint64_t seed = 1);
 
     EventQueue &eventQueue() { return eq_; }
-    Random &rng() { return rng_; }
     StatRegistry &stats() { return stats_; }
     const StatRegistry &stats() const { return stats_; }
     Tracer &tracer() { return tracer_; }
 
-    /** Master seed: the global RNG and partition streams derive here. */
+    /** Master seed: every object's random stream derives here. */
     std::uint64_t seed() const { return seed_; }
 
     /** The installed parallel engine, or nullptr (serial mode). */
@@ -118,7 +116,6 @@ class Simulation
 
     std::uint64_t seed_;
     EventQueue eq_;
-    Random rng_;
     StatRegistry stats_;
     Tracer tracer_;
     ParallelEngine *engine_ = nullptr;

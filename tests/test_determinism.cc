@@ -5,8 +5,9 @@
  * JSON dump and the full event-trace JSON — for both a clean QPIP
  * ping-pong and a lossy-fabric sockets TCP transfer where every
  * retransmission path is exercised. This pins down the simulator's
- * reproducibility guarantee: all randomness flows from the seeded
- * RNG, and event ordering is stable. The lossy transfers' link-layer
+ * reproducibility guarantee: all randomness flows from per-object
+ * streams seeded from the simulation seed, and event ordering is
+ * stable. The lossy transfers' link-layer
  * outcome is also pinned to absolute values, which run-to-run
  * comparison alone cannot catch drifting.
  */
@@ -128,11 +129,11 @@ runLossyTransfer(std::uint64_t seed)
     // reordering on both spokes, so retransmission and
     // fast-retransmit paths all run.
     for (net::NodeId node = 0; node < 2; ++node) {
-        auto &faults = bed.fabric().linkFor(node).faults();
-        faults.config.dropProb = 0.02;
-        faults.config.dupProb = 0.01;
-        faults.config.corruptProb = 0.01;
-        faults.config.reorderProb = 0.05;
+        auto &faults = bed.fabric().linkFor(node).faultConfig();
+        faults.dropProb = 0.02;
+        faults.dupProb = 0.01;
+        faults.corruptProb = 0.01;
+        faults.reorderProb = 0.05;
     }
     const auto taps = tapAllEdges(bed.fabric());
     auto res = apps::runSocketsTtcp(bed, 128 * 1024);
@@ -145,6 +146,53 @@ runLossyTransfer(std::uint64_t seed)
         out.faultEvents += bed.sim().stats().counterValue(path);
     out.pins = collectLinkPins(bed.sim().stats(), taps);
     return out;
+}
+
+/**
+ * host0 -> host1 ttcp over a 4-host star whose spokes 0 and 1 are
+ * lossy, started at a fixed tick. With @p warmup, hosts 2 and 3 first
+ * open TCP connections to each other over their lossless spokes and
+ * finish transfers on them — drawing initial sequence numbers that the
+ * measured transfer never sees.
+ */
+LinkPins
+runStarTransfer(bool warmup)
+{
+    apps::SocketsTestbed bed(4, apps::SocketsFabric::GigabitEthernet, 99);
+    std::vector<std::unique_ptr<net::PcapWriter>> taps;
+    for (net::NodeId node = 0; node < 2; ++node) {
+        net::Link &link = bed.fabric().linkFor(node);
+        auto &faults = link.faultConfig();
+        faults.dropProb = 0.02;
+        faults.dupProb = 0.01;
+        faults.corruptProb = 0.01;
+        faults.reorderProb = 0.05;
+        for (int side = 0; side < 2; ++side) {
+            taps.push_back(std::make_unique<net::PcapWriter>());
+            net::tapLinkSide(link, side, *taps.back());
+        }
+    }
+    if (warmup) {
+        const auto w = apps::runSocketsTtcpPairs(bed, {{2, 3}, {3, 2}},
+                                                 16 * 1024);
+        EXPECT_TRUE(w.completed);
+    }
+    const sim::Tick start = sim::oneSec;
+    EXPECT_LT(bed.sim().now(), start);
+    bed.sim().runUntil(start);
+    EXPECT_TRUE(apps::runSocketsTtcp(bed, 64 * 1024).completed);
+
+    LinkPins pins;
+    for (const char *pattern :
+         {"fabric.link0.faults.*", "fabric.link1.faults.*"}) {
+        for (const auto &path : bed.sim().stats().match(pattern)) {
+            pins.counters.emplace_back(
+                path, bed.sim().stats().counterValue(path));
+        }
+    }
+    for (const auto &t : taps)
+        pins.captureDigests.push_back(fnv1a(t->bytes()));
+    return pins;
 }
 
 /**
@@ -208,11 +256,11 @@ runParallelLossy(int threads, std::uint64_t seed)
                              apps::FabricTopology::DualStar);
     bed.enableParallel(threads);
     for (net::NodeId node = 0; node < 2; ++node) {
-        auto &faults = bed.fabric().linkFor(node).faults();
-        faults.config.dropProb = 0.02;
-        faults.config.dupProb = 0.01;
-        faults.config.corruptProb = 0.01;
-        faults.config.reorderProb = 0.05;
+        auto &faults = bed.fabric().linkFor(node).faultConfig();
+        faults.dropProb = 0.02;
+        faults.dupProb = 0.01;
+        faults.corruptProb = 0.01;
+        faults.reorderProb = 0.05;
     }
     const auto taps = tapAllEdges(bed.fabric());
     const auto r = apps::runSocketsTtcp(bed, 128 * 1024);
@@ -653,7 +701,7 @@ TEST(Determinism, QpipPingPongReplaysIdentically)
 
 TEST(Determinism, DifferentSeedsDiverge)
 {
-    // On a lossy fabric the RNG picks which packets die, so a
+    // On a lossy fabric the fault dice pick which packets die, so a
     // different seed must produce a different history; identical
     // output would mean the seed is ignored somewhere.
     const auto a = runLossyTransfer(1234);
@@ -675,6 +723,23 @@ TEST(Determinism, LossyFabricTransferReplaysIdentically)
     EXPECT_EQ(a.traceJson, b.traceJson);
     // The fault injector really fired, or this test proves nothing.
     EXPECT_GT(a.faultEvents, 0u);
+}
+
+TEST(Determinism, FaultDiceIgnoreUnrelatedDraws)
+{
+    // Every object draws from its own stream: connections opened
+    // elsewhere in the fabric shift neither a lossy link's fault
+    // decisions nor the measured hosts' sequence numbers.
+    const LinkPins alone = runStarTransfer(false);
+    const LinkPins after = runStarTransfer(true);
+    EXPECT_EQ(alone.counters, after.counters);
+    EXPECT_EQ(alone.captureDigests, after.captureDigests);
+    // The dice really fired on the measured spokes.
+    std::uint64_t faults = 0;
+    for (const auto &[path, value] : alone.counters)
+        faults += value;
+    EXPECT_GT(faults, 0u);
+    EXPECT_EQ(alone.counters.size(), 8u);
 }
 
 // --- parallel engine: N threads == 1 thread, bit for bit -----------
@@ -709,7 +774,7 @@ TEST(ParallelDeterminism, LossyTransferThreadCountInvariant)
     EXPECT_EQ(one.statsJson, four.statsJson);
     EXPECT_EQ(one.pcap, four.pcap);
     EXPECT_EQ(one.faultEvents, four.faultEvents);
-    // Same RNG stream on both sides of the comparison: the faults
+    // Same fault streams on both sides of the comparison: the faults
     // really fired, and identically so.
     EXPECT_GT(one.faultEvents, 0u);
 }
@@ -802,37 +867,38 @@ TEST(ParallelDeterminism, BatchedPostsThreadCountInvariant)
 // These pin the lossy transfers' link-layer outcome absolutely — the
 // final tick, every transmit, drop and fault counter, and a digest of
 // each link direction's capture — as the link model produced them
-// under drop+dup+corrupt+reorder.
+// under drop+dup+corrupt+reorder, each direction rolling its own
+// fault stream.
 
 TEST(Determinism, LossyTransferMatchesLinkPins)
 {
     const auto run = runLossyTransfer(1234);
     ASSERT_TRUE(run.completed);
-    EXPECT_EQ(run.endTick, 3710295629ull);
+    EXPECT_EQ(run.endTick, 244051676021ull);
     const std::vector<CounterPin> counters = {
-        {"fabric.link0.packetsSent", 150},
-        {"fabric.link1.packetsSent", 152},
-        {"fabric.link0.bytesSent", 146016},
-        {"fabric.link1.bytesSent", 146196},
+        {"fabric.link0.packetsSent", 164},
+        {"fabric.link1.packetsSent", 164},
+        {"fabric.link0.bytesSent", 148704},
+        {"fabric.link1.bytesSent", 147276},
         {"fabric.link0.queueDrops", 0},
         {"fabric.link1.queueDrops", 0},
         {"fabric.link0.oversizeDrops", 0},
         {"fabric.link1.oversizeDrops", 0},
-        {"fabric.link0.faults.corruptions", 2},
-        {"fabric.link0.faults.drops", 3},
+        {"fabric.link0.faults.corruptions", 0},
+        {"fabric.link0.faults.drops", 4},
         {"fabric.link0.faults.dups", 0},
-        {"fabric.link0.faults.reorders", 6},
-        {"fabric.link1.faults.corruptions", 0},
+        {"fabric.link0.faults.reorders", 8},
+        {"fabric.link1.faults.corruptions", 3},
         {"fabric.link1.faults.drops", 2},
-        {"fabric.link1.faults.dups", 0},
-        {"fabric.link1.faults.reorders", 2},
+        {"fabric.link1.faults.dups", 1},
+        {"fabric.link1.faults.reorders", 5},
     };
     EXPECT_EQ(run.pins.counters, counters);
     const std::vector<std::uint64_t> digests = {
-        0x1324b5de28c3f152ull,
-        0xa14bedbdf49376b8ull,
-        0x2f0349e6ad548375ull,
-        0x39af5b6501f65d73ull,
+        0xbc995748035b1eeeull,
+        0x225b5645c0bc0390ull,
+        0xe5fcb69e6e40fcc2ull,
+        0x38680d1f8de1731bull,
     };
     EXPECT_EQ(run.pins.captureDigests, digests);
 }
@@ -840,43 +906,43 @@ TEST(Determinism, LossyTransferMatchesLinkPins)
 TEST(ParallelDeterminism, LossyTransferMatchesLinkPins)
 {
     const std::vector<CounterPin> counters = {
-        {"fabric.link0.packetsSent", 175},
-        {"fabric.link1.packetsSent", 173},
-        {"fabric.trunk.packetsSent", 172},
-        {"fabric.link0.bytesSent", 159690},
-        {"fabric.link1.bytesSent", 153798},
-        {"fabric.trunk.bytesSent", 153708},
+        {"fabric.link0.packetsSent", 166},
+        {"fabric.link1.packetsSent", 166},
+        {"fabric.trunk.packetsSent", 165},
+        {"fabric.link0.bytesSent", 148884},
+        {"fabric.link1.bytesSent", 147456},
+        {"fabric.trunk.bytesSent", 147366},
         {"fabric.link0.queueDrops", 0},
         {"fabric.link1.queueDrops", 0},
         {"fabric.trunk.queueDrops", 0},
         {"fabric.link0.oversizeDrops", 0},
         {"fabric.link1.oversizeDrops", 0},
         {"fabric.trunk.oversizeDrops", 0},
-        {"fabric.link0.faults.corruptions", 3},
-        {"fabric.link0.faults.drops", 6},
-        {"fabric.link0.faults.dups", 1},
-        {"fabric.link0.faults.reorders", 9},
-        {"fabric.link1.faults.corruptions", 1},
-        {"fabric.link1.faults.drops", 3},
-        {"fabric.link1.faults.dups", 2},
-        {"fabric.link1.faults.reorders", 10},
+        {"fabric.link0.faults.corruptions", 0},
+        {"fabric.link0.faults.drops", 4},
+        {"fabric.link0.faults.dups", 0},
+        {"fabric.link0.faults.reorders", 8},
+        {"fabric.link1.faults.corruptions", 3},
+        {"fabric.link1.faults.drops", 2},
+        {"fabric.link1.faults.dups", 1},
+        {"fabric.link1.faults.reorders", 5},
         {"fabric.trunk.faults.corruptions", 0},
         {"fabric.trunk.faults.drops", 0},
         {"fabric.trunk.faults.dups", 0},
         {"fabric.trunk.faults.reorders", 0},
     };
     const std::vector<std::uint64_t> digests = {
-        0x4c0561ad84f30c27ull,
-        0x487c65fef7ad18a8ull,
-        0x95fdee53a0a6c5eeull,
-        0x49c77b4c3e559dfeull,
-        0x0a3262cb76e1cdf9ull,
-        0x3ccebc97a9b83b56ull,
+        0xa1666c721e6e6f3dull,
+        0xee9dafac74a67d2aull,
+        0x1f6959d7e2ed2406ull,
+        0xc0d6d608791b6193ull,
+        0xb86ef58e42bd2956ull,
+        0xd9cfcaaf25fb0dfbull,
     };
     for (const int threads : {1, 4}) {
         const auto run = runParallelLossy(threads, 1234);
         ASSERT_TRUE(run.completed) << threads << " threads";
-        EXPECT_EQ(run.endTick, 886984302974ull) << threads << " threads";
+        EXPECT_EQ(run.endTick, 244322216144ull) << threads << " threads";
         EXPECT_EQ(run.pins.counters, counters) << threads << " threads";
         EXPECT_EQ(run.pins.captureDigests, digests)
             << threads << " threads";

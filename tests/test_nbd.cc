@@ -205,6 +205,36 @@ TEST(NbdIntegration, QpipWriteReadIntegrity)
     EXPECT_LT(r.clientCpuUtil, 0.7);
 }
 
+TEST(NbdIntegration, VerificationCatchesWrongContentOnBothTransports)
+{
+    // Nothing was written, so the device holds zeros, not the client's
+    // pattern: a verifying read-back must say so on either transport.
+    const std::uint64_t bytes = 1 << 20;
+    std::vector<std::uint8_t> device(bytes, 0);
+    NbdServerConfig scfg;
+    scfg.content = &device;
+    NbdClientParams params;
+    params.verifyContent = true;
+    {
+        SocketsTestbed bed(2, SocketsFabric::GigabitEthernet);
+        ServerStore store(bed.sim(), "store", bytes);
+        NbdSocketServer server(bed.host(1).stack(), store, scfg);
+        const auto r =
+            runNbdSocketsSequential(bed, 0, 1, false, bytes, params);
+        ASSERT_TRUE(r.completed);
+        EXPECT_FALSE(r.dataOk);
+    }
+    {
+        QpipTestbed bed(2, 9000);
+        ServerStore store(bed.sim(), "store", bytes);
+        NbdQpipServer server(bed.provider(1), store, scfg);
+        const auto r =
+            runNbdQpipSequential(bed, 0, 1, false, bytes, params);
+        ASSERT_TRUE(r.completed);
+        EXPECT_FALSE(r.dataOk);
+    }
+}
+
 TEST(NbdIntegration, QpipFasterAndCheaperThanSockets)
 {
     const std::uint64_t bytes = 8 << 20;

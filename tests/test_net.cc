@@ -11,6 +11,7 @@
 #include "net/serialize.hh"
 #include "net/switch.hh"
 #include "net/topology.hh"
+#include "sim/parallel_engine.hh"
 #include "sim/simulation.hh"
 
 using namespace qpip;
@@ -171,14 +172,14 @@ TEST(Fault, DropAndDuplicate)
     SinkPort sink(sim);
     link.attach(1, sink);
 
-    link.faults().config.dropProb = 1.0;
+    link.faultConfig().dropProb = 1.0;
     link.send(0, somePacket(100));
     sim.run();
     EXPECT_TRUE(sink.packets.empty());
-    EXPECT_EQ(link.faults().drops.value(), 1u);
+    EXPECT_EQ(link.faultDrops.value(), 1u);
 
-    link.faults().config.dropProb = 0.0;
-    link.faults().config.dupProb = 1.0;
+    link.faultConfig().dropProb = 0.0;
+    link.faultConfig().dupProb = 1.0;
     link.send(0, somePacket(100));
     sim.run();
     EXPECT_EQ(sink.packets.size(), 2u);
@@ -190,7 +191,7 @@ TEST(Fault, CorruptionFlipsBytes)
     Link link(sim, "l", gigabitEthernetLink());
     SinkPort sink(sim);
     link.attach(1, sink);
-    link.faults().config.corruptProb = 1.0;
+    link.faultConfig().corruptProb = 1.0;
     link.send(0, somePacket(100));
     sim.run();
     ASSERT_EQ(sink.packets.size(), 1u);
@@ -198,6 +199,99 @@ TEST(Fault, CorruptionFlipsBytes)
     for (auto b : sink.packets[0]->data)
         diffs += (b != 0xab);
     EXPECT_EQ(diffs, 1);
+}
+
+namespace {
+
+/** What side 1 of a lossy link saw, and the fault counters. */
+struct DiceOutcome
+{
+    /** (arrival tick, bytes) per delivered copy, in arrival order. */
+    std::vector<std::pair<sim::Tick, std::vector<std::uint8_t>>> arrivals;
+    std::vector<std::uint64_t> counters;
+
+    bool
+    operator==(const DiceOutcome &o) const
+    {
+        return arrivals == o.arrivals && counters == o.counters;
+    }
+};
+
+/** Records arrivals against the queue the link direction runs on. */
+class QueueSink : public NetReceiver
+{
+  public:
+    explicit QueueSink(sim::EventQueue &eq, DiceOutcome &out)
+        : eq_(eq), out_(out)
+    {}
+
+    void
+    onPacket(PacketPtr pkt) override
+    {
+        out_.arrivals.emplace_back(eq_.now(), pkt->data);
+    }
+
+  private:
+    sim::EventQueue &eq_;
+    DiceOutcome &out_;
+};
+
+/**
+ * Send 200 numbered packets through side 0 of a link that drops,
+ * duplicates, corrupts and reorders a fifth of them each. With
+ * @p bound, the direction is bound into a partition first.
+ */
+DiceOutcome
+rollLossyDirection(bool bound)
+{
+    sim::Simulation sim(7);
+    Link link(sim, "l", gigabitEthernetLink());
+    link.faultConfig() = FaultConfig{0.2, 0.2, 0.2, 0.2, 20 * sim::oneUs};
+    std::unique_ptr<sim::ParallelEngine> engine;
+    sim::EventQueue *eq = &sim.eventQueue();
+    if (bound) {
+        engine = std::make_unique<sim::ParallelEngine>(sim, 1);
+        sim::Partition &p = engine->addPartition("p");
+        eq = &p.eventQueue();
+        link.bindSide(0, LinkBoundary{eq, nullptr});
+        engine->addFoldHook([&link] { link.foldBoundaryStats(); });
+    }
+    DiceOutcome out;
+    QueueSink sink(*eq, out);
+    link.attach(1, sink);
+    for (int i = 0; i < 200; ++i) {
+        eq->schedule(static_cast<sim::Tick>(i) * 20 * sim::oneUs,
+                     [&link, i] {
+                         auto pkt = somePacket(100);
+                         pkt->data[0] = static_cast<std::uint8_t>(i);
+                         link.send(0, pkt);
+                     });
+    }
+    sim.run();
+    out.counters = {link.packetsSent.value(), link.faultDrops.value(),
+                    link.faultDups.value(), link.faultCorruptions.value(),
+                    link.faultReorders.value()};
+    return out;
+}
+
+} // namespace
+
+TEST(Fault, DirectionDiceIgnoreBinding)
+{
+    // A direction's k-th fault decision depends only on the seed, the
+    // link's name and the side: binding the direction into a partition
+    // must not change a single drop, duplicate, flipped byte or delay.
+    const DiceOutcome serial = rollLossyDirection(false);
+    const DiceOutcome bound = rollLossyDirection(true);
+    EXPECT_TRUE(serial == bound);
+    // Every kind of fault really fired.
+    ASSERT_EQ(serial.counters.size(), 5u);
+    EXPECT_EQ(serial.counters[0], 200u);
+    for (std::size_t i = 1; i < serial.counters.size(); ++i)
+        EXPECT_GT(serial.counters[i], 0u) << i;
+    // The counters account for every copy: sent - dropped + duplicated.
+    EXPECT_EQ(serial.arrivals.size(),
+              serial.counters[0] - serial.counters[1] + serial.counters[2]);
 }
 
 TEST(Switch, ForwardsByDestination)

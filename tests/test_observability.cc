@@ -966,7 +966,7 @@ TEST(Pcap, CaptureIncludesFramesTheFaultInjectorDrops)
         void onPacket(net::PacketPtr) override {}
     } sink;
     link.attach(1, sink);
-    link.faults().config.dropProb = 1.0;
+    link.faultConfig().dropProb = 1.0;
 
     net::PcapWriter pcap;
     net::tapLink(link, pcap);
@@ -981,6 +981,6 @@ TEST(Pcap, CaptureIncludesFramesTheFaultInjectorDrops)
     link.send(0, pkt);
     sim.run();
 
-    EXPECT_EQ(link.faults().drops.value(), 1u);
+    EXPECT_EQ(link.faultDrops.value(), 1u);
     EXPECT_EQ(pcap.frames(), 1u);
 }

@@ -17,23 +17,21 @@
 
 #include "sim/parallel_engine.hh"
 #include "sim/partition.hh"
+#include "sim/random.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulation.hh"
 
 using namespace qpip;
 using sim::Tick;
 
-TEST(Partition, OwnsPrivateQueueAndRng)
+TEST(Partition, OwnsPrivateQueue)
 {
     sim::Simulation simu(9);
     sim::ParallelEngine eng(simu, 1);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
     EXPECT_NE(&a.eventQueue(), &b.eventQueue());
-    EXPECT_NE(&a.rng(), &b.rng());
     EXPECT_NE(&a.eventQueue(), &simu.eventQueue());
-    // Distinct deterministic streams.
-    EXPECT_NE(a.rng().next(), b.rng().next());
     EXPECT_EQ(a.eventQueue().label(), "a");
     EXPECT_EQ(eng.findPartition("b"), &b);
     EXPECT_EQ(eng.findPartition("zzz"), nullptr);
@@ -129,7 +127,7 @@ struct RingDigest
 {
     /** (tick, token) per hop, one list per partition. */
     std::vector<std::vector<std::pair<Tick, int>>> hits;
-    /** One RNG draw per hop, one list per partition. */
+    /** One stream draw per hop, one list per partition. */
     std::vector<std::vector<std::uint64_t>> draws;
     std::uint64_t executed = 0;
     std::uint64_t epochs = 0;
@@ -148,7 +146,9 @@ struct RingDigest
  * Five partitions in a ring pass two tokens around for a fixed number
  * of hops each, so several partitions run in one epoch and the ring
  * divides unevenly among most thread counts. Each hop records
- * (tick, token) and one RNG draw in the partition it runs in.
+ * (tick, token) and one draw from its token's own stream — streams
+ * the test owns, as a simulated object would — and waits a
+ * draw-dependent delay before the next hop.
  */
 RingDigest
 runRing(int threads)
@@ -166,15 +166,19 @@ runRing(int threads)
     RingDigest d;
     d.hits.resize(ringSize);
     d.draws.resize(ringSize);
-    // Each token's hop count is touched only by the partition holding
-    // the token; the mailbox handoffs order the hops.
+    // Each token's hop count and stream are touched only by the
+    // partition holding the token; the mailbox handoffs order the hops.
     std::vector<int> remaining = {16, 11};
+    std::vector<sim::Random> streams = {
+        sim::Random(sim::streamSeed(simu.seed(), "token0")),
+        sim::Random(sim::streamSeed(simu.seed(), "token1"))};
     std::function<void(std::uint32_t, int)> hop = [&](std::uint32_t at,
                                                       int token) {
         sim::Partition &self = *parts[at];
         const Tick now = self.eventQueue().now();
         d.hits[at].emplace_back(now, token);
-        const std::uint64_t draw = self.rng().next();
+        const std::uint64_t draw =
+            streams[static_cast<std::size_t>(token)].next();
         d.draws[at].push_back(draw);
         if (--remaining[static_cast<std::size_t>(token)] > 0) {
             next[at]->post(now + 100 + draw % 50, 0,
@@ -445,14 +449,12 @@ TEST(ParallelEngine, ExecContextBindsNewSimObjects)
     sim::ParallelEngine eng(simu, 1);
     auto &a = eng.addPartition("a");
     {
-        sim::ExecContextScope scope(&a.execContext());
+        sim::ExecContextScope scope(&a.eventQueue());
         sim::SimObject obj(simu, "inCtx");
         EXPECT_EQ(&obj.eventQueue(), &a.eventQueue());
-        EXPECT_EQ(&obj.rng(), &a.rng());
     }
     sim::SimObject out(simu, "outCtx");
     EXPECT_EQ(&out.eventQueue(), &simu.eventQueue());
-    EXPECT_EQ(&out.rng(), &simu.rng());
 }
 
 TEST(ParallelEngine, AssignByPrefixRebindsMatchingObjects)

@@ -690,7 +690,9 @@ expectWakePins(WakeFanIn &w, std::uint64_t srq_rnr, std::uint64_t seq_drops,
 
 // The expected values below were recorded from the full fan-out
 // implementation (every attached QP notified on every replenish);
-// waking only the QPs a replenish can affect must reproduce them.
+// waking only the QPs a replenish can affect must reproduce them. The
+// capture digests were re-recorded once, when TCP initial sequence
+// numbers moved to per-object streams.
 
 TEST(Srq, ReplenishWakeMatchesFullFanOut)
 {
@@ -699,7 +701,7 @@ TEST(Srq, ReplenishWakeMatchesFullFanOut)
     ASSERT_EQ(w.serverQps.size(), WakeFanIn::numRc);
     ASSERT_TRUE(w.run());
     expectWakePins(
-        w, 166, 27, 224, 76776282272ull, 0xf4fa9c0f1e854811ull,
+        w, 166, 27, 224, 76776282272ull, 0xadad5df0e758c2ddull,
         {6, 7, 7, 6, 8, 6, 7, 7, 8, 7, 6, 7, 6, 8, 7, 8,
          6, 7, 7, 6, 8, 6, 7, 7, 8, 7, 6, 7, 6, 8, 7, 8,
          6, 7, 7, 6, 8, 6, 8, 8, 7, 6, 8, 8, 8, 8, 7, 8,
@@ -725,7 +727,7 @@ TEST(Srq, ReplenishWakeOrderSurvivesDetach)
         }
     }));
     expectWakePins(
-        w, 129, 25, 228, 74576282272ull, 0xa47e615b86a7ea02ull,
+        w, 129, 25, 228, 74576282272ull, 0xfdce3202a64a9c66ull,
         {6, 7, 7, 6, 8, 7, 7, 8, 7, 6, 7, 6, 8, 7, 8, 6,
          7, 7, 6, 6, 7, 7, 8, 7, 6, 7, 6, 6, 6, 6, 7, 8,
          7, 6, 8, 8, 7, 6, 8, 8, 8, 8, 8, 8, 7, 8, 8, 7,

@@ -173,6 +173,16 @@ TEST(Random, ExponentialHasRequestedMean)
     EXPECT_NEAR(sum / 100000.0, 5.0, 0.2);
 }
 
+TEST(Random, StreamSeedIsAFixedHashOfSeedNameAndSalt)
+{
+    // FNV-1a over the seed's bytes, the name and the salt's bytes
+    // (little-endian): the same on every platform and library.
+    EXPECT_EQ(streamSeed(1, "fabric.link0"), 0x326534f8180db33fULL);
+    EXPECT_EQ(streamSeed(1, "fabric.link0", 1), 0x136a6def0d1e691eULL);
+    EXPECT_EQ(streamSeed(1, "host0.stack"), 0xae99a1a25e6a717cULL);
+    EXPECT_NE(streamSeed(2, "fabric.link0"), streamSeed(1, "fabric.link0"));
+}
+
 TEST(Simulation, RunUntilConditionStopsEarly)
 {
     Simulation sim;

@@ -62,6 +62,24 @@ TEST(TcpHandshake, SynRetransmitsOnLoss)
     EXPECT_GE(p.client.conn().stats().retransmits.value(), 2u);
 }
 
+TEST(TcpHandshake, LostHandshakeAckIsRepeated)
+{
+    TcpPair p(streamConfig());
+    int dropped = 0;
+    p.client.txFilter = [&](const inet::TcpHeader &hdr, auto, auto) {
+        if (!hdr.has(syn) && dropped == 0) {
+            ++dropped; // the ACK that completes the handshake
+            return false;
+        }
+        return true;
+    };
+    // The server retransmits its SYN|ACK; the established client must
+    // answer it with another ACK, or the server never gets there.
+    ASSERT_TRUE(p.establish(30 * sim::oneSec));
+    EXPECT_EQ(dropped, 1);
+    EXPECT_GE(p.server.conn().stats().retransmits.value(), 1u);
+}
+
 TEST(TcpHandshake, GivesUpAfterMaxSynRetries)
 {
     auto cfg = streamConfig();
@@ -730,6 +748,31 @@ TEST(TcpTimestamps, RttEstimatorConverges)
     EXPECT_NEAR(static_cast<double>(p.client.conn().rtt().srtt()),
                 static_cast<double>(200 * sim::oneUs),
                 static_cast<double>(60 * sim::oneUs));
+}
+
+TEST(TcpTimestamps, RepeatedSynAckEchoesTheRetransmittedSyn)
+{
+    auto cfg = streamConfig();
+    cfg.useTimestamps = true;
+    cfg.tsGranularity = sim::oneUs;
+    TcpPair p(cfg);
+    p.client.oneWayDelay = 100 * sim::oneUs;
+    p.server.oneWayDelay = 100 * sim::oneUs;
+    int dropped = 0;
+    p.server.txFilter = [&](const inet::TcpHeader &hdr, auto, auto) {
+        if (hdr.has(syn) && dropped < 2) {
+            ++dropped; // the first SYN|ACK and its timed-out repeat
+            return false;
+        }
+        return true;
+    };
+    // The client's SYN times out and is sent again; the SYN|ACK that
+    // answers it must echo the second SYN, so the handshake's RTT
+    // sample is one round trip, not the SYN timeout.
+    ASSERT_TRUE(p.establish(30 * sim::oneSec));
+    EXPECT_EQ(dropped, 2);
+    ASSERT_TRUE(p.client.conn().rtt().hasSample());
+    EXPECT_LT(p.client.conn().rtt().srtt(), sim::oneMs);
 }
 
 TEST(TcpIss, SequenceWrapAroundIsTransparent)
