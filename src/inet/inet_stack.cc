@@ -1,5 +1,7 @@
 #include "inet/inet_stack.hh"
 
+#include <algorithm>
+
 #include "inet/ipv4.hh"
 #include "inet/ipv6.hh"
 #include "inet/tcp_header.hh"
@@ -16,13 +18,14 @@ InetStack::InetStack(InetEnv &env, sim::Tick reass_timeout)
 void
 InetStack::addLocalAddress(const InetAddr &addr)
 {
-    localAddrs_.insert(addr);
+    if (!isLocal(addr))
+        localAddrs_.push_back(addr);
 }
 
 bool
 InetStack::isLocal(const InetAddr &addr) const
 {
-    return localAddrs_.contains(addr);
+    return std::ranges::find(localAddrs_, addr) != localAddrs_.end();
 }
 
 std::size_t

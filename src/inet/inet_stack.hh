@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -238,8 +237,8 @@ class InetStack : public TcpEnv
 
     InetEnv &env_;
     NeighborTable routes_;
-    /** Ordered: address/port sets walk in key order when scanned. */
-    std::set<InetAddr> localAddrs_;
+    /** One or two addresses per stack: a scan beats any index. */
+    std::vector<InetAddr> localAddrs_;
     PcbTable<TcpConnection> tcp_;
     /** Looked up per datagram, never walked. */
     std::unordered_map<std::uint16_t, UdpEndpoint *> udpPorts_;

@@ -28,6 +28,8 @@ Switch::connect(Link &link, int link_side)
 void
 Switch::addRoute(NodeId node, int port)
 {
+    if (node >= routes_.size())
+        routes_.resize(static_cast<std::size_t>(node) + 1, -1);
     routes_[node] = port;
 }
 
@@ -40,13 +42,13 @@ Switch::Port::onPacket(PacketPtr pkt)
 void
 Switch::forward(PacketPtr pkt, int in_port)
 {
-    auto it = routes_.find(pkt->dst);
-    if (it == routes_.end()) {
+    const int out_port =
+        pkt->dst < routes_.size() ? routes_[pkt->dst] : -1;
+    if (out_port < 0) {
         unroutableDrops.inc();
         warn("%s: no route for node %u", name().c_str(), pkt->dst);
         return;
     }
-    const int out_port = it->second;
     if (out_port == in_port) {
         // A frame never goes back out its ingress port.
         unroutableDrops.inc();

@@ -12,7 +12,6 @@
 
 #pragma once
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -73,8 +72,8 @@ class Switch : public sim::SimObject
 
     sim::Tick routingDelay_;
     std::vector<std::unique_ptr<Port>> ports_;
-    /** Ordered by node id: deterministic if the table is ever dumped. */
-    std::map<NodeId, int> routes_;
+    /** Egress port by node id (dense: hosts are numbered 0..n-1); -1: none. */
+    std::vector<int> routes_;
 };
 
 } // namespace qpip::net

@@ -47,12 +47,12 @@ void
 EventQueue::handleCancel(std::uint32_t slot, std::uint32_t gen)
 {
     EventRecord &rec = slab_[slot];
-    if (rec.gen == gen && rec.state == EventState::Pending) {
-        // The slot stays out of the freelist until its heap entry is
-        // popped (lazily, by skipCancelled/step) so a heap entry can
-        // never refer to a recycled slot.
-        rec.state = EventState::Cancelled;
-    }
+    if (rec.gen != gen || rec.state != EventState::Pending)
+        return;
+    // Erase before releasing: destroying the closure may re-enter
+    // cancel() or schedule(), which must find the heap consistent.
+    heapErase(heapIndex_[slot]);
+    releaseSlot(slot);
 }
 
 Tick
@@ -171,23 +171,6 @@ EventQueue::settle(Tick until)
         cur_ = HeapEntry{until, lowest, 0, 0};
 }
 
-bool
-EventQueue::empty() const
-{
-    // Cancelled events may linger in the heap; sweep them first.
-    auto *self = const_cast<EventQueue *>(this);
-    self->skipCancelled();
-    return heap_.empty();
-}
-
-Tick
-EventQueue::nextEventTick() const
-{
-    auto *self = const_cast<EventQueue *>(this);
-    self->skipCancelled();
-    return heap_.empty() ? maxTick : heap_.front().when;
-}
-
 void
 EventQueue::clear()
 {
@@ -201,9 +184,9 @@ EventQueue::clear()
         e.work->drop();
     while (!heap_.empty()) {
         const std::uint32_t slot = heap_.front().slot;
-        heapPop();
+        heapErase(0);
         // Destroying the closure may re-enter schedule() (dropped via
-        // clearing_) or cancel() other events (handled lazily above).
+        // clearing_) or cancel() other events, erasing them here.
         releaseSlot(slot);
     }
     clearing_ = false;

@@ -17,8 +17,14 @@
  * Handles are generation-counted (slot, gen) pairs instead of
  * shared_ptr, so copying one is trivial and a stale handle on a
  * recycled slot is detected by the generation mismatch. The freelist
- * is LIFO in heap-pop order, which is itself deterministic, so slot
- * assignment never perturbs replay.
+ * is LIFO in the order events run or are cancelled, which is itself
+ * deterministic, so slot assignment never perturbs replay.
+ *
+ * Cancel means gone: a dense slot -> heap-position index beside the
+ * slab lets cancel() erase the event's heap entry at once and return
+ * its slot to the freelist, so the heap holds exactly the pending
+ * events. Protocol timers that are re-armed on every ACK leave no dead
+ * entries behind.
  *
  * EventHandles must not outlive the EventQueue they came from (in
  * practice: the Simulation outlives the SimObjects built against it).
@@ -123,11 +129,10 @@ class EventFn
 
 /** Lifecycle of a slab slot. */
 enum class EventState : std::uint8_t {
-    Free,      ///< on the freelist
-    Pending,   ///< scheduled, in the heap
-    Cancelled, ///< cancelled, heap entry not yet popped
-    Running,   ///< popped and executing (slot freed afterwards)
-    Held,      ///< stored by hold(), not scheduled yet
+    Free,    ///< on the freelist
+    Pending, ///< scheduled, in the heap
+    Running, ///< popped and executing (slot freed afterwards)
+    Held,    ///< stored by hold(), not scheduled yet
 };
 
 /** One slab slot: bookkeeping for one scheduled event. */
@@ -225,7 +230,10 @@ class EventHandle
     /** @return true if the event is still pending (not run/cancelled). */
     bool pending() const;
 
-    /** Cancel the event if it has not run yet. Safe to call anytime. */
+    /**
+     * Cancel the event if it has not run yet: remove it from the queue
+     * and destroy its closure now. Safe to call anytime.
+     */
     void cancel();
 
     /** Scheduled expiry tick; maxTick once run/cancelled/inert. */
@@ -352,10 +360,14 @@ class EventQueue
     void settle(Tick until);
 
     /** @return true if no runnable events remain. */
-    bool empty() const;
+    bool empty() const { return heap_.empty(); }
 
     /** Tick of the next runnable event, or maxTick if none. */
-    Tick nextEventTick() const;
+    Tick
+    nextEventTick() const
+    {
+        return heap_.empty() ? maxTick : heap_.front().when;
+    }
 
     /**
      * The earlier of nextEventTick() and the next link parked work
@@ -398,12 +410,11 @@ class EventQueue
     bool
     step(Tick until = maxTick)
     {
-        skipCancelled();
         if (heap_.empty() || heap_.front().when >= until)
             return false;
         cur_ = heap_.front();
         const std::uint32_t slot = cur_.slot;
-        heapPop();
+        heapErase(0);
         detail::EventRecord &rec = slab_[slot];
         now_ = rec.when;
         rec.state = detail::EventState::Running;
@@ -486,35 +497,37 @@ class EventQueue
     /** Recompute parkedDue_, parkedReach_ and parkedSpan_. */
     void refreshParked();
 
+    /** Store @p e at heap position @p i and record where it sits. */
+    void
+    heapPlace(std::size_t i, const HeapEntry &e)
+    {
+        heap_[i] = e;
+        heapIndex_[e.slot] = static_cast<std::uint32_t>(i);
+    }
+
     /**
      * The heap is 4-ary: half the levels of a binary heap, and the
      * four children share cache lines, which is what the event loop's
-     * pop-push cadence is bound by.
+     * pop-push cadence is bound by. Both sifts move a hole, placing
+     * each entry once.
      */
     void
-    heapPush(const HeapEntry &e)
+    siftUp(std::size_t i, const HeapEntry &e)
     {
-        std::size_t i = heap_.size();
-        heap_.push_back(e);
         while (i > 0) {
             const std::size_t parent = (i - 1) >> 2;
-            if (!earlier(heap_[i], heap_[parent]))
+            if (!earlier(e, heap_[parent]))
                 break;
-            std::swap(heap_[i], heap_[parent]);
+            heapPlace(i, heap_[parent]);
             i = parent;
         }
+        heapPlace(i, e);
     }
 
-    /** Remove the minimum (heap_.front()). Hole-based sift-down. */
     void
-    heapPop()
+    siftDown(std::size_t i, const HeapEntry &e)
     {
-        const HeapEntry last = heap_.back();
-        heap_.pop_back();
         const std::size_t n = heap_.size();
-        if (n == 0)
-            return;
-        std::size_t i = 0;
         for (;;) {
             const std::size_t child = (i << 2) + 1;
             if (child >= n)
@@ -525,12 +538,33 @@ class EventQueue
                 if (earlier(heap_[c], heap_[best]))
                     best = c;
             }
-            if (!earlier(heap_[best], last))
+            if (!earlier(heap_[best], e))
                 break;
-            heap_[i] = heap_[best];
+            heapPlace(i, heap_[best]);
             i = best;
         }
-        heap_[i] = last;
+        heapPlace(i, e);
+    }
+
+    void
+    heapPush(const HeapEntry &e)
+    {
+        heap_.push_back(e);
+        siftUp(heap_.size() - 1, e);
+    }
+
+    /** Remove the entry at heap position @p i (0: the minimum). */
+    void
+    heapErase(std::size_t i)
+    {
+        const HeapEntry last = heap_.back();
+        heap_.pop_back();
+        if (i == heap_.size())
+            return;
+        if (i > 0 && earlier(last, heap_[(i - 1) >> 2]))
+            siftUp(i, last);
+        else
+            siftDown(i, last);
     }
 
     /** Panics when @p when is in the past (out-of-line: cold path). */
@@ -553,13 +587,14 @@ class EventQueue
             return slot;
         }
         slab_.emplace_back();
+        heapIndex_.push_back(0);
         return static_cast<std::uint32_t>(slab_.size() - 1);
     }
 
     /**
      * Return @p slot to the freelist: bump the generation (so stale
      * handles die), destroy the closure, then make it reusable. Only
-     * called once the slot's heap entry has been popped.
+     * called once the slot has no heap entry.
      */
     void
     releaseSlot(std::uint32_t slot)
@@ -571,25 +606,15 @@ class EventQueue
         freelist_.push_back(slot);
     }
 
-    /** Drop cancelled events sitting at the head of the heap. */
-    void
-    skipCancelled()
-    {
-        while (!heap_.empty()) {
-            const std::uint32_t slot = heap_.front().slot;
-            if (slab_[slot].state != detail::EventState::Cancelled)
-                break;
-            heapPop();
-            releaseSlot(slot);
-        }
-    }
-
     // Handle plumbing (slot validity checked via generation).
     bool handlePending(std::uint32_t slot, std::uint32_t gen) const;
     void handleCancel(std::uint32_t slot, std::uint32_t gen);
     Tick handleWhen(std::uint32_t slot, std::uint32_t gen) const;
 
+    /** The pending events, and nothing else. */
     std::vector<HeapEntry> heap_;
+    /** Heap position of each slab slot's entry (valid while Pending). */
+    std::vector<std::uint32_t> heapIndex_;
     /** Registered parked work; a handful of entries, scanned linearly. */
     std::vector<ParkedEntry> parked_;
     /** The earliest owed link of any parked work (maxTick: none). */

@@ -320,10 +320,30 @@ TEST(Switch, DropsUnroutable)
     sim::Simulation sim;
     StarFabric star(sim, "star", myrinetLink());
     Link &l0 = star.addNode(0);
-    star.addNode(1);
+    star.addNode(2);
+    // Past the last routed node, and a hole below it.
     l0.send(0, somePacket(64, 99));
+    l0.send(0, somePacket(64, 1));
+    l0.send(0, somePacket(64, invalidNode));
     sim.run();
+    EXPECT_EQ(star.fabricSwitch().unroutableDrops.value(), 3u);
+    EXPECT_EQ(star.fabricSwitch().forwarded.value(), 0u);
+}
+
+TEST(Switch, NeverForwardsOutTheIngressPort)
+{
+    sim::Simulation sim;
+    StarFabric star(sim, "star", myrinetLink());
+    Link &l0 = star.addNode(0);
+    star.addNode(1);
+    SinkPort s0(sim);
+    l0.attach(0, s0);
+    // Node 0's route is the port the frame came in on.
+    l0.send(0, somePacket(64, 0));
+    sim.run();
+    EXPECT_TRUE(s0.packets.empty());
     EXPECT_EQ(star.fabricSwitch().unroutableDrops.value(), 1u);
+    EXPECT_EQ(star.fabricSwitch().forwarded.value(), 0u);
 }
 
 TEST(Switch, CutThroughAddsFixedLatency)

@@ -8,6 +8,9 @@
 
 #include <array>
 #include <functional>
+#include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/clock.hh"
@@ -261,20 +264,142 @@ TEST(EventQueue, SteadyStateSchedulingDoesNotGrowSlab)
     EXPECT_EQ(eq.freeSlots(), eq.slabSize());
 }
 
-TEST(EventQueue, CancelledSlotIsNotReusedUntilHeapPopsIt)
+TEST(EventQueue, CancelFreesSlotAtOnce)
 {
     EventQueue eq;
-    std::vector<int> order;
-    auto h = eq.schedule(10, [&] { order.push_back(1); });
+    bool cancelledRan = false;
+    bool freshRan = false;
+    auto h = eq.schedule(10, [&] { cancelledRan = true; });
     h.cancel();
-    // The cancelled record's heap entry is still queued; scheduling
-    // more events must not corrupt it.
-    for (int i = 0; i < 8; ++i)
-        eq.schedule(20 + i, [&, i] { order.push_back(10 + i); });
-    eq.run();
-    EXPECT_EQ(order.size(), 8u);
-    EXPECT_EQ(order.front(), 10);
+    // Before anything runs, the cancelled event is gone: its slot is
+    // back on the freelist and the queue is empty.
     EXPECT_EQ(eq.freeSlots(), eq.slabSize());
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.nextEventTick(), maxTick);
+    // The next schedule reuses that slot; the old handle stays inert.
+    auto h2 = eq.schedule(20, [&] { freshRan = true; });
+    EXPECT_EQ(eq.slabSize(), 1u);
+    EXPECT_EQ(eq.freeSlots(), 0u);
+    EXPECT_FALSE(h.pending());
+    h.cancel();
+    EXPECT_TRUE(h2.pending());
+    eq.run();
+    EXPECT_FALSE(cancelledRan);
+    EXPECT_TRUE(freshRan);
+}
+
+/**
+ * Seeded differential check against a reference ordered set of
+ * (when, priority, seq) keys: random schedules, cancels on live and
+ * stale handles, single steps and bounded runs. After every operation
+ * the queue has run exactly the reference's order and holds exactly
+ * the reference's live events.
+ */
+TEST(EventQueue, MatchesReferenceOrderUnderRandomCancels)
+{
+    using Key = std::tuple<Tick, int, std::uint64_t>;
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        Random rng(seed);
+        EventQueue eq;
+        std::set<Key> live;
+        std::vector<Key> keys; // by event id
+        std::vector<EventHandle> handles;
+        std::vector<std::uint64_t> ran;
+        std::vector<std::uint64_t> expected;
+        for (int op = 0; op < 4000; ++op) {
+            const std::uint64_t kind = rng.uniformInt(0, 9);
+            if (kind < 5 || handles.empty()) {
+                // Near ticks tie often; far ones build a deep heap.
+                const Tick when =
+                    eq.now() + rng.uniformInt(0, rng.bernoulli(0.3) ? 4 : 400);
+                const int prio = static_cast<int>(rng.uniformInt(0, 2)) - 1;
+                const std::uint64_t id = keys.size();
+                keys.emplace_back(when, prio, id);
+                live.insert(keys.back());
+                handles.push_back(eq.schedule(
+                    when, [&ran, id] { ran.push_back(id); }, prio));
+            } else if (kind < 8) {
+                const std::size_t id = rng.uniformInt(0, handles.size() - 1);
+                handles[id].cancel();
+                live.erase(keys[id]);
+                EXPECT_FALSE(handles[id].pending());
+            } else if (kind < 9) {
+                EXPECT_EQ(eq.step(), !live.empty());
+                if (!live.empty()) {
+                    expected.push_back(std::get<2>(*live.begin()));
+                    live.erase(live.begin());
+                }
+            } else {
+                const Tick until = eq.now() + rng.uniformInt(0, 20);
+                eq.runUntil(until);
+                while (!live.empty() &&
+                       std::get<0>(*live.begin()) < until) {
+                    expected.push_back(std::get<2>(*live.begin()));
+                    live.erase(live.begin());
+                }
+            }
+            ASSERT_EQ(ran, expected) << "seed " << seed << " op " << op;
+            ASSERT_EQ(eq.slabSize() - eq.freeSlots(), live.size())
+                << "seed " << seed << " op " << op;
+            ASSERT_EQ(eq.nextEventTick(),
+                      live.empty() ? maxTick : std::get<0>(*live.begin()));
+            const std::size_t probe = rng.uniformInt(0, handles.size() - 1);
+            const bool isLive = live.count(keys[probe]) != 0;
+            ASSERT_EQ(handles[probe].pending(), isLive);
+            ASSERT_EQ(handles[probe].when(),
+                      isLive ? std::get<0>(keys[probe]) : maxTick);
+        }
+    }
+}
+
+namespace {
+
+/** Runs a callback when destroyed (not when moved from). */
+class OnDestroy
+{
+  public:
+    explicit OnDestroy(std::function<void()> fn) : fn_(std::move(fn)) {}
+    OnDestroy(OnDestroy &&o) noexcept : fn_(std::exchange(o.fn_, nullptr))
+    {}
+    OnDestroy(const OnDestroy &) = delete;
+    ~OnDestroy()
+    {
+        if (fn_)
+            fn_();
+    }
+
+  private:
+    std::function<void()> fn_;
+};
+
+} // namespace
+
+TEST(EventQueue, ClosureDestructorMayCancelAndScheduleWhenDropped)
+{
+    for (const bool viaClear : {false, true}) {
+        EventQueue eq;
+        std::vector<int> ran;
+        EventHandle victim = eq.schedule(20, [&] { ran.push_back(2); });
+        EventHandle fresh;
+        EventHandle dropped = eq.schedule(
+            10, [&, g = OnDestroy([&] {
+                    victim.cancel();
+                    fresh = eq.schedule(30, [&] { ran.push_back(3); });
+                })] { ran.push_back(1); });
+        if (viaClear)
+            eq.clear();
+        else
+            dropped.cancel();
+        EXPECT_FALSE(dropped.pending());
+        EXPECT_FALSE(victim.pending());
+        // clear() discards what a dropped closure schedules.
+        EXPECT_EQ(fresh.pending(), !viaClear);
+        EXPECT_EQ(eq.slabSize() - eq.freeSlots(), viaClear ? 0u : 1u);
+        EXPECT_EQ(eq.nextEventTick(), viaClear ? maxTick : Tick{30});
+        eq.run();
+        EXPECT_EQ(ran, viaClear ? std::vector<int>{} : std::vector<int>{3});
+        EXPECT_EQ(eq.freeSlots(), eq.slabSize());
+    }
 }
 
 TEST(EventQueue, ClearDropsEventsAndRecyclesSlots)
