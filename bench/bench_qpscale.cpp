@@ -35,7 +35,17 @@
  * (wall microseconds per message) so growth with QP count reads off
  * directly. Simulated fields are asserted identical across reps, and
  * the JSON records hostCores for context.
+ *
+ * heapBytesPerQp is the host-side footprint: the growth of the
+ * allocator's in-use bytes (mallinfo2) across a point's set-up, from
+ * before the testbed is built to the end of its connect or bind
+ * phase, divided by the point's QP count. Fixed costs (testbed, CQs,
+ * SRQ) dominate it at small N; the slope between two large points is
+ * the marginal bytes per QP. It is not simulated, so the drift check
+ * ignores it.
  */
+
+#include <malloc.h>
 
 #include <algorithm>
 #include <chrono>
@@ -65,6 +75,7 @@ struct Point
     std::uint64_t txHits = 0, txMisses = 0, txEvictions = 0;
     std::uint64_t rxHits = 0, rxMisses = 0, rxEvictions = 0;
     double wallSeconds = 0.0;
+    double heapBytesPerQp = 0.0;
     bool completed = false;
 
     double
@@ -76,10 +87,26 @@ struct Point
     }
 };
 
+/** Bytes the allocator has handed out and not had back. */
+std::size_t
+heapInUse()
+{
+    const struct mallinfo2 mi = mallinfo2();
+    return mi.uordblks + mi.hblkhd;
+}
+
+double
+perQp(std::size_t heap0, std::size_t n_qps)
+{
+    return static_cast<double>(heapInUse() - heap0) /
+           static_cast<double>(n_qps);
+}
+
 Point
 runPoint(std::size_t n_qps, std::uint64_t messages,
          std::size_t cache_capacity)
 {
+    const std::size_t heap0 = heapInUse();
     nic::QpipNicParams params;
     params.qpCacheCapacity = cache_capacity;
     QpipTestbed bed(2, qpipNativeMtu, 1, params);
@@ -135,6 +162,7 @@ runPoint(std::size_t n_qps, std::uint64_t messages,
             bed.sim().now() + 600 * sim::oneSec)) {
         return p; // connect storm stalled: report incomplete
     }
+    p.heapBytesPerQp = perQp(heap0, n_qps);
 
     // Steady state starts here: count only the messaging phase.
     const auto &txc = bed.nicOf(0).qpCache();
@@ -214,6 +242,7 @@ Point
 runRudPoint(std::size_t n_peers, std::uint64_t messages,
             std::size_t cache_capacity)
 {
+    const std::size_t heap0 = heapInUse();
     nic::QpipNicParams serverParams;
     serverParams.qpCacheCapacity = cache_capacity;
     nic::QpipNicParams clientParams;
@@ -261,6 +290,7 @@ runRudPoint(std::size_t n_peers, std::uint64_t messages,
     // firmware so the measured window sees steady state only (the RC
     // arm's connect phase does this implicitly).
     bed.sim().runFor(sim::oneSec);
+    p.heapBytesPerQp = perQp(heap0, n_peers);
 
     const auto &txc = bed.nicOf(0).qpCache();
     const auto &rxc = bed.nicOf(1).qpCache();
@@ -342,7 +372,8 @@ writeJson(const std::vector<Point> &points, std::size_t cache,
             "\"evictions\": %llu}, "
             "\"rxCtx\": {\"hits\": %llu, \"misses\": %llu, "
             "\"evictions\": %llu}, "
-            "\"wallSeconds\": %.3f, \"wallUsPerMsg\": %.2f}",
+            "\"wallSeconds\": %.3f, \"wallUsPerMsg\": %.2f, "
+            "\"heapBytesPerQp\": %.0f}",
             p.transport, p.qps, p.completed ? "true" : "false",
             static_cast<unsigned long long>(p.messages),
             static_cast<unsigned long long>(p.simTicks),
@@ -353,7 +384,7 @@ writeJson(const std::vector<Point> &points, std::size_t cache,
             static_cast<unsigned long long>(p.rxHits),
             static_cast<unsigned long long>(p.rxMisses),
             static_cast<unsigned long long>(p.rxEvictions),
-            p.wallSeconds, p.wallUsPerMsg()));
+            p.wallSeconds, p.wallUsPerMsg(), p.heapBytesPerQp));
     }
     qpip::bench::writeRecord(path, "qpscale",
                              {{"qpCacheCapacity", std::to_string(cache)}},
@@ -411,18 +442,18 @@ main(int argc, char **argv)
     std::printf("=== completion rate vs QP count (cache %zu contexts, "
                 "%llu msgs/point) ===\n",
                 cache, static_cast<unsigned long long>(messages));
-    std::printf("%5s %8s %14s %16s %12s %12s %10s %12s\n", "arm", "qps",
-                "msgs", "compl/simsec", "txMisses", "rxMisses",
-                "wall_s", "wall_us/msg");
+    std::printf("%5s %8s %14s %16s %12s %12s %10s %12s %10s\n", "arm",
+                "qps", "msgs", "compl/simsec", "txMisses", "rxMisses",
+                "wall_s", "wall_us/msg", "heapB/qp");
     for (const auto &p : points) {
         std::printf("%5s %8zu %14llu %16.0f %12llu %12llu %10.2f "
-                    "%12.2f%s\n",
+                    "%12.2f %10.0f%s\n",
                     p.transport, p.qps,
                     static_cast<unsigned long long>(p.messages),
                     p.completionsPerSimSec,
                     static_cast<unsigned long long>(p.txMisses),
                     static_cast<unsigned long long>(p.rxMisses),
-                    p.wallSeconds, p.wallUsPerMsg(),
+                    p.wallSeconds, p.wallUsPerMsg(), p.heapBytesPerQp,
                     qpip::bench::incompleteMark(p.completed));
     }
     writeJson(points, cache, out);

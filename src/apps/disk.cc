@@ -90,7 +90,6 @@ ServerStore::drain()
         drain();
         if (dirtyQueue_.empty() && !flushWaiters_.empty()) {
             auto waiters = std::move(flushWaiters_);
-            flushWaiters_.clear();
             for (auto &w : waiters)
                 w();
         }

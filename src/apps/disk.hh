@@ -9,9 +9,9 @@
 
 #pragma once
 
-#include <deque>
 #include <functional>
 
+#include "sim/ring_fifo.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 
@@ -96,11 +96,11 @@ class ServerStore : public sim::SimObject
     bool draining_ = false;
     /** Sequential cache watermark: [0, cachedUpTo_) is resident. */
     std::uint64_t cachedUpTo_ = 0;
-    std::deque<std::pair<std::size_t, std::function<void()>>>
+    sim::RingFifo<std::pair<std::size_t, std::function<void()>>>
         writeWaiters_;
-    std::deque<std::function<void()>> flushWaiters_;
+    sim::RingFifo<std::function<void()>> flushWaiters_;
     /** Pending dirty extents to push to disk. */
-    std::deque<std::pair<std::uint64_t, std::size_t>> dirtyQueue_;
+    sim::RingFifo<std::pair<std::uint64_t, std::size_t>> dirtyQueue_;
 };
 
 } // namespace qpip::apps

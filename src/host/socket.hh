@@ -10,7 +10,6 @@
 
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -18,6 +17,7 @@
 #include "host/sockbuf.hh"
 #include "inet/inet_stack.hh"
 #include "inet/tcp_conn.hh"
+#include "sim/ring_fifo.hh"
 
 namespace qpip::host {
 
@@ -152,7 +152,7 @@ class UdpSocket : public inet::UdpEndpoint,
 
     HostStack &stack_;
     inet::SockAddr local_;
-    std::deque<Datagram> rxQueue_;
+    sim::RingFifo<Datagram> rxQueue_;
     std::size_t rxQueueCap_ = 256;
     RecvFromCb waiter_;
 };

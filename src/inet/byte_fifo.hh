@@ -20,14 +20,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <span>
 #include <vector>
+
+#include "sim/ring_fifo.hh"
 
 namespace qpip::inet {
 
 /**
- * FIFO of bytes stored as a deque of chunks.
+ * FIFO of bytes stored as a ring of chunks.
  */
 class ByteFifo
 {
@@ -124,6 +125,8 @@ class ByteFifo
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
+    /** Chunk slots allocated: 0 until the first append. */
+    std::size_t chunkSlots() const { return chunks_.capacity(); }
 
     void
     clear()
@@ -138,7 +141,7 @@ class ByteFifo
     }
 
   private:
-    std::deque<std::vector<std::uint8_t>> chunks_;
+    sim::RingFifo<std::vector<std::uint8_t>> chunks_;
     std::size_t headOffset_ = 0;
     std::size_t size_ = 0;
 

@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <span>
@@ -45,6 +44,7 @@
 #include "inet/tcp_header.hh"
 #include "inet/tcp_reass.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring_fifo.hh"
 #include "sim/stat_registry.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -317,6 +317,12 @@ class TcpConnection
 
     /** Peer-advertised (scaled) send window, for tests. */
     std::uint32_t sndWnd() const { return sndWnd_; }
+    /** Slots allocated by the send queues: 0 until the first send. */
+    std::size_t
+    queueSlots() const
+    {
+        return sendQueue_.capacity() + sndBuf_.chunkSlots();
+    }
     std::uint32_t cwndBytes() const { return cwnd_; }
     const RttEstimator &rtt() const { return rtt_; }
 
@@ -445,7 +451,7 @@ class TcpConnection
     std::uint64_t rcvOffset_ = 0; ///< logical stream offset of rcvNxt_
 
     // Message mode queue; front is oldest unacked.
-    std::deque<PendingMsg> sendQueue_;
+    sim::RingFifo<PendingMsg> sendQueue_;
     std::size_t firstUnsent_ = 0;
 
     // Deferred in-order message retained while no WR was posted.

@@ -1,5 +1,7 @@
 #include "nic/eth_nic.hh"
 
+#include <algorithm>
+
 #include "sim/simulation.hh"
 
 namespace qpip::nic {
@@ -62,15 +64,19 @@ void
 EthNic::onPacket(net::PacketPtr pkt)
 {
     rxPackets.inc();
-    if (rxRing_.size() >= params_.rxRingCap) {
+    // A frame owns its ring slot from the moment its DMA starts.
+    if (rxRing_.size() + rxDmaInFlight_ >= params_.rxRingCap) {
         rxRingDrops.inc();
         return;
     }
     // DMA into a host ring buffer, then interrupt (moderated).
     const sim::Tick done =
         dma_.charge(pkt->data.size()) + params_.perPacketRx;
+    ++rxDmaInFlight_;
     schedule(done, [this, pkt] {
+        --rxDmaInFlight_;
         rxRing_.push_back(pkt);
+        rxRingPeak_ = std::max(rxRingPeak_, rxRing_.size());
         raiseInterrupt();
     });
 }

@@ -9,11 +9,10 @@
 
 #pragma once
 
-#include <deque>
-
 #include "host/host_stack.hh"
 #include "net/link.hh"
 #include "nic/dma.hh"
+#include "sim/ring_fifo.hh"
 #include "sim/stats.hh"
 
 namespace qpip::nic {
@@ -70,6 +69,9 @@ class EthNic : public sim::SimObject,
     sim::Counter rxRingDrops;
     sim::Counter interrupts;
 
+    /** Most frames the host rx ring has held at once. */
+    std::size_t rxRingPeak() const { return rxRingPeak_; }
+
   private:
     void raiseInterrupt();
     void serviceRing();
@@ -79,7 +81,10 @@ class EthNic : public sim::SimObject,
     net::NodeId node_;
     EthNicParams params_;
     DmaEngine dma_;
-    std::deque<net::PacketPtr> rxRing_;
+    sim::RingFifo<net::PacketPtr> rxRing_;
+    /** Frames whose DMA into rxRing_ has started but not finished. */
+    std::size_t rxDmaInFlight_ = 0;
+    std::size_t rxRingPeak_ = 0;
     bool intrPending_ = false;
 };
 

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <vector>
@@ -19,6 +18,7 @@
 #include "host/cpu.hh"
 #include "inet/inet_addr.hh"
 #include "sim/logging.hh"
+#include "sim/ring_fifo.hh"
 #include "sim/types.hh"
 
 namespace qpip::nic {
@@ -123,8 +123,8 @@ struct Completion
  */
 struct QpHostRings
 {
-    std::deque<SendWr> sendQ;
-    std::deque<RecvWr> recvQ;
+    sim::RingFifo<SendWr> sendQ;
+    sim::RingFifo<RecvWr> recvQ;
 };
 
 /**
@@ -133,7 +133,7 @@ struct QpHostRings
  */
 struct SrqHostRing
 {
-    std::deque<RecvWr> recvQ;
+    sim::RingFifo<RecvWr> recvQ;
 };
 
 /**
@@ -215,7 +215,7 @@ class CqRing
   private:
     host::SpinWaiter spinner_;
     std::size_t capacity_;
-    std::deque<Completion> entries_;
+    sim::RingFifo<Completion> entries_;
     bool armed_ = false;
     std::function<void()> notify_;
 };

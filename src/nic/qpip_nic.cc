@@ -307,6 +307,16 @@ QpipNic::connectionOf(QpNum qp)
     return ctx != nullptr ? ctx->conn.get() : nullptr;
 }
 
+std::size_t
+QpipNic::queueSlots(QpNum qp)
+{
+    const auto *ctx = lookupQp(qp);
+    if (ctx == nullptr)
+        return 0;
+    return ctx->rings->sendQ.capacity() + ctx->rings->recvQ.capacity() +
+           ctx->inflightSends.capacity() + ctx->pendingRdma.capacity();
+}
+
 // ---------------------------------------------------------------------
 // Doorbell FSM
 // ---------------------------------------------------------------------

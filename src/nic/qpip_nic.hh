@@ -47,6 +47,7 @@
 #include "nic/qp_ctx_cache.hh"
 #include "nic/qp_state.hh"
 #include "sim/random.hh"
+#include "sim/ring_fifo.hh"
 
 namespace qpip::nic {
 
@@ -233,6 +234,11 @@ class QpipNic : public sim::SimObject,
     const FirmwareCostModel &costs() const { return params_.costs; }
     const QpipNicParams &params() const { return params_; }
     inet::TcpConnection *connectionOf(QpNum qp);
+    /**
+     * Slots allocated by QP @p qp's work queues: its host rings and
+     * its in-flight and one-sided queues. 0 until the first post.
+     */
+    std::size_t queueSlots(QpNum qp);
 
     /** The QP context cache (hit/miss/eviction introspection). */
     const QpContextCache &qpCache() const { return qpCache_; }
@@ -375,7 +381,7 @@ class QpipNic : public sim::SimObject,
         QpNum qp = invalidQp;
         AcceptCb done;
     };
-    std::map<std::uint16_t, std::deque<PendingAccept>> listeners_;
+    std::map<std::uint16_t, sim::RingFifo<PendingAccept>> listeners_;
 };
 
 } // namespace qpip::nic

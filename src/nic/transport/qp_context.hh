@@ -19,6 +19,7 @@
 #include "nic/qpip_nic.hh"
 #include "nic/transport/rc_engine.hh"
 #include "nic/transport/rud_engine.hh"
+#include "sim/ring_fifo.hh"
 
 namespace qpip::nic {
 
@@ -105,12 +106,12 @@ struct QpipNic::QpContext : public inet::TcpObserver,
     };
 
     // Sent-but-unacked TCP messages, ACKed in FIFO order.
-    std::deque<Inflight> inflightSends;
+    sim::RingFifo<Inflight> inflightSends;
     std::uint64_t nextTag = 1;
 
     // One-sided ops awaiting their response, answered in FIFO order
     // (responses ride the same TCP stream as the requests).
-    std::deque<std::pair<std::uint64_t, SendWr>> pendingRdma;
+    sim::RingFifo<std::pair<std::uint64_t, SendWr>> pendingRdma;
     std::uint64_t nextRdmaId = 1;
 
     /** RUD per-peer reliability state (models host memory). */

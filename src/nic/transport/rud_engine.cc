@@ -219,10 +219,12 @@ RudEngine::rtoFire(QpNum qp, const inet::SockAddr &to)
         ++p.rtoShift;
     // Go-back-N: re-emit the whole unacked window. The retained
     // frames carry their original (possibly stale) piggybacked acks;
-    // cumulative acks make that harmless.
-    for (const Unacked &u : p.window) {
+    // cumulative acks make that harmless. Walk by index: to a
+    // loopback peer emitFrame delivers at once, and the ack that
+    // provokes may pop or push p.window under the walk.
+    for (std::size_t i = 0; i < p.window.size(); ++i) {
         nic_.rudRetransmits.inc();
-        emitFrame(*ctx, to, u.frame);
+        emitFrame(*ctx, to, p.window[i].frame);
         nic_.fw_.charge(FwStage::UpdateTx,
                         nic_.params_.costs.updateTxData);
     }

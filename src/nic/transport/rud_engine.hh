@@ -24,12 +24,12 @@
 
 #pragma once
 
-#include <deque>
 #include <set>
 #include <unordered_map>
 
 #include "nic/transport/ud_engine.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring_fifo.hh"
 
 namespace qpip::nic {
 
@@ -76,8 +76,8 @@ class RudEngine : public UdEngine
         std::uint32_t nextSeq = 1;  ///< next sequence to emit
         std::uint32_t ackedSeq = 0; ///< highest cumulative ack seen
         std::uint32_t rtoShift = 0; ///< backoff exponent
-        std::deque<Unacked> window;
-        std::deque<PendingSend> blocked;
+        sim::RingFifo<Unacked> window;
+        sim::RingFifo<PendingSend> blocked;
         sim::EventHandle rto;
 
         // Receiver side.

@@ -629,6 +629,7 @@ class EventQueue
     HeapEntry cur_{0, std::numeric_limits<int>::min(), 0, 0};
     /** Scratch for settleBefore. */
     std::vector<ParkedChain> chains_;
+    // qpip-lint: deque-ok(a running closure lives in its record, so records need fixed addresses across pushes)
     std::deque<detail::EventRecord> slab_;
     std::vector<std::uint32_t> freelist_;
     Tick now_ = 0;

@@ -131,6 +131,31 @@ TEST(LintRules, T1ExemptsSimLayer)
     EXPECT_FALSE(lintFile("src/host/stack.cc", src).empty());
 }
 
+TEST(LintRules, Q1FiresOnDeque)
+{
+    const auto diags = lintFixture("q1_fire.cc");
+    ASSERT_EQ(diags.size(), 1u);
+    EXPECT_EQ(diags[0].rule, "Q1");
+    EXPECT_EQ(diags[0].line, 9);
+    EXPECT_NE(diags[0].message.find("sim::RingFifo"), std::string::npos);
+}
+
+TEST(LintRules, Q1WaivedDequeStaysSilentAndIsNotStale)
+{
+    EXPECT_TRUE(lintFixture("q1_waived.cc").empty());
+    ProjectOptions opts;
+    opts.projectRules = false;
+    EXPECT_TRUE(lintProject(loadFixtures({"q1_waived.cc"}), opts).empty());
+}
+
+TEST(LintRules, Q1SkipsFilesOutsideSrc)
+{
+    const std::string src = "#include <deque>\n"
+                            "std::deque<int> model;\n";
+    EXPECT_TRUE(lintFile("tests/x.cc", src).empty());
+    EXPECT_FALSE(lintFile("src/apps/x.cc", src).empty());
+}
+
 TEST(LintRules, H1FiresOnIfndefGuard)
 {
     const auto diags = lintFixture("h1_guard.hh");
@@ -423,7 +448,7 @@ TEST(LintAudit, StaleWaiversNotAuditedWhenRuleFamilyDisabled)
 TEST(LintWaivers, TokenMappingRoundTrips)
 {
     const char *rules[] = {"D1", "D2", "L1", "W1", "T1",
-                           "S1", "W2", "T2", "E1"};
+                           "S1", "W2", "T2", "E1", "Q1"};
     for (const char *r : rules) {
         const std::string tok = waiverToken(r);
         ASSERT_FALSE(tok.empty()) << r;

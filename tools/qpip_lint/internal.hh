@@ -102,6 +102,7 @@ void ruleD2(Ctx &ctx);
 void ruleL1(Ctx &ctx);
 void ruleW1(Ctx &ctx);
 void ruleT1(Ctx &ctx);
+void ruleQ1(Ctx &ctx);
 void ruleH1(Ctx &ctx);
 
 // --- the shared project index (index.cc) ----------------------------

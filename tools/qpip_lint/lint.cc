@@ -99,7 +99,7 @@ constexpr RuleToken ruleTokens[] = {
     {"L1", "layer-ok"},       {"W1", "wire-ok"},
     {"T1", "thread-ok"},      {"S1", "stat-path-ok"},
     {"W2", "wire-pair-ok"},   {"T2", "partition-ok"},
-    {"E1", "ref-capture-ok"},
+    {"E1", "ref-capture-ok"}, {"Q1", "deque-ok"},
 };
 
 } // namespace
@@ -417,6 +417,7 @@ runFileRules(const FileData &f, Sink &sink)
             detail::ruleW1(ctx);
         if (f.layer != Layer::Sim)
             detail::ruleT1(ctx);
+        detail::ruleQ1(ctx);
     }
     detail::ruleL1(ctx);
     if (detail::isHeaderPath(f.path))

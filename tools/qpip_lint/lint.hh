@@ -21,6 +21,8 @@
  *   T1  threading primitives (std::thread/mutex/atomic/..., the
  *       matching headers, thread_local) only under src/sim — the
  *       parallel engine owns all synchronization;
+ *   Q1  no std::deque in src/: an empty libstdc++ deque allocates
+ *       about 600 B, so per-object queues use sim::RingFifo;
  *   H1  every header uses '#pragma once'.
  *
  * Project-wide (cross-file, index-driven) rule families (v2):
@@ -108,7 +110,7 @@ const char *ruleForWaiverToken(const std::string &token);
 
 /**
  * Lint one file with the per-file rule families only (D1/D2/L1/W1/
- * T1/H1) — the v1 behaviour, kept for single-file callers and the
+ * T1/Q1/H1) — the v1 behaviour, kept for single-file callers and the
  * fixture tests. @p path is used for diagnostics and for layer /
  * allowlist classification; a '// qpip-lint-layer: <name>' directive
  * in @p contents overrides the path-derived layer. Diagnostics come
@@ -133,7 +135,7 @@ struct SourceFile
 
 struct ProjectOptions
 {
-    /** Run the per-file families (D1/D2/L1/W1/T1/H1). */
+    /** Run the per-file families (D1/D2/L1/W1/T1/Q1/H1). */
     bool fileRules = true;
     /** Run the cross-file families (S1/W2/T2/E1). */
     bool projectRules = true;

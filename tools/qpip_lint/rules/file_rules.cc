@@ -1,8 +1,8 @@
 /**
  * @file
- * The per-file rule families (D1/D2/L1/W1/T1/H1), unchanged in
- * behaviour from qpip-lint v1 but running over the shared FileData so
- * the waiver audit can account for their suppressions.
+ * The per-file rule families (D1/D2/L1/W1/T1/Q1/H1), running over
+ * the shared FileData so the waiver audit can account for their
+ * suppressions.
  */
 
 #include <algorithm>
@@ -266,6 +266,27 @@ ruleT1(Ctx &ctx)
                     "in model code hides scheduling dependence; bind "
                     "state to the SimObject or partition instead");
         }
+    }
+}
+
+// --- Q1: std::deque in src/ ----------------------------------------
+
+/**
+ * Most queues in the model belong to one QP, connection or device,
+ * and thousands of them sit empty for a whole run. libstdc++ gives
+ * even an empty std::deque its map and first node; sim::RingFifo
+ * allocates on the first push.
+ */
+void
+ruleQ1(Ctx &ctx)
+{
+    static const std::regex re(R"(\bstd\s*::\s*deque\b)");
+    for (std::size_t i = 0; i < ctx.f.lx.code.size(); ++i) {
+        if (std::regex_search(ctx.f.lx.code[i], re))
+            ctx.add("Q1", i,
+                    "std::deque: an empty libstdc++ deque allocates "
+                    "about 600 B; use sim::RingFifo, which allocates "
+                    "on the first push");
     }
 }
 

@@ -41,6 +41,7 @@ ruleDescription(const std::string &rule)
     if (rule == "L1") return "Include layering must follow the DAG";
     if (rule == "W1") return "Wire bytes only via the serializers";
     if (rule == "T1") return "Threading primitives only under src/sim";
+    if (rule == "Q1") return "No std::deque in src/: use sim::RingFifo";
     if (rule == "H1") return "Headers use #pragma once";
     if (rule == "S1") return "Stat paths must resolve against the registry";
     if (rule == "W2") return "serialize/parse field sequences must pair";
