@@ -16,7 +16,11 @@
  * twice: once on the classic serial loop and once under the parallel
  * engine with --threads=N (or QPIP_SIMSPEED_THREADS, default 1).
  * Neither run counts toward the legacy ttcp aggregate, so the
- * headline number stays comparable with earlier records.
+ * headline number stays comparable with earlier records. The
+ * ttcp-pairs rows (dual-star and fat-tree) take simTicks from the
+ * pairs' own elapsed window, which a partitioned run must reproduce
+ * exactly: the bench aborts when a partitioned row's simTicks differs
+ * from its serial row's.
  *
  * The fabric arm sweeps the parallel engine across thread counts on
  * the 128-host k=8 fat-tree (one shift of the all-to-all): a serial
@@ -167,6 +171,27 @@ timed(const std::string &name, bool ttcp, sim::Simulation &sim,
                  std::forward<Body>(body));
 }
 
+/**
+ * A ttcp-pairs row: simTicks is the pairs' own elapsed window, the
+ * same serial or partitioned, not where the run call returned.
+ */
+template <typename Count>
+WorkloadResult
+timedPairs(const std::string &name, SocketsTestbed &bed,
+           const std::vector<TtcpPair> &pairs, std::uint64_t per_pair,
+           Count &&count_events)
+{
+    MultiTtcpResult m;
+    WorkloadResult r = timed(
+        name, false, bed.sim(), per_pair * pairs.size(),
+        std::forward<Count>(count_events), [&] {
+            m = runSocketsTtcpPairs(bed, pairs, per_pair);
+            return m.completed;
+        });
+    r.simTicks = m.elapsedTicks;
+    return r;
+}
+
 /** Fold the engine's deterministic counters into a parallel row. */
 void
 captureEngineStats(WorkloadResult &r, const sim::Simulation &sim)
@@ -231,32 +256,23 @@ buildWorkloads(int threads, const std::vector<int> &fabric_threads)
     const auto pairs = allPairs(8);
     const std::uint64_t per_pair = std::max<std::uint64_t>(
         bytes / pairs.size(), std::uint64_t(64) << 10);
-    const std::uint64_t pair_bytes = per_pair * pairs.size();
-    work.push_back([pairs, per_pair, pair_bytes] {
+    work.push_back([pairs, per_pair] {
         SocketsTestbed bed(8, SocketsFabric::GigabitEthernet, 1,
                            host::HostCostModel{},
                            FabricTopology::DualStar);
-        auto r = timed("ttcp_dualstar8_serial", false, bed.sim(),
-                       pair_bytes, [&] {
-                           return runSocketsTtcpPairs(bed, pairs,
-                                                      per_pair)
-                               .completed;
-                       });
+        auto r = timedPairs("ttcp_dualstar8_serial", bed, pairs, per_pair,
+                            [&] { return bed.sim().eventQueue().executed(); });
         r.threads = 0;
         return r;
     });
-    work.push_back([threads, pairs, per_pair, pair_bytes] {
+    work.push_back([threads, pairs, per_pair] {
         SocketsTestbed bed(8, SocketsFabric::GigabitEthernet, 1,
                            host::HostCostModel{},
                            FabricTopology::DualStar);
         bed.enableParallel(threads);
-        auto r = timed(
-            "ttcp_dualstar8_parallel", false, bed.sim(), pair_bytes,
-            [&] { return bed.engine()->executed(); },
-            [&] {
-                return runSocketsTtcpPairs(bed, pairs, per_pair)
-                    .completed;
-            });
+        auto r = timedPairs("ttcp_dualstar8_parallel", bed, pairs,
+                            per_pair,
+                            [&] { return bed.engine()->executed(); });
         r.threads = threads;
         captureEngineStats(r, bed.sim());
         return r;
@@ -270,35 +286,25 @@ buildWorkloads(int threads, const std::vector<int> &fabric_threads)
         const auto fpairs = uniformShiftPairs(128, 1);
         const std::uint64_t f_per_pair = std::max<std::uint64_t>(
             bytes / 4 / fpairs.size(), std::uint64_t(16) << 10);
-        const std::uint64_t f_bytes = f_per_pair * fpairs.size();
-        work.push_back([fpairs, f_per_pair, f_bytes] {
+        work.push_back([fpairs, f_per_pair] {
             SocketsTestbed bed(128, SocketsFabric::GigabitEthernet, 1,
                                host::HostCostModel{},
                                FabricTopology::FatTreeK8);
-            auto r = timed("ttcp_fattree128_serial", false, bed.sim(),
-                           f_bytes, [&] {
-                               return runSocketsTtcpPairs(bed, fpairs,
-                                                          f_per_pair)
-                                   .completed;
-                           });
+            auto r = timedPairs(
+                "ttcp_fattree128_serial", bed, fpairs, f_per_pair,
+                [&] { return bed.sim().eventQueue().executed(); });
             r.threads = 0;
             return r;
         });
         for (const int t : fabric_threads) {
-            work.push_back([t, fpairs, f_per_pair, f_bytes] {
+            work.push_back([t, fpairs, f_per_pair] {
                 SocketsTestbed bed(128, SocketsFabric::GigabitEthernet,
                                    1, host::HostCostModel{},
                                    FabricTopology::FatTreeK8);
                 bed.enableParallel(t);
-                auto r = timed(
-                    "ttcp_fattree128_t" + std::to_string(t), false,
-                    bed.sim(), f_bytes,
-                    [&] { return bed.engine()->executed(); },
-                    [&] {
-                        return runSocketsTtcpPairs(bed, fpairs,
-                                                   f_per_pair)
-                            .completed;
-                    });
+                auto r = timedPairs(
+                    "ttcp_fattree128_t" + std::to_string(t), bed, fpairs,
+                    f_per_pair, [&] { return bed.engine()->executed(); });
                 r.threads = t;
                 captureEngineStats(r, bed.sim());
                 return r;
@@ -331,6 +337,35 @@ runAll(int threads, const std::vector<int> &fabric_threads,
                 std::min(kept.wallSeconds, p.wallSeconds);
         },
         [](const WorkloadResult &p) { return p.name; });
+}
+
+/**
+ * A partitioned ttcp-pairs row must reproduce its serial row's
+ * elapsed window (see runSocketsTtcpPairs): abort otherwise.
+ */
+void
+checkPartitionedMatchesSerial(const std::vector<WorkloadResult> &results)
+{
+    for (const auto &serial : results) {
+        if (serial.threads != 0)
+            continue;
+        const std::string scenario =
+            serial.name.substr(0, serial.name.rfind('_') + 1);
+        for (const auto &r : results) {
+            if (r.threads < 1 || r.name.compare(0, scenario.size(),
+                                                scenario) != 0)
+                continue;
+            if (r.simTicks != serial.simTicks) {
+                sim::panic("bench_simspeed: %s simTicks %llu differs "
+                           "from %s's %llu",
+                           r.name.c_str(),
+                           static_cast<unsigned long long>(r.simTicks),
+                           serial.name.c_str(),
+                           static_cast<unsigned long long>(
+                               serial.simTicks));
+            }
+        }
+    }
 }
 
 void
@@ -409,6 +444,7 @@ main(int argc, char **argv)
 
     auto results =
         runAll(threads, parseThreadList(fabric_spec), reps);
+    checkPartitionedMatchesSerial(results);
 
     std::printf("\n=== simulator speed (%zu MB per workload, "
                 "%d worker thread%s) ===\n",

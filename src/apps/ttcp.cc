@@ -269,10 +269,14 @@ runSocketsTtcpPairs(SocketsTestbed &bed,
     auto cfg = bed.tcpConfig();
     cfg.noDelay = true;
 
-    // One flag per pair, each written only by its receiving host's
-    // partition: a shared counter here would be incremented
+    // Per pair: the tick its sender starts, the tick its receiver has
+    // every byte, and a done flag. Each slot is written only by one
+    // host's partition: a shared counter here would be incremented
     // concurrently from different worker threads. The completion
     // predicate sums the flags, and only runs at epoch barriers.
+    auto start = std::make_shared<std::vector<Tick>>(pairs.size(),
+                                                     sim::maxTick);
+    auto end = std::make_shared<std::vector<Tick>>(pairs.size(), 0);
     auto done = std::make_shared<std::vector<std::uint8_t>>(
         pairs.size(), std::uint8_t{0});
     const auto done_count = [done] {
@@ -287,15 +291,17 @@ runSocketsTtcpPairs(SocketsTestbed &bed,
         auto drain = std::make_shared<
             std::function<void(std::shared_ptr<TcpSocket>)>>();
         auto received = std::make_shared<std::size_t>(0);
-        *drain = [received, done, k, bytes_per_pair,
+        host::HostOS &os = bed.host(pairs[k].dst).os();
+        *drain = [received, end, done, k, bytes_per_pair, &os,
                   drain](std::shared_ptr<TcpSocket> sock) {
-            sock->recv(262144, [received, done, k, bytes_per_pair,
-                                drain,
+            sock->recv(262144, [received, end, done, k, bytes_per_pair,
+                                &os, drain,
                                 sock](std::vector<std::uint8_t> d) {
                 if (d.empty())
                     return; // EOF
                 *received += d.size();
                 if (*received >= bytes_per_pair) {
+                    (*end)[k] = os.curTick();
                     (*done)[k] = 1;
                     return;
                 }
@@ -311,30 +317,12 @@ runSocketsTtcpPairs(SocketsTestbed &bed,
                        });
     }
 
-    // Connect every sender (source port 30000+k keeps 4-tuples
-    // unique even when one host runs several pairs).
-    std::vector<std::shared_ptr<TcpSocket>> socks;
-    socks.reserve(pairs.size());
+    // Connect every sender (source port 30000+k keeps 4-tuples unique
+    // even when one host runs several pairs). Each starts sending from
+    // its own connect callback, so when it starts is part of the
+    // simulation, not of where a run call returned.
     for (std::size_t k = 0; k < pairs.size(); ++k) {
-        socks.push_back(bed.host(pairs[k].src).stack().tcpConnect(
-            bed.addr(pairs[k].src,
-                     static_cast<std::uint16_t>(30000 + k)),
-            bed.addr(pairs[k].dst,
-                     static_cast<std::uint16_t>(ttcpPort + k)),
-            cfg, nullptr));
-    }
-    sim.runUntilCondition(
-        [&] {
-            for (const auto &s : socks) {
-                if (!s->connected())
-                    return false;
-            }
-            return true;
-        },
-        sim.now() + runDeadline);
-
-    const Tick t0 = sim.now();
-    for (auto &sock : socks) {
+        auto sock = std::make_shared<std::shared_ptr<TcpSocket>>();
         auto sent = std::make_shared<std::size_t>(0);
         auto pump = std::make_shared<std::function<void()>>();
         *pump = [sock, sent, bytes_per_pair, chunk_bytes, pump] {
@@ -343,11 +331,23 @@ runSocketsTtcpPairs(SocketsTestbed &bed,
             const std::size_t n =
                 std::min(chunk_bytes, bytes_per_pair - *sent);
             *sent += n;
-            sock->sendAll(std::vector<std::uint8_t>(n, 0xcd),
-                          [pump] { (*pump)(); });
+            (*sock)->sendAll(std::vector<std::uint8_t>(n, 0xcd),
+                             [pump] { (*pump)(); });
         };
         bed.releaseAtTeardown(pump);
-        (*pump)();
+        host::Host &src = bed.host(pairs[k].src);
+        host::HostOS &os = src.os();
+        *sock = src.stack().tcpConnect(
+            bed.addr(pairs[k].src,
+                     static_cast<std::uint16_t>(30000 + k)),
+            bed.addr(pairs[k].dst,
+                     static_cast<std::uint16_t>(ttcpPort + k)),
+            cfg, [start, k, &os, pump](bool ok) {
+                if (!ok)
+                    return;
+                (*start)[k] = os.curTick();
+                (*pump)();
+            });
     }
 
     const bool ok = sim.runUntilCondition(
@@ -357,13 +357,23 @@ runSocketsTtcpPairs(SocketsTestbed &bed,
     MultiTtcpResult r;
     r.pairsCompleted = done_count();
     r.completed = ok;
-    const Tick wall = sim.now() - t0;
-    if (wall != 0) {
-        r.elapsedMs = sim::ticksToSec(wall) * 1e3;
-        r.aggMbPerSec =
-            static_cast<double>(r.pairsCompleted) *
-            static_cast<double>(bytes_per_pair) / (1024.0 * 1024.0) /
-            sim::ticksToSec(wall);
+    // The window runs from the first pair's start to the last pair's
+    // completion, both simulated ticks.
+    Tick t0 = sim::maxTick;
+    Tick t1 = 0;
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+        if ((*done)[k] == 0)
+            continue;
+        t0 = std::min(t0, (*start)[k]);
+        t1 = std::max(t1, (*end)[k]);
+    }
+    if (t1 > t0) {
+        r.elapsedTicks = t1 - t0;
+        r.elapsedMs = sim::ticksToSec(r.elapsedTicks) * 1e3;
+        r.aggMbPerSec = static_cast<double>(r.pairsCompleted) *
+                        static_cast<double>(bytes_per_pair) /
+                        (1024.0 * 1024.0) /
+                        sim::ticksToSec(r.elapsedTicks);
     }
     return r;
 }

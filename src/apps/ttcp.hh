@@ -51,6 +51,11 @@ struct MultiTtcpResult
 {
     /** Sum of all pairs' payload over the common elapsed window. */
     double aggMbPerSec = 0.0;
+    /**
+     * The window: from the first completed pair's start (its connect
+     * callback) to the last one's completion.
+     */
+    sim::Tick elapsedTicks = 0;
     double elapsedMs = 0.0;
     std::size_t pairsCompleted = 0;
     bool completed = false;
@@ -80,10 +85,10 @@ std::vector<TtcpPair> incastPairs(std::size_t n_hosts,
 /**
  * Run concurrent bulk TCP transfers for every pair in @p pairs
  * (pair k listens on port 5001+k and connects from port 30000+k).
- * The scale-out ttcp workload: with a multi-switch fabric and a
+ * Each pair starts sending from its own connect callback. The
+ * scale-out ttcp workload: with a multi-switch fabric and a
  * parallel-enabled testbed this is the engine's headline sweep, and
- * it runs identically — including bit-identical stats — in serial
- * mode.
+ * the result is the same serial or partitioned at any thread count.
  */
 MultiTtcpResult
 runSocketsTtcpPairs(SocketsTestbed &bed,

@@ -22,8 +22,8 @@ SpinWaiter::wakeParked()
     CpuModel::Spin spin = cpu.removeSpinner(*this);
     // Settled up to the running event, the spinner owes the first poll
     // after it: the first that sees the entry. It runs in the place
-    // (tick and sequence number) the poll-per-event loop gave it.
-    cpu.eventQueue().release(spin.poll, spin.due, spin.seq);
+    // (its key) the poll-per-event loop gave it.
+    cpu.eventQueue().release(spin.poll, cpu.pollKey(spin.due, spin.seq));
 }
 
 CpuModel::CpuModel(sim::Simulation &sim, std::string name,
@@ -39,7 +39,7 @@ CpuModel::~CpuModel()
         s.waiter->cpu_ = nullptr;
         eventQueue().discard(s.poll);
     }
-    eventQueue().setParked(this, sim::ParkedState{});
+    eventQueue().setParked(this, sim::maxTick);
 }
 
 void
@@ -56,15 +56,15 @@ CpuModel::addSpinner(SpinWaiter &waiter, sim::Tick period,
         sim::panic("%s: spinners on one CPU must share one poll cost",
                    name().c_str());
     pollTicks_ = period;
-    // Polls owed before now, on any CPU of this queue, ran before this
-    // retry is scheduled: settle so their successors' sequence numbers
-    // come first. The retry is due at busyUntil(), past every other
-    // owed poll, so it joins the grid last.
+    // Polls owed before now ran before this retry is scheduled: settle
+    // so their successors' sequence numbers come first. The retry is
+    // due at busyUntil(), past every other owed poll, so it joins the
+    // grid last.
     eventQueue().settleNow();
     std::rotate(spins_.begin(), spins_.begin() + head_, spins_.end());
     head_ = 0;
     spins_.push_back(
-        Spin{&waiter, busyUntil_, eventQueue().reserveSeq(), poll});
+        Spin{&waiter, busyUntil_, eventSource().take(), poll});
     waiter.cpu_ = this;
     registerState();
 }
@@ -87,80 +87,66 @@ CpuModel::removeSpinner(SpinWaiter &waiter)
 }
 
 sim::ParkedState
-CpuModel::state() const
+CpuModel::settle(const sim::EventKey &before)
 {
-    if (spins_.empty())
-        return sim::ParkedState{};
-    // Every owed poll is at or below busyUntil_; settled later, the
-    // next owed polls sit within one round (spins_.size() periods) of
-    // busyUntil_ or of the tick the settle runs at.
-    const sim::Tick span = spins_.size() * pollTicks_;
-    return sim::ParkedState{spins_[head_].due, busyUntil_ + span, span};
-}
-
-sim::ParkedState
-CpuModel::settle(sim::Tick when, int priority, std::uint64_t seq,
-                 std::vector<sim::ParkedChain> &chains)
-{
-    // Does an owed poll keyed (due, defaultPriority, s) run before the
-    // event keyed (when, priority, seq)?
-    auto runsFirst = [&](sim::Tick due, std::uint64_t s) {
-        if (due != when)
-            return due < when;
-        if (priority != sim::defaultPriority)
-            return sim::defaultPriority < priority;
-        return s < seq;
-    };
     const std::size_t m = spins_.size();
     const sim::Tick p = pollTicks_;
+    // Owed polls run in key order, which is ring order from head_.
     // Every owed tick is at or below busyUntil_ (each was busyUntil_
     // when set, and busyUntil_ only grows), so every owed poll charges
     // one period from busyUntil_, and the spinner's next poll is owed
-    // where that charge ends.
-    const std::size_t base = chains.size();
-    std::size_t ran = 0;
-    while (ran < m && runsFirst(spins_[head_].due, spins_[head_].seq)) {
+    // where that charge ends, keyed by the next number this CPU hands
+    // out.
+    sim::Tick ran = 0;
+    std::size_t polled = 0;
+    while (polled < m &&
+           pollKey(spins_[head_].due, spins_[head_].seq) < before) {
         Spin &s = spins_[head_];
+        ran = s.due;
         busyUntil_ += p;
         busyTotal_ += p;
-        chains.push_back(sim::ParkedChain{s.due, s.seq, busyUntil_,
-                                          m * p, 0, &s.seq});
         s.due = busyUntil_;
-        ++ran;
+        s.seq = eventSource().take();
+        ++polled;
         if (++head_ == m)
             head_ = 0;
     }
-    if (ran < m)
-        return state();
+    if (polled < m)
+        return sim::ParkedState{due(), ran};
     // Each spinner polled once: the owed polls now lie one period apart
-    // from head_ round the ring. Their sequence numbers are reserved
-    // after this settle, past the event's, so a poll on the event's own
-    // tick runs first only if the event's priority puts it later.
+    // from head_ round the ring, and the k-th of them to run will take
+    // the k-th number the CPU hands out from here. Count those below
+    // the bound: every one before its tick, and the one on it if its
+    // key is lower.
     const sim::Tick first = spins_[head_].due;
+    const std::uint64_t base = eventSource().nextSeq();
     std::uint64_t n = 0;
-    if (when > first)
-        n = (when - first - 1) / p + 1;
-    if (priority > sim::defaultPriority && when >= first &&
-        (when - first) % p == 0)
+    if (before.when > first)
+        n = (before.when - first - 1) / p + 1;
+    if (before.when >= first && (before.when - first) % p == 0 &&
+        pollKey(before.when, base + n) < before)
         ++n;
     if (n == 0)
-        return state();
-    // Poll order from head_ is the order they ran in above.
-    const std::uint64_t rounds = m == 1 ? n : n / m;
-    const std::size_t extra = m == 1 ? 0 : n % m;
+        return sim::ParkedState{first, ran};
+    // Poll k from head_ (k < m) runs the k-th, (k+m)-th, ... of the n.
+    const std::uint64_t rounds = n / m;
+    const std::size_t extra = n % m;
     for (std::size_t k = 0, i = head_; k < m; ++k) {
         const std::uint64_t polls = rounds + (k < extra ? 1 : 0);
-        spins_[i].due += polls * m * p;
-        chains[base + k].gridCount = polls;
+        if (polls > 0) {
+            spins_[i].due += polls * m * p;
+            spins_[i].seq = base + k + (polls - 1) * m;
+        }
         if (++i == m)
             i = 0;
     }
+    eventSource().take(n);
     busyUntil_ += n * p;
     busyTotal_ += n * p;
     head_ += extra;
     if (head_ >= m)
         head_ -= m;
-    return state();
+    return sim::ParkedState{due(), first + (n - 1) * p};
 }
 
 void

@@ -58,11 +58,13 @@ class SpinWaiter
  * empty parks here instead of scheduling its retry (park()). Until a
  * push wakes it, every poll it would make is empty and charges one
  * poll period from busyUntil(), so the polls it owes lie on a grid.
- * The CPU charges them arithmetically when anything could tell the
- * difference (sim::Parked) — it is charged, run on or read — and a
- * push schedules only the owed poll that sees the entry. Several
- * spinners on one CPU take turns on one round-robin grid. DESIGN.md §9
- * has the exactness argument.
+ * Each owed poll is keyed as the event it replaces would be: by this
+ * CPU, with the sequence number the CPU hands out when the poll
+ * before it runs. The CPU charges them arithmetically when anything
+ * could tell the difference (sim::Parked) — it is charged, run on or
+ * read, or a run call ends — and a push schedules only the owed poll
+ * that sees the entry. Several spinners on one CPU take turns on one
+ * round-robin grid. DESIGN.md §9 has the exactness argument.
  */
 class CpuModel : public sim::SimObject, private sim::Parked
 {
@@ -152,7 +154,7 @@ class CpuModel : public sim::SimObject, private sim::Parked
     struct Spin
     {
         SpinWaiter *waiter;
-        /** Tick and reserved sequence number of the owed poll. */
+        /** Tick and sequence number (of this CPU) of the owed poll. */
         sim::Tick due;
         std::uint64_t seq;
         /** The held event that polls when a push wakes the spinner. */
@@ -163,13 +165,22 @@ class CpuModel : public sim::SimObject, private sim::Parked
                     std::uint32_t poll);
     /** Take @p waiter's spinner out of the grid. */
     Spin removeSpinner(SpinWaiter &waiter);
-    /** Where the grid stands, for the event queue. */
-    sim::ParkedState state() const;
-    void registerState() { eventQueue().setParked(this, state()); }
+    /** The tick of the next owed poll (maxTick: none). */
+    sim::Tick
+    due() const
+    {
+        return spins_.empty() ? sim::maxTick : spins_[head_].due;
+    }
+    void registerState() { eventQueue().setParked(this, due()); }
+    /** The key of an owed poll. */
+    sim::EventKey
+    pollKey(sim::Tick due, std::uint64_t seq)
+    {
+        return sim::EventKey{due, sim::defaultPriority,
+                             eventSource().id(), seq};
+    }
 
-    sim::ParkedState settle(sim::Tick when, int priority,
-                            std::uint64_t seq,
-                            std::vector<sim::ParkedChain> &chains) override;
+    sim::ParkedState settle(const sim::EventKey &before) override;
     void drop() override;
 
     sim::ClockDomain clock_;

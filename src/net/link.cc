@@ -65,6 +65,7 @@ Link::Link(sim::Simulation &sim, std::string name, LinkConfig config)
     for (std::size_t side = 0; side < dir_.size(); ++side) {
         Direction &d = dir_[side];
         d.eq = &eventQueue();
+        d.source = sim.addSource();
         d.faultRng.seed(sim::streamSeed(sim.seed(), this->name(), side));
         d.counters = this;
     }
@@ -82,12 +83,6 @@ Link::serializationDelay(std::size_t wire_bytes) const
     const double bits = static_cast<double>(wire_bytes) * 8.0;
     return static_cast<sim::Tick>(
         std::llround(bits / cfg_.bitsPerSec * 1e12));
-}
-
-sim::Tick
-Link::txIdleAt(int side) const
-{
-    return dir_.at(static_cast<std::size_t>(side)).busyUntil;
 }
 
 void
@@ -223,11 +218,11 @@ Link::send(int from_side, PacketPtr pkt)
         auto arrival = [receiver, p = std::move(p)] {
             receiver->onPacket(p);
         };
+        const sim::EventKey key = tx.source.key(arrive);
         if (tx.outbox != nullptr)
-            tx.outbox->post(arrive, sim::defaultPriority,
-                            std::move(arrival));
+            tx.outbox->post(key, std::move(arrival));
         else
-            tx.eq->schedule(arrive, std::move(arrival));
+            tx.eq->schedule(key, std::move(arrival));
     };
     deliver(pkt);
     if (fault.duplicate)

@@ -15,7 +15,10 @@
  * event queue, the counters it adds to, an optional cross-partition
  * outbox and a capture tap. Unbound, these are the link's own queue
  * and its public counters; bindSide() swaps in the sending
- * partition's queue and per-direction shadow counters.
+ * partition's queue and per-direction shadow counters. Each direction
+ * is also its own event source: the two may run in different
+ * partitions, and an arrival is keyed by the direction that sent it,
+ * serial or partitioned.
  *
  * Each direction also owns its fault stream, seeded from the
  * simulation seed, the link's name and the side, and rolls it under
@@ -113,9 +116,6 @@ class Link : public sim::SimObject, public LinkCounters
      */
     bool send(int from_side, PacketPtr pkt);
 
-    /** Tick at which the transmitter of @p side next goes idle. */
-    sim::Tick txIdleAt(int side) const;
-
     /** Serialization time of @p wire_bytes on this link. */
     sim::Tick serializationDelay(std::size_t wire_bytes) const;
 
@@ -158,6 +158,8 @@ class Link : public sim::SimObject, public LinkCounters
         NetReceiver *receiver = nullptr;
         sim::Tick busyUntil = 0;
         sim::EventQueue *eq = nullptr;
+        /** Keys this direction's arrivals. */
+        sim::EventSource source{0};
         LinkCounters *counters = nullptr;
         /** Cross-partition channel to the receiver, or nullptr. */
         sim::Mailbox *outbox = nullptr;

@@ -13,19 +13,6 @@ ByteReader::bytes(std::uint8_t *dst, std::size_t n)
     pos_ += n;
 }
 
-const char *
-rdmaOpcodeName(RdmaOpcode op)
-{
-    switch (op) {
-      case RdmaOpcode::Send: return "send";
-      case RdmaOpcode::Write: return "write";
-      case RdmaOpcode::ReadReq: return "read-req";
-      case RdmaOpcode::WriteAck: return "write-ack";
-      case RdmaOpcode::ReadResp: return "read-resp";
-    }
-    return "?";
-}
-
 std::size_t
 rdmaHeaderBytes(RdmaOpcode op)
 {
@@ -115,16 +102,6 @@ parseRdmaMessage(std::span<const std::uint8_t> msg, RdmaHeader &out,
         return false;
     payload = r.rest();
     return true;
-}
-
-const char *
-rudOpcodeName(RudOpcode op)
-{
-    switch (op) {
-      case RudOpcode::Data: return "data";
-      case RudOpcode::Ack: return "ack";
-    }
-    return "?";
 }
 
 std::size_t

@@ -185,8 +185,6 @@ enum class RdmaOpcode : std::uint8_t {
     ReadResp = 4,  ///< responder's reply to a ReadReq (+ payload)
 };
 
-const char *rdmaOpcodeName(RdmaOpcode op);
-
 /** Status carried in WriteAck / ReadResp. */
 enum class RdmaWireStatus : std::uint8_t {
     Ok = 0,
@@ -238,8 +236,6 @@ enum class RudOpcode : std::uint8_t {
     Data = 0, ///< sequenced payload; carries a piggybacked ack
     Ack = 1,  ///< standalone cumulative ack (no payload)
 };
-
-const char *rudOpcodeName(RudOpcode op);
 
 /**
  * The decoded RUD framing header. seq is valid for Data only; ack is

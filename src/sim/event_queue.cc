@@ -65,31 +65,29 @@ EventQueue::handleWhen(std::uint32_t slot, std::uint32_t gen) const
 }
 
 void
-EventQueue::release(std::uint32_t slot, Tick when, std::uint64_t seq)
+EventQueue::release(std::uint32_t slot, const EventKey &key)
 {
-    checkSchedulable(when);
+    checkSchedulable(key.when);
     EventRecord &rec = slab_[slot];
-    rec.when = when;
-    rec.priority = defaultPriority;
-    rec.seq = seq;
+    rec.when = key.when;
     rec.state = EventState::Pending;
-    heapPush(HeapEntry{when, defaultPriority, seq, slot});
+    heapPush(HeapEntry{key, slot});
 }
 
 void
-EventQueue::setParked(Parked *work, ParkedState state)
+EventQueue::setParked(Parked *work, Tick due)
 {
     auto it = std::find_if(parked_.begin(), parked_.end(),
                            [work](const ParkedEntry &e) {
                                return e.work == work;
                            });
-    if (state.due == maxTick) {
+    if (due == maxTick) {
         if (it != parked_.end())
             parked_.erase(it);
     } else if (it != parked_.end()) {
-        it->state = state;
+        it->due = due;
     } else {
-        parked_.push_back(ParkedEntry{work, state});
+        parked_.push_back(ParkedEntry{work, due});
     }
     refreshParked();
 }
@@ -98,63 +96,24 @@ void
 EventQueue::refreshParked()
 {
     parkedDue_ = maxTick;
-    parkedReach_ = 0;
-    parkedSpan_ = 0;
-    for (const ParkedEntry &e : parked_) {
-        parkedDue_ = std::min(parkedDue_, e.state.due);
-        parkedReach_ = std::max(parkedReach_, e.state.reach);
-        parkedSpan_ = std::max(parkedSpan_, e.state.span);
-    }
+    for (const ParkedEntry &e : parked_)
+        parkedDue_ = std::min(parkedDue_, e.due);
 }
-
-namespace {
-
-/**
- * Did @p a's last link run before @p b's? Links on one tick run in
- * seq order; a chain's first link has a real seq, every later one the
- * seq its predecessor reserved while the settle ran, so it comes after
- * every first link and, among later links, after whichever predecessor
- * ran first. Walk both chains back until the ticks differ.
- */
-bool
-ranBefore(const ParkedChain &a, const ParkedChain &b)
-{
-    std::uint64_t ia = a.gridCount;
-    std::uint64_t ib = b.gridCount;
-    for (;;) {
-        if (a.at(ia) != b.at(ib))
-            return a.at(ia) < b.at(ib);
-        if (ia == 0 || ib == 0)
-            return ia == 0 && (ib != 0 || a.firstSeq < b.firstSeq);
-        // Equal grids stay tied link for link: skip to the last grid
-        // link of the shorter one.
-        const std::uint64_t skip =
-            a.gridStep == b.gridStep ? std::min(ia, ib) - 1 : 0;
-        ia -= skip + 1;
-        ib -= skip + 1;
-    }
-}
-
-} // namespace
 
 Tick
-EventQueue::settleBefore(Tick when, int priority, std::uint64_t seq)
+EventQueue::settleBefore(const EventKey &before)
 {
-    chains_.clear();
     // settle() neither schedules nor parks, so the entries stay put
     // while this walks them.
+    Tick last = 0;
     for (ParkedEntry &e : parked_) {
-        if (e.state.due <= when)
-            e.state = e.work->settle(when, priority, seq, chains_);
+        if (e.due > before.when)
+            continue;
+        const ParkedState state = e.work->settle(before);
+        e.due = state.due;
+        last = std::max(last, state.ran);
     }
     refreshParked();
-    if (chains_.size() > 1)
-        std::sort(chains_.begin(), chains_.end(), ranBefore);
-    Tick last = 0;
-    for (const ParkedChain &c : chains_) {
-        *c.nextSeq = nextSeq_++;
-        last = std::max(last, c.at(c.gridCount));
-    }
     return last;
 }
 
@@ -163,12 +122,12 @@ EventQueue::settle(Tick until)
 {
     if (until == maxTick)
         return;
-    // (until, lowest priority, 0) sorts before every event at until.
-    constexpr int lowest = std::numeric_limits<int>::min();
+    // (until, lowest priority, 0, 0) sorts before every event at until.
+    const EventKey bound{until, std::numeric_limits<int>::min(), 0, 0};
     if (until > parkedDue_)
-        now_ = std::max(now_, settleBefore(until, lowest, 0));
-    if (until > cur_.when)
-        cur_ = HeapEntry{until, lowest, 0, 0};
+        now_ = std::max(now_, settleBefore(bound));
+    if (until > cur_.key.when)
+        cur_ = HeapEntry{bound, 0};
 }
 
 void

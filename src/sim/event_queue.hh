@@ -2,12 +2,24 @@
  * @file
  * The discrete-event scheduler at the heart of the simulation.
  *
- * Events are closures scheduled at an absolute Tick. Ties are broken
- * first by an explicit priority (lower runs first) and then by
- * insertion order, so the simulation is fully deterministic. Scheduled
- * events can be cancelled or rescheduled through an EventHandle,
- * which is how protocol timers (TCP retransmit, delayed ACK, ...) are
- * implemented.
+ * Events are closures scheduled at an absolute Tick. Each carries an
+ * EventKey, (when, priority, source, seq), and runs in key order:
+ * earlier tick first, then lower priority, then the lower source id,
+ * then the source's own count of the events it scheduled. The source
+ * is whatever scheduled the event — a SimObject, or one direction of
+ * a link (EventSource) — and its id comes from construction order, so
+ * the key of every event is fixed by the simulated history alone, not
+ * by which queue holds it or when it was inserted. That is what lets
+ * a partitioned run (parallel_engine.hh) replay the serial schedule:
+ * each partition's queue runs the restriction of the one serial order.
+ * An event scheduled straight into a queue, with no source (tests and
+ * harnesses), is keyed with source 0 and the queue's own counter, so
+ * it keeps insertion order among such events; the serial ≡ partitioned
+ * guarantee covers work scheduled through sources.
+ *
+ * Scheduled events can be cancelled or rescheduled through an
+ * EventHandle, which is how protocol timers (TCP retransmit, delayed
+ * ACK, ...) are implemented.
  *
  * Hot-path design: event records live in a slab (a deque of
  * fixed-position records) recycled through a LIFO freelist, and the
@@ -16,9 +28,8 @@
  * slab has grown to the workload's steady-state event population.
  * Handles are generation-counted (slot, gen) pairs instead of
  * shared_ptr, so copying one is trivial and a stale handle on a
- * recycled slot is detected by the generation mismatch. The freelist
- * is LIFO in the order events run or are cancelled, which is itself
- * deterministic, so slot assignment never perturbs replay.
+ * recycled slot is detected by the generation mismatch. Slot
+ * assignment has no say in the order events run in.
  *
  * Cancel means gone: a dense slot -> heap-position index beside the
  * slab lets cancel() erase the event's heap entry at once and return
@@ -37,7 +48,6 @@
 
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -139,8 +149,6 @@ enum class EventState : std::uint8_t {
 struct EventRecord
 {
     Tick when = 0;
-    int priority = defaultPriority;
-    std::uint64_t seq = 0;
     std::uint32_t gen = 0;
     EventState state = EventState::Free;
     EventFn fn;
@@ -148,65 +156,102 @@ struct EventRecord
 
 } // namespace detail
 
+/**
+ * The order events run in: by tick, then priority (lower first), then
+ * source id, then the source's own sequence number. (source, seq) is
+ * unique, so this is a strict total order: the pop sequence is the
+ * same for any correct heap, and for any partitioning of the events
+ * over queues.
+ */
+struct EventKey
+{
+    Tick when;
+    int priority;
+    /** Who scheduled the event (0: no source, see EventQueue). */
+    std::uint32_t source;
+    /** How many events the source had scheduled before this one. */
+    std::uint64_t seq;
+};
+
+inline bool
+operator<(const EventKey &a, const EventKey &b)
+{
+    if (a.when != b.when)
+        return a.when < b.when;
+    if (a.priority != b.priority)
+        return a.priority < b.priority;
+    if (a.source != b.source)
+        return a.source < b.source;
+    return a.seq < b.seq;
+}
+
+/**
+ * Something that schedules events under its own key: a SimObject, or
+ * one direction of a link. Its id is handed out by
+ * Simulation::addSource() in construction order; the count is touched
+ * only by the partition the source runs in.
+ */
+class EventSource
+{
+  public:
+    explicit EventSource(std::uint32_t id) : id_(id) {}
+
+    std::uint32_t id() const { return id_; }
+
+    /** The sequence number the next event will get. */
+    std::uint64_t nextSeq() const { return seq_; }
+
+    /** Hand out @p n consecutive sequence numbers; @return the first. */
+    std::uint64_t
+    take(std::uint64_t n = 1)
+    {
+        const std::uint64_t first = seq_;
+        seq_ += n;
+        return first;
+    }
+
+    /** The key of the next event this source schedules. */
+    EventKey
+    key(Tick when, int priority = defaultPriority)
+    {
+        return EventKey{when, priority, id_, take()};
+    }
+
+  private:
+    std::uint32_t id_;
+    std::uint64_t seq_ = 0;
+};
+
 class EventQueue;
 
 /**
- * The links of a parked chain that one settle ran: a first link with a
- * real (when, seq) key, then @p gridCount links, each scheduled by the
- * one before, at gridStart, gridStart + gridStep, ... The queue orders
- * the chains a settle ran by when their last links ran and reserves
- * each chain's next sequence number in that order, into *nextSeq.
- */
-struct ParkedChain
-{
-    Tick firstWhen;
-    std::uint64_t firstSeq;
-    Tick gridStart;
-    Tick gridStep;
-    std::uint64_t gridCount;
-    std::uint64_t *nextSeq;
-
-    /** Tick of the chain's @p i-th link (0 = the first). */
-    Tick
-    at(std::uint64_t i) const
-    {
-        return i == 0 ? firstWhen : gridStart + (i - 1) * gridStep;
-    }
-};
-
-/**
- * Where parked work stands after a settle: the tick its next owed link
- * is due at (maxTick: nothing parked), and a bound on where the next
- * owed links lie however much time passes before the next settle: at
- * or below reach, or at most span after now().
+ * Where parked work stands after a settle: the tick its next owed
+ * link is due at (maxTick: nothing parked), and the tick of the last
+ * link the settle ran (0: none).
  */
 struct ParkedState
 {
     Tick due = maxTick;
-    Tick reach = 0;
-    Tick span = 0;
+    Tick ran = 0;
 };
 
 /**
  * Work that would be a chain of events, each run at defaultPriority
- * and scheduling the next, that the owner can run arithmetically
- * instead: a parked spin-polling CPU (host::CpuModel). The owner
- * registers with EventQueue::setParked(). The queue settles every parked
- * work together (settleNow()) before anything could tell the links
- * did not run as events: the owner's own touches, and scheduling an
- * event on a tick an owed link may sit on.
+ * under its owner's source and scheduling the next, that the owner can
+ * run arithmetically instead: a parked spin-polling CPU
+ * (host::CpuModel). The owner registers with EventQueue::setParked().
+ * The links touch nothing but the owner's own state, so the owner
+ * settles (settleNow()) before anything could tell the links did not
+ * run as events: its own touches, and the end of a run call.
  */
 class Parked
 {
   public:
     /**
-     * Run every owed link whose (when, defaultPriority, seq) key is
-     * below (@p when, @p priority, @p seq), appending one ParkedChain
-     * per chain that ran. Neither schedules nor parks.
+     * Run every owed link whose key is below @p before, as the chain's
+     * events would have run. Neither schedules nor parks.
      */
-    virtual ParkedState settle(Tick when, int priority,
-                               std::uint64_t seq,
-                               std::vector<ParkedChain> &chains) = 0;
+    virtual ParkedState settle(const EventKey &before) = 0;
 
     /** Drop everything owed without running it (EventQueue::clear). */
     virtual void drop() = 0;
@@ -264,37 +309,43 @@ class EventQueue
     Tick now() const { return now_; }
 
     /**
-     * Schedule @p fn (any void() callable) to run at absolute time
-     * @p when. The callable is stored inline in the pooled event
-     * record; no allocation happens for closures that fit
-     * detail::EventFn::inlineBytes.
-     * @pre when >= now()
+     * Schedule @p fn (any void() callable) to run under @p key, which
+     * its source handed out (EventSource::key). The callable is stored
+     * inline in the pooled event record; no allocation happens for
+     * closures that fit detail::EventFn::inlineBytes.
+     * @pre key.when >= now()
+     */
+    template <typename F>
+    EventHandle
+    schedule(const EventKey &key, F &&fn)
+    {
+        if (clearing_)
+            return EventHandle{}; // teardown in progress: drop silently
+        checkSchedulable(key.when);
+        const std::uint32_t slot = acquireSlot();
+        detail::EventRecord &rec = slab_[slot];
+        rec.when = key.when;
+        rec.state = detail::EventState::Pending;
+        rec.fn.emplace(std::forward<F>(fn));
+        heapPush(HeapEntry{key, slot});
+        return EventHandle(this, slot, rec.gen);
+    }
+
+    /**
+     * Schedule @p fn at absolute time @p when with no source: keyed by
+     * this queue's own counter, so such events keep insertion order
+     * among themselves and run before sourced events of equal tick and
+     * priority.
      */
     template <typename F>
     EventHandle
     schedule(Tick when, F &&fn, int priority = defaultPriority)
     {
-        if (clearing_)
-            return EventHandle{}; // teardown in progress: drop silently
-        checkSchedulable(when);
-        // If an owed link whose predecessor has run could sit on this
-        // tick, it comes first: settle so its seq is reserved now.
-        if (parkedDue_ != maxTick &&
-            (when <= parkedReach_ || when - now_ <= parkedSpan_))
-            [[unlikely]]
-            settleNow();
-        const std::uint32_t slot = acquireSlot();
-        detail::EventRecord &rec = slab_[slot];
-        rec.when = when;
-        rec.priority = priority;
-        rec.seq = nextSeq_++;
-        rec.state = detail::EventState::Pending;
-        rec.fn.emplace(std::forward<F>(fn));
-        heapPush(HeapEntry{when, priority, rec.seq, slot});
-        return EventHandle(this, slot, rec.gen);
+        return schedule(EventKey{when, priority, 0, nextSeq_++},
+                        std::forward<F>(fn));
     }
 
-    /** Schedule @p fn to run @p delay ticks from now. */
+    /** Schedule @p fn, with no source, @p delay ticks from now. */
     template <typename F>
     EventHandle
     scheduleIn(Tick delay, F &&fn, int priority = defaultPriority)
@@ -319,26 +370,21 @@ class EventQueue
     }
 
     /**
-     * Schedule the held event in @p slot at (@p when, defaultPriority,
-     * @p seq), @p seq taken earlier with reserveSeq(): the link runs in
-     * the place its chain gave it. @pre when >= now()
+     * Schedule the held event in @p slot under @p key: the link runs
+     * in the place its chain gave it. @pre key.when >= now()
      */
-    void release(std::uint32_t slot, Tick when, std::uint64_t seq);
+    void release(std::uint32_t slot, const EventKey &key);
 
     /** Destroy the held event in @p slot without running it. */
     void discard(std::uint32_t slot) { releaseSlot(slot); }
 
     /**
-     * Take the next sequence number, as scheduling an event now would.
+     * Register parked @p work, or update the tick its next owed link
+     * is due at (maxTick: unregister). Parked work is not an event: it
+     * does not count for empty() or nextEventTick(), and clear() drops
+     * it.
      */
-    std::uint64_t reserveSeq() { return nextSeq_++; }
-
-    /**
-     * Register parked @p work, or update where it stands (state.due ==
-     * maxTick: unregister). Parked work is not an event: it does not
-     * count for empty() or nextEventTick(), and clear() drops it.
-     */
-    void setParked(Parked *work, ParkedState state);
+    void setParked(Parked *work, Tick due);
 
     /**
      * Settle every parked work up to the event running now (after a
@@ -348,8 +394,8 @@ class EventQueue
     void
     settleNow()
     {
-        if (parkedDue_ <= cur_.when)
-            settleBefore(cur_.when, cur_.priority, cur_.seq);
+        if (parkedDue_ <= cur_.key.when)
+            settleBefore(cur_.key);
     }
 
     /**
@@ -366,19 +412,7 @@ class EventQueue
     Tick
     nextEventTick() const
     {
-        return heap_.empty() ? maxTick : heap_.front().when;
-    }
-
-    /**
-     * The earlier of nextEventTick() and the next link parked work
-     * owes: the first tick this queue has anything to do at. The
-     * parallel engine bounds its epochs by it, as it bounded them by
-     * the poll events parked spinners replace.
-     */
-    Tick
-    nextDueTick() const
-    {
-        return std::min(nextEventTick(), parkedDue_);
+        return heap_.empty() ? maxTick : heap_.front().key.when;
     }
 
     /**
@@ -410,7 +444,7 @@ class EventQueue
     bool
     step(Tick until = maxTick)
     {
-        if (heap_.empty() || heap_.front().when >= until)
+        if (heap_.empty() || heap_.front().key.when >= until)
             return false;
         cur_ = heap_.front();
         const std::uint32_t slot = cur_.slot;
@@ -455,46 +489,39 @@ class EventQueue
   private:
     friend class EventHandle;
 
-    /** Heap entry: ordering key plus the slab slot it refers to. */
+    /**
+     * Heap entry: ordering key plus the slab slot it refers to, 32
+     * bytes. The key is a strict total order, so the heap arity and
+     * layout are free to change without affecting replay.
+     */
     struct HeapEntry
     {
-        Tick when;
-        int priority;
-        std::uint64_t seq;
+        EventKey key;
         std::uint32_t slot;
     };
 
-    /**
-     * (when, priority, seq) is a strict total order (seq is unique),
-     * so the pop sequence is the same for any correct heap — the heap
-     * arity and layout are free to change without affecting replay.
-     */
+    static_assert(sizeof(HeapEntry) == 32);
+
     static bool
     earlier(const HeapEntry &a, const HeapEntry &b)
     {
-        if (a.when != b.when)
-            return a.when < b.when;
-        if (a.priority != b.priority)
-            return a.priority < b.priority;
-        return a.seq < b.seq;
+        return a.key < b.key;
     }
 
-    /** A registered Parked and where it stands. */
+    /** A registered Parked and the tick its next owed link is due at. */
     struct ParkedEntry
     {
         Parked *work;
-        ParkedState state;
+        Tick due;
     };
 
     /**
-     * Settle every parked work owed below (when, priority, seq), then
-     * reserve the sequence numbers of the chains' next links in the
-     * order their last links ran. @return the tick of the last link
-     * that ran, or 0 if none did.
+     * Settle every parked work owed below @p before. @return the tick
+     * of the last link that ran, or 0 if none did.
      */
-    Tick settleBefore(Tick when, int priority, std::uint64_t seq);
+    Tick settleBefore(const EventKey &before);
 
-    /** Recompute parkedDue_, parkedReach_ and parkedSpan_. */
+    /** Recompute parkedDue_. */
     void refreshParked();
 
     /** Store @p e at heap position @p i and record where it sits. */
@@ -619,20 +646,16 @@ class EventQueue
     std::vector<ParkedEntry> parked_;
     /** The earliest owed link of any parked work (maxTick: none). */
     Tick parkedDue_ = maxTick;
-    /** Maxima of the entries' reach and span. */
-    Tick parkedReach_ = 0;
-    Tick parkedSpan_ = 0;
     /**
      * Key of the event running now, or of the last one run; after a
      * bounded run, (bound, INT_MIN): parked work is settled below it.
      */
-    HeapEntry cur_{0, std::numeric_limits<int>::min(), 0, 0};
-    /** Scratch for settleBefore. */
-    std::vector<ParkedChain> chains_;
+    HeapEntry cur_{{0, std::numeric_limits<int>::min(), 0, 0}, 0};
     // qpip-lint: deque-ok(a running closure lives in its record, so records need fixed addresses across pushes)
     std::deque<detail::EventRecord> slab_;
     std::vector<std::uint32_t> freelist_;
     Tick now_ = 0;
+    /** Sequence numbers of the events scheduled with no source. */
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
     bool clearing_ = false;

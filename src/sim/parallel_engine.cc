@@ -213,12 +213,9 @@ ParallelEngine::beginRun()
     posted_.clear();
     for (std::size_t i = 0; i < parts_.size(); ++i) {
         Partition &p = *parts_[i];
-        nextTick_[i] = p.eq_.nextDueTick();
-        if (p.dirtyOut_.empty())
-            continue;
-        for (Mailbox *mb : p.dirtyOut_)
-            mb->sortBatch();
-        posted_.push_back(p.id_);
+        nextTick_[i] = p.eq_.nextEventTick();
+        if (!p.dirtyOut_.empty())
+            posted_.push_back(p.id_);
     }
 }
 
@@ -239,8 +236,8 @@ ParallelEngine::handOff()
             // that buffer next.
             mb->msgs_.swap(mb->handed_);
             const std::uint32_t dst = mb->dst_.id_;
-            nextTick_[dst] =
-                std::min(nextTick_[dst], mb->handed_.front().when);
+            nextTick_[dst] = std::min(nextTick_[dst], mb->first_);
+            mb->first_ = maxTick;
             hasMail_[dst] = 1;
             mb->dst_.inbox_.push_back(mb);
         }
@@ -252,51 +249,16 @@ ParallelEngine::handOff()
 }
 
 void
-ParallelEngine::inject(Partition &p, std::vector<RunCursor> &merge)
+ParallelEngine::inject(Partition &p)
 {
-    if (p.inbox_.size() == 1) {
-        // One inbound edge (the common case): its batch is already
-        // the merged order.
-        Mailbox *mb = p.inbox_.front();
+    // Every message carries its key, so the order they are scheduled
+    // in has no say in the order they run in.
+    for (Mailbox *mb : p.inbox_) {
         for (auto &m : mb->handed_)
-            p.eq_.schedule(m.when, std::move(m.fn), m.priority);
+            p.eq_.schedule(m.key, std::move(m.fn));
         mb->handed_.clear();
-        p.inbox_.clear();
-        return;
     }
-    // K-way merge of the sorted per-edge runs. (tick, priority, seq,
-    // srcId) is a strict total order (seq streams are per-source
-    // partition), so queue insertion order — and with it the seq
-    // numbers the queue assigns — is independent of thread count, and
-    // identical to a global sort of every batch in the fabric.
-    const auto later = [](const RunCursor &a, const RunCursor &b) {
-        const auto &ma = a.mb->handed_[a.idx];
-        const auto &mb_ = b.mb->handed_[b.idx];
-        if (ma.when != mb_.when)
-            return ma.when > mb_.when;
-        if (ma.priority != mb_.priority)
-            return ma.priority > mb_.priority;
-        if (ma.seq != mb_.seq)
-            return ma.seq > mb_.seq;
-        return a.mb->src().id() > b.mb->src().id();
-    };
-    merge.clear();
-    for (Mailbox *mb : p.inbox_)
-        merge.push_back(RunCursor{mb, 0});
     p.inbox_.clear();
-    std::make_heap(merge.begin(), merge.end(), later);
-    while (!merge.empty()) {
-        std::pop_heap(merge.begin(), merge.end(), later);
-        RunCursor &cur = merge.back();
-        auto &m = cur.mb->handed_[cur.idx];
-        p.eq_.schedule(m.when, std::move(m.fn), m.priority);
-        if (++cur.idx < cur.mb->handed_.size()) {
-            std::push_heap(merge.begin(), merge.end(), later);
-        } else {
-            cur.mb->handed_.clear();
-            merge.pop_back();
-        }
-    }
 }
 
 Tick
@@ -369,19 +331,12 @@ ParallelEngine::runShare(Worker &w)
     for (Visit &v : w.visits) {
         Partition &p = *parts_[v.id];
         if (!p.inbox_.empty())
-            inject(p, w.merge);
+            inject(p);
         const std::uint64_t before = p.eq_.executed();
-        {
-            ExecContextScope scope(&p.eq_);
-            p.eq_.runUntil(v.runTo);
-        }
+        p.eq_.runUntil(v.runTo);
         v.events = p.eq_.executed() - before;
-        // Sort the outgoing batches here, in parallel: the
-        // destinations' owners then only pay for the merge.
-        for (Mailbox *mb : p.dirtyOut_)
-            mb->sortBatch();
         v.posted = !p.dirtyOut_.empty();
-        v.next = p.eq_.nextDueTick();
+        v.next = p.eq_.nextEventTick();
     }
 }
 
@@ -407,12 +362,16 @@ ParallelEngine::workerLoop(std::size_t w)
 void
 ParallelEngine::runEpoch()
 {
+    // Set and cleared around the epoch_ release and the busy_ acquire,
+    // so every worker reads it inside the epoch without a race.
+    inEpoch_ = true;
     if (pool_.empty()) {
         // One thread, or the pool was joined: visit every worker's
         // list here, in worker order (any order gives the same
         // result; each partition is on exactly one list).
         for (Worker &w : workers_)
             runShare(w);
+        inEpoch_ = false;
         return;
     }
     busy_.store(pool_.size(), std::memory_order_relaxed);
@@ -425,6 +384,7 @@ ParallelEngine::runEpoch()
     spinThenPark(m_, cvDone_, [this] {
         return busy_.load(std::memory_order_acquire) == 0;
     });
+    inEpoch_ = false;
 }
 
 void
@@ -466,7 +426,7 @@ ParallelEngine::epoch(Tick until)
         for (std::size_t i = 0; i < parts_.size(); ++i) {
             if (hasMail_[i] == 0)
                 continue;
-            inject(*parts_[i], workers_[0].merge);
+            inject(*parts_[i]);
             hasMail_[i] = 0;
         }
         return false;
@@ -510,10 +470,8 @@ ParallelEngine::runUntil(Tick until)
         // Mirror EventQueue::runUntil: every partition's clock
         // advances to the stop time (no events can remain below it —
         // the loop above only exits once next >= until).
-        for (auto &p : parts_) {
-            ExecContextScope scope(&p->eq_);
+        for (auto &p : parts_)
             p->eq_.runUntil(until);
-        }
         now_ = std::max(now_, until);
     } else {
         advanceIdleClocks(until);
@@ -550,12 +508,12 @@ ParallelEngine::clearAll()
 {
     for (auto &mb : mail_) {
         mb->msgs_.clear();
+        mb->first_ = maxTick;
         mb->handed_.clear();
     }
     for (auto &p : parts_) {
         p->dirtyOut_.clear();
         p->inbox_.clear();
-        ExecContextScope scope(&p->eq_);
         p->eventQueue().clear();
     }
     posted_.clear();

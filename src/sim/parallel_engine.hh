@@ -18,7 +18,7 @@
  *
  * Then every worker, in parallel, visits its list: for each partition
  * it injects the handed-over batches, runs the partition to its
- * horizon, sorts its outgoing batches and reports its next tick.
+ * horizon and reports its next event tick.
  *
  * Per-edge horizons. Every mailbox edge e = (q -> p) declares a
  * lookahead L_e: a lower bound on the delivery latency of anything
@@ -54,35 +54,40 @@
  * asserts against this monotone frontier; each epoch runs a partition
  * to min(frontier, run deadline).
  *
- * Batched posts. During an epoch each mailbox accumulates posts in a
- * post buffer (no synchronization: only the source's owner touches
- * it), and the owner sorts each outgoing batch before it reports. The
- * barrier swaps each posted buffer into the mailbox's handed-over
- * slot, and the destination's owner k-way-merges its inbound batches
- * into its queue at the start of its next visit — the same (tick,
- * priority, seq, srcId) order, restricted to one destination, as a
- * global sort. Injection precedes the destination's events of the
- * epoch, so mail takes the same place in its queue whichever thread
- * count runs it.
+ * Batched posts. During an epoch each mailbox accumulates keyed posts
+ * in a post buffer (no synchronization: only the source's owner
+ * touches it), noting the earliest tick. The barrier swaps each posted
+ * buffer into the mailbox's handed-over slot, and the destination's
+ * owner schedules every message under its own key at the start of its
+ * next visit, in whatever order the batches come.
  *
  * Idle clocks. A partition with no runnable work and no mail is not
  * visited, so its clock stays where its last visit left it; when a
  * run call returns, every partition's clock advances to its last
  * epoch bound, which is where anything scheduled into it from
- * outside a run must land at or beyond.
+ * outside a run must land at or beyond. Parked spinners (a CPU owing
+ * empty polls, see EventQueue::setParked) post no mail and so do not
+ * bound epochs: their partition settles them when it next runs, or
+ * when a run call returns.
  *
- * Determinism: each partition's queue preserves the serial
- * (when, priority, seq) total order; injection order into a queue is
- * fixed by the merge above and happens at the same point relative to
- * the queue's own events; horizons are computed from queue state
- * alone; random streams belong to objects, not partitions. None of
- * that depends on the number of worker threads or on which worker
- * owns a partition, so an N-thread run is bit-identical to a 1-thread
- * run of the same partitioning. (A partitioned run may differ from the
- * unpartitioned serial schedule in event order only — same-tick ties
- * break by per-partition seq counters — which is why `threads=1`
- * without an engine remains the default and untouched code path. Each
- * object's k-th random draw is the same in both.)
+ * Determinism: every event is keyed by the source that scheduled it
+ * (EventKey) — a SimObject or a link direction, numbered in
+ * construction order — and each source lives in one partition, so its
+ * count of schedules advances in the same order as in the serial run.
+ * A partition's queue therefore runs the restriction of the serial
+ * total order to its own events, and mail adopts its sender's key. An
+ * event can only be affected by events of other partitions through
+ * mail, which lands at least one lookahead later, at or beyond the
+ * destination's horizon, so it is in the queue before anything at
+ * its tick runs. Random streams belong to objects, not partitions.
+ * So any partitioning, at any thread count, replays the serial
+ * schedule of the work scheduled through sources: the same event
+ * order, ticks, stats and captures. The one difference is where a
+ * run call returns: runUntilCondition() checks its predicate at
+ * barriers, not after every event, so it returns later than the
+ * serial loop would; what is simulated does not change. (Events
+ * scheduled straight into a queue with no source keep a per-queue
+ * counter, which the guarantee does not cover.)
  *
  * This is the one place in the tree allowed to use threading
  * primitives (see qpip-lint rule T1): all protocol code stays
@@ -169,6 +174,9 @@ class ParallelEngine
     /** Barrier epochs run so far (diagnostics/tests). */
     std::uint64_t epochs() const { return statEpochs_.value(); }
 
+    /** Are partitions executing (on any thread) right now? */
+    bool inEpoch() const { return inEpoch_; }
+
     /** Run until all partitions drain. @return events executed. */
     std::uint64_t run() { return runUntil(maxTick); }
 
@@ -206,24 +214,16 @@ class ParallelEngine
         bool posted;
         /** Run bound: min(frontier, run deadline). */
         Tick runTo;
-        /** The partition's next due tick after the visit (owner-set). */
+        /** The partition's next event tick after the visit (owner-set). */
         Tick next;
         /** Events the visit executed (owner-set). */
         std::uint64_t events;
-    };
-
-    /** Cursor into one mailbox's handed-over batch (inbox merge). */
-    struct RunCursor
-    {
-        Mailbox *mb;
-        std::size_t idx;
     };
 
     /** One worker's share of an epoch. */
     struct Worker
     {
         std::vector<Visit> visits;
-        std::vector<RunCursor> merge;
     };
 
     /**
@@ -251,8 +251,8 @@ class ParallelEngine
     void finishEpoch();
     /** Visit every partition on @p w's list (see the file comment). */
     void runShare(Worker &w);
-    /** Merge @p p's handed-over batches into its queue. */
-    static void inject(Partition &p, std::vector<RunCursor> &merge);
+    /** Schedule @p p's handed-over batches into its queue. */
+    static void inject(Partition &p);
     /**
      * As a run call returns: advance every clock to its last epoch
      * bound, min(frontier, @p until) (a no-op if no epoch ran).
@@ -282,6 +282,8 @@ class ParallelEngine
     std::vector<std::uint32_t> posted_;
     /** Did this run call execute an epoch (idle clocks to advance)? */
     bool ranEpoch_ = false;
+    /** Partitions are executing: written by the coordinator only. */
+    bool inEpoch_ = false;
     /**
      * The partition graph flattened for the per-epoch relaxation
      * passes (rebuilt from mail_ at the start of every run).

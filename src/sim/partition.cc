@@ -1,48 +1,12 @@
 #include "sim/partition.hh"
 
-#include <algorithm>
-
 namespace qpip::sim {
-
-namespace detail {
-
-namespace {
-thread_local EventQueue *gExecContext = nullptr;
-} // namespace
-
-EventQueue *
-currentExecContext()
-{
-    return gExecContext;
-}
-
-void
-setCurrentExecContext(EventQueue *eq)
-{
-    gExecContext = eq;
-}
-
-} // namespace detail
 
 Partition::Partition(std::uint32_t id, std::string name,
                      const std::vector<Tick> &horizons)
     : id_(id), name_(std::move(name)), horizons_(&horizons)
 {
     eq_.setLabel(name_);
-}
-
-void
-Mailbox::sortBatch()
-{
-    const auto before = [](const Msg &a, const Msg &b) {
-        if (a.when != b.when)
-            return a.when < b.when;
-        if (a.priority != b.priority)
-            return a.priority < b.priority;
-        return a.seq < b.seq;
-    };
-    if (!std::is_sorted(msgs_.begin(), msgs_.end(), before))
-        std::sort(msgs_.begin(), msgs_.end(), before);
 }
 
 void

@@ -8,13 +8,12 @@
  * single-threaded. It owns no randomness: objects draw from their
  * own streams (see random.hh), whichever partition runs them.
  * Cross-partition communication goes through Mailbox: the source
- * partition appends closures to the edge's post buffer and its owner
- * sorts the batch while still inside the parallel region; at the epoch
- * barrier the engine hands every posted batch to its destination,
- * whose owner merges its inbound batches into its queue in one
- * deterministic (tick, priority, seq, source partition id) pass before
- * running it — so the resulting schedule is independent of thread
- * count and interleaving.
+ * partition appends keyed closures to the edge's post buffer; at the
+ * epoch barrier the engine hands every posted batch to its
+ * destination, whose owner schedules each message under the key its
+ * sender gave it (EventKey) before running the queue. The key alone
+ * fixes where the message runs, so neither the order of the posts nor
+ * the thread count nor the interleaving can move it.
  *
  * Every edge carries its own lookahead (the minimum delivery latency
  * of that link), and every partition carries the horizon of the epoch
@@ -22,15 +21,11 @@
  * means the destination may already have executed past the delivery
  * tick — a causality violation — and panics with enough context to
  * debug at thousand-host scale.
- *
- * The thread-local execution context — the queue of the partition the
- * thread is running — lets objects constructed *while a partition is
- * executing* (e.g. a TCP connection spun up by an accept) bind to the
- * creating partition's queue instead of the simulation-global one.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -45,37 +40,6 @@ namespace qpip::sim {
 
 class Mailbox;
 class ParallelEngine;
-
-namespace detail {
-
-/**
- * The calling thread's execution context: the event queue of the
- * partition it is executing, which SimObjects constructed on this
- * thread bind to (nullptr outside epochs).
- */
-EventQueue *currentExecContext();
-void setCurrentExecContext(EventQueue *eq);
-
-} // namespace detail
-
-/** RAII installer for the thread-local execution context. */
-class ExecContextScope
-{
-  public:
-    explicit ExecContextScope(EventQueue *eq)
-        : prev_(detail::currentExecContext())
-    {
-        detail::setCurrentExecContext(eq);
-    }
-
-    ~ExecContextScope() { detail::setCurrentExecContext(prev_); }
-
-    ExecContextScope(const ExecContextScope &) = delete;
-    ExecContextScope &operator=(const ExecContextScope &) = delete;
-
-  private:
-    EventQueue *prev_;
-};
 
 /**
  * One shard of the simulation: a private event-queue slab.
@@ -98,9 +62,6 @@ class Partition
 
     EventQueue &eventQueue() { return eq_; }
 
-    /** Next mailbox message sequence number (deterministic). */
-    std::uint64_t nextMailSeq() { return mailSeq_++; }
-
     /**
      * This partition's safe frontier (engine-set at each barrier):
      * the monotone maximum of every epoch bound the engine has ever
@@ -121,7 +82,6 @@ class Partition
     std::uint32_t id_;
     std::string name_;
     EventQueue eq_;
-    std::uint64_t mailSeq_ = 0;
     /**
      * The engine's flat frontier array: written by the coordinator
      * between epochs, read by posters to this partition during them.
@@ -144,15 +104,14 @@ class Partition
 
 /**
  * A one-way cross-partition channel. Only the source partition's
- * owner may post; posts accumulate in a local post buffer with no
- * synchronization, and the owner sorts the batch when it finishes
- * running the source. The engine's barrier swaps the post buffer with
- * the (empty) handed-over buffer, so the destination's owner can
- * inject one batch while the source keeps posting the next. Posted
- * timestamps must be at or beyond the *destination's* epoch horizon —
- * that is exactly the conservative lookahead guarantee the engine's
- * synchronization window rests on, so a violation is a simulator bug
- * and panics.
+ * owner may post; posts accumulate, in any order, in a local post
+ * buffer with no synchronization. The engine's barrier swaps the post
+ * buffer with the (empty) handed-over buffer, so the destination's
+ * owner can inject one batch while the source keeps posting the next.
+ * Posted timestamps must be at or beyond the *destination's* epoch
+ * horizon — that is exactly the conservative lookahead guarantee the
+ * engine's synchronization window rests on, so a violation is a
+ * simulator bug and panics.
  */
 class Mailbox
 {
@@ -185,17 +144,21 @@ class Mailbox
     /** The declared edge lookahead (maxTick until resolved). */
     Tick lookahead() const { return lookahead_; }
 
-    /** Post a closure for delivery at @p when in the destination. */
+    /**
+     * Post a closure for delivery in the destination under @p key,
+     * which its sender's source handed out.
+     */
     template <typename F>
     void
-    post(Tick when, int priority, F &&fn)
+    post(const EventKey &key, F &&fn)
     {
-        if (when < dst_.epochHorizon()) [[unlikely]]
-            panicBelowHorizon(when);
+        if (key.when < dst_.epochHorizon()) [[unlikely]]
+            panicBelowHorizon(key.when);
         if (msgs_.empty())
             src_.dirtyOut_.push_back(this);
-        msgs_.push_back(Msg{when, priority, src_.nextMailSeq(),
-                            std::function<void()>(std::forward<F>(fn))});
+        first_ = std::min(first_, key.when);
+        msgs_.push_back(
+            Msg{key, std::function<void()>(std::forward<F>(fn))});
     }
 
   private:
@@ -203,19 +166,9 @@ class Mailbox
 
     struct Msg
     {
-        Tick when;
-        int priority;
-        std::uint64_t seq;
+        EventKey key;
         std::function<void()> fn;
     };
-
-    /**
-     * Sort the post buffer by (when, priority, seq) — a strict total
-     * order, seq streams are per-source. Called by the source's owner
-     * after running it, and at the start of a run call for batches
-     * posted outside an epoch (an O(n) is_sorted check first).
-     */
-    void sortBatch();
 
     [[noreturn]] void panicBelowHorizon(Tick when) const;
 
@@ -225,6 +178,8 @@ class Mailbox
     Tick lookahead_ = maxTick;
     /** Post buffer: written by the source's owner. */
     std::vector<Msg> msgs_;
+    /** Earliest tick in the post buffer (maxTick: empty). */
+    Tick first_ = maxTick;
     /** The batch handed to the destination, read by its owner. */
     std::vector<Msg> handed_;
 };

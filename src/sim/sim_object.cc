@@ -1,15 +1,13 @@
 #include "sim/sim_object.hh"
 
-#include "sim/partition.hh"
 #include "sim/simulation.hh"
 
 namespace qpip::sim {
 
 SimObject::SimObject(Simulation &sim, std::string name)
-    : sim_(sim), name_(std::move(name))
+    : sim_(sim), name_(std::move(name)), eq_(&sim_.eventQueue()),
+      source_(sim_.addSource())
 {
-    EventQueue *ctx = detail::currentExecContext();
-    eq_ = ctx != nullptr ? ctx : &sim_.eventQueue();
     stats_.init(sim_.stats(), name_);
     sim_.registerObject(this);
 }

@@ -4,12 +4,17 @@
  * access to the owning Simulation's event queue plus schedule
  * helpers, mirroring the gem5 SimObject idiom.
  *
- * Partitioning: an object schedules into whatever execution context
- * — event queue — it is bound to. By default that is the simulation's
- * global queue (the serial path). The parallel engine rebinds objects
- * to their partition's queue via bindExecContext(); objects
- * constructed *while* a partition executes (e.g. components spun up
- * by an accept) inherit the thread-local context automatically.
+ * Every object is an event source (see event_queue.hh): its events
+ * are keyed by an id handed out in construction order and by its own
+ * count of the events it scheduled, so they run in the same order
+ * whichever queue holds them. Objects are built before the simulation
+ * runs partitioned; building one while a partition executes panics,
+ * since its id would then depend on thread timing.
+ *
+ * Partitioning: an object schedules into whatever event queue it is
+ * bound to. By default that is the simulation's global queue (the
+ * serial path); the parallel engine rebinds objects to their
+ * partition's queue via bindExecContext().
  *
  * Randomness is not part of the context: an object that draws random
  * numbers owns a sim::Random seeded by sim::streamSeed() from the
@@ -48,6 +53,9 @@ class SimObject
     const std::string &name() const { return name_; }
     Simulation &simulation() { return sim_; }
 
+    /** Id of this object's event source: its place in build order. */
+    std::uint32_t sourceId() const { return source_.id(); }
+
     /** Current simulated time (of the bound execution context). */
     Tick curTick() const { return eq_->now(); }
 
@@ -62,16 +70,16 @@ class SimObject
     void bindExecContext(EventQueue &eq) { eq_ = &eq; }
 
     /**
-     * Schedule a closure at an absolute tick. The callable goes
-     * straight into the event queue's pooled record storage — no
-     * std::function wrapping on the way.
+     * Schedule a closure at an absolute tick, keyed by this object.
+     * The callable goes straight into the event queue's pooled record
+     * storage — no std::function wrapping on the way.
      */
     template <typename F>
     EventHandle
     schedule(Tick when, F &&fn, int priority = defaultPriority)
     {
-        return eventQueue().schedule(when, std::forward<F>(fn),
-                                     priority);
+        return eq_->schedule(source_.key(when, priority),
+                             std::forward<F>(fn));
     }
 
     /** Schedule a closure @p delay ticks from now. */
@@ -79,8 +87,8 @@ class SimObject
     EventHandle
     scheduleIn(Tick delay, F &&fn, int priority = defaultPriority)
     {
-        return eventQueue().scheduleIn(delay, std::forward<F>(fn),
-                                       priority);
+        return schedule(curTick() + delay, std::forward<F>(fn),
+                        priority);
     }
 
     /** Hold a closure unscheduled (see EventQueue::hold). */
@@ -98,6 +106,9 @@ class SimObject
     Tracer &tracer() { return sim_.tracer(); }
 
   protected:
+    /** The key source of this object's events. */
+    EventSource &eventSource() { return source_; }
+
     /**
      * Register a stat under "<name()>.<leaf>". All registrations are
      * removed automatically when this object is destroyed.
@@ -113,6 +124,7 @@ class SimObject
     Simulation &sim_;
     std::string name_;
     EventQueue *eq_;
+    EventSource source_;
     StatGroup stats_;
 };
 

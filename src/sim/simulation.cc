@@ -2,11 +2,21 @@
 
 #include <algorithm>
 
+#include "sim/logging.hh"
 #include "sim/parallel_engine.hh"
 
 namespace qpip::sim {
 
 Simulation::Simulation(std::uint64_t seed) : seed_(seed) {}
+
+EventSource
+Simulation::addSource()
+{
+    if (engine_ != nullptr && engine_->inEpoch())
+        panic("event source added while a partition executes: build "
+              "every SimObject before running partitioned");
+    return EventSource(nextSource_++);
+}
 
 Tick
 Simulation::engineNow() const

@@ -44,6 +44,14 @@ class Simulation
     /** Master seed: every object's random stream derives here. */
     std::uint64_t seed() const { return seed_; }
 
+    /**
+     * A new event source (see EventKey), numbered in the order sources
+     * are added: every SimObject and each link direction adds one as
+     * it is built. Panics while a partition executes, where the order
+     * would depend on thread timing.
+     */
+    EventSource addSource();
+
     /** The installed parallel engine, or nullptr (serial mode). */
     ParallelEngine *parallelEngine() const { return engine_; }
 
@@ -115,6 +123,8 @@ class Simulation
                                  Tick deadline);
 
     std::uint64_t seed_;
+    /** Id of the next source; 0 keys events scheduled with none. */
+    std::uint32_t nextSource_ = 1;
     EventQueue eq_;
     StatRegistry stats_;
     Tracer tracer_;

@@ -196,65 +196,143 @@ runStarTransfer(bool warmup)
 }
 
 /**
- * Observable end state of one partitioned (parallel-engine) run.
- * Identical across thread counts by construction; these artifacts
- * are what the bit-identity tests compare.
+ * Observable end state of one run of a parallel-engine scenario:
+ * partitioned at threads >= 1 worker threads, or serial, with no
+ * engine, at threads == 0. Every scenario ends by running to a fixed
+ * tick, so a serial and a partitioned run stop at the same point and
+ * must leave the same captures, stats (less the engine's own
+ * parallel.* diagnostics) and application results. Across thread
+ * counts of one partitioning the engine's diagnostics match too.
  */
 struct ParallelArtifacts
 {
+    /** The stats JSON, after the closing fixed-tick run. */
     std::string statsJson;
     /** Every link direction's pcap image, concatenated in a fixed
-     *  (edge, side) order. */
+     *  (edge, side) order, after the closing run. */
     std::vector<std::uint8_t> pcap;
+    /**
+     * Where the harness's last run call returned, before the closing
+     * run: at the deciding event serially, at a barrier partitioned.
+     */
     sim::Tick endTick = 0;
     std::uint64_t executed = 0;
     bool completed = false;
     std::uint64_t faultEvents = 0;
+    /** The link pins, read where the harness's last run returned. */
     LinkPins pins;
+    /** What the application itself reports. */
+    std::vector<double> app;
 };
 
+/** Partition @p bed across @p threads workers (0: stay serial). */
 void
-collectParallel(apps::SocketsTestbed &bed,
-                const std::vector<std::unique_ptr<net::PcapWriter>> &taps,
-                ParallelArtifacts &out)
+partition(apps::Testbed &bed, int threads)
 {
-    out.statsJson = bed.sim().stats().jsonDump();
+    if (threads > 0)
+        bed.enableParallel(threads);
+}
+
+/**
+ * Note where the harness returned, run to @p stop (past every
+ * scenario's own end), then read what both run modes must agree on.
+ */
+void
+finishAt(apps::Testbed &bed, sim::Tick stop,
+         const std::vector<std::unique_ptr<net::PcapWriter>> &taps,
+         ParallelArtifacts &out)
+{
     out.endTick = bed.sim().now();
-    out.executed = bed.engine()->executed();
+    out.pins = collectLinkPins(bed.sim().stats(), taps);
+    EXPECT_LT(bed.sim().now(), stop);
+    bed.sim().runUntil(stop);
+    out.statsJson = bed.sim().stats().jsonDump();
+    out.executed = bed.engine() != nullptr
+                       ? bed.engine()->executed()
+                       : bed.sim().eventQueue().executed();
     for (const auto &t : taps) {
         out.pcap.insert(out.pcap.end(), t->bytes().begin(),
                         t->bytes().end());
     }
     for (const auto &path : bed.sim().stats().match("*.faults.*"))
         out.faultEvents += bed.sim().stats().counterValue(path);
-    out.pins = collectLinkPins(bed.sim().stats(), taps);
 }
 
-/** All-pairs ttcp over a partitioned 4-host dual-star. */
-ParallelArtifacts
-runParallelTtcpPairs(int threads, std::uint64_t seed)
+/**
+ * The lines of @p json less its parallel.* entries, each without its
+ * separating comma (the engine's entries come last).
+ */
+std::vector<std::string>
+withoutEngineStats(const std::string &json)
 {
-    apps::SocketsTestbed bed(4, apps::SocketsFabric::GigabitEthernet,
-                             seed, host::HostCostModel{},
-                             apps::FabricTopology::DualStar);
-    bed.enableParallel(threads);
-    const auto taps = tapAllEdges(bed.fabric());
-    const auto r =
-        apps::runSocketsTtcpPairs(bed, apps::allPairs(4), 32 * 1024);
-    ParallelArtifacts out;
-    out.completed = r.completed && r.pairsCompleted == 12;
-    collectParallel(bed, taps, out);
+    std::vector<std::string> out;
+    std::size_t pos = 0;
+    while (pos < json.size()) {
+        std::size_t end = json.find('\n', pos);
+        if (end == std::string::npos)
+            end = json.size();
+        std::string line = json.substr(pos, end - pos);
+        if (!line.empty() && line.back() == ',')
+            line.pop_back();
+        if (line.compare(0, 12, "  \"parallel.") != 0)
+            out.push_back(std::move(line));
+        pos = end + 1;
+    }
     return out;
 }
 
-/** The lossy-wire transfer of runLossyTransfer, partitioned. */
+/**
+ * The oracle: a partitioned run at 1 and at 4 threads replays the
+ * serial run of the same scenario.
+ */
+template <typename Run>
+void
+expectReplaysSerial(Run run)
+{
+    const ParallelArtifacts serial = run(0);
+    ASSERT_TRUE(serial.completed);
+    EXPECT_GT(serial.statsJson.size(), 1000u);
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE(threads);
+        const ParallelArtifacts part = run(threads);
+        ASSERT_TRUE(part.completed);
+        EXPECT_EQ(withoutEngineStats(part.statsJson),
+                  withoutEngineStats(serial.statsJson));
+        EXPECT_EQ(part.pcap, serial.pcap);
+        EXPECT_EQ(part.app, serial.app);
+        EXPECT_EQ(part.executed, serial.executed);
+        EXPECT_EQ(part.faultEvents, serial.faultEvents);
+    }
+}
+
+/** All-pairs ttcp over a @p hosts-host dual-star. */
+ParallelArtifacts
+runParallelTtcpPairs(int threads, std::uint64_t seed,
+                     std::size_t hosts = 4)
+{
+    apps::SocketsTestbed bed(hosts, apps::SocketsFabric::GigabitEthernet,
+                             seed, host::HostCostModel{},
+                             apps::FabricTopology::DualStar);
+    partition(bed, threads);
+    const auto taps = tapAllEdges(bed.fabric());
+    const auto pairs = apps::allPairs(hosts);
+    const auto r = apps::runSocketsTtcpPairs(bed, pairs, 32 * 1024);
+    ParallelArtifacts out;
+    out.completed = r.completed && r.pairsCompleted == pairs.size();
+    out.app = {r.elapsedMs, r.aggMbPerSec,
+               static_cast<double>(r.elapsedTicks)};
+    finishAt(bed, sim::oneSec, taps, out);
+    return out;
+}
+
+/** The lossy-wire transfer of runLossyTransfer, on a dual-star. */
 ParallelArtifacts
 runParallelLossy(int threads, std::uint64_t seed)
 {
     apps::SocketsTestbed bed(2, apps::SocketsFabric::GigabitEthernet,
                              seed, host::HostCostModel{},
                              apps::FabricTopology::DualStar);
-    bed.enableParallel(threads);
+    partition(bed, threads);
     for (net::NodeId node = 0; node < 2; ++node) {
         auto &faults = bed.fabric().linkFor(node).faultConfig();
         faults.dropProb = 0.02;
@@ -266,15 +344,18 @@ runParallelLossy(int threads, std::uint64_t seed)
     const auto r = apps::runSocketsTtcp(bed, 128 * 1024);
     ParallelArtifacts out;
     out.completed = r.completed;
-    collectParallel(bed, taps, out);
+    // runSocketsTtcp times its window from where its connect phase's
+    // run call returned, so its rates are left out of app.
+    finishAt(bed, 2 * sim::oneSec, taps, out);
     return out;
 }
 
 /**
- * NBD write+read against a partitioned 2-host dual-star. No pcap
- * here: the NBD client draws its source port from a process-global
- * counter, so successive runs differ in the TCP headers (but in
- * nothing observable through stats or timing).
+ * NBD write+read against a 2-host dual-star. No pcap here: the NBD
+ * client draws its source port from a process-global counter, so
+ * successive runs differ in the TCP headers (but in nothing
+ * observable through stats or timing). The read phase starts from a
+ * fixed tick, where both run modes stand.
  */
 ParallelArtifacts
 runParallelNbd(int threads, std::uint64_t seed)
@@ -282,23 +363,26 @@ runParallelNbd(int threads, std::uint64_t seed)
     apps::SocketsTestbed bed(2, apps::SocketsFabric::GigabitEthernet,
                              seed, host::HostCostModel{},
                              apps::FabricTopology::DualStar);
-    bed.enableParallel(threads);
     // The store is server-side state: it must live (and burn disk
     // model time) on the server host's partition.
     apps::ServerStore store(bed.sim(), "store", 1 << 20);
-    bed.engine()->assignByPrefix(
-        "store", *bed.engine()->findPartition("host1"));
+    partition(bed, threads);
+    if (threads > 0) {
+        bed.engine()->assignByPrefix(
+            "store", *bed.engine()->findPartition("host1"));
+    }
     apps::NbdSocketServer server(bed.host(1).stack(), store,
                                  apps::NbdServerConfig{});
     const auto w =
         apps::runNbdSocketsSequential(bed, 0, 1, true, 256 * 1024);
+    bed.sim().runUntil(sim::oneSec);
     const auto r =
         apps::runNbdSocketsSequential(bed, 0, 1, false, 256 * 1024);
     ParallelArtifacts out;
     out.completed = w.completed && r.completed && r.dataOk;
-    out.statsJson = bed.sim().stats().jsonDump();
-    out.endTick = bed.sim().now();
-    out.executed = bed.engine()->executed();
+    // Each phase times its window from where its connect phase's run
+    // call returned, so its rates are left out of app.
+    finishAt(bed, 2 * sim::oneSec, {}, out);
     return out;
 }
 
@@ -321,7 +405,7 @@ runParallelRdmaSrq(int threads, std::uint64_t seed)
                           nic::QpipNicParams{}, host::HostCostModel{},
                           apps::IpFamily::V6,
                           apps::FabricTopology::DualStar);
-    bed.enableParallel(threads);
+    partition(bed, threads);
     const auto taps = tapAllEdges(bed.fabric());
 
     constexpr std::size_t clients[] = {0, 2, 3};
@@ -370,15 +454,12 @@ runParallelRdmaSrq(int threads, std::uint64_t seed)
         c.qp->connect(bed.addr(1, 700),
                       [&c](bool ok) { c.connected = ok; });
     }
-    bed.sim().runUntilCondition(
-        [&] {
-            return serverQps.size() == std::size(clients) &&
-                   std::all_of(cs.begin(), cs.end(),
-                               [](const Client &c) {
-                                   return c.connected;
-                               });
-        },
-        bed.sim().now() + 30 * sim::oneSec);
+    // The traffic starts from the harness, so the connect phase ends
+    // at a fixed tick, where both run modes stand.
+    bed.sim().runUntil(sim::oneSec);
+    EXPECT_EQ(serverQps.size(), std::size(clients));
+    EXPECT_TRUE(std::all_of(cs.begin(), cs.end(),
+                            [](const Client &c) { return c.connected; }));
 
     std::size_t serverReceives = 0;
     apps::waitLoop(*scq, [&](verbs::Completion c) {
@@ -431,13 +512,8 @@ runParallelRdmaSrq(int threads, std::uint64_t seed)
 
     ParallelArtifacts out;
     out.completed = completed;
-    out.statsJson = bed.sim().stats().jsonDump();
-    out.endTick = bed.sim().now();
-    out.executed = bed.engine()->executed();
-    for (const auto &t : taps) {
-        out.pcap.insert(out.pcap.end(), t->bytes().begin(),
-                        t->bytes().end());
-    }
+    out.app = {static_cast<double>(serverReceives)};
+    finishAt(bed, 2 * sim::oneSec, taps, out);
     return out;
 }
 
@@ -454,13 +530,15 @@ runParallelFatTreeShift(int threads, std::uint64_t seed)
     apps::SocketsTestbed bed(128, apps::SocketsFabric::GigabitEthernet,
                              seed, host::HostCostModel{},
                              apps::FabricTopology::FatTreeK8);
-    bed.enableParallel(threads);
+    partition(bed, threads);
     const auto taps = tapAllEdges(bed.fabric());
     const auto r = apps::runSocketsTtcpPairs(
         bed, apps::uniformShiftPairs(128, 1), 8 * 1024);
     ParallelArtifacts out;
     out.completed = r.completed && r.pairsCompleted == 128;
-    collectParallel(bed, taps, out);
+    out.app = {r.elapsedMs, r.aggMbPerSec,
+               static_cast<double>(r.elapsedTicks)};
+    finishAt(bed, sim::oneSec, taps, out);
     return out;
 }
 
@@ -481,7 +559,7 @@ runParallelBatchedFanIn(int threads, std::uint64_t seed)
     apps::QpipTestbed bed(4, apps::qpipNativeMtu, seed, params,
                           host::HostCostModel{}, apps::IpFamily::V6,
                           apps::FabricTopology::DualStar);
-    bed.enableParallel(threads);
+    partition(bed, threads);
     const auto taps = tapAllEdges(bed.fabric());
 
     constexpr std::size_t clients[] = {0, 2, 3};
@@ -575,13 +653,10 @@ runParallelBatchedFanIn(int threads, std::uint64_t seed)
 
     ParallelArtifacts out;
     out.completed = completed;
-    out.statsJson = bed.sim().stats().jsonDump();
-    out.endTick = bed.sim().now();
-    out.executed = bed.engine()->executed();
-    for (const auto &t : taps) {
-        out.pcap.insert(out.pcap.end(), t->bytes().begin(),
-                        t->bytes().end());
-    }
+    out.app = {static_cast<double>(serverReceives)};
+    for (const Client &c : cs)
+        out.app.push_back(static_cast<double>(c.acked));
+    finishAt(bed, 2 * sim::oneSec, taps, out);
     return out;
 }
 
@@ -599,7 +674,7 @@ runParallelRudFanIn(int threads, std::uint64_t seed)
                           nic::QpipNicParams{}, host::HostCostModel{},
                           apps::IpFamily::V6,
                           apps::FabricTopology::DualStar);
-    bed.enableParallel(threads);
+    partition(bed, threads);
     const auto taps = tapAllEdges(bed.fabric());
 
     constexpr std::size_t clients[] = {0, 2, 3};
@@ -673,13 +748,10 @@ runParallelRudFanIn(int threads, std::uint64_t seed)
 
     ParallelArtifacts out;
     out.completed = completed;
-    out.statsJson = bed.sim().stats().jsonDump();
-    out.endTick = bed.sim().now();
-    out.executed = bed.engine()->executed();
-    for (const auto &t : taps) {
-        out.pcap.insert(out.pcap.end(), t->bytes().begin(),
-                        t->bytes().end());
-    }
+    out.app = {static_cast<double>(serverReceives)};
+    for (const Client &c : cs)
+        out.app.push_back(static_cast<double>(c.acked));
+    finishAt(bed, 2 * sim::oneSec, taps, out);
     return out;
 }
 
@@ -858,6 +930,61 @@ TEST(ParallelDeterminism, BatchedPostsThreadCountInvariant)
     const auto again = runParallelBatchedFanIn(4, 31);
     EXPECT_EQ(four.statsJson, again.statsJson);
     EXPECT_EQ(four.pcap, again.pcap);
+}
+
+// --- the serial oracle: partitioned == serial ---------------------
+//
+// Every event is keyed by the object (or link direction) that
+// scheduled it, so any partitioning replays the serial schedule. Each
+// scenario above also runs with no engine; stopped at the same fixed
+// tick, the serial run and the 1- and 4-thread partitioned runs must
+// leave identical captures, stats (less parallel.*), event counts and
+// application results.
+
+TEST(ParallelDeterminism, TtcpPairsReplaysSerial)
+{
+    expectReplaysSerial([](int t) { return runParallelTtcpPairs(t, 11); });
+}
+
+TEST(ParallelDeterminism, TtcpPairsDualStar8ReplaysSerial)
+{
+    // Each pair starts from its own connect callback and times itself,
+    // so the reported elapsed time does not depend on where a run call
+    // returned.
+    expectReplaysSerial(
+        [](int t) { return runParallelTtcpPairs(t, 11, 8); });
+}
+
+TEST(ParallelDeterminism, LossyTransferReplaysSerial)
+{
+    expectReplaysSerial([](int t) { return runParallelLossy(t, 1234); });
+}
+
+TEST(ParallelDeterminism, NbdReplaysSerial)
+{
+    expectReplaysSerial([](int t) { return runParallelNbd(t, 5); });
+}
+
+TEST(ParallelDeterminism, RdmaSrqReplaysSerial)
+{
+    expectReplaysSerial([](int t) { return runParallelRdmaSrq(t, 21); });
+}
+
+TEST(ParallelDeterminism, RudFanInReplaysSerial)
+{
+    expectReplaysSerial([](int t) { return runParallelRudFanIn(t, 29); });
+}
+
+TEST(ParallelDeterminism, FatTree128ReplaysSerial)
+{
+    expectReplaysSerial(
+        [](int t) { return runParallelFatTreeShift(t, 77); });
+}
+
+TEST(ParallelDeterminism, BatchedPostsReplaysSerial)
+{
+    expectReplaysSerial(
+        [](int t) { return runParallelBatchedFanIn(t, 31); });
 }
 
 // --- link pins: absolute values of the lossy transfers -------------

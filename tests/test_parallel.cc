@@ -1,10 +1,10 @@
 /**
  * @file
  * Parallel-engine unit tests at the sim layer: partition execution,
- * deterministic mailbox merge order, conservative epoch windows,
- * thread-count invariance of the schedule, execution-context binding
- * and Simulation delegation. These run threads>1 paths and are part
- * of the ThreadSanitizer CI job.
+ * keyed mailbox order, conservative epoch windows, thread-count
+ * invariance of the schedule, the refusal to add event sources while
+ * a partition executes, and Simulation delegation. These run
+ * threads>1 paths and are part of the ThreadSanitizer CI job.
  */
 
 #include <gtest/gtest.h>
@@ -85,28 +85,97 @@ TEST(ParallelEngine, MailboxMergeOrderIsDeterministic)
     auto &ac = eng.mailbox(a, c);
     auto &bc = eng.mailbox(b, c);
     eng.setLookahead(50);
+    // One source per posting partition; b's is added first, so it has
+    // the lower id.
+    sim::EventSource srcB = simu.addSource();
+    sim::EventSource srcA = simu.addSource();
 
     // Only partition c's events touch `order`.
     std::vector<std::string> order;
     a.eventQueue().schedule(0, [&] {
-        ac.post(100, 1, [&order] { order.push_back("a.p1"); });
-        ac.post(100, 0, [&order] { order.push_back("a.p0"); });
-        ac.post(60, 0, [&order] { order.push_back("a.early"); });
+        ac.post(srcA.key(100, 1), [&order] { order.push_back("a.p1"); });
+        ac.post(srcA.key(100, 0), [&order] { order.push_back("a.p0"); });
+        ac.post(srcA.key(60), [&order] { order.push_back("a.early"); });
+        ac.post(srcA.key(100, 1), [&order] { order.push_back("a.p1b"); });
     });
     b.eventQueue().schedule(0, [&] {
-        bc.post(100, 1, [&order] { order.push_back("b.p1"); });
-        bc.post(60, 0, [&order] { order.push_back("b.early"); });
+        bc.post(srcB.key(100, 1), [&order] { order.push_back("b.p1"); });
+        bc.post(srcB.key(60), [&order] { order.push_back("b.early"); });
     });
     eng.run();
 
-    // (tick, priority, seq, srcId): ties on tick+priority fall back
-    // to the per-source post sequence, then the source partition id.
-    // At tick 60, a.early is a's third post (seq 2) while b.early is
-    // b's second (seq 1), so b goes first; a.p1 and b.p1 are both
-    // seq 0 in their streams, so partition a (id 0) breaks that tie.
+    // (tick, priority, source, seq): ties on tick and priority fall
+    // to the lower source id (b's), then to the source's own count.
     const std::vector<std::string> expect = {
-        "b.early", "a.early", "a.p0", "a.p1", "b.p1"};
+        "b.early", "a.early", "a.p0", "b.p1", "a.p1", "a.p1b"};
     EXPECT_EQ(order, expect);
+}
+
+namespace {
+
+/**
+ * Partitions a and b mail partition c, which also runs events of its
+ * own, all on ticks 100 and 120. Every key is fixed up front; only
+ * the order the posts are made in, and which epoch makes them,
+ * depends on @p reversed. @return the order c runs them in.
+ */
+std::vector<std::string>
+runKeyedPosts(bool reversed)
+{
+    sim::Simulation simu(1);
+    sim::ParallelEngine eng(simu, 2);
+    auto &a = eng.addPartition("a");
+    auto &b = eng.addPartition("b");
+    auto &c = eng.addPartition("c");
+    auto &ac = eng.mailbox(a, c);
+    auto &bc = eng.mailbox(b, c);
+    eng.setLookahead(50);
+
+    struct Post
+    {
+        sim::EventKey key;
+        std::string name;
+    };
+    // Sources 1 and 3 key c's own events.
+    const std::vector<Post> posts = {
+        {{100, 0, 2, 0}, "s2.0"}, {{100, 0, 2, 1}, "s2.1"},
+        {{100, 0, 4, 0}, "s4.0"}, {{100, -1, 5, 0}, "s5.0"},
+        {{120, 0, 2, 2}, "s2.2"}, {{100, 0, 4, 1}, "s4.1"},
+    };
+    std::vector<std::string> order; // written only by c's events
+    // Posts [from, to) of the list, or of the reversed list, through
+    // @p mb.
+    const auto postAll = [&](sim::Mailbox &mb, std::size_t from,
+                             std::size_t to) {
+        for (std::size_t k = from; k < to; ++k) {
+            const Post &p = posts[reversed ? posts.size() - 1 - k : k];
+            mb.post(p.key, [&order, name = p.name] {
+                order.push_back(name);
+            });
+        }
+    };
+    // Forward, a posts the first three and b the rest, both at tick 0;
+    // reversed, each posts the other's keys in the opposite order, b
+    // at tick 10, so a source's posts split over two mailboxes.
+    a.eventQueue().schedule(0, [&] { postAll(ac, 0, 3); });
+    b.eventQueue().schedule(reversed ? 10 : 0,
+                            [&] { postAll(bc, 3, 6); });
+    c.eventQueue().schedule(sim::EventKey{100, 0, 3, 0},
+                            [&] { order.push_back("s3.0"); });
+    c.eventQueue().schedule(sim::EventKey{100, 0, 1, 0},
+                            [&] { order.push_back("s1.0"); });
+    eng.run();
+    return order;
+}
+
+} // namespace
+
+TEST(ParallelEngine, KeyedMailRunsInKeyOrderHoweverPostsInterleave)
+{
+    const std::vector<std::string> expect = {
+        "s5.0", "s1.0", "s2.0", "s2.1", "s3.0", "s4.0", "s4.1", "s2.2"};
+    EXPECT_EQ(runKeyedPosts(false), expect);
+    EXPECT_EQ(runKeyedPosts(true), expect);
 }
 
 namespace {
@@ -159,8 +228,12 @@ runRing(int threads)
     for (std::uint32_t i = 0; i < ringSize; ++i)
         parts.push_back(&eng.addPartition(partName(i)));
     std::vector<sim::Mailbox *> next;
-    for (std::uint32_t i = 0; i < ringSize; ++i)
+    // Each partition keys its posts by its own source.
+    std::vector<sim::EventSource> srcs;
+    for (std::uint32_t i = 0; i < ringSize; ++i) {
         next.push_back(&eng.mailbox(*parts[i], *parts[(i + 1) % ringSize]));
+        srcs.push_back(simu.addSource());
+    }
     eng.setLookahead(100);
 
     RingDigest d;
@@ -181,7 +254,7 @@ runRing(int threads)
             streams[static_cast<std::size_t>(token)].next();
         d.draws[at].push_back(draw);
         if (--remaining[static_cast<std::size_t>(token)] > 0) {
-            next[at]->post(now + 100 + draw % 50, 0,
+            next[at]->post(srcs[at].key(now + 100 + draw % 50),
                            [&hop, at, token] {
                                hop((at + 1) % ringSize, token);
                            });
@@ -221,13 +294,15 @@ TEST(ParallelEngine, LastEpochMailWaitsForNextRun)
     auto &b = eng.addPartition("b");
     auto &ab = eng.mailbox(a, b);
     ab.setLookahead(100);
+    sim::EventSource mailer = simu.addSource();
+    sim::EventSource harness = simu.addSource();
     // Written only by partition b's events.
     std::vector<std::string> order;
     // Written by a's event; read by the predicate at the barrier.
     bool sent = false;
     a.eventQueue().schedule(0, [&] {
-        ab.post(100, 0, [&] { order.push_back("mail0"); });
-        ab.post(100, 0, [&] { order.push_back("mail1"); });
+        ab.post(mailer.key(100), [&] { order.push_back("mail0"); });
+        ab.post(mailer.key(100), [&] { order.push_back("mail1"); });
         sent = true;
     });
     // The call returns at the barrier after a's epoch, before the
@@ -239,12 +314,14 @@ TEST(ParallelEngine, LastEpochMailWaitsForNextRun)
     // b's clock reached its last bound (H_b = B_a + 100), so the
     // harness may still schedule on the mail's tick.
     EXPECT_EQ(b.eventQueue().now(), 100u);
-    b.eventQueue().schedule(100, [&] { order.push_back("harness"); });
+    b.eventQueue().schedule(harness.key(100),
+                            [&] { order.push_back("harness"); });
     eng.run();
     // Leftover mail is injected when the next run starts, after the
-    // harness event took its place on tick 100.
-    const std::vector<std::string> expect = {"harness", "mail0",
-                                             "mail1"};
+    // harness event was scheduled on tick 100; the mail's source has
+    // the lower id, so it still runs first.
+    const std::vector<std::string> expect = {"mail0", "mail1",
+                                             "harness"};
     EXPECT_EQ(order, expect);
     // Posts count in the call that injects them.
     EXPECT_EQ(simu.stats().counterValue("parallel.mailboxPosts"), 2u);
@@ -261,12 +338,13 @@ TEST(ParallelEngine, RunAfterParkVisitsEveryWorkersPartitions)
     // Mail crosses owners too: p1 (worker 1) posts to p2 (worker 2).
     auto &mb = eng.mailbox(*parts[1], *parts[2]);
     eng.setLookahead(10);
+    sim::EventSource src = simu.addSource();
     std::vector<int> ran(parts.size(), 0);
     int mail = 0;
     for (std::size_t i = 0; i < parts.size(); ++i)
         parts[i]->eventQueue().schedule(5, [&ran, i] { ++ran[i]; });
     parts[1]->eventQueue().schedule(6, [&] {
-        mb.post(20, 0, [&] { ++mail; });
+        mb.post(src.key(20), [&] { ++mail; });
     });
     // Joined pool: the calling thread must visit all three workers'
     // lists, not just its own.
@@ -345,6 +423,8 @@ TEST(ParallelEngine, HorizonFloorsPropagateThroughStalledChains)
     auto &bc = eng.mailbox(b, c);
     ab.setLookahead(10);
     bc.setLookahead(10);
+    sim::EventSource srcA = simu.addSource();
+    sim::EventSource srcB = simu.addSource();
 
     // b starts empty and wakes only when a's post arrives, then
     // forwards into c below c's far-future local event. c's horizon
@@ -353,8 +433,8 @@ TEST(ParallelEngine, HorizonFloorsPropagateThroughStalledChains)
     // first epoch and the tick-20 delivery violates its horizon.
     std::vector<Tick> cOrder; // written only by partition c
     a.eventQueue().schedule(0, [&] {
-        ab.post(10, 0, [&] {
-            bc.post(20, 0,
+        ab.post(srcA.key(10), [&] {
+            bc.post(srcB.key(20),
                     [&] { cOrder.push_back(c.eventQueue().now()); });
         });
     });
@@ -405,9 +485,10 @@ TEST(ParallelEngine, RegistersParallelStats)
               "parallel.epochEventsMax", "parallel.epochEventsMin"})
             EXPECT_TRUE(simu.stats().contains(leaf)) << leaf;
         int got = 0;
+        sim::EventSource src = simu.addSource();
         a.eventQueue().schedule(0, [&] {
-            ab.post(10, 0, [&] { ++got; });
-            ab.post(11, 0, [&] { ++got; });
+            ab.post(src.key(10), [&] { ++got; });
+            ab.post(src.key(11), [&] { ++got; });
         });
         eng.run();
         EXPECT_EQ(got, 2);
@@ -443,18 +524,19 @@ TEST(ParallelEngine, SimulationDelegatesRunCalls)
     EXPECT_EQ(ran2, 1);
 }
 
-TEST(ParallelEngine, ExecContextBindsNewSimObjects)
+TEST(ParallelEngine, SimObjectsCannotBeBuiltWhileAPartitionExecutes)
 {
+    // Source ids follow construction order; one handed out inside an
+    // epoch would follow thread timing instead.
     sim::Simulation simu(1);
     sim::ParallelEngine eng(simu, 1);
     auto &a = eng.addPartition("a");
-    {
-        sim::ExecContextScope scope(&a.eventQueue());
-        sim::SimObject obj(simu, "inCtx");
-        EXPECT_EQ(&obj.eventQueue(), &a.eventQueue());
-    }
-    sim::SimObject out(simu, "outCtx");
-    EXPECT_EQ(&out.eventQueue(), &simu.eventQueue());
+    sim::SimObject first(simu, "first");
+    EXPECT_EQ(&first.eventQueue(), &simu.eventQueue());
+    a.eventQueue().schedule(
+        5, [&simu] { sim::SimObject late(simu, "late"); });
+    EXPECT_DEATH(eng.run(), "event source added while a partition "
+                            "executes");
 }
 
 TEST(ParallelEngine, AssignByPrefixRebindsMatchingObjects)

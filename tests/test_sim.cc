@@ -8,7 +8,7 @@
 
 #include <array>
 #include <functional>
-#include <set>
+#include <map>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -289,20 +289,25 @@ TEST(EventQueue, CancelFreesSlotAtOnce)
 }
 
 /**
- * Seeded differential check against a reference ordered set of
- * (when, priority, seq) keys: random schedules, cancels on live and
- * stale handles, single steps and bounded runs. After every operation
- * the queue has run exactly the reference's order and holds exactly
- * the reference's live events.
+ * Seeded differential check against a reference ordered map of
+ * (when, priority, source, seq) keys: random schedules from random
+ * sources (source 0: no source, keyed by the queue's own counter),
+ * cancels on live and stale handles, single steps and bounded runs.
+ * After every operation the queue has run exactly the reference's
+ * order and holds exactly the reference's live events.
  */
 TEST(EventQueue, MatchesReferenceOrderUnderRandomCancels)
 {
-    using Key = std::tuple<Tick, int, std::uint64_t>;
+    using Key = std::tuple<Tick, int, std::uint32_t, std::uint64_t>;
     for (std::uint64_t seed : {1u, 2u, 3u}) {
         Random rng(seed);
         EventQueue eq;
-        std::set<Key> live;
-        std::vector<Key> keys; // by event id
+        std::vector<EventSource> sources;
+        for (std::uint32_t id = 1; id <= 4; ++id)
+            sources.emplace_back(id);
+        std::uint64_t unsourced = 0;
+        std::map<Key, std::uint64_t> live; // key -> event id
+        std::vector<Key> keys;             // by event id
         std::vector<EventHandle> handles;
         std::vector<std::uint64_t> ran;
         std::vector<std::uint64_t> expected;
@@ -314,10 +319,18 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomCancels)
                     eq.now() + rng.uniformInt(0, rng.bernoulli(0.3) ? 4 : 400);
                 const int prio = static_cast<int>(rng.uniformInt(0, 2)) - 1;
                 const std::uint64_t id = keys.size();
-                keys.emplace_back(when, prio, id);
-                live.insert(keys.back());
-                handles.push_back(eq.schedule(
-                    when, [&ran, id] { ran.push_back(id); }, prio));
+                const auto fn = [&ran, id] { ran.push_back(id); };
+                const std::size_t src = rng.uniformInt(0, sources.size());
+                if (src == sources.size()) {
+                    keys.emplace_back(when, prio, 0, unsourced++);
+                    handles.push_back(eq.schedule(when, fn, prio));
+                } else {
+                    const EventKey key = sources[src].key(when, prio);
+                    keys.emplace_back(key.when, key.priority, key.source,
+                                      key.seq);
+                    handles.push_back(eq.schedule(key, fn));
+                }
+                live.emplace(keys.back(), id);
             } else if (kind < 8) {
                 const std::size_t id = rng.uniformInt(0, handles.size() - 1);
                 handles[id].cancel();
@@ -326,15 +339,15 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomCancels)
             } else if (kind < 9) {
                 EXPECT_EQ(eq.step(), !live.empty());
                 if (!live.empty()) {
-                    expected.push_back(std::get<2>(*live.begin()));
+                    expected.push_back(live.begin()->second);
                     live.erase(live.begin());
                 }
             } else {
                 const Tick until = eq.now() + rng.uniformInt(0, 20);
                 eq.runUntil(until);
                 while (!live.empty() &&
-                       std::get<0>(*live.begin()) < until) {
-                    expected.push_back(std::get<2>(*live.begin()));
+                       std::get<0>(live.begin()->first) < until) {
+                    expected.push_back(live.begin()->second);
                     live.erase(live.begin());
                 }
             }
@@ -342,7 +355,8 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomCancels)
             ASSERT_EQ(eq.slabSize() - eq.freeSlots(), live.size())
                 << "seed " << seed << " op " << op;
             ASSERT_EQ(eq.nextEventTick(),
-                      live.empty() ? maxTick : std::get<0>(*live.begin()));
+                      live.empty() ? maxTick
+                                   : std::get<0>(live.begin()->first));
             const std::size_t probe = rng.uniformInt(0, handles.size() - 1);
             const bool isLive = live.count(keys[probe]) != 0;
             ASSERT_EQ(handles[probe].pending(), isLive);

@@ -448,28 +448,34 @@ TEST(SpinPoll, EchoStopsMidSpinOnTheIdlePeer)
                8447952128469669650ull);
 }
 
+// Same-tick rule: a push that lands exactly on a poll tick is ordered
+// against that poll by source id (both run at the default priority),
+// whenever it was scheduled. A host's OS is built before its CPU, so
+// its push comes first; an object built after the testbed comes after.
+
 TEST(SpinPoll, CompletionOnAPollTickIsSeenOnThatTick)
 {
-    // An event that lands exactly on a poll tick and fills the CQ runs
-    // before that poll (it was scheduled first), so the poll finds the
-    // entry and is not charged as empty. A read of the CPU half a
-    // period earlier changes nothing: the poll it leaves owed on the
-    // push's tick still comes after the push.
+    // The OS schedules the push half a period before its tick, after
+    // the poll before it already ran, yet the push runs before the
+    // poll on that tick: the poll finds the entry and is not charged
+    // as empty. The read of the CPU in the same event sees the polls
+    // owed before it charged.
     QpipTestbed bed(2);
     auto &prov = bed.provider(0);
     auto cq = prov.createCq();
     auto &cpu = bed.host(0).cpu();
-    const sim::Tick period =
-        bed.host(0).os().cyclesToTicks(prov.costs().pollCqEmpty);
+    auto &os = bed.host(0).os();
+    ASSERT_LT(os.sourceId(), cpu.sourceId());
+    const sim::Tick period = os.cyclesToTicks(prov.costs().pollCqEmpty);
     const sim::Tick t0 = bed.sim().now() + sim::oneUs;
     const sim::Tick at = t0 + 1000 * period;
     ASSERT_LE(cpu.busyUntil(), t0);
     sim::Tick seen = 0;
     sim::Tick busy_before = 0;
-    bed.sim().eventQueue().schedule(at,
-                                    [&] { cq->ring().push(Completion{}); });
-    bed.sim().eventQueue().schedule(at - period / 2,
-                                    [&] { busy_before = cpu.busyUntil(); });
+    bed.sim().eventQueue().schedule(at - period / 2, [&] {
+        busy_before = cpu.busyUntil();
+        os.schedule(at, [&] { cq->ring().push(Completion{}); });
+    });
     bed.sim().eventQueue().schedule(t0, [&] {
         spinPoll(prov, *cq, [&](Completion) { seen = bed.sim().now(); });
     });
@@ -477,20 +483,21 @@ TEST(SpinPoll, CompletionOnAPollTickIsSeenOnThatTick)
     EXPECT_EQ(seen, at);
     EXPECT_EQ(busy_before, at);
     EXPECT_EQ(cpu.busyUntil(),
-              at + bed.host(0).os().cyclesToTicks(prov.costs().pollCq));
+              at + os.cyclesToTicks(prov.costs().pollCq));
 }
 
 TEST(SpinPoll, LatePushOnAPollTickIsSeenOnePeriodLater)
 {
-    // The push lands exactly on a poll tick, but the event that
-    // schedules it runs half a period earlier, after the previous poll
-    // already scheduled the one on that tick: that poll runs first and
-    // finds the CQ empty, and the next one sees the entry.
+    // The same push, scheduled at the same time, from an object built
+    // after the CPU: the poll on the push's tick runs first and finds
+    // the CQ empty, and the next one sees the entry.
     QpipTestbed bed(2);
     auto &prov = bed.provider(0);
     auto cq = prov.createCq();
     auto &cpu = bed.host(0).cpu();
     auto &os = bed.host(0).os();
+    sim::SimObject pusher(bed.sim(), "pusher");
+    ASSERT_GT(pusher.sourceId(), cpu.sourceId());
     const sim::Tick period = os.cyclesToTicks(prov.costs().pollCqEmpty);
     const sim::Tick t0 = bed.sim().now() + sim::oneUs;
     const sim::Tick at = t0 + 1000 * period;
@@ -498,8 +505,7 @@ TEST(SpinPoll, LatePushOnAPollTickIsSeenOnePeriodLater)
     const sim::Tick busy0 = cpu.busyTotal();
     sim::Tick seen = 0;
     bed.sim().eventQueue().schedule(at - period / 2, [&] {
-        bed.sim().eventQueue().schedule(
-            at, [&] { cq->ring().push(Completion{}); });
+        pusher.schedule(at, [&] { cq->ring().push(Completion{}); });
     });
     bed.sim().eventQueue().schedule(t0, [&] {
         spinPoll(prov, *cq, [&](Completion) { seen = bed.sim().now(); });
@@ -587,10 +593,12 @@ TEST(SpinPoll, ParallelEngineMatchesEveryPoll)
     for (const int threads : {1, 4}) {
         SCOPED_TRACE(threads);
         const Pins p = pingPong(true, threads);
-        // Same capture as the serial run: each NIC draws its initial
-        // sequence numbers from its own stream, not its partition's.
-        expectPins(p, 8219026093ull,
-               {8156959202ull, 8220001380ull, 8139602825ull, 8219585003ull},
+        // Same capture as the serial run: every event is keyed by its
+        // source, whichever partition runs it. The run stops at a
+        // barrier rather than at the last reply, so the final tick,
+        // host 1's counters and the stats, read there, differ.
+        expectPins(p, 8219642284ull,
+               {8156959202ull, 8220001380ull, 8140257371ull, 8220239549ull},
                5722723409589996125ull, 11473629942854498038ull,
                13443311829559910404ull);
     }
