@@ -16,15 +16,6 @@ namespace {
 
 constexpr Tick runDeadline = 1200 * sim::oneSec;
 
-/** Each client run gets a fresh source port (old conns may linger). */
-std::uint16_t
-nextClientPort()
-{
-    // qpip-lint: partition-ok(called only from the serial run* harness entry points, before any partitioned execution starts)
-    static std::uint16_t port = 30100;
-    return port++;
-}
-
 /** Deterministic device pattern byte for an absolute offset. */
 std::uint8_t
 patternByte(std::uint64_t off)
@@ -376,11 +367,13 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
 {
     auto &sim = bed.sim();
     auto &client = bed.host(client_idx);
+    host::HostOS &os = client.os();
     auto cfg = client.stack().defaultTcpConfig();
     cfg.noDelay = true;
 
     auto sock = client.stack().tcpConnect(
-        bed.addr(client_idx, nextClientPort()),
+        // A fresh source port per run: old connections may linger.
+        bed.addr(client_idx, client.stack().ephemeralPort()),
         bed.addr(server_idx, port), cfg, nullptr);
     sim.runUntilCondition([&] { return sock->connected(); },
                           sim.now() + runDeadline);
@@ -415,7 +408,7 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
     auto reader = std::make_shared<std::function<void()>>();
     auto finish_write = std::make_shared<std::function<void()>>();
 
-    *sender = [&sim, &client, sock, st, sender, total_bytes, is_write,
+    *sender = [&client, sock, st, sender, total_bytes, is_write,
                params, fs_per_req] {
         if (st->senderActive || st->done)
             return;
@@ -454,11 +447,11 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
         });
     };
 
-    *reader = [&sim, sock, st, sender, reader, finish_write,
+    *reader = [&os, sock, st, sender, reader, finish_write,
                total_bytes, is_write, params] {
         sock->recvExact(
             nbdReplyHeaderBytes,
-            [&sim, sock, st, sender, reader, finish_write,
+            [&os, sock, st, sender, reader, finish_write,
              total_bytes, is_write, params](std::vector<std::uint8_t> h) {
                 std::uint64_t handle = 0;
                 std::uint32_t err = 0;
@@ -469,7 +462,7 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
                 }
                 const auto [req_off, len] = st->reqs[handle];
                 st->reqs.erase(handle);
-                auto complete = [&sim, st, sender, reader,
+                auto complete = [&os, st, sender, reader,
                                  finish_write, total_bytes,
                                  is_write](std::uint32_t n) {
                     --st->outstanding;
@@ -478,7 +471,7 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
                         if (is_write)
                             (*finish_write)();
                         else {
-                            st->tEnd = sim.now();
+                            st->tEnd = os.curTick();
                             st->done = true;
                         }
                         return;
@@ -510,15 +503,15 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
             });
     };
 
-    *finish_write = [&sim, sock, st] {
+    *finish_write = [&os, sock, st] {
         // 'sync': flush the server's dirty buffer to disk.
         NbdRequest req;
         req.type = NbdOp::Flush;
         req.handle = 0xffff;
         sock->sendAll(serializeNbdRequest(req), [] {});
         sock->recvExact(nbdReplyHeaderBytes,
-                        [&sim, st](std::vector<std::uint8_t>) {
-                            st->tEnd = sim.now();
+                        [&os, st](std::vector<std::uint8_t>) {
+                            st->tEnd = os.curTick();
                             st->done = true;
                         });
     };
@@ -543,6 +536,7 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
 {
     auto &sim = bed.sim();
     auto &client = bed.host(client_idx);
+    host::HostOS &os = client.os();
     auto &prov = bed.provider(client_idx);
 
     const std::size_t depth = params.pipelineDepth;
@@ -649,14 +643,14 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
 
     // Completion pump: the kernel NBD driver blocks on CQ events.
     auto pump = std::make_shared<std::function<void()>>();
-    *pump = [&sim, cq, rep_buf, st, issue, pump, total_bytes,
+    *pump = [&os, cq, rep_buf, st, issue, pump, total_bytes,
              is_write, rep_slot, start_flush, depth, params] {
-        cq->wait([&sim, cq, rep_buf, st, issue, pump, total_bytes,
+        cq->wait([&os, cq, rep_buf, st, issue, pump, total_bytes,
                   is_write, rep_slot, start_flush, depth,
                   params](verbs::Completion c) {
             if (!c.isSend && c.status == verbs::WcStatus::Success) {
                 if (st->flushing) {
-                    st->tEnd = sim.now();
+                    st->tEnd = os.curTick();
                     st->done = true;
                     return;
                 }
@@ -688,7 +682,7 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
                     if (is_write) {
                         start_flush();
                     } else {
-                        st->tEnd = sim.now();
+                        st->tEnd = os.curTick();
                         st->done = true;
                         return;
                     }

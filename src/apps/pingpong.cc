@@ -88,20 +88,21 @@ runSocketTcpPingPong(SocketsTestbed &bed, std::size_t iterations,
 
     // Client: timed request/response loop.
     auto &sim = bed.sim();
+    host::HostOS &os = bed.host(0).os();
     auto iterate = std::make_shared<
         std::function<void(std::shared_ptr<TcpSocket>)>>();
-    *iterate = [st, iterate, &sim](std::shared_ptr<TcpSocket> sock) {
+    *iterate = [st, iterate, &os](std::shared_ptr<TcpSocket> sock) {
         if (st->finished)
             return;
-        st->t0 = sim.now();
+        st->t0 = os.curTick();
         std::vector<std::uint8_t> msg(st->msgBytes, 0x5a);
         sock->sendAll(std::move(msg), [] {});
         sock->recvExact(st->msgBytes,
-                        [st, iterate, &sim,
+                        [st, iterate, &os,
                          sock](std::vector<std::uint8_t> d) {
                             if (d.size() < st->msgBytes)
                                 return;
-                            st->sample(sim.now());
+                            st->sample(os.curTick());
                             if (!st->finished)
                                 (*iterate)(sock);
                         });
@@ -146,16 +147,17 @@ runSocketUdpPingPong(SocketsTestbed &bed, std::size_t iterations,
     (*echo)();
 
     auto &sim = bed.sim();
+    host::HostOS &os = bed.host(0).os();
     const auto server_addr = bed.addr(1, serverPort);
     auto iterate = std::make_shared<std::function<void()>>();
-    *iterate = [st, iterate, cli, server_addr, &sim] {
+    *iterate = [st, iterate, cli, server_addr, &os] {
         if (st->finished)
             return;
-        st->t0 = sim.now();
+        st->t0 = os.curTick();
         cli->sendTo(std::vector<std::uint8_t>(st->msgBytes, 0xa5),
                     server_addr, nullptr);
-        cli->recvFrom([st, iterate, &sim](UdpSocket::Datagram) {
-            st->sample(sim.now());
+        cli->recvFrom([st, iterate, &os](UdpSocket::Datagram) {
+            st->sample(os.curTick());
             if (!st->finished)
                 (*iterate)();
         });
@@ -225,23 +227,24 @@ runQpipTcpPingPong(QpipTestbed &bed, std::size_t iterations,
 
     auto iterate = std::make_shared<std::function<void()>>();
     auto await_reply = std::make_shared<std::function<void()>>();
+    host::HostOS &os = bed.host(0).os();
     *await_reply = [st, await_reply, iterate, &prov_c, cq_c, qp_c,
-                    mr_c, &sim] {
+                    mr_c, &os] {
         spinPoll(prov_c, *cq_c,
-                 [st, await_reply, iterate, &sim,
+                 [st, await_reply, iterate, &os,
                   mr_c](verbs::Completion c) {
                      if (c.isSend) {
                          (*await_reply)();
                          return;
                      }
-                     st->sample(sim.now());
+                     st->sample(os.curTick());
                      if (!st->finished)
                          (*iterate)();
                  });
     };
-    *iterate = [st, await_reply, qp_c, mr_c, &sim] {
+    *iterate = [st, await_reply, qp_c, mr_c, &os] {
         qp_c->postRecv(1, *mr_c, 0, st->msgBytes);
-        st->t0 = sim.now();
+        st->t0 = os.curTick();
         qp_c->postSend(2, *mr_c, 0, st->msgBytes);
         (*await_reply)();
     };
@@ -310,21 +313,22 @@ runQpipUdpPingPong(QpipTestbed &bed, std::size_t iterations,
     const auto server_addr = bed.addr(1, serverPort);
     auto iterate = std::make_shared<std::function<void()>>();
     auto await_reply = std::make_shared<std::function<void()>>();
-    *await_reply = [st, await_reply, iterate, &prov_c, cq_c, &sim] {
+    host::HostOS &os = bed.host(0).os();
+    *await_reply = [st, await_reply, iterate, &prov_c, cq_c, &os] {
         spinPoll(prov_c, *cq_c,
-                 [st, await_reply, iterate, &sim](verbs::Completion c) {
+                 [st, await_reply, iterate, &os](verbs::Completion c) {
                      if (c.isSend) {
                          (*await_reply)();
                          return;
                      }
-                     st->sample(sim.now());
+                     st->sample(os.curTick());
                      if (!st->finished)
                          (*iterate)();
                  });
     };
-    *iterate = [st, await_reply, qp_c, mr_c, server_addr, &sim] {
+    *iterate = [st, await_reply, qp_c, mr_c, server_addr, &os] {
         qp_c->postRecv(1, *mr_c, 0, st->msgBytes);
-        st->t0 = sim.now();
+        st->t0 = os.curTick();
         qp_c->postSend(2, *mr_c, 0, st->msgBytes, server_addr);
         (*await_reply)();
     };

@@ -56,15 +56,16 @@ runSocketsTtcp(SocketsTestbed &bed, std::size_t total_bytes,
     // Receiver: drain until the expected byte count arrives.
     auto drain = std::make_shared<
         std::function<void(std::shared_ptr<TcpSocket>)>>();
-    *drain = [received, done, t_end, total_bytes, &sim,
+    host::HostOS &os = bed.host(1).os();
+    *drain = [received, done, t_end, total_bytes, &os,
               drain](std::shared_ptr<TcpSocket> sock) {
-        sock->recv(262144, [received, done, t_end, total_bytes, &sim,
+        sock->recv(262144, [received, done, t_end, total_bytes, &os,
                             drain, sock](std::vector<std::uint8_t> d) {
             if (d.empty())
                 return; // EOF
             *received += d.size();
             if (*received >= total_bytes) {
-                *t_end = sim.now();
+                *t_end = os.curTick();
                 *done = true;
                 return;
             }
@@ -133,6 +134,7 @@ runQpipTtcp(QpipTestbed &bed, std::size_t total_bytes,
     auto qp_rx_keep =
         std::make_shared<std::shared_ptr<verbs::QueuePair>>();
 
+    host::HostOS &os_rx = bed.host(1).os();
     acceptor->acceptOne([&, received, done, t_end, qp_rx_keep, mr_rx,
                          buf_rx](std::shared_ptr<verbs::QueuePair> qp) {
         *qp_rx_keep = qp;
@@ -142,7 +144,7 @@ runQpipTtcp(QpipTestbed &bed, std::size_t total_bytes,
         // Periodic reaper: drain completions, repost, count bytes.
         periodicReaper(
             prov_rx, poll_interval,
-            [&sim, qp, cq_rx, received, done, t_end, mr_rx,
+            [&os_rx, qp, cq_rx, received, done, t_end, mr_rx,
              pipeline_depth, chunk_bytes, total_bytes]() -> bool {
                 verbs::Completion c;
                 while (cq_rx->poll(c)) {
@@ -154,7 +156,7 @@ runQpipTtcp(QpipTestbed &bed, std::size_t total_bytes,
                                  chunk_bytes);
                 }
                 if (*received >= total_bytes) {
-                    *t_end = sim.now();
+                    *t_end = os_rx.curTick();
                     *done = true;
                     return false;
                 }

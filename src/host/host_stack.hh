@@ -105,6 +105,13 @@ class HostStack : public sim::SimObject, public inet::InetEnv
     std::shared_ptr<UdpSocket> udpBind(const inet::SockAddr &local);
 
     /**
+     * A fresh local port for an outgoing connection: 30100, 30101, …
+     * counted per stack, so a run's ports follow only what ran on
+     * this host before it.
+     */
+    std::uint16_t ephemeralPort() { return ephemeralPort_++; }
+
+    /**
      * Teardown: drop every callback this stack's sockets hold for
      * their owners. Such a callback usually holds its own socket, so
      * the two would otherwise keep each other alive forever. Call with
@@ -176,6 +183,7 @@ class HostStack : public sim::SimObject, public inet::InetEnv
     inet::InetStack inet_;
     /** Initial sequence numbers: (seed, name()) stream. */
     sim::Random issRng_;
+    std::uint16_t ephemeralPort_ = 30100;
 
   public:
     // Stats: engine counters surfaced under their legacy kernel

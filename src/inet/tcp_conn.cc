@@ -5,14 +5,6 @@
 #include "sim/logging.hh"
 #include "sim/trace.hh"
 
-// Level-gated at the call site: with tracing off, a trace point costs
-// one load and compare, not a call plus argument evaluation.
-#define TCP_TRACE(...)                                                \
-    do {                                                              \
-        if (sim::logEnabled(sim::LogLevel::Trace))                    \
-            sim::debugLog(sim::LogLevel::Trace, "tcp", __VA_ARGS__); \
-    } while (0)
-
 namespace qpip::inet {
 
 using sim::Tick;
@@ -445,8 +437,6 @@ TcpConnection::trySendMessages()
         const std::uint32_t room =
             sndWnd_ > inflight ? sndWnd_ - inflight : 0;
         if (msg.data.size() > room) {
-            TCP_TRACE("msg %zuB > room %u (wnd=%u fly=%u)",
-                      msg.data.size(), room, sndWnd_, inflight);
             if (inflight == 0)
                 armPersist();
             break;
@@ -588,9 +578,6 @@ TcpConnection::armPersist()
 {
     if (persistTimer_.pending() || rtxTimer_.pending())
         return;
-    TCP_TRACE("arming persist timer (%llu us)",
-              static_cast<unsigned long long>(
-                  cfg_.persistInterval / sim::oneUs));
     persistTimer_ = env_.scheduleTimer(cfg_.persistInterval, [this] {
         onPersistTimeout();
     });
@@ -617,7 +604,6 @@ TcpConnection::onPersistTimeout()
         return;
     }
     stats_.persistProbes.inc();
-    TCP_TRACE("persist probe at una-1");
     // BSD-style probe: one garbage byte below sndUna_ forces a
     // duplicate-data ACK carrying the peer's current window.
     static const std::uint8_t garbage[1] = {0};
@@ -818,7 +804,6 @@ TcpConnection::updateSendWindow(const TcpHeader &hdr)
     const std::uint32_t wnd = std::uint32_t(hdr.wnd) << sndScale_;
     if (seqLt(sndWl1_, hdr.seq) ||
         (sndWl1_ == hdr.seq && seqLe(sndWl2_, hdr.ack))) {
-        TCP_TRACE("send window update: %u -> %u", sndWnd_, wnd);
         sndWnd_ = wnd;
         sndWl1_ = hdr.seq;
         sndWl2_ = hdr.ack;
@@ -1183,8 +1168,6 @@ TcpConnection::onReceiveWindowGrew()
     // two segments or half the buffer).
     const std::uint32_t w = observer_.receiveWindow(*this);
     const std::uint32_t new_edge = rcvNxt_ + w;
-    TCP_TRACE("rcv window grew: w=%u edge=%u advertised=%u", w,
-              new_edge, rcvAdvertised_);
     // Update when the window opened by two segments, or when it was
     // effectively closed (the remaining edge could not carry a full
     // segment/message).

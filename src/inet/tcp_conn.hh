@@ -232,7 +232,6 @@ struct TcpStats
     void registerIn(sim::StatRegistry &registry, std::string prefix);
 
     bool registered() const { return group_.bound(); }
-    std::string statPrefix() const { return group_.prefix(); }
 
   private:
     sim::StatGroup group_;

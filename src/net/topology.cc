@@ -1,7 +1,5 @@
 #include "net/topology.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 #include "sim/parallel_engine.hh"
 
@@ -22,15 +20,6 @@ Fabric::linkFor(NodeId node)
             return *link;
     }
     sim::panic("%s: unknown node %u", name_.c_str(), node);
-}
-
-sim::Tick
-Fabric::minPropDelay() const
-{
-    sim::Tick min = sim::maxTick;
-    for (const Edge &e : edges_)
-        min = std::min(min, e.link->config().propDelay);
-    return min;
 }
 
 Switch &
@@ -225,8 +214,6 @@ partitionFabric(sim::ParallelEngine &engine, Fabric &fabric,
         sw_parts.push_back(&p);
     }
 
-    engine.setLookahead(fabric.minPropDelay());
-
     const auto part_of =
         [&](const Fabric::Attachment &a) -> sim::Partition * {
         return a.isSwitch ? sw_parts.at(a.index)
@@ -241,23 +228,19 @@ partitionFabric(sim::ParallelEngine &engine, Fabric &fabric,
                 static_cast<std::size_t>(side ^ 1)));
             LinkBoundary b;
             b.eq = &src->eventQueue();
-            b.outbox =
-                src == dst ? nullptr : &engine.mailbox(*src, *dst);
-            if (b.outbox != nullptr) {
-                // Declare this edge's own lookahead: the propagation
-                // delay of the link it carries plus its serialization
-                // floor — arrival is busyUntil + propDelay, and even
-                // an empty frame occupies the wire for the link
-                // overhead bytes, so no delivery can undercut this.
-                // Several links can share one mailbox (parallel
-                // trunks between the same partition pair), so keep
-                // the minimum.
+            if (src != dst) {
+                // The edge's lookahead: the propagation delay of the
+                // link it carries plus its serialization floor —
+                // arrival is busyUntil + propDelay, and even an empty
+                // frame occupies the wire for the link overhead
+                // bytes, so no delivery can undercut this. Parallel
+                // trunks between one partition pair share a mailbox,
+                // which keeps the minimum.
                 const sim::Tick l =
                     e.link->config().propDelay +
                     e.link->serializationDelay(
                         e.link->config().overheadBytes);
-                if (l < b.outbox->lookahead())
-                    b.outbox->setLookahead(l);
+                b.outbox = &engine.mailbox(*src, *dst, l);
             }
             e.link->bindSide(side, b);
         }

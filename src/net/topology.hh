@@ -11,8 +11,8 @@
  * exposes the link graph with per-side attachments — which is what
  * net::partitionFabric uses to shard a fabric across the parallel
  * engine (hosts in caller-provided partitions, each switch in its
- * own) and derive the conservative lookahead from the minimum link
- * propagation delay.
+ * own) and give every cross-partition edge the lookahead of the links
+ * it carries.
  */
 
 #pragma once
@@ -73,12 +73,6 @@ class Fabric
     std::size_t numSwitches() const { return switches_.size(); }
 
     const std::vector<Edge> &edges() const { return edges_; }
-
-    /**
-     * Minimum propagation delay over every fabric link: the parallel
-     * engine's conservative lookahead window.
-     */
-    sim::Tick minPropDelay() const;
 
     const std::string &name() const { return name_; }
 
@@ -203,10 +197,9 @@ makeKAryFatTree(sim::Simulation &sim, std::string name,
  * Shard @p fabric across @p engine: one new partition per switch,
  * hosts in the caller's partitions (@p host_parts indexed by
  * NodeId), every link direction bound to its sending partition with
- * a mailbox toward the receiver, the global default lookahead set to
- * the fabric's minimum propagation delay and every mailbox edge
- * declaring its own link's propagation delay (per-edge horizons),
- * and per-link fold hooks registered.
+ * a mailbox toward the receiver, each mailbox edge declaring its
+ * links' propagation delay plus serialization floor as its lookahead
+ * (per-edge horizons), and per-link fold hooks registered.
  * Call after every addNode (the edge list must be complete).
  */
 void partitionFabric(sim::ParallelEngine &engine, Fabric &fabric,

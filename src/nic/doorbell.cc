@@ -4,8 +4,7 @@ namespace qpip::nic {
 
 DoorbellFifo::DoorbellFifo(sim::Simulation &sim, std::string name,
                            std::size_t capacity)
-    : SimObject(sim, std::move(name)), capacity_(capacity),
-      slots_(capacity)
+    : SimObject(sim, std::move(name)), capacity_(capacity)
 {
     regStat("rings", rings);
     regStat("overflows", overflows);
@@ -32,26 +31,20 @@ DoorbellFifo::arrive(const Doorbell &db)
             // The queue's newest record is still awaiting the drain
             // FSM: this ring folds into it. No drain hook — the
             // record it joined already triggered one.
-            const std::size_t slot =
-                (head_ + static_cast<std::size_t>(it->second.seq -
-                                                  headSeq_)) %
-                capacity_;
-            slots_[slot].wrCount += db.wrCount;
+            fifo_[it->second.seq - headSeq_].wrCount += db.wrCount;
             coalesced.inc();
             return;
         }
     }
-    if (size_ >= capacity_) {
+    if (fifo_.size() >= capacity_) {
         overflows.inc();
         return;
     }
-    const std::size_t tail = (head_ + size_) % capacity_;
-    slots_[tail] = db;
     if (coalesceWindow > 0) {
         foldable_[foldKey(db)] =
-            FoldSlot{headSeq_ + size_, curTick() + coalesceWindow};
+            FoldSlot{headSeq_ + fifo_.size(), curTick() + coalesceWindow};
     }
-    ++size_;
+    fifo_.push_back(db);
     if (drainHook_)
         drainHook_();
 }
@@ -59,11 +52,10 @@ DoorbellFifo::arrive(const Doorbell &db)
 bool
 DoorbellFifo::pop(Doorbell &out)
 {
-    if (size_ == 0)
+    if (fifo_.empty())
         return false;
-    out = slots_[head_];
-    head_ = (head_ + 1) % capacity_;
-    --size_;
+    out = fifo_.front();
+    fifo_.pop_front();
     ++headSeq_;
     return true;
 }

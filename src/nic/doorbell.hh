@@ -17,8 +17,9 @@
  *    a queue that already has an undrained record younger than the
  *    window into that record instead of occupying a new FIFO slot.
  *
- * The FIFO itself is a preallocated ring buffer: ring/pop on the
- * per-post hot path never allocate.
+ * The FIFO holds its records in a sim::RingFifo bounded at the
+ * hardware's capacity: a ring past it is counted as an overflow and
+ * dropped. A fold rewrites a queued record in place and never pushes.
  */
 
 #pragma once
@@ -26,9 +27,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <vector>
 
 #include "nic/qp_state.hh"
+#include "sim/ring_fifo.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 
@@ -71,8 +72,8 @@ class DoorbellFifo : public sim::SimObject
     /** NIC-side pop. @return false when empty. */
     bool pop(Doorbell &out);
 
-    bool empty() const { return size_ == 0; }
-    std::size_t depth() const { return size_; }
+    bool empty() const { return fifo_.empty(); }
+    std::size_t depth() const { return fifo_.size(); }
 
     /** Invoked (at NIC time) whenever a record lands in the FIFO. */
     void setDrainHook(std::function<void()> hook)
@@ -117,11 +118,8 @@ class DoorbellFifo : public sim::SimObject
     };
 
     std::size_t capacity_;
-    /** Preallocated circular buffer; head_/size_ index into it. */
-    std::vector<Doorbell> slots_;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
-    /** Monotonic sequence number of the record at head_. */
+    sim::RingFifo<Doorbell> fifo_;
+    /** Monotonic sequence number of the record at the FIFO's front. */
     std::uint64_t headSeq_ = 0;
     /** Per-queue newest-record tracker (integer-keyed, never
      *  iterated; stale entries are detected against headSeq_). */

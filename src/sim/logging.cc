@@ -6,18 +6,6 @@
 
 namespace qpip::sim {
 
-namespace detail {
-LogLevel gLogLevel = LogLevel::Warn;
-} // namespace detail
-
-using detail::gLogLevel;
-
-void
-setLogLevel(LogLevel level)
-{
-    gLogLevel = level;
-}
-
 std::string
 vstrfmt(const char *fmt, std::va_list ap)
 {
@@ -65,37 +53,11 @@ fatal(const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    if (gLogLevel < LogLevel::Warn)
-        return;
     std::va_list ap;
     va_start(ap, fmt);
     std::string s = vstrfmt(fmt, ap);
     va_end(ap);
     std::fprintf(stderr, "warn: %s\n", s.c_str());
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (gLogLevel < LogLevel::Info)
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::string s = vstrfmt(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "info: %s\n", s.c_str());
-}
-
-void
-debugLog(LogLevel level, const char *tag, const char *fmt, ...)
-{
-    if (gLogLevel < level)
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::string s = vstrfmt(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "[%s] %s\n", tag, s.c_str());
 }
 
 } // namespace qpip::sim

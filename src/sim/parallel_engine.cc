@@ -62,8 +62,7 @@ spinThenPark(std::mutex &m, std::condition_variable &cv, Ready ready)
 } // namespace
 
 ParallelEngine::ParallelEngine(Simulation &sim, int threads)
-    : sim_(sim), threads_(threads < 1 ? 1 : threads),
-      workers_(static_cast<std::size_t>(threads_))
+    : sim_(sim), workers_(static_cast<std::size_t>(std::max(threads, 1)))
 {
     if (sim_.parallelEngine() != nullptr)
         panic("ParallelEngine: simulation already has an engine");
@@ -125,13 +124,18 @@ ParallelEngine::findPartition(const std::string &name)
 }
 
 Mailbox &
-ParallelEngine::mailbox(Partition &src, Partition &dst)
+ParallelEngine::mailbox(Partition &src, Partition &dst, Tick lookahead)
 {
     for (auto &mb : mail_) {
-        if (&mb->src() == &src && &mb->dst() == &dst)
+        if (&mb->src() == &src && &mb->dst() == &dst) {
+            if (lookahead == 0)
+                panic("ParallelEngine: edge lookahead must be at least "
+                      "one tick");
+            mb->lookahead_ = std::min(mb->lookahead_, lookahead);
             return *mb;
+        }
     }
-    mail_.push_back(std::make_unique<Mailbox>(src, dst));
+    mail_.push_back(std::make_unique<Mailbox>(src, dst, lookahead));
     return *mail_.back();
 }
 
@@ -147,14 +151,6 @@ ParallelEngine::assignByPrefix(const std::string &prefix, Partition &p)
         if (exact || child)
             obj->bindExecContext(p.eventQueue());
     }
-}
-
-void
-ParallelEngine::setLookahead(Tick l)
-{
-    if (l == 0)
-        panic("ParallelEngine: lookahead must be at least one tick");
-    lookahead_ = l;
 }
 
 void
@@ -182,18 +178,6 @@ ParallelEngine::beginRun()
     if (!sim_.eventQueue().empty()) {
         panic("ParallelEngine: events pending on the global queue — "
               "a SimObject was not assigned to any partition");
-    }
-    // Resolve every edge's effective lookahead: edges that declared
-    // their own (link propagation delay) keep it, the rest inherit
-    // the global default.
-    for (auto &mb : mail_) {
-        if (mb->lookahead_ != maxTick)
-            continue;
-        if (lookahead_ == maxTick) {
-            panic("ParallelEngine: cross-partition mailboxes exist "
-                  "but no lookahead was set");
-        }
-        mb->lookahead_ = lookahead_;
     }
     // Flatten the partition graph for the per-epoch relaxation:
     // iterating a contiguous {src, dst, lookahead} array beats

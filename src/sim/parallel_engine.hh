@@ -21,8 +21,9 @@
  * horizon and reports its next event tick.
  *
  * Per-edge horizons. Every mailbox edge e = (q -> p) declares a
- * lookahead L_e: a lower bound on the delivery latency of anything
- * posted through it. At each barrier the engine computes, for every
+ * lookahead L_e when it is created (mailbox()): a lower bound on the
+ * delivery latency of anything posted through it. There is no
+ * engine-wide default. At each barrier the engine computes, for every
  * partition q, a conservative floor B_q on the earliest tick at which
  * q can execute *any* event this epoch or later:
  *
@@ -138,8 +139,13 @@ class ParallelEngine
     Partition &partition(std::size_t i) { return *parts_.at(i); }
     Partition *findPartition(const std::string &name);
 
-    /** Find-or-create the src->dst mailbox. */
-    Mailbox &mailbox(Partition &src, Partition &dst);
+    /**
+     * Find-or-create the src->dst mailbox and declare @p lookahead for
+     * it (see Mailbox). When the edge already exists, as for parallel
+     * trunks between one partition pair, it keeps the minimum of its
+     * declarations. @pre lookahead >= 1 tick.
+     */
+    Mailbox &mailbox(Partition &src, Partition &dst, Tick lookahead);
 
     /**
      * Bind every registered SimObject whose name is @p prefix or
@@ -148,22 +154,12 @@ class ParallelEngine
     void assignByPrefix(const std::string &prefix, Partition &p);
 
     /**
-     * Set the global default edge lookahead: the minimum
-     * cross-partition delivery latency. Edges with a tighter bound
-     * declare their own via Mailbox::setLookahead. @pre l >= 1 tick.
-     */
-    void setLookahead(Tick l);
-    Tick lookahead() const { return lookahead_; }
-
-    /**
      * Register a hook run at the end of every run*() call, after the
      * final barrier — e.g. folding per-direction link shadow counters
      * into the public ones. Hooks must be idempotent across calls
      * (fold-and-reset).
      */
     void addFoldHook(std::function<void()> fold);
-
-    int threads() const { return threads_; }
 
     /** Conservative global frontier of the latest epoch. */
     Tick now() const { return now_; }
@@ -227,9 +223,9 @@ class ParallelEngine
     };
 
     /**
-     * Start a run call: resolve lookaheads, flatten the edge graph,
-     * re-read every partition's next tick and pick up batches posted
-     * outside an epoch.
+     * Start a run call: flatten the edge graph, re-read every
+     * partition's next tick and pick up batches posted outside an
+     * epoch.
      */
     void beginRun();
     /**
@@ -262,8 +258,6 @@ class ParallelEngine
     void foldAll();
 
     Simulation &sim_;
-    int threads_;
-    Tick lookahead_ = maxTick;
     Tick now_ = 0;
     std::vector<std::unique_ptr<Partition>> parts_;
     std::vector<std::unique_ptr<Mailbox>> mail_;

@@ -1,5 +1,7 @@
 #include "sim/partition.hh"
 
+#include "sim/logging.hh"
+
 namespace qpip::sim {
 
 Partition::Partition(std::uint32_t id, std::string name,
@@ -7,6 +9,14 @@ Partition::Partition(std::uint32_t id, std::string name,
     : id_(id), name_(std::move(name)), horizons_(&horizons)
 {
     eq_.setLabel(name_);
+}
+
+Mailbox::Mailbox(Partition &src, Partition &dst, Tick lookahead)
+    : src_(src), dst_(dst), lookahead_(lookahead)
+{
+    if (lookahead == 0)
+        panic("Mailbox %s->%s: edge lookahead must be at least one tick",
+              src_.name().c_str(), dst_.name().c_str());
 }
 
 void

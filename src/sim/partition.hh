@@ -15,12 +15,13 @@
  * fixes where the message runs, so neither the order of the posts nor
  * the thread count nor the interleaving can move it.
  *
- * Every edge carries its own lookahead (the minimum delivery latency
- * of that link), and every partition carries the horizon of the epoch
- * it is currently running. A post below the *destination's* horizon
- * means the destination may already have executed past the delivery
- * tick — a causality violation — and panics with enough context to
- * debug at thousand-host scale.
+ * Every edge carries its own lookahead, declared when its mailbox is
+ * created (the minimum delivery latency of the links it carries), and
+ * every partition carries the horizon of the epoch it is currently
+ * running. A post below the *destination's* horizon means the
+ * destination may already have executed past the delivery tick — a
+ * causality violation — and panics with enough context to debug at
+ * thousand-host scale.
  */
 
 #pragma once
@@ -33,7 +34,6 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace qpip::sim {
@@ -116,7 +116,13 @@ class Partition
 class Mailbox
 {
   public:
-    Mailbox(Partition &src, Partition &dst) : src_(src), dst_(dst) {}
+    /**
+     * @p lookahead is this edge's lookahead: a lower bound on the
+     * delivery latency of every message posted through it (for a link
+     * edge, the link's propagation delay plus its serialization
+     * floor). @pre lookahead >= 1 tick.
+     */
+    Mailbox(Partition &src, Partition &dst, Tick lookahead);
 
     Mailbox(const Mailbox &) = delete;
     Mailbox &operator=(const Mailbox &) = delete;
@@ -124,24 +130,7 @@ class Mailbox
     Partition &src() { return src_; }
     Partition &dst() { return dst_; }
 
-    /**
-     * Declare this edge's lookahead: a lower bound on the delivery
-     * latency of every message posted through it (for a link edge,
-     * the link's propagation delay). Edges that never declare one
-     * inherit the engine's global lookahead. When several physical
-     * links share the edge, declare the minimum. @pre l >= 1 tick.
-     */
-    void
-    setLookahead(Tick l)
-    {
-        if (l == 0)
-            panic("Mailbox %s->%s: edge lookahead must be at least "
-                  "one tick",
-                  src_.name().c_str(), dst_.name().c_str());
-        lookahead_ = l;
-    }
-
-    /** The declared edge lookahead (maxTick until resolved). */
+    /** The edge lookahead: the minimum any declaration gave it. */
     Tick lookahead() const { return lookahead_; }
 
     /**
@@ -174,8 +163,8 @@ class Mailbox
 
     Partition &src_;
     Partition &dst_;
-    /** This edge's lookahead; maxTick = inherit the engine global. */
-    Tick lookahead_ = maxTick;
+    /** Lowered by ParallelEngine::mailbox() when redeclared. */
+    Tick lookahead_;
     /** Post buffer: written by the source's owner. */
     std::vector<Msg> msgs_;
     /** Earliest tick in the post buffer (maxTick: empty). */

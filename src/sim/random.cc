@@ -1,7 +1,5 @@
 #include "sim/random.hh"
 
-#include <cmath>
-
 namespace qpip::sim {
 
 namespace {
@@ -80,16 +78,6 @@ Random::bernoulli(double p)
     if (p >= 1.0)
         return true;
     return uniformReal() < p;
-}
-
-double
-Random::exponential(double mean)
-{
-    double u = uniformReal();
-    // Guard against log(0).
-    if (u <= 0.0)
-        u = 0x1.0p-53;
-    return -mean * std::log(u);
 }
 
 std::uint64_t

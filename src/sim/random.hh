@@ -43,9 +43,6 @@ class Random
     /** Bernoulli trial with probability @p p of returning true. */
     bool bernoulli(double p);
 
-    /** Exponentially distributed double with the given mean. */
-    double exponential(double mean);
-
   private:
     std::uint64_t s_[4];
 };

@@ -21,6 +21,10 @@ Simulation::addSource()
 Tick
 Simulation::engineNow() const
 {
+    if (engine_->inEpoch())
+        panic("Simulation::now() read while a partition executes: it "
+              "is the epoch frontier, not the running event's tick; "
+              "read the running object's clock (SimObject::curTick)");
     return engine_->now();
 }
 

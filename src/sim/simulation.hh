@@ -55,6 +55,12 @@ class Simulation
     /** The installed parallel engine, or nullptr (serial mode). */
     ParallelEngine *parallelEngine() const { return engine_; }
 
+    /**
+     * The serial queue's clock or, under a parallel engine, the
+     * frontier of its latest epoch. Panics while a partition executes,
+     * where the frontier is not the running event's tick; simulated
+     * work reads its own object's clock (SimObject::curTick).
+     */
     Tick
     now() const
     {

@@ -1,7 +1,6 @@
 #include "sim/stats.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "sim/logging.hh"
 
@@ -14,7 +13,6 @@ SampleStat::sample(double v)
     sum_ += v;
     const double delta = v - mean_;
     mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (v - mean_);
     min_ = std::min(min_, v);
     max_ = std::max(max_, v);
 }
@@ -23,20 +21,6 @@ void
 SampleStat::reset()
 {
     *this = SampleStat();
-}
-
-double
-SampleStat::variance() const
-{
-    if (n_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(n_ - 1);
-}
-
-double
-SampleStat::stddev() const
-{
-    return std::sqrt(variance());
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
@@ -86,26 +70,6 @@ Histogram::quantile(double q) const
             return lo_ + (static_cast<double>(i) + 0.5) * width_;
     }
     return hi_;
-}
-
-std::string
-Histogram::render(std::size_t width) const
-{
-    std::uint64_t peak = 1;
-    for (auto b : buckets_)
-        peak = std::max(peak, b);
-    std::string out;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        const double b_lo = lo_ + static_cast<double>(i) * width_;
-        auto bar_len = static_cast<std::size_t>(
-            static_cast<double>(buckets_[i]) /
-            static_cast<double>(peak) * static_cast<double>(width));
-        out += strfmt("%12.3f | %-*s %llu\n", b_lo,
-                      static_cast<int>(width),
-                      std::string(bar_len, '#').c_str(),
-                      static_cast<unsigned long long>(buckets_[i]));
-    }
-    return out;
 }
 
 } // namespace qpip::sim

@@ -1,7 +1,7 @@
 /**
  * @file
  * Lightweight statistics used everywhere in the simulator: counters,
- * running mean/stddev accumulators, min/max trackers and fixed-bucket
+ * running count/mean/min/max/total accumulators and fixed-bucket
  * histograms. The NIC firmware uses SampleStat per pipeline stage to
  * regenerate the paper's occupancy tables (Tables 2 and 3).
  */
@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace qpip::sim {
@@ -28,8 +27,8 @@ class Counter
 };
 
 /**
- * Accumulates samples and reports count/mean/stddev/min/max using
- * Welford's online algorithm.
+ * Accumulates samples and reports count/mean/min/max/total. The mean
+ * is updated incrementally (Welford's running mean).
  */
 class SampleStat
 {
@@ -39,8 +38,6 @@ class SampleStat
 
     std::uint64_t count() const { return n_; }
     double mean() const { return n_ ? mean_ : 0.0; }
-    double variance() const;
-    double stddev() const;
     double min() const { return n_ ? min_ : 0.0; }
     double max() const { return n_ ? max_ : 0.0; }
     double total() const { return sum_; }
@@ -48,7 +45,6 @@ class SampleStat
   private:
     std::uint64_t n_ = 0;
     double mean_ = 0.0;
-    double m2_ = 0.0;
     double sum_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
@@ -74,9 +70,6 @@ class Histogram
 
     /** Approximate quantile (0..1) from bucket midpoints. */
     double quantile(double q) const;
-
-    /** Multi-line ASCII rendering for reports. */
-    std::string render(std::size_t width = 40) const;
 
   private:
     double lo_, hi_, width_;

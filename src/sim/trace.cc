@@ -48,13 +48,6 @@ Tracer::instant(const std::string &track, const std::string &name,
     events_.push_back(std::move(e));
 }
 
-void
-Tracer::clear()
-{
-    events_.clear();
-    tracks_.clear();
-}
-
 namespace {
 
 // Ticks are ps; Chrome's ts/dur unit is us. Six decimals keep full

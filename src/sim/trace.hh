@@ -43,7 +43,6 @@ class Tracer
                  Tick ts, std::string args = "");
 
     std::size_t numEvents() const { return events_.size(); }
-    void clear();
 
     /**
      * Render the full trace as Chrome trace_event JSON. Events are

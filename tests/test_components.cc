@@ -1,19 +1,21 @@
 /**
  * @file
  * Component-level tests for units not covered elsewhere: the doorbell
- * FIFO, the DMA engine, Ethernet NIC ring behaviour, sockbufs, the
- * histogram renderer, the stats reports, switch output contention and
- * the LanaiProcessor resource semantics.
+ * FIFO, the DMA engine, Ethernet NIC ring behaviour, sockbufs, switch
+ * output contention and the LanaiProcessor resource semantics.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "apps/testbed.hh"
 #include "host/sockbuf.hh"
 #include "nic/doorbell.hh"
 #include "nic/dma.hh"
 #include "nic/lanai.hh"
-#include "nic/report.hh"
 
 using namespace qpip;
 
@@ -67,6 +69,43 @@ TEST(DoorbellFifo, RingBufferWrapsAcrossPops)
     ASSERT_TRUE(db.pop(out));
     EXPECT_EQ(out.qp, 3u);
     EXPECT_FALSE(db.pop(out));
+
+    // With a coalescing window: a fold lands on a record stored past
+    // the wrap point, and the bound is the FIFO's capacity (6), not
+    // its storage's.
+    nic::DoorbellFifo wdb(sim, "wdb", 6);
+    wdb.coalesceWindow = sim::oneUs;
+    for (nic::QpNum qp = 1; qp <= 4; ++qp)
+        wdb.ring(nic::Doorbell{qp, true});
+    sim.run();
+    for (int i = 0; i < 3; ++i)
+        ASSERT_TRUE(wdb.pop(out));
+    // Records 5-7 wrap around behind record 4.
+    for (nic::QpNum qp = 5; qp <= 7; ++qp)
+        wdb.ring(nic::Doorbell{qp, true});
+    wdb.ring(nic::Doorbell{6, true, false, 2}); // folds into 6
+    sim.run();
+    EXPECT_EQ(wdb.depth(), 4u);
+    EXPECT_EQ(wdb.coalesced.value(), 1u);
+    wdb.ring(nic::Doorbell{8, true});
+    wdb.ring(nic::Doorbell{9, true});
+    sim.run();
+    EXPECT_EQ(wdb.depth(), 6u);
+    EXPECT_EQ(wdb.overflows.value(), 0u);
+    wdb.ring(nic::Doorbell{10, true}); // no seventh slot
+    sim.run();
+    EXPECT_EQ(wdb.depth(), 6u);
+    EXPECT_EQ(wdb.overflows.value(), 1u);
+    wdb.ring(nic::Doorbell{9, true}); // a full FIFO still folds
+    sim.run();
+    EXPECT_EQ(wdb.overflows.value(), 1u);
+    EXPECT_EQ(wdb.coalesced.value(), 2u);
+    const std::vector<std::pair<nic::QpNum, std::uint32_t>> expect = {
+        {4, 1}, {5, 1}, {6, 3}, {7, 1}, {8, 1}, {9, 2}};
+    std::vector<std::pair<nic::QpNum, std::uint32_t>> got;
+    while (wdb.pop(out))
+        got.emplace_back(out.qp, out.wrCount);
+    EXPECT_EQ(got, expect);
 }
 
 TEST(DoorbellFifo, CoalescingWindowFoldsSameQueue)
@@ -217,56 +256,6 @@ TEST(SockBuf, AppendReadFreeSpace)
     sb.append(big);
     EXPECT_EQ(sb.freeSpace(), 0u);
     EXPECT_EQ(sb.read(100).size(), 22u);
-}
-
-TEST(Histogram, RendersBars)
-{
-    sim::Histogram h(0, 10, 5);
-    for (int i = 0; i < 10; ++i)
-        h.sample(3.0);
-    h.sample(9.0);
-    auto text = h.render(20);
-    EXPECT_NE(text.find('#'), std::string::npos);
-    // Five bucket lines.
-    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 5);
-}
-
-TEST(Reports, FirmwareOccupancyAndTcpStats)
-{
-    apps::QpipTestbed bed(2);
-    // Drive a little traffic.
-    auto cq0 = bed.provider(0).createCq();
-    auto cq1 = bed.provider(1).createCq();
-    std::vector<std::uint8_t> b0(64), b1(64);
-    auto mr0 = bed.provider(0).registerMemory(b0);
-    auto mr1 = bed.provider(1).registerMemory(b1);
-    verbs::Acceptor acc(bed.provider(1), 7, cq1, cq1);
-    std::shared_ptr<verbs::QueuePair> qp1;
-    acc.acceptOne([&](std::shared_ptr<verbs::QueuePair> q) {
-        qp1 = q;
-        q->postRecv(1, *mr1, 0, 64);
-    });
-    auto qp0 = bed.provider(0).createQp(nic::QpType::ReliableTcp, cq0,
-                                        cq0);
-    bool connected = false;
-    qp0->connect(bed.addr(1, 7), [&](bool ok) { connected = ok; });
-    bed.sim().runUntilCondition([&] { return connected; },
-                                10 * sim::oneSec);
-    qp0->postSend(2, *mr0, 0, 32);
-    bed.sim().runUntilCondition([&] { return cq1->depth() > 0; },
-                                10 * sim::oneSec);
-
-    auto fw_report = nic::fwOccupancyReport(bed.sim().stats(),
-                                            bed.nicOf(0).fw().name());
-    EXPECT_NE(fw_report.find("Get WR"), std::string::npos);
-    EXPECT_NE(fw_report.find("busy total"), std::string::npos);
-
-    auto *conn = bed.nicOf(0).connectionOf(qp0->num());
-    ASSERT_NE(conn, nullptr);
-    ASSERT_TRUE(conn->stats().registered());
-    auto tcp_report = nic::tcpStatsReport(bed.sim().stats(),
-                                          conn->stats().statPrefix());
-    EXPECT_NE(tcp_report.find("segs out"), std::string::npos);
 }
 
 TEST(EthNicModel, RingOverflowDropsFrames)

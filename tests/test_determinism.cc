@@ -351,11 +351,10 @@ runParallelLossy(int threads, std::uint64_t seed)
 }
 
 /**
- * NBD write+read against a 2-host dual-star. No pcap here: the NBD
- * client draws its source port from a process-global counter, so
- * successive runs differ in the TCP headers (but in nothing
- * observable through stats or timing). The read phase starts from a
- * fixed tick, where both run modes stand.
+ * NBD write+read against a 2-host dual-star, every edge tapped. The
+ * client's source ports come from its own stack, so every run of the
+ * scenario in one process sends the same headers. The read phase
+ * starts from a fixed tick, where both run modes stand.
  */
 ParallelArtifacts
 runParallelNbd(int threads, std::uint64_t seed)
@@ -373,6 +372,7 @@ runParallelNbd(int threads, std::uint64_t seed)
     }
     apps::NbdSocketServer server(bed.host(1).stack(), store,
                                  apps::NbdServerConfig{});
+    const auto taps = tapAllEdges(bed.fabric());
     const auto w =
         apps::runNbdSocketsSequential(bed, 0, 1, true, 256 * 1024);
     bed.sim().runUntil(sim::oneSec);
@@ -382,7 +382,7 @@ runParallelNbd(int threads, std::uint64_t seed)
     out.completed = w.completed && r.completed && r.dataOk;
     // Each phase times its window from where its connect phase's run
     // call returned, so its rates are left out of app.
-    finishAt(bed, 2 * sim::oneSec, {}, out);
+    finishAt(bed, 2 * sim::oneSec, taps, out);
     return out;
 }
 
@@ -860,6 +860,8 @@ TEST(ParallelDeterminism, NbdThreadCountInvariant)
     EXPECT_EQ(one.endTick, four.endTick);
     EXPECT_EQ(one.executed, four.executed);
     EXPECT_EQ(one.statsJson, four.statsJson);
+    EXPECT_EQ(one.pcap, four.pcap);
+    EXPECT_FALSE(one.pcap.empty());
     EXPECT_GT(one.statsJson.size(), 1000u);
 }
 

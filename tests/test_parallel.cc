@@ -2,8 +2,9 @@
  * @file
  * Parallel-engine unit tests at the sim layer: partition execution,
  * keyed mailbox order, conservative epoch windows, thread-count
- * invariance of the schedule, the refusal to add event sources while
- * a partition executes, and Simulation delegation. These run
+ * invariance of the schedule, per-edge lookaheads, the refusal to add
+ * event sources or read Simulation::now() while a partition executes,
+ * and Simulation delegation. These run
  * threads>1 paths and are part of the ThreadSanitizer CI job.
  */
 
@@ -61,7 +62,6 @@ TEST(ParallelEngine, RunUntilStopsAndAlignsClocks)
     sim::ParallelEngine eng(simu, 2);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
-    eng.setLookahead(10);
     int ran = 0;
     a.eventQueue().schedule(5, [&] { ++ran; });
     a.eventQueue().schedule(100, [&] { ++ran; });
@@ -82,9 +82,8 @@ TEST(ParallelEngine, MailboxMergeOrderIsDeterministic)
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
     auto &c = eng.addPartition("c");
-    auto &ac = eng.mailbox(a, c);
-    auto &bc = eng.mailbox(b, c);
-    eng.setLookahead(50);
+    auto &ac = eng.mailbox(a, c, 50);
+    auto &bc = eng.mailbox(b, c, 50);
     // One source per posting partition; b's is added first, so it has
     // the lower id.
     sim::EventSource srcB = simu.addSource();
@@ -127,9 +126,8 @@ runKeyedPosts(bool reversed)
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
     auto &c = eng.addPartition("c");
-    auto &ac = eng.mailbox(a, c);
-    auto &bc = eng.mailbox(b, c);
-    eng.setLookahead(50);
+    auto &ac = eng.mailbox(a, c, 50);
+    auto &bc = eng.mailbox(b, c, 50);
 
     struct Post
     {
@@ -231,10 +229,10 @@ runRing(int threads)
     // Each partition keys its posts by its own source.
     std::vector<sim::EventSource> srcs;
     for (std::uint32_t i = 0; i < ringSize; ++i) {
-        next.push_back(&eng.mailbox(*parts[i], *parts[(i + 1) % ringSize]));
+        next.push_back(
+            &eng.mailbox(*parts[i], *parts[(i + 1) % ringSize], 100));
         srcs.push_back(simu.addSource());
     }
-    eng.setLookahead(100);
 
     RingDigest d;
     d.hits.resize(ringSize);
@@ -292,8 +290,7 @@ TEST(ParallelEngine, LastEpochMailWaitsForNextRun)
     sim::ParallelEngine eng(simu, 2);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
-    auto &ab = eng.mailbox(a, b);
-    ab.setLookahead(100);
+    auto &ab = eng.mailbox(a, b, 100);
     sim::EventSource mailer = simu.addSource();
     sim::EventSource harness = simu.addSource();
     // Written only by partition b's events.
@@ -336,8 +333,7 @@ TEST(ParallelEngine, RunAfterParkVisitsEveryWorkersPartitions)
     for (std::size_t i = 0; i < 4; ++i)
         parts.push_back(&eng.addPartition(partName(i)));
     // Mail crosses owners too: p1 (worker 1) posts to p2 (worker 2).
-    auto &mb = eng.mailbox(*parts[1], *parts[2]);
-    eng.setLookahead(10);
+    auto &mb = eng.mailbox(*parts[1], *parts[2], 10);
     sim::EventSource src = simu.addSource();
     std::vector<int> ran(parts.size(), 0);
     int mail = 0;
@@ -365,9 +361,8 @@ TEST(ParallelEngine, RunUntilConditionChecksAtBarriers)
     // partition with no incoming edges runs clean to the deadline in
     // one epoch. L=5 both ways makes H_a = next_a + 10, so with events
     // spaced 10 apart each epoch executes exactly one.
-    eng.mailbox(a, b);
-    eng.mailbox(b, a);
-    eng.setLookahead(5);
+    eng.mailbox(a, b, 5);
+    eng.mailbox(b, a, 5);
     int count = 0;
     for (Tick t = 0; t < 100; t += 10)
         a.eventQueue().schedule(t, [&] { ++count; });
@@ -391,10 +386,10 @@ TEST(ParallelEngine, PerEdgeHorizonsDecoupleSlowEdges)
     auto &sb = eng.addPartition("sb");
     // Two disjoint pairs: the fast pair's edges declare a wide
     // lookahead, the slow pair's a narrow one.
-    eng.mailbox(fa, fb).setLookahead(1000);
-    eng.mailbox(fb, fa).setLookahead(1000);
-    eng.mailbox(sa, sb).setLookahead(10);
-    eng.mailbox(sb, sa).setLookahead(10);
+    eng.mailbox(fa, fb, 1000);
+    eng.mailbox(fb, fa, 1000);
+    eng.mailbox(sa, sb, 10);
+    eng.mailbox(sb, sa, 10);
     int fast = 0;
     int slow = 0;
     for (Tick t = 0; t < 100; t += 10) {
@@ -418,11 +413,8 @@ TEST(ParallelEngine, HorizonFloorsPropagateThroughStalledChains)
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
     auto &c = eng.addPartition("c");
-    // Per-edge lookaheads only — no engine-global fallback needed.
-    auto &ab = eng.mailbox(a, b);
-    auto &bc = eng.mailbox(b, c);
-    ab.setLookahead(10);
-    bc.setLookahead(10);
+    auto &ab = eng.mailbox(a, b, 10);
+    auto &bc = eng.mailbox(b, c, 10);
     sim::EventSource srcA = simu.addSource();
     sim::EventSource srcB = simu.addSource();
 
@@ -456,9 +448,9 @@ TEST(ParallelEngine, TightestIncomingEdgeBoundsHorizon)
     // c has two incoming edges: a wide one from a and a tight one
     // from b (whose own floor tracks c through the return edge). The
     // tight edge must win: H_c = next_c + 4.
-    eng.mailbox(a, c).setLookahead(1000);
-    eng.mailbox(b, c).setLookahead(2);
-    eng.mailbox(c, b).setLookahead(2);
+    eng.mailbox(a, c, 1000);
+    eng.mailbox(b, c, 2);
+    eng.mailbox(c, b, 2);
     int count = 0;
     a.eventQueue().schedule(0, [] {});
     for (Tick t = 0; t < 100; t += 10)
@@ -470,6 +462,32 @@ TEST(ParallelEngine, TightestIncomingEdgeBoundsHorizon)
     EXPECT_EQ(eng.epochs(), 10u);
 }
 
+TEST(ParallelEngine, RedeclaredEdgeKeepsItsTightestLookahead)
+{
+    sim::Simulation simu(5);
+    sim::ParallelEngine eng(simu, 2);
+    auto &a = eng.addPartition("a");
+    auto &b = eng.addPartition("b");
+    // Two parallel trunks between one pair: a wide one declared first,
+    // then a tight one. One mailbox carries both, at the tight bound.
+    sim::Mailbox &wide = eng.mailbox(a, b, 1000);
+    EXPECT_EQ(wide.lookahead(), 1000u);
+    sim::Mailbox &tight = eng.mailbox(a, b, 10);
+    EXPECT_EQ(&tight, &wide);
+    EXPECT_EQ(tight.lookahead(), 10u);
+    // A later, wider declaration does not loosen it.
+    EXPECT_EQ(eng.mailbox(a, b, 1000).lookahead(), 10u);
+    eng.mailbox(b, a, 10);
+    // The horizon follows the kept bound: H_a = next_a + 20, so ten
+    // events 10 apart take five epochs (at 1000 they would take one).
+    int count = 0;
+    for (Tick t = 0; t < 100; t += 10)
+        a.eventQueue().schedule(t, [&] { ++count; });
+    eng.run();
+    EXPECT_EQ(count, 10);
+    EXPECT_EQ(eng.epochs(), 5u);
+}
+
 TEST(ParallelEngine, RegistersParallelStats)
 {
     sim::Simulation simu(1);
@@ -477,8 +495,7 @@ TEST(ParallelEngine, RegistersParallelStats)
         sim::ParallelEngine eng(simu, 2);
         auto &a = eng.addPartition("a");
         auto &b = eng.addPartition("b");
-        auto &ab = eng.mailbox(a, b);
-        eng.setLookahead(10);
+        auto &ab = eng.mailbox(a, b, 10);
         for (const char *leaf :
              {"parallel.epochs", "parallel.mailboxPosts",
               "parallel.batchedPosts", "parallel.horizonStalls",
@@ -537,6 +554,23 @@ TEST(ParallelEngine, SimObjectsCannotBeBuiltWhileAPartitionExecutes)
         5, [&simu] { sim::SimObject late(simu, "late"); });
     EXPECT_DEATH(eng.run(), "event source added while a partition "
                             "executes");
+}
+
+TEST(ParallelEngine, SimulationNowPanicsWhileAPartitionExecutes)
+{
+    // Inside an epoch the engine's frontier is not the running
+    // event's tick; the event's own queue has that.
+    sim::Simulation simu(1);
+    sim::ParallelEngine eng(simu, 1);
+    auto &a = eng.addPartition("a");
+    Tick seen = 0;
+    a.eventQueue().schedule(5, [&] { seen = a.eventQueue().now(); });
+    eng.run();
+    EXPECT_EQ(seen, 5u);
+    EXPECT_EQ(simu.now(), eng.now());
+    a.eventQueue().schedule(9, [&simu] { (void)simu.now(); });
+    EXPECT_DEATH(eng.run(), "Simulation::now\\(\\) read while a "
+                            "partition executes");
 }
 
 TEST(ParallelEngine, AssignByPrefixRebindsMatchingObjects)

