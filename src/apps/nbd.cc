@@ -327,35 +327,77 @@ NbdQpipServer::onRequest(std::shared_ptr<verbs::QueuePair> qp,
 
 namespace {
 
-struct ClientWindow
+/**
+ * A sequential client's progress through its device. Both transports
+ * keep up to params.pipelineDepth requests in flight, like the kernel
+ * driver's request queue.
+ */
+struct ClientRun
 {
-    Tick t0 = 0;
-    Tick busy0 = 0;
+    std::uint64_t nextOffset = 0;
+    std::uint64_t completed = 0;
+    std::size_t outstanding = 0;
+    std::uint64_t handle = 1;
+    /** handle -> (offset, length) of each request in flight. */
+    std::unordered_map<std::uint64_t,
+                       std::pair<std::uint64_t, std::uint32_t>>
+        reqs;
+    bool done = false;
+    bool dataOk = true;
+    /** The client's window: its connect callback to its last reply. */
+    HostWindow window;
+
+    /** Put the next request of a @p total_bytes run in flight. */
+    NbdRequest
+    next(bool is_write, std::size_t request_bytes,
+         std::uint64_t total_bytes)
+    {
+        NbdRequest req;
+        req.type = is_write ? NbdOp::Write : NbdOp::Read;
+        req.handle = handle++;
+        req.offset = nextOffset;
+        req.length = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+            request_bytes, total_bytes - nextOffset));
+        reqs[req.handle] = {req.offset, req.length};
+        nextOffset += req.length;
+        ++outstanding;
+        return req;
+    }
+
+    void
+    finish(host::Host &client)
+    {
+        window.close(client);
+        done = true;
+    }
+
+    /** @param ran whether the run call saw the client finish. */
+    NbdRunResult
+    result(std::uint64_t total_bytes, bool ran) const
+    {
+        NbdRunResult r;
+        if (window.span() == 0)
+            return r;
+        r.mbPerSec = mbPerSec(total_bytes, window.span());
+        r.clientCpuUtil = window.cpuUtil();
+        r.mbPerCpuSec =
+            mbPerSec(total_bytes, window.busy1 - window.busy0);
+        r.completed = ran && done;
+        r.dataOk = dataOk;
+        return r;
+    }
 };
 
-NbdRunResult
-finishRun(const ClientWindow &w, Tick t_end, Tick busy_end,
-          std::uint64_t total_bytes, bool completed, bool data_ok)
+/** @p req on the wire; a write carries its pattern payload. */
+std::vector<std::uint8_t>
+requestWire(const NbdRequest &req)
 {
-    NbdRunResult r;
-    const Tick wall = t_end - w.t0;
-    if (wall == 0)
-        return r;
-    const double mb = static_cast<double>(total_bytes) / (1024.0 * 1024.0);
-    r.mbPerSec = mb / sim::ticksToSec(wall);
-    r.clientCpuUtil =
-        host::CpuModel::utilization(busy_end - w.busy0, wall);
-    const double cpu_sec = sim::ticksToSec(busy_end - w.busy0);
-    r.mbPerCpuSec = cpu_sec > 0 ? mb / cpu_sec : 0.0;
-    r.completed = completed;
-    r.dataOk = data_ok;
-    return r;
+    if (req.type != NbdOp::Write)
+        return serializeNbdRequest(req);
+    std::vector<std::uint8_t> payload(req.length);
+    fillPattern(req.offset, payload);
+    return serializeNbdRequest(req, payload);
 }
-
-} // namespace
-namespace {
-
-/** Shared measurement window helpers (defined above). */
 
 } // namespace
 
@@ -367,36 +409,23 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
 {
     auto &sim = bed.sim();
     auto &client = bed.host(client_idx);
-    host::HostOS &os = client.os();
     auto cfg = client.stack().defaultTcpConfig();
     cfg.noDelay = true;
 
+    // The first request and the client's window start from the
+    // connect callback.
+    auto start = std::make_shared<std::function<void()>>();
     auto sock = client.stack().tcpConnect(
         // A fresh source port per run: old connections may linger.
         bed.addr(client_idx, client.stack().ephemeralPort()),
-        bed.addr(server_idx, port), cfg, nullptr);
-    sim.runUntilCondition([&] { return sock->connected(); },
-                          sim.now() + runDeadline);
+        bed.addr(server_idx, port), cfg, [start](bool ok) {
+            if (ok)
+                (*start)();
+        });
 
-    ClientWindow window;
-    window.t0 = sim.now();
-    window.busy0 = client.cpu().busyTotal();
-
-    // Pipelined block layer: up to params.pipelineDepth requests in
-    // flight, like the kernel driver's request queue.
-    struct St
+    struct St : ClientRun
     {
-        std::uint64_t nextOffset = 0;
-        std::uint64_t completed = 0;
-        std::size_t outstanding = 0;
-        std::uint64_t handle = 1;
-        std::unordered_map<std::uint64_t,
-                           std::pair<std::uint64_t, std::uint32_t>>
-            reqs;
         bool senderActive = false;
-        bool done = false;
-        bool dataOk = true;
-        sim::Tick tEnd = 0;
     };
     auto st = std::make_shared<St>();
 
@@ -417,41 +446,22 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
             return;
         }
         st->senderActive = true;
-        const auto len = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(params.requestBytes,
-                                    total_bytes - st->nextOffset));
-        NbdRequest req;
-        req.type = is_write ? NbdOp::Write : NbdOp::Read;
-        req.handle = st->handle++;
-        req.offset = st->nextOffset;
-        req.length = len;
-        st->reqs[req.handle] = {req.offset, len};
-        st->nextOffset += len;
-        ++st->outstanding;
-
+        const NbdRequest req =
+            st->next(is_write, params.requestBytes, total_bytes);
         // Filesystem / block-layer work above the NBD driver.
-        client.os().defer(fs_per_req, [sock, st, sender, req,
-                                       is_write, len] {
-            std::vector<std::uint8_t> wire;
-            if (is_write) {
-                std::vector<std::uint8_t> payload(len);
-                fillPattern(req.offset, payload);
-                wire = serializeNbdRequest(req, payload);
-            } else {
-                wire = serializeNbdRequest(req);
-            }
-            sock->sendAll(std::move(wire), [st, sender] {
+        client.os().defer(fs_per_req, [sock, st, sender, req] {
+            sock->sendAll(requestWire(req), [st, sender] {
                 st->senderActive = false;
                 (*sender)();
             });
         });
     };
 
-    *reader = [&os, sock, st, sender, reader, finish_write,
+    *reader = [&client, sock, st, sender, reader, finish_write,
                total_bytes, is_write, params] {
         sock->recvExact(
             nbdReplyHeaderBytes,
-            [&os, sock, st, sender, reader, finish_write,
+            [&client, sock, st, sender, reader, finish_write,
              total_bytes, is_write, params](std::vector<std::uint8_t> h) {
                 std::uint64_t handle = 0;
                 std::uint32_t err = 0;
@@ -462,7 +472,7 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
                 }
                 const auto [req_off, len] = st->reqs[handle];
                 st->reqs.erase(handle);
-                auto complete = [&os, st, sender, reader,
+                auto complete = [&client, st, sender, reader,
                                  finish_write, total_bytes,
                                  is_write](std::uint32_t n) {
                     --st->outstanding;
@@ -470,10 +480,8 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
                     if (st->completed >= total_bytes) {
                         if (is_write)
                             (*finish_write)();
-                        else {
-                            st->tEnd = os.curTick();
-                            st->done = true;
-                        }
+                        else
+                            st->finish(client);
                         return;
                     }
                     (*sender)();
@@ -503,29 +511,30 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
             });
     };
 
-    *finish_write = [&os, sock, st] {
+    *finish_write = [&client, sock, st] {
         // 'sync': flush the server's dirty buffer to disk.
         NbdRequest req;
         req.type = NbdOp::Flush;
         req.handle = 0xffff;
         sock->sendAll(serializeNbdRequest(req), [] {});
         sock->recvExact(nbdReplyHeaderBytes,
-                        [&os, st](std::vector<std::uint8_t>) {
-                            st->tEnd = os.curTick();
-                            st->done = true;
+                        [&client, st](std::vector<std::uint8_t>) {
+                            st->finish(client);
                         });
     };
 
     bed.releaseAtTeardown(sender);
     bed.releaseAtTeardown(reader);
     bed.releaseAtTeardown(finish_write);
-    (*sender)();
-    (*reader)();
+    *start = [&client, st, sender, reader] {
+        st->window.open(client);
+        (*sender)();
+        (*reader)();
+    };
 
     const bool ok = sim.runUntilCondition([&] { return st->done; },
                                           sim.now() + runDeadline);
-    return finishRun(window, st->tEnd, client.cpu().busyTotal(),
-                     total_bytes, ok && st->done, st->dataOk);
+    return st->result(total_bytes, ok);
 }
 
 NbdRunResult
@@ -536,7 +545,6 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
 {
     auto &sim = bed.sim();
     auto &client = bed.host(client_idx);
-    host::HostOS &os = client.os();
     auto &prov = bed.provider(client_idx);
 
     const std::size_t depth = params.pipelineDepth;
@@ -554,30 +562,9 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
     auto qp = prov.createQp(nic::QpType::ReliableTcp, cq, cq,
                             depth * 2 + 8, depth + 4);
 
-    auto connected = std::make_shared<bool>(false);
-    qp->connect(bed.addr(server_idx, port),
-                [connected](bool ok) { *connected = ok; });
-    sim.runUntilCondition([&] { return *connected; },
-                          sim.now() + runDeadline);
-
-    ClientWindow window;
-    window.t0 = sim.now();
-    window.busy0 = client.cpu().busyTotal();
-
-    struct St
+    struct St : ClientRun
     {
-        std::uint64_t nextOffset = 0;
-        std::uint64_t completed = 0;
-        std::size_t outstanding = 0;
-        std::uint64_t handle = 1;
-        /** handle -> (offset, length) of each request in flight. */
-        std::unordered_map<std::uint64_t,
-                           std::pair<std::uint64_t, std::uint32_t>>
-            reqs;
-        bool done = false;
         bool flushing = false;
-        bool dataOk = true;
-        sim::Tick tEnd = 0;
     };
     auto st = std::make_shared<St>();
 
@@ -592,31 +579,13 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
               depth] {
         while (!st->done && st->nextOffset < total_bytes &&
                st->outstanding < depth) {
-            const auto len = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(params.requestBytes,
-                                        total_bytes - st->nextOffset));
-            NbdRequest req;
-            req.type = is_write ? NbdOp::Write : NbdOp::Read;
-            req.handle = st->handle++;
-            req.offset = st->nextOffset;
-            req.length = len;
-            st->nextOffset += len;
-            st->reqs[req.handle] = {req.offset, len};
-            ++st->outstanding;
+            const NbdRequest req =
+                st->next(is_write, params.requestBytes, total_bytes);
             const std::size_t slot = req.handle % depth;
-
             client.os().defer(
-                fs_per_req,
-                [qp, req_mr, rep_mr, req_buf, req, is_write, len,
-                 slot, req_slot, rep_slot] {
-                    std::vector<std::uint8_t> msg;
-                    if (is_write) {
-                        std::vector<std::uint8_t> payload(len);
-                        fillPattern(req.offset, payload);
-                        msg = serializeNbdRequest(req, payload);
-                    } else {
-                        msg = serializeNbdRequest(req);
-                    }
+                fs_per_req, [qp, req_mr, rep_mr, req_buf, req, slot,
+                             req_slot, rep_slot] {
+                    const auto msg = requestWire(req);
                     std::copy(msg.begin(), msg.end(),
                               req_buf->begin() +
                                   static_cast<std::ptrdiff_t>(
@@ -643,15 +612,14 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
 
     // Completion pump: the kernel NBD driver blocks on CQ events.
     auto pump = std::make_shared<std::function<void()>>();
-    *pump = [&os, cq, rep_buf, st, issue, pump, total_bytes,
+    *pump = [&client, cq, rep_buf, st, issue, pump, total_bytes,
              is_write, rep_slot, start_flush, depth, params] {
-        cq->wait([&os, cq, rep_buf, st, issue, pump, total_bytes,
+        cq->wait([&client, cq, rep_buf, st, issue, pump, total_bytes,
                   is_write, rep_slot, start_flush, depth,
                   params](verbs::Completion c) {
             if (!c.isSend && c.status == verbs::WcStatus::Success) {
                 if (st->flushing) {
-                    st->tEnd = os.curTick();
-                    st->done = true;
+                    st->finish(client);
                     return;
                 }
                 const std::size_t base =
@@ -682,8 +650,7 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
                     if (is_write) {
                         start_flush();
                     } else {
-                        st->tEnd = os.curTick();
-                        st->done = true;
+                        st->finish(client);
                         return;
                     }
                 }
@@ -694,13 +661,20 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
     };
 
     bed.releaseAtTeardown(pump);
-    (*issue)();
-    (*pump)();
+    // The first request and the client's window start from the
+    // connect callback.
+    qp->connect(bed.addr(server_idx, port),
+                [&client, st, issue, pump](bool ok) {
+                    if (!ok)
+                        return;
+                    st->window.open(client);
+                    (*issue)();
+                    (*pump)();
+                });
 
     const bool ok = sim.runUntilCondition([&] { return st->done; },
                                           sim.now() + runDeadline);
-    return finishRun(window, st->tEnd, client.cpu().busyTotal(),
-                     total_bytes, ok && st->done, st->dataOk);
+    return st->result(total_bytes, ok);
 }
 
 } // namespace qpip::apps

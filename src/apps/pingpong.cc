@@ -109,12 +109,14 @@ runSocketTcpPingPong(SocketsTestbed &bed, std::size_t iterations,
     };
     bed.releaseAtTeardown(iterate);
 
-    auto sock = client.tcpConnect(
-        bed.addr(0, 30001), bed.addr(1, serverPort), cfg, nullptr);
-    // Kick the loop once connected.
-    sim.runUntilCondition([&] { return sock->connected(); },
-                          sim.now() + runDeadline);
-    (*iterate)(sock);
+    // Kick the loop from the connect callback.
+    auto sock = std::make_shared<std::shared_ptr<TcpSocket>>();
+    *sock = client.tcpConnect(bed.addr(0, 30001),
+                              bed.addr(1, serverPort), cfg,
+                              [iterate, sock](bool ok) {
+                                  if (ok)
+                                      (*iterate)(*sock);
+                              });
     sim.runUntilCondition([&] { return st->finished; },
                           sim.now() + runDeadline);
     return collect(*st);

@@ -217,4 +217,27 @@ QpipTestbed::~QpipTestbed()
     clearEvents();
 }
 
+void
+HostWindow::open(host::Host &h)
+{
+    t0 = h.os().curTick();
+    busy0 = h.cpu().busyTotal();
+}
+
+void
+HostWindow::close(host::Host &h)
+{
+    t1 = h.os().curTick();
+    busy1 = h.cpu().busyTotal();
+}
+
+double
+mbPerSec(std::uint64_t bytes, sim::Tick ticks)
+{
+    if (ticks == 0)
+        return 0.0;
+    return static_cast<double>(bytes) / (1024.0 * 1024.0) /
+           sim::ticksToSec(ticks);
+}
+
 } // namespace qpip::apps

@@ -204,4 +204,31 @@ class QpipTestbed : public Testbed
     std::vector<std::unique_ptr<verbs::Provider>> providers_;
 };
 
+/**
+ * One host's measurement window, opened and closed from that host's
+ * own simulated callbacks (connect or accept, then its last event):
+ * a partitioned run measures what the serial run does.
+ */
+struct HostWindow
+{
+    sim::Tick t0 = 0;
+    sim::Tick busy0 = 0;
+    sim::Tick t1 = 0;
+    sim::Tick busy1 = 0;
+
+    void open(host::Host &h);
+    void close(host::Host &h);
+    /** Ticks from open to close (0 until closed). */
+    sim::Tick span() const { return t1 > t0 ? t1 - t0 : 0; }
+    /** Host CPU busy fraction over the window (0 until closed). */
+    double
+    cpuUtil() const
+    {
+        return host::CpuModel::utilization(busy1 - busy0, span());
+    }
+};
+
+/** MB/s (2^20 bytes) of @p bytes moved in @p ticks; 0 for none. */
+double mbPerSec(std::uint64_t bytes, sim::Tick ticks);
+
 } // namespace qpip::apps

@@ -15,22 +15,26 @@
 
 namespace qpip::apps {
 
-/** Result of one ttcp run. */
+/** Result of one ttcp run, the same serial or partitioned. */
 struct TtcpResult
 {
+    /** Payload over [sender's connect, receiver's last byte]. */
     double mbPerSec = 0.0;
+    /** Sender CPU over its own window, connect to last write done. */
     double txCpuUtil = 0.0;
+    /** Receiver CPU over its own window, accept to last byte. */
     double rxCpuUtil = 0.0;
     double elapsedMs = 0.0;
     bool completed = false;
 };
 
-/** Bulk TCP transfer over the sockets stack, host 0 -> host 1. */
+/** Bulk TCP, host 0 -> host 1: the one-pair runSocketsTtcpPairs. */
 TtcpResult runSocketsTtcp(SocketsTestbed &bed, std::size_t total_bytes,
                           std::size_t chunk_bytes = 16384);
 
 /**
- * Bulk reliable-QP transfer over QPIP, host 0 -> host 1.
+ * Bulk reliable-QP transfer over QPIP, host 0 -> host 1, posted from
+ * the connect callback. A QPIP write is done when its send completes.
  * @param pipeline_depth outstanding WRs kept posted on each side.
  * @param poll_interval completion-reaper period.
  */
@@ -56,7 +60,6 @@ struct MultiTtcpResult
      * callback) to the last one's completion.
      */
     sim::Tick elapsedTicks = 0;
-    double elapsedMs = 0.0;
     std::size_t pairsCompleted = 0;
     bool completed = false;
 };

@@ -1081,7 +1081,7 @@ TcpConnection::processData(const TcpHeader &hdr,
 
     // Out of order (hdr.seq > rcvNxt_).
     stats_.oooSegments.inc();
-    if (cfg_.reassembly && !cfg_.messageMode) {
+    if (!cfg_.messageMode) {
         const std::uint64_t off = rcvOffset_ + (hdr.seq - rcvNxt_);
         reass_.insert(off, payload, rcvOffset_);
     } else {

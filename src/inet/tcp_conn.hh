@@ -88,10 +88,9 @@ struct TcpConfig
     bool noDelay = false;
     bool delayedAck = true;
     sim::Tick delAckTimeout = 40 * sim::oneMs;
-    /** QPIP message-per-segment discipline. */
+    /** QPIP message-per-segment discipline; it drops out-of-order
+     *  segments (the firmware subset has no reassembly). */
     bool messageMode = false;
-    /** Buffer out-of-order segments (host stacks yes, firmware no). */
-    bool reassembly = true;
     /** Stream-mode send buffer bytes. */
     std::uint32_t sendBufBytes = 256 * 1024;
     sim::Tick minRto = 200 * sim::oneMs;

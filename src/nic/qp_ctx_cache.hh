@@ -18,10 +18,11 @@
  * it holds one entry however many peers it talks to. A miss therefore
  * displaces at most one victim.
  *
- * A capacity of zero disables the model entirely: every touch hits
- * and nothing is ever charged, which is also the timing behaviour of
- * a warm cache that never overflows — the paper-config calibration
- * tests assert the two are byte-identical.
+ * There is one accounting mode. The paper's workloads use a handful
+ * of QPs: the management FSM warm-installs each context at creation,
+ * the default capacity never overflows, and so nothing is ever
+ * charged (the occupancy tests assert zero misses, evictions and
+ * CtxFetch charges there).
  */
 
 #pragma once
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "nic/qp_state.hh"
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 
 namespace qpip::nic {
@@ -49,24 +51,25 @@ class QpContextCache
         bool evicted = false;
     };
 
-    /** Room for @p capacity contexts; zero disables the model. */
-    explicit QpContextCache(std::size_t capacity) : capacity_(capacity) {}
+    /** Room for @p capacity contexts (at least one). */
+    explicit QpContextCache(std::size_t capacity) : capacity_(capacity)
+    {
+        if (capacity == 0)
+            sim::panic("QpContextCache: capacity must be at least 1");
+    }
 
-    bool enabled() const { return capacity_ > 0; }
     std::size_t size() const { return size_; }
 
     /**
      * Reference @p qp's context (any firmware stage that reads or
      * writes QP state). A resident context moves to the MRU position;
      * a non-resident one is fetched, displacing the LRU entry when
-     * the cache is full. With the model disabled this is a no-op hit.
+     * the cache is full.
      */
     Touch
     touch(QpNum qp)
     {
         Touch t;
-        if (!enabled())
-            return t;
         if (resident(qp)) {
             unlink(qp);
             linkMru(qp);
@@ -88,7 +91,7 @@ class QpContextCache
     install(QpNum qp)
     {
         Touch t;
-        if (!enabled() || resident(qp))
+        if (resident(qp))
             return t;
         insertMru(qp, t);
         return t;
@@ -98,7 +101,7 @@ class QpContextCache
     void
     remove(QpNum qp)
     {
-        if (!enabled() || !resident(qp))
+        if (!resident(qp))
             return;
         unlink(qp);
         --size_;
@@ -107,8 +110,7 @@ class QpContextCache
     bool
     resident(QpNum qp) const
     {
-        return !enabled() ||
-               (qp < links_.size() && links_[qp].resident);
+        return qp < links_.size() && links_[qp].resident;
     }
 
     sim::Counter hits;

@@ -32,8 +32,7 @@ inet::TcpConfig
 QpipNicParams::defaultFirmwareTcpConfig()
 {
     inet::TcpConfig cfg;
-    cfg.messageMode = true;
-    cfg.reassembly = false; // prototype subset: no OOO reassembly
+    cfg.messageMode = true; // prototype subset: no OOO reassembly
     cfg.delayedAck = false; // SAN latency: ACK every message
     cfg.noDelay = true;
     cfg.mss = 16384;
@@ -66,7 +65,6 @@ QpipNic::QpipNic(sim::Simulation &sim, std::string name, net::Link &link,
 {
     // Force the prototype's transport subset regardless of overrides.
     params_.tcp.messageMode = true;
-    params_.tcp.reassembly = false;
     regStat("badPackets", badPackets);
     regStat("noQpDrops", noQpDrops);
     regStat("udpNoWrDrops", udpNoWrDrops);

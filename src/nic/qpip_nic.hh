@@ -58,15 +58,15 @@ struct QpipNicParams
     /** Per-direction PCI DMA engine parameters (LANai 9 has two). */
     DmaConfig dma{264e6, sim::oneUs * 5 / 2};
     std::size_t doorbellCap = 1024;
-    /** Firmware TCP defaults (messageMode/reassembly forced). */
+    /** Firmware TCP defaults (messageMode forced). */
     inet::TcpConfig tcp = defaultFirmwareTcpConfig();
     /** Reassembly partial-datagram expiry. */
     sim::Tick reassExpiry = 50 * sim::oneMs;
     /**
      * QP contexts resident in NIC SRAM before eviction (the LANai's
      * 2 MB part holds on the order of a thousand context blocks
-     * beside the firmware and staging buffers). Zero disables the
-     * cache model: every touch hits and nothing is charged.
+     * beside the firmware and staging buffers). At least 1: a
+     * workload whose QPs all fit never misses and is charged nothing.
      */
     std::size_t qpCacheCapacity = 1024;
     /**

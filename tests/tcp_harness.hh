@@ -287,7 +287,6 @@ messageConfig()
 {
     inet::TcpConfig cfg;
     cfg.messageMode = true;
-    cfg.reassembly = false;
     cfg.delayedAck = false;
     cfg.noDelay = true;
     cfg.mss = 16384;

@@ -169,41 +169,20 @@ TEST(Occupancy, QpContextCacheIsFreeInPaperConfigs)
 {
     // The paper's experiments run a handful of QPs; a cache sized
     // like the LANai's SRAM (the default 1024 contexts) warm-installs
-    // every context at creation and never misses, so the Tables 2/3
-    // timing must be byte-identical to a build with the cache model
-    // disabled — fetch/writeback charges only appear under thrash.
-    struct Snapshot
-    {
-        sim::Tick endTick, busyTx, busyRx;
-        std::vector<std::pair<std::uint64_t, double>> stages;
-    };
-    auto run = [](std::size_t capacity) {
-        nic::QpipNicParams p;
-        p.qpCacheCapacity = capacity;
-        QpipTestbed bed(2, qpipNativeMtu, 1, p);
-        EXPECT_TRUE(runOneWay(bed, 100));
-        Snapshot s{bed.sim().now(), bed.nicOf(0).fw().busyTotal(),
-                   bed.nicOf(1).fw().busyTotal(),
-                   {}};
-        for (int n = 0; n < 2; ++n) {
-            for (int i = 0; i < static_cast<int>(FwStage::NumStages);
-                 ++i) {
-                const auto &st = bed.nicOf(n).fw().stageStat(
-                    static_cast<FwStage>(i));
-                s.stages.emplace_back(st.count(), st.total());
-            }
-        }
-        if (capacity > 0) {
-            EXPECT_EQ(bed.nicOf(0).qpCache().misses.value(), 0u);
-            EXPECT_EQ(bed.nicOf(0).qpCache().evictions.value(), 0u);
-            EXPECT_GT(bed.nicOf(0).qpCache().hits.value(), 0u);
-        }
-        return s;
-    };
-    const auto cached = run(1024);
-    const auto uncached = run(0);
-    EXPECT_EQ(cached.endTick, uncached.endTick);
-    EXPECT_EQ(cached.busyTx, uncached.busyTx);
-    EXPECT_EQ(cached.busyRx, uncached.busyRx);
-    EXPECT_EQ(cached.stages, uncached.stages);
+    // every context at creation and never misses, so it charges the
+    // firmware nothing — fetch/writeback charges only appear under
+    // thrash. The Tables 2/3 pins hold the timing itself.
+    QpipTestbed bed(2);
+    ASSERT_TRUE(runOneWay(bed, 100));
+    for (int n = 0; n < 2; ++n) {
+        SCOPED_TRACE(n);
+        const auto &cache = bed.nicOf(n).qpCache();
+        EXPECT_GT(cache.hits.value(), 0u);
+        EXPECT_EQ(cache.misses.value(), 0u);
+        EXPECT_EQ(cache.evictions.value(), 0u);
+        EXPECT_EQ(bed.nicOf(n).ctxWritebacks.value(), 0u);
+        const auto &fetch = bed.nicOf(n).fw().stageStat(FwStage::CtxFetch);
+        EXPECT_EQ(fetch.count(), 0u);
+        EXPECT_EQ(fetch.total(), 0.0);
+    }
 }

@@ -770,33 +770,25 @@ TEST(QpCtxCache, MissesAndEvictionsAreCounted)
     EXPECT_GE(bed.nicOf(0).ctxWritebacks.value(), 1u);
 }
 
-TEST(QpCtxCache, DisabledCacheCountsNothing)
+TEST(QpCtxCacheDeathTest, ZeroCapacityPanics)
 {
-    nic::QpipNicParams params;
-    params.qpCacheCapacity = 0;
-    QpipTestbed bed(2, qpipNativeMtu, 1, params);
-
-    auto &prov = bed.provider(0);
-    auto cq = prov.createCq();
-    auto qp = prov.createQp(nic::QpType::UnreliableUdp, cq, cq);
-    qp->bind(9000);
-    std::vector<std::uint8_t> buf(4096);
-    auto mr = prov.registerMemory(buf);
-    ASSERT_TRUE(qp->postSend(1, *mr, 0, 64, bed.addr(1, 9100)));
-    bed.sim().runFor(10 * sim::oneMs);
-
-    const auto &cache = bed.nicOf(0).qpCache();
-    EXPECT_FALSE(cache.enabled());
-    EXPECT_EQ(cache.hits.value(), 0u);
-    EXPECT_EQ(cache.misses.value(), 0u);
-    EXPECT_EQ(cache.evictions.value(), 0u);
+    // One accounting mode: a cache with no room is a configuration
+    // error, not a switch that turns the model off.
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(nic::QpContextCache{0}, "capacity must be at least 1");
+    EXPECT_DEATH(
+        {
+            nic::QpipNicParams params;
+            params.qpCacheCapacity = 0;
+            QpipTestbed bed(2, qpipNativeMtu, 1, params);
+        },
+        "capacity must be at least 1");
 }
 
 TEST(QpCtxCache, EveryEvictionOwesOneWriteback)
 {
     // Two context blocks of SRAM.
     nic::QpContextCache cache(2);
-    EXPECT_TRUE(cache.enabled());
 
     // Filling the cache evicts nothing, so nothing owes a writeback.
     EXPECT_FALSE(cache.install(1).evicted);
