@@ -89,38 +89,38 @@ TEST(Figure4, RowsMatchTheRecordedResults)
     {
         SCOPED_TRACE("IP/GigE");
         expectRow(f.gige,
-                  46.920316942822538, 0.89220194078980042,
-                  0.99481970642729756);
+                  46.924440144504516, 0.90385132610052088,
+                  0.99494113770569348);
     }
     {
         SCOPED_TRACE("IP/Myrinet");
         expectRow(f.myrinet,
-                  59.433032962541702, 0.53374051379046283,
-                  0.61963364456209946);
+                  59.43964870619962, 0.54034259540186913,
+                  0.61970970911003243);
     }
     {
         SCOPED_TRACE("QPIP native");
         expectRow(f.qpipNative,
-                  75.633273618342699, 0.0127393940292371,
-                  0.011116163738171524);
+                  75.633273618342699, 0.01285773813740458,
+                  0.01111758815431165);
     }
     {
         SCOPED_TRACE("QPIP 9000");
         expectRow(f.qpip9000,
-                  64.592414757713215, 0.010962859968683014,
-                  0.0095730637551678776);
+                  64.592414757713215, 0.010978243428201811,
+                  0.0095741113501291997);
     }
     {
         SCOPED_TRACE("QPIP 1500");
         expectRow(f.qpip1500,
-                  35.686636218352817, 0.0062962910058185634,
-                  0.0055331147859940229);
+                  35.686636218352817, 0.0063556462500000003,
+                  0.0055334493004996427);
     }
     {
         SCOPED_TRACE("QPIP firmware checksum");
         expectRow(f.qpipFirmwareCksum,
-                  28.439839164593703, 0.005129099590870133,
-                  0.0045202791744953256);
+                  28.439839164593703, 0.0051616802175157416,
+                  0.0045205289562002277);
     }
 }
 
@@ -134,7 +134,7 @@ TEST(Figure4, QpipBeatsBothHostStacksAtNativeMtu)
 TEST(Figure4, HostStacksBurnTheCpuQpipStaysNearOnePercent)
 {
     // The paper: the host stacks consume half to three quarters of a
-    // host processor, QPIP about 1 %. EXPERIMENTS.md: 53-99 % for the
+    // host processor, QPIP about 1 %. EXPERIMENTS.md: 54-99 % for the
     // host stacks, at most 1.3 % for any QPIP row.
     const Figure4 &f = figure4();
     for (const TtcpResult *r : {&f.gige, &f.myrinet}) {

@@ -100,25 +100,25 @@ TEST(Figure7, RowsMatchTheRecordedResults)
     {
         SCOPED_TRACE("IP/GigE write");
         expectRow(f.gige.write,
-                  37.560931735385992, 0.87986897011639309,
+                  37.562583112897208, 0.87990765381679514,
                   42.689233296200072);
     }
     {
         SCOPED_TRACE("IP/GigE read");
         expectRow(f.gige.read,
-                  37.246443415786203, 0.99911734479258463,
+                  37.248067255321509, 0.9991609034815786,
                   37.279348226627491);
     }
     {
         SCOPED_TRACE("IP/Myrinet write");
         expectRow(f.myrinet.write,
-                  46.351432302477384, 0.64508888672441556,
+                  46.353947108191939, 0.64512388614381089,
                   71.85278378897091);
     }
     {
         SCOPED_TRACE("IP/Myrinet read");
         expectRow(f.myrinet.read,
-                  58.937718944515403, 0.88191736853074976,
+                  58.94178498001547, 0.88197821084688954,
                   66.829071574703221);
     }
     {
