@@ -86,22 +86,18 @@ Testbed::meshRoutes(
 }
 
 /**
- * One partition per host named "host<i>" (binding the host, its OS,
- * stack and NIC by name prefix), then hand the fabric's switches and
- * links to partitionFabric.
+ * partitionFabric makes the partitions, one per switch, and says
+ * which one each host joins; the host, its OS, stack and NIC are
+ * bound there by their "host<i>" name prefix.
  */
 void
 Testbed::enableParallel(int threads)
 {
     engine_ = std::make_unique<sim::ParallelEngine>(sim_, threads);
-    std::vector<sim::Partition *> parts;
-    for (std::size_t i = 0; i < hosts_.size(); ++i) {
-        const std::string prefix = "host" + std::to_string(i);
-        sim::Partition &p = engine_->addPartition(prefix);
-        engine_->assignByPrefix(prefix, p);
-        parts.push_back(&p);
-    }
-    net::partitionFabric(*engine_, *fabric_, parts);
+    hostParts_ = net::partitionFabric(*engine_, *fabric_);
+    for (std::size_t i = 0; i < hosts_.size(); ++i)
+        engine_->assignByPrefix("host" + std::to_string(i),
+                                partitionOf(i));
 }
 
 void

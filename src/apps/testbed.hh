@@ -71,14 +71,24 @@ class Testbed
 
     /**
      * Shard the testbed across a parallel engine: one partition per
-     * host (host + NIC + the sending side of its spoke), one per
-     * switch, with the fabric's minimum propagation delay as the
-     * conservative lookahead. Call once, after construction and
-     * before the first run. threads=1 runs the identical partitioned
-     * schedule on one thread — the bit-identity baseline.
+     * switch, which its hosts (host, NIC and spoke) share, so only
+     * switch-to-switch links cross partitions (net::partitionFabric).
+     * A one-switch star is one partition. Call once, after
+     * construction and before the first run. threads=1 runs the
+     * identical partitioned schedule on one thread — the bit-identity
+     * baseline.
      */
     void enableParallel(int threads);
     sim::ParallelEngine *engine() { return engine_.get(); }
+
+    /**
+     * The partition host @p i runs in, where objects of its own built
+     * outside the testbed belong. @pre enableParallel was called.
+     */
+    sim::Partition &partitionOf(std::size_t i) const
+    {
+        return *hostParts_.at(i);
+    }
 
     /** The address of host @p i with @p port. */
     inet::SockAddr addr(std::size_t i, std::uint16_t port) const;
@@ -136,6 +146,8 @@ class Testbed
      * pool before any model teardown begins.
      */
     std::unique_ptr<sim::ParallelEngine> engine_;
+    /** Each host's partition, by index (set by enableParallel). */
+    std::vector<sim::Partition *> hostParts_;
     std::unique_ptr<net::Fabric> fabric_;
     std::vector<std::unique_ptr<host::Host>> hosts_;
     /** Loop resets for teardown (releaseAtTeardown). */

@@ -136,6 +136,17 @@ class Link : public sim::SimObject, public LinkCounters
     void bindSide(int side, const LinkBoundary &boundary);
 
     /**
+     * The cross-partition channel @p side's direction delivers
+     * through: nullptr when unbound or when both ends share a
+     * partition.
+     */
+    sim::Mailbox *
+    outbox(int side) const
+    {
+        return dir_.at(static_cast<std::size_t>(side)).outbox;
+    }
+
+    /**
      * Record every frame that occupies the wire from @p side into
      * @p writer: after fault injection, so corrupted bytes are seen,
      * at the tick serialization starts. On a bound link the two

@@ -201,9 +201,8 @@ makeKAryFatTree(sim::Simulation &sim, std::string name,
 
 // --- partitionFabric ------------------------------------------------
 
-void
-partitionFabric(sim::ParallelEngine &engine, Fabric &fabric,
-                const std::vector<sim::Partition *> &host_parts)
+std::vector<sim::Partition *>
+partitionFabric(sim::ParallelEngine &engine, Fabric &fabric)
 {
     std::vector<sim::Partition *> sw_parts;
     sw_parts.reserve(fabric.numSwitches());
@@ -214,12 +213,34 @@ partitionFabric(sim::ParallelEngine &engine, Fabric &fabric,
         sw_parts.push_back(&p);
     }
 
-    const auto part_of =
-        [&](const Fabric::Attachment &a) -> sim::Partition * {
-        return a.isSwitch ? sw_parts.at(a.index)
-                          : host_parts.at(a.index);
-    };
+    // Each host joins the switch its spoke attaches to, so spokes
+    // never cross a partition; a host with no switch attachment keeps
+    // a partition of its own.
+    std::vector<sim::Partition *> host_parts;
+    for (const Fabric::Edge &e : fabric.edges()) {
+        for (std::size_t side = 0; side < 2; ++side) {
+            const Fabric::Attachment &host = e.ends[side];
+            const Fabric::Attachment &peer = e.ends[side ^ 1];
+            if (host.isSwitch)
+                continue;
+            if (host.index >= host_parts.size())
+                host_parts.resize(host.index + 1, nullptr);
+            if (peer.isSwitch && host_parts[host.index] == nullptr)
+                host_parts[host.index] = sw_parts.at(peer.index);
+        }
+    }
+    for (const Fabric::Edge &e : fabric.edges()) {
+        for (const Fabric::Attachment &a : e.ends) {
+            if (!a.isSwitch && host_parts[a.index] == nullptr) {
+                host_parts[a.index] = &engine.addPartition(
+                    fabric.name() + ".node" + std::to_string(a.index));
+            }
+        }
+    }
 
+    const auto part_of = [&](const Fabric::Attachment &a) {
+        return a.isSwitch ? sw_parts.at(a.index) : host_parts.at(a.index);
+    };
     for (const Fabric::Edge &e : fabric.edges()) {
         for (int side = 0; side < 2; ++side) {
             sim::Partition *src = part_of(e.ends.at(
@@ -247,6 +268,7 @@ partitionFabric(sim::ParallelEngine &engine, Fabric &fabric,
         Link *link = e.link;
         engine.addFoldHook([link] { link->foldBoundaryStats(); });
     }
+    return host_parts;
 }
 
 } // namespace qpip::net

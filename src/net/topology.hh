@@ -10,9 +10,9 @@
  * spoke link whose side 0 the host's NIC attaches to, and edges()
  * exposes the link graph with per-side attachments — which is what
  * net::partitionFabric uses to shard a fabric across the parallel
- * engine (hosts in caller-provided partitions, each switch in its
- * own) and give every cross-partition edge the lookahead of the links
- * it carries.
+ * engine (each switch in its own partition, every host in its leaf
+ * switch's, so only switch-to-switch links cross partitions) and give
+ * every cross-partition edge the lookahead of the links it carries.
  */
 
 #pragma once
@@ -195,14 +195,20 @@ makeKAryFatTree(sim::Simulation &sim, std::string name,
 
 /**
  * Shard @p fabric across @p engine: one new partition per switch,
- * hosts in the caller's partitions (@p host_parts indexed by
- * NodeId), every link direction bound to its sending partition with
- * a mailbox toward the receiver, each mailbox edge declaring its
- * links' propagation delay plus serialization floor as its lookahead
- * (per-edge horizons), and per-link fold hooks registered.
- * Call after every addNode (the edge list must be complete).
+ * named after it, holding the switch and every host whose spoke
+ * attaches to it (a host with no switch attachment gets a partition
+ * of its own). Every link direction is bound to its sending
+ * partition; only a direction between two partitions, which in these
+ * fabrics means switch to switch, gets a mailbox toward its receiver,
+ * declaring its link's propagation delay plus serialization floor as
+ * the edge's lookahead (per-edge horizons). Per-link fold hooks are
+ * registered. Call after every addNode (the edge list must be
+ * complete). The switches are bound here; binding each host's own
+ * objects is the caller's, since only it knows their names.
+ * @return each host's partition, indexed by NodeId (nullptr for an
+ *         id no edge names).
  */
-void partitionFabric(sim::ParallelEngine &engine, Fabric &fabric,
-                     const std::vector<sim::Partition *> &host_parts);
+std::vector<sim::Partition *> partitionFabric(sim::ParallelEngine &engine,
+                                              Fabric &fabric);
 
 } // namespace qpip::net

@@ -68,38 +68,70 @@ constexpr int defaultPriority = 0;
 namespace detail {
 
 /**
- * A move-in, invoke-once callable slot with inline storage. Closures
- * up to inlineBytes are constructed in place inside the event record;
- * larger ones (rare) fall back to one heap allocation. Unlike
- * std::function this never allocates for the common simulator
- * closures (a `this` pointer plus a few captured values).
+ * A move-only, invoke-once callable slot with inline storage. Closures
+ * up to inlineBytes are constructed in place; larger ones (rare) fall
+ * back to one heap allocation, whose pointer the storage holds.
+ * Unlike std::function this never allocates for the common simulator
+ * closures (a `this` pointer plus a few captured values), and moving
+ * one relocates the closure it holds rather than wrapping it again:
+ * a mailbox message carries one from the post to the event record
+ * that runs it.
  */
 class EventFn
 {
   public:
     EventFn() = default;
+    EventFn(EventFn &&other) noexcept { adopt(other); }
+    EventFn &
+    operator=(EventFn &&other) noexcept
+    {
+        if (this != &other) {
+            reset();
+            adopt(other);
+        }
+        return *this;
+    }
     EventFn(const EventFn &) = delete;
     EventFn &operator=(const EventFn &) = delete;
     ~EventFn() { reset(); }
 
-    /** Construct a callable in place (destroys any previous one). */
+    /**
+     * Construct a callable in place (destroys any previous one). An
+     * EventFn rvalue is adopted, not wrapped.
+     */
     template <typename F>
     void
     emplace(F &&fn)
     {
         using Fn = std::decay_t<F>;
-        reset();
-        if constexpr (sizeof(Fn) <= inlineBytes &&
-                      alignof(Fn) <= alignof(std::max_align_t)) {
+        if constexpr (std::is_same_v<Fn, EventFn>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "an EventFn is adopted from an rvalue");
+            *this = std::move(fn);
+        } else if constexpr (sizeof(Fn) <= inlineBytes &&
+                             alignof(Fn) <= alignof(std::max_align_t)) {
+            reset();
             ::new (static_cast<void *>(storage_))
                 Fn(std::forward<F>(fn));
             invoke_ = [](void *p) { (*static_cast<Fn *>(p))(); };
-            destroy_ = [](void *p) { static_cast<Fn *>(p)->~Fn(); };
-            heap_ = nullptr;
+            manage_ = [](Op op, void *from, void *to) {
+                auto *f = static_cast<Fn *>(from);
+                if (op == Op::Relocate)
+                    ::new (to) Fn(std::move(*f));
+                f->~Fn();
+            };
         } else {
-            heap_ = new Fn(std::forward<F>(fn));
-            invoke_ = [](void *p) { (*static_cast<Fn *>(p))(); };
-            destroy_ = [](void *p) { delete static_cast<Fn *>(p); };
+            reset();
+            ::new (static_cast<void *>(storage_))
+                Fn *(new Fn(std::forward<F>(fn)));
+            invoke_ = [](void *p) { (**static_cast<Fn **>(p))(); };
+            manage_ = [](Op op, void *from, void *to) {
+                Fn *f = *static_cast<Fn **>(from);
+                if (op == Op::Relocate)
+                    ::new (to) Fn *(f);
+                else
+                    delete f;
+            };
         }
     }
 
@@ -111,30 +143,42 @@ class EventFn
             return;
         // Clear before destroying: the destructor may re-enter the
         // event queue (closures owning resources that cancel timers).
-        auto *destroy = destroy_;
-        void *target = heap_ != nullptr ? heap_ : storage_;
+        auto *manage = manage_;
         invoke_ = nullptr;
-        destroy_ = nullptr;
-        heap_ = nullptr;
-        destroy(target);
+        manage_ = nullptr;
+        manage(Op::Destroy, storage_, nullptr);
     }
 
     explicit operator bool() const { return invoke_ != nullptr; }
 
-    void
-    operator()()
-    {
-        invoke_(heap_ != nullptr ? heap_ : storage_);
-    }
+    void operator()() { invoke_(storage_); }
 
     /** Inline capacity, sized for the datapath's largest closures. */
     static constexpr std::size_t inlineBytes = 128;
 
   private:
+    /** What manage_ does with the callable at `from`. */
+    enum class Op : std::uint8_t {
+        Destroy,  ///< destroy it
+        Relocate, ///< move it to `to`, then destroy the original
+    };
+
+    /** Take @p other's callable, leaving it empty. @pre empty. */
+    void
+    adopt(EventFn &other) noexcept
+    {
+        if (other.invoke_ == nullptr)
+            return;
+        other.manage_(Op::Relocate, other.storage_, storage_);
+        invoke_ = other.invoke_;
+        manage_ = other.manage_;
+        other.invoke_ = nullptr;
+        other.manage_ = nullptr;
+    }
+
     alignas(std::max_align_t) unsigned char storage_[inlineBytes];
     void (*invoke_)(void *) = nullptr;
-    void (*destroy_)(void *) = nullptr;
-    void *heap_ = nullptr;
+    void (*manage_)(Op, void *, void *) = nullptr;
 };
 
 /** Lifecycle of a slab slot. */

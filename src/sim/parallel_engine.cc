@@ -126,6 +126,9 @@ ParallelEngine::findPartition(const std::string &name)
 Mailbox &
 ParallelEngine::mailbox(Partition &src, Partition &dst, Tick lookahead)
 {
+    if (&src == &dst)
+        panic("ParallelEngine: partition %s cannot mail itself",
+              src.name().c_str());
     for (auto &mb : mail_) {
         if (&mb->src() == &src && &mb->dst() == &dst) {
             if (lookahead == 0)
@@ -444,9 +447,36 @@ ParallelEngine::foldAll()
 }
 
 std::uint64_t
+ParallelEngine::runAlone(const std::function<bool()> *pred, Tick until)
+{
+    EventQueue &eq = parts_.front()->eq_;
+    const std::uint64_t before = eq.executed();
+    // inEpoch_ is set around the queue's events only: a predicate
+    // runs outside them, as it does at a barrier.
+    if (pred == nullptr) {
+        inEpoch_ = true;
+        eq.runUntil(until);
+        inEpoch_ = false;
+    } else {
+        for (bool ran = true; ran && !(*pred)();) {
+            inEpoch_ = true;
+            ran = eq.step(until);
+            if (!ran)
+                eq.settle(until);
+            inEpoch_ = false;
+        }
+    }
+    now_ = std::max(now_, eq.now());
+    foldAll();
+    return eq.executed() - before;
+}
+
+std::uint64_t
 ParallelEngine::runUntil(Tick until)
 {
     beginRun();
+    if (parts_.size() == 1)
+        return runAlone(nullptr, until);
     const std::uint64_t before = executed();
     while (epoch(until)) {
     }
@@ -469,6 +499,10 @@ ParallelEngine::runUntilCondition(const std::function<bool()> &pred,
                                   Tick deadline)
 {
     beginRun();
+    if (parts_.size() == 1) {
+        runAlone(&pred, deadline);
+        return pred();
+    }
     if (pred()) {
         foldAll();
         return true;

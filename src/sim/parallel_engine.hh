@@ -84,11 +84,20 @@
  * So any partitioning, at any thread count, replays the serial
  * schedule of the work scheduled through sources: the same event
  * order, ticks, stats and captures. The one difference is where a
- * run call returns: runUntilCondition() checks its predicate at
- * barriers, not after every event, so it returns later than the
- * serial loop would; what is simulated does not change. (Events
- * scheduled straight into a queue with no source keep a per-queue
- * counter, which the guarantee does not cover.)
+ * run call returns: with more than one partition,
+ * runUntilCondition() checks its predicate at barriers, not after
+ * every event, so it returns later than the serial loop would; what
+ * is simulated does not change. (Events scheduled straight into a
+ * queue with no source keep a per-queue counter, which the guarantee
+ * does not cover.)
+ *
+ * One partition. An engine with a single partition (a one-switch
+ * fabric, whose hosts all share their switch's partition) has no
+ * edge, no mail and so no barrier to wait at: its run calls step
+ * that partition's queue on the calling thread, checking
+ * runUntilCondition()'s predicate after every event as the serial
+ * loop does, so it returns where the serial run does, at the same
+ * tick. Its runs count no epochs.
  *
  * This is the one place in the tree allowed to use threading
  * primitives (see qpip-lint rule T1): all protocol code stays
@@ -143,7 +152,7 @@ class ParallelEngine
      * Find-or-create the src->dst mailbox and declare @p lookahead for
      * it (see Mailbox). When the edge already exists, as for parallel
      * trunks between one partition pair, it keeps the minimum of its
-     * declarations. @pre lookahead >= 1 tick.
+     * declarations. @pre lookahead >= 1 tick; src and dst differ.
      */
     Mailbox &mailbox(Partition &src, Partition &dst, Tick lookahead);
 
@@ -181,7 +190,8 @@ class ParallelEngine
 
     /**
      * Run until @p pred() holds — checked at every epoch barrier, the
-     * parallel analogue of "after every event" — or @p deadline.
+     * parallel analogue of "after every event", or after every event
+     * with one partition — or @p deadline.
      */
     bool runUntilCondition(const std::function<bool()> &pred,
                            Tick deadline = maxTick);
@@ -245,6 +255,13 @@ class ParallelEngine
     void runEpoch();
     /** Read the owners' reports back into the barrier's state. */
     void finishEpoch();
+    /**
+     * A run call on a one-partition engine: step its queue here to
+     * @p until, or until *@p pred holds when @p pred is given,
+     * checking after every event. @return events executed.
+     */
+    std::uint64_t runAlone(const std::function<bool()> *pred,
+                           Tick until);
     /** Visit every partition on @p w's list (see the file comment). */
     void runShare(Worker &w);
     /** Schedule @p p's handed-over batches into its queue. */

@@ -28,7 +28,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -146,17 +145,23 @@ class Mailbox
         if (msgs_.empty())
             src_.dirtyOut_.push_back(this);
         first_ = std::min(first_, key.when);
-        msgs_.push_back(
-            Msg{key, std::function<void()>(std::forward<F>(fn))});
+        Msg &m = msgs_.emplace_back();
+        m.key = key;
+        m.fn.emplace(std::forward<F>(fn));
     }
 
   private:
     friend class ParallelEngine;
 
+    /**
+     * One posted event. The closure is built once, in fn, and moved
+     * from here into the destination's event record: never wrapped
+     * again, never copied.
+     */
     struct Msg
     {
         EventKey key;
-        std::function<void()> fn;
+        detail::EventFn fn;
     };
 
     [[noreturn]] void panicBelowHorizon(Tick when) const;

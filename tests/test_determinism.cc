@@ -244,6 +244,13 @@ finishAt(apps::Testbed &bed, sim::Tick stop,
 {
     out.endTick = bed.sim().now();
     out.pins = collectLinkPins(bed.sim().stats(), taps);
+    if (bed.engine() != nullptr) {
+        // A partitioned run replays serial only if something crossed
+        // a partition boundary.
+        EXPECT_GT(bed.engine()->numPartitions(), 1u);
+        EXPECT_GT(
+            bed.sim().stats().counterValue("parallel.mailboxPosts"), 0u);
+    }
     EXPECT_LT(bed.sim().now(), stop);
     bed.sim().runUntil(stop);
     out.statsJson = bed.sim().stats().jsonDump();
@@ -384,8 +391,7 @@ runParallelNbd(int threads, std::uint64_t seed)
     apps::ServerStore store(bed.sim(), "store", 1 << 20);
     partition(bed, threads);
     if (threads > 0) {
-        bed.engine()->assignByPrefix(
-            "store", *bed.engine()->findPartition("host1"));
+        bed.engine()->assignByPrefix("store", bed.partitionOf(1));
     }
     apps::NbdSocketServer server(bed.host(1).stack(), store,
                                  apps::NbdServerConfig{});
@@ -539,9 +545,10 @@ runParallelRdmaSrq(int threads, std::uint64_t seed)
 /**
  * One shift permutation of the all-to-all (host i -> host i+1 mod n)
  * over a partitioned 128-host k=8 fat-tree: the datacenter-scale
- * workload of the per-edge-horizon engine, with every host, edge
- * switch and spine in its own partition. Kept to one shift and small
- * transfers so the 1-vs-N comparison stays CI- and TSan-budgeted.
+ * workload of the per-edge-horizon engine, with every edge switch
+ * (and its hosts) and every spine in its own partition. Kept to one
+ * shift and small transfers so the 1-vs-N comparison stays CI- and
+ * TSan-budgeted.
  */
 ParallelArtifacts
 runParallelFatTreeShift(int threads, std::uint64_t seed)

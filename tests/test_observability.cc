@@ -545,7 +545,10 @@ fnv1a(const std::string &bytes)
 // formatting of jsonDump() must not drift. The digests and lengths
 // were recorded before the registry stored stats per group; the
 // partitioned ttcp-pairs digest was re-recorded when each pair began
-// to start sending from its own connect callback.
+// to start sending from its own connect callback, and again when
+// hosts came to share their switch's partition. The run now returns
+// at an earlier barrier, before two NIC interrupts the old one had
+// run past: less its parallel.* entries, the dump is the serial run's.
 TEST(StatRegistry, JsonDumpMatchesRecordedBytes)
 {
     {
@@ -564,8 +567,8 @@ TEST(StatRegistry, JsonDumpMatchesRecordedBytes)
             bed, {{0, 1}, {1, 2}, {2, 3}, {3, 0}}, 16 * 1024);
         ASSERT_TRUE(r.completed);
         const std::string dump = bed.sim().stats().jsonDump();
-        EXPECT_EQ(dump.size(), 14567u);
-        EXPECT_EQ(fnv1a(dump), 11955181903849877586ull);
+        EXPECT_EQ(dump.size(), 14564u);
+        EXPECT_EQ(fnv1a(dump), 7450932099138477529ull);
     }
 }
 

@@ -2,14 +2,17 @@
  * @file
  * Parallel-engine unit tests at the sim layer: partition execution,
  * keyed mailbox order, conservative epoch windows, thread-count
- * invariance of the schedule, per-edge lookaheads, the refusal to add
- * event sources or read Simulation::now() while a partition executes,
- * and Simulation delegation. These run
+ * invariance of the schedule, per-edge lookaheads, typed mail (a
+ * posted closure is moved, never copied, and destroyed once), the
+ * one-partition engine, the refusal to add event sources or read
+ * Simulation::now() while a partition executes, and Simulation
+ * delegation. These run
  * threads>1 paths and are part of the ThreadSanitizer CI job.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -597,4 +600,169 @@ TEST(ParallelEngine, ClearAllDropsPendingWork)
     eng.clearAll();
     EXPECT_EQ(eng.run(), 0u);
     EXPECT_EQ(ran, 0);
+}
+
+TEST(ParallelEngine, OnePartitionChecksItsPredicateAfterEveryEvent)
+{
+    // One partition has no edge to wait on, so no barrier: the run
+    // stops at the deciding event, as the serial loop does.
+    sim::Simulation simu(3);
+    sim::ParallelEngine eng(simu, 2);
+    auto &a = eng.addPartition("a");
+    int count = 0;
+    for (Tick t = 0; t < 100; t += 10)
+        a.eventQueue().schedule(t, [&] { ++count; });
+    EXPECT_TRUE(simu.runUntilCondition([&] { return count >= 3; }, 1000));
+    EXPECT_EQ(count, 3);
+    EXPECT_EQ(simu.now(), 20u);
+    // A deadline between events stops there, clock and all.
+    EXPECT_FALSE(simu.runUntilCondition([] { return false; }, 45));
+    EXPECT_EQ(count, 5);
+    EXPECT_EQ(simu.now(), 40u);
+    EXPECT_EQ(eng.epochs(), 0u);
+    // runUntil leaves the clock at its bound; run() at the last event.
+    simu.runUntil(55);
+    EXPECT_EQ(simu.now(), 55u);
+    EXPECT_EQ(simu.run(), 4u);
+    EXPECT_EQ(simu.now(), 90u);
+    EXPECT_EQ(count, 10);
+}
+
+TEST(ParallelEngineDeathTest, APartitionCannotMailItself)
+{
+    sim::Simulation simu(1);
+    sim::ParallelEngine eng(simu, 1);
+    auto &a = eng.addPartition("a");
+    EXPECT_DEATH(eng.mailbox(a, a, 10), "cannot mail itself");
+}
+
+// --- typed mail ------------------------------------------------------
+
+// A mailbox message carries its closure in an EventFn, which the
+// destination's event record adopts: the closure is built once at the
+// post and moved from there on, never copied or wrapped again.
+static_assert(sizeof(sim::detail::EventRecord) == 160,
+              "fanin and pingpong live in the event slab: a record "
+              "must not grow");
+
+namespace {
+
+/** What became of the payload a posted closure owns. */
+struct PayloadLog
+{
+    int copies = 0;
+    /** Destructions of an instance that was not moved from. */
+    int destroyed = 0;
+    int ran = 0;
+};
+
+/** A payload that reports its copies and its one real destruction. */
+class Counted
+{
+  public:
+    explicit Counted(PayloadLog &log) : log_(&log) {}
+    Counted(const Counted &o) : log_(o.log_) { ++log_->copies; }
+    Counted(Counted &&o) noexcept : log_(o.log_), live_(o.live_)
+    {
+        o.live_ = false;
+    }
+    Counted &operator=(const Counted &) = delete;
+    Counted &operator=(Counted &&) = delete;
+    ~Counted()
+    {
+        if (live_)
+            ++log_->destroyed;
+    }
+
+    void use() const { ++log_->ran; }
+
+  private:
+    PayloadLog *log_;
+    bool live_ = true;
+};
+
+/** A closure that fits EventFn's inline storage. */
+auto
+smallClosure(PayloadLog &log)
+{
+    return [c = Counted(log)] { c.use(); };
+}
+
+/** A closure too large for EventFn's inline storage (heap path). */
+auto
+largeClosure(PayloadLog &log)
+{
+    std::array<std::uint8_t, 2 * sim::detail::EventFn::inlineBytes> pad{};
+    pad[0] = 1;
+    return [c = Counted(log), pad] {
+        if (pad[0] == 1)
+            c.use();
+    };
+}
+
+/**
+ * Partition a posts the closure @p make builds to partition b. With
+ * @p drop the run stops at the barrier after a's epoch, the post still
+ * undelivered in the mailbox, and clearAll() drops it; otherwise b
+ * runs it. Either way the engine is gone when this returns, so @p log
+ * shows every destruction.
+ */
+template <typename Make>
+void
+mailOnce(bool drop, Make make, PayloadLog &log)
+{
+    sim::Simulation simu(1);
+    sim::ParallelEngine eng(simu, 2);
+    auto &a = eng.addPartition("a");
+    auto &b = eng.addPartition("b");
+    auto &ab = eng.mailbox(a, b, 10);
+    sim::EventSource src = simu.addSource();
+    bool sent = false;
+    a.eventQueue().schedule(0, [&] {
+        ab.post(src.key(10), make(log));
+        sent = true;
+    });
+    if (drop) {
+        EXPECT_TRUE(eng.runUntilCondition([&] { return sent; }));
+        EXPECT_EQ(log.destroyed, 0);
+        eng.clearAll();
+        EXPECT_EQ(log.destroyed, 1);
+    } else {
+        eng.run();
+    }
+}
+
+} // namespace
+
+TEST(ParallelEngine, TypedMailMovesItsClosureFromPostToRun)
+{
+    PayloadLog log;
+    mailOnce(false, smallClosure, log);
+    EXPECT_EQ(log.ran, 1);
+    EXPECT_EQ(log.copies, 0);
+    EXPECT_EQ(log.destroyed, 1);
+}
+
+TEST(ParallelEngine, TypedMailDroppedByClearAllIsDestroyedOnce)
+{
+    PayloadLog log;
+    mailOnce(true, smallClosure, log);
+    EXPECT_EQ(log.ran, 0);
+    EXPECT_EQ(log.copies, 0);
+    EXPECT_EQ(log.destroyed, 1);
+}
+
+TEST(ParallelEngine, TypedMailHeapClosureIsMovedAndDestroyedOnce)
+{
+    PayloadLog probe;
+    static_assert(sizeof(largeClosure(probe)) >
+                  sim::detail::EventFn::inlineBytes);
+    for (const bool drop : {false, true}) {
+        SCOPED_TRACE(drop);
+        PayloadLog log;
+        mailOnce(drop, largeClosure, log);
+        EXPECT_EQ(log.ran, drop ? 0 : 1);
+        EXPECT_EQ(log.copies, 0);
+        EXPECT_EQ(log.destroyed, 1);
+    }
 }

@@ -365,9 +365,12 @@ TEST_P(IncastProperty, BurstDeliversEveryByteThroughCongestion)
     ASSERT_TRUE(r.completed);
     EXPECT_EQ(r.pairsCompleted, pairs.size());
     EXPECT_GT(r.aggMbPerSec, 0.0);
-    // The destination's NIC really funneled the whole burst.
+    // The destination's NIC really funneled the whole burst, across
+    // partition boundaries.
     EXPECT_GT(bed.sim().stats().counterValue("host0.nic.rxPackets"),
               static_cast<std::uint64_t>(pairs.size()));
+    EXPECT_GT(bed.engine()->numPartitions(), 1u);
+    EXPECT_GT(bed.sim().stats().counterValue("parallel.mailboxPosts"), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Bursts, IncastProperty,

@@ -7,7 +7,8 @@
  * workloads — the QPIP ping-pong apps, two spin loops sharing one
  * CPU, a spinner whose CPU also runs deferred work, two symmetric
  * hosts stopped mid-spin by a predicate, and a spinning pair under the
- * parallel engine — and compare every observable against values
+ * parallel engine, one partition on a star and two on a dual-star —
+ * and compare every observable against values
  * recorded from the poll-per-event loop: the final tick, each host's
  * busyTotal/busyUntil, the run's own record (RTTs, completion ticks,
  * CPU state at every stop), the stats JSON and the wire captures.
@@ -96,6 +97,9 @@ struct Pins
     /** The run's own record. */
     std::uint64_t app = 0;
     std::uint64_t executed = 0;
+    /** Engine partitions and the mail they exchanged (0 serially). */
+    std::size_t partitions = 0;
+    std::uint64_t mailboxPosts = 0;
 };
 
 Pins
@@ -131,6 +135,11 @@ collect(QpipTestbed &bed, const Taps &taps, const Digest &app)
     p.executed = bed.engine() != nullptr
                      ? bed.engine()->executed()
                      : bed.sim().eventQueue().executed();
+    if (bed.engine() != nullptr) {
+        p.partitions = bed.engine()->numPartitions();
+        p.mailboxPosts =
+            bed.sim().stats().counterValue("parallel.mailboxPosts");
+    }
     return p;
 }
 
@@ -145,16 +154,24 @@ expectPins(const Pins &p, sim::Tick now, const std::vector<sim::Tick> &cpu,
     EXPECT_EQ(p.app, app);
 }
 
-/** A QPIP ping-pong app run; @p threads > 0 partitions the testbed. */
+/**
+ * A QPIP ping-pong app run on @p topology; @p threads > 0 partitions
+ * the testbed. With @p stop the run goes on to that fixed tick before
+ * the pins are read.
+ */
 Pins
-pingPong(bool reliable, int threads = 0)
+pingPong(bool reliable, int threads = 0,
+         FabricTopology topology = FabricTopology::Star, sim::Tick stop = 0)
 {
-    QpipTestbed bed(2);
+    QpipTestbed bed(2, qpipNativeMtu, 1, nic::QpipNicParams{},
+                    host::HostCostModel{}, IpFamily::V6, topology);
     if (threads > 0)
         bed.enableParallel(threads);
     auto taps = tapAllEdges(bed.fabric());
     const PingPongResult r = reliable ? runQpipTcpPingPong(bed, 64, 64)
                                       : runQpipUdpPingPong(bed, 64, 64);
+    if (stop > 0)
+        bed.sim().runUntil(stop);
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(r.iterations, 64u);
     Digest app;
@@ -588,18 +605,49 @@ TEST(SpinPoll, TimerWorkOnASpinningCpu)
                    }));
 }
 
-TEST(SpinPoll, ParallelEngineMatchesEveryPoll)
+TEST(SpinPoll, OnePartitionEngineMatchesEveryPoll)
 {
+    // A one-switch star is one partition, whose engine checks the
+    // run's predicate after every event as the serial loop does: the
+    // run returns at the last reply, where the serial one does, with
+    // the serial run's clock, CPU counters, captures and application
+    // result. (The stats digest differs from the serial one only by
+    // the comma that precedes the engine's parallel.* entries.)
+    const Pins serial = pingPong(true);
     for (const int threads : {1, 4}) {
         SCOPED_TRACE(threads);
         const Pins p = pingPong(true, threads);
-        // Same capture as the serial run: every event is keyed by its
-        // source, whichever partition runs it. The run stops at a
-        // barrier rather than at the last reply, so the final tick,
-        // host 1's counters and the stats, read there, differ.
-        expectPins(p, 8219642284ull,
-               {8156959202ull, 8220001380ull, 8140257371ull, 8220239549ull},
-               5722723409589996125ull, 11473629942854498038ull,
+        expectPins(p, serial.now, serial.cpu, 5722723409589996125ull,
+                   serial.pcap, serial.app);
+        EXPECT_EQ(p.executed, serial.executed);
+    }
+    expectPins(serial, 8219117744ull,
+               {8156959202ull, 8220001380ull, 8139166461ull, 8219148639ull},
+               11757562850913831925ull, 11473629942854498038ull,
                13443311829559910404ull);
+    EXPECT_EQ(serial.partitions, 0u);
+}
+
+TEST(SpinPoll, DualStarEngineReplaysSerialPolls)
+{
+    // On a dual-star each host is in its own star's partition: the two
+    // spinners park and settle in different partitions, on different
+    // threads at 4, and every message crosses the trunk as mail. Run
+    // on to a fixed tick, a partitioned run leaves what the serial
+    // run does.
+    constexpr sim::Tick stop = 20 * sim::oneMs;
+    const Pins serial = pingPong(true, 0, FabricTopology::DualStar, stop);
+    EXPECT_EQ(serial.now, stop);
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE(threads);
+        const Pins p = pingPong(true, threads, FabricTopology::DualStar,
+                                stop);
+        EXPECT_EQ(p.partitions, 2u);
+        EXPECT_GT(p.mailboxPosts, 0u);
+        EXPECT_EQ(p.now, serial.now);
+        EXPECT_EQ(p.cpu, serial.cpu);
+        EXPECT_EQ(p.pcap, serial.pcap);
+        EXPECT_EQ(p.app, serial.app);
+        EXPECT_EQ(p.executed, serial.executed);
     }
 }

@@ -99,6 +99,62 @@ TEST(Topology, FatTreeAllPairsTtcp)
     }
 }
 
+namespace {
+
+/**
+ * The layout partitionFabric gives @p bed: @p partitions in all, one
+ * per switch; each host in its leaf switch's partition, so neither
+ * direction of its spoke has an outbox; and every direction between
+ * two partitions with a mailbox from its sender's partition to its
+ * receiver's, declaring its link's propagation delay plus
+ * serialization floor as the lookahead.
+ */
+void
+expectLeafGrouping(apps::Testbed &bed, std::size_t partitions)
+{
+    sim::ParallelEngine &eng = *bed.engine();
+    net::Fabric &fab = bed.fabric();
+    EXPECT_EQ(eng.numPartitions(), partitions);
+    EXPECT_EQ(fab.numSwitches(), partitions);
+    const auto part_of =
+        [&](const net::Fabric::Attachment &a) -> sim::Partition * {
+        return a.isSwitch ? eng.findPartition(fab.switchAt(a.index).name())
+                          : &bed.partitionOf(a.index);
+    };
+    std::size_t spokes = 0;
+    std::size_t crossings = 0;
+    for (const net::Fabric::Edge &e : fab.edges()) {
+        const net::LinkConfig &cfg = e.link->config();
+        const sim::Tick expect =
+            cfg.propDelay + e.link->serializationDelay(cfg.overheadBytes);
+        EXPECT_GT(e.link->serializationDelay(cfg.overheadBytes), 0u);
+        const bool spoke = !e.ends[0].isSwitch || !e.ends[1].isSwitch;
+        spokes += spoke ? 1 : 0;
+        for (std::size_t side = 0; side < 2; ++side) {
+            sim::Partition *src = part_of(e.ends[side]);
+            sim::Partition *dst = part_of(e.ends[side ^ 1]);
+            ASSERT_NE(src, nullptr) << e.link->name();
+            ASSERT_NE(dst, nullptr) << e.link->name();
+            sim::Mailbox *mb = e.link->outbox(static_cast<int>(side));
+            if (spoke) {
+                EXPECT_EQ(src, dst) << e.link->name();
+                EXPECT_EQ(mb, nullptr) << e.link->name();
+                continue;
+            }
+            ASSERT_NE(src, dst) << e.link->name();
+            ASSERT_NE(mb, nullptr) << e.link->name();
+            ++crossings;
+            EXPECT_EQ(&mb->src(), src);
+            EXPECT_EQ(&mb->dst(), dst);
+            EXPECT_EQ(mb->lookahead(), expect) << e.link->name();
+        }
+    }
+    EXPECT_EQ(spokes, bed.numHosts());
+    EXPECT_GT(crossings, 0u);
+}
+
+} // namespace
+
 TEST(Topology, DualStarParallelSocketsSmoke)
 {
     apps::SocketsTestbed bed(8, SocketsFabric::GigabitEthernet, 1,
@@ -106,34 +162,8 @@ TEST(Topology, DualStarParallelSocketsSmoke)
                              FabricTopology::DualStar);
     bed.enableParallel(2);
     ASSERT_NE(bed.engine(), nullptr);
-    // 8 host partitions + 2 switch partitions.
-    EXPECT_EQ(bed.engine()->numPartitions(), 10u);
-    // Every cross-partition link direction has a mailbox carrying its
-    // link's propagation delay plus serialization floor. Declaring
-    // maxTick finds an edge without lowering its lookahead.
-    sim::ParallelEngine &eng = *bed.engine();
-    net::Fabric &fab = bed.fabric();
-    const auto part_of =
-        [&](const net::Fabric::Attachment &a) -> sim::Partition & {
-        const std::string name =
-            a.isSwitch ? fab.switchAt(a.index).name()
-                       : "host" + std::to_string(a.index);
-        sim::Partition *p = eng.findPartition(name);
-        EXPECT_NE(p, nullptr) << name;
-        return *p;
-    };
-    for (const net::Fabric::Edge &e : fab.edges()) {
-        const net::LinkConfig &cfg = e.link->config();
-        const sim::Tick expect =
-            cfg.propDelay + e.link->serializationDelay(cfg.overheadBytes);
-        EXPECT_GT(e.link->serializationDelay(cfg.overheadBytes), 0u);
-        for (std::size_t side = 0; side < 2; ++side) {
-            sim::Mailbox &mb = eng.mailbox(part_of(e.ends[side]),
-                                           part_of(e.ends[side ^ 1]),
-                                           sim::maxTick);
-            EXPECT_EQ(mb.lookahead(), expect) << e.link->name();
-        }
-    }
+    // One partition per star; its four hosts share it.
+    expectLeafGrouping(bed, 2);
 
     // Ring traffic: every host sends to its clockwise neighbour.
     std::vector<apps::TtcpPair> pairs;
@@ -144,6 +174,21 @@ TEST(Topology, DualStarParallelSocketsSmoke)
     EXPECT_EQ(r.pairsCompleted, 8u);
     EXPECT_GT(bed.engine()->epochs(), 0u);
     EXPECT_GT(bed.engine()->executed(), 0u);
+    // Half the ring crosses the trunk, and only the trunk is mailed.
+    EXPECT_GT(bed.sim().stats().counterValue("parallel.mailboxPosts"),
+              0u);
+}
+
+TEST(Topology, FatTree128ParallelLayout)
+{
+    // k=8: 32 edge switches of 4 hosts and 4 spines, one partition
+    // each, and every host in its edge switch's.
+    apps::SocketsTestbed bed(128, SocketsFabric::GigabitEthernet, 1,
+                             host::HostCostModel{},
+                             FabricTopology::FatTreeK8);
+    bed.enableParallel(2);
+    ASSERT_NE(bed.engine(), nullptr);
+    expectLeafGrouping(bed, 36);
 }
 
 TEST(Topology, DualStarParallelQpipSmoke)
@@ -154,19 +199,23 @@ TEST(Topology, DualStarParallelQpipSmoke)
                           FabricTopology::DualStar);
     bed.enableParallel(2);
     ASSERT_NE(bed.engine(), nullptr);
-    // Hosts 0 and 1 sit on different stars: the transfer crosses the
-    // trunk and two partition boundaries each way.
+    // Hosts 0 and 1 sit on different stars, so in different
+    // partitions: the transfer crosses the trunk's partition boundary
+    // each way.
+    EXPECT_EQ(bed.engine()->numPartitions(), 2u);
     const auto r = apps::runQpipTtcp(bed, 64 * 1024);
     EXPECT_TRUE(r.completed);
     EXPECT_GT(r.mbPerSec, 0.0);
     EXPECT_GT(bed.engine()->epochs(), 0u);
+    EXPECT_GT(bed.sim().stats().counterValue("parallel.mailboxPosts"),
+              0u);
 }
 
 // Per-connection TCP stats register and unregister from inside the
-// partitions: every host runs in its own partition on one of 4 engine
-// threads, accepts one connection and opens another, then both ends
-// close. Each connection's paths appear while it lives and are gone
-// once it has closed.
+// partitions: every host runs in its star's partition, the two stars
+// on two of 4 engine threads, accepts one connection and opens
+// another, then both ends close. Each connection's paths appear while
+// it lives and are gone once it has closed.
 TEST(Topology, ParallelConnectionStatsComeAndGo)
 {
     constexpr std::size_t hosts = 8;
@@ -213,6 +262,8 @@ TEST(Topology, ParallelConnectionStatsComeAndGo)
     for (const auto &path : live)
         EXPECT_GT(sim.stats().counterValue(path), 0u) << path;
 
+    EXPECT_EQ(bed.engine()->numPartitions(), 2u);
+    EXPECT_GT(sim.stats().counterValue("parallel.mailboxPosts"), 0u);
     for (const auto &c : clients)
         c->close();
     clients.clear();
