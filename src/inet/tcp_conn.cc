@@ -30,22 +30,26 @@ tcpStateName(TcpState s)
 void
 TcpStats::registerIn(sim::StatRegistry &registry, std::string prefix)
 {
+    static const sim::StatTable<TcpStats> table = [] {
+        sim::StatTable<TcpStats> t;
+        t.add("segsOut", &TcpStats::segsOut);
+        t.add("segsIn", &TcpStats::segsIn);
+        t.add("bytesOut", &TcpStats::bytesOut);
+        t.add("bytesIn", &TcpStats::bytesIn);
+        t.add("retransmits", &TcpStats::retransmits);
+        t.add("fastRetransmits", &TcpStats::fastRetransmits);
+        t.add("timeouts", &TcpStats::timeouts);
+        t.add("dupAcksIn", &TcpStats::dupAcksIn);
+        t.add("oooSegments", &TcpStats::oooSegments);
+        t.add("oooDropped", &TcpStats::oooDropped);
+        t.add("hdrPredicted", &TcpStats::hdrPredicted);
+        t.add("msgRefused", &TcpStats::msgRefused);
+        t.add("persistProbes", &TcpStats::persistProbes);
+        t.add("badSegments", &TcpStats::badSegments);
+        return t;
+    }();
     group_.clear();
-    group_.init(registry, std::move(prefix));
-    group_.add("segsOut", segsOut);
-    group_.add("segsIn", segsIn);
-    group_.add("bytesOut", bytesOut);
-    group_.add("bytesIn", bytesIn);
-    group_.add("retransmits", retransmits);
-    group_.add("fastRetransmits", fastRetransmits);
-    group_.add("timeouts", timeouts);
-    group_.add("dupAcksIn", dupAcksIn);
-    group_.add("oooSegments", oooSegments);
-    group_.add("oooDropped", oooDropped);
-    group_.add("hdrPredicted", hdrPredicted);
-    group_.add("msgRefused", msgRefused);
-    group_.add("persistProbes", persistProbes);
-    group_.add("badSegments", badSegments);
+    group_.init(registry, std::move(prefix), table, *this);
 }
 
 TcpConnection::TcpConnection(TcpEnv &env, TcpObserver &observer,

@@ -224,9 +224,10 @@ struct TcpStats
     sim::Counter badSegments;
 
     /**
-     * Publish every counter under "<prefix>.<name>" in @p registry.
-     * The registrations share the connection's lifetime (unregistered
-     * when the TcpStats is destroyed).
+     * Publish every counter under "<prefix>.<name>" in @p registry,
+     * through one leaf table shared by every connection. The
+     * registrations share the connection's lifetime (unregistered when
+     * the TcpStats is destroyed).
      */
     void registerIn(sim::StatRegistry &registry, std::string prefix);
 

@@ -10,6 +10,8 @@ namespace qpip::sim {
 bool
 statPatternMatch(const std::string &pattern, const std::string &path)
 {
+    if (pattern == "*")
+        return true;
     // Iterative glob with single-star backtracking.
     std::size_t p = 0, s = 0;
     std::size_t star = std::string::npos, mark = 0;
@@ -59,44 +61,6 @@ compareJoined(std::string_view a1, std::string_view a2,
     }
 }
 
-} // namespace
-
-void
-StatRegistry::attach(Node &node, std::string key)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    node.dir = dirs_.try_emplace(std::move(key)).first;
-    node.next = std::exchange(node.dir->second.nodes, &node);
-}
-
-void
-StatRegistry::detach(Node &node)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    for (const Leaf &leaf : node.leaves) {
-        if (leaf.name.find('.') == std::string::npos)
-            continue;
-        Dir &d = leaf.landing->second;
-        if (--d.dotted == 0) {
-            d.dottedBy = nullptr;
-            if (d.nodes == nullptr)
-                dirs_.erase(leaf.landing);
-        }
-    }
-    size_ -= node.leaves.size();
-    node.leaves.clear();
-    Dir &dir = node.dir->second;
-    Node **link = &dir.nodes;
-    while (*link != &node)
-        link = &(*link)->next;
-    *link = node.next;
-    node.next = nullptr;
-    if (dir.nodes == nullptr && dir.dotted == 0)
-        dirs_.erase(node.dir);
-}
-
-namespace {
-
 template <typename Leaves>
 auto
 lowerLeaf(Leaves &leaves, std::string_view name)
@@ -114,7 +78,85 @@ findLeaf(Leaves &leaves, std::string_view name)
     return it != leaves.end() && it->name == name ? it : leaves.end();
 }
 
+bool
+hasLeaf(const StatLeaves &leaves, std::string_view name)
+{
+    return findLeaf(leaves.leaves(), name) != leaves.leaves().end();
+}
+
 } // namespace
+
+bool
+StatLeaves::insert(Leaf leaf)
+{
+    auto pos = lowerLeaf(leaves_, leaf.name);
+    if (pos != leaves_.end() && pos->name == leaf.name)
+        return false;
+    leaves_.insert(pos, std::move(leaf));
+    return true;
+}
+
+void
+StatRegistry::attach(Node &node, std::string key, const StatLeaves *table,
+                     const void *base)
+{
+    std::lock_guard<std::mutex> lock(m_);
+    node.dir = dirs_.try_emplace(std::move(key)).first;
+    for (const Leaf &leaf : table->leaves()) {
+        if (claim(node, leaf.name) != dirs_.end())
+            panic("StatRegistry: table leaf '%s' has a dot",
+                  leaf.name.c_str());
+    }
+    node.leaves = table;
+    node.base = base;
+    node.next = std::exchange(node.dir->second.nodes, &node);
+}
+
+void
+StatRegistry::detach(Node &node, const OwnLeaves *own)
+{
+    std::lock_guard<std::mutex> lock(m_);
+    for (std::size_t i = 0; own != nullptr && i < own->landings.size();
+         ++i) {
+        const auto [landing, count] = own->landings[i];
+        Dir &d = landing->second;
+        if ((d.dotted -= count) == 0) {
+            d.dottedBy = nullptr;
+            if (d.nodes == nullptr)
+                dirs_.erase(landing);
+        }
+    }
+    size_ -= node.leaves->leaves().size();
+    node.leaves = nullptr;
+    node.base = nullptr;
+    Dir &dir = node.dir->second;
+    Node **link = &dir.nodes;
+    while (*link != &node)
+        link = &(*link)->next;
+    *link = node.next;
+    node.next = nullptr;
+    if (dir.nodes == nullptr && dir.dotted == 0)
+        dirs_.erase(node.dir);
+}
+
+void
+StatRegistry::addLeaf(Node &node, OwnLeaves *own, const std::string &leaf,
+                      StatKind kind, const void *stat)
+{
+    if (own == nullptr)
+        panic("StatGroup: add to '%s', bound to a table", node.key().c_str());
+    std::lock_guard<std::mutex> lock(m_);
+    const DirMap::iterator landing = claim(node, leaf);
+    if (!own->add(leaf, kind, stat))
+        panic("StatRegistry: duplicate stat path '%s'",
+              (node.key() + leaf).c_str());
+    if (landing == dirs_.end())
+        return;
+    if (!own->landings.empty() && own->landings.back().first == landing)
+        ++own->landings.back().second;
+    else
+        own->landings.emplace_back(landing, 1);
+}
 
 /*
  * A path collides with an existing one either under the same key (the
@@ -124,17 +166,16 @@ findLeaf(Leaves &leaves, std::string_view name)
  * remembers whose they are, so the full search (find) runs only when
  * another node's dotted leaves land where this path does: undotted
  * leaves of ordinary groups, and a group's own stage.* or faults.*
- * leaves, are checked in their own nodes alone.
+ * leaves, are checked in their own nodes alone. A node's own leaves
+ * are checked against each other when they are inserted.
  */
-void
-StatRegistry::addLeaf(Node &node, const std::string &leaf, Entry entry)
+StatRegistry::DirMap::iterator
+StatRegistry::claim(const Node &node, const std::string &leaf)
 {
-    std::lock_guard<std::mutex> lock(m_);
     const std::string &key = node.key();
     if (key.empty() && leaf.empty())
         panic("StatRegistry: empty stat path");
-    auto pos = lowerLeaf(node.leaves, leaf);
-    bool clash = pos != node.leaves.end() && pos->name == leaf;
+    bool clash = false;
     const std::size_t dot = leaf.rfind('.');
     // The Dir this path's directory names, and the leaf under it.
     DirMap::iterator dir = node.dir;
@@ -144,28 +185,26 @@ StatRegistry::addLeaf(Node &node, const std::string &leaf, Entry entry)
         last.remove_prefix(dot + 1);
     }
     for (Node *n = dir->second.nodes; n != nullptr && !clash; n = n->next)
-        clash = n != &node && findLeaf(n->leaves, last) != n->leaves.end();
+        clash = n != &node && hasLeaf(*n->leaves, last);
     if (!clash && dir->second.dotted > 0 && dir->second.dottedBy != &node)
-        clash = find(key + leaf) != nullptr;
+        clash = find(key + leaf).stat != nullptr;
     if (clash)
         panic("StatRegistry: duplicate stat path '%s'",
               (key + leaf).c_str());
-    Leaf added{leaf, entry, {}};
-    if (dot != std::string::npos) {
-        Dir &d = dir->second;
-        d.dottedBy = d.dotted == 0 || d.dottedBy == &node ? &node : nullptr;
-        ++d.dotted;
-        added.landing = dir;
-    }
-    node.leaves.insert(pos, std::move(added));
     ++size_;
+    if (dot == std::string::npos)
+        return dirs_.end();
+    Dir &d = dir->second;
+    d.dottedBy = d.dotted == 0 || d.dottedBy == &node ? &node : nullptr;
+    ++d.dotted;
+    return dir;
 }
 
 /*
  * Try each dot of @p path as the key/leaf split, rightmost first: most
  * paths are an undotted leaf of their group, found by the first probe.
  */
-const StatRegistry::Entry *
+StatRegistry::Entry
 StatRegistry::find(std::string_view path) const
 {
     for (std::size_t end = path.size();;) {
@@ -175,25 +214,24 @@ StatRegistry::find(std::string_view path) const
         auto dir = dirs_.find(path.substr(0, keyLen));
         if (dir != dirs_.end()) {
             for (Node *n = dir->second.nodes; n != nullptr; n = n->next) {
-                auto it = findLeaf(n->leaves, path.substr(keyLen));
-                if (it != n->leaves.end())
-                    return &it->entry;
+                const auto &leaves = n->leaves->leaves();
+                auto it = findLeaf(leaves, path.substr(keyLen));
+                if (it != leaves.end())
+                    return entryOf(*n, *it);
             }
         }
         if (dot == std::string_view::npos)
-            return nullptr;
+            return {};
         end = dot;
     }
 }
 
 template <typename T>
 const T *
-StatRegistry::typed(std::string_view path, Kind kind) const
+StatRegistry::typed(std::string_view path, StatKind kind) const
 {
-    const Entry *e = find(path);
-    return e != nullptr && e->kind == kind
-               ? static_cast<const T *>(e->stat)
-               : nullptr;
+    const Entry e = find(path);
+    return e.kind == kind ? static_cast<const T *>(e.stat) : nullptr;
 }
 
 /*
@@ -202,6 +240,10 @@ StatRegistry::typed(std::string_view path, Kind kind) const
  * nodes in the order of their first paths. The nodes still open when
  * the next one opens have keys that prefix its key (any other is
  * exhausted by then), so the merge only ever compares a short chain.
+ * When only one open node has leaves before the next key, and its key
+ * does not prefix that key, all its leaves sort before the next key
+ * and before the other nodes' leaves, so they are emitted without
+ * comparing: the common case of a connection's node under its NIC's.
  */
 template <typename Fn>
 void
@@ -209,31 +251,49 @@ StatRegistry::forEach(Fn &&fn) const
 {
     struct Cursor
     {
-        const std::string *key;
+        const Node *node;
         const Leaf *at;
         const Leaf *end;
     };
     std::vector<Cursor> open;
     std::string path;
+    const auto emit = [&](Cursor &c) {
+        path.assign(c.node->key()).append(c.at->name);
+        fn(path, entryOf(*c.node, *c.at));
+        ++c.at;
+    };
     // Emit open leaves in order while they sort before `bound`.
     const auto drain = [&](const std::string *bound) {
+        Cursor *lone = nullptr;
+        std::size_t live = 0;
+        for (Cursor &c : open) {
+            if (bound == nullptr ||
+                compareJoined(c.node->key(), c.at->name, *bound, {}) < 0) {
+                lone = &c;
+                ++live;
+            }
+        }
+        if (live == 1 &&
+            (bound == nullptr || !bound->starts_with(lone->node->key()))) {
+            while (lone->at != lone->end)
+                emit(*lone);
+        }
         for (;;) {
             Cursor *min = nullptr;
             for (Cursor &c : open) {
                 if (c.at != c.end &&
                     (min == nullptr ||
-                     compareJoined(*c.key, c.at->name, *min->key,
-                                   min->at->name) < 0)) {
+                     compareJoined(c.node->key(), c.at->name,
+                                   min->node->key(), min->at->name) < 0)) {
                     min = &c;
                 }
             }
             if (min == nullptr ||
                 (bound != nullptr &&
-                 compareJoined(*min->key, min->at->name, *bound, {}) >= 0))
+                 compareJoined(min->node->key(), min->at->name, *bound,
+                               {}) >= 0))
                 break;
-            path.assign(*min->key).append(min->at->name);
-            fn(path, min->at->entry);
-            ++min->at;
+            emit(*min);
         }
         std::erase_if(open, [](const Cursor &c) { return c.at == c.end; });
     };
@@ -242,9 +302,10 @@ StatRegistry::forEach(Fn &&fn) const
             continue;
         drain(&key);
         for (const Node *n = dir.nodes; n != nullptr; n = n->next) {
-            if (!n->leaves.empty()) {
-                open.push_back({&key, n->leaves.data(),
-                                n->leaves.data() + n->leaves.size()});
+            const auto &leaves = n->leaves->leaves();
+            if (!leaves.empty()) {
+                open.push_back(
+                    {n, leaves.data(), leaves.data() + leaves.size()});
             }
         }
     }
@@ -255,7 +316,7 @@ bool
 StatRegistry::contains(const std::string &path) const
 {
     std::lock_guard<std::mutex> lock(m_);
-    return find(path) != nullptr;
+    return find(path).stat != nullptr;
 }
 
 std::size_t
@@ -269,21 +330,21 @@ const Counter *
 StatRegistry::counter(const std::string &path) const
 {
     std::lock_guard<std::mutex> lock(m_);
-    return typed<Counter>(path, Kind::Counter);
+    return typed<Counter>(path, StatKind::Counter);
 }
 
 const SampleStat *
 StatRegistry::sample(const std::string &path) const
 {
     std::lock_guard<std::mutex> lock(m_);
-    return typed<SampleStat>(path, Kind::Sample);
+    return typed<SampleStat>(path, StatKind::Sample);
 }
 
 const Histogram *
 StatRegistry::histogram(const std::string &path) const
 {
     std::lock_guard<std::mutex> lock(m_);
-    return typed<Histogram>(path, Kind::Histogram);
+    return typed<Histogram>(path, StatKind::Histogram);
 }
 
 std::uint64_t
@@ -338,11 +399,11 @@ StatRegistry::jsonDump(const std::string &pattern) const
             out += ",";
         first = false;
         out += "\n  \"" + path + "\": ";
-        if (e.kind == Kind::Counter) {
+        if (e.kind == StatKind::Counter) {
             out += "{\"kind\": \"counter\", \"value\": " +
                    jsonNumber(static_cast<const Counter *>(e.stat)->value()) +
                    "}";
-        } else if (e.kind == Kind::Sample) {
+        } else if (e.kind == StatKind::Sample) {
             const auto &s = *static_cast<const SampleStat *>(e.stat);
             out += "{\"kind\": \"sample\", \"count\": " +
                    jsonNumber(s.count()) +
@@ -372,12 +433,20 @@ StatRegistry::jsonDump(const std::string &pattern) const
 void
 StatGroup::init(StatRegistry &registry, std::string prefix)
 {
+    own_ = std::make_unique<StatRegistry::OwnLeaves>();
+    bind(registry, std::move(prefix), own_.get(), nullptr);
+}
+
+void
+StatGroup::bind(StatRegistry &registry, std::string prefix,
+                const StatLeaves *table, const void *base)
+{
     if (registry_ != nullptr)
         panic("StatGroup: already bound to '%s'", this->prefix().c_str());
     registry_ = &registry;
     if (!prefix.empty())
         prefix += '.';
-    registry.attach(node_, std::move(prefix));
+    registry.attach(node_, std::move(prefix), table, base);
 }
 
 std::string
@@ -393,8 +462,9 @@ StatGroup::clear()
 {
     if (registry_ == nullptr)
         return;
-    registry_->detach(node_);
+    registry_->detach(node_, own_.get());
     registry_ = nullptr;
+    own_.reset();
 }
 
 } // namespace qpip::sim

@@ -309,6 +309,20 @@ TEST(LintProjectRules, S1FiresOnRegistryViolations)
               std::string::npos);
 }
 
+TEST(LintProjectRules, S1IndexesStatTableLeaves)
+{
+    const auto diags =
+        lintProject(loadFixtures({"s1_table.cc"}), projectOnly());
+    // Only the typo'd table leaf fires; its correct sibling resolves.
+    ASSERT_EQ(diags.size(), 1u);
+    EXPECT_EQ(diags[0].rule, "S1");
+    EXPECT_EQ(diags[0].line, 25);
+    EXPECT_NE(diags[0].message.find("'host0.conn7.rtoFire'"),
+              std::string::npos);
+    EXPECT_NE(diags[0].message.find("silently read 0"),
+              std::string::npos);
+}
+
 TEST(LintProjectRules, W2FiresOnDivergenceAndOrphans)
 {
     const auto diags =

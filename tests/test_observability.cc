@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <map>
@@ -25,6 +26,7 @@
 #include "inet/ip_frag.hh"
 #include "inet/ipv4.hh"
 #include "inet/ipv6.hh"
+#include "inet/tcp_conn.hh"
 #include "inet/tcp_header.hh"
 #include "inet/udp.hh"
 #include "net/link.hh"
@@ -526,6 +528,112 @@ TEST(StatRegistry, PerConnectionTcpStatsAppearOnConnect)
     EXPECT_GT(stats.counterValue(server[0]), 0u);
 }
 
+// A connection's counters are published through one shared table;
+// the dump must be the one their leaf-by-leaf registration gives,
+// interleaved with a parent group's leaves around the table's key.
+TEST(StatRegistry, TcpStatsTableDumpsLikeLeafByLeaf)
+{
+    sim::StatRegistry viaTable, viaLeaves;
+    inet::TcpStats stats;
+    sim::Counter *counters[] = {
+        &stats.segsOut,      &stats.segsIn,        &stats.bytesOut,
+        &stats.bytesIn,      &stats.retransmits,   &stats.fastRetransmits,
+        &stats.timeouts,     &stats.dupAcksIn,     &stats.oooSegments,
+        &stats.oooDropped,   &stats.hdrPredicted,  &stats.msgRefused,
+        &stats.persistProbes, &stats.badSegments};
+    for (std::size_t i = 0; i < std::size(counters); ++i)
+        counters[i]->inc(100 + i);
+    sim::Counter before, dotted, after;
+    before.inc(1);
+    dotted.inc(2);
+    after.inc(3);
+
+    sim::StatGroup parentT, parentL;
+    for (auto [reg, parent] : {std::pair{&viaTable, &parentT},
+                               std::pair{&viaLeaves, &parentL}}) {
+        parent->init(*reg, "host0");
+        parent->add("tcp", before);
+        parent->add("tcp.conn0.retransmitsX", dotted);
+        parent->add("zz", after);
+    }
+    stats.registerIn(viaTable, "host0.tcp.conn0");
+    sim::StatGroup g;
+    g.init(viaLeaves, "host0.tcp.conn0");
+    g.add("segsOut", stats.segsOut);
+    g.add("segsIn", stats.segsIn);
+    g.add("bytesOut", stats.bytesOut);
+    g.add("bytesIn", stats.bytesIn);
+    g.add("retransmits", stats.retransmits);
+    g.add("fastRetransmits", stats.fastRetransmits);
+    g.add("timeouts", stats.timeouts);
+    g.add("dupAcksIn", stats.dupAcksIn);
+    g.add("oooSegments", stats.oooSegments);
+    g.add("oooDropped", stats.oooDropped);
+    g.add("hdrPredicted", stats.hdrPredicted);
+    g.add("msgRefused", stats.msgRefused);
+    g.add("persistProbes", stats.persistProbes);
+    g.add("badSegments", stats.badSegments);
+
+    EXPECT_TRUE(stats.registered());
+    EXPECT_EQ(viaTable.size(), 17u);
+    EXPECT_EQ(viaTable.jsonDump(), viaLeaves.jsonDump());
+    EXPECT_EQ(viaTable.match(), viaLeaves.match());
+    EXPECT_EQ(viaTable.counter("host0.tcp.conn0.badSegments"),
+              &stats.badSegments);
+    EXPECT_EQ(viaTable.counterValue("host0.tcp.conn0.segsIn"), 101u);
+    EXPECT_EQ(viaTable.sample("host0.tcp.conn0.segsIn"), nullptr);
+
+    // Re-registering moves every path.
+    stats.registerIn(viaTable, "host1.tcp.conn0");
+    EXPECT_FALSE(viaTable.contains("host0.tcp.conn0.segsIn"));
+    EXPECT_EQ(viaTable.counter("host1.tcp.conn0.segsIn"), &stats.segsIn);
+    EXPECT_EQ(viaTable.size(), 17u);
+}
+
+// Connections come and go; every registration they made goes with
+// them, and the registry is back to its baseline after each round.
+TEST(StatRegistry, ConnectionChurnReturnsToBaseline)
+{
+    constexpr std::size_t conns = 16;
+    apps::SocketsTestbed bed(2, apps::SocketsFabric::GigabitEthernet);
+    auto &sim = bed.sim();
+    const std::size_t baseline = sim.stats().size();
+    const auto cfg = bed.tcpConfig();
+    bed.host(1).stack().tcpListen(
+        7, cfg, [](std::shared_ptr<host::TcpSocket> sock) {
+            sock->recv(64, [sock](std::vector<std::uint8_t> d) {
+                if (d.empty())
+                    sock->close();
+            });
+        });
+    for (std::uint16_t round = 0; round < 4; ++round) {
+        SCOPED_TRACE(round);
+        std::vector<std::shared_ptr<host::TcpSocket>> clients;
+        for (std::uint16_t k = 0; k < conns; ++k) {
+            clients.push_back(bed.host(0).stack().tcpConnect(
+                bed.addr(0, static_cast<std::uint16_t>(
+                                30000 + round * conns + k)),
+                bed.addr(1, 7), cfg, nullptr));
+        }
+        sim.runUntilCondition(
+            [&] {
+                return sim.stats().match("*.tcp.*.segsOut").size() ==
+                       2 * conns;
+            },
+            sim.now() + sim::oneSec);
+        ASSERT_EQ(sim.stats().match("*.tcp.*.segsOut").size(), 2 * conns);
+        ASSERT_EQ(sim.stats().size(), baseline + 2 * conns * 14);
+        for (const auto &c : clients)
+            c->close();
+        clients.clear();
+        sim.runUntilCondition(
+            [&] { return sim.stats().size() == baseline; },
+            sim.now() + 10 * sim::oneSec);
+        ASSERT_EQ(sim.stats().size(), baseline);
+        EXPECT_TRUE(sim.stats().match("*.tcp.*").empty());
+    }
+}
+
 namespace {
 
 std::uint64_t
@@ -613,13 +721,49 @@ refJsonDump(const RefModel &ref, const std::string &pattern)
     return out;
 }
 
+/** A stats struct published through shared leaf tables. */
+struct TableStats
+{
+    sim::Counter x;
+    sim::SampleStat b;
+    sim::Histogram c{0.0, 8.0, 4};
+    sim::Counter a;
+};
+
+/** One leaf of each kind. */
+const sim::StatTable<TableStats> &
+wideTable()
+{
+    static const sim::StatTable<TableStats> table = [] {
+        sim::StatTable<TableStats> t;
+        t.add("x", &TableStats::x);
+        t.add("c", &TableStats::c);
+        t.add("b", &TableStats::b);
+        return t;
+    }();
+    return table;
+}
+
+/** A leaf that sorts first under its key. */
+const sim::StatTable<TableStats> &
+narrowTable()
+{
+    static const sim::StatTable<TableStats> table = [] {
+        sim::StatTable<TableStats> t;
+        t.add("a", &TableStats::a);
+        return t;
+    }();
+    return table;
+}
+
 } // namespace
 
 // The per-group registry against a flat map of full paths: random
 // registration and group teardown over nested prefixes ("", "a",
 // "a.b", "a.b.c"), dotted leaves that land in another group's
-// directory, and siblings that sort around the '.' separator
-// ("a.b-c", "a.b+c" next to "a.b").
+// directory, siblings that sort around the '.' separator ("a.b-c",
+// "a.b+c" next to "a.b"), and groups bound to shared leaf tables
+// under the same keys as per-leaf groups and their dotted leaves.
 TEST(StatRegistry, MatchesFlatReferenceModel)
 {
     const std::vector<std::string> prefixes = {
@@ -656,8 +800,37 @@ TEST(StatRegistry, MatchesFlatReferenceModel)
     constexpr int numGroups = 10;
     std::vector<std::unique_ptr<sim::StatGroup>> groups;
     std::vector<std::string> groupPrefix(numGroups);
-    for (int g = 0; g < numGroups; ++g)
+    std::vector<bool> tableBound(numGroups);
+    int tableBinds = 0;
+    std::vector<std::unique_ptr<TableStats>> tableStats;
+    for (int g = 0; g < numGroups; ++g) {
         groups.push_back(std::make_unique<sim::StatGroup>());
+        tableStats.push_back(std::make_unique<TableStats>());
+        TableStats &t = *tableStats.back();
+        t.x.inc(10'000 + g);
+        t.a.inc(20'000 + g);
+        t.b.sample(g);
+        t.c.sample(g % 8);
+    }
+    const auto tableEntries = [&](int g,
+                                  const sim::StatTable<TableStats> &table) {
+        TableStats &t = *tableStats[g];
+        std::map<std::string, RefEntry> out;
+        for (const auto &leaf : table.leaves()) {
+            RefEntry e;
+            e.owner = g;
+            if (leaf.name == "x")
+                e.counter = &t.x;
+            else if (leaf.name == "a")
+                e.counter = &t.a;
+            else if (leaf.name == "b")
+                e.sample = &t.b;
+            else
+                e.histogram = &t.c;
+            out[join(groupPrefix[g], leaf.name)] = e;
+        }
+        return out;
+    };
 
     std::mt19937 rng(2024);
     const auto pick = [&rng](std::size_t n) {
@@ -683,8 +856,24 @@ TEST(StatRegistry, MatchesFlatReferenceModel)
         };
         if (!groups[g]->bound()) {
             groupPrefix[g] = prefixes[pick(prefixes.size())];
-            groups[g]->init(reg, groupPrefix[g]);
+            const std::size_t how = pick(4);
+            const auto &table = how == 0 ? wideTable() : narrowTable();
+            const auto entries = tableEntries(g, table);
+            tableBound[g] = how < 2 &&
+                            std::none_of(entries.begin(), entries.end(),
+                                         [&ref](const auto &kv) {
+                                             return ref.contains(kv.first);
+                                         });
+            if (tableBound[g]) {
+                groups[g]->init(reg, groupPrefix[g], table, *tableStats[g]);
+                ref.insert(entries.begin(), entries.end());
+                ++tableBinds;
+            } else {
+                groups[g]->init(reg, groupPrefix[g]);
+            }
             EXPECT_EQ(groups[g]->prefix(), groupPrefix[g]);
+        } else if (op < 75 && tableBound[g]) {
+            // A table-bound group takes no adds.
         } else if (op < 75) {
             const std::string &leaf = leaves[pick(leaves.size())];
             const std::string path = join(groupPrefix[g], leaf);
@@ -722,6 +911,7 @@ TEST(StatRegistry, MatchesFlatReferenceModel)
             ASSERT_EQ(reg.histogram(path), want.histogram) << path;
         }
     }
+    EXPECT_GE(tableBinds, 20);
 }
 
 // Every way two registrations can name one path panics at the second.
@@ -791,6 +981,63 @@ TEST(StatRegistryDeathTest, ChildGroupLeafAgainstDottedLeafPanics)
             child.add("c", c2);
         },
         "duplicate stat path 'a.b.c'");
+}
+
+TEST(StatRegistryDeathTest, TableLeafAgainstSiblingGroupLeafPanics)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    sim::Counter c;
+    EXPECT_DEATH(
+        {
+            sim::StatRegistry reg;
+            sim::StatGroup sibling;
+            sibling.init(reg, "a.tcp");
+            sibling.add("segsIn", c);
+            inet::TcpStats stats;
+            stats.registerIn(reg, "a.tcp");
+        },
+        "duplicate stat path 'a.tcp.segsIn'");
+    // A table leaf against a parent group's dotted leaf.
+    EXPECT_DEATH(
+        {
+            sim::StatRegistry reg;
+            sim::StatGroup parent;
+            parent.init(reg, "a");
+            parent.add("tcp.segsIn", c);
+            inet::TcpStats stats;
+            stats.registerIn(reg, "a.tcp");
+        },
+        "duplicate stat path 'a.tcp.segsIn'");
+}
+
+TEST(StatRegistryDeathTest, DottedTableLeafPanics)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            sim::StatRegistry reg;
+            sim::StatTable<TableStats> t;
+            t.add("x.y", &TableStats::x);
+            TableStats stats;
+            sim::StatGroup g;
+            g.init(reg, "a", t, stats);
+        },
+        "table leaf 'x.y' has a dot");
+}
+
+TEST(StatRegistryDeathTest, AddToTableBoundGroupPanics)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    sim::Counter c;
+    EXPECT_DEATH(
+        {
+            sim::StatRegistry reg;
+            TableStats stats;
+            sim::StatGroup g;
+            g.init(reg, "a", narrowTable(), stats);
+            g.add("extra", c);
+        },
+        "bound to a table");
 }
 
 // ---------------------------------------------------------------------
