@@ -13,8 +13,9 @@
  * sizes scale with QPIP_SIMSPEED_MB (default 32).
  *
  * The dual-star scale-out workload (8 hosts, all ordered pairs) runs
- * twice: once on the classic serial loop and once under the parallel
- * engine with --threads=N (or QPIP_SIMSPEED_THREADS, default 1).
+ * twice: once unpartitioned (the engine's one partition, the "_serial"
+ * row) and once split by switch with --threads=N workers (or
+ * QPIP_SIMSPEED_THREADS, default 1).
  * Neither run counts toward the legacy ttcp aggregate, so the
  * headline number stays comparable with earlier records. The
  * ttcp-pairs rows (dual-star and fat-tree) take simTicks from the
@@ -23,8 +24,8 @@
  * from its serial row's.
  *
  * The fabric arm sweeps the parallel engine across thread counts on
- * the 128-host k=8 fat-tree (one shift of the all-to-all): a serial
- * engine-less baseline plus one point per count in --fabric-threads=
+ * the 128-host k=8 fat-tree (one shift of the all-to-all): an
+ * unpartitioned baseline plus one point per count in --fabric-threads=
  * (or QPIP_SIMSPEED_FABRIC_THREADS, default "1,2,4,8"; pass an empty
  * list to skip the arm). CI prunes the list to the cores the runner
  * actually has; the host's core count is recorded in the JSON so a
@@ -73,7 +74,10 @@ struct WorkloadResult
     std::uint64_t simBytes = 0;
     double wallSeconds = 0.0;
     bool completed = false;
-    /** Worker threads (-1: legacy serial workload, no field). */
+    /**
+     * Worker threads (-1: a two-host row, no field; 0: the
+     * unpartitioned row of a scale-out pair).
+     */
     int threads = -1;
     /** Engine counters (parallel workloads only; deterministic). */
     std::uint64_t epochs = 0;
@@ -135,56 +139,39 @@ parseThreadList(const std::string &spec)
     return out;
 }
 
-/**
- * Run @p body, filling the wall/event/tick columns around it.
- * @p count_events reads the executed-event total for this testbed
- * (global queue for serial runs, engine total for parallel ones).
- */
-template <typename Body, typename Count>
+/** Run @p body, filling the wall/event/tick columns around it. */
+template <typename Body>
 WorkloadResult
 timed(const std::string &name, bool ttcp, sim::Simulation &sim,
-      std::uint64_t sim_bytes, Count &&count_events, Body &&body)
+      std::uint64_t sim_bytes, Body &&body)
 {
     WorkloadResult r;
     r.name = name;
     r.ttcp = ttcp;
     r.simBytes = sim_bytes;
-    const std::uint64_t events0 = count_events();
+    const std::uint64_t events0 = sim.engine().executed();
     const sim::Tick t0 = sim.now();
     const auto wall0 = std::chrono::steady_clock::now();
     r.completed = body();
     const auto wall1 = std::chrono::steady_clock::now();
-    r.events = count_events() - events0;
+    r.events = sim.engine().executed() - events0;
     r.simTicks = sim.now() - t0;
     r.wallSeconds =
         std::chrono::duration<double>(wall1 - wall0).count();
     return r;
 }
 
-template <typename Body>
-WorkloadResult
-timed(const std::string &name, bool ttcp, sim::Simulation &sim,
-      std::uint64_t sim_bytes, Body &&body)
-{
-    return timed(name, ttcp, sim, sim_bytes,
-                 [&sim] { return sim.eventQueue().executed(); },
-                 std::forward<Body>(body));
-}
-
 /**
  * A ttcp-pairs row: simTicks is the pairs' own elapsed window, the
  * same serial or partitioned, not where the run call returned.
  */
-template <typename Count>
 WorkloadResult
 timedPairs(const std::string &name, SocketsTestbed &bed,
-           const std::vector<TtcpPair> &pairs, std::uint64_t per_pair,
-           Count &&count_events)
+           const std::vector<TtcpPair> &pairs, std::uint64_t per_pair)
 {
     MultiTtcpResult m;
     WorkloadResult r = timed(
-        name, false, bed.sim(), per_pair * pairs.size(),
-        std::forward<Count>(count_events), [&] {
+        name, false, bed.sim(), per_pair * pairs.size(), [&] {
             m = runSocketsTtcpPairs(bed, pairs, per_pair);
             return m.completed;
         });
@@ -260,8 +247,7 @@ buildWorkloads(int threads, const std::vector<int> &fabric_threads)
         SocketsTestbed bed(8, SocketsFabric::GigabitEthernet, 1,
                            host::HostCostModel{},
                            FabricTopology::DualStar);
-        auto r = timedPairs("ttcp_dualstar8_serial", bed, pairs, per_pair,
-                            [&] { return bed.sim().eventQueue().executed(); });
+        auto r = timedPairs("ttcp_dualstar8_serial", bed, pairs, per_pair);
         r.threads = 0;
         return r;
     });
@@ -271,16 +257,15 @@ buildWorkloads(int threads, const std::vector<int> &fabric_threads)
                            FabricTopology::DualStar);
         bed.enableParallel(threads);
         auto r = timedPairs("ttcp_dualstar8_parallel", bed, pairs,
-                            per_pair,
-                            [&] { return bed.engine()->executed(); });
+                            per_pair);
         r.threads = threads;
         captureEngineStats(r, bed.sim());
         return r;
     });
 
     // Fabric scaling arm: one shift of the all-to-all on the 128-host
-    // k=8 fat-tree — a serial engine-less baseline, then the parallel
-    // engine at every requested worker count. Identical simulated
+    // k=8 fat-tree — an unpartitioned baseline, then the fabric split
+    // by switch at every requested worker count. Identical simulated
     // work per point, so the curve isolates engine overhead/speedup.
     if (!fabric_threads.empty()) {
         const auto fpairs = uniformShiftPairs(128, 1);
@@ -290,9 +275,8 @@ buildWorkloads(int threads, const std::vector<int> &fabric_threads)
             SocketsTestbed bed(128, SocketsFabric::GigabitEthernet, 1,
                                host::HostCostModel{},
                                FabricTopology::FatTreeK8);
-            auto r = timedPairs(
-                "ttcp_fattree128_serial", bed, fpairs, f_per_pair,
-                [&] { return bed.sim().eventQueue().executed(); });
+            auto r = timedPairs("ttcp_fattree128_serial", bed, fpairs,
+                                f_per_pair);
             r.threads = 0;
             return r;
         });
@@ -304,7 +288,7 @@ buildWorkloads(int threads, const std::vector<int> &fabric_threads)
                 bed.enableParallel(t);
                 auto r = timedPairs(
                     "ttcp_fattree128_t" + std::to_string(t), bed, fpairs,
-                    f_per_pair, [&] { return bed.engine()->executed(); });
+                    f_per_pair);
                 r.threads = t;
                 captureEngineStats(r, bed.sim());
                 return r;

@@ -58,6 +58,7 @@ Testbed::addHost(const host::HostCostModel &costs)
     net::Link &spoke = fabric_->addNode(static_cast<net::NodeId>(i));
     hosts_.push_back(std::make_unique<host::Host>(
         sim_, "host" + std::to_string(i), costs));
+    hostParts_.push_back(&sim_.engine().partition(0));
     return spoke;
 }
 
@@ -93,20 +94,11 @@ Testbed::meshRoutes(
 void
 Testbed::enableParallel(int threads)
 {
-    engine_ = std::make_unique<sim::ParallelEngine>(sim_, threads);
-    hostParts_ = net::partitionFabric(*engine_, *fabric_);
+    sim::ParallelEngine &engine = sim_.engine();
+    engine.setThreads(threads);
+    hostParts_ = net::partitionFabric(engine, *fabric_);
     for (std::size_t i = 0; i < hosts_.size(); ++i)
-        engine_->assignByPrefix("host" + std::to_string(i),
-                                partitionOf(i));
-}
-
-void
-Testbed::clearEvents()
-{
-    if (engine_ != nullptr)
-        engine_->clearAll();
-    else
-        sim_.eventQueue().clear();
+        engine.assignByPrefix("host" + std::to_string(i), partitionOf(i));
 }
 
 /**
@@ -119,15 +111,15 @@ Testbed::clearEvents()
 void
 Testbed::teardown()
 {
-    if (engine_ != nullptr)
-        engine_->park();
-    clearEvents();
+    sim::ParallelEngine &engine = sim_.engine();
+    engine.park();
+    engine.clearAll();
     for (auto &release : loops_)
         release();
     loops_.clear();
     for (auto &h : hosts_)
         h->stack().dropCallbacks();
-    clearEvents();
+    engine.clearAll();
 }
 
 SocketsTestbed::SocketsTestbed(std::size_t n_hosts,
@@ -210,7 +202,7 @@ QpipTestbed::~QpipTestbed()
     teardown();
     for (auto &p : providers_)
         p->dropCallbacks();
-    clearEvents();
+    sim().engine().clearAll();
 }
 
 void

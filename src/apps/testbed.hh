@@ -53,9 +53,9 @@ enum class IpFamily { V4, V6 };
 constexpr std::uint32_t qpipNativeMtu = 16384 + 128;
 
 /**
- * The scaffolding every testbed shares: the simulation, its optional
- * parallel engine, the fabric, the hosts and their addresses, and the
- * teardown that releases what a run left holding itself alive. The
+ * The scaffolding every testbed shares: the simulation, the fabric,
+ * the hosts and their addresses, and the teardown that releases what
+ * a run left holding itself alive. The
  * subclasses add their NICs (and QPIP's verbs providers) and call
  * teardown() first thing in their destructors, while those still
  * exist.
@@ -70,20 +70,20 @@ class Testbed
     std::size_t numHosts() const { return hosts_.size(); }
 
     /**
-     * Shard the testbed across a parallel engine: one partition per
-     * switch, which its hosts (host, NIC and spoke) share, so only
-     * switch-to-switch links cross partitions (net::partitionFabric).
-     * A one-switch star is one partition. Call once, after
-     * construction and before the first run. threads=1 runs the
-     * identical partitioned schedule on one thread — the bit-identity
-     * baseline.
+     * Set the engine's worker count and split its one partition by
+     * switch: each switch's hosts (host, NIC and spoke) share its
+     * partition, so only switch-to-switch links cross partitions
+     * (net::partitionFabric). A one-switch star stays one partition.
+     * Call once, after construction and before the first run.
+     * threads=1 runs the identical partitioned schedule on one thread
+     * — the bit-identity baseline.
      */
     void enableParallel(int threads);
-    sim::ParallelEngine *engine() { return engine_.get(); }
+    sim::ParallelEngine *engine() { return &sim_.engine(); }
 
     /**
      * The partition host @p i runs in, where objects of its own built
-     * outside the testbed belong. @pre enableParallel was called.
+     * outside the testbed belong (partition 0 until enableParallel).
      */
     sim::Partition &partitionOf(std::size_t i) const
     {
@@ -133,20 +133,16 @@ class Testbed
      */
     void teardown();
 
-    /** Discard every pending event, serial or partitioned. */
-    void clearEvents();
-
   private:
-    sim::Simulation sim_;
-    IpFamily family_;
     /**
-     * Declared before the model objects: the engine owns the
+     * Declared before the model objects: its engine owns the
      * partition event queues, which must outlive every host/NIC
      * holding event handles into them. teardown() parks the worker
      * pool before any model teardown begins.
      */
-    std::unique_ptr<sim::ParallelEngine> engine_;
-    /** Each host's partition, by index (set by enableParallel). */
+    sim::Simulation sim_;
+    IpFamily family_;
+    /** Each host's partition, by index. */
     std::vector<sim::Partition *> hostParts_;
     std::unique_ptr<net::Fabric> fabric_;
     std::vector<std::unique_ptr<host::Host>> hosts_;

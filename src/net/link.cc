@@ -190,8 +190,8 @@ Link::send(int from_side, PacketPtr pkt)
 
     if (tx.tap != nullptr)
         tx.tap->record(*pkt, start);
-    // The parallel engine refuses tracing, so only an unbound link
-    // gets here with the tracer on.
+    // A split engine refuses tracing, so the tracer is on only where
+    // one partition runs every link.
     if (tracer().enabled()) {
         // Tag with the link-local sequence number (not pkt->id, which
         // is a process-global counter and would break same-seed trace

@@ -59,10 +59,10 @@ class PcapWriter
 /**
  * Tap both transmitters of @p link into @p writer, which must outlive
  * the link's traffic: tapLinkSide() on each side with one writer.
- * Replaces any previous tap on the link. Serial runs only: on a link
- * net::partitionFabric binds, this panics (here if the link is already
- * bound, at the binding otherwise); use tapLinkSide() with one writer
- * per side.
+ * Replaces any previous tap on the link. Unpartitioned runs only: on
+ * a link net::partitionFabric binds, this panics (here if the link is
+ * already bound, at the binding otherwise); use tapLinkSide() with one
+ * writer per side.
  */
 void tapLink(Link &link, PcapWriter &writer);
 

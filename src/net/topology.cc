@@ -208,7 +208,10 @@ partitionFabric(sim::ParallelEngine &engine, Fabric &fabric)
     sw_parts.reserve(fabric.numSwitches());
     for (std::size_t i = 0; i < fabric.numSwitches(); ++i) {
         Switch &sw = fabric.switchAt(i);
-        sim::Partition &p = engine.addPartition(sw.name());
+        // Switch 0's group keeps partition 0, where everything starts.
+        sim::Partition &p = i == 0 ? engine.partition(0)
+                                   : engine.addPartition(sw.name());
+        p.rename(sw.name());
         engine.assignByPrefix(sw.name(), p);
         sw_parts.push_back(&p);
     }

@@ -194,10 +194,10 @@ makeKAryFatTree(sim::Simulation &sim, std::string name,
                 std::size_t n_hosts);
 
 /**
- * Shard @p fabric across @p engine: one new partition per switch,
- * named after it, holding the switch and every host whose spoke
- * attaches to it (a host with no switch attachment gets a partition
- * of its own). Every link direction is bound to its sending
+ * Shard @p fabric across @p engine: one partition per switch, named
+ * after it (switch 0 keeps partition 0, the others get new ones),
+ * holding the switch and every host whose spoke attaches to it (a
+ * host with no switch attachment gets a partition of its own). Every link direction is bound to its sending
  * partition; only a direction between two partitions, which in these
  * fabrics means switch to switch, gets a mailbox toward its receiver,
  * declaring its link's propagation delay plus serialization floor as

@@ -452,6 +452,15 @@ class EventQueue
     /** @return true if no runnable events remain. */
     bool empty() const { return heap_.empty(); }
 
+    /** Call @p fn with the key of every pending event, in no order. */
+    template <typename Fn>
+    void
+    forEachPending(Fn &&fn) const
+    {
+        for (const HeapEntry &e : heap_)
+            fn(e.key);
+    }
+
     /** Tick of the next runnable event, or maxTick if none. */
     Tick
     nextEventTick() const
@@ -517,9 +526,9 @@ class EventQueue
     void clear();
 
     /**
-     * Partition-local mode: label this queue with its owning
-     * partition's name so scheduling diagnostics identify the shard
-     * (the global queue stays unlabelled).
+     * Label this queue with its owning partition's name so scheduling
+     * diagnostics identify the shard (an unpartitioned run's stays
+     * unlabelled).
      */
     void setLabel(std::string label) { label_ = std::move(label); }
     const std::string &label() const { return label_; }

@@ -5,6 +5,7 @@
 
 #include "sim/logging.hh"
 #include "sim/sim_object.hh"
+#include "sim/simulation.hh"
 #include "sim/trace.hh"
 
 namespace qpip::sim {
@@ -61,12 +62,19 @@ spinThenPark(std::mutex &m, std::condition_variable &cv, Ready ready)
 
 } // namespace
 
-ParallelEngine::ParallelEngine(Simulation &sim, int threads)
-    : sim_(sim), workers_(static_cast<std::size_t>(std::max(threads, 1)))
+ParallelEngine::ParallelEngine(Simulation &sim) : sim_(sim), workers_(1)
 {
-    if (sim_.parallelEngine() != nullptr)
-        panic("ParallelEngine: simulation already has an engine");
-    sim_.engine_ = this;
+    addPartition("");
+}
+
+void
+ParallelEngine::setThreads(int threads)
+{
+    if (threadsSet_)
+        panic("ParallelEngine: worker count already set (partition a "
+              "simulation once)");
+    threadsSet_ = true;
+    workers_.resize(static_cast<std::size_t>(std::max(threads, 1)));
     statGroup_.init(sim_.stats(), "parallel");
     statGroup_.add("epochs", statEpochs_);
     statGroup_.add("mailboxPosts", statMailboxPosts_);
@@ -98,7 +106,18 @@ ParallelEngine::park()
 ParallelEngine::~ParallelEngine()
 {
     park();
-    sim_.engine_ = nullptr;
+}
+
+Tick
+ParallelEngine::now() const
+{
+    if (parts_.size() == 1)
+        return parts_.front()->eq_.now();
+    if (inEpoch_)
+        panic("Simulation::now() read while a partition executes: it "
+              "is the epoch frontier, not the running event's tick; "
+              "read the running object's clock (SimObject::curTick)");
+    return now_;
 }
 
 Partition &
@@ -178,10 +197,7 @@ ParallelEngine::beginRun()
         panic("ParallelEngine: event tracing is unsupported (span "
               "append order would depend on thread interleaving)");
     }
-    if (!sim_.eventQueue().empty()) {
-        panic("ParallelEngine: events pending on the global queue — "
-              "a SimObject was not assigned to any partition");
-    }
+    checkBindings();
     // Flatten the partition graph for the per-epoch relaxation:
     // iterating a contiguous {src, dst, lookahead} array beats
     // chasing Mailbox pointers at the epoch rates the engine
@@ -203,6 +219,27 @@ ParallelEngine::beginRun()
         nextTick_[i] = p.eq_.nextEventTick();
         if (!p.dirtyOut_.empty())
             posted_.push_back(p.id_);
+    }
+}
+
+void
+ParallelEngine::checkBindings()
+{
+    // Each source's object (link directions are none).
+    std::vector<SimObject *> owner(sim_.sources(), nullptr);
+    for (SimObject *obj : sim_.objectsSnapshot())
+        owner[obj->sourceId()] = obj;
+    for (auto &p : parts_) {
+        p->eq_.forEachPending([&](const EventKey &key) {
+            SimObject *obj =
+                key.source < owner.size() ? owner[key.source] : nullptr;
+            if (obj != nullptr &&
+                (!obj->assigned() || &obj->eventQueue() != &p->eq_))
+                panic("ParallelEngine: %s has an event pending in "
+                      "partition %u — a SimObject was not assigned to "
+                      "any partition, or moved after it scheduled",
+                      obj->name().c_str(), p->id());
+        });
     }
 }
 
@@ -447,36 +484,14 @@ ParallelEngine::foldAll()
 }
 
 std::uint64_t
-ParallelEngine::runAlone(const std::function<bool()> *pred, Tick until)
-{
-    EventQueue &eq = parts_.front()->eq_;
-    const std::uint64_t before = eq.executed();
-    // inEpoch_ is set around the queue's events only: a predicate
-    // runs outside them, as it does at a barrier.
-    if (pred == nullptr) {
-        inEpoch_ = true;
-        eq.runUntil(until);
-        inEpoch_ = false;
-    } else {
-        for (bool ran = true; ran && !(*pred)();) {
-            inEpoch_ = true;
-            ran = eq.step(until);
-            if (!ran)
-                eq.settle(until);
-            inEpoch_ = false;
-        }
-    }
-    now_ = std::max(now_, eq.now());
-    foldAll();
-    return eq.executed() - before;
-}
-
-std::uint64_t
 ParallelEngine::runUntil(Tick until)
 {
+    if (parts_.size() == 1) {
+        const std::uint64_t n = parts_.front()->eq_.runUntil(until);
+        foldAll();
+        return n;
+    }
     beginRun();
-    if (parts_.size() == 1)
-        return runAlone(nullptr, until);
     const std::uint64_t before = executed();
     while (epoch(until)) {
     }
@@ -498,27 +513,20 @@ bool
 ParallelEngine::runUntilCondition(const std::function<bool()> &pred,
                                   Tick deadline)
 {
-    beginRun();
-    if (parts_.size() == 1) {
-        runAlone(&pred, deadline);
-        return pred();
-    }
-    if (pred()) {
-        foldAll();
-        return true;
-    }
-    for (;;) {
-        if (!epoch(deadline)) {
-            advanceIdleClocks(deadline);
-            foldAll();
-            return pred();
-        }
-        if (pred()) {
-            advanceIdleClocks(deadline);
-            foldAll();
-            return true;
-        }
-    }
+    // One partition steps its queue: a barrier after every event.
+    EventQueue &alone = parts_.front()->eq_;
+    const bool split = parts_.size() > 1;
+    if (split)
+        beginRun();
+    bool met = pred();
+    while (!met && (split ? epoch(deadline) : alone.step(deadline)))
+        met = pred();
+    if (split)
+        advanceIdleClocks(deadline);
+    else if (!met)
+        alone.settle(deadline);
+    foldAll();
+    return met || pred();
 }
 
 void
@@ -536,7 +544,6 @@ ParallelEngine::clearAll()
     }
     posted_.clear();
     std::fill(hasMail_.begin(), hasMail_.end(), 0);
-    sim_.eventQueue().clear();
 }
 
 } // namespace qpip::sim

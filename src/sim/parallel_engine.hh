@@ -1,6 +1,7 @@
 /**
  * @file
- * A deterministic conservative parallel discrete-event engine.
+ * A deterministic conservative parallel discrete-event engine: the
+ * one run loop of every Simulation.
  *
  * The simulation is sharded into Partitions (see partition.hh), each
  * owning a private event queue. Partition i belongs to worker i mod T
@@ -84,20 +85,20 @@
  * So any partitioning, at any thread count, replays the serial
  * schedule of the work scheduled through sources: the same event
  * order, ticks, stats and captures. The one difference is where a
- * run call returns: with more than one partition,
- * runUntilCondition() checks its predicate at barriers, not after
- * every event, so it returns later than the serial loop would; what
- * is simulated does not change. (Events scheduled straight into a
+ * run call returns: runUntilCondition() checks its predicate at
+ * barriers, which with more than one partition are epochs, so it
+ * returns later than an unpartitioned run; what is simulated does not
+ * change. (Events scheduled straight into a
  * queue with no source keep a per-queue counter, which the guarantee
  * does not cover.)
  *
- * One partition. An engine with a single partition (a one-switch
- * fabric, whose hosts all share their switch's partition) has no
- * edge, no mail and so no barrier to wait at: its run calls step
- * that partition's queue on the calling thread, checking
- * runUntilCondition()'s predicate after every event as the serial
- * loop does, so it returns where the serial run does, at the same
- * tick. Its runs count no epochs.
+ * One partition. Every Simulation runs on its engine, which starts
+ * with partition 0, where every SimObject starts: an unpartitioned
+ * run is that partition alone. It has no edge and so a barrier after
+ * every event: run calls step its queue on the calling thread, count
+ * no epochs, and Simulation::now() reads its clock even inside an
+ * event. Only a split engine refuses tracing, now() inside an epoch
+ * and an event pending in a queue its object is not bound to.
  *
  * This is the one place in the tree allowed to use threading
  * primitives (see qpip-lint rule T1): all protocol code stays
@@ -121,25 +122,31 @@
 #include <vector>
 
 #include "sim/partition.hh"
-#include "sim/simulation.hh"
+#include "sim/stat_registry.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace qpip::sim {
 
+class Simulation;
+
+/**
+ * The one run loop of a Simulation, which owns it (Simulation::engine).
+ */
 class ParallelEngine
 {
   public:
-    /**
-     * Install the engine on @p sim (Simulation::run* delegate here
-     * until destruction). @p threads is the worker count: 1 executes
-     * partitions inline on the calling thread.
-     */
-    ParallelEngine(Simulation &sim, int threads);
     ~ParallelEngine();
 
     ParallelEngine(const ParallelEngine &) = delete;
     ParallelEngine &operator=(const ParallelEngine &) = delete;
+
+    /**
+     * Set the worker count, once, before a partitioned run: 1 executes
+     * partitions inline on the calling thread. Registers the engine's
+     * parallel.* stats, which an unpartitioned simulation never does.
+     */
+    void setThreads(int threads);
 
     /** Create a partition (with its own event queue). */
     Partition &addPartition(const std::string &name);
@@ -170,8 +177,14 @@ class ParallelEngine
      */
     void addFoldHook(std::function<void()> fold);
 
-    /** Conservative global frontier of the latest epoch. */
-    Tick now() const { return now_; }
+    /**
+     * With one partition, its queue's clock. With more, the
+     * conservative global frontier of the latest epoch, which panics
+     * while a partition executes: it is not the running event's tick,
+     * and simulated work reads its own object's clock
+     * (SimObject::curTick).
+     */
+    Tick now() const;
 
     /** Total events executed across all partitions. */
     std::uint64_t executed() const;
@@ -189,9 +202,9 @@ class ParallelEngine
     std::uint64_t runUntil(Tick until);
 
     /**
-     * Run until @p pred() holds — checked at every epoch barrier, the
-     * parallel analogue of "after every event", or after every event
-     * with one partition — or @p deadline.
+     * Run until @p pred() holds or @p deadline. The predicate is
+     * checked at every barrier, and a single partition has a barrier
+     * after every event.
      */
     bool runUntilCondition(const std::function<bool()> &pred,
                            Tick deadline = maxTick);
@@ -210,6 +223,11 @@ class ParallelEngine
     void park();
 
   private:
+    friend class Simulation;
+
+    /** The engine of @p sim: one partition, one worker. */
+    explicit ParallelEngine(Simulation &sim);
+
     /** One partition visit: set by the barrier, reported by the owner. */
     struct Visit
     {
@@ -233,11 +251,17 @@ class ParallelEngine
     };
 
     /**
-     * Start a run call: flatten the edge graph, re-read every
-     * partition's next tick and pick up batches posted outside an
-     * epoch.
+     * Start a partitioned run call: refuse tracing and misbound
+     * events, flatten the edge graph, re-read every partition's next
+     * tick and pick up batches posted outside an epoch.
      */
     void beginRun();
+    /**
+     * Panic on an event pending in a queue its SimObject is not bound
+     * to: one no partition was assigned, or one that moved after it
+     * scheduled.
+     */
+    void checkBindings();
     /**
      * The serial barrier plus one parallel epoch. @return false,
      * with any handed-over mail injected, once nothing is due
@@ -255,13 +279,6 @@ class ParallelEngine
     void runEpoch();
     /** Read the owners' reports back into the barrier's state. */
     void finishEpoch();
-    /**
-     * A run call on a one-partition engine: step its queue here to
-     * @p until, or until *@p pred holds when @p pred is given,
-     * checking after every event. @return events executed.
-     */
-    std::uint64_t runAlone(const std::function<bool()> *pred,
-                           Tick until);
     /** Visit every partition on @p w's list (see the file comment). */
     void runShare(Worker &w);
     /** Schedule @p p's handed-over batches into its queue. */
@@ -295,6 +312,8 @@ class ParallelEngine
     bool ranEpoch_ = false;
     /** Partitions are executing: written by the coordinator only. */
     bool inEpoch_ = false;
+    /** setThreads() was called. */
+    bool threadsSet_ = false;
     /**
      * The partition graph flattened for the per-epoch relaxation
      * passes (rebuilt from mail_ at the start of every run).

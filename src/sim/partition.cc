@@ -6,8 +6,15 @@ namespace qpip::sim {
 
 Partition::Partition(std::uint32_t id, std::string name,
                      const std::vector<Tick> &horizons)
-    : id_(id), name_(std::move(name)), horizons_(&horizons)
+    : id_(id), horizons_(&horizons)
 {
+    rename(std::move(name));
+}
+
+void
+Partition::rename(std::string name)
+{
+    name_ = std::move(name);
     eq_.setLabel(name_);
 }
 

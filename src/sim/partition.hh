@@ -59,6 +59,9 @@ class Partition
     std::uint32_t id() const { return id_; }
     const std::string &name() const { return name_; }
 
+    /** Rename, and relabel the queue (a group taking partition 0). */
+    void rename(std::string name);
+
     EventQueue &eventQueue() { return eq_; }
 
     /**

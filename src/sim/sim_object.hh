@@ -12,9 +12,9 @@
  * since its id would then depend on thread timing.
  *
  * Partitioning: an object schedules into whatever event queue it is
- * bound to. By default that is the simulation's global queue (the
- * serial path); the parallel engine rebinds objects to their
- * partition's queue via bindExecContext().
+ * bound to. It starts in partition 0's (Simulation::eventQueue()),
+ * which is the whole of an unpartitioned run; partitioning rebinds it
+ * to its partition's queue via bindExecContext().
  *
  * Randomness is not part of the context: an object that draws random
  * numbers owns a sim::Random seeded by sim::streamSeed() from the
@@ -67,7 +67,15 @@ class SimObject
      * ParallelEngine::assignByPrefix during setup — never while the
      * simulation is running.
      */
-    void bindExecContext(EventQueue &eq) { eq_ = &eq; }
+    void
+    bindExecContext(EventQueue &eq)
+    {
+        eq_ = &eq;
+        assigned_ = true;
+    }
+
+    /** Was this object assigned a partition (bindExecContext)? */
+    bool assigned() const { return assigned_; }
 
     /**
      * Schedule a closure at an absolute tick, keyed by this object.
@@ -124,6 +132,7 @@ class SimObject
     Simulation &sim_;
     std::string name_;
     EventQueue *eq_;
+    bool assigned_ = false;
     EventSource source_;
     StatGroup stats_;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "sim/parallel_engine.hh"
 
 namespace qpip::sim {
 
@@ -12,33 +11,10 @@ Simulation::Simulation(std::uint64_t seed) : seed_(seed) {}
 EventSource
 Simulation::addSource()
 {
-    if (engine_ != nullptr && engine_->inEpoch())
+    if (engine_.inEpoch())
         panic("event source added while a partition executes: build "
               "every SimObject before running partitioned");
     return EventSource(nextSource_++);
-}
-
-Tick
-Simulation::engineNow() const
-{
-    if (engine_->inEpoch())
-        panic("Simulation::now() read while a partition executes: it "
-              "is the epoch frontier, not the running event's tick; "
-              "read the running object's clock (SimObject::curTick)");
-    return engine_->now();
-}
-
-std::uint64_t
-Simulation::engineRunUntil(Tick until)
-{
-    return engine_->runUntil(until);
-}
-
-bool
-Simulation::engineRunUntilCondition(std::function<bool()> pred,
-                                    Tick deadline)
-{
-    return engine_->runUntilCondition(pred, deadline);
 }
 
 void

@@ -1,14 +1,14 @@
 /**
  * @file
- * Simulation: the top-level container owning the event queue, the
- * master seed, the stats registry and the event tracer. Experiments
- * construct one Simulation, build a testbed of SimObjects against it,
- * and drive it with run()/runUntil()/runFor().
+ * Simulation: the top-level container owning the master seed, the
+ * stats registry, the event tracer and the engine that runs it.
+ * Experiments construct one Simulation, build a testbed of SimObjects
+ * against it, and drive it with run()/runUntil()/runFor().
  *
- * A Simulation normally executes serially on its own event queue.
- * When a ParallelEngine is installed (a testbed's enableParallel(),
- * or one constructed directly), the run*() entry points delegate to
- * the engine's barrier-epoch loop; the serial path stays the default.
+ * Every run goes through the engine (parallel_engine.hh). It starts
+ * with one partition, partition 0, whose queue is eventQueue() and
+ * where every SimObject starts; an unpartitioned run is that
+ * partition alone. A testbed's enableParallel() splits it by switch.
  */
 
 #pragma once
@@ -19,13 +19,13 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/parallel_engine.hh"
 #include "sim/stat_registry.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
 
 namespace qpip::sim {
 
-class ParallelEngine;
 class SimObject;
 
 /**
@@ -36,10 +36,12 @@ class Simulation
   public:
     explicit Simulation(std::uint64_t seed = 1);
 
-    EventQueue &eventQueue() { return eq_; }
+    /** Partition 0's queue, where every SimObject starts. */
+    EventQueue &eventQueue() { return engine_.partition(0).eventQueue(); }
     StatRegistry &stats() { return stats_; }
     const StatRegistry &stats() const { return stats_; }
     Tracer &tracer() { return tracer_; }
+    ParallelEngine &engine() { return engine_; }
 
     /** Master seed: every object's random stream derives here. */
     std::uint64_t seed() const { return seed_; }
@@ -52,47 +54,25 @@ class Simulation
      */
     EventSource addSource();
 
-    /** The installed parallel engine, or nullptr (serial mode). */
-    ParallelEngine *parallelEngine() const { return engine_; }
+    /** Sources added so far, plus source 0 (none). */
+    std::uint32_t sources() const { return nextSource_; }
 
-    /**
-     * The serial queue's clock or, under a parallel engine, the
-     * frontier of its latest epoch. Panics while a partition executes,
-     * where the frontier is not the running event's tick; simulated
-     * work reads its own object's clock (SimObject::curTick).
-     */
-    Tick
-    now() const
-    {
-        return engine_ != nullptr ? engineNow() : eq_.now();
-    }
+    /** The engine's clock (ParallelEngine::now). */
+    Tick now() const { return engine_.now(); }
 
-    /** Run until the event queue drains. @return events executed. */
-    std::uint64_t
-    run()
-    {
-        return engine_ != nullptr ? engineRunUntil(maxTick) : eq_.run();
-    }
+    /** Run until the event queues drain. @return events executed. */
+    std::uint64_t run() { return engine_.run(); }
 
     /** Run until an absolute tick. @return events executed. */
-    std::uint64_t
-    runUntil(Tick until)
-    {
-        return engine_ != nullptr ? engineRunUntil(until)
-                                  : eq_.runUntil(until);
-    }
+    std::uint64_t runUntil(Tick until) { return engine_.runUntil(until); }
 
     /** Run for a relative duration. @return events executed. */
-    std::uint64_t
-    runFor(Tick duration)
-    {
-        return runUntil(now() + duration);
-    }
+    std::uint64_t runFor(Tick duration) { return runUntil(now() + duration); }
 
     /**
-     * Run until @p pred() becomes true or @p deadline passes. Serial
-     * mode checks after every event; under a parallel engine the
-     * check happens at every epoch barrier. Reading a spinning CPU's
+     * Run until @p pred() becomes true or @p deadline passes. The
+     * predicate is checked at every barrier, and a single partition
+     * has a barrier after every event. Reading a spinning CPU's
      * counters settles the empty polls it owes (host::CpuModel), so
      * every check sees what the poll-per-event loop would; a run that
      * reaches @p deadline settles them up to it.
@@ -102,17 +82,8 @@ class Simulation
     bool
     runUntilCondition(Pred pred, Tick deadline = maxTick)
     {
-        if (engine_ != nullptr) {
-            return engineRunUntilCondition(
-                std::function<bool()>(std::move(pred)), deadline);
-        }
-        while (!pred()) {
-            if (!eq_.step(deadline)) {
-                eq_.settle(deadline);
-                return pred();
-            }
-        }
-        return true;
+        return engine_.runUntilCondition(
+            std::function<bool()>(std::move(pred)), deadline);
     }
 
     // --- SimObject registry (used by ParallelEngine::assignByPrefix)
@@ -121,22 +92,18 @@ class Simulation
     std::vector<SimObject *> objectsSnapshot() const;
 
   private:
-    friend class ParallelEngine; // installs/uninstalls engine_
-
-    Tick engineNow() const;
-    std::uint64_t engineRunUntil(Tick until);
-    bool engineRunUntilCondition(std::function<bool()> pred,
-                                 Tick deadline);
-
     std::uint64_t seed_;
     /** Id of the next source; 0 keys events scheduled with none. */
     std::uint32_t nextSource_ = 1;
-    EventQueue eq_;
     StatRegistry stats_;
     Tracer tracer_;
-    ParallelEngine *engine_ = nullptr;
     mutable std::mutex objMutex_;
     std::vector<SimObject *> objects_;
+    /**
+     * Last: built after, and destroyed before, the registries its
+     * queues' closures may touch.
+     */
+    ParallelEngine engine_{*this};
 };
 
 } // namespace qpip::sim

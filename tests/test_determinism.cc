@@ -197,8 +197,8 @@ runStarTransfer(bool warmup)
 
 /**
  * Observable end state of one run of a parallel-engine scenario:
- * partitioned at threads >= 1 worker threads, or serial, with no
- * engine, at threads == 0. Every scenario ends by running to a fixed
+ * partitioned at threads >= 1 worker threads, or unpartitioned (the
+ * engine's one partition) at threads == 0. Every scenario ends by running to a fixed
  * tick, so a serial and a partitioned run stop at the same point and
  * must leave the same captures, stats (less the engine's own
  * parallel.* diagnostics) and application results. Across thread
@@ -217,6 +217,9 @@ struct ParallelArtifacts
      */
     sim::Tick endTick = 0;
     std::uint64_t executed = 0;
+    /** Engine partitions, and the mail they exchanged. */
+    std::size_t partitions = 0;
+    std::uint64_t mailboxPosts = 0;
     bool completed = false;
     std::uint64_t faultEvents = 0;
     /** The link pins, read where the harness's last run returned. */
@@ -225,7 +228,7 @@ struct ParallelArtifacts
     std::vector<double> app;
 };
 
-/** Partition @p bed across @p threads workers (0: stay serial). */
+/** Partition @p bed across @p threads workers (0: stay unpartitioned). */
 void
 partition(apps::Testbed &bed, int threads)
 {
@@ -244,19 +247,13 @@ finishAt(apps::Testbed &bed, sim::Tick stop,
 {
     out.endTick = bed.sim().now();
     out.pins = collectLinkPins(bed.sim().stats(), taps);
-    if (bed.engine() != nullptr) {
-        // A partitioned run replays serial only if something crossed
-        // a partition boundary.
-        EXPECT_GT(bed.engine()->numPartitions(), 1u);
-        EXPECT_GT(
-            bed.sim().stats().counterValue("parallel.mailboxPosts"), 0u);
-    }
+    out.partitions = bed.engine()->numPartitions();
+    out.mailboxPosts =
+        bed.sim().stats().counterValue("parallel.mailboxPosts");
     EXPECT_LT(bed.sim().now(), stop);
     bed.sim().runUntil(stop);
     out.statsJson = bed.sim().stats().jsonDump();
-    out.executed = bed.engine() != nullptr
-                       ? bed.engine()->executed()
-                       : bed.sim().eventQueue().executed();
+    out.executed = bed.engine()->executed();
     for (const auto &t : taps) {
         out.pcap.insert(out.pcap.end(), t->bytes().begin(),
                         t->bytes().end());
@@ -299,10 +296,15 @@ expectReplaysSerial(Run run)
     const ParallelArtifacts serial = run(0);
     ASSERT_TRUE(serial.completed);
     EXPECT_GT(serial.statsJson.size(), 1000u);
+    EXPECT_EQ(serial.partitions, 1u);
     for (const int threads : {1, 4}) {
         SCOPED_TRACE(threads);
         const ParallelArtifacts part = run(threads);
         ASSERT_TRUE(part.completed);
+        // A partitioned run replays serial only if something crossed
+        // a partition boundary.
+        EXPECT_GT(part.partitions, 1u);
+        EXPECT_GT(part.mailboxPosts, 0u);
         EXPECT_EQ(withoutEngineStats(part.statsJson),
                   withoutEngineStats(serial.statsJson));
         EXPECT_EQ(part.pcap, serial.pcap);
@@ -390,9 +392,7 @@ runParallelNbd(int threads, std::uint64_t seed)
     // model time) on the server host's partition.
     apps::ServerStore store(bed.sim(), "store", 1 << 20);
     partition(bed, threads);
-    if (threads > 0) {
-        bed.engine()->assignByPrefix("store", bed.partitionOf(1));
-    }
+    bed.engine()->assignByPrefix("store", bed.partitionOf(1));
     apps::NbdSocketServer server(bed.host(1).stack(), store,
                                  apps::NbdServerConfig{});
     const auto taps = tapAllEdges(bed.fabric());
@@ -963,7 +963,7 @@ TEST(ParallelDeterminism, BatchedPostsThreadCountInvariant)
 //
 // Every event is keyed by the object (or link direction) that
 // scheduled it, so any partitioning replays the serial schedule. Each
-// scenario above also runs with no engine; stopped at the same fixed
+// scenario above also runs unpartitioned; stopped at the same fixed
 // tick, the serial run and the 1- and 4-thread partitioned runs must
 // leave identical captures, stats (less parallel.*), event counts and
 // application results.

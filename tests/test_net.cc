@@ -247,14 +247,13 @@ rollLossyDirection(bool bound)
     sim::Simulation sim(7);
     Link link(sim, "l", gigabitEthernetLink());
     link.faultConfig() = FaultConfig{0.2, 0.2, 0.2, 0.2, 20 * sim::oneUs};
-    std::unique_ptr<sim::ParallelEngine> engine;
     sim::EventQueue *eq = &sim.eventQueue();
     if (bound) {
-        engine = std::make_unique<sim::ParallelEngine>(sim, 1);
-        sim::Partition &p = engine->addPartition("p");
+        sim::ParallelEngine &engine = sim.engine();
+        sim::Partition &p = engine.addPartition("p");
         eq = &p.eventQueue();
         link.bindSide(0, LinkBoundary{eq, nullptr});
-        engine->addFoldHook([&link] { link.foldBoundaryStats(); });
+        engine.addFoldHook([&link] { link.foldBoundaryStats(); });
     }
     DiceOutcome out;
     QueueSink sink(*eq, out);

@@ -4,10 +4,10 @@
  * keyed mailbox order, conservative epoch windows, thread-count
  * invariance of the schedule, per-edge lookaheads, typed mail (a
  * posted closure is moved, never copied, and destroyed once), the
- * one-partition engine, the refusal to add event sources or read
- * Simulation::now() while a partition executes, and Simulation
- * delegation. These run
- * threads>1 paths and are part of the ThreadSanitizer CI job.
+ * one-partition engine every Simulation starts with, the refusal to
+ * add event sources or read Simulation::now() while a partition
+ * executes, and Simulation delegation. These run threads>1 paths and
+ * are part of the ThreadSanitizer CI job.
  */
 
 #include <gtest/gtest.h>
@@ -28,10 +28,23 @@
 using namespace qpip;
 using sim::Tick;
 
+namespace {
+
+/** @p simu's engine, set to @p threads workers. */
+sim::ParallelEngine &
+engineOf(sim::Simulation &simu, int threads)
+{
+    sim::ParallelEngine &eng = simu.engine();
+    eng.setThreads(threads);
+    return eng;
+}
+
+} // namespace
+
 TEST(Partition, OwnsPrivateQueue)
 {
     sim::Simulation simu(9);
-    sim::ParallelEngine eng(simu, 1);
+    sim::ParallelEngine &eng = engineOf(simu, 1);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
     EXPECT_NE(&a.eventQueue(), &b.eventQueue());
@@ -44,7 +57,7 @@ TEST(Partition, OwnsPrivateQueue)
 TEST(ParallelEngine, RunsPartitionEventsToCompletion)
 {
     sim::Simulation simu(1);
-    sim::ParallelEngine eng(simu, 2);
+    sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
     int ran_a = 0;
@@ -62,7 +75,7 @@ TEST(ParallelEngine, RunsPartitionEventsToCompletion)
 TEST(ParallelEngine, RunUntilStopsAndAlignsClocks)
 {
     sim::Simulation simu(1);
-    sim::ParallelEngine eng(simu, 2);
+    sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
     int ran = 0;
@@ -81,7 +94,7 @@ TEST(ParallelEngine, RunUntilStopsAndAlignsClocks)
 TEST(ParallelEngine, MailboxMergeOrderIsDeterministic)
 {
     sim::Simulation simu(1);
-    sim::ParallelEngine eng(simu, 2);
+    sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
     auto &c = eng.addPartition("c");
@@ -125,7 +138,7 @@ std::vector<std::string>
 runKeyedPosts(bool reversed)
 {
     sim::Simulation simu(1);
-    sim::ParallelEngine eng(simu, 2);
+    sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
     auto &c = eng.addPartition("c");
@@ -224,7 +237,7 @@ RingDigest
 runRing(int threads)
 {
     sim::Simulation simu(42);
-    sim::ParallelEngine eng(simu, threads);
+    sim::ParallelEngine &eng = engineOf(simu, threads);
     std::vector<sim::Partition *> parts;
     for (std::uint32_t i = 0; i < ringSize; ++i)
         parts.push_back(&eng.addPartition(partName(i)));
@@ -290,7 +303,7 @@ TEST(ParallelEngine, ScheduleIsThreadCountInvariant)
 TEST(ParallelEngine, LastEpochMailWaitsForNextRun)
 {
     sim::Simulation simu(17);
-    sim::ParallelEngine eng(simu, 2);
+    sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
     auto &ab = eng.mailbox(a, b, 100);
@@ -331,11 +344,12 @@ TEST(ParallelEngine, LastEpochMailWaitsForNextRun)
 TEST(ParallelEngine, RunAfterParkVisitsEveryWorkersPartitions)
 {
     sim::Simulation simu(19);
-    sim::ParallelEngine eng(simu, 3);
+    sim::ParallelEngine &eng = engineOf(simu, 3);
     std::vector<sim::Partition *> parts;
     for (std::size_t i = 0; i < 4; ++i)
         parts.push_back(&eng.addPartition(partName(i)));
-    // Mail crosses owners too: p1 (worker 1) posts to p2 (worker 2).
+    // Mail crosses owners too: p1 (partition 2, so worker 2) posts to
+    // p2 (partition 3, worker 0); partition 0 is the simulation's own.
     auto &mb = eng.mailbox(*parts[1], *parts[2], 10);
     sim::EventSource src = simu.addSource();
     std::vector<int> ran(parts.size(), 0);
@@ -357,7 +371,7 @@ TEST(ParallelEngine, RunAfterParkVisitsEveryWorkersPartitions)
 TEST(ParallelEngine, RunUntilConditionChecksAtBarriers)
 {
     sim::Simulation simu(3);
-    sim::ParallelEngine eng(simu, 2);
+    sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
     // Mutual edges bound a's horizon: under per-edge horizons a
@@ -369,8 +383,6 @@ TEST(ParallelEngine, RunUntilConditionChecksAtBarriers)
     int count = 0;
     for (Tick t = 0; t < 100; t += 10)
         a.eventQueue().schedule(t, [&] { ++count; });
-    // Delegation: Simulation::runUntilCondition routes to the engine.
-    ASSERT_NE(simu.parallelEngine(), nullptr);
     const bool ok =
         simu.runUntilCondition([&] { return count >= 3; }, 1000);
     EXPECT_TRUE(ok);
@@ -382,7 +394,7 @@ TEST(ParallelEngine, RunUntilConditionChecksAtBarriers)
 TEST(ParallelEngine, PerEdgeHorizonsDecoupleSlowEdges)
 {
     sim::Simulation simu(7);
-    sim::ParallelEngine eng(simu, 2);
+    sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &fa = eng.addPartition("fa");
     auto &fb = eng.addPartition("fb");
     auto &sa = eng.addPartition("sa");
@@ -412,7 +424,7 @@ TEST(ParallelEngine, PerEdgeHorizonsDecoupleSlowEdges)
 TEST(ParallelEngine, HorizonFloorsPropagateThroughStalledChains)
 {
     sim::Simulation simu(11);
-    sim::ParallelEngine eng(simu, 2);
+    sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
     auto &c = eng.addPartition("c");
@@ -444,7 +456,7 @@ TEST(ParallelEngine, HorizonFloorsPropagateThroughStalledChains)
 TEST(ParallelEngine, TightestIncomingEdgeBoundsHorizon)
 {
     sim::Simulation simu(13);
-    sim::ParallelEngine eng(simu, 2);
+    sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
     auto &c = eng.addPartition("c");
@@ -468,7 +480,7 @@ TEST(ParallelEngine, TightestIncomingEdgeBoundsHorizon)
 TEST(ParallelEngine, RedeclaredEdgeKeepsItsTightestLookahead)
 {
     sim::Simulation simu(5);
-    sim::ParallelEngine eng(simu, 2);
+    sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
     // Two parallel trunks between one pair: a wide one declared first,
@@ -494,54 +506,40 @@ TEST(ParallelEngine, RedeclaredEdgeKeepsItsTightestLookahead)
 TEST(ParallelEngine, RegistersParallelStats)
 {
     sim::Simulation simu(1);
-    {
-        sim::ParallelEngine eng(simu, 2);
-        auto &a = eng.addPartition("a");
-        auto &b = eng.addPartition("b");
-        auto &ab = eng.mailbox(a, b, 10);
-        for (const char *leaf :
-             {"parallel.epochs", "parallel.mailboxPosts",
-              "parallel.batchedPosts", "parallel.horizonStalls",
-              "parallel.epochEventsMax", "parallel.epochEventsMin"})
-            EXPECT_TRUE(simu.stats().contains(leaf)) << leaf;
-        int got = 0;
-        sim::EventSource src = simu.addSource();
-        a.eventQueue().schedule(0, [&] {
-            ab.post(src.key(10), [&] { ++got; });
-            ab.post(src.key(11), [&] { ++got; });
-        });
-        eng.run();
-        EXPECT_EQ(got, 2);
-        EXPECT_EQ(simu.stats().counterValue("parallel.epochs"),
-                  eng.epochs());
-        EXPECT_EQ(simu.stats().counterValue("parallel.mailboxPosts"),
-                  2u);
-        // Both posts travelled in one batch.
-        EXPECT_EQ(simu.stats().counterValue("parallel.batchedPosts"),
-                  2u);
-    }
-    // The stat group unregisters with the engine.
+    // An unpartitioned simulation registers none.
     EXPECT_FALSE(simu.stats().contains("parallel.epochs"));
+    sim::ParallelEngine &eng = engineOf(simu, 2);
+    auto &a = eng.addPartition("a");
+    auto &b = eng.addPartition("b");
+    auto &ab = eng.mailbox(a, b, 10);
+    for (const char *leaf :
+         {"parallel.epochs", "parallel.mailboxPosts",
+          "parallel.batchedPosts", "parallel.horizonStalls",
+          "parallel.epochEventsMax", "parallel.epochEventsMin"})
+        EXPECT_TRUE(simu.stats().contains(leaf)) << leaf;
+    int got = 0;
+    sim::EventSource src = simu.addSource();
+    a.eventQueue().schedule(0, [&] {
+        ab.post(src.key(10), [&] { ++got; });
+        ab.post(src.key(11), [&] { ++got; });
+    });
+    eng.run();
+    EXPECT_EQ(got, 2);
+    EXPECT_EQ(simu.stats().counterValue("parallel.epochs"), eng.epochs());
+    EXPECT_EQ(simu.stats().counterValue("parallel.mailboxPosts"), 2u);
+    // Both posts travelled in one batch.
+    EXPECT_EQ(simu.stats().counterValue("parallel.batchedPosts"), 2u);
 }
 
 TEST(ParallelEngine, SimulationDelegatesRunCalls)
 {
     sim::Simulation simu(5);
-    {
-        sim::ParallelEngine eng(simu, 2);
-        auto &a = eng.addPartition("a");
-        int ran = 0;
-        a.eventQueue().schedule(7, [&] { ++ran; });
-        EXPECT_EQ(simu.run(), 1u);
-        EXPECT_EQ(ran, 1);
-    }
-    // Engine uninstalls on destruction: serial path again.
-    EXPECT_EQ(simu.parallelEngine(), nullptr);
-    int ran2 = 0;
-    simu.eventQueue().schedule(simu.eventQueue().now() + 1,
-                               [&] { ++ran2; });
+    sim::ParallelEngine &eng = engineOf(simu, 2);
+    auto &a = eng.addPartition("a");
+    int ran = 0;
+    a.eventQueue().schedule(7, [&] { ++ran; });
     EXPECT_EQ(simu.run(), 1u);
-    EXPECT_EQ(ran2, 1);
+    EXPECT_EQ(ran, 1);
 }
 
 TEST(ParallelEngine, SimObjectsCannotBeBuiltWhileAPartitionExecutes)
@@ -549,7 +547,7 @@ TEST(ParallelEngine, SimObjectsCannotBeBuiltWhileAPartitionExecutes)
     // Source ids follow construction order; one handed out inside an
     // epoch would follow thread timing instead.
     sim::Simulation simu(1);
-    sim::ParallelEngine eng(simu, 1);
+    sim::ParallelEngine &eng = engineOf(simu, 1);
     auto &a = eng.addPartition("a");
     sim::SimObject first(simu, "first");
     EXPECT_EQ(&first.eventQueue(), &simu.eventQueue());
@@ -564,7 +562,7 @@ TEST(ParallelEngine, SimulationNowPanicsWhileAPartitionExecutes)
     // Inside an epoch the engine's frontier is not the running
     // event's tick; the event's own queue has that.
     sim::Simulation simu(1);
-    sim::ParallelEngine eng(simu, 1);
+    sim::ParallelEngine &eng = engineOf(simu, 1);
     auto &a = eng.addPartition("a");
     Tick seen = 0;
     a.eventQueue().schedule(5, [&] { seen = a.eventQueue().now(); });
@@ -582,7 +580,7 @@ TEST(ParallelEngine, AssignByPrefixRebindsMatchingObjects)
     sim::SimObject host(simu, "host0");
     sim::SimObject nic(simu, "host0.nic");
     sim::SimObject other(simu, "host01"); // prefix but no dot: no match
-    sim::ParallelEngine eng(simu, 1);
+    sim::ParallelEngine &eng = engineOf(simu, 1);
     auto &p = eng.addPartition("host0");
     eng.assignByPrefix("host0", p);
     EXPECT_EQ(&host.eventQueue(), &p.eventQueue());
@@ -593,7 +591,7 @@ TEST(ParallelEngine, AssignByPrefixRebindsMatchingObjects)
 TEST(ParallelEngine, ClearAllDropsPendingWork)
 {
     sim::Simulation simu(1);
-    sim::ParallelEngine eng(simu, 2);
+    sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &a = eng.addPartition("a");
     int ran = 0;
     a.eventQueue().schedule(10, [&] { ++ran; });
@@ -604,14 +602,22 @@ TEST(ParallelEngine, ClearAllDropsPendingWork)
 
 TEST(ParallelEngine, OnePartitionChecksItsPredicateAfterEveryEvent)
 {
-    // One partition has no edge to wait on, so no barrier: the run
-    // stops at the deciding event, as the serial loop does.
+    // An unpartitioned simulation is its engine's one partition, which
+    // has no edge to wait on, so a barrier after every event: the run
+    // stops at the deciding event, whatever the worker count. Its
+    // events may read Simulation::now(), the partition's clock.
     sim::Simulation simu(3);
-    sim::ParallelEngine eng(simu, 2);
-    auto &a = eng.addPartition("a");
+    sim::ParallelEngine &eng = engineOf(simu, 2);
+    ASSERT_EQ(eng.numPartitions(), 1u);
+    sim::EventQueue &a = simu.eventQueue();
+    EXPECT_EQ(&a, &eng.partition(0).eventQueue());
     int count = 0;
-    for (Tick t = 0; t < 100; t += 10)
-        a.eventQueue().schedule(t, [&] { ++count; });
+    for (Tick t = 0; t < 100; t += 10) {
+        a.schedule(t, [&, t] {
+            EXPECT_EQ(simu.now(), t);
+            ++count;
+        });
+    }
     EXPECT_TRUE(simu.runUntilCondition([&] { return count >= 3; }, 1000));
     EXPECT_EQ(count, 3);
     EXPECT_EQ(simu.now(), 20u);
@@ -626,12 +632,13 @@ TEST(ParallelEngine, OnePartitionChecksItsPredicateAfterEveryEvent)
     EXPECT_EQ(simu.run(), 4u);
     EXPECT_EQ(simu.now(), 90u);
     EXPECT_EQ(count, 10);
+    EXPECT_EQ(a.executed(), eng.executed());
 }
 
 TEST(ParallelEngineDeathTest, APartitionCannotMailItself)
 {
     sim::Simulation simu(1);
-    sim::ParallelEngine eng(simu, 1);
+    sim::ParallelEngine &eng = engineOf(simu, 1);
     auto &a = eng.addPartition("a");
     EXPECT_DEATH(eng.mailbox(a, a, 10), "cannot mail itself");
 }
@@ -712,7 +719,7 @@ void
 mailOnce(bool drop, Make make, PayloadLog &log)
 {
     sim::Simulation simu(1);
-    sim::ParallelEngine eng(simu, 2);
+    sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
     auto &ab = eng.mailbox(a, b, 10);

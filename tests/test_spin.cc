@@ -6,8 +6,9 @@
  * event per empty poll. These tests drive spin-polling
  * workloads — the QPIP ping-pong apps, two spin loops sharing one
  * CPU, a spinner whose CPU also runs deferred work, two symmetric
- * hosts stopped mid-spin by a predicate, and a spinning pair under the
- * parallel engine, one partition on a star and two on a dual-star —
+ * hosts stopped mid-spin by a predicate, an unpartitioned run as its
+ * engine's one partition, and a spinning pair under the parallel
+ * engine, one partition on a star and two on a dual-star —
  * and compare every observable against values
  * recorded from the poll-per-event loop: the final tick, each host's
  * busyTotal/busyUntil, the run's own record (RTTs, completion ticks,
@@ -97,7 +98,7 @@ struct Pins
     /** The run's own record. */
     std::uint64_t app = 0;
     std::uint64_t executed = 0;
-    /** Engine partitions and the mail they exchanged (0 serially). */
+    /** Engine partitions (1 unpartitioned) and the mail they exchanged. */
     std::size_t partitions = 0;
     std::uint64_t mailboxPosts = 0;
 };
@@ -132,14 +133,9 @@ collect(QpipTestbed &bed, const Taps &taps, const Digest &app)
     }
     p.pcap = pcap.h;
     p.app = app.h;
-    p.executed = bed.engine() != nullptr
-                     ? bed.engine()->executed()
-                     : bed.sim().eventQueue().executed();
-    if (bed.engine() != nullptr) {
-        p.partitions = bed.engine()->numPartitions();
-        p.mailboxPosts =
-            bed.sim().stats().counterValue("parallel.mailboxPosts");
-    }
+    p.executed = bed.engine()->executed();
+    p.partitions = bed.engine()->numPartitions();
+    p.mailboxPosts = bed.sim().stats().counterValue("parallel.mailboxPosts");
     return p;
 }
 
@@ -625,7 +621,36 @@ TEST(SpinPoll, OnePartitionEngineMatchesEveryPoll)
                {8156959202ull, 8220001380ull, 8139166461ull, 8219148639ull},
                11757562850913831925ull, 11473629942854498038ull,
                13443311829559910404ull);
-    EXPECT_EQ(serial.partitions, 0u);
+    EXPECT_EQ(serial.partitions, 1u);
+}
+
+TEST(SpinPoll, UnpartitionedRunIsItsEnginesOnePartition)
+{
+    // What a harness on an unpartitioned testbed relies on. EchoRig's
+    // clients read Simulation::now() and post from inside their
+    // completion callbacks; the run's events all count on
+    // eventQueue(); the predicate is checked before the first event
+    // and after every one, so the run returns at the event that
+    // decided it; and the stats dump carries no engine entries.
+    QpipTestbed bed(2);
+    sim::Simulation &sim = bed.sim();
+    EchoRig rig(bed, 1, 30, false);
+    const std::uint64_t before = sim.eventQueue().executed();
+    std::uint64_t checks = 0;
+    EXPECT_TRUE(sim.runUntilCondition(
+        [&] {
+            ++checks;
+            return rig.finished();
+        },
+        sim.now() + sim::oneSec));
+    const std::uint64_t events = sim.eventQueue().executed() - before;
+    EXPECT_GT(events, 30u);
+    EXPECT_EQ(checks, events + 1);
+    EXPECT_EQ(sim.eventQueue().executed(), bed.engine()->executed());
+    EXPECT_EQ(bed.engine()->numPartitions(), 1u);
+    EXPECT_EQ(bed.engine()->epochs(), 0u);
+    EXPECT_EQ(sim.stats().jsonDump().find("\"parallel."),
+              std::string::npos);
 }
 
 TEST(SpinPoll, DualStarEngineReplaysSerialPolls)

@@ -2,8 +2,8 @@
  * @file
  * Multi-switch fabric tests: dual-star and 2-level fat-tree shapes,
  * all-pairs ttcp traffic across them (serial), parallel-engine
- * smoke runs over a partitioned testbed, and the capture rule for
- * partitioned links.
+ * smoke runs over a partitioned testbed, the capture rule for
+ * partitioned links, and what a partitioned testbed refuses.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "net/pcap.hh"
 #include "net/topology.hh"
 #include "sim/parallel_engine.hh"
+#include "sim/sim_object.hh"
 #include "sim/simulation.hh"
 
 using namespace qpip;
@@ -307,4 +308,84 @@ TEST(PcapDeathTest, TapLinkAfterPartitioningPanics)
             net::tapLink(bed.fabric().linkFor(0), pcap);
         },
         "tapLinkSide");
+}
+
+// A one-switch star stays one partition, which traces as an
+// unpartitioned run does.
+TEST(Topology, OnePartitionRunsTraced)
+{
+    apps::QpipTestbed bed(2);
+    bed.enableParallel(1);
+    EXPECT_EQ(bed.engine()->numPartitions(), 1u);
+    bed.sim().tracer().enable();
+    const auto r = apps::runQpipTtcp(bed, 64 * 1024);
+    EXPECT_TRUE(r.completed);
+    EXPECT_GT(bed.sim().tracer().numEvents(), 0u);
+}
+
+// What a testbed split into more than one partition refuses, each
+// before any event runs: tracing (span order would follow thread
+// timing), an event pending in a queue its object is not bound to,
+// and a second split.
+
+TEST(PartitionedTestbedDeathTest, RefusesTracing)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            apps::SocketsTestbed bed(2, SocketsFabric::GigabitEthernet,
+                                     1, host::HostCostModel{},
+                                     FabricTopology::DualStar);
+            bed.enableParallel(1);
+            bed.sim().tracer().enable();
+            bed.sim().runUntil(sim::oneMs);
+        },
+        "event tracing is unsupported");
+}
+
+TEST(PartitionedTestbedDeathTest, RefusesAnUnassignedObjectsEvent)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            apps::SocketsTestbed bed(2, SocketsFabric::GigabitEthernet,
+                                     1, host::HostCostModel{},
+                                     FabricTopology::DualStar);
+            bed.enableParallel(1);
+            sim::SimObject orphan(bed.sim(), "orphan");
+            orphan.schedule(sim::oneUs, [] {});
+            bed.sim().runUntil(sim::oneMs);
+        },
+        "a SimObject was not assigned to any partition");
+}
+
+TEST(PartitionedTestbedDeathTest, RefusesAnEventItsObjectLeft)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            apps::SocketsTestbed bed(2, SocketsFabric::GigabitEthernet,
+                                     1, host::HostCostModel{},
+                                     FabricTopology::DualStar);
+            sim::SimObject store(bed.sim(), "store");
+            store.schedule(sim::oneUs, [] {});
+            bed.enableParallel(1);
+            bed.engine()->assignByPrefix("store", bed.partitionOf(1));
+            bed.sim().runUntil(sim::oneMs);
+        },
+        "a SimObject was not assigned to any partition");
+}
+
+TEST(PartitionedTestbedDeathTest, RefusesASecondEnableParallel)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            apps::SocketsTestbed bed(2, SocketsFabric::GigabitEthernet,
+                                     1, host::HostCostModel{},
+                                     FabricTopology::DualStar);
+            bed.enableParallel(1);
+            bed.enableParallel(1);
+        },
+        "ParallelEngine: .*already");
 }
