@@ -217,28 +217,17 @@ partitionFabric(sim::ParallelEngine &engine, Fabric &fabric)
     }
 
     // Each host joins the switch its spoke attaches to, so spokes
-    // never cross a partition; a host with no switch attachment keeps
-    // a partition of its own.
+    // never cross a partition. A spoke has its host on side 0 and its
+    // switch on side 1 (Fabric::makeSpoke); a trunk has switches on
+    // both.
     std::vector<sim::Partition *> host_parts;
     for (const Fabric::Edge &e : fabric.edges()) {
-        for (std::size_t side = 0; side < 2; ++side) {
-            const Fabric::Attachment &host = e.ends[side];
-            const Fabric::Attachment &peer = e.ends[side ^ 1];
-            if (host.isSwitch)
-                continue;
-            if (host.index >= host_parts.size())
-                host_parts.resize(host.index + 1, nullptr);
-            if (peer.isSwitch && host_parts[host.index] == nullptr)
-                host_parts[host.index] = sw_parts.at(peer.index);
-        }
-    }
-    for (const Fabric::Edge &e : fabric.edges()) {
-        for (const Fabric::Attachment &a : e.ends) {
-            if (!a.isSwitch && host_parts[a.index] == nullptr) {
-                host_parts[a.index] = &engine.addPartition(
-                    fabric.name() + ".node" + std::to_string(a.index));
-            }
-        }
+        const Fabric::Attachment &host = e.ends[0];
+        if (host.isSwitch)
+            continue;
+        if (host.index >= host_parts.size())
+            host_parts.resize(host.index + 1, nullptr);
+        host_parts[host.index] = sw_parts.at(e.ends[1].index);
     }
 
     const auto part_of = [&](const Fabric::Attachment &a) {

@@ -196,10 +196,10 @@ makeKAryFatTree(sim::Simulation &sim, std::string name,
 /**
  * Shard @p fabric across @p engine: one partition per switch, named
  * after it (switch 0 keeps partition 0, the others get new ones),
- * holding the switch and every host whose spoke attaches to it (a
- * host with no switch attachment gets a partition of its own). Every link direction is bound to its sending
- * partition; only a direction between two partitions, which in these
- * fabrics means switch to switch, gets a mailbox toward its receiver,
+ * holding the switch and every host whose spoke attaches to it. Every
+ * link direction is bound to its sending partition; only a direction
+ * between two partitions, which in these fabrics means switch to
+ * switch, gets a mailbox toward its receiver,
  * declaring its link's propagation delay plus serialization floor as
  * the edge's lookahead (per-edge horizons). Per-link fold hooks are
  * registered. Call after every addNode (the edge list must be

@@ -26,9 +26,11 @@ namespace qpip::nic {
 using QpNum = std::uint32_t;
 using MrKey = std::uint32_t;
 using SrqNum = std::uint32_t;
+using CqNum = std::uint32_t;
 
 constexpr QpNum invalidQp = 0;
 constexpr SrqNum invalidSrq = 0;
+constexpr CqNum invalidCq = 0;
 
 /** QP service type. */
 enum class QpType : std::uint8_t {
@@ -200,11 +202,16 @@ class CqRing
         armed_ = true;
     }
 
-    /** Cancel the notify() request and drop the hook. */
+    /**
+     * Cancel the notify() request and drop the hook. The hook may hold
+     * the last reference to this ring's owner, so it is taken out
+     * first and nothing is touched after it goes.
+     */
     void
     disarm()
     {
         armed_ = false;
+        const auto hook = std::move(notify_);
         notify_ = nullptr;
     }
     bool armed() const { return armed_; }
@@ -258,7 +265,10 @@ class MrTable
             return nullptr;
         if ((it->second.access & required) != required)
             return nullptr;
-        if (sge.offset + sge.length > it->second.bytes)
+        // Written so that no sum can wrap: the responder takes
+        // sge.offset from the wire's 64-bit raddr.
+        if (sge.length > it->second.bytes ||
+            sge.offset > it->second.bytes - sge.length)
             return nullptr;
         return it->second.base + sge.offset;
     }

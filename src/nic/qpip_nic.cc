@@ -146,9 +146,41 @@ QpipNic::deregisterMemory(MrKey key)
     mrs_.deregister(key);
 }
 
+CqNum
+QpipNic::createCq(CqRing *ring)
+{
+    const auto num = static_cast<CqNum>(cqs_.size());
+    cqs_.push_back(CqSlot{ring, 0, {}});
+    return num;
+}
+
+void
+QpipNic::destroyCq(CqNum cq)
+{
+    if (!hasCq(cq))
+        return;
+    cqs_[cq].timer.cancel();
+    cqs_[cq] = CqSlot{};
+}
+
+bool
+QpipNic::hasCq(CqNum cq) const
+{
+    return cq < cqs_.size() && cqs_[cq].ring != nullptr;
+}
+
+void
+QpipNic::disarmCqs()
+{
+    for (CqSlot &slot : cqs_) {
+        if (slot.ring != nullptr)
+            slot.ring->disarm();
+    }
+}
+
 QpNum
-QpipNic::createQp(QpType type, QpHostRings *rings, CqRing *scq,
-                  CqRing *rcq, const QpCreateAttrs &attrs)
+QpipNic::createQp(QpType type, QpHostRings *rings, CqNum scq,
+                  CqNum rcq, const QpCreateAttrs &attrs)
 {
     fw_.charge(FwStage::Mgmt, params_.costs.mgmtCommand);
     const QpNum num = nextQpNum_++;
@@ -186,7 +218,6 @@ QpipNic::destroyQp(QpNum qp)
         return;
     fw_.charge(FwStage::Mgmt, params_.costs.mgmtCommand);
     if (ctx->conn) {
-        connOwner_.erase(ctx->conn.get());
         inet_.unregisterConn(ctx->conn->tuple());
         ctx->conn->abort();
     }
@@ -248,25 +279,29 @@ QpipNic::connect(QpNum qp, const inet::SockAddr &remote, ConnectCb done)
     }
     ctx->connectDone = std::move(done);
     fw_.exec(FwStage::Mgmt, params_.costs.mgmtCommand,
-             [this, ctx, remote] {
-                 // Destroy any previous connection first so its stat
-                 // paths vacate before the new one claims them.
-                 if (ctx->conn) {
-                     connOwner_.erase(ctx->conn.get());
-                     inet_.unregisterConn(ctx->conn->tuple());
-                     ctx->conn.reset();
-                 }
-                 ctx->conn = std::make_unique<inet::TcpConnection>(
-                     inet_, *ctx, params_.tcp);
-                 ctx->conn->stats().registerIn(
-                     statRegistry(), name() + ".qp" +
-                                         std::to_string(ctx->num) +
-                                         ".tcp");
-                 inet::FourTuple t{ctx->local, remote};
-                 inet_.registerConn(t, ctx->conn.get());
-                 connOwner_[ctx->conn.get()] = ctx;
+             [this, qp, remote] {
+                 QpContext *ctx = lookupQp(qp);
+                 if (ctx == nullptr)
+                     return; // destroyed while the firmware was busy
+                 openConnection(*ctx, {ctx->local, remote});
                  ctx->conn->openActive(ctx->local, remote);
              });
+}
+
+void
+QpipNic::openConnection(QpContext &ctx, const inet::FourTuple &t)
+{
+    // Destroy any previous connection first so its stat paths vacate
+    // before the new one claims them.
+    if (ctx.conn) {
+        inet_.unregisterConn(ctx.conn->tuple());
+        ctx.conn.reset();
+    }
+    ctx.conn = std::make_unique<inet::TcpConnection>(inet_, ctx,
+                                                     params_.tcp);
+    ctx.conn->stats().registerIn(
+        statRegistry(), name() + ".qp" + std::to_string(ctx.num) + ".tcp");
+    inet_.registerConn(t, ctx.conn.get());
 }
 
 void
@@ -277,7 +312,7 @@ QpipNic::acceptOn(std::uint16_t port, QpNum qp, AcceptCb done)
         sim::fatal("acceptOn: bad qp %u", qp);
     fw_.charge(FwStage::Mgmt, params_.costs.mgmtCommand);
     ctx->acceptDone = std::move(done);
-    listeners_[port].push_back(PendingAccept{qp, nullptr});
+    listeners_[port].push_back(qp);
 }
 
 void
@@ -286,8 +321,9 @@ QpipNic::disconnect(QpNum qp)
     auto *ctx = lookupQp(qp);
     if (ctx == nullptr || !ctx->conn)
         return;
-    fw_.exec(FwStage::Mgmt, params_.costs.mgmtCommand, [ctx] {
-        if (ctx->conn)
+    fw_.exec(FwStage::Mgmt, params_.costs.mgmtCommand, [this, qp] {
+        QpContext *ctx = lookupQp(qp);
+        if (ctx != nullptr && ctx->conn)
             ctx->conn->close();
     });
 }
@@ -517,13 +553,7 @@ QpipNic::serviceSendWr(QpContext &qp)
                     wr.sge.length >
                 qp.rdmaWindow;
         if (src == nullptr || oversize) {
-            Completion c;
-            c.wrId = wr.id;
-            c.qp = qp.num;
-            c.isSend = true;
-            c.opcode = wr.opcode;
-            c.status = WcStatus::LengthError;
-            pushCompletion(qp.scq, c);
+            completeSend(qp, wr, WcStatus::LengthError);
             return;
         }
 
@@ -673,29 +703,21 @@ bool
 QpipNic::tcpAccept(const inet::FourTuple &t, const inet::TcpHeader &syn)
 {
     // Connection rendezvous: mate an incoming SYN to an idle QP the
-    // host queued on this monitored port.
+    // host queued on this monitored port. A parked QP destroyed since
+    // is skipped.
     auto lit = listeners_.find(syn.dstPort);
-    if (lit == listeners_.end() || lit->second.empty())
+    if (lit == listeners_.end())
         return false;
-    PendingAccept pa = std::move(lit->second.front());
-    lit->second.pop_front();
-    auto *ctx = lookupQp(pa.qp);
+    QpContext *ctx = nullptr;
+    while (ctx == nullptr && !lit->second.empty()) {
+        ctx = lookupQp(lit->second.front());
+        lit->second.pop_front();
+    }
     if (ctx == nullptr)
         return false;
     ctx->local = t.local;
     ctx->bound = true;
-    if (ctx->conn) {
-        connOwner_.erase(ctx->conn.get());
-        inet_.unregisterConn(ctx->conn->tuple());
-        ctx->conn.reset();
-    }
-    ctx->conn = std::make_unique<inet::TcpConnection>(inet_, *ctx,
-                                                      params_.tcp);
-    ctx->conn->stats().registerIn(
-        statRegistry(),
-        name() + ".qp" + std::to_string(ctx->num) + ".tcp");
-    inet_.registerConn(t, ctx->conn.get());
-    connOwner_[ctx->conn.get()] = ctx;
+    openConnection(*ctx, t);
     ctx->conn->openPassive(t.local, t.remote, syn);
     return true;
 }
@@ -774,21 +796,24 @@ QpipNic::receiveIntoWr(QpContext &qp, std::vector<std::uint8_t> msg,
 // ---------------------------------------------------------------------
 
 void
-QpipNic::pushCompletion(CqRing *cq, Completion c)
+QpipNic::pushCompletion(CqNum cq, Completion c)
 {
-    if (cq == nullptr)
+    if (cq == invalidCq)
         return;
     const sim::Tick at = std::max(curTick(), fw_.busyUntil());
     c.completedAt = at;
     schedule(at, [this, cq, c] {
+        if (!hasCq(cq))
+            return; // the CQ was destroyed: the entry has nowhere to go
+        CqSlot &slot = cqs_[cq];
         // Moderation defers the armed-notify upcall until enough
         // CQEs accumulate (or the timeout below fires). Only pushes
         // that would have notified — armed CQ — count toward the
         // threshold; an unarmed CQ means the host is polling and no
         // event was owed.
         const bool moderate = params_.cqModerationCount > 1;
-        const bool wasArmed = cq->armed();
-        if (!cq->push(c, moderate)) {
+        const bool wasArmed = slot.ring->armed();
+        if (!slot.ring->push(c, moderate)) {
             cqOverflows.inc();
             return;
         }
@@ -799,15 +824,15 @@ QpipNic::pushCompletion(CqRing *cq, Completion c)
         }
         if (!wasArmed)
             return;
-        auto &mod = cqMod_[cq];
-        ++mod.pending;
-        if (mod.pending >= params_.cqModerationCount) {
+        ++slot.pending;
+        if (slot.pending >= params_.cqModerationCount) {
             cqKick(cq);
             return;
         }
         cqCoalesced.inc();
-        if (mod.pending == 1 && params_.cqModerationCycles > 0) {
-            mod.timer = scheduleIn(
+        if (slot.pending == 1 && params_.cqModerationCycles > 0) {
+            // destroyCq() cancels it, so the slot is live when it runs.
+            slot.timer = scheduleIn(
                 fw_.clock().cyclesToTicks(params_.cqModerationCycles),
                 [this, cq] { cqKick(cq); });
         }
@@ -815,17 +840,29 @@ QpipNic::pushCompletion(CqRing *cq, Completion c)
 }
 
 void
-QpipNic::cqKick(CqRing *cq)
+QpipNic::completeSend(QpContext &qp, const SendWr &wr, WcStatus status,
+                      std::size_t byte_len)
 {
-    auto it = cqMod_.find(cq);
-    if (it != cqMod_.end()) {
-        it->second.pending = 0;
-        if (it->second.timer.pending())
-            it->second.timer.cancel();
-    }
-    if (cq->armed() && !cq->empty()) {
+    Completion c;
+    c.wrId = wr.id;
+    c.qp = qp.num;
+    c.isSend = true;
+    c.opcode = wr.opcode;
+    c.status = status;
+    c.byteLen = byte_len;
+    pushCompletion(qp.scq, c);
+}
+
+void
+QpipNic::cqKick(CqNum cq)
+{
+    CqSlot &slot = cqs_[cq];
+    slot.pending = 0;
+    if (slot.timer.pending())
+        slot.timer.cancel();
+    if (slot.ring->armed() && !slot.ring->empty()) {
         cqNotifies.inc();
-        cq->notifyNow();
+        slot.ring->notifyNow();
     }
 }
 
@@ -842,24 +879,12 @@ QpipNic::flushQp(QpContext &qp, WcStatus status)
         // responses never surface a completion.
         if (fly.kind != QpContext::TxKind::Send)
             continue;
-        Completion c;
-        c.wrId = fly.wr.id;
-        c.qp = qp.num;
-        c.isSend = true;
-        c.opcode = fly.wr.opcode;
-        c.status = status;
-        pushCompletion(qp.scq, c);
+        completeSend(qp, fly.wr, status);
     }
     while (!qp.pendingRdma.empty()) {
         SendWr wr = std::move(qp.pendingRdma.front().second);
         qp.pendingRdma.pop_front();
-        Completion c;
-        c.wrId = wr.id;
-        c.qp = qp.num;
-        c.isSend = true;
-        c.opcode = wr.opcode;
-        c.status = status;
-        pushCompletion(qp.scq, c);
+        completeSend(qp, wr, status);
     }
     while (!qp.rings->sendQ.empty()) {
         SendWr wr = qp.rings->sendQ.front();
@@ -867,13 +892,7 @@ QpipNic::flushQp(QpContext &qp, WcStatus status)
         ++qp.sendConsumed;
         if (qp.sendSeen < qp.sendConsumed)
             qp.sendSeen = qp.sendConsumed;
-        Completion c;
-        c.wrId = wr.id;
-        c.qp = qp.num;
-        c.isSend = true;
-        c.opcode = wr.opcode;
-        c.status = status;
-        pushCompletion(qp.scq, c);
+        completeSend(qp, wr, status);
     }
     while (!qp.rings->recvQ.empty()) {
         RecvWr wr = qp.rings->recvQ.front();
@@ -919,12 +938,11 @@ QpipNic::inetName() const
 }
 
 void
-QpipNic::connectionClosed(inet::TcpConnection &conn)
+QpipNic::connectionClosed(inet::TcpConnection &)
 {
-    // The engine already dropped the PCB entry; the QpContext keeps
-    // the connection object until the QP is destroyed, so only the
-    // ownership record goes away here.
-    connOwner_.erase(&conn);
+    // The engine already dropped the PCB entry, and the QpContext
+    // keeps the connection object until the QP is destroyed: nothing
+    // else refers to it.
 }
 
 sim::Tracer *

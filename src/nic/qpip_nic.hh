@@ -32,7 +32,6 @@
 
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "inet/inet_stack.hh"
@@ -138,7 +137,7 @@ class QpipNic : public sim::SimObject,
 
   public:
     using ConnectCb = std::function<void(bool ok)>;
-    using AcceptCb = std::function<void(QpNum qp)>;
+    using AcceptCb = std::function<void()>;
 
     QpipNic(sim::Simulation &sim, std::string name, net::Link &link,
             net::NodeId node, QpipNicParams params);
@@ -154,11 +153,30 @@ class QpipNic : public sim::SimObject,
     void deregisterMemory(MrKey key);
 
     /**
-     * Create a QP whose work queues live in @p rings (host memory)
-     * and whose send/receive completions go to @p scq / @p rcq.
+     * Register a completion queue whose entries the NIC writes into
+     * @p ring (host memory). Charges no firmware time.
      */
-    QpNum createQp(QpType type, QpHostRings *rings, CqRing *scq,
-                   CqRing *rcq, const QpCreateAttrs &attrs = {});
+    CqNum createCq(CqRing *ring);
+    /**
+     * Forget a CQ: completions still on their way to it are dropped,
+     * and its moderation timer is cancelled.
+     */
+    void destroyCq(CqNum cq);
+    /** Whether @p cq is registered and not yet destroyed. */
+    bool hasCq(CqNum cq) const;
+    /**
+     * Teardown: disarm every live CQ, in creation order, dropping the
+     * notify hooks the host armed on them.
+     */
+    void disarmCqs();
+
+    /**
+     * Create a QP whose work queues live in @p rings (host memory)
+     * and whose send/receive completions go to CQs @p scq / @p rcq
+     * (invalidCq: none).
+     */
+    QpNum createQp(QpType type, QpHostRings *rings, CqNum scq,
+                   CqNum rcq, const QpCreateAttrs &attrs = {});
     void destroyQp(QpNum qp);
 
     /** Create a shared receive queue backed by host ring @p ring. */
@@ -169,12 +187,17 @@ class QpipNic : public sim::SimObject,
     /** Bind the QP to a local port (UDP demux / TCP source port). */
     void bindLocal(QpNum qp, std::uint16_t port);
 
-    /** Active TCP open; @p done fires when established (or failed). */
+    /**
+     * Active TCP open; @p done fires when established (or failed),
+     * unless @p qp was destroyed first.
+     */
     void connect(QpNum qp, const inet::SockAddr &remote, ConnectCb done);
 
     /**
      * Instruct the interface to monitor @p port for incoming
-     * connections and mate the next one to idle @p qp.
+     * connections and mate the next one to idle @p qp. @p done fires
+     * when the connection is established, unless @p qp was destroyed
+     * first.
      */
     void acceptOn(std::uint16_t port, QpNum qp, AcceptCb done);
 
@@ -319,16 +342,45 @@ class QpipNic : public sim::SimObject,
     /** Fetch + writeback cycles for one cache miss / install. */
     sim::Cycles ctxMissCycles(const QpContextCache::Touch &t) const;
 
-    /** Push a completion at firmware-completion time. */
-    void pushCompletion(CqRing *cq, Completion c);
+    /**
+     * Push a completion to CQ @p cq at firmware-completion time; it is
+     * dropped if the CQ is destroyed by then.
+     */
+    void pushCompletion(CqNum cq, Completion c);
+
+    /** Complete send WR @p wr of @p qp on its send CQ. */
+    void completeSend(QpContext &qp, const SendWr &wr, WcStatus status,
+                      std::size_t byte_len = 0);
 
     /**
-     * Deliver a moderated notification to @p cq if it is still armed
-     * with entries pending, and reset its moderation state.
+     * Deliver a moderated notification to live CQ @p cq if it is
+     * still armed with entries pending, and reset its moderation
+     * state.
      */
-    void cqKick(CqRing *cq);
+    void cqKick(CqNum cq);
+
+    /**
+     * Run @p fn at @p when if QP @p qp still exists then: the host
+     * callbacks of connection management.
+     */
+    template <typename F>
+    void
+    callIfLive(sim::Tick when, QpNum qp, F &&fn)
+    {
+        schedule(when, [this, qp, fn = std::forward<F>(fn)]() mutable {
+            if (lookupQp(qp) != nullptr)
+                fn();
+        });
+    }
 
     void flushQp(QpContext &qp, WcStatus status);
+
+    /**
+     * Give @p ctx a fresh TCP connection for @p t (replacing any
+     * previous one), with its stats registered and its demux entry
+     * installed.
+     */
+    void openConnection(QpContext &ctx, const inet::FourTuple &t);
 
     /**
      * SRQ replenish: in attach order, hand every attached QP whose
@@ -362,26 +414,25 @@ class QpipNic : public sim::SimObject,
     std::vector<std::unique_ptr<QpContext>> qps_;
     /** Ordered by SRQ number. */
     std::map<SrqNum, std::unique_ptr<SrqContext>> srqs_;
-    // Lookup/erase only, never iterated — safe despite pointer keys.
-    std::unordered_map<inet::TcpConnection *, QpContext *> connOwner_;
 
-    /** Per-CQ completion-event moderation state. */
-    struct CqModState
+    /** One CQ: the host ring it writes and its moderation state. */
+    struct CqSlot
     {
+        /** Null once the CQ is destroyed. */
+        CqRing *ring = nullptr;
         /** Armed-CQ CQEs accumulated since the last notification. */
         std::uint32_t pending = 0;
         /** The timeout kick for the oldest deferred CQE. */
         sim::EventHandle timer;
     };
-    // Lookup/erase only, never iterated — safe despite pointer keys.
-    std::unordered_map<CqRing *, CqModState> cqMod_;
+    /**
+     * Indexed by CQ number. Numbers are the next index and never
+     * reused; slot 0 stands for invalidCq and is never live.
+     */
+    std::vector<CqSlot> cqs_ = std::vector<CqSlot>(1);
 
-    struct PendingAccept
-    {
-        QpNum qp = invalidQp;
-        AcceptCb done;
-    };
-    std::map<std::uint16_t, sim::RingFifo<PendingAccept>> listeners_;
+    /** Idle QPs parked on each monitored port, in accept order. */
+    std::map<std::uint16_t, sim::RingFifo<QpNum>> listeners_;
 };
 
 } // namespace qpip::nic

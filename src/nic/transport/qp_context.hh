@@ -57,7 +57,7 @@ struct QpipNic::QpContext : public inet::TcpObserver,
                             public inet::UdpEndpoint
 {
     QpContext(QpipNic &nic_ref, QpNum n, QpType t, QpHostRings *r,
-              CqRing *s, CqRing *rc)
+              CqNum s, CqNum rc)
         : nic(nic_ref), num(n), type(t), rings(r), scq(s), rcq(rc)
     {}
 
@@ -65,8 +65,8 @@ struct QpipNic::QpContext : public inet::TcpObserver,
     QpNum num;
     QpType type;
     QpHostRings *rings;
-    CqRing *scq;
-    CqRing *rcq;
+    CqNum scq;
+    CqNum rcq;
 
     /** Receive WRs come from here instead of rings->recvQ when set. */
     SrqContext *srq = nullptr;
@@ -139,13 +139,12 @@ struct QpipNic::QpContext : public inet::TcpObserver,
     {
         connected = true;
         if (connectDone) {
-            auto cb = std::move(connectDone);
-            nic.schedule(nic.fw_.busyUntil(), [cb] { cb(true); });
+            nic.callIfLive(nic.fw_.busyUntil(), num,
+                           [cb = std::move(connectDone)] { cb(true); });
         }
         if (acceptDone) {
-            auto cb = std::move(acceptDone);
-            const QpNum qp = num;
-            nic.schedule(nic.fw_.busyUntil(), [cb, qp] { cb(qp); });
+            nic.callIfLive(nic.fw_.busyUntil(), num,
+                           [cb = std::move(acceptDone)] { cb(); });
         }
     }
 
@@ -194,13 +193,8 @@ struct QpipNic::QpContext : public inet::TcpObserver,
             // firmware responses carry no WR at all.
             return;
         }
-        Completion c;
-        c.wrId = fly.wr.id;
-        c.qp = num;
-        c.isSend = true;
-        c.status = WcStatus::Success;
-        c.byteLen = fly.wr.sge.length;
-        nic.pushCompletion(scq, c);
+        nic.completeSend(*this, fly.wr, WcStatus::Success,
+                         fly.wr.sge.length);
     }
 
     void
@@ -217,8 +211,8 @@ struct QpipNic::QpContext : public inet::TcpObserver,
     {
         connected = false;
         if (connectDone) {
-            auto cb = std::move(connectDone);
-            nic.schedule(nic.curTick(), [cb] { cb(false); });
+            nic.callIfLive(nic.curTick(), num,
+                           [cb = std::move(connectDone)] { cb(false); });
         }
         nic.flushQp(*this, WcStatus::RemoteReset);
     }

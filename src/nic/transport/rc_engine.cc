@@ -14,13 +14,7 @@ RcEngine::transmit(QpContext &qp, SendWr wr,
                    std::vector<std::uint8_t> data)
 {
     if (!qp.conn) {
-        Completion c;
-        c.wrId = wr.id;
-        c.qp = qp.num;
-        c.isSend = true;
-        c.opcode = wr.opcode;
-        c.status = WcStatus::Flushed;
-        nic_.pushCompletion(qp.scq, c);
+        nic_.completeSend(qp, wr, WcStatus::Flushed);
         return;
     }
     const std::uint64_t tag = qp.nextTag++;
@@ -69,13 +63,7 @@ RcEngine::serviceRdmaRead(QpContext &qp, SendWr wr)
             wr.sge.length >
         qp.rdmaWindow;
     if (dst == nullptr || oversize) {
-        Completion c;
-        c.wrId = wr.id;
-        c.qp = qp.num;
-        c.isSend = true;
-        c.opcode = wr.opcode;
-        c.status = WcStatus::LengthError;
-        nic_.pushCompletion(qp.scq, c);
+        nic_.completeSend(qp, wr, WcStatus::LengthError);
         return;
     }
     nic_.fw_.charge(FwStage::RdmaExec,
@@ -89,13 +77,7 @@ RcEngine::serviceRdmaRead(QpContext &qp, SendWr wr)
             return; // destroyed while the firmware was busy
         QpContext &qp = *ctx;
         if (!qp.conn) {
-            Completion c;
-            c.wrId = wr.id;
-            c.qp = qp.num;
-            c.isSend = true;
-            c.opcode = wr.opcode;
-            c.status = WcStatus::Flushed;
-            nic_.pushCompletion(qp.scq, c);
+            nic_.completeSend(qp, wr, WcStatus::Flushed);
             return;
         }
         net::RdmaHeader h;
@@ -275,17 +257,10 @@ RcEngine::completeRdmaOp(QpContext &qp, const net::RdmaHeader &hdr,
     SendWr wr = std::move(qp.pendingRdma.front().second);
     qp.pendingRdma.pop_front();
 
-    Completion c;
-    c.wrId = wr.id;
-    c.qp = qp.num;
-    c.isSend = true;
-    c.opcode = wr.opcode;
-
     if (hdr.status != net::RdmaWireStatus::Ok) {
-        c.status = WcStatus::RemoteAccessError;
         nic_.fw_.charge(FwStage::UpdateRx,
                         nic_.params_.costs.updateRxData);
-        nic_.pushCompletion(qp.scq, c);
+        nic_.completeSend(qp, wr, WcStatus::RemoteAccessError);
         return;
     }
 
@@ -294,11 +269,10 @@ RcEngine::completeRdmaOp(QpContext &qp, const net::RdmaHeader &hdr,
         if (dst == nullptr || payload.size() != wr.sge.length) {
             // Landing buffer vanished or the responder lied about
             // the length: surface it locally.
-            c.status = WcStatus::LengthError;
-            c.byteLen = payload.size();
             nic_.fw_.charge(FwStage::UpdateRx,
                             nic_.params_.costs.updateRxData);
-            nic_.pushCompletion(qp.scq, c);
+            nic_.completeSend(qp, wr, WcStatus::LengthError,
+                              payload.size());
             return;
         }
         // Put Data: land the read payload in the local buffer.
@@ -317,11 +291,9 @@ RcEngine::completeRdmaOp(QpContext &qp, const net::RdmaHeader &hdr,
         std::copy(payload.begin(), payload.end(), dst);
     }
 
-    c.status = WcStatus::Success;
-    c.byteLen = wr.sge.length;
     nic_.fw_.charge(FwStage::UpdateRx,
                     nic_.params_.costs.updateRxData);
-    nic_.pushCompletion(qp.scq, c);
+    nic_.completeSend(qp, wr, WcStatus::Success, wr.sge.length);
 }
 
 } // namespace qpip::nic

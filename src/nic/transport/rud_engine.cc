@@ -69,14 +69,7 @@ RudEngine::emitData(QpContext &qp, Peer &p, SendWr wr,
     nic_.fw_.charge(FwStage::UpdateTx,
                     nic_.params_.costs.updateTxData);
     if (res == inet::IpSendResult::MsgSize) {
-        Completion c;
-        c.wrId = wr.id;
-        c.qp = qp.num;
-        c.isSend = true;
-        c.opcode = wr.opcode;
-        c.status = WcStatus::LengthError;
-        c.byteLen = wr.sge.length;
-        nic_.pushCompletion(qp.scq, c);
+        nic_.completeSend(qp, wr, WcStatus::LengthError, wr.sge.length);
         return;
     }
     p.window.push_back({h.seq, wr, std::move(frame)});
@@ -146,14 +139,7 @@ RudEngine::processAck(QpContext &qp, Peer &p,
     while (!p.window.empty() && p.window.front().seq <= ack) {
         Unacked u = std::move(p.window.front());
         p.window.pop_front();
-        Completion c;
-        c.wrId = u.wr.id;
-        c.qp = qp.num;
-        c.isSend = true;
-        c.opcode = u.wr.opcode;
-        c.status = WcStatus::Success;
-        c.byteLen = u.wr.sge.length;
-        nic_.pushCompletion(qp.scq, c);
+        nic_.completeSend(qp, u.wr, WcStatus::Success, u.wr.sge.length);
     }
     // Forward progress resets the backoff and restarts the timer
     // for whatever is still outstanding.
@@ -273,22 +259,10 @@ RudEngine::flushed(QpContext &qp, WcStatus status)
         if (p.rto.pending())
             p.rto.cancel();
         for (const Unacked &u : p.window) {
-            Completion c;
-            c.wrId = u.wr.id;
-            c.qp = qp.num;
-            c.isSend = true;
-            c.opcode = u.wr.opcode;
-            c.status = status;
-            nic_.pushCompletion(qp.scq, c);
+            nic_.completeSend(qp, u.wr, status);
         }
         for (const PendingSend &ps : p.blocked) {
-            Completion c;
-            c.wrId = ps.wr.id;
-            c.qp = qp.num;
-            c.isSend = true;
-            c.opcode = ps.wr.opcode;
-            c.status = status;
-            nic_.pushCompletion(qp.scq, c);
+            nic_.completeSend(qp, ps.wr, status);
         }
     }
     qp.rud.peers.clear();

@@ -30,15 +30,11 @@ UdEngine::transmit(QpipNic::QpContext &qp, SendWr wr,
     // moral equivalent of EMSGSIZE.
     nic_.fw_.charge(FwStage::UpdateTx,
                     nic_.params_.costs.updateTxData);
-    Completion c;
-    c.wrId = wr.id;
-    c.qp = qp.num;
-    c.isSend = true;
-    c.status = res == inet::IpSendResult::MsgSize
-                   ? WcStatus::LengthError
-                   : WcStatus::Success;
-    c.byteLen = wr.sge.length;
-    nic_.pushCompletion(qp.scq, c);
+    nic_.completeSend(qp, wr,
+                      res == inet::IpSendResult::MsgSize
+                          ? WcStatus::LengthError
+                          : WcStatus::Success,
+                      wr.sge.length);
 }
 
 void

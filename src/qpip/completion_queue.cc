@@ -6,8 +6,15 @@
 namespace qpip::verbs {
 
 CompletionQueue::CompletionQueue(Provider &provider, std::size_t cap)
-    : provider_(provider), ring_(cap)
+    : provider_(provider), nicAlive_(provider.nic().lifeToken()),
+      ring_(cap), num_(provider.nic().createCq(&ring_))
 {}
+
+CompletionQueue::~CompletionQueue()
+{
+    if (!nicAlive_.expired())
+        provider_.nic().destroyCq(num_);
+}
 
 bool
 CompletionQueue::poll(Completion &out)
@@ -34,10 +41,16 @@ CompletionQueue::wait(std::function<void(Completion)> cb)
     waiting_ = true;
     auto &os = provider_.host().os();
     os.charge(provider_.costs().waitSetup);
+    // The ring owns the hook, so the hook may use this; the interrupt
+    // it raises may run after the queue is gone.
     ring_.arm([this, cb = std::move(cb)]() mutable {
         auto &host_os = provider_.host().os();
         const sim::Cycles wake = provider_.costs().waitWakeup;
-        host_os.interrupt([this, cb = std::move(cb), wake]() mutable {
+        host_os.interrupt([this, &prov = provider_, num = num_,
+                           cb = std::move(cb), wake]() mutable {
+            // The CQ's number resolves only while the queue lives.
+            if (!prov.nic().hasCq(num))
+                return;
             provider_.host().os().charge(wake);
             waiting_ = false;
             Completion c;

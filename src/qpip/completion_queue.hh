@@ -22,12 +22,19 @@ using Completion = nic::Completion;
 using WcStatus = nic::WcStatus;
 
 /**
- * A completion queue.
+ * A completion queue. Its ring is registered with the NIC, which
+ * names it by number, for as long as the queue lives.
  */
 class CompletionQueue
 {
   public:
     CompletionQueue(Provider &provider, std::size_t cap);
+    ~CompletionQueue();
+
+    CompletionQueue(const CompletionQueue &) = delete;
+    CompletionQueue &operator=(const CompletionQueue &) = delete;
+
+    nic::CqNum num() const { return num_; }
 
     /**
      * Non-blocking poll.
@@ -47,7 +54,10 @@ class CompletionQueue
 
   private:
     Provider &provider_;
+    /** Expired once the NIC is destroyed (skip teardown calls). */
+    std::weak_ptr<void> nicAlive_;
     nic::CqRing ring_;
+    nic::CqNum num_;
     bool waiting_ = false;
 };
 

@@ -25,7 +25,13 @@ Acceptor::acceptOne(AcceptCb cb, QpAttrs attrs)
 {
     auto qp = provider_.createQp(nic::QpType::ReliableTcp, scq_, rcq_,
                                  std::move(attrs));
-    qp->accept(port_, [qp, cb = std::move(cb)] { cb(qp); });
+    const nic::QpNum num = qp->num();
+    parked_.emplace(num, std::move(qp));
+    // The NIC fires the callback only while the QP lives, and the QP
+    // lives no longer than this Acceptor: it may use this.
+    provider_.nic().acceptOn(port_, num, [this, num, cb = std::move(cb)] {
+        cb(std::move(parked_.extract(num).mapped()));
+    });
 }
 
 } // namespace qpip::verbs

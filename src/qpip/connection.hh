@@ -10,6 +10,7 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 
 #include "qpip/queue_pair.hh"
@@ -20,7 +21,9 @@ class Provider;
 class CompletionQueue;
 
 /**
- * Server-side rendezvous helper.
+ * Server-side rendezvous helper. It owns each QP it parks until a
+ * client mates to it; dropping the Acceptor destroys the QPs still
+ * parked.
  */
 class Acceptor
 {
@@ -34,9 +37,12 @@ class Acceptor
              std::shared_ptr<CompletionQueue> scq,
              std::shared_ptr<CompletionQueue> rcq);
 
+    Acceptor(const Acceptor &) = delete;
+    Acceptor &operator=(const Acceptor &) = delete;
+
     /**
      * Park one idle QP on the port; @p cb fires with the connected QP
-     * when a client mates to it.
+     * when a client mates to it, and the Acceptor lets go of it.
      */
     void acceptOne(AcceptCb cb, std::size_t max_send_wr = 512,
                    std::size_t max_recv_wr = 512);
@@ -51,6 +57,8 @@ class Acceptor
     std::uint16_t port_;
     std::shared_ptr<CompletionQueue> scq_;
     std::shared_ptr<CompletionQueue> rcq_;
+    /** The QPs parked here and not yet mated, by number. */
+    std::map<nic::QpNum, std::shared_ptr<QueuePair>> parked_;
 };
 
 } // namespace qpip::verbs

@@ -23,7 +23,7 @@ MemoryRegion::~MemoryRegion()
 nic::Sge
 MemoryRegion::sge(std::size_t offset, std::size_t length) const
 {
-    if (offset + length > memory_.size())
+    if (length > memory_.size() || offset > memory_.size() - length)
         sim::panic("SGE out of region bounds (%zu+%zu > %zu)", offset,
                    length, memory_.size());
     return nic::Sge{key_, offset, length};

@@ -23,18 +23,13 @@ Provider::registerMemory(std::span<std::uint8_t> memory,
 std::shared_ptr<CompletionQueue>
 Provider::createCq(std::size_t cap)
 {
-    auto cq = std::make_shared<CompletionQueue>(*this, cap);
-    cqs_.push_back(cq);
-    return cq;
+    return std::make_shared<CompletionQueue>(*this, cap);
 }
 
 void
 Provider::dropCallbacks()
 {
-    for (const auto &weak : cqs_) {
-        if (auto cq = weak.lock())
-            cq->ring().disarm();
-    }
+    nic_.disarmCqs();
 }
 
 std::shared_ptr<SharedReceiveQueue>
@@ -49,9 +44,8 @@ Provider::createQp(nic::QpType type,
                    std::shared_ptr<CompletionQueue> rcq,
                    std::size_t max_send_wr, std::size_t max_recv_wr)
 {
-    return std::make_shared<QueuePair>(*this, type, std::move(scq),
-                                       std::move(rcq), max_send_wr,
-                                       max_recv_wr);
+    return createQp(type, std::move(scq), std::move(rcq),
+                    QpAttrs{max_send_wr, max_recv_wr, nullptr, 0});
 }
 
 std::shared_ptr<QueuePair>

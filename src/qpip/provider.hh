@@ -11,7 +11,6 @@
 
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "host/host.hh"
 #include "nic/qpip_nic.hh"
@@ -95,10 +94,10 @@ class Provider
              std::shared_ptr<CompletionQueue> rcq, QpAttrs attrs);
 
     /**
-     * Teardown: drop the callback of every armed Wait() on this
-     * provider's CQs. Such a callback usually holds a QP bound to the
-     * CQ, so the two would otherwise keep each other alive forever.
-     * Call with the simulation stopped, while the NICs still exist.
+     * Teardown: drop the callback of every armed Wait() on the NIC's
+     * CQs. Such a callback usually holds a QP bound to the CQ, so the
+     * two would otherwise keep each other alive forever. Call with
+     * the simulation stopped, while the NICs still exist.
      */
     void dropCallbacks();
 
@@ -106,8 +105,6 @@ class Provider
     host::Host &host_;
     nic::QpipNic &nic_;
     VerbsCostModel costs_;
-    /** Every CQ made here, in creation order (dropCallbacks). */
-    std::vector<std::weak_ptr<CompletionQueue>> cqs_;
 };
 
 } // namespace qpip::verbs

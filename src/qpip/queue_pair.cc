@@ -20,18 +20,10 @@ QueuePair::QueuePair(Provider &provider, nic::QpType type,
     nic::QpCreateAttrs nic_attrs;
     nic_attrs.srq = srq_ ? srq_->num() : nic::invalidSrq;
     nic_attrs.rdmaWindowBytes = rdmaWindow_;
-    num_ = nic_.createQp(
-        type_, &rings_, scq_ ? &scq_->ring() : nullptr,
-        rcq_ ? &rcq_->ring() : nullptr, nic_attrs);
+    num_ = nic_.createQp(type_, &rings_,
+                         scq_ ? scq_->num() : nic::invalidCq,
+                         rcq_ ? rcq_->num() : nic::invalidCq, nic_attrs);
 }
-
-QueuePair::QueuePair(Provider &provider, nic::QpType type,
-                     std::shared_ptr<CompletionQueue> scq,
-                     std::shared_ptr<CompletionQueue> rcq,
-                     std::size_t max_send_wr, std::size_t max_recv_wr)
-    : QueuePair(provider, type, std::move(scq), std::move(rcq),
-                QpAttrs{max_send_wr, max_recv_wr, nullptr, 0})
-{}
 
 QueuePair::~QueuePair()
 {
@@ -52,19 +44,28 @@ QueuePair::connect(const inet::SockAddr &remote, ConnectCb cb)
 }
 
 void
-QueuePair::accept(std::uint16_t port, std::function<void()> cb)
-{
-    provider_.nic().acceptOn(port, num_,
-                             [cb = std::move(cb)](nic::QpNum) {
-                                 if (cb)
-                                     cb();
-                             });
-}
-
-void
 QueuePair::disconnect()
 {
     provider_.nic().disconnect(num_);
+}
+
+template <typename WrAt>
+bool
+QueuePair::postSends(std::size_t n, WrAt &&wr_at)
+{
+    if (n == 0)
+        return true;
+    if (rings_.sendQ.size() + n > maxSendWr_)
+        return false;
+    provider_.host().os().charge(
+        provider_.costs().postSend +
+        provider_.costs().postSendChained *
+            static_cast<sim::Cycles>(n - 1));
+    for (std::size_t i = 0; i < n; ++i)
+        rings_.sendQ.push_back(wr_at(i));
+    provider_.nic().postDoorbell(num_, true,
+                                 static_cast<std::uint32_t>(n));
+    return true;
 }
 
 bool
@@ -72,63 +73,35 @@ QueuePair::postSend(std::uint64_t wr_id, const MemoryRegion &mr,
                     std::size_t offset, std::size_t length,
                     const inet::SockAddr &remote)
 {
-    if (rings_.sendQ.size() >= maxSendWr_)
-        return false;
-    provider_.host().os().charge(provider_.costs().postSend);
-    nic::SendWr wr;
-    wr.id = wr_id;
-    wr.sge = mr.sge(offset, length);
-    wr.remote = remote;
-    rings_.sendQ.push_back(wr);
-    provider_.nic().postDoorbell(num_, true);
-    return true;
+    const SendWrSpec wr{wr_id, &mr, offset, length, remote};
+    return postSendList({&wr, 1});
 }
 
 bool
 QueuePair::postSendList(std::span<const SendWrSpec> wrs)
 {
-    if (wrs.empty())
-        return true;
-    if (rings_.sendQ.size() + wrs.size() > maxSendWr_)
-        return false;
-    provider_.host().os().charge(
-        provider_.costs().postSend +
-        provider_.costs().postSendChained *
-            static_cast<sim::Cycles>(wrs.size() - 1));
-    for (const auto &spec : wrs) {
+    return postSends(wrs.size(), [&](std::size_t i) {
         nic::SendWr wr;
-        wr.id = spec.wrId;
-        wr.sge = spec.mr->sge(spec.offset, spec.length);
-        wr.remote = spec.remote;
-        rings_.sendQ.push_back(wr);
-    }
-    provider_.nic().postDoorbell(
-        num_, true, static_cast<std::uint32_t>(wrs.size()));
-    return true;
+        wr.id = wrs[i].wrId;
+        wr.sge = wrs[i].mr->sge(wrs[i].offset, wrs[i].length);
+        wr.remote = wrs[i].remote;
+        return wr;
+    });
 }
 
 bool
 QueuePair::postRecv(std::uint64_t wr_id, const MemoryRegion &mr,
                     std::size_t offset, std::size_t length)
 {
-    if (srq_)
-        sim::panic("qp%u: postRecv on an SRQ-attached QP", num_);
-    if (rings_.recvQ.size() >= maxRecvWr_)
-        return false;
-    provider_.host().os().charge(provider_.costs().postRecv);
-    nic::RecvWr wr;
-    wr.id = wr_id;
-    wr.sge = mr.sge(offset, length);
-    rings_.recvQ.push_back(wr);
-    provider_.nic().postDoorbell(num_, false);
-    return true;
+    const RecvWrSpec wr{wr_id, &mr, offset, length};
+    return postRecvList({&wr, 1});
 }
 
 bool
 QueuePair::postRecvList(std::span<const RecvWrSpec> wrs)
 {
     if (srq_)
-        sim::panic("qp%u: postRecvList on an SRQ-attached QP", num_);
+        sim::panic("qp%u: receive post on an SRQ-attached QP", num_);
     if (wrs.empty())
         return true;
     if (rings_.recvQ.size() + wrs.size() > maxRecvWr_)
@@ -137,12 +110,9 @@ QueuePair::postRecvList(std::span<const RecvWrSpec> wrs)
         provider_.costs().postRecv +
         provider_.costs().postRecvChained *
             static_cast<sim::Cycles>(wrs.size() - 1));
-    for (const auto &spec : wrs) {
-        nic::RecvWr wr;
-        wr.id = spec.wrId;
-        wr.sge = spec.mr->sge(spec.offset, spec.length);
-        rings_.recvQ.push_back(wr);
-    }
+    for (const auto &spec : wrs)
+        rings_.recvQ.push_back(
+            {spec.wrId, spec.mr->sge(spec.offset, spec.length)});
     provider_.nic().postDoorbell(
         num_, false, static_cast<std::uint32_t>(wrs.size()));
     return true;
@@ -175,18 +145,15 @@ QueuePair::postOneSided(std::uint64_t wr_id, nic::WrOpcode opcode,
     if (rdmaWindow_ == 0)
         sim::panic("qp%u: one-sided post on a QP without "
                    "rdmaWindowBytes", num_);
-    if (rings_.sendQ.size() >= maxSendWr_)
-        return false;
-    provider_.host().os().charge(provider_.costs().postSend);
-    nic::SendWr wr;
-    wr.id = wr_id;
-    wr.opcode = opcode;
-    wr.sge = mr.sge(offset, length);
-    wr.raddr = raddr;
-    wr.rkey = rkey;
-    rings_.sendQ.push_back(wr);
-    provider_.nic().postDoorbell(num_, true);
-    return true;
+    return postSends(1, [&](std::size_t) {
+        nic::SendWr wr;
+        wr.id = wr_id;
+        wr.opcode = opcode;
+        wr.sge = mr.sge(offset, length);
+        wr.raddr = raddr;
+        wr.rkey = rkey;
+        return wr;
+    });
 }
 
 } // namespace qpip::verbs

@@ -84,10 +84,6 @@ class QueuePair
     QueuePair(Provider &provider, nic::QpType type,
               std::shared_ptr<CompletionQueue> scq,
               std::shared_ptr<CompletionQueue> rcq, QpAttrs attrs = {});
-    QueuePair(Provider &provider, nic::QpType type,
-              std::shared_ptr<CompletionQueue> scq,
-              std::shared_ptr<CompletionQueue> rcq,
-              std::size_t max_send_wr, std::size_t max_recv_wr);
     ~QueuePair();
 
     QueuePair(const QueuePair &) = delete;
@@ -101,12 +97,6 @@ class QueuePair
 
     /** Reliable QPs: initiate the TCP rendezvous to @p remote. */
     void connect(const inet::SockAddr &remote, ConnectCb cb);
-
-    /**
-     * Reliable QPs: park this idle QP on a monitored port; @p cb
-     * fires when a connection is mated to it.
-     */
-    void accept(std::uint16_t port, std::function<void()> cb);
 
     /** Graceful disconnect (TCP FIN exchange in the interface). */
     void disconnect();
@@ -173,6 +163,13 @@ class QueuePair
                       const MemoryRegion &mr, std::size_t offset,
                       std::size_t length, nic::MrKey rkey,
                       std::uint64_t raddr);
+
+    /**
+     * Append the @p n WRs that @p wr_at(i) builds to the send ring
+     * and ring one doorbell announcing all of them; all or nothing.
+     */
+    template <typename WrAt>
+    bool postSends(std::size_t n, WrAt &&wr_at);
 
     Provider &provider_;
     nic::QpipNic &nic_;

@@ -23,15 +23,8 @@ SharedReceiveQueue::postRecv(std::uint64_t wr_id,
                              const MemoryRegion &mr,
                              std::size_t offset, std::size_t length)
 {
-    if (ring_.recvQ.size() >= maxWr_)
-        return false;
-    provider_.host().os().charge(provider_.costs().postRecv);
-    nic::RecvWr wr;
-    wr.id = wr_id;
-    wr.sge = mr.sge(offset, length);
-    ring_.recvQ.push_back(wr);
-    provider_.nic().postSrqDoorbell(num_);
-    return true;
+    const RecvWrSpec wr{wr_id, &mr, offset, length};
+    return postRecvList({&wr, 1});
 }
 
 bool
@@ -45,12 +38,9 @@ SharedReceiveQueue::postRecvList(std::span<const RecvWrSpec> wrs)
         provider_.costs().postRecv +
         provider_.costs().postRecvChained *
             static_cast<sim::Cycles>(wrs.size() - 1));
-    for (const auto &spec : wrs) {
-        nic::RecvWr wr;
-        wr.id = spec.wrId;
-        wr.sge = spec.mr->sge(spec.offset, spec.length);
-        ring_.recvQ.push_back(wr);
-    }
+    for (const auto &spec : wrs)
+        ring_.recvQ.push_back(
+            {spec.wrId, spec.mr->sge(spec.offset, spec.length)});
     provider_.nic().postSrqDoorbell(
         num_, static_cast<std::uint32_t>(wrs.size()));
     return true;

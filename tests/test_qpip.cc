@@ -88,6 +88,32 @@ TEST(QpipVerbs, RendezvousEstablishes)
     EXPECT_TRUE(conn->established());
 }
 
+// Dropping an Acceptor destroys the QPs it parked; the NIC skips their
+// stale listener entries and mates the next SYN to a live QP.
+TEST(QpipVerbs, DroppedAcceptorsParkedQpsAreSkipped)
+{
+    QpipTestbed bed(2);
+    auto &server = bed.provider(1);
+    auto scq = server.createCq();
+    bool stale = false;
+    auto gone = std::make_unique<verbs::Acceptor>(server, 700, scq, scq);
+    gone->acceptOne([&](std::shared_ptr<verbs::QueuePair>) { stale = true; });
+    gone.reset();
+    verbs::Acceptor acc(server, 700, scq, scq);
+    std::shared_ptr<verbs::QueuePair> mated;
+    acc.acceptOne(
+        [&](std::shared_ptr<verbs::QueuePair> q) { mated = std::move(q); });
+
+    auto ccq = bed.provider(0).createCq();
+    auto qp = bed.provider(0).createQp(nic::QpType::ReliableTcp, ccq, ccq);
+    bool connected = false;
+    qp->connect(bed.addr(1, 700), [&](bool ok) { connected = ok; });
+    ASSERT_TRUE(bed.sim().runUntilCondition(
+        [&] { return connected && mated != nullptr; },
+        bed.sim().now() + 10 * sim::oneSec));
+    EXPECT_FALSE(stale);
+}
+
 TEST(QpipVerbs, SendReceiveMessage)
 {
     QpipTestbed bed(2);
@@ -422,6 +448,24 @@ TEST(QpipNicQpTable, DeadAndUnknownNumbersMissAndNumbersAreNotReused)
         EXPECT_DEATH(nic.bindLocal(q, 702), "bindLocal: unknown qp")
             << q;
     }
+}
+
+TEST(QpipNicCqTable, DestroyedCqsMissAndNumbersAreNotReused)
+{
+    QpipTestbed bed(2);
+    auto &prov = bed.provider(0);
+    auto &nic = bed.nicOf(0);
+    auto a = prov.createCq();
+    auto b = prov.createCq();
+    const nic::CqNum dead = a->num();
+    a.reset(); // destroyCq
+
+    auto c = prov.createCq();
+    EXPECT_GT(c->num(), b->num());
+    EXPECT_TRUE(nic.hasCq(b->num()));
+    EXPECT_TRUE(nic.hasCq(c->num()));
+    for (const nic::CqNum q : {dead, nic::invalidCq, c->num() + 1})
+        EXPECT_FALSE(nic.hasCq(q)) << q;
 }
 
 TEST(QpipNicStats, FirmwareOccupancyAccrues)

@@ -253,6 +253,46 @@ TEST(Rdma, WriteOutOfBoundsFails)
     EXPECT_EQ(bed.nicOf(1).rdmaRemoteErrors.value(), 1u);
 }
 
+// A remote address near 2^64 must not wrap the bounds check around to
+// a small end offset and land before the region.
+TEST(Rdma, WriteWithWrappingRaddrFails)
+{
+    QpipTestbed bed(2);
+    RdmaPair p(bed, nic::accessRemoteRw, 4096);
+    ASSERT_TRUE(p.ready());
+
+    const auto msg = pattern(16);
+    std::copy(msg.begin(), msg.end(), p.buf0.begin());
+    const auto target = p.buf1;
+    ASSERT_TRUE(p.qp0->postWrite(1, *p.mr0, 0, msg.size(), p.mr1->key(),
+                                 ~std::uint64_t{0} - 7));
+
+    Completion c;
+    ASSERT_TRUE(awaitCompletion(bed, *p.cq0, c));
+    EXPECT_EQ(c.status, WcStatus::RemoteAccessError);
+    EXPECT_EQ(bed.nicOf(1).rdmaRemoteErrors.value(), 1u);
+    EXPECT_EQ(p.buf1, target);
+}
+
+TEST(Rdma, ReadWithWrappingRaddrFails)
+{
+    QpipTestbed bed(2);
+    RdmaPair p(bed, nic::accessRemoteRw, 4096);
+    ASSERT_TRUE(p.ready());
+
+    std::fill(p.buf1.begin(), p.buf1.end(), 0x5a);
+    const auto target = p.buf0;
+    ASSERT_TRUE(p.qp0->postRead(1, *p.mr0, 0, 16, p.mr1->key(),
+                                ~std::uint64_t{0} - 7));
+
+    Completion c;
+    ASSERT_TRUE(awaitCompletion(bed, *p.cq0, c));
+    EXPECT_EQ(c.status, WcStatus::RemoteAccessError);
+    EXPECT_EQ(c.opcode, nic::WrOpcode::RdmaRead);
+    EXPECT_EQ(bed.nicOf(1).rdmaRemoteErrors.value(), 1u);
+    EXPECT_EQ(p.buf0, target);
+}
+
 TEST(Rdma, ReadWithBogusRkeyFails)
 {
     QpipTestbed bed(2);
