@@ -41,8 +41,12 @@
  * before the testbed is built to the end of its connect or bind
  * phase, divided by the point's QP count. Fixed costs (testbed, CQs,
  * SRQ) dominate it at small N; the slope between two large points is
- * the marginal bytes per QP. It is not simulated, so the drift check
- * ignores it.
+ * the marginal bytes per QP. heapBytesPerQpAfterRun is the same
+ * growth measured at the end of the messaging phase instead, so it
+ * also counts the queue storage each QP keeps once its queues have
+ * been used (a ring keeps its slots when it drains). Neither is
+ * simulated, so the drift check does not compare them; CI bounds them
+ * with bench_drift.py --ceiling instead.
  */
 
 #include <malloc.h>
@@ -76,6 +80,7 @@ struct Point
     std::uint64_t rxHits = 0, rxMisses = 0, rxEvictions = 0;
     double wallSeconds = 0.0;
     double heapBytesPerQp = 0.0;
+    double heapBytesPerQpAfterRun = 0.0;
     bool completed = false;
 
     double
@@ -211,6 +216,7 @@ runPoint(std::size_t n_qps, std::uint64_t messages,
         bed.sim().now() + 36000 * sim::oneSec);
 
     const auto wall1 = std::chrono::steady_clock::now();
+    p.heapBytesPerQpAfterRun = perQp(heap0, n_qps);
     p.simTicks = bed.sim().now() - t0;
     p.wallSeconds =
         std::chrono::duration<double>(wall1 - wall0).count();
@@ -339,6 +345,7 @@ runRudPoint(std::size_t n_peers, std::uint64_t messages,
         bed.sim().now() + 36000 * sim::oneSec);
 
     const auto wall1 = std::chrono::steady_clock::now();
+    p.heapBytesPerQpAfterRun = perQp(heap0, n_peers);
     p.simTicks = bed.sim().now() - t0;
     p.wallSeconds =
         std::chrono::duration<double>(wall1 - wall0).count();
@@ -373,7 +380,7 @@ writeJson(const std::vector<Point> &points, std::size_t cache,
             "\"rxCtx\": {\"hits\": %llu, \"misses\": %llu, "
             "\"evictions\": %llu}, "
             "\"wallSeconds\": %.3f, \"wallUsPerMsg\": %.2f, "
-            "\"heapBytesPerQp\": %.0f}",
+            "\"heapBytesPerQp\": %.0f, \"heapBytesPerQpAfterRun\": %.0f}",
             p.transport, p.qps, p.completed ? "true" : "false",
             static_cast<unsigned long long>(p.messages),
             static_cast<unsigned long long>(p.simTicks),
@@ -384,7 +391,8 @@ writeJson(const std::vector<Point> &points, std::size_t cache,
             static_cast<unsigned long long>(p.rxHits),
             static_cast<unsigned long long>(p.rxMisses),
             static_cast<unsigned long long>(p.rxEvictions),
-            p.wallSeconds, p.wallUsPerMsg(), p.heapBytesPerQp));
+            p.wallSeconds, p.wallUsPerMsg(), p.heapBytesPerQp,
+            p.heapBytesPerQpAfterRun));
     }
     qpip::bench::writeRecord(path, "qpscale",
                              {{"qpCacheCapacity", std::to_string(cache)}},
@@ -442,18 +450,20 @@ main(int argc, char **argv)
     std::printf("=== completion rate vs QP count (cache %zu contexts, "
                 "%llu msgs/point) ===\n",
                 cache, static_cast<unsigned long long>(messages));
-    std::printf("%5s %8s %14s %16s %12s %12s %10s %12s %10s\n", "arm",
-                "qps", "msgs", "compl/simsec", "txMisses", "rxMisses",
-                "wall_s", "wall_us/msg", "heapB/qp");
+    std::printf("%5s %8s %14s %16s %12s %12s %10s %12s %10s %10s\n",
+                "arm", "qps", "msgs", "compl/simsec", "txMisses",
+                "rxMisses", "wall_s", "wall_us/msg", "heapB/qp",
+                "runB/qp");
     for (const auto &p : points) {
         std::printf("%5s %8zu %14llu %16.0f %12llu %12llu %10.2f "
-                    "%12.2f %10.0f%s\n",
+                    "%12.2f %10.0f %10.0f%s\n",
                     p.transport, p.qps,
                     static_cast<unsigned long long>(p.messages),
                     p.completionsPerSimSec,
                     static_cast<unsigned long long>(p.txMisses),
                     static_cast<unsigned long long>(p.rxMisses),
                     p.wallSeconds, p.wallUsPerMsg(), p.heapBytesPerQp,
+                    p.heapBytesPerQpAfterRun,
                     qpip::bench::incompleteMark(p.completed));
     }
     writeJson(points, cache, out);

@@ -40,7 +40,8 @@ void
 waitLoop(verbs::CompletionQueue &cq,
          std::function<void(verbs::Completion)> cb)
 {
-    cq.wait([&cq, cb](verbs::Completion c) {
+    // The loop hands its one callback on: moved, never copied.
+    cq.wait([&cq, cb = std::move(cb)](verbs::Completion c) mutable {
         cb(c);
         waitLoop(cq, std::move(cb));
     });

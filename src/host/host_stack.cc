@@ -208,7 +208,7 @@ HostStack::chargeFragmentsTx(std::size_t extra)
 }
 
 void
-HostStack::wireTx(std::vector<std::vector<std::uint8_t>> &&frames,
+HostStack::wireTx(std::span<std::vector<std::uint8_t>> frames,
                   bool ipv6, net::NodeId dst_node)
 {
     // Same per-route decision ipOutput's txMtu probe saw.

@@ -158,7 +158,7 @@ class HostStack : public sim::SimObject, public inet::InetEnv
 
     std::optional<std::uint32_t> txMtu(net::NodeId next_hop) override;
     void chargeFragmentsTx(std::size_t extra) override;
-    void wireTx(std::vector<std::vector<std::uint8_t>> &&frames,
+    void wireTx(std::span<std::vector<std::uint8_t>> frames,
                 bool ipv6, net::NodeId dst_node) override;
     void emitTcpSegment(inet::IpDatagram &&dgram,
                         const inet::TcpSegMeta &meta) override;

@@ -13,9 +13,9 @@ namespace qpip::host {
 
 TcpSocket::TcpSocket(HostStack &stack, inet::TcpConfig cfg,
                      std::size_t rcv_buf_bytes)
-    : stack_(stack),
+    : stack_(stack), cfg_(cfg),
       conn_(std::make_unique<inet::TcpConnection>(stack.inet(), *this,
-                                                  cfg)),
+                                                  cfg_)),
       rxBuf_(rcv_buf_bytes)
 {}
 

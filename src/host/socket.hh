@@ -82,6 +82,8 @@ class TcpSocket : public inet::TcpObserver,
     void serveRecvWaiter();
 
     HostStack &stack_;
+    /** The connection's config: it refers to this copy. */
+    const inet::TcpConfig cfg_;
     std::unique_ptr<inet::TcpConnection> conn_;
     SockBuf rxBuf_;
     bool connected_ = false;

@@ -93,12 +93,24 @@ InetStack::ipOutput(IpDatagram &&dgram)
     }
 
     pktsOut.inc();
-    auto frames = v6 ? fragmentIpv6(dgram, *mtu, fragIdent_++)
-                     : fragmentIpv4(dgram, *mtu, identCounter_++);
-    if (frames.size() > 1)
-        env_.chargeFragmentsTx(frames.size() - 1);
+    // txFrames_ is in use from here to the clear() below, and nothing
+    // in between sends a datagram: the charges only reserve processor
+    // time, and wireTx hands each frame to a NIC that puts it on the
+    // link from a later event (EthNic after its DMA, the QPIP NIC when
+    // its firmware frees). A loopback send returned above, before the
+    // list was touched. The check makes any future re-entry loud.
+    if (!txFrames_.empty())
+        sim::panic("%s: ipOutput re-entered while sending a datagram",
+                   env_.inetName().c_str());
+    if (v6)
+        fragmentIpv6(dgram, *mtu, fragIdent_++, txFrames_);
+    else
+        fragmentIpv4(dgram, *mtu, identCounter_++, txFrames_);
+    if (txFrames_.size() > 1)
+        env_.chargeFragmentsTx(txFrames_.size() - 1);
     env_.chargeMediaSend();
-    env_.wireTx(std::move(frames), v6, *route);
+    env_.wireTx(txFrames_, v6, *route);
+    txFrames_.clear();
     // The datagram's payload has been copied into the wire frames;
     // retire its storage so the next segment reuses the capacity.
     net::recycleBuffer(std::move(dgram.payload));

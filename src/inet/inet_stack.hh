@@ -110,8 +110,12 @@ class InetEnv
     /** Cost of handing frames to the medium (firmware: Send). */
     virtual void chargeMediaSend() {}
 
-    /** Put serialized frames on the wire toward @p dst_node. */
-    virtual void wireTx(std::vector<std::vector<std::uint8_t>> &&frames,
+    /**
+     * Put serialized frames on the wire toward @p dst_node. The list
+     * is the engine's: take every frame out of it (move) before
+     * returning, and do not send a datagram from inside this call.
+     */
+    virtual void wireTx(std::span<std::vector<std::uint8_t>> frames,
                         bool ipv6, net::NodeId dst_node) = 0;
 
     /**
@@ -245,6 +249,12 @@ class InetStack : public TcpEnv
     IpReassembler reass_;
     std::uint16_t identCounter_ = 1;
     std::uint32_t fragIdent_ = 1;
+    /**
+     * The frames of the datagram ipOutput is sending, reused for every
+     * datagram; empty whenever ipOutput is not between fragmenting and
+     * returning from wireTx.
+     */
+    FrameList txFrames_;
 };
 
 } // namespace qpip::inet

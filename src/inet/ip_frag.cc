@@ -9,14 +9,14 @@
 
 namespace qpip::inet {
 
-std::vector<std::vector<std::uint8_t>>
+void
 fragmentIpv6(const IpDatagram &dgram, std::uint32_t link_mtu,
-             std::uint32_t ident)
+             std::uint32_t ident, FrameList &out)
 {
-    std::vector<std::vector<std::uint8_t>> out;
+    out.clear();
     if (ipv6HeaderBytes + dgram.payload.size() <= link_mtu) {
         out.push_back(serializeIpv6(dgram));
-        return out;
+        return;
     }
 
     if (link_mtu < ipv6HeaderBytes + ipv6FragHeaderBytes + 8)
@@ -37,17 +37,16 @@ fragmentIpv6(const IpDatagram &dgram, std::uint32_t link_mtu,
             payload.subspan(offset, n)));
         offset += n;
     }
-    return out;
 }
 
-std::vector<std::vector<std::uint8_t>>
+void
 fragmentIpv4(const IpDatagram &dgram, std::uint32_t link_mtu,
-             std::uint16_t ident)
+             std::uint16_t ident, FrameList &out)
 {
-    std::vector<std::vector<std::uint8_t>> out;
+    out.clear();
     if (ipv4HeaderBytes + dgram.payload.size() <= link_mtu) {
         out.push_back(serializeIpv4(dgram, ident));
-        return out;
+        return;
     }
 
     if (link_mtu < ipv4HeaderBytes + 8)
@@ -66,7 +65,6 @@ fragmentIpv4(const IpDatagram &dgram, std::uint32_t link_mtu,
             payload.subspan(offset, n)));
         offset += n;
     }
-    return out;
 }
 
 std::optional<IpDatagram>

@@ -23,22 +23,29 @@
 namespace qpip::inet {
 
 /**
- * Fragment @p dgram into IPv6 wire packets that fit @p link_mtu.
- * Emits a single unfragmented packet when it fits. @p ident must be
- * unique per (src,dst) for the reassembly window.
+ * Serialized wire frames of one datagram. The fragmenters fill a list
+ * their caller keeps, so a stack reuses one list's storage for every
+ * datagram instead of allocating one per datagram.
  */
-std::vector<std::vector<std::uint8_t>>
-fragmentIpv6(const IpDatagram &dgram, std::uint32_t link_mtu,
-             std::uint32_t ident);
+using FrameList = std::vector<std::vector<std::uint8_t>>;
 
 /**
- * Fragment @p dgram into IPv4 wire packets that fit @p link_mtu.
- * A datagram that fits emits the unfragmented (DF) form; larger ones
- * carry MF/offset in the fixed header (RFC 791).
+ * Fragment @p dgram into IPv6 wire packets that fit @p link_mtu,
+ * replacing the contents of @p out. Emits a single unfragmented
+ * packet when it fits. @p ident must be unique per (src,dst) for the
+ * reassembly window.
  */
-std::vector<std::vector<std::uint8_t>>
-fragmentIpv4(const IpDatagram &dgram, std::uint32_t link_mtu,
-             std::uint16_t ident);
+void fragmentIpv6(const IpDatagram &dgram, std::uint32_t link_mtu,
+                  std::uint32_t ident, FrameList &out);
+
+/**
+ * Fragment @p dgram into IPv4 wire packets that fit @p link_mtu,
+ * replacing the contents of @p out. A datagram that fits emits the
+ * unfragmented (DF) form; larger ones carry MF/offset in the fixed
+ * header (RFC 791).
+ */
+void fragmentIpv4(const IpDatagram &dgram, std::uint32_t link_mtu,
+                  std::uint16_t ident, FrameList &out);
 
 /**
  * Destination-side reassembly for either family. Keyed by

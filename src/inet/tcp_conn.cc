@@ -53,9 +53,11 @@ TcpStats::registerIn(sim::StatRegistry &registry, std::string prefix)
 }
 
 TcpConnection::TcpConnection(TcpEnv &env, TcpObserver &observer,
-                             TcpConfig config)
+                             const TcpConfig &config)
     : env_(env), observer_(observer), cfg_(config),
-      rtt_(config.minRto, config.maxRto)
+      rtt_(config.minRto, config.maxRto),
+      mode_(config.messageMode ? decltype(mode_)(MessageState{})
+                               : decltype(mode_)(StreamState{}))
 {}
 
 void
@@ -83,6 +85,19 @@ TcpConnection::~TcpConnection()
     delAckTimer_.cancel();
     persistTimer_.cancel();
     timeWaitTimer_.cancel();
+}
+
+std::size_t
+TcpConnection::queueSlots() const
+{
+    return cfg_.messageMode ? msgs().sendQueue.capacity()
+                            : stream().sndBuf.chunkSlots();
+}
+
+bool
+TcpConnection::holdingMessage() const
+{
+    return cfg_.messageMode && msgs().holding;
 }
 
 std::uint32_t
@@ -161,7 +176,7 @@ TcpConnection::openPassive(const SockAddr &local, const SockAddr &remote,
 std::size_t
 TcpConnection::sendSpace() const
 {
-    const std::size_t used = sndBuf_.size();
+    const std::size_t used = stream().sndBuf.size();
     return used >= cfg_.sendBufBytes ? 0 : cfg_.sendBufBytes - used;
 }
 
@@ -175,7 +190,7 @@ TcpConnection::send(std::span<const std::uint8_t> data)
     const std::size_t n = std::min(data.size(), sendSpace());
     if (n == 0)
         return 0;
-    sndBuf_.append(data.subspan(0, n));
+    stream().sndBuf.append(data.subspan(0, n));
     if (established() || state_ == TcpState::CloseWait)
         trySend();
     return n;
@@ -192,7 +207,7 @@ TcpConnection::sendMessage(std::vector<std::uint8_t> data,
     PendingMsg msg;
     msg.data = std::move(data);
     msg.tag = tag;
-    sendQueue_.push_back(std::move(msg));
+    msgs().sendQueue.push_back(std::move(msg));
     if (established() || state_ == TcpState::CloseWait)
         trySend();
 }
@@ -390,11 +405,12 @@ void
 TcpConnection::trySendStream()
 {
     const std::uint32_t mss = effMss();
+    StreamState &st = stream();
     while (true) {
         const std::uint32_t inflight = sndNxt_ - sndUna_;
-        if (sndBuf_.size() < inflight)
+        if (st.sndBuf.size() < inflight)
             sim::panic("send buffer behind sndNxt");
-        const std::size_t avail = sndBuf_.size() - inflight;
+        const std::size_t avail = st.sndBuf.size() - inflight;
         if (avail == 0)
             break;
         const std::uint32_t usable = usableWindowBytes();
@@ -413,15 +429,15 @@ TcpConnection::trySendStream()
                 break;
         }
 
-        segScratch_.resize(len);
-        sndBuf_.copyOut(inflight, len, segScratch_.data());
+        st.segScratch.resize(len);
+        st.sndBuf.copyOut(inflight, len, st.segScratch.data());
 
         OutSpec spec;
         spec.seq = sndNxt_;
         spec.flags = tcpflags::ack;
         if (len == avail)
             spec.flags |= tcpflags::psh;
-        spec.payload = segScratch_;
+        spec.payload = st.segScratch;
         sndNxt_ += static_cast<std::uint32_t>(len);
         if (seqGt(sndNxt_, sndMaxSeen_))
             sndMaxSeen_ = sndNxt_;
@@ -433,10 +449,11 @@ TcpConnection::trySendStream()
 void
 TcpConnection::trySendMessages()
 {
-    while (firstUnsent_ < sendQueue_.size()) {
-        if (firstUnsent_ >= cwndSegs_)
-            break; // entries [0, firstUnsent_) are all in flight
-        PendingMsg &msg = sendQueue_[firstUnsent_];
+    MessageState &ms = msgs();
+    while (ms.firstUnsent < ms.sendQueue.size()) {
+        if (ms.firstUnsent >= cwndSegs_)
+            break; // entries [0, firstUnsent) are all in flight
+        PendingMsg &msg = ms.sendQueue[ms.firstUnsent];
         const std::uint32_t inflight = sndNxt_ - sndUna_;
         const std::uint32_t room =
             sndWnd_ > inflight ? sndWnd_ - inflight : 0;
@@ -454,7 +471,7 @@ TcpConnection::trySendMessages()
         sndNxt_ += static_cast<std::uint32_t>(msg.data.size());
         if (seqGt(sndNxt_, sndMaxSeen_))
             sndMaxSeen_ = sndNxt_;
-        ++firstUnsent_;
+        ++ms.firstUnsent;
         emitSegment(spec);
         armRtxTimer();
     }
@@ -467,11 +484,11 @@ TcpConnection::maybeSendFin()
         return;
     // All queued data must be on the wire first.
     const std::uint32_t inflight = sndNxt_ - sndUna_;
-    const bool stream_drained =
-        cfg_.messageMode || sndBuf_.size() == inflight;
-    const bool msgs_drained =
-        !cfg_.messageMode || firstUnsent_ == sendQueue_.size();
-    if (!stream_drained || !msgs_drained)
+    const bool drained =
+        cfg_.messageMode
+            ? msgs().firstUnsent == msgs().sendQueue.size()
+            : stream().sndBuf.size() == inflight;
+    if (!drained)
         return;
 
     finSeq_ = sndNxt_;
@@ -598,10 +615,11 @@ TcpConnection::onPersistTimeout()
         sndWnd_ > inflight ? sndWnd_ - inflight : 0;
     bool blocked = false;
     if (cfg_.messageMode) {
-        blocked = firstUnsent_ < sendQueue_.size() &&
-                  sendQueue_[firstUnsent_].data.size() > room;
+        const MessageState &ms = msgs();
+        blocked = ms.firstUnsent < ms.sendQueue.size() &&
+                  ms.sendQueue[ms.firstUnsent].data.size() > room;
     } else {
-        blocked = sndBuf_.size() > inflight && room == 0;
+        blocked = stream().sndBuf.size() > inflight && room == 0;
     }
     if (!blocked) {
         trySend();
@@ -849,7 +867,7 @@ TcpConnection::onLossDetected(bool timeout)
     const std::uint32_t mss = effMss();
     if (cfg_.messageMode) {
         const std::uint32_t inflight_segs =
-            static_cast<std::uint32_t>(firstUnsent_);
+            static_cast<std::uint32_t>(msgs().firstUnsent);
         ssthreshSegs_ = std::max<std::uint32_t>(inflight_segs / 2, 1);
         cwndSegs_ = timeout ? 1 : ssthreshSegs_;
         caAccum_ = 0;
@@ -864,8 +882,9 @@ void
 TcpConnection::retransmitOldest()
 {
     if (cfg_.messageMode) {
-        if (!sendQueue_.empty() && sendQueue_.front().sent) {
-            PendingMsg &msg = sendQueue_.front();
+        MessageState &ms = msgs();
+        if (!ms.sendQueue.empty() && ms.sendQueue.front().sent) {
+            PendingMsg &msg = ms.sendQueue.front();
             OutSpec spec;
             spec.seq = msg.seqStart;
             spec.flags = tcpflags::ack | tcpflags::psh;
@@ -875,16 +894,17 @@ TcpConnection::retransmitOldest()
             return;
         }
     } else {
+        StreamState &st = stream();
         const std::uint32_t inflight = sndNxt_ - sndUna_;
-        if (inflight > 0 && !sndBuf_.empty()) {
+        if (inflight > 0 && !st.sndBuf.empty()) {
             const std::size_t len = std::min<std::size_t>(
-                {effMss(), sndBuf_.size(), inflight});
-            segScratch_.resize(len);
-            sndBuf_.copyOut(0, len, segScratch_.data());
+                {effMss(), st.sndBuf.size(), inflight});
+            st.segScratch.resize(len);
+            st.sndBuf.copyOut(0, len, st.segScratch.data());
             OutSpec spec;
             spec.seq = sndUna_;
             spec.flags = tcpflags::ack;
-            spec.payload = segScratch_;
+            spec.payload = st.segScratch;
             spec.retransmit = true;
             emitSegment(spec);
             return;
@@ -903,8 +923,9 @@ TcpConnection::retransmitOldest()
 void
 TcpConnection::completeAckedMessages()
 {
-    while (!sendQueue_.empty()) {
-        PendingMsg &front = sendQueue_.front();
+    MessageState &ms = msgs();
+    while (!ms.sendQueue.empty()) {
+        PendingMsg &front = ms.sendQueue.front();
         if (!front.sent)
             break;
         const std::uint32_t end =
@@ -912,8 +933,8 @@ TcpConnection::completeAckedMessages()
         if (!seqGe(sndUna_, end))
             break;
         const std::uint64_t tag = front.tag;
-        sendQueue_.pop_front();
-        --firstUnsent_;
+        ms.sendQueue.pop_front();
+        --ms.firstUnsent;
         observer_.onMessageAcked(*this, tag);
     }
 }
@@ -977,9 +998,8 @@ TcpConnection::processAck(const TcpHeader &hdr, std::size_t payload_len)
     if (finSent_ && seqGe(hdr.ack, finSeq_ + 1))
         --data_acked;
     if (!cfg_.messageMode) {
-        const std::size_t drop =
-            std::min<std::size_t>(data_acked, sndBuf_.size());
-        sndBuf_.drop(drop);
+        ByteFifo &buf = stream().sndBuf;
+        buf.drop(std::min<std::size_t>(data_acked, buf.size()));
     }
     sndUna_ = hdr.ack;
     if (cfg_.messageMode)
@@ -1032,7 +1052,7 @@ void
 TcpConnection::deliverInOrder(std::span<const std::uint8_t> payload)
 {
     rcvNxt_ += static_cast<std::uint32_t>(payload.size());
-    rcvOffset_ += payload.size();
+    stream().rcvOffset += payload.size();
     receiveStateChanged();
     observer_.onDataDelivered(*this, payload);
 }
@@ -1048,7 +1068,8 @@ TcpConnection::processData(const TcpHeader &hdr,
 
     if (hdr.seq == rcvNxt_) {
         if (cfg_.messageMode) {
-            if (holdingMessage_) {
+            MessageState &ms = msgs();
+            if (ms.holding) {
                 // Retransmission of the segment we already hold.
                 return;
             }
@@ -1056,13 +1077,12 @@ TcpConnection::processData(const TcpHeader &hdr,
                 // No receive WR posted: retain the message un-ACKed
                 // until the application posts one.
                 stats_.msgRefused.inc();
-                heldMessage_.assign(payload.begin(), payload.end());
-                holdingMessage_ = true;
+                ms.held.assign(payload.begin(), payload.end());
+                ms.holding = true;
                 receiveStateChanged();
                 return;
             }
             rcvNxt_ += static_cast<std::uint32_t>(payload.size());
-            rcvOffset_ += payload.size();
             receiveStateChanged();
             observer_.onMessage(
                 *this,
@@ -1073,9 +1093,10 @@ TcpConnection::processData(const TcpHeader &hdr,
 
         deliverInOrder(payload);
         // Pull anything now contiguous out of the reassembly queue.
-        if (!reass_.empty()) {
+        StreamState &st = stream();
+        if (!st.reass.empty()) {
             std::vector<std::uint8_t> more;
-            reass_.extract(rcvOffset_, more);
+            st.reass.extract(st.rcvOffset, more);
             if (!more.empty())
                 deliverInOrder(more);
         }
@@ -1086,8 +1107,9 @@ TcpConnection::processData(const TcpHeader &hdr,
     // Out of order (hdr.seq > rcvNxt_).
     stats_.oooSegments.inc();
     if (!cfg_.messageMode) {
-        const std::uint64_t off = rcvOffset_ + (hdr.seq - rcvNxt_);
-        reass_.insert(off, payload, rcvOffset_);
+        StreamState &st = stream();
+        const std::uint64_t off = st.rcvOffset + (hdr.seq - rcvNxt_);
+        st.reass.insert(off, payload, st.rcvOffset);
     } else {
         stats_.oooDropped.inc();
     }
@@ -1101,7 +1123,7 @@ TcpConnection::scheduleAckAfterData(std::size_t payload_len)
     (void)payload_len;
     ++unackedSegsSinceAck_;
     if (!cfg_.delayedAck || unackedSegsSinceAck_ >= 2 ||
-        holdingMessage_) {
+        holdingMessage()) {
         sendAck();
         return;
     }
@@ -1153,13 +1175,13 @@ TcpConnection::onReceiveWindowGrew()
     if (state_ == TcpState::Closed)
         return;
 
-    if (holdingMessage_ &&
-        observer_.canAcceptMessage(*this, heldMessage_)) {
-        std::vector<std::uint8_t> msg = std::move(heldMessage_);
-        heldMessage_.clear();
-        holdingMessage_ = false;
+    if (holdingMessage() &&
+        observer_.canAcceptMessage(*this, msgs().held)) {
+        MessageState &ms = msgs();
+        std::vector<std::uint8_t> msg = std::move(ms.held);
+        ms.held.clear();
+        ms.holding = false;
         rcvNxt_ += static_cast<std::uint32_t>(msg.size());
-        rcvOffset_ += msg.size();
         receiveStateChanged();
         observer_.onMessage(*this, std::move(msg));
         sendAck();
@@ -1188,7 +1210,7 @@ TcpConnection::windowGrewThreshold() const
     // Mirrors onReceiveWindowGrew() branch by branch.
     if (state_ == TcpState::Closed)
         return std::nullopt;
-    if (holdingMessage_)
+    if (holdingMessage())
         return 0; // the held message is retried at any window
     if (!established() && state_ != TcpState::CloseWait)
         return std::nullopt;

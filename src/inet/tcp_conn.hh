@@ -35,6 +35,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "inet/byte_fifo.hh"
@@ -237,13 +238,64 @@ struct TcpStats
     sim::StatGroup group_;
 };
 
+namespace detail {
+
+// Each connection's per-mode state. Defined at namespace scope, not
+// nested in TcpConnection, so std::variant sees them as complete,
+// default-constructible types inside the class body.
+
+/** One queued message-mode message. */
+struct TcpPendingMsg
+{
+    std::vector<std::uint8_t> data;
+    std::uint64_t tag = 0;
+    std::uint32_t seqStart = 0;
+    bool sent = false;
+};
+
+/** Stream mode (host sockets): byte buffers and reassembly. */
+struct TcpStreamState
+{
+    /** Send buffer; its head corresponds to sndUna_. */
+    ByteFifo sndBuf;
+    /**
+     * Reused per-segment copy-out target: emitSegment() consumes the
+     * payload span synchronously, so one scratch buffer per
+     * connection avoids a zero-initialized allocation per segment.
+     */
+    std::vector<std::uint8_t> segScratch;
+    TcpReassembly reass;
+    std::uint64_t rcvOffset = 0; ///< logical stream offset of rcvNxt_
+};
+
+/** Message mode (QPIP): one queued message per segment. */
+struct TcpMessageState
+{
+    /** Front is the oldest unacked message. */
+    sim::RingFifo<TcpPendingMsg> sendQueue;
+    std::size_t firstUnsent = 0;
+    /** In-order message retained while no WR was posted. */
+    std::vector<std::uint8_t> held;
+    bool holding = false;
+};
+
+} // namespace detail
+
 /**
- * One TCP connection.
+ * One TCP connection. It carries only its own mode's state: a
+ * stream-mode connection has the send buffer and the reassembly
+ * queue, a message-mode one the message queue and the held message.
  */
 class TcpConnection
 {
   public:
-    TcpConnection(TcpEnv &env, TcpObserver &observer, TcpConfig config);
+    /**
+     * @p config is referred to, not copied: it must outlive the
+     * connection and stay unchanged while it lives (the NIC's
+     * firmware config, or a copy the socket keeps).
+     */
+    TcpConnection(TcpEnv &env, TcpObserver &observer,
+                  const TcpConfig &config);
     ~TcpConnection();
 
     TcpConnection(const TcpConnection &) = delete;
@@ -317,11 +369,7 @@ class TcpConnection
     /** Peer-advertised (scaled) send window, for tests. */
     std::uint32_t sndWnd() const { return sndWnd_; }
     /** Slots allocated by the send queues: 0 until the first send. */
-    std::size_t
-    queueSlots() const
-    {
-        return sendQueue_.capacity() + sndBuf_.chunkSlots();
-    }
+    std::size_t queueSlots() const;
     std::uint32_t cwndBytes() const { return cwnd_; }
     const RttEstimator &rtt() const { return rtt_; }
 
@@ -375,14 +423,25 @@ class TcpConnection
     void openCongestionWindow(std::uint32_t acked_bytes);
     void onLossDetected(bool timeout);
 
-    // --- message-mode bookkeeping -----------------------------------
-    struct PendingMsg
+    // --- per-mode state ----------------------------------------------
+    using PendingMsg = detail::TcpPendingMsg;
+    using StreamState = detail::TcpStreamState;
+    using MessageState = detail::TcpMessageState;
+
+    StreamState &stream() { return std::get<StreamState>(mode_); }
+    const StreamState &
+    stream() const
     {
-        std::vector<std::uint8_t> data;
-        std::uint64_t tag = 0;
-        std::uint32_t seqStart = 0;
-        bool sent = false;
-    };
+        return std::get<StreamState>(mode_);
+    }
+    MessageState &msgs() { return std::get<MessageState>(mode_); }
+    const MessageState &
+    msgs() const
+    {
+        return std::get<MessageState>(mode_);
+    }
+    /** A message is retained for want of a WR (message mode only). */
+    bool holdingMessage() const;
 
     void completeAckedMessages();
     void retransmitOldest();
@@ -398,7 +457,7 @@ class TcpConnection
 
     TcpEnv &env_;
     TcpObserver &observer_;
-    TcpConfig cfg_;
+    const TcpConfig &cfg_;
     FourTuple tuple_;
     TcpState state_ = TcpState::Closed;
     TcpStats stats_;
@@ -438,24 +497,8 @@ class TcpConnection
     sim::Tick rttStamp_ = 0;
     bool retransmittedSinceTiming_ = false;
 
-    // Stream-mode buffers. sndBuf_ head corresponds to sndUna_.
-    ByteFifo sndBuf_;
-    /**
-     * Reused per-segment copy-out target: emitSegment() consumes the
-     * payload span synchronously, so one scratch buffer per
-     * connection avoids a zero-initialized allocation per segment.
-     */
-    std::vector<std::uint8_t> segScratch_;
-    TcpReassembly reass_;
-    std::uint64_t rcvOffset_ = 0; ///< logical stream offset of rcvNxt_
-
-    // Message mode queue; front is oldest unacked.
-    sim::RingFifo<PendingMsg> sendQueue_;
-    std::size_t firstUnsent_ = 0;
-
-    // Deferred in-order message retained while no WR was posted.
-    std::vector<std::uint8_t> heldMessage_;
-    bool holdingMessage_ = false;
+    /** The state of cfg_.messageMode's discipline, and only that. */
+    std::variant<StreamState, MessageState> mode_;
 
     // Close handshake.
     bool finQueued_ = false;  ///< user asked to close

@@ -347,8 +347,23 @@ QpipNic::queueSlots(QpNum qp)
     const auto *ctx = lookupQp(qp);
     if (ctx == nullptr)
         return 0;
-    return ctx->rings->sendQ.capacity() + ctx->rings->recvQ.capacity() +
-           ctx->inflightSends.capacity() + ctx->pendingRdma.capacity();
+    std::size_t slots =
+        ctx->rings->sendQ.capacity() + ctx->rings->recvQ.capacity() +
+        ctx->inflightSends.capacity() + ctx->pendingRdma.capacity();
+    if (ctx->rud) {
+        for (const auto &entry : ctx->rud->peers) {
+            slots += entry.second.window.capacity() +
+                     entry.second.blocked.capacity();
+        }
+    }
+    return slots;
+}
+
+bool
+QpipNic::hasRudState(QpNum qp)
+{
+    const auto *ctx = lookupQp(qp);
+    return ctx != nullptr && ctx->rud != nullptr;
 }
 
 // ---------------------------------------------------------------------
@@ -628,19 +643,21 @@ QpipNic::chargeMediaSend()
 }
 
 void
-QpipNic::wireTx(std::vector<std::vector<std::uint8_t>> &&frames,
-                bool ipv6, net::NodeId dst_node)
+QpipNic::wireTx(std::span<std::vector<std::uint8_t>> frames, bool ipv6,
+                net::NodeId dst_node)
 {
+    for (auto &frame : frames)
+        txFrames_.push_back(std::move(frame));
     schedule(fw_.busyUntil(),
-             [this, ipv6, dst_node,
-              frames = std::move(frames)]() mutable {
-                 for (auto &frame : frames) {
+             [this, ipv6, dst_node, n = frames.size()] {
+                 for (std::size_t i = 0; i < n; ++i) {
                      auto pkt = net::makePacket();
                      pkt->src = node_;
                      pkt->dst = dst_node;
                      pkt->proto = ipv6 ? net::NetProto::Ipv6
                                        : net::NetProto::Ipv4;
-                     pkt->data = std::move(frame);
+                     pkt->data = std::move(txFrames_.front());
+                     txFrames_.pop_front();
                      link_.send(0, pkt);
                  }
              });

@@ -232,8 +232,8 @@ class QpipNic : public sim::SimObject,
     void chargeIpHeaderTx() override;
     void chargeFragmentsTx(std::size_t extra) override;
     void chargeMediaSend() override;
-    void wireTx(std::vector<std::vector<std::uint8_t>> &&frames,
-                bool ipv6, net::NodeId dst_node) override;
+    void wireTx(std::span<std::vector<std::uint8_t>> frames, bool ipv6,
+                net::NodeId dst_node) override;
     void emitTcpSegment(inet::IpDatagram &&dgram,
                         const inet::TcpSegMeta &meta) override;
 
@@ -258,10 +258,13 @@ class QpipNic : public sim::SimObject,
     const QpipNicParams &params() const { return params_; }
     inet::TcpConnection *connectionOf(QpNum qp);
     /**
-     * Slots allocated by QP @p qp's work queues: its host rings and
-     * its in-flight and one-sided queues. 0 until the first post.
+     * Slots allocated by QP @p qp's work queues: its host rings, its
+     * in-flight and one-sided queues and, on a RUD QP, every peer's
+     * unacked and blocked queues. 0 until the first post.
      */
     std::size_t queueSlots(QpNum qp);
+    /** Whether QP @p qp holds RUD per-peer state (RUD QPs only). */
+    bool hasRudState(QpNum qp);
 
     /** The QP context cache (hit/miss/eviction introspection). */
     const QpContextCache &qpCache() const { return qpCache_; }
@@ -272,8 +275,14 @@ class QpipNic : public sim::SimObject,
     /** The shared protocol engine (firmware execution context). */
     inet::InetStack &inet() { return inet_; }
 
-  private:
+    /**
+     * NIC-side state of one QP (nic/transport/qp_context.hh). Named
+     * publicly so tests can pin its size; only the NIC and its
+     * transport engines touch one.
+     */
     struct QpContext;
+
+  private:
     struct SrqContext;
 
     std::shared_ptr<void> aliveToken_ = std::make_shared<int>(0);
@@ -433,6 +442,14 @@ class QpipNic : public sim::SimObject,
 
     /** Idle QPs parked on each monitored port, in accept order. */
     std::map<std::uint16_t, sim::RingFifo<QpNum>> listeners_;
+
+    /**
+     * Frames handed over by wireTx and not yet on the link, oldest
+     * first. Each wireTx schedules one event at fw_.busyUntil(), which
+     * never decreases, so the events run in the order they were
+     * scheduled and each takes its own frames off the front.
+     */
+    sim::RingFifo<std::vector<std::uint8_t>> txFrames_;
 };
 
 } // namespace qpip::nic

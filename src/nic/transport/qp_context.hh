@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <memory>
 #include <utility>
 
 #include "nic/qpip_nic.hh"
@@ -58,7 +59,10 @@ struct QpipNic::QpContext : public inet::TcpObserver,
 {
     QpContext(QpipNic &nic_ref, QpNum n, QpType t, QpHostRings *r,
               CqNum s, CqNum rc)
-        : nic(nic_ref), num(n), type(t), rings(r), scq(s), rcq(rc)
+        : nic(nic_ref), num(n), type(t), rings(r), scq(s), rcq(rc),
+          rud(t == QpType::ReliableDatagram
+                  ? std::make_unique<RudEngine::QpState>()
+                  : nullptr)
     {}
 
     QpipNic &nic;
@@ -114,8 +118,12 @@ struct QpipNic::QpContext : public inet::TcpObserver,
     sim::RingFifo<std::pair<std::uint64_t, SendWr>> pendingRdma;
     std::uint64_t nextRdmaId = 1;
 
-    /** RUD per-peer reliability state (models host memory). */
-    RudEngine::QpState rud;
+    /**
+     * RUD per-peer reliability state (models host memory); only a
+     * RUD QP has one, so an RC or UD context does not carry its
+     * table and set.
+     */
+    const std::unique_ptr<RudEngine::QpState> rud;
 
     bool
     recvWrAvailable() const

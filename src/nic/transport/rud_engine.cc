@@ -31,7 +31,7 @@ void
 RudEngine::transmit(QpContext &qp, SendWr wr,
                     std::vector<std::uint8_t> data)
 {
-    Peer &p = qp.rud.peers[wr.remote];
+    Peer &p = qp.rud->peers[wr.remote];
     if (!p.blocked.empty() || p.window.size() >= windowLimit) {
         // Window full: park the staged WR; the ack that opens the
         // window drains the queue in order.
@@ -90,7 +90,7 @@ RudEngine::datagramDeliver(QpContext &qp,
         nic_.rudMalformed.inc();
         return;
     }
-    Peer &p = qp.rud.peers[from];
+    Peer &p = qp.rud->peers[from];
     processAck(qp, p, from, h.ack);
     if (h.opcode == net::RudOpcode::Ack)
         return;
@@ -116,7 +116,7 @@ RudEngine::datagramDeliver(QpContext &qp,
             nic_.rudRnrHolds.inc();
         p.holding = true;
         p.held.assign(payload.begin(), payload.end());
-        qp.rud.holding.insert(from);
+        qp.rud->holding.insert(from);
         nic_.rekeySrqWake(qp);
         return;
     }
@@ -197,8 +197,8 @@ RudEngine::rtoFire(QpNum qp, const inet::SockAddr &to)
     QpContext *ctx = nic_.lookupQp(qp);
     if (ctx == nullptr)
         return;
-    auto pit = ctx->rud.peers.find(to);
-    if (pit == ctx->rud.peers.end() || pit->second.window.empty())
+    auto pit = ctx->rud->peers.find(to);
+    if (pit == ctx->rud->peers.end() || pit->second.window.empty())
         return;
     Peer &p = pit->second;
     if (p.rtoShift < 16)
@@ -220,13 +220,13 @@ RudEngine::rtoFire(QpNum qp, const inet::SockAddr &to)
 void
 RudEngine::recvReplenished(QpContext &qp)
 {
-    auto &held = qp.rud.holding;
+    auto &held = qp.rud->holding;
     if (held.empty())
         return;
     while (!held.empty() && qp.recvWrAvailable()) {
         const inet::SockAddr addr = *held.begin();
         held.erase(held.begin());
-        Peer &p = qp.rud.peers.at(addr);
+        Peer &p = qp.rud->peers.at(addr);
         p.holding = false;
         ++p.expectedSeq;
         nic_.receiveIntoWr(qp, std::move(p.held), addr);
@@ -240,7 +240,7 @@ RudEngine::recvReplenished(QpContext &qp)
 std::uint64_t
 RudEngine::replenishThreshold(const QpContext &qp) const
 {
-    return qp.rud.holding.empty() ? QpipNic::SrqContext::neverWakes
+    return qp.rud->holding.empty() ? QpipNic::SrqContext::neverWakes
                                   : 0;
 }
 
@@ -250,12 +250,12 @@ RudEngine::flushed(QpContext &qp, WcStatus status)
     // Collect, then sort: completions leave in peer-address order,
     // not in the table's hash order.
     std::vector<inet::SockAddr> addrs;
-    addrs.reserve(qp.rud.peers.size());
-    for (const auto &entry : qp.rud.peers)
+    addrs.reserve(qp.rud->peers.size());
+    for (const auto &entry : qp.rud->peers)
         addrs.push_back(entry.first);
     std::sort(addrs.begin(), addrs.end());
     for (const inet::SockAddr &addr : addrs) {
-        Peer &p = qp.rud.peers.at(addr);
+        Peer &p = qp.rud->peers.at(addr);
         if (p.rto.pending())
             p.rto.cancel();
         for (const Unacked &u : p.window) {
@@ -265,9 +265,9 @@ RudEngine::flushed(QpContext &qp, WcStatus status)
             nic_.completeSend(qp, ps.wr, status);
         }
     }
-    qp.rud.peers.clear();
-    if (!qp.rud.holding.empty()) {
-        qp.rud.holding.clear();
+    qp.rud->peers.clear();
+    if (!qp.rud->holding.empty()) {
+        qp.rud->holding.clear();
         nic_.rekeySrqWake(qp);
     }
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * A FIFO that costs one pointer and three words while empty: a
- * power-of-two ring over a single heap array, allocated on the first
- * push and doubled when full.
+ * power-of-two ring over a single heap array, allocated one slot wide
+ * on the first push and doubled when full.
  *
  * It backs the per-QP, per-connection and per-device queues, where
  * thousands of instances sit empty for a whole run. A default-
@@ -34,8 +34,16 @@ class RingFifo
     using value_type = T;
     using size_type = std::size_t;
 
-    /** Capacity of the first allocation. */
-    static constexpr size_type minCapacity = 4;
+    /**
+     * Capacity of the first allocation. One slot: most of these
+     * queues never hold more than one entry at a time (a fan-in QP
+     * has one message in flight), and a ring keeps its storage once
+     * drained, so any slot beyond the high-water mark is held for the
+     * queue's whole life. A queue that does fill pays one reallocation
+     * per doubling; freeing the storage on drain instead would
+     * reallocate on every send of a one-in-flight exchange.
+     */
+    static constexpr size_type minCapacity = 1;
 
     RingFifo() noexcept = default;
     RingFifo(const RingFifo &) = delete;

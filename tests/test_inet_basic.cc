@@ -252,7 +252,8 @@ TEST(Ipv6, RoundTripAtomic)
 TEST(Ipv6, FragmentsToMtuAndReassembles)
 {
     auto d = v6Datagram(16384);
-    auto frames = fragmentIpv6(d, 1500, 42);
+    FrameList frames;
+    fragmentIpv6(d, 1500, 42, frames);
     EXPECT_GT(frames.size(), 10u);
     for (const auto &f : frames)
         EXPECT_LE(f.size(), 1500u);
@@ -277,7 +278,8 @@ TEST(Ipv6, FragmentsToMtuAndReassembles)
 TEST(Ipv6, ReassemblesOutOfOrderFragments)
 {
     auto d = v6Datagram(5000);
-    auto frames = fragmentIpv6(d, 1500, 7);
+    FrameList frames;
+    fragmentIpv6(d, 1500, 7, frames);
     std::reverse(frames.begin(), frames.end());
     Ipv6Reassembler reass;
     std::optional<IpDatagram> got;
@@ -295,7 +297,8 @@ TEST(Ipv6, ReassemblesOutOfOrderFragments)
 TEST(Ipv6, DuplicateFragmentsAreHarmless)
 {
     auto d = v6Datagram(4000);
-    auto frames = fragmentIpv6(d, 1500, 9);
+    FrameList frames;
+    fragmentIpv6(d, 1500, 9, frames);
     Ipv6Reassembler reass;
     std::optional<IpDatagram> got;
     for (int round = 0; round < 2 && !got; ++round) {
@@ -316,7 +319,8 @@ TEST(Ipv6, DuplicateFragmentsAreHarmless)
 TEST(Ipv6, PartialDatagramExpires)
 {
     auto d = v6Datagram(4000);
-    auto frames = fragmentIpv6(d, 1500, 11);
+    FrameList frames;
+    fragmentIpv6(d, 1500, 11, frames);
     Ipv6Reassembler reass(100); // 100-tick timeout
     Ipv6Packet pkt;
     ASSERT_TRUE(parseIpv6(frames[0], pkt));
@@ -330,7 +334,8 @@ TEST(Ipv6, PartialDatagramExpires)
 TEST(Ipv6, NoFragmentationWhenItFits)
 {
     auto d = v6Datagram(1000);
-    auto frames = fragmentIpv6(d, 1500, 1);
+    FrameList frames;
+    fragmentIpv6(d, 1500, 1, frames);
     EXPECT_EQ(frames.size(), 1u);
     Ipv6Packet pkt;
     ASSERT_TRUE(parseIpv6(frames[0], pkt));

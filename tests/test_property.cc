@@ -190,8 +190,9 @@ TEST_P(FragProperty, FragmentsReassembleShuffled)
         for (auto &b : d.payload)
             b = static_cast<std::uint8_t>(rng.next());
 
-        auto frames = fragmentIpv6(d, GetParam().mtu,
-                                   static_cast<std::uint32_t>(round));
+        inet::FrameList frames;
+        inet::fragmentIpv6(d, GetParam().mtu,
+                           static_cast<std::uint32_t>(round), frames);
         // Fisher-Yates shuffle with the deterministic RNG.
         for (std::size_t i = frames.size(); i > 1; --i) {
             const auto j =

@@ -264,6 +264,47 @@ TEST(QpipVerbs, WaitDeliversViaInterrupt)
     EXPECT_FALSE(got_c.isSend);
 }
 
+/** A completion callback that counts its own copies. */
+struct CopyCountingCb
+{
+    std::size_t *copies;
+    std::size_t *calls;
+
+    CopyCountingCb(std::size_t *cp, std::size_t *cl)
+        : copies(cp), calls(cl)
+    {}
+    CopyCountingCb(const CopyCountingCb &o)
+        : copies(o.copies), calls(o.calls)
+    {
+        ++*copies;
+    }
+    CopyCountingCb(CopyCountingCb &&) noexcept = default;
+    CopyCountingCb &operator=(const CopyCountingCb &) = delete;
+
+    void operator()(Completion) const { ++*calls; }
+};
+
+TEST(QpipVerbs, WaitLoopNeverCopiesItsCallback)
+{
+    QpipTestbed bed(2);
+    RcPair p(bed);
+    ASSERT_TRUE(p.ready());
+    constexpr std::size_t n = 8;
+    for (std::size_t i = 0; i < n; ++i)
+        p.qp1->postRecv(i, *p.mr1, i * 64, 64);
+
+    std::size_t copies = 0, calls = 0;
+    std::function<void(Completion)> cb(CopyCountingCb(&copies, &calls));
+    const std::size_t wrapped = copies;
+    waitLoop(*p.cq1, std::move(cb));
+    for (std::size_t i = 0; i < n; ++i)
+        p.qp0->postSend(100 + i, *p.mr0, i * 64, 64);
+    ASSERT_TRUE(bed.sim().runUntilCondition(
+        [&] { return calls == n; },
+        bed.sim().now() + 10 * sim::oneSec));
+    EXPECT_EQ(copies, wrapped);
+}
+
 TEST(QpipVerbs, UdpQpDropsWithoutPostedWr)
 {
     QpipTestbed bed(2);

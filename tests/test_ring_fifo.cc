@@ -3,9 +3,10 @@
  * sim::RingFifo: a seeded differential test against std::deque
  * (growth while wrapped included), element lifetimes with a counting
  * move-only type, "empty means no storage" down to the allocator,
- * and the footprint pin it exists for: a fresh RC QP on an SRQ and
+ * and the footprint pins it exists for: a fresh RC QP on an SRQ and
  * its connected TcpConnection own no queue storage until the first
- * post.
+ * post, a one-message fan-in leaves one slot in each queue it used,
+ * and only RUD QPs carry RUD peer state.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,9 @@
 #include <vector>
 
 #include "apps/testbed.hh"
+#include "inet/tcp_conn.hh"
+// qpip-lint: layer-ok(footprint pin: the test takes the QP context's size)
+#include "nic/transport/qp_context.hh"
 #include "sim/ring_fifo.hh"
 
 using namespace qpip;
@@ -207,4 +211,145 @@ TEST(RingFifoFootprint, FreshSrqQpAndConnectionOwnNoQueueStorage)
         [&] { return scq->depth() > 0; },
         bed.sim().now() + 20 * sim::oneSec));
     EXPECT_GT(conn->queueSlots(), 0u);
+}
+
+// The per-endpoint footprint: a connection carries only its own
+// mode's state and refers to its config; a QP context carries RUD
+// peer state only on a RUD QP. Layout pins for x86-64 libstdc++.
+static_assert(sizeof(inet::TcpConnection) == 656,
+              "TcpConnection grew: is the new field its mode's state?");
+static_assert(sizeof(nic::QpipNic::QpContext) == 320,
+              "QpContext grew: is the new field every QP type's state?");
+
+namespace {
+
+/**
+ * A fan-in of @p n one-message senders into one server, every
+ * message received and every send completed. RC: @p n client QPs
+ * connect to QPs parked on the server's SRQ. RUD: @p n client peers
+ * send to one server QP on the SRQ.
+ */
+struct OneMessageFanIn
+{
+    OneMessageFanIn(std::size_t n, nic::QpType type) : bed(2)
+    {
+        auto &client = bed.provider(0);
+        auto &server = bed.provider(1);
+        scq = server.createCq(256);
+        ccq = client.createCq(256);
+        verbs::QpAttrs attrs;
+        attrs.srq = server.createSrq(256);
+        rmr = server.registerMemory(rbuf);
+        smr = client.registerMemory(sbuf);
+        for (std::size_t i = 0; i < n; ++i)
+            attrs.srq->postRecv(i, *rmr, i, 1);
+
+        const bool rc = type == nic::QpType::ReliableTcp;
+        std::size_t connected = 0;
+        if (rc) {
+            acc = std::make_unique<verbs::Acceptor>(server, 700, scq,
+                                                    scq);
+            for (std::size_t i = 0; i < n; ++i) {
+                acc->acceptOne(
+                    [this](std::shared_ptr<verbs::QueuePair> q) {
+                        serverQps.push_back(std::move(q));
+                    },
+                    attrs);
+            }
+        } else {
+            serverQps.push_back(server.createQp(type, scq, scq, attrs));
+            serverQps.back()->bind(800);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            auto qp = client.createQp(type, ccq, ccq);
+            if (rc) {
+                qp->connect(bed.addr(1, 700),
+                            [&connected](bool ok) { connected += ok; });
+            } else {
+                qp->bind(static_cast<std::uint16_t>(2000 + i));
+                ++connected;
+            }
+            clientQps.push_back(std::move(qp));
+        }
+        ready = bed.sim().runUntilCondition(
+            [&] {
+                return connected == n &&
+                       (!rc || serverQps.size() == n);
+            },
+            bed.sim().now() + 20 * sim::oneSec);
+
+        for (std::size_t i = 0; ready && i < n; ++i) {
+            ready = rc ? clientQps[i]->postSend(i, *smr, 0, 1)
+                       : clientQps[i]->postSend(i, *smr, 0, 1,
+                                                bed.addr(1, 800));
+        }
+        ready = ready && bed.sim().runUntilCondition(
+                             [&] {
+                                 return scq->depth() == n &&
+                                        ccq->depth() == n;
+                             },
+                             bed.sim().now() + 20 * sim::oneSec);
+    }
+
+    apps::QpipTestbed bed;
+    std::shared_ptr<verbs::CompletionQueue> scq, ccq;
+    std::vector<std::uint8_t> rbuf = std::vector<std::uint8_t>(64);
+    std::vector<std::uint8_t> sbuf = std::vector<std::uint8_t>(1);
+    std::shared_ptr<verbs::MemoryRegion> rmr, smr;
+    std::unique_ptr<verbs::Acceptor> acc;
+    std::vector<std::shared_ptr<verbs::QueuePair>> serverQps, clientQps;
+    bool ready = false;
+};
+
+} // namespace
+
+TEST(RingFifoFootprint, RcFanInLeavesOneSlotPerUsedQueue)
+{
+    constexpr std::size_t n = 4;
+    OneMessageFanIn f(n, nic::QpType::ReliableTcp);
+    ASSERT_TRUE(f.ready);
+    auto &cnic = f.bed.nicOf(0);
+    auto &snic = f.bed.nicOf(1);
+    // Each sender used two NIC-side queues (the host send ring and
+    // the in-flight queue) and its connection's message queue, each
+    // holding one entry at most; every queue used holds at least one
+    // slot, so these sums say each holds exactly one.
+    for (const auto &qp : f.clientQps) {
+        EXPECT_EQ(cnic.queueSlots(qp->num()), 2u);
+        EXPECT_EQ(cnic.connectionOf(qp->num())->queueSlots(), 1u);
+    }
+    // The receivers drew from the SRQ and sent nothing.
+    for (const auto &qp : f.serverQps) {
+        EXPECT_EQ(snic.queueSlots(qp->num()), 0u);
+        EXPECT_EQ(snic.connectionOf(qp->num())->queueSlots(), 0u);
+    }
+}
+
+TEST(RingFifoFootprint, RudFanInLeavesOneSlotPerUsedQueue)
+{
+    constexpr std::size_t n = 4;
+    OneMessageFanIn f(n, nic::QpType::ReliableDatagram);
+    ASSERT_TRUE(f.ready);
+    // Each peer used its host send ring and its unacked window.
+    for (const auto &qp : f.clientQps)
+        EXPECT_EQ(f.bed.nicOf(0).queueSlots(qp->num()), 2u);
+    // The server only acked: its n peer records hold no queue slots.
+    EXPECT_EQ(f.bed.nicOf(1).queueSlots(f.serverQps[0]->num()), 0u);
+}
+
+TEST(RingFifoFootprint, OnlyRudQpsHoldRudPeerState)
+{
+    OneMessageFanIn rc(1, nic::QpType::ReliableTcp);
+    ASSERT_TRUE(rc.ready);
+    EXPECT_FALSE(rc.bed.nicOf(0).hasRudState(rc.clientQps[0]->num()));
+    EXPECT_FALSE(rc.bed.nicOf(1).hasRudState(rc.serverQps[0]->num()));
+
+    OneMessageFanIn rud(1, nic::QpType::ReliableDatagram);
+    ASSERT_TRUE(rud.ready);
+    EXPECT_TRUE(rud.bed.nicOf(0).hasRudState(rud.clientQps[0]->num()));
+    EXPECT_TRUE(rud.bed.nicOf(1).hasRudState(rud.serverQps[0]->num()));
+
+    auto &prov = rud.bed.provider(0);
+    auto ud = prov.createQp(nic::QpType::UnreliableUdp, rud.ccq, rud.ccq);
+    EXPECT_FALSE(rud.bed.nicOf(0).hasRudState(ud->num()));
 }

@@ -22,6 +22,22 @@ the fresh point too.
 
 --max COL=N skips committed points whose COL exceeds N (for a run
 capped below the committed sweep); points without COL are kept.
+
+--ceiling COL=FRAC bounds a record-only column from above instead of
+matching it: a fresh point fails when its COL exceeds the committed
+value by more than FRAC (0.10 allows 10 % growth), or when either side
+lacks COL. Falling below the committed value always passes; re-record
+to tighten the bound.
+
+    tools/bench_drift.py BENCH_qpscale.json BENCH_qpscale_ci.json \\
+        --key transport,qps \\
+        --cols completed,messages,simTicks,completionsPerSimSec,txCtx,rxCtx \\
+        --ceiling heapBytesPerQp=0.10 --ceiling heapBytesPerQpAfterRun=0.10
+
+bench_qpscale's heapBytesPerQp and heapBytesPerQpAfterRun come from
+glibc's mallinfo2, which counts only what glibc's allocator handed
+out: under a sanitizer, whose allocator glibc does not see, they read
+a constant and mean nothing, so bound them only from a plain build.
 """
 
 import argparse
@@ -46,6 +62,10 @@ def main():
     ap.add_argument("--max", action="append", default=[],
                     metavar="COL=N",
                     help="skip committed points whose COL exceeds N")
+    ap.add_argument("--ceiling", action="append", default=[],
+                    metavar="COL=FRAC",
+                    help="fail where COL exceeds the committed value "
+                         "by more than FRAC")
     args = ap.parse_args()
 
     key_cols = args.key.split(",")
@@ -54,6 +74,10 @@ def main():
     for spec in args.max:
         col, _, bound = spec.partition("=")
         limits.append((col, float(bound)))
+    ceilings = []
+    for spec in args.ceiling:
+        col, _, frac = spec.partition("=")
+        ceilings.append((col, float(frac)))
 
     def key(p):
         return tuple(p[c] for c in key_cols)
@@ -70,6 +94,13 @@ def main():
                 print("drift at %s %s: committed %r, now %r"
                       % ("/".join(map(str, key(p))), c, p.get(c),
                          q and q.get(c)))
+                bad += 1
+        for c, frac in ceilings:
+            was, now = p.get(c), q and q.get(c)
+            if was is None or now is None or now > was * (1 + frac):
+                print("over ceiling at %s %s: committed %r, now %r "
+                      "(+%g allowed)"
+                      % ("/".join(map(str, key(p))), c, was, now, frac))
                 bad += 1
     if checked == 0:
         print("no committed point was checked")
