@@ -153,13 +153,6 @@ recordExit(const Points &points)
     return 0;
 }
 
-/** Counter value by registry path (0 when absent). */
-inline double
-statValue(const sim::StatRegistry &stats, const std::string &path)
-{
-    return static_cast<double>(stats.counterValue(path));
-}
-
 /** SampleStat mean by registry path (0 when absent or empty). */
 inline double
 statMean(const sim::StatRegistry &stats, const std::string &path)

@@ -19,7 +19,11 @@
  * Output is a JSON report (default ./BENCH_msgrate.json, override
  * with --out=<path>) carrying the doorbell and CQ-moderation counters
  * alongside each rate. Knobs: QPIP_MSGRATE_MSGS (messages per point,
- * default 8192), QPIP_MSGRATE_CHAIN (chain length, default 16).
+ * default 8192), QPIP_MSGRATE_CHAIN (chain length, default 16). Each
+ * phase gets apps::FlowRun's 1200 simulated seconds: at the slowest
+ * point (RC, unbatched, 512 B, about 20,600 completions per simulated
+ * second) that is about 24M messages, past which a point reports
+ * completed=false.
  * Everything simulated is seed-1 deterministic; wall time is a
  * convenience column only.
  */
@@ -128,22 +132,23 @@ runPoint(bool rud, bool batched, std::size_t msg_bytes,
         // Drain the create/bind management work before measuring.
         bed.sim().runFor(sim::oneSec);
     } else {
+        // Set-up: the accept and the connect are its two flows.
+        const FlowRun setup(bed, 2);
         verbs::Acceptor acc(server, 700, scq, scq);
         acc.acceptOne(
             [&](std::shared_ptr<verbs::QueuePair> q) {
                 serverQp = std::move(q);
+                setup.done(0, bed.host(1).os().curTick());
             },
             server_attrs);
-        bool connected = false;
         clientQp = client.createQp(nic::QpType::ReliableTcp, ccq, ccq,
                                    verbs::QpAttrs{window, 0, nullptr, 0});
-        clientQp->connect(bed.addr(1, 700),
-                          [&](bool ok) { connected = ok; });
-        if (!bed.sim().runUntilCondition(
-                [&] { return connected && serverQp != nullptr; },
-                bed.sim().now() + 600 * sim::oneSec)) {
+        clientQp->connect(bed.addr(1, 700), [&](bool ok) {
+            if (ok)
+                setup.done(1, bed.host(0).os().curTick());
+        });
+        if (!setup.run())
             return p; // rendezvous stalled: report incomplete
-        }
     }
 
     // Steady state starts here: count only the messaging phase.
@@ -162,12 +167,14 @@ runPoint(bool rud, bool batched, std::size_t msg_bytes,
 
     // Server: repost receive WRs as messages land — chained in the
     // batched arm, one at a time otherwise.
+    const FlowRun stream(bed, 1);
     std::uint64_t received = 0;
     std::uint64_t consumedSinceRepost = 0;
     waitLoop(*scq, [&](verbs::Completion c) {
         if (c.isSend)
             return;
-        ++received;
+        if (++received == messages)
+            stream.done(0, bed.host(1).os().curTick());
         ++consumedSinceRepost;
         const std::size_t replenish = batched ? chain : 1;
         if (consumedSinceRepost >= replenish) {
@@ -230,9 +237,7 @@ runPoint(bool rud, bool batched, std::size_t msg_bytes,
     });
     topUp();
 
-    p.completed = bed.sim().runUntilCondition(
-        [&] { return received >= messages; },
-        bed.sim().now() + 36000 * sim::oneSec);
+    p.completed = stream.run();
 
     const auto wall1 = std::chrono::steady_clock::now();
     p.simTicks = bed.sim().now() - t0;

@@ -24,14 +24,18 @@
  * with --out=<path>). Knobs: QPIP_QPSCALE_MSGS (messages per point,
  * default 16384), QPIP_QPSCALE_CACHE (cache capacity, default 1024),
  * QPIP_QPSCALE_MAXQPS (largest point, default 16384),
- * QPIP_QPSCALE_REPS (wall-clock repetitions, default 3). Everything
- * simulated is seed-1 deterministic; like bench_simspeed, this lives
- * in bench/ and may look at the wall clock for the convenience
- * columns only. Those columns are best-of-N: the sweep runs REPS
- * times with the reps interleaved across points (rep 0 of every
- * point, then rep 1, ...) so page-cache and allocator warm-up is
- * spread evenly instead of flattering whichever point ran last, and
- * each point reports its minimum wall time, also as wallUsPerMsg
+ * QPIP_QPSCALE_REPS (wall-clock repetitions, default 3). Each phase
+ * gets apps::FlowRun's 1200 simulated seconds: at the slowest point
+ * (RC past the default cache, about 17,900 completions per simulated
+ * second) that is about 21M messages, past which a point reports
+ * completed=false. Everything simulated is seed-1 deterministic;
+ * like bench_simspeed, this lives in bench/ and may look at the wall
+ * clock for the convenience columns only. Those columns are
+ * best-of-N: the sweep runs REPS times with the reps interleaved
+ * across points (rep 0 of every point, then rep 1, ...) so
+ * page-cache and allocator warm-up is spread evenly instead of
+ * flattering whichever point ran last, and each point reports its
+ * minimum wall time, also as wallUsPerMsg
  * (wall microseconds per message) so growth with QP count reads off
  * directly. Simulated fields are asserted identical across reps, and
  * the JSON records hostCores for context.
@@ -107,14 +111,28 @@ perQp(std::size_t heap0, std::size_t n_qps)
            static_cast<double>(n_qps);
 }
 
+/**
+ * One sweep point. RC: the server parks @p n_qps reliable QPs on a
+ * shared receive queue and the client connects as many. RUD: every
+ * client peer talks to ONE server reliable-datagram QP whose per-peer
+ * state lives in host memory, so the server NIC touches a single
+ * cached context however many peers are active; the client host
+ * models @p n_qps independent peer hosts, so its NIC gets an
+ * uncontended cache, and the system under test is the server at
+ * @p cache_capacity. Then both stream @p messages 1-byte messages
+ * round-robin across the QPs, the cache's worst case.
+ */
 Point
-runPoint(std::size_t n_qps, std::uint64_t messages,
+runPoint(bool rud, std::size_t n_qps, std::uint64_t messages,
          std::size_t cache_capacity)
 {
     const std::size_t heap0 = heapInUse();
-    nic::QpipNicParams params;
-    params.qpCacheCapacity = cache_capacity;
-    QpipTestbed bed(2, qpipNativeMtu, 1, params);
+    nic::QpipNicParams serverParams;
+    serverParams.qpCacheCapacity = cache_capacity;
+    nic::QpipNicParams clientParams = serverParams;
+    if (rud)
+        clientParams.qpCacheCapacity = n_qps + 16;
+    QpipTestbed bed(2, qpipNativeMtu, 1, {clientParams, serverParams});
     auto &client = bed.provider(0);
     auto &server = bed.provider(1);
 
@@ -131,41 +149,58 @@ runPoint(std::size_t n_qps, std::uint64_t messages,
     for (; srqPosted < srqDepth; ++srqPosted)
         srq->postRecv(srqPosted, *rmr, srqPosted % srqDepth, 1);
 
-    verbs::QpAttrs server_attrs;
-    server_attrs.srq = srq;
-    verbs::Acceptor acc(server, 700, scq, scq);
-    std::vector<std::shared_ptr<verbs::QueuePair>> serverQps;
-    serverQps.reserve(n_qps);
-    for (std::size_t i = 0; i < n_qps; ++i) {
-        acc.acceptOne(
-            [&](std::shared_ptr<verbs::QueuePair> q) {
-                serverQps.push_back(std::move(q));
-            },
-            server_attrs);
-    }
-
-    std::vector<std::shared_ptr<verbs::QueuePair>> clientQps;
-    clientQps.reserve(n_qps);
-    std::size_t connected = 0;
-    for (std::size_t i = 0; i < n_qps; ++i) {
-        // Send ring sized to the global window: a single QP can end
-        // up holding every outstanding send at small N.
-        auto qp = client.createQp(nic::QpType::ReliableTcp, ccq, ccq,
-                                  verbs::QpAttrs{window, 0, nullptr, 0});
-        qp->connect(bed.addr(1, 700),
-                    [&](bool ok) { connected += ok ? 1 : 0; });
-        clientQps.push_back(std::move(qp));
-    }
     Point p;
+    p.transport = rud ? "rud" : "rc";
     p.qps = n_qps;
     p.messages = messages;
-    if (!bed.sim().runUntilCondition(
-            [&] {
-                return connected == n_qps &&
-                       serverQps.size() == n_qps;
-            },
-            bed.sim().now() + 600 * sim::oneSec)) {
-        return p; // connect storm stalled: report incomplete
+    verbs::QpAttrs server_attrs;
+    server_attrs.srq = srq;
+    // Send rings sized to the global window: a single QP can end up
+    // holding every outstanding send at small N.
+    const verbs::QpAttrs client_attrs{window, 0, nullptr, 0};
+    std::vector<std::shared_ptr<verbs::QueuePair>> serverQps;
+    std::vector<std::shared_ptr<verbs::QueuePair>> clientQps;
+    clientQps.reserve(n_qps);
+    inet::SockAddr dest; // RUD sends name the server; RC QPs need none
+    if (rud) {
+        serverQps.push_back(server.createQp(
+            nic::QpType::ReliableDatagram, scq, scq, server_attrs));
+        serverQps[0]->bind(800);
+        dest = bed.addr(1, 800);
+        for (std::size_t i = 0; i < n_qps; ++i) {
+            clientQps.push_back(client.createQp(
+                nic::QpType::ReliableDatagram, ccq, ccq, client_attrs));
+            clientQps.back()->bind(static_cast<std::uint16_t>(2000 + i));
+        }
+        // Drain the QP-create/bind management work queued on the
+        // client firmware so the measured window sees steady state
+        // only.
+        bed.sim().runFor(sim::oneSec);
+    } else {
+        // Set-up, one FlowRun phase: flow k is the k-th accept, flow
+        // n_qps+i client QP i's connect.
+        const FlowRun setup(bed, 2 * n_qps);
+        verbs::Acceptor acc(server, 700, scq, scq);
+        serverQps.reserve(n_qps);
+        for (std::size_t i = 0; i < n_qps; ++i) {
+            acc.acceptOne(
+                [&](std::shared_ptr<verbs::QueuePair> q) {
+                    setup.done(serverQps.size(),
+                               bed.host(1).os().curTick());
+                    serverQps.push_back(std::move(q));
+                },
+                server_attrs);
+        }
+        for (std::size_t i = 0; i < n_qps; ++i) {
+            clientQps.push_back(client.createQp(
+                nic::QpType::ReliableTcp, ccq, ccq, client_attrs));
+            clientQps.back()->connect(bed.addr(1, 700), [&, i](bool ok) {
+                if (ok)
+                    setup.done(n_qps + i, bed.host(0).os().curTick());
+            });
+        }
+        if (!setup.run())
+            return p; // connect storm stalled: report incomplete
     }
     p.heapBytesPerQp = perQp(heap0, n_qps);
 
@@ -181,22 +216,25 @@ runPoint(std::size_t n_qps, std::uint64_t messages,
     const sim::Tick t0 = bed.sim().now();
     const auto wall0 = std::chrono::steady_clock::now();
 
+    const FlowRun stream(bed, 1);
     std::uint64_t received = 0;
     waitLoop(*scq, [&](verbs::Completion c) {
         if (c.isSend)
             return;
-        ++received;
+        if (++received == messages)
+            stream.done(0, bed.host(1).os().curTick());
         srq->postRecv(srqPosted, *rmr, srqPosted % srqDepth, 1);
         ++srqPosted;
     });
 
-    // Round-robin across all QPs — the cache's worst case.
+    // Round-robin across all QPs. RUD completions are ack-gated, so
+    // the window self-clocks off the server's serialized firmware.
     std::uint64_t sent = 0;
     std::size_t nextQp = 0;
     auto sendNext = [&] {
         if (sent >= messages)
             return;
-        if (!clientQps[nextQp]->postSend(sent, *smr, 0, 1)) {
+        if (!clientQps[nextQp]->postSend(sent, *smr, 0, 1, dest)) {
             std::fprintf(stderr, "send ring overflow at qp %zu\n",
                          nextQp);
             std::exit(1);
@@ -211,141 +249,10 @@ runPoint(std::size_t n_qps, std::uint64_t messages,
     for (std::size_t i = 0; i < window && i < messages; ++i)
         sendNext();
 
-    p.completed = bed.sim().runUntilCondition(
-        [&] { return received >= messages; },
-        bed.sim().now() + 36000 * sim::oneSec);
+    p.completed = stream.run();
 
     const auto wall1 = std::chrono::steady_clock::now();
     p.heapBytesPerQpAfterRun = perQp(heap0, n_qps);
-    p.simTicks = bed.sim().now() - t0;
-    p.wallSeconds =
-        std::chrono::duration<double>(wall1 - wall0).count();
-    p.completionsPerSimSec =
-        p.simTicks > 0
-            ? static_cast<double>(received) /
-                  (static_cast<double>(p.simTicks) /
-                   static_cast<double>(sim::oneSec))
-            : 0.0;
-    p.txHits = txc.hits.value() - txHits0;
-    p.txMisses = txc.misses.value() - txMiss0;
-    p.txEvictions = txc.evictions.value() - txEvict0;
-    p.rxHits = rxc.hits.value() - rxHits0;
-    p.rxMisses = rxc.misses.value() - rxMiss0;
-    p.rxEvictions = rxc.evictions.value() - rxEvict0;
-    return p;
-}
-
-/**
- * The reliable-datagram arm: the same round-robin 1-byte fan-in, but
- * every client "peer" talks to ONE server RUD QP whose per-peer
- * reliability state lives in host memory — the server NIC touches a
- * single cached context no matter how many peers are active. The
- * client host models N independent peer hosts, so its NIC gets an
- * uncontended cache; the system under test is the server at the
- * default capacity.
- */
-Point
-runRudPoint(std::size_t n_peers, std::uint64_t messages,
-            std::size_t cache_capacity)
-{
-    const std::size_t heap0 = heapInUse();
-    nic::QpipNicParams serverParams;
-    serverParams.qpCacheCapacity = cache_capacity;
-    nic::QpipNicParams clientParams;
-    clientParams.qpCacheCapacity = n_peers + 16;
-    QpipTestbed bed(2, qpipNativeMtu, 1,
-                    {clientParams, serverParams});
-    auto &client = bed.provider(0);
-    auto &server = bed.provider(1);
-
-    constexpr std::size_t srqDepth = 256;
-    constexpr std::size_t window = 64; // outstanding sends
-
-    auto scq = server.createCq(1 << 16);
-    auto ccq = client.createCq(1 << 16);
-    auto srq = server.createSrq(1 << 16);
-    std::vector<std::uint8_t> rbuf(srqDepth), sbuf(1);
-    auto rmr = server.registerMemory(rbuf);
-    auto smr = client.registerMemory(sbuf);
-    std::uint64_t srqPosted = 0;
-    for (; srqPosted < srqDepth; ++srqPosted)
-        srq->postRecv(srqPosted, *rmr, srqPosted % srqDepth, 1);
-
-    verbs::QpAttrs server_attrs;
-    server_attrs.srq = srq;
-    auto serverQp = server.createQp(nic::QpType::ReliableDatagram,
-                                    scq, scq, server_attrs);
-    serverQp->bind(800);
-    const auto serverAddr = bed.addr(1, 800);
-
-    std::vector<std::shared_ptr<verbs::QueuePair>> peers;
-    peers.reserve(n_peers);
-    for (std::size_t i = 0; i < n_peers; ++i) {
-        auto qp = client.createQp(nic::QpType::ReliableDatagram, ccq,
-                                  ccq,
-                                  verbs::QpAttrs{window, 0, nullptr, 0});
-        qp->bind(static_cast<std::uint16_t>(2000 + i));
-        peers.push_back(std::move(qp));
-    }
-    Point p;
-    p.transport = "rud";
-    p.qps = n_peers;
-    p.messages = messages;
-
-    // Drain the QP-create/bind management work queued on the client
-    // firmware so the measured window sees steady state only (the RC
-    // arm's connect phase does this implicitly).
-    bed.sim().runFor(sim::oneSec);
-    p.heapBytesPerQp = perQp(heap0, n_peers);
-
-    const auto &txc = bed.nicOf(0).qpCache();
-    const auto &rxc = bed.nicOf(1).qpCache();
-    const std::uint64_t txHits0 = txc.hits.value();
-    const std::uint64_t txMiss0 = txc.misses.value();
-    const std::uint64_t txEvict0 = txc.evictions.value();
-    const std::uint64_t rxHits0 = rxc.hits.value();
-    const std::uint64_t rxMiss0 = rxc.misses.value();
-    const std::uint64_t rxEvict0 = rxc.evictions.value();
-    const sim::Tick t0 = bed.sim().now();
-    const auto wall0 = std::chrono::steady_clock::now();
-
-    std::uint64_t received = 0;
-    waitLoop(*scq, [&](verbs::Completion c) {
-        if (c.isSend)
-            return;
-        ++received;
-        srq->postRecv(srqPosted, *rmr, srqPosted % srqDepth, 1);
-        ++srqPosted;
-    });
-
-    // Round-robin across all peers; completions are ack-gated, so
-    // the window self-clocks off the server's serialized firmware.
-    std::uint64_t sent = 0;
-    std::size_t nextQp = 0;
-    auto sendNext = [&] {
-        if (sent >= messages)
-            return;
-        if (!peers[nextQp]->postSend(sent, *smr, 0, 1, serverAddr)) {
-            std::fprintf(stderr, "send ring overflow at peer %zu\n",
-                         nextQp);
-            std::exit(1);
-        }
-        nextQp = (nextQp + 1) % n_peers;
-        ++sent;
-    };
-    waitLoop(*ccq, [&](verbs::Completion c) {
-        if (c.isSend)
-            sendNext();
-    });
-    for (std::size_t i = 0; i < window && i < messages; ++i)
-        sendNext();
-
-    p.completed = bed.sim().runUntilCondition(
-        [&] { return received >= messages; },
-        bed.sim().now() + 36000 * sim::oneSec);
-
-    const auto wall1 = std::chrono::steady_clock::now();
-    p.heapBytesPerQpAfterRun = perQp(heap0, n_peers);
     p.simTicks = bed.sim().now() - t0;
     p.wallSeconds =
         std::chrono::duration<double>(wall1 - wall0).count();
@@ -431,9 +338,7 @@ main(int argc, char **argv)
     const auto points = qpip::bench::bestOfN(
         sweep.size(), reps,
         [&](std::size_t i) {
-            return sweep[i].rud
-                       ? runRudPoint(sweep[i].qps, messages, cache)
-                       : runPoint(sweep[i].qps, messages, cache);
+            return runPoint(sweep[i].rud, sweep[i].qps, messages, cache);
         },
         [](const Point &a, const Point &b) {
             return a.simTicks == b.simTicks &&

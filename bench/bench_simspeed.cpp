@@ -19,9 +19,11 @@
  * Neither run counts toward the legacy ttcp aggregate, so the
  * headline number stays comparable with earlier records. The
  * ttcp-pairs rows (dual-star and fat-tree) take simTicks from the
- * pairs' own elapsed window, which a partitioned run must reproduce
- * exactly: the bench aborts when a partitioned row's simTicks differs
- * from its serial row's.
+ * pairs' own elapsed window, the two-host rows from the start to the
+ * harness's stop tick, and every row counts the events executed up
+ * to that tick (apps::FlowRun), which a partitioned run must
+ * reproduce exactly: the bench aborts when a partitioned row's events
+ * or simTicks differ from its serial row's.
  *
  * The fabric arm sweeps the parallel engine across thread counts on
  * the 128-host k=8 fat-tree (one shift of the all-to-all): an
@@ -139,7 +141,11 @@ parseThreadList(const std::string &spec)
     return out;
 }
 
-/** Run @p body, filling the wall/event/tick columns around it. */
+/**
+ * Run @p body on @p sim, a fresh testbed's simulation, filling the
+ * wall, event and tick columns around it: every harness returns at
+ * its stop tick, where the events and the clock are read.
+ */
 template <typename Body>
 WorkloadResult
 timed(const std::string &name, bool ttcp, sim::Simulation &sim,
@@ -149,33 +155,13 @@ timed(const std::string &name, bool ttcp, sim::Simulation &sim,
     r.name = name;
     r.ttcp = ttcp;
     r.simBytes = sim_bytes;
-    const std::uint64_t events0 = sim.engine().executed();
-    const sim::Tick t0 = sim.now();
     const auto wall0 = std::chrono::steady_clock::now();
     r.completed = body();
     const auto wall1 = std::chrono::steady_clock::now();
-    r.events = sim.engine().executed() - events0;
-    r.simTicks = sim.now() - t0;
+    r.simTicks = sim.now();
+    r.events = sim.engine().executed();
     r.wallSeconds =
         std::chrono::duration<double>(wall1 - wall0).count();
-    return r;
-}
-
-/**
- * A ttcp-pairs row: simTicks is the pairs' own elapsed window, the
- * same serial or partitioned, not where the run call returned.
- */
-WorkloadResult
-timedPairs(const std::string &name, SocketsTestbed &bed,
-           const std::vector<TtcpPair> &pairs, std::uint64_t per_pair)
-{
-    MultiTtcpResult m;
-    WorkloadResult r = timed(
-        name, false, bed.sim(), per_pair * pairs.size(), [&] {
-            m = runSocketsTtcpPairs(bed, pairs, per_pair);
-            return m.completed;
-        });
-    r.simTicks = m.elapsedTicks;
     return r;
 }
 
@@ -209,8 +195,9 @@ buildWorkloads(int threads, const std::vector<int> &fabric_threads)
     });
     work.push_back([bytes] {
         SocketsTestbed bed(2, SocketsFabric::MyrinetIp);
-        return timed("ttcp_sockets_myrinet", true, bed.sim(), bytes,
-                     [&] { return runSocketsTtcp(bed, bytes).completed; });
+        return timed("ttcp_sockets_myrinet", true, bed.sim(), bytes, [&] {
+            return runSocketsTtcp(bed, bytes).completed;
+        });
     });
     work.push_back([bytes] {
         QpipTestbed bed(2);
@@ -222,46 +209,55 @@ buildWorkloads(int threads, const std::vector<int> &fabric_threads)
         SocketsTestbed bed(2, SocketsFabric::GigabitEthernet);
         ServerStore store(bed.sim(), "store", bytes);
         NbdSocketServer server(bed.host(1).stack(), store, {});
-        return timed("nbd_sockets_gige_read", false, bed.sim(), bytes,
-                     [&] {
-                         return runNbdSocketsSequential(bed, 0, 1,
-                                                        false, bytes)
-                             .completed;
-                     });
+        return timed("nbd_sockets_gige_read", false, bed.sim(), bytes, [&] {
+            return runNbdSocketsSequential(bed, 0, 1, false, bytes)
+                .completed;
+        });
     });
     work.push_back([bytes] {
         QpipTestbed bed(2, 9000);
         ServerStore store(bed.sim(), "store", bytes);
         NbdQpipServer server(bed.provider(1), store, {});
         return timed("nbd_qpip_read", false, bed.sim(), bytes, [&] {
-            return runNbdQpipSequential(bed, 0, 1, false, bytes)
-                .completed;
+            return runNbdQpipSequential(bed, 0, 1, false, bytes).completed;
         });
     });
+
+    // A ttcp-pairs row: the fabric split by switch across t workers,
+    // or unpartitioned at t = 0.
+    const auto pairs_row = [](std::string name, std::size_t hosts,
+                              FabricTopology topology, int t,
+                              std::vector<TtcpPair> pairs,
+                              std::uint64_t per_pair) {
+        return [=] {
+            SocketsTestbed bed(hosts, SocketsFabric::GigabitEthernet, 1,
+                               host::HostCostModel{}, topology);
+            if (t > 0)
+                bed.enableParallel(t);
+            MultiTtcpResult m;
+            auto r = timed(name, false, bed.sim(), per_pair * pairs.size(),
+                           [&] {
+                               m = runSocketsTtcpPairs(bed, pairs, per_pair);
+                               return m.completed;
+                           });
+            // The row covers the pairs' own elapsed window.
+            r.simTicks = m.elapsedTicks;
+            r.threads = t;
+            if (t > 0)
+                captureEngineStats(r, bed.sim());
+            return r;
+        };
+    };
 
     // Scale-out sweep: 8 hosts on a dual-star, every ordered pair.
     const auto pairs = allPairs(8);
     const std::uint64_t per_pair = std::max<std::uint64_t>(
         bytes / pairs.size(), std::uint64_t(64) << 10);
-    work.push_back([pairs, per_pair] {
-        SocketsTestbed bed(8, SocketsFabric::GigabitEthernet, 1,
-                           host::HostCostModel{},
-                           FabricTopology::DualStar);
-        auto r = timedPairs("ttcp_dualstar8_serial", bed, pairs, per_pair);
-        r.threads = 0;
-        return r;
-    });
-    work.push_back([threads, pairs, per_pair] {
-        SocketsTestbed bed(8, SocketsFabric::GigabitEthernet, 1,
-                           host::HostCostModel{},
-                           FabricTopology::DualStar);
-        bed.enableParallel(threads);
-        auto r = timedPairs("ttcp_dualstar8_parallel", bed, pairs,
-                            per_pair);
-        r.threads = threads;
-        captureEngineStats(r, bed.sim());
-        return r;
-    });
+    work.push_back(pairs_row("ttcp_dualstar8_serial", 8,
+                             FabricTopology::DualStar, 0, pairs, per_pair));
+    work.push_back(pairs_row("ttcp_dualstar8_parallel", 8,
+                             FabricTopology::DualStar, threads, pairs,
+                             per_pair));
 
     // Fabric scaling arm: one shift of the all-to-all on the 128-host
     // k=8 fat-tree — an unpartitioned baseline, then the fabric split
@@ -271,28 +267,13 @@ buildWorkloads(int threads, const std::vector<int> &fabric_threads)
         const auto fpairs = uniformShiftPairs(128, 1);
         const std::uint64_t f_per_pair = std::max<std::uint64_t>(
             bytes / 4 / fpairs.size(), std::uint64_t(16) << 10);
-        work.push_back([fpairs, f_per_pair] {
-            SocketsTestbed bed(128, SocketsFabric::GigabitEthernet, 1,
-                               host::HostCostModel{},
-                               FabricTopology::FatTreeK8);
-            auto r = timedPairs("ttcp_fattree128_serial", bed, fpairs,
-                                f_per_pair);
-            r.threads = 0;
-            return r;
-        });
+        work.push_back(pairs_row("ttcp_fattree128_serial", 128,
+                                 FabricTopology::FatTreeK8, 0, fpairs,
+                                 f_per_pair));
         for (const int t : fabric_threads) {
-            work.push_back([t, fpairs, f_per_pair] {
-                SocketsTestbed bed(128, SocketsFabric::GigabitEthernet,
-                                   1, host::HostCostModel{},
-                                   FabricTopology::FatTreeK8);
-                bed.enableParallel(t);
-                auto r = timedPairs(
-                    "ttcp_fattree128_t" + std::to_string(t), bed, fpairs,
-                    f_per_pair);
-                r.threads = t;
-                captureEngineStats(r, bed.sim());
-                return r;
-            });
+            work.push_back(pairs_row("ttcp_fattree128_t" + std::to_string(t),
+                                     128, FabricTopology::FatTreeK8, t,
+                                     fpairs, f_per_pair));
         }
     }
     return work;
@@ -324,8 +305,8 @@ runAll(int threads, const std::vector<int> &fabric_threads,
 }
 
 /**
- * A partitioned ttcp-pairs row must reproduce its serial row's
- * elapsed window (see runSocketsTtcpPairs): abort otherwise.
+ * A partitioned ttcp-pairs row must reproduce its serial row's events
+ * and elapsed window (see runSocketsTtcpPairs): abort otherwise.
  */
 void
 checkPartitionedMatchesSerial(const std::vector<WorkloadResult> &results)
@@ -339,12 +320,16 @@ checkPartitionedMatchesSerial(const std::vector<WorkloadResult> &results)
             if (r.threads < 1 || r.name.compare(0, scenario.size(),
                                                 scenario) != 0)
                 continue;
-            if (r.simTicks != serial.simTicks) {
-                sim::panic("bench_simspeed: %s simTicks %llu differs "
-                           "from %s's %llu",
+            if (r.events != serial.events ||
+                r.simTicks != serial.simTicks) {
+                sim::panic("bench_simspeed: %s (events %llu, simTicks "
+                           "%llu) differs from %s (%llu, %llu)",
                            r.name.c_str(),
+                           static_cast<unsigned long long>(r.events),
                            static_cast<unsigned long long>(r.simTicks),
                            serial.name.c_str(),
+                           static_cast<unsigned long long>(
+                               serial.events),
                            static_cast<unsigned long long>(
                                serial.simTicks));
             }

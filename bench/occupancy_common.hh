@@ -33,19 +33,24 @@ runOccupancyWorkload(apps::QpipTestbed &bed, std::size_t messages)
     auto mr_tx = prov_tx.registerMemory(*buf_tx);
     auto mr_rx = prov_rx.registerMemory(*buf_rx);
 
+    // Two FlowRun phases: the connect, then the stream, done when
+    // the receiver has every message.
+    const apps::FlowRun connect(bed, 1);
+    const apps::FlowRun stream(bed, 1);
     auto acceptor = std::make_shared<verbs::Acceptor>(prov_rx, 7,
                                                       cq_rx, cq_rx);
     auto received = std::make_shared<std::size_t>(0);
     auto qp_rx_keep =
         std::make_shared<std::shared_ptr<verbs::QueuePair>>();
     acceptor->acceptOne(
-        [&, received, qp_rx_keep,
+        [&, received, qp_rx_keep, stream,
          mr_rx](std::shared_ptr<verbs::QueuePair> qp) {
             *qp_rx_keep = qp;
             qp->postRecv(1, *mr_rx, 0, 1);
             apps::periodicReaper(
                 bed.provider(1), 20 * sim::oneUs,
-                [qp, cq_rx, mr_rx, received, messages]() -> bool {
+                [&bed, qp, cq_rx, mr_rx, received, messages,
+                 stream]() -> bool {
                     verbs::Completion c;
                     while (cq_rx->poll(c)) {
                         if (!c.isSend) {
@@ -53,17 +58,20 @@ runOccupancyWorkload(apps::QpipTestbed &bed, std::size_t messages)
                             qp->postRecv(1, *mr_rx, 0, 1);
                         }
                     }
-                    return *received < messages;
+                    if (*received < messages)
+                        return true;
+                    stream.done(0, bed.host(1).os().curTick());
+                    return false;
                 });
         });
 
     auto qp_tx = prov_tx.createQp(nic::QpType::ReliableTcp, cq_tx,
                                   cq_tx, 64, 4);
-    bool connected = false;
-    qp_tx->connect(bed.addr(1, 7), [&](bool ok) { connected = ok; });
-    bed.sim().runUntilCondition([&] { return connected; },
-                                10 * sim::oneSec);
-    if (!connected)
+    qp_tx->connect(bed.addr(1, 7), [&](bool ok) {
+        if (ok)
+            connect.done(0, bed.host(0).os().curTick());
+    });
+    if (!connect.run())
         return false;
 
     // Reset NIC stats after connection setup so the tables only see
@@ -93,9 +101,7 @@ runOccupancyWorkload(apps::QpipTestbed &bed, std::size_t messages)
                              return *completed < messages;
                          });
 
-    return bed.sim().runUntilCondition(
-        [&] { return *received >= messages; },
-        bed.sim().now() + 600 * sim::oneSec);
+    return stream.run();
 }
 
 /** Registry path of a firmware stage's occupancy SampleStat. */

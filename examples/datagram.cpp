@@ -30,7 +30,6 @@ udQpPingPong()
 {
     std::printf("--- UD queue pairs: datagram ping-pong ---\n");
     QpipTestbed bed(2);
-    auto &sim = bed.sim();
 
     auto cq0 = bed.provider(0).createCq();
     auto cq1 = bed.provider(1).createCq();
@@ -59,16 +58,16 @@ udQpPingPong()
     qp0->postRecv(3, *mr0, 0, 1024);
     qp0->postSend(4, *mr0, 1024, sizeof(msg), bed.addr(1, 6001));
 
-    bool echoed = false;
+    // One flow: the exchange, done when the echo lands.
+    const FlowRun run(bed, 1);
     spinLoop(bed.provider(0), *cq0, [&](verbs::Completion c) {
         if (!c.isSend) {
             std::printf("[node0] echo arrived: \"%s\"\n",
                         reinterpret_cast<const char *>(b0.data()));
-            echoed = true;
+            run.done(0, bed.host(0).os().curTick());
         }
     });
-    return sim.runUntilCondition([&] { return echoed; },
-                                 sim.now() + 5 * sim::oneSec);
+    return run.run();
 }
 
 bool
@@ -118,18 +117,19 @@ qpToSocketInterop()
     qp->postSend(2, *mr, 512, sizeof(msg),
                  inet::SockAddr{sock_addr, 9999});
 
-    bool replied = false;
+    // A hand-built fabric has no testbed: its FlowRun takes the
+    // fabric itself.
+    const FlowRun run(sim, fabric, 1);
     spinLoop(prov, *cq, [&](verbs::Completion c) {
         if (!c.isSend) {
             std::printf("[qpip] reply landed in posted buffer: "
                         "\"%s\" (from %s)\n",
                         reinterpret_cast<const char *>(buf.data()),
                         c.from.toString().c_str());
-            replied = true;
+            run.done(0, h0.os().curTick());
         }
     });
-    const bool ok = sim.runUntilCondition(
-        [&] { return replied; }, sim.now() + 5 * sim::oneSec);
+    const bool ok = run.run();
     sim.eventQueue().clear();
     return ok;
 }

@@ -34,7 +34,6 @@ main(int argc, char **argv)
     std::printf("fabric faults: drop=%.1f%% dup=%.2f%% corrupt=%.2f%%\n",
                 drop * 100, drop * 25, drop * 25);
 
-    auto &sim = bed.sim();
     constexpr std::size_t nMsgs = 64;
     constexpr std::size_t msgBytes = 20000; // fragments across the MTU
 
@@ -43,6 +42,9 @@ main(int argc, char **argv)
     std::vector<std::uint8_t> rbuf(msgBytes);
     auto rmr = bed.provider(1).registerMemory(rbuf);
     verbs::Acceptor acceptor(bed.provider(1), 7, rcq, rcq);
+    // The run's two flows: the receiver's last delivery and the
+    // sender's last ACK.
+    const FlowRun run(bed, 2);
     std::size_t received = 0, corrupt = 0;
     std::shared_ptr<verbs::QueuePair> rqp;
     acceptor.acceptOne([&](std::shared_ptr<verbs::QueuePair> qp) {
@@ -60,7 +62,8 @@ main(int argc, char **argv)
                 break;
             }
         }
-        ++received;
+        if (++received == nMsgs)
+            run.done(0, bed.host(1).os().curTick());
         rqp->postRecv(1, *rmr, 0, msgBytes);
     });
 
@@ -86,14 +89,13 @@ main(int argc, char **argv)
     });
     waitLoop(*scq, [&](verbs::Completion c) {
         if (c.isSend && c.status == verbs::WcStatus::Success) {
-            ++acked;
+            if (++acked == nMsgs)
+                run.done(1, bed.host(0).os().curTick());
             post_next();
         }
     });
 
-    sim.runUntilCondition(
-        [&] { return received >= nMsgs && acked >= nMsgs; },
-        sim.now() + 120 * sim::oneSec);
+    run.run();
 
     auto &conn_stats =
         bed.nicOf(0).connectionOf(sqp->num())->stats();

@@ -96,25 +96,27 @@ main(int argc, char **argv)
     });
 
     // --- reap completions -------------------------------------------
-    bool server_got = false, client_done = false;
+    // The run's two flows: the server's receive and the client's send
+    // each finish in their own completion callback.
+    const FlowRun run(bed, 2);
     spinLoop(sprov, *scq, [&](verbs::Completion c) {
         std::printf("[server] completion: wr=%llu %s, %zu bytes: "
                     "\"%s\"\n",
                     static_cast<unsigned long long>(c.wrId),
                     nic::wcStatusName(c.status), c.byteLen,
                     reinterpret_cast<const char *>(sbuf.data()));
-        server_got = true;
+        run.done(0, bed.host(1).os().curTick());
     });
     spinLoop(cprov, *ccq, [&](verbs::Completion c) {
         std::printf("[client] send completion: wr=%llu %s "
                     "(message ACKed end-to-end)\n",
                     static_cast<unsigned long long>(c.wrId),
                     nic::wcStatusName(c.status));
-        client_done = true;
+        run.done(1, bed.host(0).os().curTick());
     });
 
-    sim.runUntilCondition([&] { return server_got && client_done; },
-                          sim.now() + 10 * sim::oneSec);
+    // Run to the stop tick, where the results are read.
+    const bool ok = run.run();
     std::printf("done at t=%.1f us (simulated)\n",
                 sim::ticksToUs(sim.now()));
 
@@ -135,5 +137,5 @@ main(int argc, char **argv)
         std::printf("pcap:   %s (%zu frames)\n", pcap_path,
                     pcap.frames());
     }
-    return server_got && client_done ? 0 : 1;
+    return ok ? 0 : 1;
 }

@@ -14,8 +14,6 @@ using sim::Tick;
 
 namespace {
 
-constexpr Tick runDeadline = 1200 * sim::oneSec;
-
 /** Deterministic device pattern byte for an absolute offset. */
 std::uint8_t
 patternByte(std::uint64_t off)
@@ -330,10 +328,13 @@ namespace {
 /**
  * A sequential client's progress through its device. Both transports
  * keep up to params.pipelineDepth requests in flight, like the kernel
- * driver's request queue.
+ * driver's request queue. The client is the run's one flow.
  */
 struct ClientRun
 {
+    explicit ClientRun(Testbed &bed) : run(bed, 1) {}
+
+    FlowRun run;
     std::uint64_t nextOffset = 0;
     std::uint64_t completed = 0;
     std::size_t outstanding = 0;
@@ -342,7 +343,6 @@ struct ClientRun
     std::unordered_map<std::uint64_t,
                        std::pair<std::uint64_t, std::uint32_t>>
         reqs;
-    bool done = false;
     bool dataOk = true;
     /** The client's window: its connect callback to its last reply. */
     HostWindow window;
@@ -364,25 +364,33 @@ struct ClientRun
         return req;
     }
 
+    /** The client stops, its window still open: the run failed. */
+    void stop(host::Host &client) const
+    {
+        run.done(0, client.os().curTick());
+    }
+
+    /** The client got its last reply. */
     void
     finish(host::Host &client)
     {
         window.close(client);
-        done = true;
+        stop(client);
     }
 
-    /** @param ran whether the run call saw the client finish. */
+    /** Run the client to its stop tick and report it. */
     NbdRunResult
-    result(std::uint64_t total_bytes, bool ran) const
+    result(std::uint64_t total_bytes) const
     {
         NbdRunResult r;
+        const bool ran = run.run();
         if (window.span() == 0)
             return r;
         r.mbPerSec = mbPerSec(total_bytes, window.span());
         r.clientCpuUtil = window.cpuUtil();
         r.mbPerCpuSec =
             mbPerSec(total_bytes, window.busy1 - window.busy0);
-        r.completed = ran && done;
+        r.completed = ran;
         r.dataOk = dataOk;
         return r;
     }
@@ -407,7 +415,6 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
                         std::uint64_t total_bytes,
                         NbdClientParams params, std::uint16_t port)
 {
-    auto &sim = bed.sim();
     auto &client = bed.host(client_idx);
     auto cfg = client.stack().defaultTcpConfig();
     cfg.noDelay = true;
@@ -425,9 +432,10 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
 
     struct St : ClientRun
     {
+        using ClientRun::ClientRun;
         bool senderActive = false;
     };
-    auto st = std::make_shared<St>();
+    auto st = std::make_shared<St>(bed);
 
     const sim::Cycles fs_per_req =
         params.fsCyclesPerPage *
@@ -439,7 +447,7 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
 
     *sender = [&client, sock, st, sender, total_bytes, is_write,
                params, fs_per_req] {
-        if (st->senderActive || st->done)
+        if (st->senderActive || st->run.isDone(0))
             return;
         if (st->nextOffset >= total_bytes ||
             st->outstanding >= params.pipelineDepth) {
@@ -467,7 +475,7 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
                 std::uint32_t err = 0;
                 if (!parseNbdReply(h, handle, err) || err != 0) {
                     st->dataOk = st->dataOk && h.empty() == false;
-                    st->done = true;
+                    st->stop(client);
                     return;
                 }
                 const auto [req_off, len] = st->reqs[handle];
@@ -492,11 +500,11 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
                 } else {
                     sock->recvExact(
                         len,
-                        [st, len, req_off, complete,
+                        [&client, st, len, req_off, complete,
                          params](std::vector<std::uint8_t> d) {
                             if (d.size() < len) {
                                 st->dataOk = false;
-                                st->done = true;
+                                st->stop(client);
                                 return;
                             }
                             if (params.verifyContent &&
@@ -532,9 +540,7 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
         (*reader)();
     };
 
-    const bool ok = sim.runUntilCondition([&] { return st->done; },
-                                          sim.now() + runDeadline);
-    return st->result(total_bytes, ok);
+    return st->result(total_bytes);
 }
 
 NbdRunResult
@@ -543,7 +549,6 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
                      std::uint64_t total_bytes, NbdClientParams params,
                      std::uint16_t port)
 {
-    auto &sim = bed.sim();
     auto &client = bed.host(client_idx);
     auto &prov = bed.provider(client_idx);
 
@@ -564,9 +569,10 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
 
     struct St : ClientRun
     {
+        using ClientRun::ClientRun;
         bool flushing = false;
     };
-    auto st = std::make_shared<St>();
+    auto st = std::make_shared<St>(bed);
 
     const sim::Cycles fs_per_req =
         params.fsCyclesPerPage *
@@ -577,7 +583,7 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
     *issue = [&client, qp, req_mr, rep_mr, req_buf, st, total_bytes,
               is_write, params, fs_per_req, req_slot, rep_slot,
               depth] {
-        while (!st->done && st->nextOffset < total_bytes &&
+        while (!st->run.isDone(0) && st->nextOffset < total_bytes &&
                st->outstanding < depth) {
             const NbdRequest req =
                 st->next(is_write, params.requestBytes, total_bytes);
@@ -655,7 +661,7 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
                     }
                 }
             }
-            if (!st->done)
+            if (!st->run.isDone(0))
                 (*pump)();
         });
     };
@@ -672,9 +678,7 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
                     (*pump)();
                 });
 
-    const bool ok = sim.runUntilCondition([&] { return st->done; },
-                                          sim.now() + runDeadline);
-    return st->result(total_bytes, ok);
+    return st->result(total_bytes);
 }
 
 } // namespace qpip::apps

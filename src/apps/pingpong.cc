@@ -11,39 +11,110 @@ using sim::Tick;
 
 namespace {
 
-constexpr Tick runDeadline = 120 * sim::oneSec;
 constexpr std::uint16_t serverPort = 7; // echo
 
-/** Shared measurement state for one run. */
+/**
+ * Shared measurement state for one run: the client's exchange is its
+ * one flow, done with its last round trip.
+ */
 struct PingState
 {
-    std::size_t iterations = 0;
-    std::size_t warmup = 0;
-    std::size_t msgBytes = 1;
+    std::size_t iterations;
+    std::size_t warmup;
+    std::size_t msgBytes;
+    FlowRun run;
     std::size_t done = 0;
     Tick t0 = 0;
     sim::SampleStat rtt;
-    bool finished = false;
 
-    void
+    /**
+     * A round trip ended at @p now.
+     * @return true while more remain.
+     */
+    bool
     sample(Tick now)
     {
         if (done >= warmup)
             rtt.sample(sim::ticksToUs(now - t0));
-        ++done;
-        if (done >= iterations + warmup)
-            finished = true;
+        if (++done < iterations + warmup)
+            return true;
+        run.done(0, now);
+        return false;
+    }
+
+    /** Run the exchange to its stop tick and report it. */
+    PingPongResult
+    result() const
+    {
+        PingPongResult r;
+        r.completed = run.run();
+        r.rttUs = rtt.mean();
+        r.iterations = rtt.count();
+        return r;
     }
 };
 
-PingPongResult
-collect(const PingState &st)
+/**
+ * Host 0's side of a QPIP ping-pong over @p qp: each round posts a
+ * receive, stamps its start, sends to @p server (none for a reliable
+ * QP) and spin-polls until the reply lands.
+ * @return the round loop; calling it starts the next round.
+ */
+std::shared_ptr<std::function<void()>>
+qpipRounds(QpipTestbed &bed, const std::shared_ptr<PingState> &st,
+           const std::shared_ptr<verbs::CompletionQueue> &cq,
+           const std::shared_ptr<verbs::QueuePair> &qp,
+           const std::shared_ptr<verbs::MemoryRegion> &mr,
+           const inet::SockAddr &server)
 {
-    PingPongResult r;
-    r.rttUs = st.rtt.mean();
-    r.iterations = st.rtt.count();
-    r.completed = st.finished;
-    return r;
+    verbs::Provider &prov = bed.provider(0);
+    host::HostOS &os = bed.host(0).os();
+    auto iterate = std::make_shared<std::function<void()>>();
+    auto await_reply = std::make_shared<std::function<void()>>();
+    *await_reply = [st, await_reply, iterate, &prov, cq, &os] {
+        spinPoll(prov, *cq,
+                 [st, await_reply, iterate, &os](verbs::Completion c) {
+                     if (c.isSend) {
+                         (*await_reply)();
+                         return;
+                     }
+                     if (st->sample(os.curTick()))
+                         (*iterate)();
+                 });
+    };
+    *iterate = [st, await_reply, qp, mr, server, &os] {
+        qp->postRecv(1, *mr, 0, st->msgBytes);
+        st->t0 = os.curTick();
+        qp->postSend(2, *mr, 0, st->msgBytes, server);
+        (*await_reply)();
+    };
+    bed.releaseAtTeardown(await_reply);
+    bed.releaseAtTeardown(iterate);
+    return iterate;
+}
+
+/**
+ * Echo every @p msg_bytes message that arrives on the echo port of
+ * host @p i's stack back to its sender.
+ */
+void
+tcpEcho(SocketsTestbed &bed, std::size_t i, const inet::TcpConfig &cfg,
+        std::size_t msg_bytes)
+{
+    auto echo = std::make_shared<
+        std::function<void(std::shared_ptr<TcpSocket>)>>();
+    *echo = [echo, msg_bytes](std::shared_ptr<TcpSocket> sock) {
+        sock->recvExact(msg_bytes, [echo, msg_bytes,
+                                    sock](std::vector<std::uint8_t> d) {
+            if (d.size() < msg_bytes)
+                return; // EOF
+            sock->sendAll(std::move(d), [echo, sock] { (*echo)(sock); });
+        });
+    };
+    bed.releaseAtTeardown(echo);
+    bed.host(i).stack().tcpListen(
+        serverPort, cfg,
+        [echo](std::shared_ptr<TcpSocket> sock) { (*echo)(sock); });
 }
 
 } // namespace
@@ -56,44 +127,20 @@ PingPongResult
 runSocketTcpPingPong(SocketsTestbed &bed, std::size_t iterations,
                      std::size_t msg_bytes, std::size_t warmup)
 {
-    auto st = std::make_shared<PingState>();
-    st->iterations = iterations;
-    st->warmup = warmup;
-    st->msgBytes = msg_bytes;
+    auto st = std::make_shared<PingState>(iterations, warmup, msg_bytes,
+                                          FlowRun(bed, 1));
 
     auto cfg = bed.tcpConfig();
     cfg.noDelay = true;
 
-    auto &server = bed.host(1).stack();
     auto &client = bed.host(0).stack();
-
-    // Server: echo every message back.
-    auto echo = std::make_shared<
-        std::function<void(std::shared_ptr<TcpSocket>)>>();
-    *echo = [st, echo](std::shared_ptr<TcpSocket> sock) {
-        sock->recvExact(st->msgBytes,
-                        [st, echo, sock](std::vector<std::uint8_t> d) {
-                            if (d.size() < st->msgBytes)
-                                return; // EOF
-                            sock->sendAll(std::move(d), [st, echo, sock] {
-                                (*echo)(sock);
-                            });
-                        });
-    };
-    bed.releaseAtTeardown(echo);
-    server.tcpListen(serverPort, cfg,
-                     [echo](std::shared_ptr<TcpSocket> sock) {
-                         (*echo)(sock);
-                     });
+    tcpEcho(bed, 1, cfg, msg_bytes);
 
     // Client: timed request/response loop.
-    auto &sim = bed.sim();
     host::HostOS &os = bed.host(0).os();
     auto iterate = std::make_shared<
         std::function<void(std::shared_ptr<TcpSocket>)>>();
     *iterate = [st, iterate, &os](std::shared_ptr<TcpSocket> sock) {
-        if (st->finished)
-            return;
         st->t0 = os.curTick();
         std::vector<std::uint8_t> msg(st->msgBytes, 0x5a);
         sock->sendAll(std::move(msg), [] {});
@@ -102,8 +149,7 @@ runSocketTcpPingPong(SocketsTestbed &bed, std::size_t iterations,
                          sock](std::vector<std::uint8_t> d) {
                             if (d.size() < st->msgBytes)
                                 return;
-                            st->sample(os.curTick());
-                            if (!st->finished)
+                            if (st->sample(os.curTick()))
                                 (*iterate)(sock);
                         });
     };
@@ -117,9 +163,7 @@ runSocketTcpPingPong(SocketsTestbed &bed, std::size_t iterations,
                                   if (ok)
                                       (*iterate)(*sock);
                               });
-    sim.runUntilCondition([&] { return st->finished; },
-                          sim.now() + runDeadline);
-    return collect(*st);
+    return st->result();
 }
 
 // ---------------------------------------------------------------------
@@ -130,10 +174,8 @@ PingPongResult
 runSocketUdpPingPong(SocketsTestbed &bed, std::size_t iterations,
                      std::size_t msg_bytes, std::size_t warmup)
 {
-    auto st = std::make_shared<PingState>();
-    st->iterations = iterations;
-    st->warmup = warmup;
-    st->msgBytes = msg_bytes;
+    auto st = std::make_shared<PingState>(iterations, warmup, msg_bytes,
+                                          FlowRun(bed, 1));
 
     auto srv = bed.host(1).stack().udpBind(bed.addr(1, serverPort));
     auto cli = bed.host(0).stack().udpBind(bed.addr(0, 30001));
@@ -148,28 +190,22 @@ runSocketUdpPingPong(SocketsTestbed &bed, std::size_t iterations,
     bed.releaseAtTeardown(echo);
     (*echo)();
 
-    auto &sim = bed.sim();
     host::HostOS &os = bed.host(0).os();
     const auto server_addr = bed.addr(1, serverPort);
     auto iterate = std::make_shared<std::function<void()>>();
     *iterate = [st, iterate, cli, server_addr, &os] {
-        if (st->finished)
-            return;
         st->t0 = os.curTick();
         cli->sendTo(std::vector<std::uint8_t>(st->msgBytes, 0xa5),
                     server_addr, nullptr);
         cli->recvFrom([st, iterate, &os](UdpSocket::Datagram) {
-            st->sample(os.curTick());
-            if (!st->finished)
+            if (st->sample(os.curTick()))
                 (*iterate)();
         });
     };
     bed.releaseAtTeardown(iterate);
     (*iterate)();
 
-    sim.runUntilCondition([&] { return st->finished; },
-                          sim.now() + runDeadline);
-    return collect(*st);
+    return st->result();
 }
 
 // ---------------------------------------------------------------------
@@ -180,12 +216,9 @@ PingPongResult
 runQpipTcpPingPong(QpipTestbed &bed, std::size_t iterations,
                    std::size_t msg_bytes, std::size_t warmup)
 {
-    auto st = std::make_shared<PingState>();
-    st->iterations = iterations;
-    st->warmup = warmup;
-    st->msgBytes = msg_bytes;
+    auto st = std::make_shared<PingState>(iterations, warmup, msg_bytes,
+                                          FlowRun(bed, 1));
 
-    auto &sim = bed.sim();
     auto &prov_s = bed.provider(1);
     auto &prov_c = bed.provider(0);
 
@@ -226,41 +259,13 @@ runQpipTcpPingPong(QpipTestbed &bed, std::size_t iterations,
         std::make_shared<std::vector<std::uint8_t>>(msg_bytes, 0x5a);
     auto mr_c = prov_c.registerMemory(*buf_c);
     auto qp_c = prov_c.createQp(nic::QpType::ReliableTcp, cq_c, cq_c);
-
-    auto iterate = std::make_shared<std::function<void()>>();
-    auto await_reply = std::make_shared<std::function<void()>>();
-    host::HostOS &os = bed.host(0).os();
-    *await_reply = [st, await_reply, iterate, &prov_c, cq_c, qp_c,
-                    mr_c, &os] {
-        spinPoll(prov_c, *cq_c,
-                 [st, await_reply, iterate, &os,
-                  mr_c](verbs::Completion c) {
-                     if (c.isSend) {
-                         (*await_reply)();
-                         return;
-                     }
-                     st->sample(os.curTick());
-                     if (!st->finished)
-                         (*iterate)();
-                 });
-    };
-    *iterate = [st, await_reply, qp_c, mr_c, &os] {
-        qp_c->postRecv(1, *mr_c, 0, st->msgBytes);
-        st->t0 = os.curTick();
-        qp_c->postSend(2, *mr_c, 0, st->msgBytes);
-        (*await_reply)();
-    };
-    bed.releaseAtTeardown(await_reply);
-    bed.releaseAtTeardown(iterate);
-
+    const auto iterate = qpipRounds(bed, st, cq_c, qp_c, mr_c, {});
     qp_c->connect(bed.addr(1, serverPort), [iterate](bool ok) {
         if (ok)
             (*iterate)();
     });
 
-    sim.runUntilCondition([&] { return st->finished; },
-                          sim.now() + runDeadline);
-    return collect(*st);
+    return st->result();
 }
 
 // ---------------------------------------------------------------------
@@ -271,12 +276,9 @@ PingPongResult
 runQpipUdpPingPong(QpipTestbed &bed, std::size_t iterations,
                    std::size_t msg_bytes, std::size_t warmup)
 {
-    auto st = std::make_shared<PingState>();
-    st->iterations = iterations;
-    st->warmup = warmup;
-    st->msgBytes = msg_bytes;
+    auto st = std::make_shared<PingState>(iterations, warmup, msg_bytes,
+                                          FlowRun(bed, 1));
 
-    auto &sim = bed.sim();
     auto &prov_s = bed.provider(1);
     auto &prov_c = bed.provider(0);
 
@@ -311,36 +313,9 @@ runQpipUdpPingPong(QpipTestbed &bed, std::size_t iterations,
     auto mr_c = prov_c.registerMemory(*buf_c);
     auto qp_c = prov_c.createQp(nic::QpType::UnreliableUdp, cq_c, cq_c);
     qp_c->bind(30001);
+    (*qpipRounds(bed, st, cq_c, qp_c, mr_c, bed.addr(1, serverPort)))();
 
-    const auto server_addr = bed.addr(1, serverPort);
-    auto iterate = std::make_shared<std::function<void()>>();
-    auto await_reply = std::make_shared<std::function<void()>>();
-    host::HostOS &os = bed.host(0).os();
-    *await_reply = [st, await_reply, iterate, &prov_c, cq_c, &os] {
-        spinPoll(prov_c, *cq_c,
-                 [st, await_reply, iterate, &os](verbs::Completion c) {
-                     if (c.isSend) {
-                         (*await_reply)();
-                         return;
-                     }
-                     st->sample(os.curTick());
-                     if (!st->finished)
-                         (*iterate)();
-                 });
-    };
-    *iterate = [st, await_reply, qp_c, mr_c, server_addr, &os] {
-        qp_c->postRecv(1, *mr_c, 0, st->msgBytes);
-        st->t0 = os.curTick();
-        qp_c->postSend(2, *mr_c, 0, st->msgBytes, server_addr);
-        (*await_reply)();
-    };
-    bed.releaseAtTeardown(await_reply);
-    bed.releaseAtTeardown(iterate);
-    (*iterate)();
-
-    sim.runUntilCondition([&] { return st->finished; },
-                          sim.now() + runDeadline);
-    return collect(*st);
+    return st->result();
 }
 
 namespace {
@@ -357,51 +332,40 @@ hostLoopbackOverhead(SocketsTestbed &bed)
     auto &stack = bed.host(0).stack();
     auto cfg = bed.tcpConfig();
     cfg.noDelay = true;
-
-    auto echo =
-        std::make_shared<std::function<void(std::shared_ptr<TcpSocket>)>>();
-    *echo = [echo](std::shared_ptr<TcpSocket> s) {
-        s->recvExact(1, [echo, s](std::vector<std::uint8_t> d) {
-            if (d.empty())
-                return;
-            s->sendAll(std::move(d), [echo, s] { (*echo)(s); });
-        });
-    };
-    bed.releaseAtTeardown(echo);
-    stack.tcpListen(serverPort, cfg, [echo](std::shared_ptr<TcpSocket> s) {
-        (*echo)(s);
-    });
-    auto cli = stack.tcpConnect(bed.addr(0, 31000), bed.addr(0, serverPort),
-                                cfg, nullptr);
-    bed.sim().runUntilCondition([&] { return cli->connected(); },
-                                5 * sim::oneSec);
-
-    // The measurement ends as the last request goes out; the last echo
-    // is still in flight then and finds the loop finished.
+    tcpEcho(bed, 0, cfg, 1);
+    // The rounds start from the connect callback. The measurement
+    // ends as the last request goes out; the last echo is still in
+    // flight then and finds the loop finished.
     struct Rounds
     {
         std::size_t done = 0;
         Tick busy0 = 0;
     };
     auto st = std::make_shared<Rounds>();
-    auto &cpu = bed.host(0).cpu();
+    host::Host &h = bed.host(0);
+    const FlowRun run(bed, 1);
+    auto cli = std::make_shared<std::shared_ptr<TcpSocket>>();
     auto loop = std::make_shared<std::function<void()>>();
-    *loop = [st, loop, cli, &cpu] {
+    *loop = [st, run, loop, cli, &h] {
         if (st->done == overheadWarmup)
-            st->busy0 = cpu.busyTotal();
+            st->busy0 = h.cpu().busyTotal();
         if (st->done >= overheadWarmup + overheadIterations)
             return;
-        ++st->done;
-        cli->sendAll({0x5a}, [] {});
-        cli->recvExact(1, [loop](std::vector<std::uint8_t>) { (*loop)(); });
+        if (++st->done == overheadWarmup + overheadIterations)
+            run.done(0, h.os().curTick());
+        (*cli)->sendAll({0x5a}, [] {});
+        (*cli)->recvExact(1,
+                          [loop](std::vector<std::uint8_t>) { (*loop)(); });
     };
     bed.releaseAtTeardown(loop);
-    (*loop)();
-    bed.sim().runUntilCondition(
-        [&] { return st->done >= overheadWarmup + overheadIterations; },
-        60 * sim::oneSec);
+    *cli = stack.tcpConnect(bed.addr(0, 31000), bed.addr(0, serverPort),
+                            cfg, [loop](bool ok) {
+                                if (ok)
+                                    (*loop)();
+                            });
+    run.run();
     LoopbackOverhead r;
-    r.busy = cpu.busyTotal() - st->busy0;
+    r.busy = h.cpu().busyTotal() - st->busy0;
     // Each iteration is 2 messages (request + echo), each crossing
     // one send path and one receive path on this host.
     r.usPerMsg = sim::ticksToUs(r.busy) /
@@ -421,15 +385,19 @@ qpipPostPollOverheadUs(QpipTestbed &bed)
     auto mr0 = prov0.registerMemory(*b0);
     auto mr1 = prov1.registerMemory(*b1);
     verbs::Acceptor acc(prov1, serverPort, cq1, cq1);
+    // Set-up: both ends' callbacks are the phase's two flows.
+    const FlowRun setup(bed, 2);
     std::shared_ptr<verbs::QueuePair> qp1;
     acc.acceptOne([&](std::shared_ptr<verbs::QueuePair> q) {
         qp1 = q;
+        setup.done(0, bed.host(1).os().curTick());
     });
     auto qp0 = prov0.createQp(nic::QpType::ReliableTcp, cq0, cq0);
-    bool connected = false;
-    qp0->connect(bed.addr(1, serverPort), [&](bool ok) { connected = ok; });
-    bed.sim().runUntilCondition([&] { return connected && qp1; },
-                                10 * sim::oneSec);
+    qp0->connect(bed.addr(1, serverPort), [&](bool ok) {
+        if (ok)
+            setup.done(1, bed.host(0).os().curTick());
+    });
+    setup.run();
 
     // Echo server: repost + reply on every message, polled every 10 us
     // until the measurement ends. It leaves a receive posted into b1,
@@ -461,7 +429,10 @@ qpipPostPollOverheadUs(QpipTestbed &bed)
         post_busy += cpu.busyTotal() - b;
         // Run until the echo lands, then time the successful polls;
         // the empty polls a spinning caller would issue are not
-        // counted, matching "directly timing the methods".
+        // counted, matching "directly timing the methods". The calls
+        // are timed from outside the simulation on purpose, so each
+        // iteration stops where the echo landed rather than at a
+        // FlowRun's stop tick.
         bed.sim().runUntilCondition(
             [&] { return cq0->depth() >= 2; },
             bed.sim().now() + sim::oneSec);

@@ -1,5 +1,7 @@
 #include "apps/testbed.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace qpip::apps {
@@ -217,6 +219,58 @@ HostWindow::close(host::Host &h)
 {
     t1 = h.os().curTick();
     busy1 = h.cpu().busyTotal();
+}
+
+FlowRun::FlowRun(Testbed &bed, std::size_t flows)
+    : FlowRun(bed.sim(), bed.fabric(), flows)
+{
+}
+
+FlowRun::FlowRun(sim::Simulation &sim, const net::Fabric &fabric,
+                 std::size_t flows)
+    : sim_(&sim), grace_(net::horizonReach(fabric)),
+      doneAt_(std::make_shared<std::vector<sim::Tick>>(flows,
+                                                       sim::maxTick))
+{
+    if (flows == 0)
+        sim::panic("FlowRun: a run needs at least one flow");
+}
+
+/**
+ * Where runUntilCondition returns depends on the partitioning; the
+ * stop tick does not. The epoch that ran the last done event ran
+ * nothing below its earliest pending event N, and no partition past
+ * N plus the fabric's horizon reach (net::horizonReach): the check
+ * below asserts that no partition stands past the stop tick.
+ */
+bool
+FlowRun::run() const
+{
+    const std::vector<sim::Tick> &at = *doneAt_;
+    const sim::Tick deadline = sim_->now() + runBudget;
+    // A done slot stays done, so each check resumes at the first flow
+    // the last one found running.
+    std::size_t running = 0;
+    const bool ok = sim_->runUntilCondition(
+        [&at, &running] {
+            while (running < at.size() && at[running] != sim::maxTick)
+                ++running;
+            return running == at.size();
+        },
+        deadline);
+    const sim::Tick stop =
+        ok ? *std::max_element(at.begin(), at.end()) + grace_ : deadline;
+    sim::ParallelEngine &engine = sim_->engine();
+    for (std::size_t i = 0; i < engine.numPartitions(); ++i) {
+        const sim::Tick clock = engine.partition(i).eventQueue().now();
+        if (clock > stop)
+            sim::panic("FlowRun: partition %zu stands at %llu, past "
+                       "the stop tick %llu",
+                       i, static_cast<unsigned long long>(clock),
+                       static_cast<unsigned long long>(stop));
+    }
+    sim_->runUntil(stop);
+    return ok;
 }
 
 double

@@ -236,6 +236,52 @@ struct HostWindow
     }
 };
 
+/**
+ * The one run lifecycle of a harness. Each flow starts from its own
+ * connect or accept callback and, once over, records its done tick
+ * from its own callback, into its own slot. run() runs until every
+ * flow is done, then on to the stop tick: the latest done tick plus
+ * the fabric's horizon reach (net::horizonReach), worked out from its
+ * switch-to-switch lookaheads, where the harness reads its results
+ * and counters. Unpartitioned or partitioned, a run has then executed
+ * exactly the events below the stop tick; on a one-switch star the
+ * reach is 0 and a run stops at its deciding event. Callbacks hold
+ * copies, which share the slots.
+ */
+class FlowRun
+{
+  public:
+    /** @p flows flows on @p bed, none done. */
+    FlowRun(Testbed &bed, std::size_t flows);
+    /** The same on a hand-built @p sim wired by @p fabric. */
+    FlowRun(sim::Simulation &sim, const net::Fabric &fabric,
+            std::size_t flows);
+
+    /** Flow @p k finished at @p at, its own object's clock. */
+    void done(std::size_t k, sim::Tick at) const { (*doneAt_)[k] = at; }
+    bool isDone(std::size_t k) const
+    {
+        return (*doneAt_)[k] != sim::maxTick;
+    }
+
+    /**
+     * Run until every flow is done or runBudget has passed, then to
+     * the stop tick (the deadline, if a flow is not done), where
+     * Simulation::now() stands on return. Panics if a partition has
+     * already run past the stop tick.
+     * @return whether every flow is done.
+     */
+    bool run() const;
+
+  private:
+    /** Simulated time a run() allows its flows. */
+    static constexpr sim::Tick runBudget = 1200 * sim::oneSec;
+
+    sim::Simulation *sim_;
+    sim::Tick grace_;
+    std::shared_ptr<std::vector<sim::Tick>> doneAt_;
+};
+
 /** MB/s (2^20 bytes) of @p bytes moved in @p ticks; 0 for none. */
 double mbPerSec(std::uint64_t bytes, sim::Tick ticks);
 

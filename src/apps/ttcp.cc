@@ -11,7 +11,6 @@ using sim::Tick;
 namespace {
 
 constexpr std::uint16_t ttcpPort = 5001;
-constexpr Tick runDeadline = 600 * sim::oneSec;
 
 /**
  * One transfer's result from its two ends' windows: the rate runs
@@ -47,44 +46,35 @@ struct PairRecord
     std::size_t sent = 0;
     HostWindow rx;
     std::size_t received = 0;
-    std::uint8_t done = 0;
 };
 
 /**
  * Run a bulk TCP transfer for every pair in @p pairs at once (pair k
- * listens on port 5001+k and connects from port 30000+k); each sender
- * starts from its own connect callback.
- * @return each pair's record, once every pair is done or the deadline
- * passes.
+ * listens on port 5001+k and connects from port 30000+k, and is flow
+ * k of @p run); each sender starts from its own connect callback, and
+ * a pair is done at its receiver's last byte.
+ * @return each pair's record, read at the run's stop tick.
  */
 std::vector<PairRecord>
-runPairs(SocketsTestbed &bed, const std::vector<TtcpPair> &pairs,
-         std::size_t bytes_per_pair, std::size_t chunk_bytes)
+runPairs(SocketsTestbed &bed, const FlowRun &run,
+         const std::vector<TtcpPair> &pairs, std::size_t bytes_per_pair,
+         std::size_t chunk_bytes)
 {
-    auto &sim = bed.sim();
     auto cfg = bed.tcpConfig();
     cfg.noDelay = true; // ttcp -D
 
     // Per-pair slots rather than a shared counter, which different
-    // worker threads would increment concurrently. The completion
-    // predicate reads the done flags, and only runs at epoch barriers.
+    // worker threads would increment concurrently.
     auto rec = std::make_shared<std::vector<PairRecord>>(pairs.size());
-    const auto all_done = [rec] {
-        for (const PairRecord &p : *rec) {
-            if (p.done == 0)
-                return false;
-        }
-        return true;
-    };
 
     // Listeners first: pair k on port 5001+k.
     for (std::size_t k = 0; k < pairs.size(); ++k) {
         auto drain = std::make_shared<
             std::function<void(std::shared_ptr<TcpSocket>)>>();
         host::Host &dst = bed.host(pairs[k].dst);
-        *drain = [rec, k, bytes_per_pair, &dst,
+        *drain = [rec, run, k, bytes_per_pair, &dst,
                   drain](std::shared_ptr<TcpSocket> sock) {
-            sock->recv(262144, [rec, k, bytes_per_pair, &dst, drain,
+            sock->recv(262144, [rec, run, k, bytes_per_pair, &dst, drain,
                                 sock](std::vector<std::uint8_t> d) {
                 if (d.empty())
                     return; // EOF
@@ -92,7 +82,7 @@ runPairs(SocketsTestbed &bed, const std::vector<TtcpPair> &pairs,
                 p.received += d.size();
                 if (p.received >= bytes_per_pair) {
                     p.rx.close(dst);
-                    p.done = 1;
+                    run.done(k, p.rx.t1);
                     return;
                 }
                 (*drain)(sock);
@@ -141,7 +131,7 @@ runPairs(SocketsTestbed &bed, const std::vector<TtcpPair> &pairs,
             });
     }
 
-    sim.runUntilCondition(all_done, sim.now() + runDeadline);
+    run.run();
     return *rec;
 }
 
@@ -151,10 +141,10 @@ TtcpResult
 runSocketsTtcp(SocketsTestbed &bed, std::size_t total_bytes,
                std::size_t chunk_bytes)
 {
+    const FlowRun run(bed, 1);
     const auto rec =
-        runPairs(bed, {TtcpPair{0, 1}}, total_bytes, chunk_bytes);
-    return ttcpResult(rec[0].tx, rec[0].rx, total_bytes,
-                      rec[0].done != 0);
+        runPairs(bed, run, {TtcpPair{0, 1}}, total_bytes, chunk_bytes);
+    return ttcpResult(rec[0].tx, rec[0].rx, total_bytes, run.isDone(0));
 }
 
 TtcpResult
@@ -179,9 +169,10 @@ runQpipTtcp(QpipTestbed &bed, std::size_t total_bytes,
         std::size_t sendsDone = 0;
         HostWindow rx;
         std::size_t received = 0;
-        bool done = false;
     };
     auto st = std::make_shared<St>();
+    // One flow, done at the receiver's last byte.
+    const FlowRun run(bed, 1);
 
     // --- receiver ------------------------------------------------------
     auto cq_rx = prov_rx.createCq(8192);
@@ -191,7 +182,7 @@ runQpipTtcp(QpipTestbed &bed, std::size_t total_bytes,
     auto acceptor = std::make_shared<verbs::Acceptor>(
         prov_rx, ttcpPort, cq_rx, cq_rx);
 
-    acceptor->acceptOne([&, st, mr_rx,
+    acceptor->acceptOne([&, st, run, mr_rx,
                          buf_rx](std::shared_ptr<verbs::QueuePair> qp) {
         st->rx.open(host_rx);
         // Pre-post the whole pipeline of receive buffers.
@@ -201,7 +192,7 @@ runQpipTtcp(QpipTestbed &bed, std::size_t total_bytes,
         // holds the QP until teardown: destroying the QP flushes the
         // receives still posted into cq_rx, which must outlive them.
         auto reap = std::make_shared<std::function<bool()>>(
-            [&host_rx, qp, cq_rx, st, mr_rx, pipeline_depth,
+            [&host_rx, qp, cq_rx, st, run, mr_rx, pipeline_depth,
              chunk_bytes, total_bytes]() -> bool {
                 verbs::Completion c;
                 while (cq_rx->poll(c)) {
@@ -215,7 +206,7 @@ runQpipTtcp(QpipTestbed &bed, std::size_t total_bytes,
                 if (st->received < total_bytes)
                     return true;
                 st->rx.close(host_rx);
-                st->done = true;
+                run.done(0, st->rx.t1);
                 return false;
             });
         bed.releaseAtTeardown(reap);
@@ -273,8 +264,7 @@ runQpipTtcp(QpipTestbed &bed, std::size_t total_bytes,
                        [reap] { return (*reap)(); });
     });
 
-    const bool ok = bed.sim().runUntilCondition(
-        [&] { return st->done; }, bed.sim().now() + runDeadline);
+    const bool ok = run.run();
     return ttcpResult(st->tx, st->rx, total_bytes, ok);
 }
 
@@ -329,14 +319,17 @@ runSocketsTtcpPairs(SocketsTestbed &bed,
                     std::size_t chunk_bytes)
 {
     MultiTtcpResult r;
-    const auto rec = runPairs(bed, pairs, bytes_per_pair, chunk_bytes);
+    const FlowRun run(bed, pairs.size());
+    const auto rec =
+        runPairs(bed, run, pairs, bytes_per_pair, chunk_bytes);
     // The window runs from the first pair's start to the last pair's
     // completion, both simulated ticks.
     Tick t0 = sim::maxTick;
     Tick t1 = 0;
-    for (const PairRecord &p : rec) {
-        if (p.done == 0)
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+        if (!run.isDone(k))
             continue;
+        const PairRecord &p = rec[k];
         ++r.pairsCompleted;
         t0 = std::min(t0, p.tx.t0);
         t1 = std::max(t1, p.rx.t1);

@@ -1,5 +1,7 @@
 #include "net/topology.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 #include "sim/parallel_engine.hh"
 
@@ -201,6 +203,23 @@ makeKAryFatTree(sim::Simulation &sim, std::string name,
 
 // --- partitionFabric ------------------------------------------------
 
+namespace {
+
+/**
+ * The lookahead of a mailbox edge carrying @p link: its propagation
+ * delay plus its serialization floor. Arrival is busyUntil +
+ * propDelay, and even an empty frame occupies the wire for the link
+ * overhead bytes, so no delivery can undercut this.
+ */
+sim::Tick
+edgeLookahead(const Link &link)
+{
+    return link.config().propDelay +
+           link.serializationDelay(link.config().overheadBytes);
+}
+
+} // namespace
+
 std::vector<sim::Partition *>
 partitionFabric(sim::ParallelEngine &engine, Fabric &fabric)
 {
@@ -242,18 +261,10 @@ partitionFabric(sim::ParallelEngine &engine, Fabric &fabric)
             LinkBoundary b;
             b.eq = &src->eventQueue();
             if (src != dst) {
-                // The edge's lookahead: the propagation delay of the
-                // link it carries plus its serialization floor —
-                // arrival is busyUntil + propDelay, and even an empty
-                // frame occupies the wire for the link overhead
-                // bytes, so no delivery can undercut this. Parallel
-                // trunks between one partition pair share a mailbox,
-                // which keeps the minimum.
-                const sim::Tick l =
-                    e.link->config().propDelay +
-                    e.link->serializationDelay(
-                        e.link->config().overheadBytes);
-                b.outbox = &engine.mailbox(*src, *dst, l);
+                // Parallel trunks between one partition pair share a
+                // mailbox, which keeps the minimum lookahead.
+                b.outbox = &engine.mailbox(*src, *dst,
+                                           edgeLookahead(*e.link));
             }
             e.link->bindSide(side, b);
         }
@@ -261,6 +272,46 @@ partitionFabric(sim::ParallelEngine &engine, Fabric &fabric)
         engine.addFoldHook([link] { link->foldBoundaryStats(); });
     }
     return host_parts;
+}
+
+/**
+ * Floyd-Warshall over the switches, with no zero diagonal: d[a][b] is
+ * the shortest path of at least one trunk from a to b, so d[a][a] is
+ * a's shortest round trip. Fabrics carry at most a few hundred
+ * switches, and a testbed works this out once.
+ */
+sim::Tick
+horizonReach(const Fabric &fabric)
+{
+    const std::size_t n = fabric.numSwitches();
+    std::vector<sim::Tick> d(n * n, sim::maxTick);
+    for (const Fabric::Edge &e : fabric.edges()) {
+        if (!e.ends[0].isSwitch || !e.ends[1].isSwitch)
+            continue;
+        const std::size_t a = e.ends[0].index;
+        const std::size_t b = e.ends[1].index;
+        const sim::Tick l = edgeLookahead(*e.link);
+        d[a * n + b] = std::min(d[a * n + b], l);
+        d[b * n + a] = std::min(d[b * n + a], l);
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+        for (std::size_t i = 0; i < n; ++i) {
+            const sim::Tick ik = d[i * n + k];
+            if (ik == sim::maxTick)
+                continue;
+            for (std::size_t j = 0; j < n; ++j) {
+                const sim::Tick kj = d[k * n + j];
+                if (kj != sim::maxTick)
+                    d[i * n + j] = std::min(d[i * n + j], ik + kj);
+            }
+        }
+    }
+    sim::Tick reach = 0;
+    for (const sim::Tick t : d) {
+        if (t != sim::maxTick)
+            reach = std::max(reach, t);
+    }
+    return reach;
 }
 
 } // namespace qpip::net

@@ -211,4 +211,17 @@ makeKAryFatTree(sim::Simulation &sim, std::string name,
 std::vector<sim::Partition *> partitionFabric(sim::ParallelEngine &engine,
                                               Fabric &fabric);
 
+/**
+ * How far past the earliest pending event N any partition of
+ * partitionFabric(engine, @p fabric) can run within one epoch: the
+ * longest shortest lookahead path between two switches, a switch's
+ * shortest round trip included, and 0 for one switch. By the engine's
+ * horizon formula, partition q's floor is at most N plus the shortest
+ * path to q from the partition holding N, and p's horizon is at most
+ * a neighbour q's floor plus the edge q->p: a shortest path of at
+ * least one edge to p, which for p itself is its round trip. Every
+ * event an epoch runs lies below its partition's horizon.
+ */
+sim::Tick horizonReach(const Fabric &fabric);
+
 } // namespace qpip::net

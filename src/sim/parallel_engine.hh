@@ -88,7 +88,10 @@
  * run call returns: runUntilCondition() checks its predicate at
  * barriers, which with more than one partition are epochs, so it
  * returns later than an unpartitioned run; what is simulated does not
- * change. (Events scheduled straight into a
+ * change. The app harnesses therefore never read there: apps::FlowRun
+ * runs on to a stop tick past every partition's epoch bound
+ * (net::horizonReach) and reads results at that tick, the same in
+ * every run mode. (Events scheduled straight into a
  * queue with no source keep a per-queue counter, which the guarantee
  * does not cover.)
  *

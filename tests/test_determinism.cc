@@ -27,6 +27,7 @@
 #include "apps/pingpong.hh"
 #include "apps/testbed.hh"
 #include "apps/ttcp.hh"
+#include "engine_stats.hh"
 #include "net/link.hh"
 #include "net/pcap.hh"
 #include "net/topology.hh"
@@ -36,6 +37,7 @@
 #include "sim/trace.hh"
 
 using namespace qpip;
+using qpip::test::withoutEngineStats;
 
 namespace {
 
@@ -196,13 +198,15 @@ runStarTransfer(bool warmup)
 }
 
 /**
- * Observable end state of one run of a parallel-engine scenario:
+ * Observable state of one run of a parallel-engine scenario:
  * partitioned at threads >= 1 worker threads, or unpartitioned (the
- * engine's one partition) at threads == 0. Every scenario ends by running to a fixed
- * tick, so a serial and a partitioned run stop at the same point and
- * must leave the same captures, stats (less the engine's own
- * parallel.* diagnostics) and application results. Across thread
- * counts of one partitioning the engine's diagnostics match too.
+ * engine's one partition) at threads == 0. It is read twice: where
+ * the harness returned, at its FlowRun's stop tick, and after a
+ * closing run to a fixed tick. Both points are the same in every run
+ * mode, so a serial and a partitioned run must leave the same
+ * captures, stats (less the engine's own parallel.* diagnostics) and
+ * application results there. Across thread counts of one
+ * partitioning the engine's diagnostics match too.
  */
 struct ParallelArtifacts
 {
@@ -213,9 +217,12 @@ struct ParallelArtifacts
     std::vector<std::uint8_t> pcap;
     /**
      * Where the harness's last run call returned, before the closing
-     * run: at the deciding event serially, at a barrier partitioned.
+     * run: its FlowRun's stop tick, the same in every run mode.
      */
     sim::Tick endTick = 0;
+    /** The stats JSON and events executed where it returned. */
+    std::string returnedStatsJson;
+    std::uint64_t returnedExecuted = 0;
     std::uint64_t executed = 0;
     /** Engine partitions, and the mail they exchanged. */
     std::size_t partitions = 0;
@@ -246,6 +253,8 @@ finishAt(apps::Testbed &bed, sim::Tick stop,
          ParallelArtifacts &out)
 {
     out.endTick = bed.sim().now();
+    out.returnedStatsJson = bed.sim().stats().jsonDump();
+    out.returnedExecuted = bed.engine()->executed();
     out.pins = collectLinkPins(bed.sim().stats(), taps);
     out.partitions = bed.engine()->numPartitions();
     out.mailboxPosts =
@@ -260,29 +269,6 @@ finishAt(apps::Testbed &bed, sim::Tick stop,
     }
     for (const auto &path : bed.sim().stats().match("*.faults.*"))
         out.faultEvents += bed.sim().stats().counterValue(path);
-}
-
-/**
- * The lines of @p json less its parallel.* entries, each without its
- * separating comma (the engine's entries come last).
- */
-std::vector<std::string>
-withoutEngineStats(const std::string &json)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos < json.size()) {
-        std::size_t end = json.find('\n', pos);
-        if (end == std::string::npos)
-            end = json.size();
-        std::string line = json.substr(pos, end - pos);
-        if (!line.empty() && line.back() == ',')
-            line.pop_back();
-        if (line.compare(0, 12, "  \"parallel.") != 0)
-            out.push_back(std::move(line));
-        pos = end + 1;
-    }
-    return out;
 }
 
 /**
@@ -305,6 +291,14 @@ expectReplaysSerial(Run run)
         // a partition boundary.
         EXPECT_GT(part.partitions, 1u);
         EXPECT_GT(part.mailboxPosts, 0u);
+        // Where the harness returned...
+        EXPECT_EQ(part.endTick, serial.endTick);
+        EXPECT_EQ(withoutEngineStats(part.returnedStatsJson),
+                  withoutEngineStats(serial.returnedStatsJson));
+        EXPECT_EQ(part.returnedExecuted, serial.returnedExecuted);
+        EXPECT_EQ(part.pins.counters, serial.pins.counters);
+        EXPECT_EQ(part.pins.captureDigests, serial.pins.captureDigests);
+        // ...and at the fixed tick past it.
         EXPECT_EQ(withoutEngineStats(part.statsJson),
                   withoutEngineStats(serial.statsJson));
         EXPECT_EQ(part.pcap, serial.pcap);
@@ -486,17 +480,25 @@ runParallelRdmaSrq(int threads, std::uint64_t seed)
     EXPECT_TRUE(std::all_of(cs.begin(), cs.end(),
                             [](const Client &c) { return c.connected; }));
 
+    // Flow 0 is the server's receives, flow 1+i client i's ops.
+    const std::size_t wantReceives =
+        std::size(clients) * (opsPerClient / 3);
+    const apps::FlowRun run(bed, 1 + std::size(clients));
     std::size_t serverReceives = 0;
     apps::waitLoop(*scq, [&](verbs::Completion c) {
-        if (!c.isSend)
-            ++serverReceives;
+        if (!c.isSend && ++serverReceives == wantReceives)
+            run.done(0, bed.host(1).os().curTick());
     });
 
     for (std::size_t i = 0; i < std::size(clients); ++i) {
         auto &c = cs[i];
-        auto postNext = [&bed, &c, &rmr, i](auto &&self) -> void {
-            if (c.done >= opsPerClient)
+        host::Host &h = bed.host(clients[i]);
+        auto postNext = [&bed, &c, &rmr, &run, &h,
+                         i](auto &&self) -> void {
+            if (c.done >= opsPerClient) {
+                run.done(1 + i, h.os().curTick());
                 return;
+            }
             const auto roff =
                 static_cast<std::uint64_t>(i * 8192 +
                                            (c.done % 4) * 2048);
@@ -523,20 +525,8 @@ runParallelRdmaSrq(int threads, std::uint64_t seed)
         postNext(postNext);
     }
 
-    const std::size_t wantReceives =
-        std::size(clients) * (opsPerClient / 3);
-    const bool completed = bed.sim().runUntilCondition(
-        [&] {
-            return serverReceives >= wantReceives &&
-                   std::all_of(cs.begin(), cs.end(),
-                               [](const Client &c) {
-                                   return c.done >= opsPerClient;
-                               });
-        },
-        bed.sim().now() + 120 * sim::oneSec);
-
     ParallelArtifacts out;
-    out.completed = completed;
+    out.completed = run.run();
     out.app = {static_cast<double>(serverReceives)};
     finishAt(bed, 2 * sim::oneSec, taps, out);
     return out;
@@ -551,7 +541,8 @@ runParallelRdmaSrq(int threads, std::uint64_t seed)
  * TSan-budgeted.
  */
 ParallelArtifacts
-runParallelFatTreeShift(int threads, std::uint64_t seed)
+runParallelFatTreeShift(int threads, std::uint64_t seed,
+                        std::size_t bytes_per_pair = 8 * 1024)
 {
     apps::SocketsTestbed bed(128, apps::SocketsFabric::GigabitEthernet,
                              seed, host::HostCostModel{},
@@ -559,7 +550,7 @@ runParallelFatTreeShift(int threads, std::uint64_t seed)
     partition(bed, threads);
     const auto taps = tapAllEdges(bed.fabric());
     const auto r = apps::runSocketsTtcpPairs(
-        bed, apps::uniformShiftPairs(128, 1), 8 * 1024);
+        bed, apps::uniformShiftPairs(128, 1), bytes_per_pair);
     ParallelArtifacts out;
     out.completed = r.completed && r.pairsCompleted == 128;
     out.app = {r.aggMbPerSec, static_cast<double>(r.elapsedTicks)};
@@ -607,12 +598,17 @@ runParallelBatchedFanIn(int threads, std::uint64_t seed)
                                        scq, scq, server_attrs);
     qs->bind(800);
 
+    // Flow 0 is the server's receives, flow 1+i client i's acks.
+    const std::size_t wantReceives =
+        std::size(clients) * msgsPerClient;
+    const apps::FlowRun run(bed, 1 + std::size(clients));
     std::size_t serverReceives = 0;
     std::size_t pendingRepost = 0;
     apps::waitLoop(*scq, [&](verbs::Completion c) {
         if (c.isSend)
             return;
-        ++serverReceives;
+        if (++serverReceives == wantReceives)
+            run.done(0, bed.host(1).os().curTick());
         ++pendingRepost;
         if (pendingRepost < chain)
             return;
@@ -647,9 +643,10 @@ runParallelBatchedFanIn(int threads, std::uint64_t seed)
                    .createQp(nic::QpType::ReliableDatagram, c.cq,
                              c.cq);
         c.qp->bind(static_cast<std::uint16_t>(2000 + clients[i]));
-        apps::waitLoop(*c.cq, [&c](verbs::Completion comp) {
-            if (comp.isSend)
-                ++c.acked;
+        host::Host &h = bed.host(clients[i]);
+        apps::waitLoop(*c.cq, [&c, &run, &h, i](verbs::Completion comp) {
+            if (comp.isSend && ++c.acked == msgsPerClient)
+                run.done(1 + i, h.os().curTick());
         });
         // Chained bursts: 9 messages as three 3-WR batch doorbells.
         for (int m = 0; m < msgsPerClient; m += chain) {
@@ -664,20 +661,8 @@ runParallelBatchedFanIn(int threads, std::uint64_t seed)
         }
     }
 
-    const std::size_t wantReceives =
-        std::size(clients) * msgsPerClient;
-    const bool completed = bed.sim().runUntilCondition(
-        [&] {
-            return serverReceives >= wantReceives &&
-                   std::all_of(cs.begin(), cs.end(),
-                               [](const Client &c) {
-                                   return c.acked >= msgsPerClient;
-                               });
-        },
-        bed.sim().now() + 120 * sim::oneSec);
-
     ParallelArtifacts out;
-    out.completed = completed;
+    out.completed = run.run();
     out.app = {static_cast<double>(serverReceives)};
     for (const Client &c : cs)
         out.app.push_back(static_cast<double>(c.acked));
@@ -721,11 +706,16 @@ runParallelRudFanIn(int threads, std::uint64_t seed)
                                        scq, scq, server_attrs);
     qs->bind(800);
 
+    // Flow 0 is the server's receives, flow 1+i client i's acks.
+    const std::size_t wantReceives =
+        std::size(clients) * msgsPerClient;
+    const apps::FlowRun run(bed, 1 + std::size(clients));
     std::size_t serverReceives = 0;
     apps::waitLoop(*scq, [&](verbs::Completion c) {
         if (c.isSend)
             return;
-        ++serverReceives;
+        if (++serverReceives == wantReceives)
+            run.done(0, bed.host(1).os().curTick());
         // Hand the consumed slot straight back to the pool.
         srq->postRecv(100 + serverReceives, *rmr,
                       (serverReceives % 8) * 2048, 2048);
@@ -749,9 +739,10 @@ runParallelRudFanIn(int threads, std::uint64_t seed)
                    .createQp(nic::QpType::ReliableDatagram, c.cq,
                              c.cq);
         c.qp->bind(static_cast<std::uint16_t>(2000 + clients[i]));
-        apps::waitLoop(*c.cq, [&c](verbs::Completion comp) {
-            if (comp.isSend)
-                ++c.acked;
+        host::Host &h = bed.host(clients[i]);
+        apps::waitLoop(*c.cq, [&c, &run, &h, i](verbs::Completion comp) {
+            if (comp.isSend && ++c.acked == msgsPerClient)
+                run.done(1 + i, h.os().curTick());
         });
         for (int m = 0; m < msgsPerClient; ++m) {
             c.qp->postSend(m, *c.mr, m * msgBytes, msgBytes,
@@ -759,20 +750,8 @@ runParallelRudFanIn(int threads, std::uint64_t seed)
         }
     }
 
-    const std::size_t wantReceives =
-        std::size(clients) * msgsPerClient;
-    const bool completed = bed.sim().runUntilCondition(
-        [&] {
-            return serverReceives >= wantReceives &&
-                   std::all_of(cs.begin(), cs.end(),
-                               [](const Client &c) {
-                                   return c.acked >= msgsPerClient;
-                               });
-        },
-        bed.sim().now() + 120 * sim::oneSec);
-
     ParallelArtifacts out;
-    out.completed = completed;
+    out.completed = run.run();
     out.app = {static_cast<double>(serverReceives)};
     for (const Client &c : cs)
         out.app.push_back(static_cast<double>(c.acked));
@@ -963,9 +942,10 @@ TEST(ParallelDeterminism, BatchedPostsThreadCountInvariant)
 //
 // Every event is keyed by the object (or link direction) that
 // scheduled it, so any partitioning replays the serial schedule. Each
-// scenario above also runs unpartitioned; stopped at the same fixed
-// tick, the serial run and the 1- and 4-thread partitioned runs must
-// leave identical captures, stats (less parallel.*), event counts and
+// scenario above also runs unpartitioned; where the harness returned
+// (its FlowRun's stop tick) and again at a fixed tick past it, the
+// serial run and the 1- and 4-thread partitioned runs must leave
+// identical captures, stats (less parallel.*), event counts and
 // application results.
 
 TEST(ParallelDeterminism, TtcpPairsReplaysSerial)
@@ -1007,10 +987,16 @@ TEST(ParallelDeterminism, RudFanInReplaysSerial)
     expectReplaysSerial([](int t) { return runParallelRudFanIn(t, 29); });
 }
 
+/**
+ * At bench_simspeed's fat-tree size, 64 KB per pair: a harness that
+ * returned at a barrier read 97,760 events partitioned against 97,728
+ * unpartitioned, where now every run mode stops at its FlowRun's stop
+ * tick.
+ */
 TEST(ParallelDeterminism, FatTree128ReplaysSerial)
 {
     expectReplaysSerial(
-        [](int t) { return runParallelFatTreeShift(t, 77); });
+        [](int t) { return runParallelFatTreeShift(t, 77, 64 * 1024); });
 }
 
 TEST(ParallelDeterminism, BatchedPostsReplaysSerial)
@@ -1098,10 +1084,11 @@ TEST(ParallelDeterminism, LossyTransferMatchesLinkPins)
         0x4273691c8a550f7dull,
         0x65f63c073cd13412ull,
     };
-    for (const int threads : {1, 4}) {
+    // The harness stops at the same tick in every run mode.
+    for (const int threads : {0, 1, 4}) {
         const auto run = runParallelLossy(threads, 1234);
         ASSERT_TRUE(run.completed) << threads << " threads";
-        EXPECT_EQ(run.endTick, 244326943417ull) << threads << " threads";
+        EXPECT_EQ(run.endTick, 244328247417ull) << threads << " threads";
         EXPECT_EQ(run.pins.counters, counters) << threads << " threads";
         EXPECT_EQ(run.pins.captureDigests, digests)
             << threads << " threads";

@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -23,6 +25,7 @@
 #include "apps/pingpong.hh"
 #include "apps/testbed.hh"
 #include "apps/ttcp.hh"
+#include "engine_stats.hh"
 #include "inet/ip_frag.hh"
 #include "inet/ipv4.hh"
 #include "inet/ipv6.hh"
@@ -636,48 +639,59 @@ TEST(StatRegistry, ConnectionChurnReturnsToBaseline)
 
 namespace {
 
-std::uint64_t
-fnv1a(const std::string &bytes)
+/**
+ * Expect @p dump to equal the golden tests/golden/@p name byte for
+ * byte. On a mismatch the actual bytes are written next to the build
+ * and the failure names the file to copy over the golden.
+ */
+void
+expectMatchesGolden(const std::string &dump, const std::string &name)
 {
-    std::uint64_t h = 14695981039346656037ull;
-    for (const char b : bytes) {
-        h ^= static_cast<std::uint8_t>(b);
-        h *= 1099511628211ull;
-    }
-    return h;
+    const std::string golden = std::string(QPIP_GOLDEN_DIR) + "/" + name;
+    std::ifstream in(golden, std::ios::binary);
+    const std::string want{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
+    if (in && dump == want)
+        return;
+    const std::string actual =
+        std::string(QPIP_GOLDEN_ACTUAL_DIR) + "/" + name;
+    std::ofstream(actual, std::ios::binary) << dump;
+    ADD_FAILURE() << "the dump differs from " << golden
+                  << "; it was written to " << actual
+                  << ", to be copied over the golden if the change is "
+                     "meant";
 }
 
 } // namespace
 
 // Whole-dump byte pins: the path order, the selection and the number
-// formatting of jsonDump() must not drift. The digests and lengths
-// were recorded before the registry stored stats per group; the
-// partitioned ttcp-pairs digest was re-recorded when each pair began
-// to start sending from its own connect callback, and again when
-// hosts came to share their switch's partition. The run now returns
-// at an earlier barrier, before two NIC interrupts the old one had
-// run past: less its parallel.* entries, the dump is the serial run's.
+// formatting of jsonDump() must not drift. Each dump is read where
+// its harness returned, at its FlowRun's stop tick, so the
+// partitioned dual-star dump, less its parallel.* entries, is the
+// unpartitioned run's.
 TEST(StatRegistry, JsonDumpMatchesRecordedBytes)
 {
     {
         apps::QpipTestbed bed(2);
         ASSERT_TRUE(apps::runQpipTcpPingPong(bed, 4).completed);
-        const std::string dump = bed.sim().stats().jsonDump();
-        EXPECT_EQ(dump.size(), 13582u);
-        EXPECT_EQ(fnv1a(dump), 4390530438046261926ull);
+        expectMatchesGolden(bed.sim().stats().jsonDump(),
+                            "stats_qpip_pingpong.json");
     }
-    {
+    const auto dual_star_dump = [](int threads) {
         apps::SocketsTestbed bed(4, apps::SocketsFabric::GigabitEthernet,
                                  1, host::HostCostModel{},
                                  apps::FabricTopology::DualStar);
-        bed.enableParallel(2);
+        if (threads > 0)
+            bed.enableParallel(threads);
         const auto r = apps::runSocketsTtcpPairs(
             bed, {{0, 1}, {1, 2}, {2, 3}, {3, 0}}, 16 * 1024);
-        ASSERT_TRUE(r.completed);
-        const std::string dump = bed.sim().stats().jsonDump();
-        EXPECT_EQ(dump.size(), 14564u);
-        EXPECT_EQ(fnv1a(dump), 7450932099138477529ull);
-    }
+        EXPECT_TRUE(r.completed);
+        return bed.sim().stats().jsonDump();
+    };
+    const std::string partitioned = dual_star_dump(2);
+    expectMatchesGolden(partitioned, "stats_ttcp_pairs_dualstar_t2.json");
+    EXPECT_EQ(test::withoutEngineStats(partitioned),
+              test::withoutEngineStats(dual_star_dump(0)));
 }
 
 namespace {

@@ -180,6 +180,35 @@ TEST(Topology, DualStarParallelSocketsSmoke)
               0u);
 }
 
+TEST(Topology, HorizonReachIsTheLongestShortestLookaheadPath)
+{
+    // Every trunk carries the same link, so each has one lookahead L.
+    const auto lookahead = [](const net::Fabric &fab) {
+        for (const net::Fabric::Edge &e : fab.edges()) {
+            if (e.ends[0].isSwitch && e.ends[1].isSwitch) {
+                const net::LinkConfig &c = e.link->config();
+                return c.propDelay +
+                       e.link->serializationDelay(c.overheadBytes);
+            }
+        }
+        return sim::Tick(0);
+    };
+    sim::Simulation simu(1);
+    // One switch: no trunk, nothing to cover.
+    net::StarFabric star(simu, "star", net::gigabitEthernetLink());
+    EXPECT_EQ(net::horizonReach(star), 0u);
+    // Two switches: the trunk's round trip.
+    net::DualStarFabric ds(simu, "ds", net::gigabitEthernetLink(), 4);
+    EXPECT_GT(lookahead(ds), 0u);
+    EXPECT_EQ(net::horizonReach(ds), 2 * lookahead(ds));
+    // Two levels: edge to edge through a spine, and every round trip,
+    // are two trunks.
+    net::FatTreeFabric ft(simu, "ft", net::gigabitEthernetLink(), 8, 2,
+                          2);
+    EXPECT_EQ(net::horizonReach(ft), 2 * lookahead(ft));
+    simu.eventQueue().clear();
+}
+
 TEST(Topology, FatTree128ParallelLayout)
 {
     // k=8: 32 edge switches of 4 hosts and 4 spines, one partition
