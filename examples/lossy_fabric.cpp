@@ -111,10 +111,15 @@ main(int argc, char **argv)
                     conn_stats.fastRetransmits.value()),
                 static_cast<unsigned long long>(
                     conn_stats.segsOut.value()));
+    std::uint64_t drops = 0;
+    for (net::NodeId node = 0; node < 2; ++node) {
+        for (int side = 0; side < 2; ++side) {
+            drops += bed.fabric().linkFor(node).counters(side)
+                         .faultDrops.value();
+        }
+    }
     std::printf("link drops: %llu (injected)\n",
-                static_cast<unsigned long long>(
-                    bed.fabric().linkFor(0).faultDrops.value() +
-                    bed.fabric().linkFor(1).faultDrops.value()));
+                static_cast<unsigned long long>(drops));
     const bool ok = received == nMsgs && corrupt == 0;
     std::printf("%s\n", ok ? "ok: all data intact" : "FAILED");
     return ok ? 0 : 1;

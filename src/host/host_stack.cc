@@ -11,15 +11,13 @@ using inet::IpProto;
 
 HostStack::HostStack(sim::Simulation &sim, std::string name, HostOS &os)
     : SimObject(sim, std::move(name)), os_(os), inet_(*this),
-      issRng_(sim::streamSeed(sim.seed(), this->name())),
-      pktsOut(inet_.pktsOut), badPktsIn(inet_.badFrames),
-      noPortDrops(inet_.noMatchDrops), loopbackPkts(inet_.loopbackPkts)
+      issRng_(sim::streamSeed(sim.seed(), this->name()))
 {
-    regStat("pktsOut", pktsOut);
+    regStat("pktsOut", inet_.pktsOut);
     regStat("pktsIn", pktsIn);
-    regStat("badPktsIn", badPktsIn);
-    regStat("noPortDrops", noPortDrops);
-    regStat("loopbackPkts", loopbackPkts);
+    regStat("badPktsIn", inet_.badFrames);
+    regStat("noPortDrops", inet_.noMatchDrops);
+    regStat("loopbackPkts", inet_.loopbackPkts);
     regStat("msgSizeDrops", inet_.msgSizeDrops);
     regStat("reass6.fragmentsIn", inet_.reassembler().fragmentsIn);
     regStat("reass6.reassembled", inet_.reassembler().reassembled);

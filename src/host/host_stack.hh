@@ -186,13 +186,10 @@ class HostStack : public sim::SimObject, public inet::InetEnv
     std::uint16_t ephemeralPort_ = 30100;
 
   public:
-    // Stats: engine counters surfaced under their legacy kernel
-    // names; pktsIn counts NIC interrupts and stays adapter-owned.
-    sim::Counter &pktsOut;
+    // Stats: the engine's counters are registered under their legacy
+    // kernel names; pktsIn counts NIC interrupts and stays
+    // adapter-owned.
     sim::Counter pktsIn;
-    sim::Counter &badPktsIn;
-    sim::Counter &noPortDrops;
-    sim::Counter &loopbackPkts;
 
   private:
     struct Listener

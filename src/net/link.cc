@@ -41,33 +41,38 @@ myrinetLink(std::uint32_t mtu)
 
 namespace {
 
-/** Every LinkCounters field: what one fold drains. */
-constexpr sim::Counter LinkCounters::*linkCounterFields[] = {
-    &LinkCounters::packetsSent,      &LinkCounters::bytesSent,
-    &LinkCounters::oversizeDrops,    &LinkCounters::queueDrops,
-    &LinkCounters::faultDrops,       &LinkCounters::faultDups,
-    &LinkCounters::faultCorruptions, &LinkCounters::faultReorders,
-};
+/** Every LinkCounters member, under its own name. */
+const sim::StatTable<LinkCounters> &
+linkCountersTable()
+{
+    static const sim::StatTable<LinkCounters> table = [] {
+        sim::StatTable<LinkCounters> t;
+        t.add("packetsSent", &LinkCounters::packetsSent);
+        t.add("bytesSent", &LinkCounters::bytesSent);
+        t.add("oversizeDrops", &LinkCounters::oversizeDrops);
+        t.add("queueDrops", &LinkCounters::queueDrops);
+        t.add("faultDrops", &LinkCounters::faultDrops);
+        t.add("faultDups", &LinkCounters::faultDups);
+        t.add("faultCorruptions", &LinkCounters::faultCorruptions);
+        t.add("faultReorders", &LinkCounters::faultReorders);
+        return t;
+    }();
+    return table;
+}
 
 } // namespace
 
 Link::Link(sim::Simulation &sim, std::string name, LinkConfig config)
     : SimObject(sim, std::move(name)), cfg_(config)
 {
-    regStat("packetsSent", packetsSent);
-    regStat("bytesSent", bytesSent);
-    regStat("oversizeDrops", oversizeDrops);
-    regStat("queueDrops", queueDrops);
-    regStat("faults.drops", faultDrops);
-    regStat("faults.dups", faultDups);
-    regStat("faults.corruptions", faultCorruptions);
-    regStat("faults.reorders", faultReorders);
     for (std::size_t side = 0; side < dir_.size(); ++side) {
         Direction &d = dir_[side];
         d.eq = &eventQueue();
         d.source = sim.addSource();
         d.faultRng.seed(sim::streamSeed(sim.seed(), this->name(), side));
-        d.counters = this;
+        d.stats.init(sim.stats(),
+                     this->name() + (side == 0 ? ".side0" : ".side1"),
+                     linkCountersTable(), d.counters);
     }
 }
 
@@ -86,13 +91,12 @@ Link::serializationDelay(std::size_t wire_bytes) const
 }
 
 void
-Link::bindSide(int side, const LinkBoundary &boundary)
+Link::bind(const std::array<LinkBoundary, 2> &sides)
 {
-    auto &d = dir_.at(static_cast<std::size_t>(side));
-    d.shadow = std::make_unique<LinkCounters>();
-    d.eq = boundary.eq;
-    d.counters = d.shadow.get();
-    d.outbox = boundary.outbox;
+    for (std::size_t side = 0; side < dir_.size(); ++side) {
+        dir_[side].eq = sides[side].eq;
+        dir_[side].outbox = sides[side].outbox;
+    }
     checkTaps();
 }
 
@@ -104,34 +108,19 @@ Link::setSideTap(int side, PcapWriter &writer)
 }
 
 /**
- * The two directions of a bound link transmit from their own
- * partitions, possibly at once: one writer fed by both would race and
- * interleave nondeterministically.
+ * Two directions that run on different queues may transmit at once:
+ * one writer fed by both would race and interleave
+ * nondeterministically.
  */
 void
 Link::checkTaps() const
 {
-    const bool bound = dir_[0].shadow || dir_[1].shadow;
-    if (bound && dir_[0].tap != nullptr && dir_[0].tap == dir_[1].tap) {
-        panic("%s: a partitioned link cannot feed one pcap writer from "
-              "both directions (tapLink); give each side its own "
-              "writer with tapLinkSide",
+    if (dir_[0].eq != dir_[1].eq && dir_[0].tap != nullptr &&
+        dir_[0].tap == dir_[1].tap) {
+        panic("%s: a link whose directions run in two partitions cannot "
+              "feed one pcap writer from both (tapLink); give each side "
+              "its own writer with tapLinkSide",
               name().c_str());
-    }
-}
-
-void
-Link::foldBoundaryStats()
-{
-    LinkCounters &totals = *this;
-    for (auto &d : dir_) {
-        if (!d.shadow)
-            continue;
-        for (const auto field : linkCounterFields) {
-            sim::Counter &from = (*d.shadow).*field;
-            (totals.*field).inc(from.value());
-            from.reset();
-        }
     }
 }
 
@@ -145,7 +134,7 @@ Link::send(int from_side, PacketPtr pkt)
 {
     auto &tx = dir_.at(static_cast<std::size_t>(from_side));
     const int to_side = from_side ^ 1;
-    LinkCounters &counters = *tx.counters;
+    LinkCounters &counters = tx.counters;
 
     if (pkt->data.size() > cfg_.mtu) {
         counters.oversizeDrops.inc();
@@ -193,9 +182,9 @@ Link::send(int from_side, PacketPtr pkt)
     // A split engine refuses tracing, so the tracer is on only where
     // one partition runs every link.
     if (tracer().enabled()) {
-        // Tag with the link-local sequence number (not pkt->id, which
-        // is a process-global counter and would break same-seed trace
-        // comparisons across runs).
+        // Tag with the direction's own sequence number (not pkt->id,
+        // which is a process-global counter and would break same-seed
+        // trace comparisons across runs).
         tracer().span(name(), "tx", start, ser,
                       sim::strfmt("{\"seq\": %llu, \"bytes\": %zu, "
                                   "\"side\": %d}",

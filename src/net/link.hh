@@ -12,10 +12,11 @@
  *
  * Both directions, serial or partitioned, transmit through the one
  * send(). Each direction carries the execution context it runs in: an
- * event queue, the counters it adds to, an optional cross-partition
- * outbox and a capture tap. Unbound, these are the link's own queue
- * and its public counters; bindSide() swaps in the sending
- * partition's queue and per-direction shadow counters. Each direction
+ * event queue, an optional cross-partition outbox and a capture tap.
+ * Unbound, the queue is the link's own; bind() swaps in each sending
+ * partition's. Each direction also counts for itself, in every run
+ * mode, into its own LinkCounters registered as "<link>.side0" and
+ * "<link>.side1", and is the only writer of that set. Each direction
  * is also its own event source: the two may run in different
  * partitions, and an arrival is keyed by the direction that sent it,
  * serial or partitioned.
@@ -30,7 +31,6 @@
 #pragma once
 
 #include <array>
-#include <memory>
 #include <string>
 
 #include "net/fault.hh"
@@ -38,6 +38,7 @@
 #include "sim/partition.hh"
 #include "sim/random.hh"
 #include "sim/sim_object.hh"
+#include "sim/stat_registry.hh"
 #include "sim/stats.hh"
 
 namespace qpip::net {
@@ -80,9 +81,9 @@ LinkConfig gigabitEthernetLink();
 LinkConfig myrinetLink(std::uint32_t mtu = 16384);
 
 /**
- * Transmit and fault counters. A Link's public set holds its totals;
- * each bound direction adds into a shadow set that
- * foldBoundaryStats() drains.
+ * Transmit and fault counters of one link direction, written only by
+ * the partition that direction sends in. A link's totals are the sum
+ * of its two sides.
  */
 struct LinkCounters
 {
@@ -100,7 +101,7 @@ struct LinkCounters
 /**
  * The link itself. Side 0 and side 1 are symmetrical.
  */
-class Link : public sim::SimObject, public LinkCounters
+class Link : public sim::SimObject
 {
   public:
     Link(sim::Simulation &sim, std::string name, LinkConfig config);
@@ -125,15 +126,21 @@ class Link : public sim::SimObject, public LinkCounters
     FaultConfig &faultConfig() { return faultCfg_; }
 
     /**
-     * Parallel mode: bind the transmitter of @p side to its sending
-     * partition. From then on this direction schedules on the bound
-     * queue and counts into per-direction shadow counters (folded into
-     * the public ones by foldBoundaryStats()); it keeps its own fault
-     * stream. Wired up by net::partitionFabric during setup. Panics if
-     * both directions tap one writer, which the two sending partitions
-     * would race on.
+     * Parallel mode: bind the transmitter of each side to its sending
+     * partition, @p sides indexed by side. From then on a direction
+     * schedules on its bound queue; it keeps its counters and its
+     * fault stream. Wired up by net::partitionFabric during setup.
+     * Panics if both directions tap one writer and now run on
+     * different queues, which would race on it.
      */
-    void bindSide(int side, const LinkBoundary &boundary);
+    void bind(const std::array<LinkBoundary, 2> &sides);
+
+    /** What @p side's direction has counted. */
+    const LinkCounters &
+    counters(int side) const
+    {
+        return dir_.at(static_cast<std::size_t>(side)).counters;
+    }
 
     /**
      * The cross-partition channel @p side's direction delivers
@@ -149,18 +156,10 @@ class Link : public sim::SimObject, public LinkCounters
     /**
      * Record every frame that occupies the wire from @p side into
      * @p writer: after fault injection, so corrupted bytes are seen,
-     * at the tick serialization starts. On a bound link the two
-     * directions may not share a writer. See net/pcap.hh.
+     * at the tick serialization starts. Two directions that run on
+     * different queues may not share a writer. See net/pcap.hh.
      */
     void setSideTap(int side, PcapWriter &writer);
-
-    /**
-     * Fold the per-direction shadow counters (every LinkCounters
-     * field) into the public counters and reset them. Sums are
-     * commutative, so the result is independent of execution
-     * interleaving; registered as an engine fold hook.
-     */
-    void foldBoundaryStats();
 
   private:
     /** One transmitter and the context it runs in. */
@@ -171,18 +170,18 @@ class Link : public sim::SimObject, public LinkCounters
         sim::EventQueue *eq = nullptr;
         /** Keys this direction's arrivals. */
         sim::EventSource source{0};
-        LinkCounters *counters = nullptr;
         /** Cross-partition channel to the receiver, or nullptr. */
         sim::Mailbox *outbox = nullptr;
         PcapWriter *tap = nullptr;
-        /** Set once bound: what counters points into. */
-        std::unique_ptr<LinkCounters> shadow;
+        LinkCounters counters;
         /**
-         * This direction's fault stream: (seed, link name, side). Last,
-         * so a fault-free send, which never draws, reads one run of
-         * pointers.
+         * This direction's fault stream: (seed, link name, side). After
+         * the counters, so a fault-free send, which never draws, reads
+         * one run of fields.
          */
         sim::Random faultRng;
+        /** Registers counters as "<link>.side<n>". */
+        sim::StatGroup stats;
     };
 
     void checkTaps() const;

@@ -59,20 +59,22 @@ class PcapWriter
 /**
  * Tap both transmitters of @p link into @p writer, which must outlive
  * the link's traffic: tapLinkSide() on each side with one writer.
- * Replaces any previous tap on the link. Unpartitioned runs only: on
- * a link net::partitionFabric binds, this panics (here if the link is
- * already bound, at the binding otherwise); use tapLinkSide() with one
- * writer per side.
+ * Replaces any previous tap on the link. Works wherever the link's two
+ * directions run on one queue: unpartitioned, on a one-partition
+ * star, and on a spoke net::partitionFabric binds, which shares its
+ * switch's partition. On a trunk between two partitions this panics
+ * (here if the link is already bound, at the binding otherwise); use
+ * tapLinkSide() with one writer per side.
  */
 void tapLink(Link &link, PcapWriter &writer);
 
 /**
  * Tap only the transmitter of @p side into @p writer, replacing that
- * side's previous tap. Parallel mode requires one writer per
- * direction — each side's tap fires in that side's sending
- * partition, so a shared writer would interleave nondeterministically.
- * Compare captures per side (or concatenate in a fixed order)
- * instead.
+ * side's previous tap. Each side's tap fires in that side's sending
+ * partition, so a link whose directions run in two partitions needs
+ * one writer per direction: a shared one would interleave
+ * nondeterministically. Compare captures per side (or concatenate in
+ * a fixed order) instead.
  */
 void tapLinkSide(Link &link, int side, PcapWriter &writer);
 

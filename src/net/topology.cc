@@ -253,23 +253,19 @@ partitionFabric(sim::ParallelEngine &engine, Fabric &fabric)
         return a.isSwitch ? sw_parts.at(a.index) : host_parts.at(a.index);
     };
     for (const Fabric::Edge &e : fabric.edges()) {
-        for (int side = 0; side < 2; ++side) {
-            sim::Partition *src = part_of(e.ends.at(
-                static_cast<std::size_t>(side)));
-            sim::Partition *dst = part_of(e.ends.at(
-                static_cast<std::size_t>(side ^ 1)));
-            LinkBoundary b;
-            b.eq = &src->eventQueue();
+        std::array<LinkBoundary, 2> sides;
+        for (std::size_t side = 0; side < sides.size(); ++side) {
+            sim::Partition *src = part_of(e.ends.at(side));
+            sim::Partition *dst = part_of(e.ends.at(side ^ 1));
+            sides[side].eq = &src->eventQueue();
             if (src != dst) {
                 // Parallel trunks between one partition pair share a
                 // mailbox, which keeps the minimum lookahead.
-                b.outbox = &engine.mailbox(*src, *dst,
-                                           edgeLookahead(*e.link));
+                sides[side].outbox = &engine.mailbox(
+                    *src, *dst, edgeLookahead(*e.link));
             }
-            e.link->bindSide(side, b);
         }
-        Link *link = e.link;
-        engine.addFoldHook([link] { link->foldBoundaryStats(); });
+        e.link->bind(sides);
     }
     return host_parts;
 }

@@ -201,8 +201,9 @@ makeKAryFatTree(sim::Simulation &sim, std::string name,
  * between two partitions, which in these fabrics means switch to
  * switch, gets a mailbox toward its receiver,
  * declaring its link's propagation delay plus serialization floor as
- * the edge's lookahead (per-edge horizons). Per-link fold hooks are
- * registered. Call after every addNode (the edge list must be
+ * the edge's lookahead (per-edge horizons). A direction's counters
+ * stay its own: only its sending partition writes them. Call after
+ * every addNode (the edge list must be
  * complete). The switches are bound here; binding each host's own
  * objects is the caller's, since only it knows their names.
  * @return each host's partition, indexed by NodeId (nullptr for an

@@ -60,13 +60,12 @@ QpipNic::QpipNic(sim::Simulation &sim, std::string name, net::Link &link,
       doorbells_(sim, this->name() + ".doorbells", params.doorbellCap),
       qpCache_(params.qpCacheCapacity),
       inet_(*this, params.reassExpiry),
-      issRng_(sim::streamSeed(sim.seed(), this->name())),
-      badPackets(inet_.badFrames), noQpDrops(inet_.noMatchDrops)
+      issRng_(sim::streamSeed(sim.seed(), this->name()))
 {
     // Force the prototype's transport subset regardless of overrides.
     params_.tcp.messageMode = true;
-    regStat("badPackets", badPackets);
-    regStat("noQpDrops", noQpDrops);
+    regStat("badPackets", inet_.badFrames);
+    regStat("noQpDrops", inet_.noMatchDrops);
     regStat("udpNoWrDrops", udpNoWrDrops);
     regStat("cqOverflows", cqOverflows);
     regStat("rdma.writes", rdmaWrites);

@@ -300,10 +300,8 @@ class QpipNic : public sim::SimObject,
     sim::Random issRng_;
 
   public:
-    // Stats: badPackets / noQpDrops surface the engine's counters
-    // under the firmware's legacy names.
-    sim::Counter &badPackets;
-    sim::Counter &noQpDrops;
+    // Stats. The engine's badFrames / noMatchDrops are registered as
+    // badPackets / noQpDrops, the firmware's legacy names.
     sim::Counter udpNoWrDrops;
     sim::Counter cqOverflows;
     // One-sided RDMA engine.

@@ -12,10 +12,7 @@
  * by which queue holds it or when it was inserted. That is what lets
  * a partitioned run (parallel_engine.hh) replay the serial schedule:
  * each partition's queue runs the restriction of the one serial order.
- * An event scheduled straight into a queue, with no source (tests and
- * harnesses), is keyed with source 0 and the queue's own counter, so
- * it keeps insertion order among such events; the serial ≡ partitioned
- * guarantee covers work scheduled through sources.
+ * Every event has a source: a queue takes only keyed events.
  *
  * Scheduled events can be cancelled or rescheduled through an
  * EventHandle, which is how protocol timers (TCP retransmit, delayed
@@ -211,7 +208,7 @@ struct EventKey
 {
     Tick when;
     int priority;
-    /** Who scheduled the event (0: no source, see EventQueue). */
+    /** Who scheduled the event (Simulation::addSource). */
     std::uint32_t source;
     /** How many events the source had scheduled before this one. */
     std::uint64_t seq;
@@ -373,28 +370,6 @@ class EventQueue
         rec.fn.emplace(std::forward<F>(fn));
         heapPush(HeapEntry{key, slot});
         return EventHandle(this, slot, rec.gen);
-    }
-
-    /**
-     * Schedule @p fn at absolute time @p when with no source: keyed by
-     * this queue's own counter, so such events keep insertion order
-     * among themselves and run before sourced events of equal tick and
-     * priority.
-     */
-    template <typename F>
-    EventHandle
-    schedule(Tick when, F &&fn, int priority = defaultPriority)
-    {
-        return schedule(EventKey{when, priority, 0, nextSeq_++},
-                        std::forward<F>(fn));
-    }
-
-    /** Schedule @p fn, with no source, @p delay ticks from now. */
-    template <typename F>
-    EventHandle
-    scheduleIn(Tick delay, F &&fn, int priority = defaultPriority)
-    {
-        return schedule(now_ + delay, std::forward<F>(fn), priority);
     }
 
     /**
@@ -708,8 +683,6 @@ class EventQueue
     std::deque<detail::EventRecord> slab_;
     std::vector<std::uint32_t> freelist_;
     Tick now_ = 0;
-    /** Sequence numbers of the events scheduled with no source. */
-    std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
     bool clearing_ = false;
     std::string label_;

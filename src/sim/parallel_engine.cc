@@ -175,12 +175,6 @@ ParallelEngine::assignByPrefix(const std::string &prefix, Partition &p)
     }
 }
 
-void
-ParallelEngine::addFoldHook(std::function<void()> fold)
-{
-    foldHooks_.push_back(std::move(fold));
-}
-
 std::uint64_t
 ParallelEngine::executed() const
 {
@@ -476,21 +470,11 @@ ParallelEngine::advanceIdleClocks(Tick until)
         parts_[i]->eq_.advanceTo(std::min(horizon_[i], until));
 }
 
-void
-ParallelEngine::foldAll()
-{
-    for (auto &fold : foldHooks_)
-        fold();
-}
-
 std::uint64_t
 ParallelEngine::runUntil(Tick until)
 {
-    if (parts_.size() == 1) {
-        const std::uint64_t n = parts_.front()->eq_.runUntil(until);
-        foldAll();
-        return n;
-    }
+    if (parts_.size() == 1)
+        return parts_.front()->eq_.runUntil(until);
     beginRun();
     const std::uint64_t before = executed();
     while (epoch(until)) {
@@ -505,7 +489,6 @@ ParallelEngine::runUntil(Tick until)
     } else {
         advanceIdleClocks(until);
     }
-    foldAll();
     return executed() - before;
 }
 
@@ -525,7 +508,6 @@ ParallelEngine::runUntilCondition(const std::function<bool()> &pred,
         advanceIdleClocks(deadline);
     else if (!met)
         alone.settle(deadline);
-    foldAll();
     return met || pred();
 }
 

@@ -83,17 +83,17 @@
  * destination's horizon, so it is in the queue before anything at
  * its tick runs. Random streams belong to objects, not partitions.
  * So any partitioning, at any thread count, replays the serial
- * schedule of the work scheduled through sources: the same event
- * order, ticks, stats and captures. The one difference is where a
+ * schedule: the same event order, ticks, stats and captures. Every
+ * counter has one writing partition (a link direction counts only
+ * what it sends), so a stat reads the same whichever run mode wrote
+ * it, with nothing to gather after a run. The one difference is where a
  * run call returns: runUntilCondition() checks its predicate at
  * barriers, which with more than one partition are epochs, so it
  * returns later than an unpartitioned run; what is simulated does not
  * change. The app harnesses therefore never read there: apps::FlowRun
  * runs on to a stop tick past every partition's epoch bound
  * (net::horizonReach) and reads results at that tick, the same in
- * every run mode. (Events scheduled straight into a
- * queue with no source keep a per-queue counter, which the guarantee
- * does not cover.)
+ * every run mode.
  *
  * One partition. Every Simulation runs on its engine, which starts
  * with partition 0, where every SimObject starts: an unpartitioned
@@ -171,14 +171,6 @@ class ParallelEngine
      * starts with "@p prefix." to partition @p p (its event queue).
      */
     void assignByPrefix(const std::string &prefix, Partition &p);
-
-    /**
-     * Register a hook run at the end of every run*() call, after the
-     * final barrier — e.g. folding per-direction link shadow counters
-     * into the public ones. Hooks must be idempotent across calls
-     * (fold-and-reset).
-     */
-    void addFoldHook(std::function<void()> fold);
 
     /**
      * With one partition, its queue's clock. With more, the
@@ -292,13 +284,11 @@ class ParallelEngine
      */
     void advanceIdleClocks(Tick until);
     void workerLoop(std::size_t w);
-    void foldAll();
 
     Simulation &sim_;
     Tick now_ = 0;
     std::vector<std::unique_ptr<Partition>> parts_;
     std::vector<std::unique_ptr<Mailbox>> mail_;
-    std::vector<std::function<void()>> foldHooks_;
 
     // Barrier state, indexed by partition id (coordinator-owned).
     /** Monotone frontiers; Partition::epochHorizon() reads these. */

@@ -8,7 +8,6 @@ SimObject::SimObject(Simulation &sim, std::string name)
     : sim_(sim), name_(std::move(name)), eq_(&sim_.eventQueue()),
       source_(sim_.addSource())
 {
-    stats_.init(sim_.stats(), name_);
     sim_.registerObject(this);
 }
 

@@ -119,12 +119,15 @@ class SimObject
 
     /**
      * Register a stat under "<name()>.<leaf>". All registrations are
-     * removed automatically when this object is destroyed.
+     * removed automatically when this object is destroyed. An object
+     * that registers none binds no group.
      */
     template <typename Stat>
     void
     regStat(const std::string &leaf, const Stat &stat)
     {
+        if (!stats_.bound())
+            stats_.init(sim_.stats(), name_);
         stats_.add(leaf, stat);
     }
 

@@ -93,7 +93,7 @@ class Simulation
 
   private:
     std::uint64_t seed_;
-    /** Id of the next source; 0 keys events scheduled with none. */
+    /** Id of the next source; 0 names none. */
     std::uint32_t nextSource_ = 1;
     StatRegistry stats_;
     Tracer tracer_;

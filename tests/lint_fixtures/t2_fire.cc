@@ -6,10 +6,10 @@ static int callCount = 0;
 static constexpr int kMaxRetries = 4;
 
 void
-touch(Mailbox &mb, EventFn fn)
+touch(Mailbox &mb, const EventKey &key, EventFn fn)
 {
     static bool warned = false;
     callCount += warned ? 1 : static_cast<int>(kMaxRetries);
-    mb.peer().eventQueue().schedule(10, fn);
-    eqRemote->scheduleIn(20, fn);
+    mb.peer().eventQueue().schedule(key, fn);
+    eqRemote->schedule(key, fn);
 }

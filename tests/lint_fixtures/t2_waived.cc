@@ -5,8 +5,8 @@
 static int bootCount = 0;
 
 void
-touch(Mailbox &mb, EventFn fn)
+touch(Mailbox &mb, const EventKey &key, EventFn fn)
 {
     // qpip-lint: partition-ok(fixture: the link-side handoff is under test)
-    mb.peer().eventQueue().schedule(10, fn);
+    mb.peer().eventQueue().schedule(key, fn);
 }

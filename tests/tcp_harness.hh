@@ -26,9 +26,13 @@ namespace qpip::test {
 class TcpTestNode : public inet::TcpEnv, public inet::TcpObserver
 {
   public:
-    TcpTestNode(sim::Simulation &sim, inet::SockAddr addr,
-                inet::TcpConfig cfg)
-        : sim_(sim), addr_(addr), cfg_(cfg)
+    /**
+     * @p source keys this node's timers and deliveries. A pair's nodes
+     * share one, so their events run in the order they were scheduled.
+     */
+    TcpTestNode(sim::Simulation &sim, sim::EventSource &source,
+                inet::SockAddr addr, inet::TcpConfig cfg)
+        : sim_(sim), source_(source), addr_(addr), cfg_(cfg)
     {}
 
     /** Join two nodes (must be called once, symmetric). */
@@ -106,7 +110,8 @@ class TcpTestNode : public inet::TcpEnv, public inet::TcpObserver
     sim::EventHandle
     scheduleTimer(sim::Tick delay, std::function<void()> fn) override
     {
-        return sim_.eventQueue().scheduleIn(delay, std::move(fn));
+        return sim_.eventQueue().schedule(source_.key(sim_.now() + delay),
+                                          std::move(fn));
     }
 
     void
@@ -122,10 +127,9 @@ class TcpTestNode : public inet::TcpEnv, public inet::TcpObserver
         if (txFilter && !txFilter(hdr, payload, meta))
             return; // dropped by the test script
         TcpTestNode *peer = peer_;
-        sim_.eventQueue().scheduleIn(
-            oneWayDelay, [peer, d = std::move(dgram)] {
-                peer->deliver(d);
-            });
+        sim_.eventQueue().schedule(
+            source_.key(sim_.now() + oneWayDelay),
+            [peer, d = std::move(dgram)] { peer->deliver(d); });
     }
 
     std::uint32_t
@@ -218,6 +222,7 @@ class TcpTestNode : public inet::TcpEnv, public inet::TcpObserver
     }
 
     sim::Simulation &sim_;
+    sim::EventSource &source_;
     inet::SockAddr addr_;
     inet::TcpConfig cfg_;
     TcpTestNode *peer_ = nullptr;
@@ -232,9 +237,9 @@ struct TcpPair
 {
     TcpPair(inet::TcpConfig client_cfg, inet::TcpConfig server_cfg,
             std::uint64_t seed = 1)
-        : sim(seed),
-          client(sim, clientAddr(), client_cfg),
-          server(sim, serverAddr(), server_cfg)
+        : sim(seed), source(sim.addSource()),
+          client(sim, source, clientAddr(), client_cfg),
+          server(sim, source, serverAddr(), server_cfg)
     {
         TcpTestNode::join(client, server);
         server.listen();
@@ -265,6 +270,7 @@ struct TcpPair
     }
 
     sim::Simulation sim;
+    sim::EventSource source;
     TcpTestNode client;
     TcpTestNode server;
 };

@@ -112,7 +112,7 @@ collectLinkPins(const sim::StatRegistry &stats,
     LinkPins pins;
     for (const char *pattern :
          {"*.packetsSent", "*.bytesSent", "*.queueDrops",
-          "*.oversizeDrops", "*.faults.*"}) {
+          "*.oversizeDrops", "*.side?.fault*"}) {
         for (const auto &path : stats.match(pattern))
             pins.counters.emplace_back(path, stats.counterValue(path));
     }
@@ -144,7 +144,7 @@ runLossyTransfer(std::uint64_t seed)
     out.statsJson = bed.sim().stats().jsonDump();
     out.traceJson = bed.sim().tracer().json();
     out.endTick = bed.sim().now();
-    for (const auto &path : bed.sim().stats().match("*.faults.*"))
+    for (const auto &path : bed.sim().stats().match("*.side?.fault*"))
         out.faultEvents += bed.sim().stats().counterValue(path);
     out.pins = collectLinkPins(bed.sim().stats(), taps);
     return out;
@@ -186,7 +186,7 @@ runStarTransfer(bool warmup)
 
     LinkPins pins;
     for (const char *pattern :
-         {"fabric.link0.faults.*", "fabric.link1.faults.*"}) {
+         {"fabric.link0.side?.fault*", "fabric.link1.side?.fault*"}) {
         for (const auto &path : bed.sim().stats().match(pattern)) {
             pins.counters.emplace_back(
                 path, bed.sim().stats().counterValue(path));
@@ -267,7 +267,7 @@ finishAt(apps::Testbed &bed, sim::Tick stop,
         out.pcap.insert(out.pcap.end(), t->bytes().begin(),
                         t->bytes().end());
     }
-    for (const auto &path : bed.sim().stats().match("*.faults.*"))
+    for (const auto &path : bed.sim().stats().match("*.side?.fault*"))
         out.faultEvents += bed.sim().stats().counterValue(path);
 }
 
@@ -815,7 +815,8 @@ TEST(Determinism, FaultDiceIgnoreUnrelatedDraws)
     for (const auto &[path, value] : alone.counters)
         faults += value;
     EXPECT_GT(faults, 0u);
-    EXPECT_EQ(alone.counters.size(), 8u);
+    // Four fault counters per direction of each of the two spokes.
+    EXPECT_EQ(alone.counters.size(), 16u);
 }
 
 // --- parallel engine: N threads == 1 thread, bit for bit -----------
@@ -1010,10 +1011,10 @@ TEST(ParallelDeterminism, BatchedPostsReplaysSerial)
 // The replay tests above compare runs only to each other, so a
 // reordered fault stream or a shifted delivery would still pass them.
 // These pin the lossy transfers' link-layer outcome absolutely — the
-// final tick, every transmit, drop and fault counter, and a digest of
-// each link direction's capture — as the link model produced them
-// under drop+dup+corrupt+reorder, each direction rolling its own
-// fault stream.
+// final tick, every transmit, drop and fault counter of each link
+// direction, and a digest of each direction's capture — as the link
+// model produced them under drop+dup+corrupt+reorder, each direction
+// rolling its own fault stream and keeping its own counters.
 
 TEST(Determinism, LossyTransferMatchesLinkPins)
 {
@@ -1021,22 +1022,38 @@ TEST(Determinism, LossyTransferMatchesLinkPins)
     ASSERT_TRUE(run.completed);
     EXPECT_EQ(run.endTick, 244056403294ull);
     const std::vector<CounterPin> counters = {
-        {"fabric.link0.packetsSent", 164},
-        {"fabric.link1.packetsSent", 164},
-        {"fabric.link0.bytesSent", 148704},
-        {"fabric.link1.bytesSent", 147276},
-        {"fabric.link0.queueDrops", 0},
-        {"fabric.link1.queueDrops", 0},
-        {"fabric.link0.oversizeDrops", 0},
-        {"fabric.link1.oversizeDrops", 0},
-        {"fabric.link0.faults.corruptions", 0},
-        {"fabric.link0.faults.drops", 4},
-        {"fabric.link0.faults.dups", 0},
-        {"fabric.link0.faults.reorders", 8},
-        {"fabric.link1.faults.corruptions", 3},
-        {"fabric.link1.faults.drops", 2},
-        {"fabric.link1.faults.dups", 1},
-        {"fabric.link1.faults.reorders", 5},
+        {"fabric.link0.side0.packetsSent", 96},
+        {"fabric.link0.side1.packetsSent", 68},
+        {"fabric.link1.side0.packetsSent", 69},
+        {"fabric.link1.side1.packetsSent", 95},
+        {"fabric.link0.side0.bytesSent", 142576},
+        {"fabric.link0.side1.bytesSent", 6128},
+        {"fabric.link1.side0.bytesSent", 6218},
+        {"fabric.link1.side1.bytesSent", 141058},
+        {"fabric.link0.side0.queueDrops", 0},
+        {"fabric.link0.side1.queueDrops", 0},
+        {"fabric.link1.side0.queueDrops", 0},
+        {"fabric.link1.side1.queueDrops", 0},
+        {"fabric.link0.side0.oversizeDrops", 0},
+        {"fabric.link0.side1.oversizeDrops", 0},
+        {"fabric.link1.side0.oversizeDrops", 0},
+        {"fabric.link1.side1.oversizeDrops", 0},
+        {"fabric.link0.side0.faultCorruptions", 0},
+        {"fabric.link0.side0.faultDrops", 1},
+        {"fabric.link0.side0.faultDups", 0},
+        {"fabric.link0.side0.faultReorders", 4},
+        {"fabric.link0.side1.faultCorruptions", 0},
+        {"fabric.link0.side1.faultDrops", 3},
+        {"fabric.link0.side1.faultDups", 0},
+        {"fabric.link0.side1.faultReorders", 4},
+        {"fabric.link1.side0.faultCorruptions", 2},
+        {"fabric.link1.side0.faultDrops", 2},
+        {"fabric.link1.side0.faultDups", 1},
+        {"fabric.link1.side0.faultReorders", 2},
+        {"fabric.link1.side1.faultCorruptions", 1},
+        {"fabric.link1.side1.faultDrops", 0},
+        {"fabric.link1.side1.faultDups", 0},
+        {"fabric.link1.side1.faultReorders", 3},
     };
     EXPECT_EQ(run.pins.counters, counters);
     const std::vector<std::uint64_t> digests = {
@@ -1051,30 +1068,54 @@ TEST(Determinism, LossyTransferMatchesLinkPins)
 TEST(ParallelDeterminism, LossyTransferMatchesLinkPins)
 {
     const std::vector<CounterPin> counters = {
-        {"fabric.link0.packetsSent", 166},
-        {"fabric.link1.packetsSent", 166},
-        {"fabric.trunk.packetsSent", 165},
-        {"fabric.link0.bytesSent", 148884},
-        {"fabric.link1.bytesSent", 147456},
-        {"fabric.trunk.bytesSent", 147366},
-        {"fabric.link0.queueDrops", 0},
-        {"fabric.link1.queueDrops", 0},
-        {"fabric.trunk.queueDrops", 0},
-        {"fabric.link0.oversizeDrops", 0},
-        {"fabric.link1.oversizeDrops", 0},
-        {"fabric.trunk.oversizeDrops", 0},
-        {"fabric.link0.faults.corruptions", 0},
-        {"fabric.link0.faults.drops", 4},
-        {"fabric.link0.faults.dups", 0},
-        {"fabric.link0.faults.reorders", 8},
-        {"fabric.link1.faults.corruptions", 3},
-        {"fabric.link1.faults.drops", 2},
-        {"fabric.link1.faults.dups", 1},
-        {"fabric.link1.faults.reorders", 5},
-        {"fabric.trunk.faults.corruptions", 0},
-        {"fabric.trunk.faults.drops", 0},
-        {"fabric.trunk.faults.dups", 0},
-        {"fabric.trunk.faults.reorders", 0},
+        {"fabric.link0.side0.packetsSent", 96},
+        {"fabric.link0.side1.packetsSent", 70},
+        {"fabric.link1.side0.packetsSent", 71},
+        {"fabric.link1.side1.packetsSent", 95},
+        {"fabric.trunk.side0.packetsSent", 95},
+        {"fabric.trunk.side1.packetsSent", 70},
+        {"fabric.link0.side0.bytesSent", 142576},
+        {"fabric.link0.side1.bytesSent", 6308},
+        {"fabric.link1.side0.bytesSent", 6398},
+        {"fabric.link1.side1.bytesSent", 141058},
+        {"fabric.trunk.side0.bytesSent", 141058},
+        {"fabric.trunk.side1.bytesSent", 6308},
+        {"fabric.link0.side0.queueDrops", 0},
+        {"fabric.link0.side1.queueDrops", 0},
+        {"fabric.link1.side0.queueDrops", 0},
+        {"fabric.link1.side1.queueDrops", 0},
+        {"fabric.trunk.side0.queueDrops", 0},
+        {"fabric.trunk.side1.queueDrops", 0},
+        {"fabric.link0.side0.oversizeDrops", 0},
+        {"fabric.link0.side1.oversizeDrops", 0},
+        {"fabric.link1.side0.oversizeDrops", 0},
+        {"fabric.link1.side1.oversizeDrops", 0},
+        {"fabric.trunk.side0.oversizeDrops", 0},
+        {"fabric.trunk.side1.oversizeDrops", 0},
+        {"fabric.link0.side0.faultCorruptions", 0},
+        {"fabric.link0.side0.faultDrops", 1},
+        {"fabric.link0.side0.faultDups", 0},
+        {"fabric.link0.side0.faultReorders", 4},
+        {"fabric.link0.side1.faultCorruptions", 0},
+        {"fabric.link0.side1.faultDrops", 3},
+        {"fabric.link0.side1.faultDups", 0},
+        {"fabric.link0.side1.faultReorders", 4},
+        {"fabric.link1.side0.faultCorruptions", 2},
+        {"fabric.link1.side0.faultDrops", 2},
+        {"fabric.link1.side0.faultDups", 1},
+        {"fabric.link1.side0.faultReorders", 2},
+        {"fabric.link1.side1.faultCorruptions", 1},
+        {"fabric.link1.side1.faultDrops", 0},
+        {"fabric.link1.side1.faultDups", 0},
+        {"fabric.link1.side1.faultReorders", 3},
+        {"fabric.trunk.side0.faultCorruptions", 0},
+        {"fabric.trunk.side0.faultDrops", 0},
+        {"fabric.trunk.side0.faultDups", 0},
+        {"fabric.trunk.side0.faultReorders", 0},
+        {"fabric.trunk.side1.faultCorruptions", 0},
+        {"fabric.trunk.side1.faultDrops", 0},
+        {"fabric.trunk.side1.faultDups", 0},
+        {"fabric.trunk.side1.faultReorders", 0},
     };
     const std::vector<std::uint64_t> digests = {
         0x40a167d19991c90bull,

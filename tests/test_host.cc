@@ -75,7 +75,17 @@ struct ParkRig
     static constexpr sim::Tick period = 10 * sim::oneNs;
 
     sim::Simulation sim;
+    /** Keys the test's own events; built before the CPU it drives. */
+    sim::EventSource harness = sim.addSource();
     host::CpuModel cpu{sim, "cpu", 1'000'000'000};
+
+    /** Run @p fn at @p when as the test's own event. */
+    template <typename F>
+    void
+    at(sim::Tick when, F &&fn)
+    {
+        sim.eventQueue().schedule(harness.key(when), std::forward<F>(fn));
+    }
 
     /** The loop's first poll, made in the caller's event, then park. */
     template <typename F>
@@ -97,7 +107,7 @@ TEST(CpuPark, TwoSpinnersShareOneRoundRobinGrid)
     ParkRig r;
     host::SpinWaiter a, b;
     std::vector<sim::Tick> seen;
-    r.sim.eventQueue().schedule(0, [&] {
+    r.at(0, [&] {
         r.spin(a, [&] { seen.push_back(1); });
         r.spin(b, [&] {
             seen.push_back(r.sim.now());
@@ -106,7 +116,7 @@ TEST(CpuPark, TwoSpinnersShareOneRoundRobinGrid)
         });
     });
     // A push at 45 ns wakes B's next poll, at 60 ns.
-    r.sim.eventQueue().schedule(45 * sim::oneNs, [&] { b.wake(); });
+    r.at(45 * sim::oneNs, [&] { b.wake(); });
     r.sim.runUntil(100 * sim::oneNs);
     // At 60 ns the polls at 0, 0, 10, 20, 30, 40 and 50 ns have made
     // the CPU busy to 70 ns.
@@ -126,8 +136,8 @@ TEST(CpuPark, ChargeSettlesTheOwedPollsFirst)
     ParkRig r;
     host::SpinWaiter w;
     std::vector<sim::Tick> seen;
-    r.sim.eventQueue().schedule(0, [&] { r.spin(w, [] {}); });
-    r.sim.eventQueue().schedule(35'500, [&] {
+    r.at(0, [&] { r.spin(w, [] {}); });
+    r.at(35'500, [&] {
         // Polls at 10, 20 and 30 ns ran: busy to 40 ns. The charge
         // queues behind them, and the poll owed at 40 ns behind it.
         seen.push_back(r.cpu.busyUntil());
@@ -147,7 +157,7 @@ TEST(CpuPark, RunBoundSettlesPollsBelowIt)
 {
     ParkRig r;
     host::SpinWaiter w;
-    r.sim.eventQueue().schedule(0, [&] { r.spin(w, [] {}); });
+    r.at(0, [&] { r.spin(w, [] {}); });
     // A run that stops on a poll tick leaves that poll for the next
     // run; one tick later it has run.
     r.sim.runUntil(30 * sim::oneNs);
@@ -168,9 +178,9 @@ TEST(CpuPark, CountersAreExactAtEveryConditionCheck)
 {
     ParkRig r;
     host::SpinWaiter w;
-    r.sim.eventQueue().schedule(0, [&] { r.spin(w, [] {}); });
+    r.at(0, [&] { r.spin(w, [] {}); });
     for (const sim::Tick t : {12'345u, 27'000u, 31'000u, 50'001u})
-        r.sim.eventQueue().schedule(t, [] {});
+        r.at(t, [] {});
     std::vector<sim::Tick> busy;
     r.sim.runUntilCondition([&] {
         busy.push_back(r.cpu.busyUntil());
@@ -417,7 +427,8 @@ TEST(HostSockets, LoopbackDelivery)
     bed.sim().runUntilCondition([&] { return got.size() == 256; },
                                 bed.sim().now() + 5 * sim::oneSec);
     EXPECT_EQ(got, pattern(256));
-    EXPECT_GT(bed.host(0).stack().loopbackPkts.value(), 0u);
+    EXPECT_GT(bed.sim().stats().counterValue("host0.stack.loopbackPkts"),
+              0u);
     // Nothing crossed the wire.
     EXPECT_EQ(bed.nicOf(0).txPackets.value(), 0u);
 }

@@ -352,7 +352,7 @@ TEST(LintProjectRules, T2FiresOnStaticsAndForeignScheduling)
     EXPECT_EQ(diags[0].line, 5);  // namespace-scope mutable static
     EXPECT_EQ(diags[1].line, 11); // function-local mutable static
     EXPECT_EQ(diags[2].line, 13); // eventQueue().schedule(...)
-    EXPECT_EQ(diags[3].line, 14); // eqRemote->scheduleIn(...)
+    EXPECT_EQ(diags[3].line, 14); // eqRemote->schedule(...)
     EXPECT_NE(diags[0].message.find("mutable static state"),
               std::string::npos);
     EXPECT_NE(diags[2].message.find("Link/Mailbox"), std::string::npos);
@@ -579,7 +579,7 @@ TEST(LintTree, IndexCoversRealTree)
     const auto sources = readSources(root, collectTree(root));
     const IndexSummary sum = summarizeIndex(sources);
     // Whole-literal registrations land as leaf paths.
-    EXPECT_TRUE(sum.statLeafPaths.count("faults.drops"));
+    EXPECT_TRUE(sum.statLeafPaths.count("faultDrops"));
     EXPECT_TRUE(sum.statLeafPaths.count("segsOut"));
     // Tag-function return literals (fwStageTag) land as segments.
     EXPECT_TRUE(sum.statSegments.count("getWr"));

@@ -141,7 +141,7 @@ TEST(Link, DropsOversizePackets)
     EXPECT_FALSE(link.send(0, somePacket(1501)));
     sim.run();
     EXPECT_TRUE(sink.packets.empty());
-    EXPECT_EQ(link.oversizeDrops.value(), 1u);
+    EXPECT_EQ(link.counters(0).oversizeDrops.value(), 1u);
 }
 
 TEST(Link, FullDuplexDirectionsAreIndependent)
@@ -162,6 +162,11 @@ TEST(Link, FullDuplexDirectionsAreIndependent)
     ASSERT_EQ(sink0.arrivals.size(), 1u);
     ASSERT_EQ(sink1.arrivals.size(), 1u);
     EXPECT_EQ(sink0.arrivals[0], sink1.arrivals[0]);
+    // Each direction counts only what it sent.
+    for (int side = 0; side < 2; ++side) {
+        EXPECT_EQ(link.counters(side).packetsSent.value(), 1u);
+        EXPECT_EQ(link.counters(side).bytesSent.value(), 1250u);
+    }
 }
 
 TEST(Fault, DropAndDuplicate)
@@ -176,7 +181,7 @@ TEST(Fault, DropAndDuplicate)
     link.send(0, somePacket(100));
     sim.run();
     EXPECT_TRUE(sink.packets.empty());
-    EXPECT_EQ(link.faultDrops.value(), 1u);
+    EXPECT_EQ(link.counters(0).faultDrops.value(), 1u);
 
     link.faultConfig().dropProb = 0.0;
     link.faultConfig().dupProb = 1.0;
@@ -245,31 +250,31 @@ DiceOutcome
 rollLossyDirection(bool bound)
 {
     sim::Simulation sim(7);
+    sim::EventSource harness = sim.addSource();
     Link link(sim, "l", gigabitEthernetLink());
     link.faultConfig() = FaultConfig{0.2, 0.2, 0.2, 0.2, 20 * sim::oneUs};
     sim::EventQueue *eq = &sim.eventQueue();
     if (bound) {
-        sim::ParallelEngine &engine = sim.engine();
-        sim::Partition &p = engine.addPartition("p");
-        eq = &p.eventQueue();
-        link.bindSide(0, LinkBoundary{eq, nullptr});
-        engine.addFoldHook([&link] { link.foldBoundaryStats(); });
+        eq = &sim.engine().addPartition("p").eventQueue();
+        link.bind({LinkBoundary{eq, nullptr},
+                   LinkBoundary{&sim.eventQueue(), nullptr}});
     }
     DiceOutcome out;
     QueueSink sink(*eq, out);
     link.attach(1, sink);
     for (int i = 0; i < 200; ++i) {
-        eq->schedule(static_cast<sim::Tick>(i) * 20 * sim::oneUs,
-                     [&link, i] {
-                         auto pkt = somePacket(100);
-                         pkt->data[0] = static_cast<std::uint8_t>(i);
-                         link.send(0, pkt);
-                     });
+        const sim::Tick at = static_cast<sim::Tick>(i) * 20 * sim::oneUs;
+        eq->schedule(harness.key(at), [&link, i] {
+            auto pkt = somePacket(100);
+            pkt->data[0] = static_cast<std::uint8_t>(i);
+            link.send(0, pkt);
+        });
     }
     sim.run();
-    out.counters = {link.packetsSent.value(), link.faultDrops.value(),
-                    link.faultDups.value(), link.faultCorruptions.value(),
-                    link.faultReorders.value()};
+    const LinkCounters &c = link.counters(0);
+    out.counters = {c.packetsSent.value(), c.faultDrops.value(),
+                    c.faultDups.value(), c.faultCorruptions.value(),
+                    c.faultReorders.value()};
     return out;
 }
 

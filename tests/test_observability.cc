@@ -13,8 +13,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -26,6 +24,7 @@
 #include "apps/testbed.hh"
 #include "apps/ttcp.hh"
 #include "engine_stats.hh"
+#include "golden.hh"
 #include "inet/ip_frag.hh"
 #include "inet/ipv4.hh"
 #include "inet/ipv6.hh"
@@ -485,14 +484,14 @@ TEST(StatRegistry, SimObjectsAutoRegisterAndUnregister)
     EXPECT_EQ(sim.stats().size(), 0u);
     {
         net::Link link(sim, "lnk", net::gigabitEthernetLink());
-        EXPECT_TRUE(sim.stats().contains("lnk.packetsSent"));
-        EXPECT_TRUE(sim.stats().contains("lnk.faults.drops"));
-        const std::size_t with_link = sim.stats().size();
-        EXPECT_GE(with_link, 8u);
+        EXPECT_TRUE(sim.stats().contains("lnk.side0.packetsSent"));
+        EXPECT_TRUE(sim.stats().contains("lnk.side1.faultDrops"));
+        // Eight counters per direction.
+        EXPECT_EQ(sim.stats().size(), 16u);
     }
     // Destruction unregisters every path the link owned.
     EXPECT_EQ(sim.stats().size(), 0u);
-    EXPECT_FALSE(sim.stats().contains("lnk.packetsSent"));
+    EXPECT_FALSE(sim.stats().contains("lnk.side0.packetsSent"));
 }
 
 TEST(StatRegistry, FullTestbedPublishesHierarchy)
@@ -504,7 +503,7 @@ TEST(StatRegistry, FullTestbedPublishesHierarchy)
     EXPECT_TRUE(stats.contains("host0.qnic.fw.busyTicks"));
     EXPECT_TRUE(stats.contains("host0.qnic.doorbells.rings"));
     EXPECT_TRUE(stats.contains("host1.qnic.reass.fragmentsIn"));
-    EXPECT_TRUE(stats.contains("fabric.link0.packetsSent"));
+    EXPECT_TRUE(stats.contains("fabric.link0.side0.packetsSent"));
     EXPECT_TRUE(stats.contains("fabric.switch.forwarded"));
     // Every firmware stage path is enumerable by pattern.
     EXPECT_EQ(stats.match("host0.qnic.fw.stage.*").size(),
@@ -637,33 +636,6 @@ TEST(StatRegistry, ConnectionChurnReturnsToBaseline)
     }
 }
 
-namespace {
-
-/**
- * Expect @p dump to equal the golden tests/golden/@p name byte for
- * byte. On a mismatch the actual bytes are written next to the build
- * and the failure names the file to copy over the golden.
- */
-void
-expectMatchesGolden(const std::string &dump, const std::string &name)
-{
-    const std::string golden = std::string(QPIP_GOLDEN_DIR) + "/" + name;
-    std::ifstream in(golden, std::ios::binary);
-    const std::string want{std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>()};
-    if (in && dump == want)
-        return;
-    const std::string actual =
-        std::string(QPIP_GOLDEN_ACTUAL_DIR) + "/" + name;
-    std::ofstream(actual, std::ios::binary) << dump;
-    ADD_FAILURE() << "the dump differs from " << golden
-                  << "; it was written to " << actual
-                  << ", to be copied over the golden if the change is "
-                     "meant";
-}
-
-} // namespace
-
 // Whole-dump byte pins: the path order, the selection and the number
 // formatting of jsonDump() must not drift. Each dump is read where
 // its harness returned, at its FlowRun's stop tick, so the
@@ -674,8 +646,8 @@ TEST(StatRegistry, JsonDumpMatchesRecordedBytes)
     {
         apps::QpipTestbed bed(2);
         ASSERT_TRUE(apps::runQpipTcpPingPong(bed, 4).completed);
-        expectMatchesGolden(bed.sim().stats().jsonDump(),
-                            "stats_qpip_pingpong.json");
+        test::expectMatchesGolden(bed.sim().stats().jsonDump(),
+                                  "stats_qpip_pingpong.json");
     }
     const auto dual_star_dump = [](int threads) {
         apps::SocketsTestbed bed(4, apps::SocketsFabric::GigabitEthernet,
@@ -689,7 +661,8 @@ TEST(StatRegistry, JsonDumpMatchesRecordedBytes)
         return bed.sim().stats().jsonDump();
     };
     const std::string partitioned = dual_star_dump(2);
-    expectMatchesGolden(partitioned, "stats_ttcp_pairs_dualstar_t2.json");
+    test::expectMatchesGolden(partitioned,
+                              "stats_ttcp_pairs_dualstar_t2.json");
     EXPECT_EQ(test::withoutEngineStats(partitioned),
               test::withoutEngineStats(dual_star_dump(0)));
 }
@@ -1247,6 +1220,6 @@ TEST(Pcap, CaptureIncludesFramesTheFaultInjectorDrops)
     link.send(0, pkt);
     sim.run();
 
-    EXPECT_EQ(link.faultDrops.value(), 1u);
+    EXPECT_EQ(link.counters(0).faultDrops.value(), 1u);
     EXPECT_EQ(pcap.frames(), 1u);
 }

@@ -57,14 +57,15 @@ TEST(Partition, OwnsPrivateQueue)
 TEST(ParallelEngine, RunsPartitionEventsToCompletion)
 {
     sim::Simulation simu(1);
+    sim::EventSource harness = simu.addSource();
     sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
     int ran_a = 0;
     int ran_b = 0;
-    a.eventQueue().schedule(10, [&] { ++ran_a; });
-    a.eventQueue().schedule(20, [&] { ++ran_a; });
-    b.eventQueue().schedule(15, [&] { ++ran_b; });
+    a.eventQueue().schedule(harness.key(10), [&] { ++ran_a; });
+    a.eventQueue().schedule(harness.key(20), [&] { ++ran_a; });
+    b.eventQueue().schedule(harness.key(15), [&] { ++ran_b; });
     const auto n = eng.run();
     EXPECT_EQ(n, 3u);
     EXPECT_EQ(ran_a, 2);
@@ -75,12 +76,13 @@ TEST(ParallelEngine, RunsPartitionEventsToCompletion)
 TEST(ParallelEngine, RunUntilStopsAndAlignsClocks)
 {
     sim::Simulation simu(1);
+    sim::EventSource harness = simu.addSource();
     sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
     int ran = 0;
-    a.eventQueue().schedule(5, [&] { ++ran; });
-    a.eventQueue().schedule(100, [&] { ++ran; });
+    a.eventQueue().schedule(harness.key(5), [&] { ++ran; });
+    a.eventQueue().schedule(harness.key(100), [&] { ++ran; });
     eng.runUntil(50);
     EXPECT_EQ(ran, 1);
     EXPECT_EQ(eng.now(), 50u);
@@ -104,16 +106,17 @@ TEST(ParallelEngine, MailboxMergeOrderIsDeterministic)
     // the lower id.
     sim::EventSource srcB = simu.addSource();
     sim::EventSource srcA = simu.addSource();
+    sim::EventSource harness = simu.addSource();
 
     // Only partition c's events touch `order`.
     std::vector<std::string> order;
-    a.eventQueue().schedule(0, [&] {
+    a.eventQueue().schedule(harness.key(0), [&] {
         ac.post(srcA.key(100, 1), [&order] { order.push_back("a.p1"); });
         ac.post(srcA.key(100, 0), [&order] { order.push_back("a.p0"); });
         ac.post(srcA.key(60), [&order] { order.push_back("a.early"); });
         ac.post(srcA.key(100, 1), [&order] { order.push_back("a.p1b"); });
     });
-    b.eventQueue().schedule(0, [&] {
+    b.eventQueue().schedule(harness.key(0), [&] {
         bc.post(srcB.key(100, 1), [&order] { order.push_back("b.p1"); });
         bc.post(srcB.key(60), [&order] { order.push_back("b.early"); });
     });
@@ -170,9 +173,11 @@ runKeyedPosts(bool reversed)
     };
     // Forward, a posts the first three and b the rest, both at tick 0;
     // reversed, each posts the other's keys in the opposite order, b
-    // at tick 10, so a source's posts split over two mailboxes.
-    a.eventQueue().schedule(0, [&] { postAll(ac, 0, 3); });
-    b.eventQueue().schedule(reversed ? 10 : 0,
+    // at tick 10, so a source's posts split over two mailboxes. Source
+    // 6 keys the events that post.
+    sim::EventSource harness(6);
+    a.eventQueue().schedule(harness.key(0), [&] { postAll(ac, 0, 3); });
+    b.eventQueue().schedule(harness.key(reversed ? 10 : 0),
                             [&] { postAll(bc, 3, 6); });
     c.eventQueue().schedule(sim::EventKey{100, 0, 3, 0},
                             [&] { order.push_back("s3.0"); });
@@ -249,6 +254,7 @@ runRing(int threads)
             &eng.mailbox(*parts[i], *parts[(i + 1) % ringSize], 100));
         srcs.push_back(simu.addSource());
     }
+    sim::EventSource harness = simu.addSource();
 
     RingDigest d;
     d.hits.resize(ringSize);
@@ -274,8 +280,8 @@ runRing(int threads)
                            });
         }
     };
-    parts[0]->eventQueue().schedule(0, [&] { hop(0, 0); });
-    parts[2]->eventQueue().schedule(30, [&] { hop(2, 1); });
+    parts[0]->eventQueue().schedule(harness.key(0), [&] { hop(0, 0); });
+    parts[2]->eventQueue().schedule(harness.key(30), [&] { hop(2, 1); });
     eng.run();
     d.executed = eng.executed();
     d.epochs = eng.epochs();
@@ -313,7 +319,7 @@ TEST(ParallelEngine, LastEpochMailWaitsForNextRun)
     std::vector<std::string> order;
     // Written by a's event; read by the predicate at the barrier.
     bool sent = false;
-    a.eventQueue().schedule(0, [&] {
+    a.eventQueue().schedule(harness.key(0), [&] {
         ab.post(mailer.key(100), [&] { order.push_back("mail0"); });
         ab.post(mailer.key(100), [&] { order.push_back("mail1"); });
         sent = true;
@@ -355,8 +361,9 @@ TEST(ParallelEngine, RunAfterParkVisitsEveryWorkersPartitions)
     std::vector<int> ran(parts.size(), 0);
     int mail = 0;
     for (std::size_t i = 0; i < parts.size(); ++i)
-        parts[i]->eventQueue().schedule(5, [&ran, i] { ++ran[i]; });
-    parts[1]->eventQueue().schedule(6, [&] {
+        parts[i]->eventQueue().schedule(src.key(5),
+                                        [&ran, i] { ++ran[i]; });
+    parts[1]->eventQueue().schedule(src.key(6), [&] {
         mb.post(src.key(20), [&] { ++mail; });
     });
     // Joined pool: the calling thread must visit all three workers'
@@ -371,6 +378,7 @@ TEST(ParallelEngine, RunAfterParkVisitsEveryWorkersPartitions)
 TEST(ParallelEngine, RunUntilConditionChecksAtBarriers)
 {
     sim::Simulation simu(3);
+    sim::EventSource harness = simu.addSource();
     sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
@@ -382,7 +390,7 @@ TEST(ParallelEngine, RunUntilConditionChecksAtBarriers)
     eng.mailbox(b, a, 5);
     int count = 0;
     for (Tick t = 0; t < 100; t += 10)
-        a.eventQueue().schedule(t, [&] { ++count; });
+        a.eventQueue().schedule(harness.key(t), [&] { ++count; });
     const bool ok =
         simu.runUntilCondition([&] { return count >= 3; }, 1000);
     EXPECT_TRUE(ok);
@@ -394,6 +402,7 @@ TEST(ParallelEngine, RunUntilConditionChecksAtBarriers)
 TEST(ParallelEngine, PerEdgeHorizonsDecoupleSlowEdges)
 {
     sim::Simulation simu(7);
+    sim::EventSource harness = simu.addSource();
     sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &fa = eng.addPartition("fa");
     auto &fb = eng.addPartition("fb");
@@ -408,8 +417,8 @@ TEST(ParallelEngine, PerEdgeHorizonsDecoupleSlowEdges)
     int fast = 0;
     int slow = 0;
     for (Tick t = 0; t < 100; t += 10) {
-        fa.eventQueue().schedule(t, [&] { ++fast; });
-        sa.eventQueue().schedule(t, [&] { ++slow; });
+        fa.eventQueue().schedule(harness.key(t), [&] { ++fast; });
+        sa.eventQueue().schedule(harness.key(t), [&] { ++slow; });
     }
     eng.run();
     EXPECT_EQ(fast, 10);
@@ -432,6 +441,7 @@ TEST(ParallelEngine, HorizonFloorsPropagateThroughStalledChains)
     auto &bc = eng.mailbox(b, c, 10);
     sim::EventSource srcA = simu.addSource();
     sim::EventSource srcB = simu.addSource();
+    sim::EventSource harness = simu.addSource();
 
     // b starts empty and wakes only when a's post arrives, then
     // forwards into c below c's far-future local event. c's horizon
@@ -439,13 +449,13 @@ TEST(ParallelEngine, HorizonFloorsPropagateThroughStalledChains)
     // tick (infinity): otherwise c runs its tick-1000 event in the
     // first epoch and the tick-20 delivery violates its horizon.
     std::vector<Tick> cOrder; // written only by partition c
-    a.eventQueue().schedule(0, [&] {
+    a.eventQueue().schedule(harness.key(0), [&] {
         ab.post(srcA.key(10), [&] {
             bc.post(srcB.key(20),
                     [&] { cOrder.push_back(c.eventQueue().now()); });
         });
     });
-    c.eventQueue().schedule(1000,
+    c.eventQueue().schedule(harness.key(1000),
                             [&] { cOrder.push_back(c.eventQueue().now()); });
     eng.run();
     const std::vector<Tick> expect = {20, 1000};
@@ -456,6 +466,7 @@ TEST(ParallelEngine, HorizonFloorsPropagateThroughStalledChains)
 TEST(ParallelEngine, TightestIncomingEdgeBoundsHorizon)
 {
     sim::Simulation simu(13);
+    sim::EventSource harness = simu.addSource();
     sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
@@ -467,9 +478,9 @@ TEST(ParallelEngine, TightestIncomingEdgeBoundsHorizon)
     eng.mailbox(b, c, 2);
     eng.mailbox(c, b, 2);
     int count = 0;
-    a.eventQueue().schedule(0, [] {});
+    a.eventQueue().schedule(harness.key(0), [] {});
     for (Tick t = 0; t < 100; t += 10)
-        c.eventQueue().schedule(t, [&] { ++count; });
+        c.eventQueue().schedule(harness.key(t), [&] { ++count; });
     eng.run();
     EXPECT_EQ(count, 10);
     // One event per epoch; had the wide edge bounded the horizon, all
@@ -480,6 +491,7 @@ TEST(ParallelEngine, TightestIncomingEdgeBoundsHorizon)
 TEST(ParallelEngine, RedeclaredEdgeKeepsItsTightestLookahead)
 {
     sim::Simulation simu(5);
+    sim::EventSource harness = simu.addSource();
     sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
@@ -497,7 +509,7 @@ TEST(ParallelEngine, RedeclaredEdgeKeepsItsTightestLookahead)
     // events 10 apart take five epochs (at 1000 they would take one).
     int count = 0;
     for (Tick t = 0; t < 100; t += 10)
-        a.eventQueue().schedule(t, [&] { ++count; });
+        a.eventQueue().schedule(harness.key(t), [&] { ++count; });
     eng.run();
     EXPECT_EQ(count, 10);
     EXPECT_EQ(eng.epochs(), 5u);
@@ -519,7 +531,7 @@ TEST(ParallelEngine, RegistersParallelStats)
         EXPECT_TRUE(simu.stats().contains(leaf)) << leaf;
     int got = 0;
     sim::EventSource src = simu.addSource();
-    a.eventQueue().schedule(0, [&] {
+    a.eventQueue().schedule(src.key(0), [&] {
         ab.post(src.key(10), [&] { ++got; });
         ab.post(src.key(11), [&] { ++got; });
     });
@@ -534,10 +546,11 @@ TEST(ParallelEngine, RegistersParallelStats)
 TEST(ParallelEngine, SimulationDelegatesRunCalls)
 {
     sim::Simulation simu(5);
+    sim::EventSource harness = simu.addSource();
     sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &a = eng.addPartition("a");
     int ran = 0;
-    a.eventQueue().schedule(7, [&] { ++ran; });
+    a.eventQueue().schedule(harness.key(7), [&] { ++ran; });
     EXPECT_EQ(simu.run(), 1u);
     EXPECT_EQ(ran, 1);
 }
@@ -547,12 +560,13 @@ TEST(ParallelEngine, SimObjectsCannotBeBuiltWhileAPartitionExecutes)
     // Source ids follow construction order; one handed out inside an
     // epoch would follow thread timing instead.
     sim::Simulation simu(1);
+    sim::EventSource harness = simu.addSource();
     sim::ParallelEngine &eng = engineOf(simu, 1);
     auto &a = eng.addPartition("a");
     sim::SimObject first(simu, "first");
     EXPECT_EQ(&first.eventQueue(), &simu.eventQueue());
     a.eventQueue().schedule(
-        5, [&simu] { sim::SimObject late(simu, "late"); });
+        harness.key(5), [&simu] { sim::SimObject late(simu, "late"); });
     EXPECT_DEATH(eng.run(), "event source added while a partition "
                             "executes");
 }
@@ -562,14 +576,17 @@ TEST(ParallelEngine, SimulationNowPanicsWhileAPartitionExecutes)
     // Inside an epoch the engine's frontier is not the running
     // event's tick; the event's own queue has that.
     sim::Simulation simu(1);
+    sim::EventSource harness = simu.addSource();
     sim::ParallelEngine &eng = engineOf(simu, 1);
     auto &a = eng.addPartition("a");
     Tick seen = 0;
-    a.eventQueue().schedule(5, [&] { seen = a.eventQueue().now(); });
+    a.eventQueue().schedule(harness.key(5),
+                            [&] { seen = a.eventQueue().now(); });
     eng.run();
     EXPECT_EQ(seen, 5u);
     EXPECT_EQ(simu.now(), eng.now());
-    a.eventQueue().schedule(9, [&simu] { (void)simu.now(); });
+    a.eventQueue().schedule(harness.key(9),
+                            [&simu] { (void)simu.now(); });
     EXPECT_DEATH(eng.run(), "Simulation::now\\(\\) read while a "
                             "partition executes");
 }
@@ -591,10 +608,11 @@ TEST(ParallelEngine, AssignByPrefixRebindsMatchingObjects)
 TEST(ParallelEngine, ClearAllDropsPendingWork)
 {
     sim::Simulation simu(1);
+    sim::EventSource harness = simu.addSource();
     sim::ParallelEngine &eng = engineOf(simu, 2);
     auto &a = eng.addPartition("a");
     int ran = 0;
-    a.eventQueue().schedule(10, [&] { ++ran; });
+    a.eventQueue().schedule(harness.key(10), [&] { ++ran; });
     eng.clearAll();
     EXPECT_EQ(eng.run(), 0u);
     EXPECT_EQ(ran, 0);
@@ -611,9 +629,10 @@ TEST(ParallelEngine, OnePartitionChecksItsPredicateAfterEveryEvent)
     ASSERT_EQ(eng.numPartitions(), 1u);
     sim::EventQueue &a = simu.eventQueue();
     EXPECT_EQ(&a, &eng.partition(0).eventQueue());
+    sim::EventSource harness = simu.addSource();
     int count = 0;
     for (Tick t = 0; t < 100; t += 10) {
-        a.schedule(t, [&, t] {
+        a.schedule(harness.key(t), [&, t] {
             EXPECT_EQ(simu.now(), t);
             ++count;
         });
@@ -725,7 +744,7 @@ mailOnce(bool drop, Make make, PayloadLog &log)
     auto &ab = eng.mailbox(a, b, 10);
     sim::EventSource src = simu.addSource();
     bool sent = false;
-    a.eventQueue().schedule(0, [&] {
+    a.eventQueue().schedule(src.key(0), [&] {
         ab.post(src.key(10), make(log));
         sent = true;
     });

@@ -24,10 +24,11 @@ using namespace qpip::sim;
 TEST(EventQueue, RunsInTimeOrder)
 {
     EventQueue eq;
+    EventSource src{1};
     std::vector<int> order;
-    eq.schedule(30, [&] { order.push_back(3); });
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(20, [&] { order.push_back(2); });
+    eq.schedule(src.key(30), [&] { order.push_back(3); });
+    eq.schedule(src.key(10), [&] { order.push_back(1); });
+    eq.schedule(src.key(20), [&] { order.push_back(2); });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.now(), 30u);
@@ -36,10 +37,11 @@ TEST(EventQueue, RunsInTimeOrder)
 TEST(EventQueue, TieBreaksByPriorityThenInsertion)
 {
     EventQueue eq;
+    EventSource src{1};
     std::vector<int> order;
-    eq.schedule(10, [&] { order.push_back(1); }, 5);
-    eq.schedule(10, [&] { order.push_back(2); }, -1);
-    eq.schedule(10, [&] { order.push_back(3); }, 5);
+    eq.schedule(src.key(10, 5), [&] { order.push_back(1); });
+    eq.schedule(src.key(10, -1), [&] { order.push_back(2); });
+    eq.schedule(src.key(10, 5), [&] { order.push_back(3); });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));
 }
@@ -47,8 +49,9 @@ TEST(EventQueue, TieBreaksByPriorityThenInsertion)
 TEST(EventQueue, CancelPreventsExecution)
 {
     EventQueue eq;
+    EventSource src{1};
     bool ran = false;
-    auto h = eq.schedule(10, [&] { ran = true; });
+    auto h = eq.schedule(src.key(10), [&] { ran = true; });
     EXPECT_TRUE(h.pending());
     h.cancel();
     EXPECT_FALSE(h.pending());
@@ -59,12 +62,13 @@ TEST(EventQueue, CancelPreventsExecution)
 TEST(EventQueue, EventsCanScheduleEvents)
 {
     EventQueue eq;
+    EventSource src{1};
     int count = 0;
     std::function<void()> chain = [&] {
         if (++count < 5)
-            eq.scheduleIn(10, chain);
+            eq.schedule(src.key(eq.now() + 10), chain);
     };
-    eq.schedule(0, chain);
+    eq.schedule(src.key(0), chain);
     eq.run();
     EXPECT_EQ(count, 5);
     EXPECT_EQ(eq.now(), 40u);
@@ -73,9 +77,10 @@ TEST(EventQueue, EventsCanScheduleEvents)
 TEST(EventQueue, RunUntilStopsBeforeBoundary)
 {
     EventQueue eq;
+    EventSource src{1};
     int count = 0;
-    eq.schedule(10, [&] { ++count; });
-    eq.schedule(20, [&] { ++count; });
+    eq.schedule(src.key(10), [&] { ++count; });
+    eq.schedule(src.key(20), [&] { ++count; });
     eq.runUntil(20); // events at exactly 20 do not run
     EXPECT_EQ(count, 1);
     EXPECT_EQ(eq.now(), 20u);
@@ -86,8 +91,9 @@ TEST(EventQueue, RunUntilStopsBeforeBoundary)
 TEST(EventQueue, NextEventTickSkipsCancelled)
 {
     EventQueue eq;
-    auto h = eq.schedule(10, [] {});
-    eq.schedule(20, [] {});
+    EventSource src{1};
+    auto h = eq.schedule(src.key(10), [] {});
+    eq.schedule(src.key(20), [] {});
     h.cancel();
     EXPECT_EQ(eq.nextEventTick(), 20u);
 }
@@ -179,9 +185,10 @@ TEST(Random, StreamSeedIsAFixedHashOfSeedNameAndSalt)
 TEST(Simulation, RunUntilConditionStopsEarly)
 {
     Simulation sim;
+    EventSource src = sim.addSource();
     int count = 0;
     for (int i = 1; i <= 10; ++i)
-        sim.eventQueue().schedule(i * 10, [&] { ++count; });
+        sim.eventQueue().schedule(src.key(i * 10), [&] { ++count; });
     const bool met =
         sim.runUntilCondition([&] { return count == 3; });
     EXPECT_TRUE(met);
@@ -204,15 +211,16 @@ TEST(Simulation, RunForAdvancesTime)
 TEST(EventQueue, WhenReportsMaxTickOnceRunOrCancelled)
 {
     EventQueue eq;
+    EventSource src{1};
     EventHandle inert;
     EXPECT_EQ(inert.when(), maxTick);
 
-    auto h = eq.schedule(10, [] {});
+    auto h = eq.schedule(src.key(10), [] {});
     EXPECT_EQ(h.when(), 10u);
     h.cancel();
     EXPECT_EQ(h.when(), maxTick);
 
-    auto h2 = eq.schedule(20, [] {});
+    auto h2 = eq.schedule(src.key(20), [] {});
     EXPECT_EQ(h2.when(), 20u);
     eq.run();
     // Regression: a handle whose event already fired must not report
@@ -224,11 +232,12 @@ TEST(EventQueue, WhenReportsMaxTickOnceRunOrCancelled)
 TEST(EventQueue, StaleHandleOnRecycledSlotIsInert)
 {
     EventQueue eq;
+    EventSource src{1};
     bool second = false;
-    auto h1 = eq.schedule(10, [] {});
+    auto h1 = eq.schedule(src.key(10), [] {});
     eq.run();
     // The slot is free now; the next schedule reuses it (LIFO).
-    auto h2 = eq.schedule(20, [&] { second = true; });
+    auto h2 = eq.schedule(src.key(20), [&] { second = true; });
     EXPECT_FALSE(h1.pending());
     EXPECT_EQ(h1.when(), maxTick);
     h1.cancel(); // must NOT cancel the new occupant of the slot
@@ -240,12 +249,13 @@ TEST(EventQueue, StaleHandleOnRecycledSlotIsInert)
 TEST(EventQueue, SteadyStateSchedulingDoesNotGrowSlab)
 {
     EventQueue eq;
+    EventSource src{1};
     int count = 0;
     std::function<void()> chain = [&] {
         if (++count < 1000)
-            eq.scheduleIn(1, chain);
+            eq.schedule(src.key(eq.now() + 1), chain);
     };
-    eq.schedule(0, chain);
+    eq.schedule(src.key(0), chain);
     eq.run();
     EXPECT_EQ(count, 1000);
     // One self-rescheduling event occupies one slot, recycled on
@@ -257,9 +267,10 @@ TEST(EventQueue, SteadyStateSchedulingDoesNotGrowSlab)
 TEST(EventQueue, CancelFreesSlotAtOnce)
 {
     EventQueue eq;
+    EventSource src{1};
     bool cancelledRan = false;
     bool freshRan = false;
-    auto h = eq.schedule(10, [&] { cancelledRan = true; });
+    auto h = eq.schedule(src.key(10), [&] { cancelledRan = true; });
     h.cancel();
     // Before anything runs, the cancelled event is gone: its slot is
     // back on the freelist and the queue is empty.
@@ -267,7 +278,7 @@ TEST(EventQueue, CancelFreesSlotAtOnce)
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.nextEventTick(), maxTick);
     // The next schedule reuses that slot; the old handle stays inert.
-    auto h2 = eq.schedule(20, [&] { freshRan = true; });
+    auto h2 = eq.schedule(src.key(20), [&] { freshRan = true; });
     EXPECT_EQ(eq.slabSize(), 1u);
     EXPECT_EQ(eq.freeSlots(), 0u);
     EXPECT_FALSE(h.pending());
@@ -281,8 +292,7 @@ TEST(EventQueue, CancelFreesSlotAtOnce)
 /**
  * Seeded differential check against a reference ordered map of
  * (when, priority, source, seq) keys: random schedules from random
- * sources (source 0: no source, keyed by the queue's own counter),
- * cancels on live and stale handles, single steps and bounded runs.
+ * sources, cancels on live and stale handles, single steps and bounded runs.
  * After every operation the queue has run exactly the reference's
  * order and holds exactly the reference's live events.
  */
@@ -295,7 +305,6 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomCancels)
         std::vector<EventSource> sources;
         for (std::uint32_t id = 1; id <= 4; ++id)
             sources.emplace_back(id);
-        std::uint64_t unsourced = 0;
         std::map<Key, std::uint64_t> live; // key -> event id
         std::vector<Key> keys;             // by event id
         std::vector<EventHandle> handles;
@@ -310,16 +319,12 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomCancels)
                 const int prio = static_cast<int>(rng.uniformInt(0, 2)) - 1;
                 const std::uint64_t id = keys.size();
                 const auto fn = [&ran, id] { ran.push_back(id); };
-                const std::size_t src = rng.uniformInt(0, sources.size());
-                if (src == sources.size()) {
-                    keys.emplace_back(when, prio, 0, unsourced++);
-                    handles.push_back(eq.schedule(when, fn, prio));
-                } else {
-                    const EventKey key = sources[src].key(when, prio);
-                    keys.emplace_back(key.when, key.priority, key.source,
-                                      key.seq);
-                    handles.push_back(eq.schedule(key, fn));
-                }
+                const EventKey key =
+                    sources[rng.uniformInt(0, sources.size() - 1)].key(
+                        when, prio);
+                keys.emplace_back(key.when, key.priority, key.source,
+                                  key.seq);
+                handles.push_back(eq.schedule(key, fn));
                 live.emplace(keys.back(), id);
             } else if (kind < 8) {
                 const std::size_t id = rng.uniformInt(0, handles.size() - 1);
@@ -382,13 +387,16 @@ TEST(EventQueue, ClosureDestructorMayCancelAndScheduleWhenDropped)
 {
     for (const bool viaClear : {false, true}) {
         EventQueue eq;
+        EventSource src{1};
         std::vector<int> ran;
-        EventHandle victim = eq.schedule(20, [&] { ran.push_back(2); });
+        EventHandle victim =
+            eq.schedule(src.key(20), [&] { ran.push_back(2); });
         EventHandle fresh;
         EventHandle dropped = eq.schedule(
-            10, [&, g = OnDestroy([&] {
+            src.key(10), [&, g = OnDestroy([&] {
                     victim.cancel();
-                    fresh = eq.schedule(30, [&] { ran.push_back(3); });
+                    fresh = eq.schedule(src.key(30),
+                                        [&] { ran.push_back(3); });
                 })] { ran.push_back(1); });
         if (viaClear)
             eq.clear();
@@ -409,9 +417,10 @@ TEST(EventQueue, ClosureDestructorMayCancelAndScheduleWhenDropped)
 TEST(EventQueue, ClearDropsEventsAndRecyclesSlots)
 {
     EventQueue eq;
+    EventSource src{1};
     bool ran = false;
-    eq.schedule(10, [&] { ran = true; });
-    eq.schedule(20, [&] { ran = true; });
+    eq.schedule(src.key(10), [&] { ran = true; });
+    eq.schedule(src.key(20), [&] { ran = true; });
     eq.clear();
     EXPECT_TRUE(eq.empty());
     eq.run();
@@ -422,12 +431,13 @@ TEST(EventQueue, ClearDropsEventsAndRecyclesSlots)
 TEST(EventQueue, LargeClosuresFallBackToHeapCorrectly)
 {
     EventQueue eq;
+    EventSource src{1};
     // Capture well past EventFn::inlineBytes to force the heap path.
     std::array<std::uint64_t, 64> big{};
     big[0] = 7;
     big[63] = 9;
     std::uint64_t seen = 0;
-    eq.schedule(10, [big, &seen] { seen = big[0] + big[63]; });
+    eq.schedule(src.key(10), [big, &seen] { seen = big[0] + big[63]; });
     eq.run();
     EXPECT_EQ(seen, 16u);
 }

@@ -10,11 +10,13 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "apps/testbed.hh"
 #include "apps/ttcp.hh"
 #include "net/pcap.hh"
 #include "net/topology.hh"
+#include "sim/logging.hh"
 #include "sim/parallel_engine.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulation.hh"
@@ -304,10 +306,86 @@ TEST(Topology, ParallelConnectionStatsComeAndGo)
     EXPECT_TRUE(sim.stats().match("*.tcp.*").empty());
 }
 
-// tapLink feeds one writer from both directions of a link. On a
-// partitioned link those directions transmit from two partitions at
-// once, so it must refuse in either setup order and name the per-side
-// call to use instead.
+// tapLink feeds one writer from both directions of a link. That is
+// safe wherever the two directions run on one queue: on every link of
+// a one-partition star, and on a partitioned fabric's spokes, which
+// share their leaf switch's partition. A trunk's directions run in two
+// partitions, possibly at once, so there it must refuse, in either
+// setup order, and name the per-side call to use instead.
+
+namespace {
+
+/** Frames both directions of @p link put on the wire. */
+std::uint64_t
+framesSent(const net::Link &link)
+{
+    return link.counters(0).packetsSent.value() +
+           link.counters(1).packetsSent.value();
+}
+
+/** The link joining the two switches of a dual-star. */
+net::Link &
+trunkOf(net::Fabric &fabric)
+{
+    for (const auto &e : fabric.edges()) {
+        if (e.ends[0].isSwitch && e.ends[1].isSwitch)
+            return *e.link;
+    }
+    sim::panic("the fabric has no trunk");
+}
+
+/**
+ * One capture of both spokes of a 2-host star carrying a ttcp, split
+ * into one partition at @p threads workers (0: unpartitioned).
+ */
+std::vector<std::uint8_t>
+starCapture(int threads)
+{
+    apps::SocketsTestbed bed(2, SocketsFabric::GigabitEthernet);
+    if (threads > 0)
+        bed.enableParallel(threads);
+    net::PcapWriter pcap;
+    for (net::NodeId node = 0; node < 2; ++node)
+        net::tapLink(bed.fabric().linkFor(node), pcap);
+    EXPECT_TRUE(apps::runSocketsTtcp(bed, 64 * 1024).completed);
+    EXPECT_EQ(pcap.frames(), framesSent(bed.fabric().linkFor(0)) +
+                                 framesSent(bed.fabric().linkFor(1)));
+    return pcap.bytes();
+}
+
+} // namespace
+
+TEST(Pcap, TapLinkOnAOnePartitionStar)
+{
+    const std::vector<std::uint8_t> serial = starCapture(0);
+    EXPECT_FALSE(serial.empty());
+    for (const int threads : {1, 4})
+        EXPECT_EQ(starCapture(threads), serial) << threads;
+}
+
+TEST(Pcap, TapLinkOnAPartitionedSpoke)
+{
+    // Host 1's spoke, in its switch's partition, which is not
+    // partition 0, where the link object itself stays.
+    for (const bool tap_first : {true, false}) {
+        SCOPED_TRACE(tap_first);
+        apps::SocketsTestbed bed(2, SocketsFabric::GigabitEthernet, 1,
+                                 host::HostCostModel{},
+                                 FabricTopology::DualStar);
+        net::Link &spoke = bed.fabric().linkFor(1);
+        net::PcapWriter pcap;
+        if (tap_first)
+            net::tapLink(spoke, pcap);
+        bed.enableParallel(2);
+        if (!tap_first)
+            net::tapLink(spoke, pcap);
+        EXPECT_NE(bed.partitionOf(1).id(), 0u);
+        EXPECT_TRUE(apps::runSocketsTtcp(bed, 64 * 1024).completed);
+        EXPECT_GT(spoke.counters(0).packetsSent.value(), 0u);
+        EXPECT_GT(spoke.counters(1).packetsSent.value(), 0u);
+        EXPECT_EQ(pcap.frames(), framesSent(spoke));
+    }
+}
 
 TEST(PcapDeathTest, TapLinkBeforePartitioningPanics)
 {
@@ -318,7 +396,7 @@ TEST(PcapDeathTest, TapLinkBeforePartitioningPanics)
                                      1, host::HostCostModel{},
                                      FabricTopology::DualStar);
             net::PcapWriter pcap;
-            net::tapLink(bed.fabric().linkFor(0), pcap);
+            net::tapLink(trunkOf(bed.fabric()), pcap);
             bed.enableParallel(2);
         },
         "tapLinkSide");
@@ -334,22 +412,30 @@ TEST(PcapDeathTest, TapLinkAfterPartitioningPanics)
                                      FabricTopology::DualStar);
             bed.enableParallel(2);
             net::PcapWriter pcap;
-            net::tapLink(bed.fabric().linkFor(0), pcap);
+            net::tapLink(trunkOf(bed.fabric()), pcap);
         },
         "tapLinkSide");
 }
 
 // A one-switch star stays one partition, which traces as an
-// unpartitioned run does.
-TEST(Topology, OnePartitionRunsTraced)
+// unpartitioned run does, byte for byte: each link span is numbered by
+// its direction's own count, whichever queue runs it.
+TEST(Topology, OnePartitionTraceMatchesUnpartitioned)
 {
-    apps::QpipTestbed bed(2);
-    bed.enableParallel(1);
-    EXPECT_EQ(bed.engine()->numPartitions(), 1u);
-    bed.sim().tracer().enable();
-    const auto r = apps::runQpipTtcp(bed, 64 * 1024);
-    EXPECT_TRUE(r.completed);
-    EXPECT_GT(bed.sim().tracer().numEvents(), 0u);
+    const auto trace = [](int threads) {
+        apps::QpipTestbed bed(2);
+        if (threads > 0) {
+            bed.enableParallel(threads);
+            EXPECT_EQ(bed.engine()->numPartitions(), 1u);
+        }
+        bed.sim().tracer().enable();
+        EXPECT_TRUE(apps::runQpipTtcp(bed, 64 * 1024).completed);
+        return bed.sim().tracer().json();
+    };
+    const std::string serial = trace(0);
+    EXPECT_NE(serial.find("\"seq\""), std::string::npos);
+    for (const int threads : {1, 4})
+        EXPECT_EQ(trace(threads), serial) << threads;
 }
 
 // What a testbed split into more than one partition refuses, each

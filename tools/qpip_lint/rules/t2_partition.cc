@@ -87,7 +87,7 @@ ruleT2(const FileData &f, Sink &sink)
     if (linkBoundary(f.path))
         return;
     static const std::regex foreignRe(
-        R"((eventQueue\s*\(\s*\)|\beq[A-Za-z0-9_]*)\s*(->|\.)\s*(schedule|scheduleIn|hold)\s*\()");
+        R"((eventQueue\s*\(\s*\)|\beq[A-Za-z0-9_]*)\s*(->|\.)\s*(schedule|hold)\s*\()");
     for (std::size_t i = 0; i < f.lx.code.size(); ++i) {
         if (std::regex_search(f.lx.code[i], foreignRe))
             sink.add(f, "T2", i,
